@@ -373,6 +373,23 @@ fn check_file_applies_the_zone_map() {
 }
 
 #[test]
+fn check_file_zones_the_session_loop() {
+    // net.rs frames bytes a peer chose: slicing the read buffer at the
+    // newline must go through `get`.
+    let src = "\
+fn read_frame(buf: &[u8], at: usize) -> &[u8] {
+    &buf[..at]
+}
+";
+    assert_eq!(
+        rendered(&check_file("crates/service/src/net.rs", src)),
+        vec!["crates/service/src/net.rs:2: [panic] direct slice/array indexing in a no-panic zone (use `get`)"]
+    );
+    let good = "fn read_frame(buf: &[u8], at: usize) -> &[u8] { buf.get(..at).unwrap_or(buf) }";
+    assert!(check_file("crates/service/src/net.rs", good).is_empty());
+}
+
+#[test]
 fn check_file_scopes_snapshot_zone_to_decode() {
     let src = "\
 pub fn encode(v: &[u32]) -> u32 { v[0] }

@@ -10,7 +10,7 @@
 //! multiplexed onto the one resident engine). Without it, the service
 //! speaks the protocol on stdin/stdout — one request per line, one
 //! response per line — which is how the offline examples and scripts
-//! drive it:
+//! drive it. Both are the same loop, [`net::serve_session`]:
 //!
 //! ```text
 //! $ printf '%s\n' \
@@ -26,12 +26,11 @@
 //! `PATH`, recovered on restart); the default is a process-lifetime
 //! [`MemStorage`].
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::ExitCode;
 
 use uprov_service::net;
-use uprov_service::service::{Client, Service, ServiceConfig};
+use uprov_service::service::{Service, ServiceConfig};
 use uprov_storage::{DurableEngine, FileStorage, MemStorage, Storage};
 
 struct Args {
@@ -152,7 +151,11 @@ fn open_and_run<S: Storage + Send + Sync + 'static>(
                 || service.is_accepting(),
                 |stream| {
                     let client = service.client();
-                    sessions.push(std::thread::spawn(move || serve_stream(stream, &client)));
+                    // An error here is a peer that went away mid-session:
+                    // routine, and nobody is left to tell.
+                    sessions.push(std::thread::spawn(move || {
+                        let _ = net::serve_session(&stream, &stream, &client);
+                    }));
                 },
             );
             if let Err(e) = accepted {
@@ -163,42 +166,16 @@ fn open_and_run<S: Storage + Send + Sync + 'static>(
             }
         }
         None => {
-            let client = service.client();
-            let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout().lock();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let reply = client.serve_line(&line);
-                if writeln!(stdout, "{reply}").is_err() {
-                    break;
-                }
-                let _ = stdout.flush();
-                if !service.is_accepting() {
-                    break;
-                }
+            let served = net::serve_session(
+                std::io::stdin().lock(),
+                std::io::stdout().lock(),
+                &service.client(),
+            );
+            if let Err(e) = served {
+                eprintln!("stdin session failed: {e}");
             }
         }
     }
     service.shutdown();
     ExitCode::SUCCESS
-}
-
-fn serve_stream<S: Storage + Send + Sync + 'static>(stream: TcpStream, client: &Client<S>) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = client.serve_line(&line);
-        if writeln!(writer, "{reply}").is_err() {
-            break;
-        }
-    }
 }

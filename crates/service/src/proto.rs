@@ -156,6 +156,9 @@ pub enum ErrorKind {
     ShuttingDown,
     /// The storage backend failed.
     Io,
+    /// The request line exceeded the transport's size cap
+    /// ([`crate::net::MAX_LINE_BYTES`]); it was discarded unread.
+    TooLarge,
 }
 
 impl ErrorKind {
@@ -167,6 +170,7 @@ impl ErrorKind {
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::Io => "io",
+            ErrorKind::TooLarge => "too_large",
         }
     }
 
@@ -178,6 +182,7 @@ impl ErrorKind {
             "overloaded" => ErrorKind::Overloaded,
             "shutting_down" => ErrorKind::ShuttingDown,
             "io" => ErrorKind::Io,
+            "too_large" => ErrorKind::TooLarge,
             _ => return None,
         })
     }
@@ -271,14 +276,16 @@ enum Json {
 }
 
 struct Lexer<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Lexer {
-            bytes: s.as_bytes(),
+            src,
+            bytes: src.as_bytes(),
             pos: 0,
         }
     }
@@ -354,10 +361,25 @@ impl<'a> Lexer<'a> {
         Ok(Json::Int(value))
     }
 
+    /// One pass over the string: every unescaped run is copied once, as
+    /// a slice of the `&str` the lexer was built from (so it needs no
+    /// UTF-8 check of its own), and only escapes go character by
+    /// character.
     fn string(&mut self) -> Result<String, ProtoError> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            // Both ends of the run sit next to an ASCII byte (or the end
+            // of the input), so they are char boundaries of `src`.
+            let run = self
+                .src
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -366,45 +388,71 @@ impl<'a> Lexer<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let ch = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(ch);
-                            self.pos += 3; // +1 more below, like every branch
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched: find the
-                    // char boundary and copy the whole scalar.
-                    let rest = std::str::from_utf8(self.bytes.get(self.pos..).unwrap_or_default())
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let Some(ch) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the `\`.
+    fn escape(&mut self) -> Result<char, ProtoError> {
+        let ch = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.err("unknown escape")),
+        };
+        self.pos += 1;
+        Ok(ch)
+    }
+
+    /// `\uXXXX`, with `pos` just past the `u`. A high surrogate must be
+    /// followed by an escaped low surrogate, and the pair is one scalar
+    /// (how JSON spells a character outside the BMP); a lone or reversed
+    /// surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, ProtoError> {
+        let first = self.hex4()?;
+        let code = match first {
+            0xD800..=0xDBFF => {
+                if self.peek() != Some(b'\\') || self.bytes.get(self.pos + 1) != Some(&b'u') {
+                    return Err(self.err("high surrogate without a low surrogate"));
+                }
+                self.pos += 2;
+                let second = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&second) {
+                    return Err(self.err("high surrogate without a low surrogate"));
+                }
+                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("low surrogate without a high surrogate")),
+            scalar => scalar,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("\\u escape is not a scalar value"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ProtoError> {
+        let digits = self
+            .bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..4))
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &digit in digits {
+            let value = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + value;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Json, ProtoError> {
@@ -470,31 +518,56 @@ fn parse_json(line: &str) -> Result<Json, ProtoError> {
     Ok(value)
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Appends `s` as a JSON string. Bytes that need no escape are copied in
+/// runs; every escaped byte is ASCII, so each run is cut on char
+/// boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+    {
+        out.push_str(rest.get(..at).unwrap_or_default());
+        match rest.as_bytes().get(at).copied().unwrap_or_default() {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            control => out.push_str(&format!("\\u{control:04x}")),
         }
+        rest = rest.get(at + 1..).unwrap_or_default();
     }
-    f.write_str("\"")
+    out.push_str(rest);
+    out.push('"');
 }
 
-fn write_str_list(f: &mut fmt::Formatter<'_>, items: &[String]) -> fmt::Result {
-    f.write_str("[")?;
+fn write_str_list(out: &mut String, items: &[String]) {
+    out.push('[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            f.write_str(",")?;
+            out.push(',');
         }
-        write_escaped(f, item)?;
+        write_escaped(out, item);
     }
-    f.write_str("]")
+    out.push(']');
+}
+
+/// `{"ok":"<kind>","seq":<seq>` — the head every success shares.
+fn write_ok(out: &mut String, kind: &str, seq: u64) {
+    out.push_str("{\"ok\":\"");
+    out.push_str(kind);
+    out.push('"');
+    write_int_field(out, "seq", seq);
+}
+
+/// `,"<key>":<n>`
+fn write_int_field(out: &mut String, key: &str, n: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(&n.to_string());
 }
 
 // ---------------------------------------------------------------------------
@@ -569,45 +642,48 @@ fn as_object(value: Json) -> Result<Fields, ProtoError> {
 // ---------------------------------------------------------------------------
 // Request codec.
 
+impl Request {
+    fn write_json(&self, out: &mut String) {
+        let (op, text, structure) = match self {
+            Request::Append { log } => ("append", Some(("log", log)), None),
+            Request::AbortEval { txn, structure } => ("abort", Some(("txn", txn)), Some(structure)),
+            Request::DeleteBaseEval { tuple, structure } => {
+                ("delete", Some(("tuple", tuple)), Some(structure))
+            }
+            Request::EvalAll { structure } => ("eval", None, Some(structure)),
+            Request::AbortSymbolic { txn } => ("abort_symbolic", Some(("txn", txn)), None),
+            Request::Equiv { log } => ("equiv", Some(("log", log)), None),
+            Request::Snapshot => ("snapshot", None, None),
+            Request::Stats => ("stats", None, None),
+            Request::SetBudget { .. } => ("set_budget", None, None),
+            Request::Shutdown => ("shutdown", None, None),
+        };
+        out.push_str("{\"op\":\"");
+        out.push_str(op);
+        out.push('"');
+        if let Some((key, text)) = text {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            write_escaped(out, text);
+        }
+        if let Some(structure) = structure {
+            out.push_str(",\"structure\":\"");
+            out.push_str(&structure.to_string());
+            out.push('"');
+        }
+        if let Request::SetBudget { entries: Some(n) } = self {
+            write_int_field(out, "entries", *n);
+        }
+        out.push('}');
+    }
+}
+
 impl fmt::Display for Request {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Request::Append { log } => {
-                f.write_str("{\"op\":\"append\",\"log\":")?;
-                write_escaped(f, log)?;
-                f.write_str("}")
-            }
-            Request::AbortEval { txn, structure } => {
-                f.write_str("{\"op\":\"abort\",\"txn\":")?;
-                write_escaped(f, txn)?;
-                write!(f, ",\"structure\":\"{structure}\"}}")
-            }
-            Request::DeleteBaseEval { tuple, structure } => {
-                f.write_str("{\"op\":\"delete\",\"tuple\":")?;
-                write_escaped(f, tuple)?;
-                write!(f, ",\"structure\":\"{structure}\"}}")
-            }
-            Request::EvalAll { structure } => {
-                write!(f, "{{\"op\":\"eval\",\"structure\":\"{structure}\"}}")
-            }
-            Request::AbortSymbolic { txn } => {
-                f.write_str("{\"op\":\"abort_symbolic\",\"txn\":")?;
-                write_escaped(f, txn)?;
-                f.write_str("}")
-            }
-            Request::Equiv { log } => {
-                f.write_str("{\"op\":\"equiv\",\"log\":")?;
-                write_escaped(f, log)?;
-                f.write_str("}")
-            }
-            Request::Snapshot => f.write_str("{\"op\":\"snapshot\"}"),
-            Request::Stats => f.write_str("{\"op\":\"stats\"}"),
-            Request::SetBudget { entries: Some(n) } => {
-                write!(f, "{{\"op\":\"set_budget\",\"entries\":{n}}}")
-            }
-            Request::SetBudget { entries: None } => f.write_str("{\"op\":\"set_budget\"}"),
-            Request::Shutdown => f.write_str("{\"op\":\"shutdown\"}"),
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -660,42 +736,39 @@ impl FromStr for Request {
 // ---------------------------------------------------------------------------
 // Response codec.
 
-impl fmt::Display for Response {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Response {
+    /// Appends this response's wire form (no trailing newline) to `out`
+    /// — the one printer: [`fmt::Display`], [`crate::Client::serve_line`]
+    /// and the session loop all end up here.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             Response::Appended { seq, applied } => {
-                write!(
-                    f,
-                    "{{\"ok\":\"appended\",\"seq\":{seq},\"applied\":{applied}}}"
-                )
+                write_ok(out, "appended", *seq);
+                write_int_field(out, "applied", *applied);
             }
             Response::Rows { seq, rows } => {
-                write!(f, "{{\"ok\":\"rows\",\"seq\":{seq},\"rows\":[")?;
+                write_ok(out, "rows", *seq);
+                out.push_str(",\"rows\":[");
                 for (i, (name, value)) in rows.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    f.write_str("[")?;
-                    write_escaped(f, name)?;
-                    f.write_str(",")?;
-                    write_escaped(f, value)?;
-                    f.write_str("]")?;
+                    out.push_str(if i > 0 { ",[" } else { "[" });
+                    write_escaped(out, name);
+                    out.push(',');
+                    write_escaped(out, value);
+                    out.push(']');
                 }
-                f.write_str("]}")
+                out.push(']');
             }
             Response::Symbolic { seq, rows } => {
-                write!(f, "{{\"ok\":\"symbolic\",\"seq\":{seq},\"rows\":[")?;
+                write_ok(out, "symbolic", *seq);
+                out.push_str(",\"rows\":[");
                 for (i, row) in rows.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    f.write_str("[")?;
-                    write_escaped(f, &row.name)?;
-                    f.write_str(",")?;
-                    write_escaped(f, &row.provenance)?;
-                    write!(f, ",{}]", row.saturated)?;
+                    out.push_str(if i > 0 { ",[" } else { "[" });
+                    write_escaped(out, &row.name);
+                    out.push(',');
+                    write_escaped(out, &row.provenance);
+                    out.push_str(if row.saturated { ",true]" } else { ",false]" });
                 }
-                f.write_str("]}")
+                out.push(']');
             }
             Response::Equiv {
                 seq,
@@ -703,18 +776,17 @@ impl fmt::Display for Response {
                 differing,
                 undecided,
             } => {
-                write!(
-                    f,
-                    "{{\"ok\":\"equiv\",\"seq\":{seq},\"equivalent\":{equivalent},\"differing\":"
-                )?;
-                write_str_list(f, differing)?;
-                f.write_str(",\"undecided\":")?;
-                write_str_list(f, undecided)?;
-                f.write_str("}")
+                write_ok(out, "equiv", *seq);
+                out.push_str(if *equivalent {
+                    ",\"equivalent\":true,\"differing\":"
+                } else {
+                    ",\"equivalent\":false,\"differing\":"
+                });
+                write_str_list(out, differing);
+                out.push_str(",\"undecided\":");
+                write_str_list(out, undecided);
             }
-            Response::Snapshotted { seq } => {
-                write!(f, "{{\"ok\":\"snapshotted\",\"seq\":{seq}}}")
-            }
+            Response::Snapshotted { seq } => write_ok(out, "snapshotted", *seq),
             Response::Stats {
                 seq,
                 tuples,
@@ -722,19 +794,32 @@ impl fmt::Display for Response {
                 cached,
                 batches,
                 coalesced,
-            } => write!(
-                f,
-                "{{\"ok\":\"stats\",\"seq\":{seq},\"tuples\":{tuples},\"nodes\":{nodes},\
-                 \"cached\":{cached},\"batches\":{batches},\"coalesced\":{coalesced}}}"
-            ),
-            Response::BudgetSet { seq } => write!(f, "{{\"ok\":\"budget_set\",\"seq\":{seq}}}"),
-            Response::Bye { seq } => write!(f, "{{\"ok\":\"bye\",\"seq\":{seq}}}"),
+            } => {
+                write_ok(out, "stats", *seq);
+                write_int_field(out, "tuples", *tuples);
+                write_int_field(out, "nodes", *nodes);
+                write_int_field(out, "cached", *cached);
+                write_int_field(out, "batches", *batches);
+                write_int_field(out, "coalesced", *coalesced);
+            }
+            Response::BudgetSet { seq } => write_ok(out, "budget_set", *seq),
+            Response::Bye { seq } => write_ok(out, "bye", *seq),
             Response::Error { kind, message } => {
-                write!(f, "{{\"err\":\"{}\",\"message\":", kind.as_str())?;
-                write_escaped(f, message)?;
-                f.write_str("}")
+                out.push_str("{\"err\":\"");
+                out.push_str(kind.as_str());
+                out.push_str("\",\"message\":");
+                write_escaped(out, message);
             }
         }
+        out.push('}');
+    }
+}
+
+impl fmt::Display for Response {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        f.write_str(&out)
     }
 }
 

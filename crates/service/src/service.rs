@@ -144,7 +144,7 @@ impl<S: Storage> Inner<S> {
     }
 }
 
-fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
+pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
     Response::Error {
         kind,
         message: message.into(),
@@ -237,15 +237,21 @@ impl<S: Storage> Client<S> {
             .unwrap_or_else(|_| error(ErrorKind::ShuttingDown, "request dropped during drain"))
     }
 
-    /// Serves one protocol line: parse, execute, print. Malformed input
-    /// becomes a printed [`ErrorKind::Parse`] response — the connection
-    /// loops in `main.rs` and the proto tests both go through here.
-    pub fn serve_line(&self, line: &str) -> String {
-        let resp = match line.parse::<Request>() {
+    /// Parses and executes one protocol line. Malformed input becomes an
+    /// [`ErrorKind::Parse`] response.
+    pub fn respond(&self, line: &str) -> Response {
+        match line.parse::<Request>() {
             Ok(req) => self.request(req),
             Err(e) => error(ErrorKind::Parse, e.to_string()),
-        };
-        resp.to_string()
+        }
+    }
+
+    /// Serves one protocol line: parse, execute, print. The session loop
+    /// ([`crate::net::serve_session`]) does the same into a reused buffer.
+    pub fn serve_line(&self, line: &str) -> String {
+        let mut reply = String::new();
+        self.respond(line).write_json(&mut reply);
+        reply
     }
 }
 

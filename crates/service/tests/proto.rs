@@ -9,6 +9,7 @@
 //! never a bogus accept of a mutated-but-different message.
 
 use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use benchkit::TestRng;
 use uprov_service::proto::{ErrorKind, ProtoError, Request, Response, SymbolicRow};
@@ -120,6 +121,7 @@ fn response_zoo() -> Vec<Response> {
         ErrorKind::Overloaded,
         ErrorKind::ShuttingDown,
         ErrorKind::Io,
+        ErrorKind::TooLarge,
     ] {
         for s in nasty_strings() {
             zoo.push(Response::Error { kind, message: s });
@@ -267,4 +269,222 @@ fn mutated_lines_never_panic_and_accepts_are_canonical() {
             Err(ProtoError::Json { .. } | ProtoError::Shape { .. }) => {}
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The string codec, character by character. The lexer copies unescaped
+// runs whole and the printer does the same in the other direction, so the
+// interesting inputs put escapes, multi-byte scalars and run boundaries
+// right next to each other.
+
+/// What a string may be made of: plain ASCII, everything the printer
+/// escapes, and scalars of every UTF-8 width.
+const ALPHABET: &[char] = &[
+    'a',
+    'u',
+    ' ',
+    '/',
+    '"',
+    '\\',
+    '\n',
+    '\t',
+    '\r',
+    '\u{0}',
+    '\u{1}',
+    '\u{8}',
+    '\u{c}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    'ß',
+    '提',
+    '\u{ffff}',
+    '😀',
+    '\u{10ffff}',
+];
+
+fn random_text(rng: &mut TestRng, max_len: usize) -> String {
+    (0..rng.below(max_len + 1))
+        .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+        .collect()
+}
+
+fn symbolic_txn(line: &str) -> Result<String, ProtoError> {
+    match line.parse::<Request>()? {
+        Request::AbortSymbolic { txn } => Ok(txn),
+        other => panic!("{line:?} parsed as {other}"),
+    }
+}
+
+fn wire(escaped_txn: &str) -> String {
+    format!("{{\"op\":\"abort_symbolic\",\"txn\":\"{escaped_txn}\"}}")
+}
+
+/// Random strings over [`ALPHABET`] survive print → parse, the reprint is
+/// a fixed point, and the printed line is plain enough to frame: no raw
+/// control byte (so no raw newline) ever reaches the wire.
+#[test]
+fn random_strings_round_trip_through_printer_and_lexer() {
+    let mut rng = TestRng::new(0x5712_0001);
+    for _ in 0..3000 {
+        let text = random_text(&mut rng, 24);
+        let printed = Request::AbortSymbolic { txn: text.clone() }.to_string();
+        assert!(
+            printed.bytes().all(|b| b >= 0x20),
+            "raw control byte on the wire: {printed:?}"
+        );
+        assert_eq!(symbolic_txn(&printed).as_deref(), Ok(text.as_str()));
+
+        let resp = Response::Rows {
+            seq: 1,
+            rows: vec![(text.clone(), random_text(&mut rng, 24))],
+        };
+        let printed = resp.to_string();
+        let reparsed: Response = printed.parse().expect("own output parses");
+        assert_eq!(reparsed, resp);
+        assert_eq!(reparsed.to_string(), printed, "print fixed point");
+    }
+}
+
+/// Every spelling JSON allows for a character parses to that character:
+/// raw, short escape, `\uXXXX` in either hex case, and a surrogate pair
+/// for scalars outside the BMP — in any mix, so escapes land on both
+/// sides of every run boundary.
+#[test]
+fn every_escape_spelling_parses_to_the_same_text() {
+    let mut rng = TestRng::new(0x5712_0002);
+    for _ in 0..3000 {
+        let text = random_text(&mut rng, 16);
+        let mut escaped = String::new();
+        for ch in text.chars() {
+            let code = ch as u32;
+            let short = match ch {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\n' => Some("\\n"),
+                '\t' => Some("\\t"),
+                '\r' => Some("\\r"),
+                _ => None,
+            };
+            let must_escape = code < 0x20 || ch == '"' || ch == '\\';
+            match rng.below(4) {
+                0 if !must_escape => escaped.push(ch),
+                1 if short.is_some() => escaped.push_str(short.expect("checked")),
+                2 if code <= 0xffff => escaped.push_str(&format!("\\u{code:04X}")),
+                _ if code <= 0xffff => escaped.push_str(&format!("\\u{code:04x}")),
+                _ => {
+                    let v = code - 0x1_0000;
+                    let (high, low) = (0xd800 + (v >> 10), 0xdc00 + (v & 0x3ff));
+                    escaped.push_str(&format!("\\u{high:04x}\\u{low:04X}"));
+                }
+            }
+        }
+        let line = wire(&escaped);
+        assert_eq!(
+            symbolic_txn(&line).as_deref(),
+            Ok(text.as_str()),
+            "line: {line}"
+        );
+    }
+}
+
+/// U+1F600 as Python's `json.dumps` spells it.
+#[test]
+fn surrogate_pairs_combine_and_lone_surrogates_are_typed_errors() {
+    assert_eq!(symbolic_txn(&wire("\\ud83d\\ude00")).as_deref(), Ok("😀"));
+    assert_eq!(
+        symbolic_txn(&wire("a\\uD83D\\uDE00b")).as_deref(),
+        Ok("a😀b")
+    );
+    for bad in [
+        "\\ud83d",        // lone high
+        "\\ude00",        // lone low
+        "\\ude00\\ud83d", // reversed
+        "\\ud83d\\ud83d", // high, high
+        "\\ud83dx",       // high, then a plain character
+        "\\ud83d\\n",     // high, then another escape
+        "\\ud83d\\u0041", // high, then a BMP escape
+        "\\ud83d\\ude0",  // truncated low
+        "\\u+123",        // sign is not a hex digit
+        "\\u00g0",        // nor is g
+    ] {
+        let line = wire(bad);
+        assert!(
+            matches!(symbolic_txn(&line), Err(ProtoError::Json { .. })),
+            "accepted: {line}"
+        );
+    }
+}
+
+/// Control characters never travel raw: the lexer rejects every one of
+/// them inside a string, and accepts each in its escaped spelling.
+#[test]
+fn control_characters_must_be_escaped() {
+    for code in 0u32..0x20 {
+        let ch = char::from_u32(code).expect("ascii");
+        assert!(
+            matches!(
+                symbolic_txn(&wire(&format!("a{ch}b"))),
+                Err(ProtoError::Json { .. })
+            ),
+            "raw U+{code:04X} accepted"
+        );
+        let text = format!("a{ch}b");
+        assert_eq!(
+            symbolic_txn(&wire(&format!("a\\u{code:04x}b"))).as_deref(),
+            Ok(text.as_str())
+        );
+        let printed = Request::AbortSymbolic { txn: text.clone() }.to_string();
+        assert_eq!(symbolic_txn(&printed).as_deref(), Ok(text.as_str()));
+    }
+}
+
+/// Fastest of a few runs: the guards below compare two sizes of the same
+/// work, and the minimum is the reading least disturbed by the host.
+fn fastest<T>(mut f: impl FnMut() -> T) -> Duration {
+    (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            std::hint::black_box(f());
+            started.elapsed()
+        })
+        .min()
+        .expect("five runs")
+}
+
+/// Parsing is linear in the line: ten times the bytes cost about ten
+/// times as long, for requests and for replies. (Re-validating the rest
+/// of the input per character made this 100× — a 250 KB `append` took a
+/// second to parse.) The text mixes escapes and multi-byte scalars so
+/// both the run path and the escape path are on the clock.
+#[test]
+fn parse_time_grows_linearly_with_line_length() {
+    let text = |bytes: usize| "r0_k1 é \"q\"\n".repeat(bytes / 14);
+    let request = |bytes| Request::Append { log: text(bytes) }.to_string();
+    let response = |bytes| {
+        Response::Symbolic {
+            seq: 1,
+            rows: vec![SymbolicRow {
+                name: "x".to_owned(),
+                provenance: text(bytes),
+                saturated: false,
+            }],
+        }
+        .to_string()
+    };
+    let (small, large) = (request(100_000), request(1_000_000));
+    let small_time = fastest(|| small.parse::<Request>().expect("parses"));
+    let large_time = fastest(|| large.parse::<Request>().expect("parses"));
+    assert!(
+        large_time < small_time * 20,
+        "request: 100 KB in {small_time:?}, 1 MB in {large_time:?}"
+    );
+    let (small, large) = (response(100_000), response(1_000_000));
+    let small_time = fastest(|| small.parse::<Response>().expect("parses"));
+    let large_time = fastest(|| large.parse::<Response>().expect("parses"));
+    assert!(
+        large_time < small_time * 20,
+        "response: 100 KB in {small_time:?}, 1 MB in {large_time:?}"
+    );
 }

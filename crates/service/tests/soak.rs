@@ -14,17 +14,17 @@
 //! client exercises every algebra. `UPROV_SOAK_CLIENTS` /
 //! `UPROV_SOAK_REQUESTS` scale the battery up for the CI soak matrix.
 
+mod common;
+
 use std::sync::Arc;
 use std::thread;
 
 use benchkit::TestRng;
-use uprov_core::UpdateStructure;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_service::proto::{ErrorKind, Request, Response, SymbolicRow};
 use uprov_service::service::{Service, ServiceConfig};
 use uprov_service::values::{self, StructureId};
 use uprov_storage::{DurableEngine, MemStorage};
-use uprov_structures::Worlds;
 use uprov_workload::{equivalent_variant, Variant, Workload, WorkloadConfig};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -90,81 +90,6 @@ fn assert_unknown(oracle: &Oracle, req: &Request, message: &str) {
         other => panic!("query error for non-name request {other}: {message}"),
     };
     assert!(!known, "{req} answered `{message}` but the name is live");
-}
-
-/// Evaluate a rendered provenance expression under a name→value map.
-///
-/// The display grammar is fully parenthesized below the top level
-/// (`crates/core/src/expr.rs`): a level is operands joined by one
-/// operator, an operand is `0`, a name, or a parenthesized level. The
-/// normal form orders `Σ` summands by arena NodeId — engine-history
-/// dependent — so symbolic views from two engines are compared
-/// *semantically* (equal values under seeded valuations), not textually.
-fn eval_render<S, F>(s: &S, src: &str, value_of: &F) -> S::Value
-where
-    S: UpdateStructure,
-    F: Fn(&str) -> S::Value,
-{
-    let (v, rest) = parse_level(s, src, value_of);
-    assert!(rest.is_empty(), "trailing garbage in render: {rest:?}");
-    v
-}
-
-fn parse_level<'a, S, F>(s: &S, src: &'a str, value_of: &F) -> (S::Value, &'a str)
-where
-    S: UpdateStructure,
-    F: Fn(&str) -> S::Value,
-{
-    let (mut acc, mut rest) = parse_operand(s, src, value_of);
-    loop {
-        type Op<S> = fn(
-            &S,
-            &<S as UpdateStructure>::Value,
-            &<S as UpdateStructure>::Value,
-        ) -> <S as UpdateStructure>::Value;
-        let (op, after): (Op<S>, &str) = if let Some(r) = rest.strip_prefix(" +I ") {
-            (S::plus_i, r)
-        } else if let Some(r) = rest.strip_prefix(" +M ") {
-            (S::plus_m, r)
-        } else if let Some(r) = rest.strip_prefix(" .M ") {
-            (S::dot_m, r)
-        } else if let Some(r) = rest.strip_prefix(" - ") {
-            (S::minus, r)
-        } else if let Some(r) = rest.strip_prefix(" + ") {
-            (S::plus, r)
-        } else {
-            return (acc, rest);
-        };
-        let (b, after) = parse_operand(s, after, value_of);
-        acc = op(s, &acc, &b);
-        rest = after;
-    }
-}
-
-fn parse_operand<'a, S, F>(s: &S, src: &'a str, value_of: &F) -> (S::Value, &'a str)
-where
-    S: UpdateStructure,
-    F: Fn(&str) -> S::Value,
-{
-    if let Some(inner) = src.strip_prefix('(') {
-        let (v, rest) = parse_level(s, inner, value_of);
-        let rest = rest
-            .strip_prefix(')')
-            .unwrap_or_else(|| panic!("unbalanced parens in render at {rest:?}"));
-        (v, rest)
-    } else {
-        let end = src
-            .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-            .unwrap_or(src.len());
-        assert!(end > 0, "empty operand in render at {src:?}");
-        let (name, rest) = src.split_at(end);
-        let v = if name == "0" {
-            s.zero()
-        } else {
-            value_of(name)
-        };
-        (v, rest)
-    }
 }
 
 fn expect_symbolic(oracle: &mut Oracle, txn: &str) -> Vec<SymbolicRow> {
@@ -252,26 +177,7 @@ fn check(oracle: &mut Oracle, req: &Request, resp: &Response) {
                 panic!("symbolic rows for {req}");
             };
             let expect = expect_symbolic(oracle, txn);
-            let shape = |rs: &[SymbolicRow]| -> Vec<(String, bool)> {
-                rs.iter().map(|r| (r.name.clone(), r.saturated)).collect()
-            };
-            assert_eq!(
-                shape(rows),
-                shape(&expect),
-                "{req} at seq {seq}: symbolic names/flags diverge"
-            );
-            for (got, want) in rows.iter().zip(&expect) {
-                for salt in [0x51AB_0001u64, 0x51AB_0002, 0x51AB_0003] {
-                    let value_of = |name: &str| values::name_mask(name, salt);
-                    assert_eq!(
-                        eval_render(&Worlds, &got.provenance, &value_of),
-                        eval_render(&Worlds, &want.provenance, &value_of),
-                        "{req} at seq {seq}: `{}` and `{}` diverge semantically",
-                        got.provenance,
-                        want.provenance
-                    );
-                }
-            }
+            common::assert_symbolic_rows_agree(rows, &expect, &format!("{req} at seq {seq}"));
         }
         Response::Equiv {
             seq,
