@@ -3,16 +3,17 @@
 //! The build environment for this repository is fully offline, so the real
 //! `criterion` crate cannot be added as a dependency. This crate reproduces
 //! the slice of criterion we need — calibrated iteration counts, warmup,
-//! multi-sample timing with mean/median/min statistics, named comparisons,
-//! and a machine-readable JSON report — with zero dependencies, so
-//! `cargo bench` works as usual via `[[bench]] harness = false` targets.
-//! Swapping a bench file to real criterion later only changes the bench
-//! file, not the measurements' meaning (per-iteration wall-clock ns).
+//! multi-sample timing with mean/median/min statistics, named comparisons
+//! and relative guards — with zero dependencies, so `cargo bench` works as
+//! usual via `[[bench]] harness = false` targets. Swapping a bench file to
+//! real criterion later only changes the bench file, not the
+//! measurements' meaning (per-iteration wall-clock ns).
 //!
-//! JSON output: set `BENCHKIT_OUT=/path/to/report.json` when running
-//! `cargo bench` and the harness writes the full report there on
-//! [`Harness::finish`]; the committed `BENCH_baseline.json` at the workspace
-//! root is exactly such a report.
+//! The report is the stderr log; what these suites *enforce* are their
+//! guards ([`Harness::guard_ratio`], [`Harness::guard_speedup`],
+//! [`Harness::guard_metric_ratio`]), which make [`Harness::finish`] exit
+//! non-zero. Committed, comparable performance numbers live in the repo
+//! benchmark (`bench/`, `BENCHMARK.json`), not here.
 
 use std::time::Instant;
 
@@ -39,9 +40,8 @@ pub struct BenchResult {
 }
 
 /// A named scalar measurement that is not a timing: node counts, byte
-/// sizes, cache hit rates. Recorded alongside the timed benches in the
-/// JSON report so size/space claims are tracked with the same machinery
-/// as speed claims.
+/// sizes, cache hit rates. Recorded alongside the timed benches so
+/// size/space claims are guarded with the same machinery as speed claims.
 #[derive(Debug, Clone)]
 pub struct Metric {
     /// Metric name, e.g. `nf/pingpong10k/counted_nodes`.
@@ -74,7 +74,6 @@ pub struct Comparison {
 
 /// Collects benchmark results and comparisons for one suite.
 pub struct Harness {
-    suite: String,
     results: Vec<BenchResult>,
     comparisons: Vec<Comparison>,
     metrics: Vec<Metric>,
@@ -110,7 +109,6 @@ impl Harness {
     pub fn new(suite: &str) -> Self {
         eprintln!("benchkit suite: {suite}");
         Harness {
-            suite: suite.to_owned(),
             results: Vec::new(),
             comparisons: Vec::new(),
             metrics: Vec::new(),
@@ -119,8 +117,8 @@ impl Harness {
     }
 
     /// Records (and prints) a scalar [`Metric`] — a size, count or rate
-    /// measured outside the timing loop. Metrics land in the JSON report
-    /// and can be guarded with [`Harness::guard_metric_ratio`].
+    /// measured outside the timing loop. Metrics can be guarded with
+    /// [`Harness::guard_metric_ratio`].
     pub fn metric(&mut self, name: &str, value: f64, unit: &str) {
         eprintln!("  {name:<40} metric  {value:>12.0} {unit}");
         self.metrics.push(Metric {
@@ -143,8 +141,7 @@ impl Harness {
     /// metric-shaped analogue of [`Harness::guard_speedup`], for claims
     /// like "the condensed normal form is at least 10× smaller than the
     /// expanded one". Panics if either metric name is unknown. Violations
-    /// make [`Harness::finish`] exit non-zero after the JSON report is
-    /// written. Returns the measured ratio.
+    /// make [`Harness::finish`] exit non-zero. Returns the measured ratio.
     pub fn guard_metric_ratio(
         &mut self,
         name: &str,
@@ -259,9 +256,8 @@ impl Harness {
     /// to 1 ns before dividing: they would otherwise yield an `inf`/NaN
     /// ratio and a nonsense guard verdict. Genuine sub-nanosecond medians
     /// are left untouched, so real ratios between tiny benches stay
-    /// correct. The clamp is recorded on the [`Comparison`] (and in the
-    /// JSON report) so a clamped ratio is never mistaken for a measured
-    /// one.
+    /// correct. The clamp is recorded on the [`Comparison`] (and printed)
+    /// so a clamped ratio is never mistaken for a measured one.
     pub fn compare(&mut self, name: &str, slow: &str, fast: &str) -> f64 {
         let slow_raw = self
             .result(slow)
@@ -293,7 +289,7 @@ impl Harness {
     /// scaling guard for complexity regressions (e.g. a bench at 4× the
     /// input size must stay well under the 16× a quadratic algorithm would
     /// cost). Violations make [`Harness::finish`] exit non-zero, failing
-    /// CI, *after* the JSON report is written. Returns the measured ratio.
+    /// CI. Returns the measured ratio.
     ///
     /// Pick `max_ratio` with smoke-mode noise in mind: single-sample
     /// timings on shared CI runners jitter, so guard against the
@@ -313,8 +309,8 @@ impl Harness {
     /// flags a **violation** if the speedup falls *below* `min_speedup` —
     /// the floor-shaped dual of [`Harness::guard_ratio`], for claims like
     /// "the incremental path is at least 10× faster than from-scratch".
-    /// Violations make [`Harness::finish`] exit non-zero after the JSON
-    /// report is written. Returns the measured speedup.
+    /// Violations make [`Harness::finish`] exit non-zero. Returns the
+    /// measured speedup.
     ///
     /// As with `guard_ratio`, pick `min_speedup` with CI noise in mind:
     /// guard the order-of-magnitude claim, not a few percent.
@@ -333,81 +329,10 @@ impl Harness {
         &self.violations
     }
 
-    /// Serializes the full report as JSON (hand-rolled: no serde offline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"suite\": \"{}\",\n", escape(&self.suite)));
-        s.push_str("  \"unit\": \"ns_per_iter\",\n");
-        s.push_str("  \"benches\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"iters_per_sample\": {}, \"samples\": {}}}{}\n",
-                escape(&r.name),
-                r.median_ns,
-                r.mean_ns,
-                r.min_ns,
-                r.iters_per_sample,
-                r.samples,
-                if i + 1 < self.results.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"metrics\": [\n");
-        for (i, m) in self.metrics.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {:.1}, \"unit\": \"{}\"}}{}\n",
-                escape(&m.name),
-                m.value,
-                escape(&m.unit),
-                if i + 1 < self.metrics.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\"{}\n",
-                escape(v),
-                if i + 1 < self.violations.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"comparisons\": [\n");
-        for (i, c) in self.comparisons.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"speedup\": {:.2}, \"clamped\": {}}}{}\n",
-                escape(&c.name),
-                c.speedup,
-                c.clamped,
-                if i + 1 < self.comparisons.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON report to `$BENCHKIT_OUT` if that variable is set,
-    /// then terminates the process with a non-zero exit code if any
-    /// [`guard_ratio`](Harness::guard_ratio) violation was recorded (so a
-    /// complexity regression fails `cargo bench` — and CI — while the
-    /// report survives for inspection). Call at the end of the bench
-    /// `main`.
+    /// Terminates the process with a non-zero exit code if any guard
+    /// violation was recorded, so a complexity regression fails
+    /// `cargo bench` — and CI. Call at the end of the bench `main`.
     pub fn finish(&self) {
-        if let Ok(path) = std::env::var("BENCHKIT_OUT") {
-            match std::fs::write(&path, self.to_json()) {
-                Ok(()) => eprintln!("benchkit: wrote {path}"),
-                Err(e) => eprintln!("benchkit: failed to write {path}: {e}"),
-            }
-        }
         if !self.violations.is_empty() {
             eprintln!("benchkit: {} guard violation(s):", self.violations.len());
             for v in &self.violations {
@@ -416,10 +341,6 @@ impl Harness {
             std::process::exit(1);
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -554,14 +475,10 @@ mod tests {
         let real = h.compare("subns/real_ratio", "subns_slow", "subns_fast");
         assert!((real - 4.0).abs() < 1e-9, "sub-ns ratio must stay 4x");
         assert!(!h.comparisons.last().expect("pushed").clamped);
-        // The clamp is recorded in the machine-readable report.
-        let json = h.to_json();
-        assert!(json.contains("\"clamped\": true"));
-        // An honest comparison stays unclamped in the report.
+        // An honest comparison stays unclamped.
         let honest = h.compare("honest", "slow", "slow");
         assert!((honest - 1.0).abs() < 1e-9);
         assert!(!h.comparisons.last().expect("pushed").clamped);
-        assert!(h.to_json().contains("\"clamped\": false"));
         // Guards over clamped ratios reach sane verdicts instead of the
         // inf/NaN ones: 100x passes a 2x floor, 1x fails it.
         h.guard_speedup("guard/ok", "slow", "fast0", 2.0);
@@ -588,27 +505,5 @@ mod tests {
         h.metric("nodes/zero", 0.0, "nodes");
         let z = h.guard_metric_ratio("nf_size/zero", "nodes/expanded", "nodes/zero", 10.0);
         assert!(z.is_finite());
-        // Metrics land in the JSON report.
-        let json = h.to_json();
-        assert!(
-            json.contains("\"name\": \"nodes/expanded\", \"value\": 5002.0, \"unit\": \"nodes\"")
-        );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let mut h = Harness::new("selftest \"quoted\"");
-        h.results.push(BenchResult {
-            name: "a/b".into(),
-            iters_per_sample: 10,
-            samples: 3,
-            mean_ns: 1.5,
-            median_ns: 1.0,
-            min_ns: 0.5,
-        });
-        let json = h.to_json();
-        assert!(json.contains("\"suite\": \"selftest \\\"quoted\\\"\""));
-        assert!(json.contains("\"median_ns\": 1.0"));
-        assert!(json.ends_with("}\n"));
     }
 }

@@ -1,8 +1,7 @@
 //! Provenance hot-path benchmarks: legacy `Arc`+`HashMap` representation vs
 //! the hash-consed arena.
 //!
-//! Run with `cargo bench -p uprov-core`; set `BENCHKIT_OUT=path.json` to
-//! write the machine-readable report (the committed `BENCH_baseline.json`).
+//! Run with `cargo bench -p uprov-core`; the report goes to stderr.
 //!
 //! Workloads mirror the paper's experiments (Sections 5–6):
 //!

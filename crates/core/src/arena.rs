@@ -647,16 +647,7 @@ impl ExprArena {
     /// astronomically larger than its counted form — that asymmetry is the
     /// point of the representation.
     pub fn expand_counted(&mut self, root: NodeId) -> NodeId {
-        let mut memo = DenseMemo::new();
-        self.expand_counted_in(root, &mut memo)
-    }
-
-    /// [`ExprArena::expand_counted`] with a caller-provided memo — the
-    /// pooling variant for loops that expand many roots (the differential
-    /// harness, the condensation benchmarks) and want to reuse one
-    /// allocation across calls.
-    pub fn expand_counted_in(&mut self, root: NodeId, memo: &mut DenseMemo<NodeId>) -> NodeId {
-        self.rewrite_pass_in(root, memo, &mut |ar, rebuilt| {
+        self.rewrite_pass(root, &mut |ar, rebuilt| {
             let Node::Counted(op, head, entries) = ar.node(rebuilt) else {
                 return rebuilt;
             };

@@ -51,18 +51,14 @@ pub use axioms::{
 pub use expr::{Expr, ExprRef};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use nf::{
-    equiv, equiv_in, nf, nf_budget_in, nf_in, nf_roots_budget_in, nf_roots_in,
-    nf_roots_incremental_budget_in, nf_roots_incremental_in, try_equiv_budget_in, try_equiv_in,
-    EpochMap, NfCache, NfMemo, NfOutcome, MAX_ROUNDS,
+    equiv, equiv_in, nf, nf_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, EpochMap,
+    NfCache, NfMemo, NfOutcome, MAX_ROUNDS,
 };
 pub use oracle::{
     check_nf_preserves_eval, check_nf_preserves_eval_in, check_parallel_matches_serial,
-    check_parallel_matches_serial_in, OracleDivergence,
+    OracleDivergence,
 };
-pub use parallel::{
-    par_eval_many_in, par_eval_many_scoped_in, par_eval_roots_in, par_eval_roots_many_in,
-    par_eval_roots_scoped_in, resolve_threads, MemoPool,
-};
+pub use parallel::{par_eval_many_in, par_eval_roots_in, par_eval_roots_many_in, MemoPool};
 pub use pool::WorkerPool;
 pub use rewrite::{reduce, rewrite_once, rules, RewriteRule};
 pub use structure::{

@@ -32,8 +32,8 @@
 //! rebuilds, or remains a prefix of a saturated block — and a prefix of a
 //! canonical block is canonical. Long log-replay spines (10k sequential
 //! inserts to one tuple) therefore normalize in near-linear time; the
-//! `nf/acspine` scaling benches (first recorded in `BENCH_pr3.json`,
-//! re-run into `BENCH_pr4.json` by CI) are the regression guard.
+//! `nf/acspine` scaling guard of `cargo bench -p uprov-engine` (run by
+//! CI) is the regression guard.
 //!
 //! Because every rewrite re-interns through the hash-consing smart
 //! constructors, normal forms inherit the arena's guarantees: two
@@ -172,17 +172,43 @@ pub fn nf(arena: &mut ExprArena, root: NodeId) -> NodeId {
 /// The buffers reset in O(1) per use (one-time growth aside), so a pooled
 /// normalization of a small root late in a huge arena costs O(its DAG) per
 /// round — the same contract as [`eval_arena_in`](crate::structure::eval_arena_in).
-#[derive(Debug, Default)]
+///
+/// The memo also carries the **round budget** every normalization through
+/// it runs under: [`MAX_ROUNDS`] by default, or whatever
+/// [`NfMemo::with_max_rounds`] set — the budget belongs to the scratch
+/// state, so it survives across calls like the buffers do.
+#[derive(Debug)]
 pub struct NfMemo {
     map: DenseMemo<NodeId>,
     flags: DenseMemo<u8>,
     cuts: Vec<(NodeId, NodeId)>,
+    max_rounds: u32,
+}
+
+impl Default for NfMemo {
+    fn default() -> Self {
+        Self::with_max_rounds(MAX_ROUNDS)
+    }
 }
 
 impl NfMemo {
-    /// Empty scratch state; buffers grow on first use.
+    /// Empty scratch state under the default [`MAX_ROUNDS`] budget; buffers
+    /// grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty scratch state whose normalizations stop after `max_rounds`
+    /// rounds. `0` runs no rounds at all and reports `saturated` with the
+    /// untouched root — useful for testing saturation handling; real
+    /// callers want [`NfMemo::new`].
+    pub fn with_max_rounds(max_rounds: u32) -> Self {
+        NfMemo {
+            map: DenseMemo::default(),
+            flags: DenseMemo::default(),
+            cuts: Vec::new(),
+            max_rounds,
+        }
     }
 }
 
@@ -192,19 +218,7 @@ impl NfMemo {
 /// pattern) and callers can check [`NfOutcome::saturated`] instead of
 /// trusting the id blindly.
 pub fn nf_in(arena: &mut ExprArena, root: NodeId, memo: &mut NfMemo) -> NfOutcome {
-    nf_budget_in(arena, root, memo, MAX_ROUNDS)
-}
-
-/// [`nf_in`] with an explicit round budget. `max_rounds == 0` runs no
-/// rounds at all and reports `saturated` with the untouched root — useful
-/// for testing saturation handling; real callers want [`MAX_ROUNDS`].
-pub fn nf_budget_in(
-    arena: &mut ExprArena,
-    root: NodeId,
-    memo: &mut NfMemo,
-    max_rounds: u32,
-) -> NfOutcome {
-    nf_roots_budget_in(arena, &[root], memo, max_rounds)
+    nf_roots_in(arena, &[root], memo)
         .pop()
         .expect("one root in, one outcome out")
 }
@@ -217,17 +231,7 @@ pub fn nf_budget_in(
 /// [`ExprArena::substitute_roots_in`]. Outcomes are returned in `roots`
 /// order; repeated roots are cheap (memo hits).
 pub fn nf_roots_in(arena: &mut ExprArena, roots: &[NodeId], memo: &mut NfMemo) -> Vec<NfOutcome> {
-    nf_roots_budget_in(arena, roots, memo, MAX_ROUNDS)
-}
-
-/// [`nf_roots_in`] with an explicit round budget (see [`nf_budget_in`]).
-pub fn nf_roots_budget_in(
-    arena: &mut ExprArena,
-    roots: &[NodeId],
-    memo: &mut NfMemo,
-    max_rounds: u32,
-) -> Vec<NfOutcome> {
-    nf_roots_driver(arena, roots, None, memo, max_rounds)
+    nf_roots_driver(arena, roots, None, memo)
 }
 
 /// A persistent cache of **certified** normal forms, keyed by arena id.
@@ -626,18 +630,6 @@ pub fn nf_roots_incremental_in(
     cache: &mut NfCache,
     memo: &mut NfMemo,
 ) -> Vec<NfOutcome> {
-    nf_roots_incremental_budget_in(arena, roots, cache, memo, MAX_ROUNDS)
-}
-
-/// [`nf_roots_incremental_in`] with an explicit round budget (see
-/// [`nf_budget_in`]).
-pub fn nf_roots_incremental_budget_in(
-    arena: &mut ExprArena,
-    roots: &[NodeId],
-    cache: &mut NfCache,
-    memo: &mut NfMemo,
-    max_rounds: u32,
-) -> Vec<NfOutcome> {
     let mut out: Vec<NfOutcome> = Vec::with_capacity(roots.len());
     let mut dirty_ix: Vec<usize> = Vec::new();
     let mut dirty_roots: Vec<NodeId> = Vec::new();
@@ -660,7 +652,7 @@ pub fn nf_roots_incremental_budget_in(
                 // Placeholder; overwritten below.
                 out.push(NfOutcome {
                     id: r,
-                    rounds: max_rounds,
+                    rounds: memo.max_rounds,
                     saturated: true,
                 });
             }
@@ -669,7 +661,7 @@ pub fn nf_roots_incremental_budget_in(
     if dirty_roots.is_empty() {
         return out;
     }
-    let computed = nf_roots_driver(arena, &dirty_roots, Some(cache), memo, max_rounds);
+    let computed = nf_roots_driver(arena, &dirty_roots, Some(cache), memo);
     for (&ix, o) in dirty_ix.iter().zip(computed) {
         if !o.saturated {
             cache.insert_certified(roots[ix], o.id);
@@ -679,18 +671,20 @@ pub fn nf_roots_incremental_budget_in(
     out
 }
 
-/// The shared round loop behind [`nf_roots_budget_in`] (no cache) and
-/// [`nf_roots_incremental_budget_in`] (cache cuts enabled). `cache` is read
-/// per round to cut the marking DFS and pre-seed the rewrite memo; entries
-/// are never inserted here.
+/// The shared round loop behind [`nf_roots_in`] (no cache) and
+/// [`nf_roots_incremental_in`] (cache cuts enabled), run for at most the
+/// memo's round budget. `cache` is read per round to cut the marking DFS
+/// and pre-seed the rewrite memo; entries are never inserted here.
 fn nf_roots_driver(
     arena: &mut ExprArena,
     roots: &[NodeId],
     cache: Option<&NfCache>,
     memo: &mut NfMemo,
-    max_rounds: u32,
 ) -> Vec<NfOutcome> {
-    let NfMemo { map, flags, cuts } = memo;
+    let max_rounds = memo.max_rounds;
+    let NfMemo {
+        map, flags, cuts, ..
+    } = memo;
     let mut out: Vec<NfOutcome> = roots
         .iter()
         .map(|&r| NfOutcome {
@@ -939,22 +933,11 @@ pub fn try_equiv_in(
     b: NodeId,
     memo: &mut NfMemo,
 ) -> Option<bool> {
-    try_equiv_budget_in(arena, a, b, memo, MAX_ROUNDS)
-}
-
-/// [`try_equiv_in`] with an explicit round budget (see [`nf_budget_in`]).
-pub fn try_equiv_budget_in(
-    arena: &mut ExprArena,
-    a: NodeId,
-    b: NodeId,
-    memo: &mut NfMemo,
-    max_rounds: u32,
-) -> Option<bool> {
     if a == b {
         return Some(true);
     }
-    let na = nf_budget_in(arena, a, memo, max_rounds);
-    let nb = nf_budget_in(arena, b, memo, max_rounds);
+    let na = nf_in(arena, a, memo);
+    let nb = nf_in(arena, b, memo);
     if na.id == nb.id {
         Some(true)
     } else if na.saturated || nb.saturated {
@@ -1205,23 +1188,27 @@ mod tests {
     #[test]
     fn zero_budget_saturates_without_rewriting() {
         let (mut t, mut ar) = setup();
-        let mut memo = NfMemo::new();
+        let mut starved = NfMemo::with_max_rounds(0);
         let a = ar.atom(t.fresh_tuple());
         let p = ar.atom(t.fresh_txn());
         let ins = ar.plus_i(a, p);
         let e = ar.minus(ins, p);
-        let out = nf_budget_in(&mut ar, e, &mut memo, 0);
-        assert_eq!(
-            out,
-            NfOutcome {
-                id: e,
-                rounds: 0,
-                saturated: true
-            }
-        );
-        assert!(!out.is_normal());
+        // Twice through one memo: the budget rides the memo, so reuse
+        // must not quietly fall back to the default.
+        for _ in 0..2 {
+            let out = nf_in(&mut ar, e, &mut starved);
+            assert_eq!(
+                out,
+                NfOutcome {
+                    id: e,
+                    rounds: 0,
+                    saturated: true
+                }
+            );
+            assert!(!out.is_normal());
+        }
         // A sufficient budget resolves the same root.
-        assert!(nf_in(&mut ar, e, &mut memo).is_normal());
+        assert!(nf_in(&mut ar, e, &mut NfMemo::new()).is_normal());
     }
 
     #[test]
@@ -1313,7 +1300,8 @@ mod tests {
         let p = ar.atom(t.fresh_txn());
         let ins = ar.plus_i(a, p);
         let e = ar.minus(ins, p);
-        let out = nf_roots_incremental_budget_in(&mut ar, &[e], &mut cache, &mut memo, 0);
+        let mut starved = NfMemo::with_max_rounds(0);
+        let out = nf_roots_incremental_in(&mut ar, &[e], &mut cache, &mut starved);
         assert!(out[0].saturated);
         assert!(
             cache.is_empty(),
@@ -1463,12 +1451,10 @@ mod tests {
         let e1 = ar.minus(ins, p); // normalizes to a − p …
         let e2 = ar.minus(a, p); // … which is e2 exactly.
                                  // Identical ids decide true even with no budget at all.
-        assert_eq!(
-            try_equiv_budget_in(&mut ar, e1, e1, &mut memo, 0),
-            Some(true)
-        );
+        let mut starved = NfMemo::with_max_rounds(0);
+        assert_eq!(try_equiv_in(&mut ar, e1, e1, &mut starved), Some(true));
         // Differing best-effort ids under saturation prove nothing.
-        assert_eq!(try_equiv_budget_in(&mut ar, e1, e2, &mut memo, 0), None);
+        assert_eq!(try_equiv_in(&mut ar, e1, e2, &mut starved), None);
         // With budget, the comparison decides.
         assert_eq!(try_equiv_in(&mut ar, e1, e2, &mut memo), Some(true));
         let b = ar.atom(t.fresh_tuple());

@@ -131,10 +131,9 @@ pub fn check_nf_preserves_eval_in<S: UpdateStructure>(
 /// The parallel-agreement oracle: sharded evaluation over every given
 /// thread count produces exactly the serial answers, root for root.
 ///
-/// A thread count of `0` means auto (resolved like
-/// [`crate::parallel::resolve_threads`]); counts larger than the root
-/// count exercise the worker-starvation edge just like the engine's
-/// public knob does.
+/// A thread count of `0` means available parallelism, as everywhere in
+/// [`crate::parallel`]; counts larger than the root count exercise the
+/// worker-starvation edge.
 ///
 /// Returns the number of `(root, thread-count)` comparisons on success.
 ///
@@ -158,37 +157,11 @@ pub fn check_parallel_matches_serial<S: UpdateStructure>(
     val: &Valuation<S::Value>,
     thread_counts: &[usize],
 ) -> Result<usize, OracleDivergence> {
-    let mut memo = DenseMemo::new();
+    let serial = eval_roots_in(arena, roots, structure, val, &mut DenseMemo::new());
     let pool = MemoPool::new();
-    check_parallel_matches_serial_in(
-        arena,
-        roots,
-        structure,
-        val,
-        thread_counts,
-        &mut memo,
-        &pool,
-    )
-}
-
-/// [`check_parallel_matches_serial`] with a caller-provided serial memo
-/// and shard-memo pool — the pooling variant for fuzz loops that run the
-/// oracle per generated case and want the allocations reused across
-/// cases.
-pub fn check_parallel_matches_serial_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    structure: &S,
-    val: &Valuation<S::Value>,
-    thread_counts: &[usize],
-    memo: &mut DenseMemo<S::Value>,
-    pool: &MemoPool<S::Value>,
-) -> Result<usize, OracleDivergence> {
-    let serial = eval_roots_in(arena, roots, structure, val, memo);
     let mut checked = 0;
     for &threads in thread_counts {
-        let resolved = crate::parallel::resolve_threads(threads);
-        let par = par_eval_roots_in(arena, roots, structure, val, pool, resolved);
+        let par = par_eval_roots_in(arena, roots, structure, val, &pool, threads);
         for (ix, (s_val, p_val)) in serial.iter().zip(&par).enumerate() {
             checked += 1;
             if s_val != p_val {
@@ -196,10 +169,7 @@ pub fn check_parallel_matches_serial_in<S: UpdateStructure>(
                     oracle: "parallel-matches-serial",
                     root_ix: ix,
                     root: roots[ix],
-                    detail: format!(
-                        "threads={threads} (resolved {resolved}): \
-                         serial={s_val:?} but parallel={p_val:?}"
-                    ),
+                    detail: format!("threads={threads}: serial={s_val:?} but parallel={p_val:?}"),
                 });
             }
         }

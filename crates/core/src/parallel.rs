@@ -41,17 +41,13 @@
 //! The build environment is offline (no rayon), so workers come from the
 //! process-wide persistent [`WorkerPool`]: resident
 //! threads parked on a queue, woken per call, with the calling thread
-//! participating as one more worker. Earlier revisions spawned
-//! [`std::thread::scope`] threads per call, whose spawn + join cost
-//! dominated sub-millisecond batches; that path survives as
-//! [`par_eval_many_scoped_in`] / [`par_eval_roots_scoped_in`] — a
-//! bit-identical baseline for differential tests and the dispatch-overhead
-//! benchmark guard. Work is distributed by an atomic chunk counter (a few
-//! chunks per worker), so a heavy chunk does not serialize the batch
-//! behind one worker, and a busy pool merely means fewer concurrent
-//! claimants — never a wrong answer. [`resolve_threads`] turns the
-//! conventional `0 = auto` knob into a concrete count (`UPROV_THREADS`,
-//! clamped to available parallelism).
+//! participating as one more worker. Work is distributed by an atomic
+//! chunk counter (a few chunks per worker), so a heavy chunk does not
+//! serialize the batch behind one worker, and a busy pool merely means
+//! fewer concurrent claimants — never a wrong answer. Every entry point
+//! takes a `threads` argument: an explicit count is honored as given
+//! (including oversubscription, which is how small machines exercise the
+//! sharded path), and `0` means [`std::thread::available_parallelism`].
 //!
 //! ```
 //! use uprov_core::{par_eval_roots_in, AtomTable, ExprArena, MemoPool, Valuation};
@@ -147,39 +143,19 @@ impl<T> MemoPool<T> {
     }
 }
 
-/// Resolves the conventional `0 = auto` thread knob to a concrete count.
-///
-/// * `explicit > 0` is honored as given — callers asking for a specific
-///   count get it, including oversubscription (useful for exercising the
-///   threaded paths on small machines; the OS time-slices the rest).
-/// * `explicit == 0` reads `UPROV_THREADS`, clamped to
-///   [`std::thread::available_parallelism`]; unset, unparsable or zero
-///   falls back to available parallelism itself.
-///
-/// ```
-/// use uprov_core::resolve_threads;
-///
-/// assert_eq!(resolve_threads(3), 3, "explicit counts pass through");
-/// assert!(resolve_threads(0) >= 1, "auto resolves to at least one");
-/// ```
-pub fn resolve_threads(explicit: usize) -> usize {
-    if explicit > 0 {
-        return explicit;
+/// The one place a thread count is interpreted: `0` means
+/// [`std::thread::available_parallelism`], anything else is taken as given.
+fn auto_threads(threads: usize) -> usize {
+    if threads > 0 {
+        return threads;
     }
-    let available = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    match std::env::var("UPROV_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n.min(available),
-        _ => available,
-    }
+        .unwrap_or(1)
 }
 
-/// [`eval_many_in`] sharded **by
-/// valuation** across `threads` scoped worker threads.
+/// [`eval_many_in`] sharded **by valuation** across `threads` workers of
+/// the persistent pool (`0` = available parallelism).
 ///
 /// The reachable sub-DAG of `root` is topologically sorted once and shared
 /// read-only; the valuation batch is split into chunks which workers claim
@@ -218,36 +194,7 @@ pub fn par_eval_many_in<S: UpdateStructure>(
     pool: &MemoPool<S::Value>,
     threads: usize,
 ) -> Vec<S::Value> {
-    par_eval_many_dispatch(arena, root, s, valuations, pool, threads, Harness::Pooled)
-}
-
-/// [`par_eval_many_in`] on the retired per-call [`std::thread::scope`]
-/// harness: bit-identical output, spawn + join paid on every call.
-///
-/// Kept as the baseline the pool is measured against — the differential
-/// property tests pin `pooled == scoped == serial`, and the benchmark suite
-/// guards that pooled dispatch overhead stays well below this path's.
-pub fn par_eval_many_scoped_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-    pool: &MemoPool<S::Value>,
-    threads: usize,
-) -> Vec<S::Value> {
-    par_eval_many_dispatch(arena, root, s, valuations, pool, threads, Harness::Scoped)
-}
-
-fn par_eval_many_dispatch<S: UpdateStructure>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-    pool: &MemoPool<S::Value>,
-    threads: usize,
-    harness: Harness,
-) -> Vec<S::Value> {
-    let threads = threads.clamp(1, valuations.len().max(1));
+    let threads = auto_threads(threads).clamp(1, valuations.len().max(1));
     if threads == 1 {
         let mut memo = pool.acquire();
         let out = eval_many_in(arena, root, s, valuations, &mut memo);
@@ -266,11 +213,11 @@ fn par_eval_many_dispatch<S: UpdateStructure>(
             .map(|val| eval_one_ordered(arena, &order, root, s, val, memo))
             .collect::<Vec<S::Value>>()
     };
-    run_sharded(harness, &chunks, pool, threads, root.index() + 1, worker)
+    run_sharded(&chunks, pool, threads, root.index() + 1, worker)
 }
 
-/// [`eval_roots_in`] sharded **by root**
-/// across `threads` scoped worker threads.
+/// [`eval_roots_in`] sharded **by root** across `threads` workers of the
+/// persistent pool (`0` = available parallelism).
 ///
 /// Roots are split into chunks which workers claim from an atomic counter;
 /// each worker evaluates its chunks into its own pooled memo, so sub-DAGs
@@ -287,32 +234,7 @@ pub fn par_eval_roots_in<S: UpdateStructure>(
     pool: &MemoPool<S::Value>,
     threads: usize,
 ) -> Vec<S::Value> {
-    par_eval_roots_dispatch(arena, roots, s, val, pool, threads, Harness::Pooled)
-}
-
-/// [`par_eval_roots_in`] on the retired per-call [`std::thread::scope`]
-/// harness — see [`par_eval_many_scoped_in`] for why it survives.
-pub fn par_eval_roots_scoped_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    s: &S,
-    val: &Valuation<S::Value>,
-    pool: &MemoPool<S::Value>,
-    threads: usize,
-) -> Vec<S::Value> {
-    par_eval_roots_dispatch(arena, roots, s, val, pool, threads, Harness::Scoped)
-}
-
-fn par_eval_roots_dispatch<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    s: &S,
-    val: &Valuation<S::Value>,
-    pool: &MemoPool<S::Value>,
-    threads: usize,
-    harness: Harness,
-) -> Vec<S::Value> {
-    let threads = threads.clamp(1, roots.len().max(1));
+    let threads = auto_threads(threads).clamp(1, roots.len().max(1));
     if threads == 1 {
         let mut memo = pool.acquire();
         let out = eval_roots_in(arena, roots, s, val, &mut memo);
@@ -333,7 +255,7 @@ fn par_eval_roots_dispatch<S: UpdateStructure>(
             })
             .collect::<Vec<S::Value>>()
     };
-    run_sharded(harness, &chunks, pool, threads, memo_len, worker)
+    run_sharded(&chunks, pool, threads, memo_len, worker)
 }
 
 /// [`eval_roots_many_in`] (many roots × many valuations) sharded **by
@@ -341,7 +263,7 @@ fn par_eval_roots_dispatch<S: UpdateStructure>(
 /// `roots` is computed once and shared read-only, and each worker replays
 /// it for the valuations it claims. One row per valuation, each row in
 /// `roots` order — bit-identical to the serial batch evaluator for every
-/// thread count.
+/// thread count (`0` = available parallelism).
 ///
 /// This is the execution shape behind the service layer's coalesced abort
 /// bursts: *k* concurrent "what if txn `p`ᵢ aborts?" queries against the
@@ -354,7 +276,7 @@ pub fn par_eval_roots_many_in<S: UpdateStructure>(
     pool: &MemoPool<S::Value>,
     threads: usize,
 ) -> Vec<Vec<S::Value>> {
-    let threads = threads.clamp(1, valuations.len().max(1));
+    let threads = auto_threads(threads).clamp(1, valuations.len().max(1));
     if threads == 1 {
         let mut memo = pool.acquire();
         let out = eval_roots_many_in(arena, roots, s, valuations, &mut memo);
@@ -380,48 +302,19 @@ pub fn par_eval_roots_many_in<S: UpdateStructure>(
             })
             .collect::<Vec<Vec<S::Value>>>()
     };
-    run_sharded(Harness::Pooled, &chunks, pool, threads, memo_len, worker)
+    run_sharded(&chunks, pool, threads, memo_len, worker)
 }
 
-/// Which thread source a parallel call dispatches on: the persistent
-/// [`WorkerPool`] (default) or the retired per-call scoped-spawn baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Harness {
-    Pooled,
-    Scoped,
-}
-
-/// The shared harness behind both parallel evaluators: run `threads`
-/// worker bodies, each holding one pooled memo reset to `memo_len`;
-/// workers claim chunk indices from an atomic counter, run `work` per
-/// chunk, and the per-chunk outputs are stitched back together in input
-/// order — the determinism half of the module contract.
+/// The shared harness behind the parallel evaluators: run `threads`
+/// worker bodies on the process-wide persistent [`WorkerPool`] (no thread
+/// spawns, just queue entries and wakeups; the caller is one of the
+/// workers). Each body acquires one memo from the caller's [`MemoPool`] —
+/// so memo buffers, like the residents themselves, are reused across
+/// calls — resets it to `memo_len`, claims chunk indices from an atomic
+/// counter and deposits `work`'s output into claim-once slots, which are
+/// stitched back together in input order — the determinism half of the
+/// module contract.
 fn run_sharded<I, T, V, F>(
-    harness: Harness,
-    chunks: &[&[I]],
-    pool: &MemoPool<T>,
-    threads: usize,
-    memo_len: usize,
-    work: F,
-) -> Vec<V>
-where
-    I: Sync,
-    T: Send,
-    V: Send + Sync,
-    F: Fn(&mut DenseMemo<T>, &[I]) -> Vec<V> + Sync,
-{
-    match harness {
-        Harness::Pooled => run_sharded_pooled(chunks, pool, threads, memo_len, work),
-        Harness::Scoped => run_sharded_scoped(chunks, pool, threads, memo_len, work),
-    }
-}
-
-/// Dispatch through the process-wide persistent [`WorkerPool`]: no thread
-/// spawns, just queue entries and wakeups. Each worker body (the caller
-/// included) acquires one memo from the caller's [`MemoPool`] — so memo
-/// buffers, like the residents themselves, are reused across calls — and
-/// deposits per-chunk output into claim-once slots.
-fn run_sharded_pooled<I, T, V, F>(
     chunks: &[&[I]],
     pool: &MemoPool<T>,
     threads: usize,
@@ -456,58 +349,6 @@ where
             slot.into_inner()
                 .expect("every chunk claimed by some worker")
         })
-        .collect()
-}
-
-/// The retired per-call scoped-spawn harness, kept verbatim as the
-/// baseline for differential tests and the dispatch-overhead guard.
-fn run_sharded_scoped<I, T, V, F>(
-    chunks: &[&[I]],
-    pool: &MemoPool<T>,
-    threads: usize,
-    memo_len: usize,
-    work: F,
-) -> Vec<V>
-where
-    I: Sync,
-    T: Send,
-    V: Send + Sync,
-    F: Fn(&mut DenseMemo<T>, &[I]) -> Vec<V> + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let mut per_chunk: Vec<Option<Vec<V>>> = (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut memo = pool.acquire();
-                    memo.reset(memo_len);
-                    let mut mine: Vec<(usize, Vec<V>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&chunk) = chunks.get(i) else {
-                            break;
-                        };
-                        mine.push((i, work(&mut memo, chunk)));
-                    }
-                    (memo, mine)
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker panic (a panicking UpdateStructure op) propagates:
-            // the batch has no partial-result story, and the scope joins
-            // the remaining workers before unwinding past it.
-            let (memo, mine) = handle.join().expect("evaluation worker panicked");
-            pool.release(memo);
-            for (i, out) in mine {
-                per_chunk[i] = Some(out);
-            }
-        }
-    });
-    per_chunk
-        .into_iter()
-        .flat_map(|c| c.expect("every chunk claimed by some worker"))
         .collect()
 }
 
@@ -547,13 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_explicit_counts_pass_through() {
-        // The UPROV_THREADS env path is covered by tests/env_threads.rs —
-        // an integration binary with a single test, i.e. its own process,
-        // because setenv in this multithreaded unit-test binary would race
-        // other tests' getenv calls.
-        assert_eq!(resolve_threads(5), 5);
-        assert_eq!(resolve_threads(1), 1);
-        assert!(resolve_threads(0) >= 1, "auto resolves to at least one");
+    fn zero_threads_means_available_parallelism_and_counts_pass_through() {
+        assert_eq!(auto_threads(5), 5);
+        assert_eq!(auto_threads(1), 1);
+        assert!(auto_threads(0) >= 1, "auto resolves to at least one");
     }
 }

@@ -1,7 +1,7 @@
 //! A persistent worker pool: long-lived threads parked on a queue, driving
 //! scope-shaped parallel work without per-call thread spawns.
 //!
-//! `BENCH_pr8.json` showed why this exists: the parallel evaluators of
+//! The PR 8 engine benches showed why this exists: the parallel evaluators of
 //! [`crate::parallel`] are bit-identical to serial and scale on big
 //! batches, but every call paid `thread::scope` spawn + join — tens of
 //! microseconds on a good day — which swamped sub-millisecond queries and

@@ -42,7 +42,7 @@ use crate::expr::{Expr, ExprRef};
 /// 4.2).
 ///
 /// The trait is `Sync` and its carrier `Send + Sync` so that sharing a
-/// structure and a valuation across the scoped worker threads of
+/// structure and a valuation across the pooled worker threads of
 /// [`crate::parallel`](mod@crate::parallel) is compiler-checked rather than
 /// per-call-site `unsafe`. Structures are plain operation tables (usually
 /// zero-sized) and carriers are plain values, so the bounds cost nothing in

@@ -14,28 +14,8 @@ use uprov_core::{
 };
 use uprov_structures::{Bool, Worlds};
 
-/// xorshift64* — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-    fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
+// The repo-standard seeded xorshift64* harness.
+use benchkit::TestRng as Rng;
 
 /// Random shared DAG built bottom-up over a pool of atoms — the same
 /// generator shape as `tests/prop.rs`.

@@ -1,48 +1,26 @@
 //! Pool-reuse property tests: the persistent-worker-pool harness is a
 //! pure transport.
 //!
-//! The contract: `par_eval_many_in` / `par_eval_roots_in` (now dispatched
-//! onto the resident [`uprov_core::WorkerPool`]) are **bit-identical** to
-//! the serial evaluators *and* to the retired per-call
-//! `std::thread::scope` harness (kept as `par_eval_*_scoped_in`), for
-//! every thread count, across repeated calls on the same process-wide
-//! pool (memo buffers and parked workers are reused between calls — the
-//! whole point of the pool), under all five catalogue structures. Same
-//! deterministic xorshift harness as `tests/par.rs`; failing seeds print
-//! a repro line.
+//! The contract: `par_eval_many_in` / `par_eval_roots_in` /
+//! `par_eval_roots_many_in`, dispatched onto the resident
+//! [`uprov_core::WorkerPool`], are **bit-identical** to the serial
+//! evaluators for every thread count, across repeated calls on the same
+//! process-wide pool (memo buffers and parked workers are reused between
+//! calls — the whole point of the pool), under all five catalogue
+//! structures. Same deterministic xorshift harness as `tests/par.rs`;
+//! failing seeds print a repro line.
 
 use std::collections::BTreeSet;
 
 use uprov_core::{
-    eval_arena, eval_many, eval_roots_in, eval_roots_many_in, par_eval_many_in,
-    par_eval_many_scoped_in, par_eval_roots_in, par_eval_roots_many_in, par_eval_roots_scoped_in,
-    Atom, AtomTable, DenseMemo, Expr, ExprArena, ExprRef, MemoPool, NodeId, UpdateStructure,
-    Valuation, WorkerPool,
+    eval_arena, eval_many, eval_roots_in, eval_roots_many_in, par_eval_many_in, par_eval_roots_in,
+    par_eval_roots_many_in, Atom, AtomTable, DenseMemo, Expr, ExprArena, ExprRef, MemoPool, NodeId,
+    UpdateStructure, Valuation, WorkerPool,
 };
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
 
-/// xorshift64* — deterministic, dependency-free (same as `tests/par.rs`).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-    fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
+// The repo-standard seeded xorshift64* harness.
+use benchkit::TestRng as Rng;
 
 /// Random shared DAG over a handful of atoms (generator shape of
 /// `tests/par.rs`).
@@ -94,9 +72,9 @@ where
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One structure's sweep: random DAG, random valuations, then for every
-/// thread count assert serial == pooled == scoped on both the
-/// many-valuations and many-roots paths — repeatedly, so one process-wide
-/// pool serves many calls back to back.
+/// thread count assert serial == pooled on the many-valuations,
+/// many-roots and roots×valuations paths — repeatedly, so one
+/// process-wide pool serves many calls back to back.
 fn sweep<S, F>(structure: &S, seed: u64, mut sample: F)
 where
     S: UpdateStructure,
@@ -132,16 +110,10 @@ where
         for threads in THREADS {
             let pooled = par_eval_many_in(&arena, root, structure, &valuations, &pool, threads);
             assert_eq!(pooled, serial_many, "{repro} t={threads}: pooled many");
-            let scoped =
-                par_eval_many_scoped_in(&arena, root, structure, &valuations, &pool, threads);
-            assert_eq!(scoped, serial_many, "{repro} t={threads}: scoped many");
 
             let pooled =
                 par_eval_roots_in(&arena, &roots, structure, &valuations[0], &pool, threads);
             assert_eq!(pooled, serial_roots, "{repro} t={threads}: pooled roots");
-            let scoped =
-                par_eval_roots_scoped_in(&arena, &roots, structure, &valuations[0], &pool, threads);
-            assert_eq!(scoped, serial_roots, "{repro} t={threads}: scoped roots");
 
             let pooled =
                 par_eval_roots_many_in(&arena, &roots, structure, &valuations, &pool, threads);

@@ -2,8 +2,8 @@
 //! latency, log equivalence, the long-block normalization scaling guard —
 //! and the incremental append-then-query workloads.
 //!
-//! Run with `cargo bench -p uprov-engine`; set `BENCHKIT_OUT=path.json` to
-//! write the machine-readable report (the committed `BENCH_pr4.json`).
+//! Run with `cargo bench -p uprov-engine`: the report goes to stderr and a
+//! violated guard makes the binary exit non-zero.
 //!
 //! The `nf/acspine*` series re-measures PR 2's `arena/equiv/acspine200`
 //! workload (normalize an unsorted 200-increment `+M` spine and its
@@ -23,10 +23,7 @@
 //! drops below 10× over from-scratch.
 
 use benchkit::{black_box, Harness};
-use uprov_core::{
-    equiv_in, eval_many_in, par_eval_many_in, par_eval_many_scoped_in, DenseMemo, ExprArena,
-    MemoPool, NfMemo, NodeId, Valuation,
-};
+use uprov_core::{equiv_in, ExprArena, NfMemo, NodeId};
 use uprov_engine::{Engine, UpdateLog};
 use uprov_structures::{Bool, Worlds};
 
@@ -44,26 +41,7 @@ fn synthetic_log(txns: usize) -> String {
     s
 }
 
-/// A 10k-update log shaped for tuple-sharded parallelism: `tuples`
-/// independent tuples, each accumulating `rounds` alternating
-/// insert/delete updates from its **own** transaction — per-tuple
-/// provenance chains over distinct atoms, so hash-consing cannot collapse
-/// them (tuples updated by shared transactions in the same pattern would
-/// all intern to one id) and sharding the root list loses no shared work.
-fn sharded_log(tuples: usize, rounds: usize) -> String {
-    let mut s = String::new();
-    for j in 0..tuples {
-        s.push_str(&format!("begin q{j}\n"));
-        for r in 0..rounds {
-            let op = if r % 2 == 0 { "insert" } else { "delete" };
-            s.push_str(&format!("{op} x{j}\n"));
-        }
-        s.push_str("commit\n");
-    }
-    s
-}
-
-/// The acspine workload of `BENCH_pr2.json`, parameterized by block
+/// The PR 2 acspine workload, parameterized by block
 /// length: a `+M` spine of `n` `·M` increments folded forward and in
 /// reverse; `equiv` must canonicalize both into one sorted spine.
 fn acspine(n: usize) -> (ExprArena, NodeId, NodeId) {
@@ -225,164 +203,6 @@ fn main() {
         "engine/append_then_abort/10k_scratch",
         "engine/append_then_abort/10k_incremental",
         10.0,
-    );
-
-    // --- Parallel evaluation: the PR 5 thread-scaling axis. Two workloads
-    //     over 10k-update logs:
-    //
-    //     (1) eval_tuples_par — whole-database concrete eval over tuple
-    //         shards of a sharded-friendly log (200 independent tuples ×
-    //         50 updates each). Per-call work is small (~10k node evals),
-    //         so this axis mostly shows where thread-spawn overhead sits.
-    //     (2) par_eval_many — the "abort each transaction in turn" batch:
-    //         64 valuations over the synthetic 10k log's accumulator DAG,
-    //         sharded by valuation. Enough work per call that the 4-thread
-    //         speedup floor is guarded (≥2x) on machines with ≥4 cores.
-    let par_text = sharded_log(200, 50);
-    let par_log: UpdateLog = par_text.parse().expect("valid");
-    let mut par_engine = Engine::new();
-    let par_state = par_engine.replay(&par_log).expect("replays");
-    assert_eq!(par_state.update_count(), 10_000);
-    let all_true: Valuation<bool> = Valuation::constant(true);
-    let mut serial_memo: DenseMemo<bool> = DenseMemo::new();
-    h.bench("engine/eval_tuples/10k_sharded_serial", || {
-        black_box(par_engine.eval_tuples_in(
-            black_box(&par_state),
-            &Bool,
-            &all_true,
-            &mut serial_memo,
-        ));
-    });
-    let tuple_pool: MemoPool<bool> = MemoPool::new();
-    for threads in [1usize, 2, 4, 8] {
-        h.bench(
-            &format!("engine/eval_tuples_par/10k_sharded_t{threads}"),
-            || {
-                black_box(par_engine.eval_tuples_par_in(
-                    black_box(&par_state),
-                    &Bool,
-                    &all_true,
-                    &tuple_pool,
-                    threads,
-                ));
-            },
-        );
-    }
-
-    // Valuation-batch axis: abort each of 64 transactions in turn against
-    // the 10k synthetic log's accumulator provenance (its DAG reaches most
-    // of the replayed log). bench_full on the serial/4-thread pair: the
-    // guard compares those medians, so they keep calibrated multi-sample
-    // timing even under BENCHKIT_SMOKE.
-    let acc_root = state.provenance("acc");
-    let abort_vals: Vec<Valuation<bool>> = (0..64)
-        .map(|i| {
-            let p = state
-                .txn_atom(&format!("t{}", i * 39))
-                .expect("t0..t2496 replayed");
-            Valuation::constant(true).with(p, false)
-        })
-        .collect();
-    let mut many_memo: DenseMemo<bool> = DenseMemo::new();
-    let many_pool: MemoPool<bool> = MemoPool::new();
-    h.bench_full("engine/eval_many/10k_acc_x64_serial", || {
-        black_box(eval_many_in(
-            engine.arena(),
-            black_box(acc_root),
-            &Bool,
-            &abort_vals,
-            &mut many_memo,
-        ));
-    });
-    for threads in [2usize, 8] {
-        h.bench(
-            &format!("engine/par_eval_many/10k_acc_x64_t{threads}"),
-            || {
-                black_box(par_eval_many_in(
-                    engine.arena(),
-                    black_box(acc_root),
-                    &Bool,
-                    &abort_vals,
-                    &many_pool,
-                    threads,
-                ));
-            },
-        );
-    }
-    h.bench_full("engine/par_eval_many/10k_acc_x64_t4", || {
-        black_box(par_eval_many_in(
-            engine.arena(),
-            black_box(acc_root),
-            &Bool,
-            &abort_vals,
-            &many_pool,
-            4,
-        ));
-    });
-    // The ≥2x floor at 4 threads — the PR 5 parallel-evaluation claim. On
-    // boxes with fewer than 4 cores the comparison is still recorded, but
-    // a floor over time-sliced threads would only measure the scheduler,
-    // so the guard applies where 4 workers can actually run.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 4 {
-        h.guard_speedup(
-            "par_eval_many/4threads_vs_serial",
-            "engine/eval_many/10k_acc_x64_serial",
-            "engine/par_eval_many/10k_acc_x64_t4",
-            2.0,
-        );
-    } else {
-        h.compare(
-            "par_eval_many/4threads_vs_serial",
-            "engine/eval_many/10k_acc_x64_serial",
-            "engine/par_eval_many/10k_acc_x64_t4",
-        );
-        eprintln!("  (guard skipped: {cores} core(s) < 4 — speedup floor needs real parallelism)");
-    }
-
-    // --- Per-call dispatch overhead: the PR 9 resident-pool claim. A
-    //     deliberately tiny batch (one sharded tuple's 50-update chain ×
-    //     8 valuations at 4 threads) makes the eval work negligible, so
-    //     the pooled/scoped pair times the harness itself: condvar
-    //     wakeups of resident workers vs three fresh `thread::scope`
-    //     spawns per call. The ≥5x floor is unconditional — a thread
-    //     spawn dwarfs a condvar wake even when workers time-slice on a
-    //     single core, so this holds on 1-core CI runners too. ---
-    let tiny_root = par_state.provenance("x0");
-    let tiny_vals: Vec<Valuation<bool>> = (0..8)
-        .map(|j| {
-            let q = par_state
-                .txn_atom(&format!("q{j}"))
-                .expect("q0..q7 replayed");
-            Valuation::constant(true).with(q, false)
-        })
-        .collect();
-    let tiny_pool: MemoPool<bool> = MemoPool::new();
-    h.bench_full("engine/par_eval_many/tiny_x8_t4_pooled", || {
-        black_box(par_eval_many_in(
-            par_engine.arena(),
-            black_box(tiny_root),
-            &Bool,
-            &tiny_vals,
-            &tiny_pool,
-            4,
-        ));
-    });
-    h.bench_full("engine/par_eval_many/tiny_x8_t4_scoped", || {
-        black_box(par_eval_many_scoped_in(
-            par_engine.arena(),
-            black_box(tiny_root),
-            &Bool,
-            &tiny_vals,
-            &tiny_pool,
-            4,
-        ));
-    });
-    h.guard_speedup(
-        "par_eval_many/pooled_vs_scoped_dispatch",
-        "engine/par_eval_many/tiny_x8_t4_scoped",
-        "engine/par_eval_many/tiny_x8_t4_pooled",
-        5.0,
     );
 
     // --- Condensed normal forms (the counted-block representation): one

@@ -25,10 +25,9 @@
 //! so logs with hundreds of thousands of updates build in milliseconds;
 //! normalization and substitution reuse one pooled [`DenseMemo`],
 //! evaluation answers whole-database queries in one O(union DAG)
-//! [`uprov_core::eval_roots_in`] sweep (pool the value memo across
-//! repeated queries with [`Engine::eval_tuples_in`]), and the block-once
-//! normalizer keeps the long `+I`/`+M` spines such logs produce
-//! near-linear to canonicalize.
+//! [`uprov_core::eval_roots_in`] sweep, and the block-once normalizer
+//! keeps the long `+I`/`+M` spines such logs produce near-linear to
+//! canonicalize.
 //!
 //! # Incremental re-normalization
 //!
@@ -44,8 +43,8 @@
 //! hits, dirty roots re-normalize with *cache cuts* that stop at certified
 //! sub-DAGs — so an append-then-query cycle on a 10 000-update log costs
 //! O(delta), not O(log). See `docs/ARCHITECTURE.md` for the cache
-//! lifecycle and the invalidation state machine, and `BENCH_pr4.json` for
-//! the guarded append-then-query speedups.
+//! lifecycle and the invalidation state machine; the `cargo bench -p
+//! uprov-engine` append-then-query guards hold the speedup at ≥ 10×.
 //!
 //! ```
 //! use uprov_engine::{Engine, UpdateLog};
@@ -79,18 +78,20 @@
 //! assert!(engine.nf_cache().misses() - misses_before <= 1);
 //! ```
 //!
-//! # Parallel evaluation
+//! # Batched concrete evaluation
 //!
 //! Concrete evaluation never touches the engine's caches — it is a pure
-//! fold over the read-only arena per tuple — so the engine shards it
-//! across worker threads: [`Engine::eval_tuples_par`],
-//! [`Engine::abort_eval_par`] and [`Engine::delete_base_eval_par`] chunk
-//! the tuple roots over [`uprov_core::par_eval_roots_in`], one pooled
-//! memo per worker, bit-identical to the serial paths. The thread knob is
-//! explicit, with `0` meaning auto (`UPROV_THREADS`, clamped to available
-//! parallelism). This is the README "Parallel evaluation" example:
+//! fold over the read-only arena — so every concrete query takes `&self`.
+//! [`Engine::eval_tuples`], [`Engine::abort_eval`] and
+//! [`Engine::delete_base_eval`] answer one valuation in one serial sweep;
+//! [`Engine::eval_tuples_batch`] answers many valuations over one shared
+//! schedule, sharded by valuation across the persistent worker pool
+//! ([`uprov_core::par_eval_roots_many_in`]) with the memo pool and the
+//! thread count passed in (`0` = available parallelism). This is the
+//! README "Parallel evaluation" example:
 //!
 //! ```
+//! use uprov_core::{MemoPool, Valuation};
 //! use uprov_engine::{Engine, UpdateLog};
 //! use uprov_structures::Bool;
 //!
@@ -104,13 +105,20 @@
 //! ".parse().unwrap();
 //! let state = engine.replay(&log).unwrap();
 //!
-//! // Whole-database concrete abort query over tuple shards: 4 worker
-//! // threads (0 = auto via UPROV_THREADS / available parallelism), each
-//! // evaluating its chunk of tuples against the shared read-only arena.
-//! let par = engine.abort_eval_par(&state, "t1", &Bool, true, 4).unwrap();
+//! // "Abort each transaction in turn" as one call: one valuation per
+//! // what-if, one evaluation schedule, rows in valuation order.
+//! let t1 = state.txn_atom("t1").unwrap();
+//! let what_ifs = [
+//!     Valuation::constant(true),
+//!     Valuation::constant(true).with(t1, false),
+//! ];
+//! let pool = MemoPool::new();
+//! let rows = engine.eval_tuples_batch(&state, &Bool, &what_ifs, &pool, 0);
 //!
-//! // Bit-identical to the serial path — sharding never changes answers.
-//! assert_eq!(par, engine.abort_eval(&state, "t1", &Bool, true).unwrap());
+//! // Bit-identical to the one-at-a-time queries — sharding never changes
+//! // answers.
+//! assert_eq!(rows[0], engine.eval_tuples(&state, &Bool, &what_ifs[0]));
+//! assert_eq!(rows[1], engine.abort_eval(&state, "t1", &Bool, true).unwrap());
 //!
 //! // Long-lived engines can also cap the symbolic-query caches: an
 //! // epoch-based valve drops oldest-epoch entries at query boundaries.
@@ -152,9 +160,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use uprov_core::{
-    eval_roots_in, nf_roots_in, nf_roots_incremental_in, par_eval_roots_in, par_eval_roots_many_in,
-    resolve_threads, Atom, AtomKind, AtomTable, DenseMemo, EpochMap, ExprArena, MemoPool, NfCache,
-    NfMemo, NodeId, UpdateStructure, Valuation,
+    eval_roots_in, nf_roots_in, nf_roots_incremental_in, par_eval_roots_many_in, Atom, AtomKind,
+    AtomTable, DenseMemo, EpochMap, ExprArena, MemoPool, NfCache, NfMemo, NodeId, UpdateStructure,
+    Valuation,
 };
 
 pub use crate::log::{Op, ParseError, Txn, UpdateLog};
@@ -248,10 +256,6 @@ pub struct ReplayState {
     nf_by_tuple: BTreeMap<String, NodeId>,
     dirty: BTreeSet<String>,
 }
-
-/// Former name of [`ReplayState`], kept as an alias for code written
-/// against the pre-incremental API.
-pub type Replayed = ReplayState;
 
 impl ReplayState {
     /// The current provenance of `tuple` ([`ExprArena::ZERO`] for tuples
@@ -443,8 +447,8 @@ pub struct StateSnapshot {
 }
 
 /// One whole-database concrete answer: `(tuple name, value)` for every
-/// tracked tuple, in sorted name order. The element type of the batched
-/// evaluators ([`Engine::eval_tuples_batch`], [`Engine::abort_eval_batch`]).
+/// tracked tuple, in sorted name order — what [`Engine::eval_tuples`]
+/// returns, and the element type of [`Engine::eval_tuples_batch`].
 pub type TupleRows<'s, V> = Vec<(&'s str, V)>;
 
 /// Per-tuple answer of a symbolic abort or deletion-propagation query: the
@@ -1183,10 +1187,9 @@ impl Engine {
     /// Evaluates every tuple under `structure` and an explicit valuation —
     /// the raw "what does the database look like?" query. One
     /// [`eval_roots_in`] sweep: shared sub-DAGs are computed once across
-    /// all tuples. Allocates a memo per call; the engine cannot pool a
-    /// `DenseMemo<S::Value>` across structure types, so repeated queries
-    /// under one structure should hold their own buffer and call
-    /// [`Engine::eval_tuples_in`].
+    /// all tuples. Takes `&self`, like every concrete evaluation: it only
+    /// reads the arena. For many valuations at once, see
+    /// [`Engine::eval_tuples_batch`].
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -1201,82 +1204,20 @@ impl Engine {
     /// assert_eq!(rows, [("x", false)], "x was deleted");
     /// ```
     pub fn eval_tuples<'s, S: UpdateStructure>(
-        &mut self,
-        state: &'s ReplayState,
-        structure: &S,
-        valuation: &Valuation<S::Value>,
-    ) -> Vec<(&'s str, S::Value)> {
-        let mut memo = DenseMemo::new();
-        self.eval_tuples_in(state, structure, valuation, &mut memo)
-    }
-
-    /// [`Engine::eval_tuples`] with a caller-provided [`DenseMemo`]: the
-    /// generation-stamped reset makes repeated whole-database queries under
-    /// one structure allocation-free.
-    pub fn eval_tuples_in<'s, S: UpdateStructure>(
-        &mut self,
-        state: &'s ReplayState,
-        structure: &S,
-        valuation: &Valuation<S::Value>,
-        memo: &mut DenseMemo<S::Value>,
-    ) -> Vec<(&'s str, S::Value)> {
-        let (names, roots): (Vec<&str>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
-        let values = eval_roots_in(&self.arena, &roots, structure, valuation, memo);
-        names.into_iter().zip(values).collect()
-    }
-
-    /// [`Engine::eval_tuples`] sharded across worker threads: the tuple
-    /// roots are chunked and evaluated by [`uprov_core::par_eval_roots_in`]
-    /// over the shared read-only arena, one pooled memo per worker. The
-    /// result is **bit-identical** to the serial path (values are pure
-    /// functions of the root, and shard results merge in tuple order).
-    ///
-    /// `threads == 0` means auto: the `UPROV_THREADS` environment variable
-    /// if set (clamped to available parallelism), otherwise available
-    /// parallelism itself — see [`uprov_core::resolve_threads`]. Takes
-    /// `&self`: concrete evaluation never touches the engine's caches,
-    /// which is exactly why it shards so cleanly.
-    ///
-    /// ```
-    /// use uprov_engine::Engine;
-    /// use uprov_core::Valuation;
-    /// use uprov_structures::Bool;
-    ///
-    /// let mut engine = Engine::new();
-    /// let state = engine
-    ///     .replay(&"base x\nbegin t\ninsert y\ncommit\n".parse().unwrap())
-    ///     .unwrap();
-    /// let val = Valuation::constant(true);
-    /// let par = engine.eval_tuples_par(&state, &Bool, &val, 2);
-    /// assert_eq!(par, engine.eval_tuples(&state, &Bool, &val));
-    /// ```
-    pub fn eval_tuples_par<'s, S: UpdateStructure>(
         &self,
         state: &'s ReplayState,
         structure: &S,
         valuation: &Valuation<S::Value>,
-        threads: usize,
-    ) -> Vec<(&'s str, S::Value)> {
-        let pool = MemoPool::new();
-        self.eval_tuples_par_in(state, structure, valuation, &pool, threads)
-    }
-
-    /// [`Engine::eval_tuples_par`] with a caller-provided [`MemoPool`], so
-    /// repeated parallel whole-database queries under one structure reuse
-    /// the per-worker memo buffers across calls.
-    pub fn eval_tuples_par_in<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        structure: &S,
-        valuation: &Valuation<S::Value>,
-        pool: &MemoPool<S::Value>,
-        threads: usize,
-    ) -> Vec<(&'s str, S::Value)> {
-        let threads = resolve_threads(threads);
+    ) -> TupleRows<'s, S::Value> {
         let (names, roots): (Vec<&str>, Vec<NodeId>) =
             state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
-        let values = par_eval_roots_in(&self.arena, &roots, structure, valuation, pool, threads);
+        let values = eval_roots_in(
+            &self.arena,
+            &roots,
+            structure,
+            valuation,
+            &mut DenseMemo::new(),
+        );
         names.into_iter().zip(values).collect()
     }
 
@@ -1296,48 +1237,17 @@ impl Engine {
     /// assert_eq!(rows, [("x", false)], "x exists only through t");
     /// ```
     pub fn abort_eval<'s, S: UpdateStructure>(
-        &mut self,
-        state: &'s ReplayState,
-        txn: &str,
-        structure: &S,
-        present: S::Value,
-    ) -> Result<Vec<(&'s str, S::Value)>, QueryError> {
-        let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
-            name: txn.to_owned(),
-        })?;
-        let val = Valuation::constant(present).with(p, structure.zero());
-        Ok(self.eval_tuples(state, structure, &val))
-    }
-
-    /// [`Engine::abort_eval`] over tuple shards: the concrete abort query
-    /// evaluated by [`Engine::eval_tuples_par`] with `threads` workers
-    /// (`0` = auto via `UPROV_THREADS` / available parallelism).
-    /// Bit-identical to the serial path.
-    ///
-    /// ```
-    /// use uprov_engine::Engine;
-    /// use uprov_structures::Bool;
-    ///
-    /// let mut engine = Engine::new();
-    /// let state = engine
-    ///     .replay(&"begin t\ninsert x\ncommit\n".parse().unwrap())
-    ///     .unwrap();
-    /// let rows = engine.abort_eval_par(&state, "t", &Bool, true, 2).unwrap();
-    /// assert_eq!(rows, engine.abort_eval(&state, "t", &Bool, true).unwrap());
-    /// ```
-    pub fn abort_eval_par<'s, S: UpdateStructure>(
         &self,
         state: &'s ReplayState,
         txn: &str,
         structure: &S,
         present: S::Value,
-        threads: usize,
-    ) -> Result<Vec<(&'s str, S::Value)>, QueryError> {
+    ) -> Result<TupleRows<'s, S::Value>, QueryError> {
         let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
             name: txn.to_owned(),
         })?;
         let val = Valuation::constant(present).with(p, structure.zero());
-        Ok(self.eval_tuples_par(state, structure, &val, threads))
+        Ok(self.eval_tuples(state, structure, &val))
     }
 
     /// The deletion-propagation query: every tuple's value under
@@ -1356,12 +1266,12 @@ impl Engine {
     /// assert!(rows.iter().all(|(_, alive)| !alive), "y dies with x");
     /// ```
     pub fn delete_base_eval<'s, S: UpdateStructure>(
-        &mut self,
+        &self,
         state: &'s ReplayState,
         tuple: &str,
         structure: &S,
         present: S::Value,
-    ) -> Result<Vec<(&'s str, S::Value)>, QueryError> {
+    ) -> Result<TupleRows<'s, S::Value>, QueryError> {
         let a = state
             .base_atom(tuple)
             .ok_or_else(|| QueryError::UnknownTuple {
@@ -1371,27 +1281,6 @@ impl Engine {
         Ok(self.eval_tuples(state, structure, &val))
     }
 
-    /// [`Engine::delete_base_eval`] over tuple shards: the concrete
-    /// deletion-propagation query evaluated by
-    /// [`Engine::eval_tuples_par`] with `threads` workers (`0` = auto).
-    /// Bit-identical to the serial path.
-    pub fn delete_base_eval_par<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        tuple: &str,
-        structure: &S,
-        present: S::Value,
-        threads: usize,
-    ) -> Result<Vec<(&'s str, S::Value)>, QueryError> {
-        let a = state
-            .base_atom(tuple)
-            .ok_or_else(|| QueryError::UnknownTuple {
-                name: tuple.to_owned(),
-            })?;
-        let val = Valuation::constant(present).with(a, structure.zero());
-        Ok(self.eval_tuples_par(state, structure, &val, threads))
-    }
-
     /// Evaluates every tuple under **many** valuations in one pass: the
     /// union evaluation schedule over all tuple roots is computed once
     /// ([`uprov_core::par_eval_roots_many_in`]) and each valuation replays
@@ -1399,10 +1288,11 @@ impl Engine {
     /// valuation, each row in sorted tuple order — bit-identical to
     /// calling [`Engine::eval_tuples`] once per valuation.
     ///
-    /// `threads == 0` means auto (see [`uprov_core::resolve_threads`]);
-    /// takes `&self` like every concrete evaluation, so readers can share
-    /// the engine. Each element of the result is one [`TupleRows`] — the
-    /// whole database evaluated under the matching valuation.
+    /// The shared state is passed in: `pool` holds the per-worker memos
+    /// (keep one per structure across calls to reuse their buffers) and
+    /// `threads` is the worker count, `0` meaning available parallelism.
+    /// Each element of the result is one [`TupleRows`] — the whole
+    /// database evaluated under the matching valuation.
     pub fn eval_tuples_batch<'s, S: UpdateStructure>(
         &self,
         state: &'s ReplayState,
@@ -1411,7 +1301,6 @@ impl Engine {
         pool: &MemoPool<S::Value>,
         threads: usize,
     ) -> Vec<TupleRows<'s, S::Value>> {
-        let threads = resolve_threads(threads);
         let (names, roots): (Vec<&str>, Vec<NodeId>) =
             state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
         let rows =
@@ -1419,49 +1308,6 @@ impl Engine {
         rows.into_iter()
             .map(|row| names.iter().copied().zip(row).collect())
             .collect()
-    }
-
-    /// [`Engine::abort_eval`] for a coalesced burst of transactions: the
-    /// whole-database evaluation schedule is computed once and replayed
-    /// per aborted transaction (see [`Engine::eval_tuples_batch`]). One
-    /// row set per transaction, in `txns` order, each bit-identical to the
-    /// one-at-a-time query. Name resolution is all-or-nothing, like
-    /// [`Engine::abort_symbolic_batch`].
-    pub fn abort_eval_batch<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        txns: &[&str],
-        structure: &S,
-        present: S::Value,
-        threads: usize,
-    ) -> Result<Vec<TupleRows<'s, S::Value>>, QueryError> {
-        let pool = MemoPool::new();
-        self.abort_eval_batch_in(state, txns, structure, present, &pool, threads)
-    }
-
-    /// [`Engine::abort_eval_batch`] with a caller-provided shard-memo
-    /// pool — the pooling variant for services that answer abort bursts
-    /// repeatedly and want the per-shard memo allocations reused across
-    /// batches.
-    pub fn abort_eval_batch_in<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        txns: &[&str],
-        structure: &S,
-        present: S::Value,
-        pool: &MemoPool<S::Value>,
-        threads: usize,
-    ) -> Result<Vec<TupleRows<'s, S::Value>>, QueryError> {
-        let valuations = txns
-            .iter()
-            .map(|&txn| {
-                let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
-                    name: txn.to_owned(),
-                })?;
-                Ok(Valuation::constant(present.clone()).with(p, structure.zero()))
-            })
-            .collect::<Result<Vec<_>, QueryError>>()?;
-        Ok(self.eval_tuples_batch(state, structure, &valuations, pool, threads))
     }
 
     /// Decides whether two replayed logs are equivalent: for every tuple

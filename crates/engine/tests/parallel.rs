@@ -1,44 +1,27 @@
-//! Bit-identity tests for the engine's sharded concrete-evaluation queries.
+//! Bit-identity of the engine's sharded concrete evaluation.
 //!
-//! `eval_tuples_par` / `abort_eval_par` / `delete_base_eval_par` must
-//! return exactly what their serial counterparts return — same values,
-//! same tuple order — for every thread count, including 1 (serial
-//! fallback) and more threads than tuples. Randomized over log shapes via
-//! the in-repo xorshift harness (see `uprov-core/tests/prop.rs` for the
-//! offline-proptest rationale).
+//! [`Engine::eval_tuples_batch`] is the one sharded entry point: row `i`
+//! of its answer must be exactly what the serial [`Engine::eval_tuples`]
+//! returns for valuation `i` — same values, same tuple order — for every
+//! thread count, and the named what-if queries (`abort_eval`,
+//! `delete_base_eval`) must equal the row of the valuation they stand
+//! for. Randomized over log shapes via the repo-standard seeded harness
+//! (see `uprov-core/tests/prop.rs` for the offline-proptest rationale).
 
-use uprov_core::{MemoPool, Valuation};
+use benchkit::TestRng;
+use uprov_core::{Atom, MemoPool, Valuation};
 use uprov_engine::{Engine, UpdateLog};
 use uprov_structures::{Bool, Worlds};
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 /// A random update log over a small tuple universe: inserts, deletes and
 /// multi-source modifies, so per-tuple provenance mixes spines, `·M`
 /// queries and `Σ` sources — the shapes the evaluators must agree on.
-fn random_log(rng: &mut Rng, txns: usize, tuples: usize) -> UpdateLog {
+fn random_log(rng: &mut TestRng, txns: usize, tuples: usize) -> UpdateLog {
     let mut s = String::new();
     for j in 0..tuples / 2 {
         s.push_str(&format!("base b{j}\n"));
     }
-    let tuple = |rng: &mut Rng, tuples: usize| {
+    let tuple = |rng: &mut TestRng, tuples: usize| {
         let j = rng.below(tuples);
         if j < tuples / 2 {
             format!("b{j}")
@@ -65,110 +48,86 @@ fn random_log(rng: &mut Rng, txns: usize, tuples: usize) -> UpdateLog {
     s.parse().expect("generated log is valid")
 }
 
-const THREADS: [usize; 4] = [1, 2, 4, 9];
+/// One valuation per entry: everything `present`, the entry's atom (if
+/// any) zeroed.
+fn what_ifs<V: Clone>(zeroed: &[Option<Atom>], present: V, zero: V) -> Vec<Valuation<V>> {
+    zeroed
+        .iter()
+        .map(|z| {
+            let val = Valuation::constant(present.clone());
+            match z {
+                Some(a) => val.with(*a, zero.clone()),
+                None => val,
+            }
+        })
+        .collect()
+}
+
+/// `0` (available parallelism), the serial fallback, genuine sharding,
+/// and more workers than this machine has cores or most batches have
+/// valuations.
+const THREADS: [usize; 5] = [0, 1, 2, 3, 8];
 
 #[test]
-fn prop_eval_tuples_par_bit_identical_to_serial() {
+fn prop_eval_tuples_batch_rows_match_the_serial_queries() {
     let pool: MemoPool<bool> = MemoPool::new();
     let wpool: MemoPool<u64> = MemoPool::new();
     for seed in 0..40 {
-        let mut rng = Rng::new(seed * 62_989 + 11);
+        let mut rng = TestRng::new(seed * 62_989 + 11);
         let mut engine = Engine::new();
         let (n_txns, n_tuples) = (3 + rng.below(12), 2 + rng.below(7));
         let log = random_log(&mut rng, n_txns, n_tuples);
         let state = engine.replay(&log).expect("replays");
-        let mut val: Valuation<bool> = Valuation::constant(true);
-        let mut wval: Valuation<u64> = Valuation::constant(u64::MAX);
-        for name in state.tuple_names() {
-            if let Some(a) = state.base_atom(name) {
-                if rng.below(3) == 0 {
-                    val.set(a, false);
-                    wval.set(a, 0);
-                }
-            }
+
+        // The batch: the plain database, then each transaction aborted,
+        // then each base tuple deleted.
+        let txns: Vec<(&str, Atom)> = state.txn_atoms().collect();
+        let bases: Vec<(&str, Atom)> = state.base_atoms().collect();
+        let zeroed: Vec<Option<Atom>> = std::iter::once(None)
+            .chain(txns.iter().chain(&bases).map(|&(_, a)| Some(a)))
+            .collect();
+        let vals = what_ifs(&zeroed, true, false);
+        let wvals = what_ifs(&zeroed, u64::MAX, 0);
+
+        let serial: Vec<_> = vals
+            .iter()
+            .map(|v| engine.eval_tuples(&state, &Bool, v))
+            .collect();
+        let wserial: Vec<_> = wvals
+            .iter()
+            .map(|v| engine.eval_tuples(&state, &Worlds, v))
+            .collect();
+        for (i, &(txn, _)) in txns.iter().enumerate() {
+            let row = 1 + i;
+            assert_eq!(
+                engine.abort_eval(&state, txn, &Bool, true).expect("known"),
+                serial[row],
+                "seed {seed}: abort_eval({txn}) is not row {row}"
+            );
         }
-        let serial = engine.eval_tuples(&state, &Bool, &val);
-        let wserial = engine.eval_tuples(&state, &Worlds, &wval);
+        for (i, &(base, _)) in bases.iter().enumerate() {
+            let row = 1 + txns.len() + i;
+            assert_eq!(
+                engine
+                    .delete_base_eval(&state, base, &Worlds, u64::MAX)
+                    .expect("known"),
+                wserial[row],
+                "seed {seed}: delete_base_eval({base}) is not row {row}"
+            );
+        }
+
         for threads in THREADS {
             assert_eq!(
-                engine.eval_tuples_par(&state, &Bool, &val, threads),
+                engine.eval_tuples_batch(&state, &Bool, &vals, &pool, threads),
                 serial,
                 "seed {seed}: Bool diverged at {threads} threads"
             );
             assert_eq!(
-                engine.eval_tuples_par_in(&state, &Worlds, &wval, &wpool, threads),
+                engine.eval_tuples_batch(&state, &Worlds, &wvals, &wpool, threads),
                 wserial,
                 "seed {seed}: Worlds diverged at {threads} threads"
             );
         }
-        // The pooled variant agrees and parks its buffers for the next case.
-        for threads in THREADS {
-            assert_eq!(
-                engine.eval_tuples_par_in(&state, &Bool, &val, &pool, threads),
-                serial,
-                "seed {seed}: pooled Bool diverged at {threads} threads"
-            );
-        }
     }
-    assert!(pool.pooled() >= 1);
-}
-
-#[test]
-fn prop_abort_and_delete_par_bit_identical_to_serial() {
-    for seed in 0..30 {
-        let mut rng = Rng::new(seed * 15_486_719 + 3);
-        let mut engine = Engine::new();
-        let (n_txns, n_tuples) = (3 + rng.below(10), 2 + rng.below(6));
-        let log = random_log(&mut rng, n_txns, n_tuples);
-        let state = engine.replay(&log).expect("replays");
-        let txn = format!("t{}", rng.below(n_txns));
-        let serial = engine.abort_eval(&state, &txn, &Bool, true).expect("known");
-        for threads in THREADS {
-            assert_eq!(
-                engine
-                    .abort_eval_par(&state, &txn, &Bool, true, threads)
-                    .expect("known"),
-                serial,
-                "seed {seed}: abort diverged at {threads} threads"
-            );
-        }
-        let base = state
-            .tuple_names()
-            .find(|n| state.base_atom(n).is_some())
-            .map(str::to_owned);
-        if let Some(base) = base {
-            let serial = engine
-                .delete_base_eval(&state, &base, &Worlds, u64::MAX)
-                .expect("known");
-            for threads in THREADS {
-                assert_eq!(
-                    engine
-                        .delete_base_eval_par(&state, &base, &Worlds, u64::MAX, threads)
-                        .expect("known"),
-                    serial,
-                    "seed {seed}: delete diverged at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn par_queries_report_the_same_errors_as_serial() {
-    let mut engine = Engine::new();
-    let state = engine
-        .replay(&"base x\nbegin t\ninsert y\ncommit\n".parse().unwrap())
-        .unwrap();
-    assert!(engine
-        .abort_eval_par(&state, "nope", &Bool, true, 2)
-        .is_err());
-    assert!(
-        engine
-            .delete_base_eval_par(&state, "y", &Bool, true, 2)
-            .is_err(),
-        "y is not a base tuple"
-    );
-    // threads == 0 resolves via UPROV_THREADS/auto and still answers.
-    let rows = engine.abort_eval_par(&state, "t", &Bool, true, 0).unwrap();
-    assert_eq!(rows, engine.abort_eval(&state, "t", &Bool, true).unwrap());
+    assert!(pool.pooled() >= 1, "worker memos parked for the next call");
 }

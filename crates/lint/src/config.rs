@@ -16,7 +16,7 @@
 /// check: the total protocol parser, the session loop that frames
 /// whatever bytes a peer sends, the storage decode/recovery paths, and
 /// the resident worker pool's run loop. `snapshot.rs` is scoped to
-/// its decode half: [`encode`] serializes state the process itself built
+/// its decode half: `encode` serializes state the process itself built
 /// (its indexing is over vectors it sized), while `decode` must be total
 /// over arbitrary bytes.
 pub const NO_PANIC_ZONES: &[(&str, &[&str])] = &[
@@ -49,16 +49,17 @@ pub const FSYNC_ZONES: &[&str] = &[
 /// Crates (by `crates/<dir>` name) whose public items must carry rustdoc.
 pub const RUSTDOC_CRATES: &[&str] = &["engine", "service", "storage"];
 
-/// Crates whose public memo-allocating functions must offer an `_in`
-/// pooling variant.
-pub const POOLING_CRATES: &[&str] = &["core", "engine"];
+/// Crates whose public functions come one per operation: shared state (a
+/// thread count, a memo pool, a round budget) is an argument or rides the
+/// memo it belongs to, never a name suffix.
+pub const ONE_FN_CRATES: &[&str] = &["core", "engine"];
+
+/// `pub fn` name endings denied in [`ONE_FN_CRATES`] — each once named a
+/// sibling that differed from its base function only in where such state
+/// came from.
+pub const SIBLING_SUFFIXES: &[&str] = &["_par", "_par_in", "_scoped_in", "_budget_in", "_batch_in"];
 
 /// Method names that count as the fsync family for the ordering pass.
 /// `write_atomic` is a barrier in its own right (the backend renames over
 /// the blob only after syncing the temp file).
 pub const FSYNC_METHODS: &[&str] = &["sync", "sync_all", "sync_data", "write_atomic"];
-
-/// Constructor type names whose appearance in a public function body
-/// marks it as memo-allocating (the API-discipline pass then requires an
-/// `_in` sibling taking the memo from outside).
-pub const MEMO_TYPES: &[&str] = &["DenseMemo", "NfMemo", "MemoPool"];

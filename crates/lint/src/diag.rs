@@ -17,8 +17,8 @@ pub enum Pass {
     /// Durability ordering: no visible-state mutation between a WAL
     /// append and its fsync barrier.
     Fsync,
-    /// API discipline: `_in` pooling variants and rustdoc on public
-    /// items.
+    /// API discipline: one public fn per operation (no sibling
+    /// suffixes) and rustdoc on public items.
     Api,
 }
 

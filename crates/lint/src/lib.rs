@@ -80,10 +80,10 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         .and_then(|p| p.split('/').next())
         .unwrap_or_default();
     let opts = ApiOptions {
-        require_pooling: config::POOLING_CRATES.contains(&crate_name),
+        forbid_siblings: config::ONE_FN_CRATES.contains(&crate_name),
         require_docs: config::RUSTDOC_CRATES.contains(&crate_name),
     };
-    if opts.require_pooling || opts.require_docs {
+    if opts.forbid_siblings || opts.require_docs {
         out.extend(passes::api_discipline(&sf, opts));
     }
     out

@@ -6,7 +6,7 @@
 //! | `panic`  | declared no-panic zones contain no panicking construct           |
 //! | `unsafe` | every `unsafe` is allowlisted *and* carries a `// SAFETY:` note  |
 //! | `fsync`  | no visible-state mutation between a WAL append and its barrier   |
-//! | `api`    | memo-allocating public fns have `_in` variants; public items doc |
+//! | `api`    | one public fn per operation (no sibling suffix); pub items doc   |
 //!
 //! Every pass skips `#[cfg(test)]` / `#[test]` regions (tests unwrap
 //! freely, on purpose). Only the `panic` pass has a per-site escape
@@ -15,7 +15,7 @@
 //! [`crate::config`], so loosening them is a reviewed config edit, not a
 //! drive-by comment.
 
-use crate::config::{FSYNC_METHODS, MEMO_TYPES};
+use crate::config::{FSYNC_METHODS, SIBLING_SUFFIXES};
 use crate::diag::{Diagnostic, Pass};
 use crate::source::{Allow, SourceFile};
 
@@ -275,17 +275,16 @@ fn check_fn_order(
 /// to (see [`crate::config`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApiOptions {
-    /// Require `_in` pooling variants for memo-allocating public fns.
-    pub require_pooling: bool,
+    /// Deny public fns named as a sibling of another ([`SIBLING_SUFFIXES`]).
+    pub forbid_siblings: bool,
     /// Require rustdoc on public items.
     pub require_docs: bool,
 }
 
-/// Pass 4 — API discipline. With `require_pooling`, any `pub fn` whose
-/// body constructs a memo ([`MEMO_TYPES`]) must have a `pub fn <name>_in`
-/// sibling in the same file (the pooling convention: the `_in` variant
-/// takes the memo from the caller, the plain one allocates for
-/// ergonomics). With `require_docs`, every public item must carry
+/// Pass 4 — API discipline. With `forbid_siblings`, a `pub fn` whose name
+/// ends in one of [`SIBLING_SUFFIXES`] is a finding: each operation has
+/// one public function, and what such a suffix used to select is passed
+/// in instead. With `require_docs`, every public item must carry
 /// rustdoc (`///`, `//!` or `#[doc…]`); outline `pub mod x;`
 /// declarations are exempt — their file-level `//!` docs live in `x.rs`.
 pub fn api_discipline(sf: &SourceFile<'_>, opts: ApiOptions) -> Vec<Diagnostic> {
@@ -293,8 +292,8 @@ pub fn api_discipline(sf: &SourceFile<'_>, opts: ApiOptions) -> Vec<Diagnostic> 
     if opts.require_docs {
         check_docs(sf, &mut out);
     }
-    if opts.require_pooling {
-        check_pooling(sf, &mut out);
+    if opts.forbid_siblings {
+        check_siblings(sf, &mut out);
     }
     out
 }
@@ -396,10 +395,8 @@ fn open_of(toks: &[crate::lexer::Token<'_>], close_ix: usize) -> Option<usize> {
     None
 }
 
-fn check_pooling(sf: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
+fn check_siblings(sf: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
     let toks = &sf.tokens;
-    // First sweep: every pub fn name in the file.
-    let mut pub_fns: Vec<(usize, &str, u32)> = Vec::new();
     for (i, tok) in toks.iter().enumerate() {
         if sf.in_test[i] || !tok.is_ident("fn") {
             continue;
@@ -407,68 +404,20 @@ fn check_pooling(sf: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
         if !sf.prev_code(i).is_some_and(|j| toks[j].is_ident("pub")) {
             continue;
         }
-        if let Some(j) = sf.next_code(i) {
-            if toks[j].kind == crate::lexer::TokKind::Ident {
-                pub_fns.push((j, toks[j].text, toks[j].line));
-            }
-        }
-    }
-    let names: std::collections::HashSet<&str> = pub_fns.iter().map(|&(_, n, _)| n).collect();
-    for &(name_ix, name, line) in &pub_fns {
-        if name.ends_with("_in") {
-            continue;
-        }
-        // Find the body and look for a memo construction `Memo::new(…)`.
-        let Some((open, close)) = fn_body(toks, name_ix) else {
+        let Some(name) = sf.next_code(i).map(|j| &toks[j]) else {
             continue;
         };
-        let allocates = (open..close).any(|k| {
-            MEMO_TYPES.contains(&toks[k].text)
-                && sf.next_code(k).is_some_and(|a| toks[a].is_punct(':'))
-        });
-        if allocates && !names.contains(format!("{name}_in").as_str()) {
+        if let Some(suffix) = SIBLING_SUFFIXES.iter().find(|s| name.text.ends_with(*s)) {
             out.push(Diagnostic::new(
                 Pass::Api,
                 &sf.path,
-                line,
+                name.line,
                 format!(
-                    "public fn `{name}` allocates a memo but has no `{name}_in` pooling variant"
+                    "public fn `{}` is a `{suffix}` sibling: keep one function per \
+                     operation and pass the shared state in",
+                    name.text
                 ),
             ));
         }
     }
-}
-
-/// Token range of a fn body, given the index of the fn's name token.
-fn fn_body(toks: &[crate::lexer::Token<'_>], name_ix: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i64;
-    let mut j = name_ix;
-    while j < toks.len() {
-        match toks[j].text {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 && toks[j].kind == crate::lexer::TokKind::Punct => {
-                let mut d = 0i64;
-                let mut k = j;
-                while k < toks.len() {
-                    match toks[k].text {
-                        "{" => d += 1,
-                        "}" => {
-                            d -= 1;
-                            if d == 0 {
-                                return Some((j, k));
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                return None;
-            }
-            ";" if depth == 0 => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }

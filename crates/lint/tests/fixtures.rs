@@ -284,34 +284,36 @@ fn checkpoint(&mut self) -> Result<(), E> {
 // ------------------------------------------------------------------ api
 
 #[test]
-fn api_pass_requires_pooling_variant_for_memo_allocating_pub_fns() {
+fn api_pass_forbids_sibling_suffixes_on_pub_fns() {
     let opts = ApiOptions {
-        require_pooling: true,
+        forbid_siblings: true,
         require_docs: false,
     };
     let bad = "\
-pub fn eval(root: NodeId) -> u32 {
-    let mut memo = DenseMemo::new();
-    eval_in(root, &mut memo)
-}
+pub fn eval(root: NodeId) -> u32 { walk(root, 1) }
+pub fn eval_par(root: NodeId, threads: usize) -> u32 { walk(root, threads) }
 ";
     let diags = passes::api_discipline(&parse(bad), opts);
     assert_eq!(
         rendered(&diags),
         vec![
-            "crates/x/src/f.rs:1: [api] public fn `eval` allocates a memo but has no \
-             `eval_in` pooling variant"
+            "crates/x/src/f.rs:2: [api] public fn `eval_par` is a `_par` sibling: keep one \
+             function per operation and pass the shared state in"
         ]
     );
+    for suffix in config::SIBLING_SUFFIXES {
+        let src = format!("pub fn eval{suffix}() {{}}\n");
+        assert_eq!(passes::api_discipline(&parse(&src), opts).len(), 1, "{src}");
+    }
 
+    // A memo-allocating pub fn needs no `_in` sibling, and a plain `_in`
+    // (the memo is the context, passed in) is fine.
     let good = "\
 pub fn eval(root: NodeId) -> u32 {
     let mut memo = DenseMemo::new();
-    eval_in(root, &mut memo)
+    walk(root, &mut memo)
 }
-pub fn eval_in(root: NodeId, memo: &mut DenseMemo<u32>) -> u32 {
-    walk(root, memo)
-}
+pub fn nf_in(root: NodeId, memo: &mut NfMemo) -> u32 { walk(root, memo) }
 ";
     assert!(passes::api_discipline(&parse(good), opts).is_empty());
 }
@@ -319,13 +321,17 @@ pub fn eval_in(root: NodeId, memo: &mut DenseMemo<u32>) -> u32 {
 #[test]
 fn api_pass_ignores_private_fns_and_memo_free_bodies() {
     let opts = ApiOptions {
-        require_pooling: true,
+        forbid_siblings: true,
         require_docs: false,
     };
     let src = "\
-fn helper() { let m = DenseMemo::new(); drop(m); }
-pub(crate) fn internal() { let m = NfMemo::new(); drop(m); }
+fn run_scoped_in() {}
+pub(crate) fn eval_batch_in() {}
 pub fn no_memo(x: u32) -> u32 { x + 1 }
+#[cfg(test)]
+mod tests {
+    pub fn helper_par() {}
+}
 ";
     assert!(passes::api_discipline(&parse(src), opts).is_empty());
 }
@@ -333,7 +339,7 @@ pub fn no_memo(x: u32) -> u32 { x + 1 }
 #[test]
 fn api_pass_requires_rustdoc_on_public_items() {
     let opts = ApiOptions {
-        require_pooling: false,
+        forbid_siblings: false,
         require_docs: true,
     };
     let bad = "pub fn f() {}\npub struct S;\n";
@@ -368,7 +374,7 @@ fn check_file_applies_the_zone_map() {
     // In a declared no-panic zone: flagged.
     let in_zone = check_file("crates/service/src/proto.rs", src);
     assert_eq!(in_zone.len(), 1, "diags: {:?}", rendered(&in_zone));
-    // Outside every zone (workload crate has no panic/doc/pooling rules).
+    // Outside every zone (workload crate has no panic/doc/naming rules).
     assert!(check_file("crates/workload/src/lib.rs", src).is_empty());
 }
 

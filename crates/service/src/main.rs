@@ -2,7 +2,7 @@
 //! line-oriented JSON protocol.
 //!
 //! ```text
-//! uprov-service [--dir PATH] [--listen ADDR] [--readers N] [--eval-threads N]
+//! uprov-service [--dir PATH] [--listen ADDR] [--readers N]
 //! ```
 //!
 //! With `--listen 127.0.0.1:7117` the service accepts TCP connections,
@@ -37,7 +37,6 @@ struct Args {
     dir: Option<String>,
     listen: Option<String>,
     readers: Option<usize>,
-    eval_threads: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -45,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         dir: None,
         listen: None,
         readers: None,
-        eval_threads: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -60,17 +58,10 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--readers: {e}"))?,
                 );
             }
-            "--eval-threads" => {
-                args.eval_threads = Some(
-                    value("--eval-threads")?
-                        .parse()
-                        .map_err(|e| format!("--eval-threads: {e}"))?,
-                );
-            }
             "--help" | "-h" => {
-                return Err("usage: uprov-service [--dir PATH] [--listen ADDR] \
-                     [--readers N] [--eval-threads N]"
-                    .to_owned());
+                return Err(
+                    "usage: uprov-service [--dir PATH] [--listen ADDR] [--readers N]".to_owned(),
+                );
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -89,9 +80,6 @@ fn main() -> ExitCode {
     let mut config = ServiceConfig::default();
     if let Some(n) = args.readers {
         config.readers = n.max(1);
-    }
-    if let Some(n) = args.eval_threads {
-        config.eval_threads = n;
     }
     match &args.dir {
         Some(dir) => {

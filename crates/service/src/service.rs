@@ -66,9 +66,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Max requests one worker drains into a single coalesced batch.
     pub coalesce_max: usize,
-    /// Worker-pool threads for concrete evaluation (`0` = auto, see
-    /// [`uprov_core::resolve_threads`]).
-    pub eval_threads: usize,
     /// Start with the workers parked; release with [`Service::resume`].
     pub paused: bool,
 }
@@ -79,7 +76,6 @@ impl Default for ServiceConfig {
             readers: 2,
             queue_depth: 64,
             coalesce_max: 16,
-            eval_threads: 0,
             paused: false,
         }
     }
@@ -117,7 +113,6 @@ struct Inner<S: Storage> {
     budgets: Mutex<BTreeMap<u64, usize>>,
     batches: AtomicU64,
     coalesced: AtomicU64,
-    eval_threads: usize,
     next_client: AtomicU64,
 }
 
@@ -276,7 +271,6 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
             budgets: Mutex::new(BTreeMap::new()),
             batches: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            eval_threads: config.eval_threads,
             next_client: AtomicU64::new(0),
         });
         let (read_tx, read_rx) = sync_channel(config.queue_depth);
@@ -391,8 +385,7 @@ impl<S: Storage + Send + Sync + 'static> Drop for Service<S> {
 /// Drains one batch: a blocking `recv`, then opportunistic `try_recv` up
 /// to `max` total. Returns the jobs plus whether a stop sentinel was hit
 /// (each sentinel terminates exactly one worker — the one that drains it).
-fn drain(rx: &Mutex<Receiver<WorkerMsg>>, max: usize) -> (Vec<Job>, bool) {
-    let rx = rx.lock().expect("queue poisoned");
+fn drain(rx: &Receiver<WorkerMsg>, max: usize) -> (Vec<Job>, bool) {
     let mut jobs = Vec::new();
     match rx.recv() {
         Ok(WorkerMsg::Work(job)) => jobs.push(*job),
@@ -411,7 +404,9 @@ fn drain(rx: &Mutex<Receiver<WorkerMsg>>, max: usize) -> (Vec<Job>, bool) {
 fn reader_loop<S: Storage>(inner: &Inner<S>, rx: &Mutex<Receiver<WorkerMsg>>, max: usize) {
     loop {
         inner.wait_running();
-        let (jobs, stop) = drain(rx, max);
+        // Readers share one queue: the lock is held for the whole drain,
+        // so a batch is a contiguous run of the queue.
+        let (jobs, stop) = drain(&rx.lock().expect("queue poisoned"), max);
         if !jobs.is_empty() {
             inner.note_batch(jobs.len());
             serve_read_batch(inner, jobs);
@@ -425,7 +420,7 @@ fn reader_loop<S: Storage>(inner: &Inner<S>, rx: &Mutex<Receiver<WorkerMsg>>, ma
 fn writer_loop<S: Storage>(inner: &Inner<S>, rx: &Receiver<WorkerMsg>, max: usize) {
     loop {
         inner.wait_running();
-        let (jobs, stop) = drain_unshared(rx, max);
+        let (jobs, stop) = drain(rx, max);
         if !jobs.is_empty() {
             inner.note_batch(jobs.len());
             serve_write_batch(inner, jobs);
@@ -434,24 +429,6 @@ fn writer_loop<S: Storage>(inner: &Inner<S>, rx: &Receiver<WorkerMsg>, max: usiz
             return;
         }
     }
-}
-
-// The writer owns its receiver; no mutex needed. Kept separate from
-// `drain` so readers pay the lock and the writer doesn't.
-fn drain_unshared(rx: &Receiver<WorkerMsg>, max: usize) -> (Vec<Job>, bool) {
-    let mut jobs = Vec::new();
-    match rx.recv() {
-        Ok(WorkerMsg::Work(job)) => jobs.push(*job),
-        Ok(WorkerMsg::Stop) | Err(_) => return (jobs, true),
-    }
-    while jobs.len() < max {
-        match rx.try_recv() {
-            Ok(WorkerMsg::Work(job)) => jobs.push(*job),
-            Ok(WorkerMsg::Stop) => return (jobs, true),
-            Err(_) => break,
-        }
-    }
-    (jobs, false)
 }
 
 // ---------------------------------------------------------------------------
@@ -512,7 +489,8 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
     }
     for (id, members) in groups {
         let zeroed: Vec<Option<Atom>> = members.iter().map(|(_, z)| *z).collect();
-        let rows = eval_rows_batch(engine, state, id, &zeroed, inner.eval_threads);
+        // `0`: shard over however many cores the machine has.
+        let rows = eval_rows_batch(engine, state, id, &zeroed, 0);
         for ((ix, _), rows) in members.into_iter().zip(rows) {
             responses[ix] = Some(Response::Rows { seq, rows });
         }

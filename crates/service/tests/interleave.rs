@@ -134,7 +134,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
             coalesce_max: 16,
             queue_depth: 64,
             paused: false, // pause only after the append below
-            ..ServiceConfig::default()
         });
         assert!(matches!(
             service_a.client().request(append.clone()),
@@ -151,7 +150,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
                     coalesce_max: 16,
                     queue_depth: 64,
                     paused: true,
-                    ..ServiceConfig::default()
                 },
             )
         };
@@ -168,7 +166,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
             coalesce_max: 1,
             queue_depth: 64,
             paused: false,
-            ..ServiceConfig::default()
         });
         let client_b = service_b.client();
         assert!(matches!(
@@ -224,7 +221,6 @@ fn append_burst_group_commits_and_matches_sequential_order() {
         coalesce_max: 32,
         queue_depth: 64,
         paused: true,
-        ..ServiceConfig::default()
     });
     let requests: Vec<Request> = logs
         .iter()
@@ -303,7 +299,6 @@ fn full_queue_answers_typed_overloaded() {
         coalesce_max: 4,
         queue_depth: 2,
         paused: true,
-        ..ServiceConfig::default()
     });
     let barrier = Arc::new(Barrier::new(3));
     std::thread::scope(|scope| {
@@ -348,7 +343,6 @@ fn shutdown_drains_enqueued_requests_and_rejects_late_ones() {
         coalesce_max: 8,
         queue_depth: 64,
         paused: true,
-        ..ServiceConfig::default()
     });
     let late_client = service.client();
     let answered = Arc::new(AtomicU64::new(0));

@@ -2,9 +2,7 @@
 //! textual log) versus durable recovery (snapshot load + WAL-tail replay +
 //! certify) on a 10 000-update workload.
 //!
-//! Run with `cargo bench -p uprov-storage`; set `BENCHKIT_OUT=path.json`
-//! to write the machine-readable report (the committed
-//! `BENCH_pr6_storage.json`).
+//! Run with `cargo bench -p uprov-storage`; the report goes to stderr.
 //!
 //! The [`benchkit`] `guard_speedup` floor fails the bench (and CI) if
 //! recovery drops below 4× over the textual cold boot — the point of

@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 
 use benchkit::TestRng;
-use uprov_core::{UpdateStructure, Valuation};
+use uprov_core::{MemoPool, UpdateStructure, Valuation};
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, FaultMode, FaultStorage, MemStorage, Storage, WAL_BLOB};
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
@@ -107,7 +107,7 @@ fn witness_set(mask: u64) -> BTreeSet<u32> {
 /// Owned `(name, value)` rows of a full-database evaluation — the
 /// engine-independent form used to compare answers across engines.
 fn eval_map<S: UpdateStructure>(
-    engine: &mut Engine,
+    engine: &Engine,
     state: &ReplayState,
     s: &S,
     val: &Valuation<S::Value>,
@@ -224,29 +224,38 @@ fn cached_queries_match_uncached_baselines() {
 
 #[test]
 fn parallel_evaluation_matches_serial_for_every_structure() {
-    fn check<S, F>(
-        w: &Workload,
-        engine: &mut Engine,
-        state: &ReplayState,
-        s: &S,
-        top: S::Value,
-        mk: F,
-    ) where
+    /// One batch per structure through the sharded entry point: the
+    /// seeded valuation plain, with one random transaction zeroed (the
+    /// abort what-if) and with one random base tuple zeroed (deletion
+    /// propagation). Every row must equal the serial one-valuation query.
+    fn check<S, F>(w: &Workload, engine: &Engine, state: &ReplayState, s: &S, top: S::Value, mk: F)
+    where
         S: UpdateStructure,
         F: Fn(u64) -> S::Value,
     {
         let cfg = &w.config;
+        let mut rng = case_rng(cfg);
         let val = valuation_for::<S, _>(w, state, 0x51, top, mk);
-        let serial = eval_map(engine, state, s, &val);
+        let mut vals = vec![val.clone()];
+        if !w.txn_names.is_empty() {
+            let txn = &w.txn_names[rng.below(w.txn_names.len())];
+            let atom = state.txn_atom(txn).expect("generated txn is replayed");
+            vals.push(val.clone().with(atom, s.zero()));
+        }
+        if !w.log.base.is_empty() {
+            let tuple = &w.log.base[rng.below(w.log.base.len())];
+            let atom = state.base_atom(tuple).expect("declared base tuple");
+            vals.push(val.clone().with(atom, s.zero()));
+        }
+        let serial: Vec<_> = vals
+            .iter()
+            .map(|v| engine.eval_tuples(state, s, v))
+            .collect();
+        let pool = MemoPool::new();
         for threads in [0usize, 1, 2, 3, 8] {
-            let par: Vec<(String, S::Value)> = engine
-                .eval_tuples_par(state, s, &val, threads)
-                .into_iter()
-                .map(|(n, v)| (n.to_owned(), v))
-                .collect();
             assert_eq!(
                 serial,
-                par,
+                engine.eval_tuples_batch(state, s, &vals, &pool, threads),
                 "{cfg}: {} threads={threads}",
                 std::any::type_name::<S>()
             );
@@ -255,53 +264,23 @@ fn parallel_evaluation_matches_serial_for_every_structure() {
 
     for w in cases() {
         let cfg = &w.config;
-        let mut rng = case_rng(cfg);
         let mut engine = Engine::new();
         let state = engine
             .replay(&w.log)
             .unwrap_or_else(|e| panic!("{cfg}: {e}"));
 
-        check(&w, &mut engine, &state, &Bool, true, |m| m >> 7 & 1 == 1);
-        check(&w, &mut engine, &state, &Worlds, u64::MAX, |m| m);
-        check(&w, &mut engine, &state, &Clearance, u16::MAX, |m| m as u16);
-        check(&w, &mut engine, &state, &Trust, u32::MAX, |m| m as u32);
+        check(&w, &engine, &state, &Bool, true, |m| m >> 7 & 1 == 1);
+        check(&w, &engine, &state, &Worlds, u64::MAX, |m| m);
+        check(&w, &engine, &state, &Clearance, u16::MAX, |m| m as u16);
+        check(&w, &engine, &state, &Trust, u32::MAX, |m| m as u32);
         check(
             &w,
-            &mut engine,
+            &engine,
             &state,
             &Witnesses,
             witness_set(u64::MAX),
             witness_set,
         );
-
-        // The fused query paths shard too: abort/delete-base evaluation.
-        if !w.txn_names.is_empty() {
-            let txn = w.txn_names[rng.below(w.txn_names.len())].clone();
-            let serial = engine
-                .abort_eval(&state, &txn, &Bool, true)
-                .unwrap_or_else(|e| panic!("{cfg}: {e}"));
-            for threads in [1usize, 3, 8] {
-                let par = engine
-                    .abort_eval_par(&state, &txn, &Bool, true, threads)
-                    .unwrap_or_else(|e| panic!("{cfg}: {e}"));
-                assert_eq!(serial, par, "{cfg}: abort_eval({txn}) threads={threads}");
-            }
-        }
-        if !w.log.base.is_empty() {
-            let tuple = w.log.base[rng.below(w.log.base.len())].clone();
-            let serial = engine
-                .delete_base_eval(&state, &tuple, &Worlds, u64::MAX)
-                .unwrap_or_else(|e| panic!("{cfg}: {e}"));
-            for threads in [1usize, 3, 8] {
-                let par = engine
-                    .delete_base_eval_par(&state, &tuple, &Worlds, u64::MAX, threads)
-                    .unwrap_or_else(|e| panic!("{cfg}: {e}"));
-                assert_eq!(
-                    serial, par,
-                    "{cfg}: delete_base_eval({tuple}) threads={threads}"
-                );
-            }
-        }
     }
 }
 
@@ -329,7 +308,7 @@ fn cache_valve_budget_never_changes_answers() {
             })
             .collect();
         let val = valuation_for::<Bool, _>(&w, &state, 0xB0, true, |m| m >> 3 & 1 == 1);
-        let ref_eval = eval_map(&mut engine, &state, &Bool, &val);
+        let ref_eval = eval_map(&engine, &state, &Bool, &val);
 
         for budget in [Some(64usize), Some(8), Some(1), None] {
             engine.set_cache_budget(budget);
@@ -345,7 +324,7 @@ fn cache_valve_budget_never_changes_answers() {
                     );
                 }
                 assert_eq!(
-                    eval_map(&mut engine, &state, &Bool, &val),
+                    eval_map(&engine, &state, &Bool, &val),
                     ref_eval,
                     "{cfg}: eval budget={budget:?} pass={pass}"
                 );
@@ -611,7 +590,7 @@ fn crashed_workload_recovers_to_the_acknowledged_prefix() {
         let val_f = valuation_for::<Worlds, _>(&w, &fresh_state, 0xF4, u64::MAX, |m| m);
         let val_r = valuation_for::<Worlds, _>(&w, state, 0xF4, u64::MAX, |m| m);
         assert_eq!(
-            eval_map(&mut fresh, &fresh_state, &Worlds, &val_f),
+            eval_map(&fresh, &fresh_state, &Worlds, &val_f),
             eval_map(eng, state, &Worlds, &val_r),
             "{cfg}: offset {offset}/{wal_len}: recovered answers"
         );

@@ -1,10 +1,11 @@
 //! Regression: an exhausted normal-form budget must degrade to "don't
 //! know", never to a definite wrong answer.
 //!
-//! `try_equiv_budget_in` is three-valued: `Some(true)`/`Some(false)` are
+//! `try_equiv_in` is three-valued: `Some(true)`/`Some(false)` are
 //! *certificates* (ids proved equal / normal forms proved distinct) and
-//! `None` means the round budget ran out first. The trap this guards
-//! against: under budget 0 the "normal forms" are the untouched inputs,
+//! `None` means the memo's round budget (`NfMemo::with_max_rounds`) ran
+//! out first. The trap this guards against: under budget 0 the "normal
+//! forms" are the untouched inputs,
 //! so two equivalent-but-unnormalized roots have distinct ids — a naive
 //! implementation would report `Some(false)` and turn saturation into a
 //! wrong answer. On generated workloads we pair every reducible
@@ -13,7 +14,7 @@
 //! budgets.
 
 use benchkit::TestRng;
-use uprov_core::{nf_in, try_equiv_budget_in, ExprArena, NfMemo, MAX_ROUNDS};
+use uprov_core::{nf_in, try_equiv_in, ExprArena, NfMemo};
 use uprov_engine::Engine;
 use uprov_workload::{knobs, Workload, WorkloadConfig};
 
@@ -49,8 +50,8 @@ fn exhausted_budget_never_reports_a_definite_answer() {
 
                 // Budget 0: no rounds run, both sides stay unnormalized
                 // and distinct — the only sound verdict is "don't know".
-                let mut starved = NfMemo::new();
-                let verdict = try_equiv_budget_in(&mut ar, r, full.id, &mut starved, 0);
+                let mut starved = NfMemo::with_max_rounds(0);
+                let verdict = try_equiv_in(&mut ar, r, full.id, &mut starved);
                 assert_eq!(
                     verdict, None,
                     "{cfg}: {name}: budget 0 must stay undecided, not fabricate a verdict"
@@ -59,8 +60,8 @@ fn exhausted_budget_never_reports_a_definite_answer() {
                 // Tiny budgets: either still undecided or the true answer
                 // (the pair IS equivalent); `Some(false)` is forbidden.
                 for budget in 1..=3u32 {
-                    let mut m = NfMemo::new();
-                    let v = try_equiv_budget_in(&mut ar, r, full.id, &mut m, budget);
+                    let mut m = NfMemo::with_max_rounds(budget);
+                    let v = try_equiv_in(&mut ar, r, full.id, &mut m);
                     assert_ne!(
                         v,
                         Some(false),
@@ -69,9 +70,8 @@ fn exhausted_budget_never_reports_a_definite_answer() {
                 }
 
                 // Sanity: the full budget proves it.
-                let mut m = NfMemo::new();
                 assert_eq!(
-                    try_equiv_budget_in(&mut ar, r, full.id, &mut m, MAX_ROUNDS),
+                    try_equiv_in(&mut ar, r, full.id, &mut memo),
                     Some(true),
                     "{cfg}: {name}: full budget must certify nf(r) ≡ r"
                 );
