@@ -156,7 +156,7 @@
 
 pub mod log;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use uprov_core::{
@@ -372,8 +372,20 @@ impl ReplayState {
     /// certified normal form and marking it dirty.
     fn touch(&mut self, tuple: &str, id: NodeId) {
         self.nf_by_tuple.remove(tuple);
-        self.dirty.insert(tuple.to_owned());
-        self.tuples.insert(tuple.to_owned(), id);
+        // A name is copied only when it enters a map: re-touching a
+        // tracked tuple — the common case — allocates nothing.
+        match self.tuples.get_mut(tuple) {
+            Some(root) => {
+                *root = id;
+                if !self.dirty.contains(tuple) {
+                    self.dirty.insert(tuple.to_owned());
+                }
+            }
+            None => {
+                self.tuples.insert(tuple.to_owned(), id);
+                self.dirty.insert(tuple.to_owned());
+            }
+        }
     }
 
     /// Exports the full state as plain serializable data — every map in
@@ -503,6 +515,41 @@ pub struct Certification {
     /// Tuples whose normalization saturated the round budget — left dirty
     /// and unrecorded (a best-effort id must never enter the cache).
     pub saturated: Vec<String>,
+}
+
+/// What the already-accepted logs of a batch under validation will have
+/// added once they are applied — the part of "the state after the earlier
+/// logs" that validation asks about, kept beside the committed state
+/// instead of being written into it.
+#[derive(Default)]
+struct Overlay<'l> {
+    /// Names the apply pass interns into the atom table: base tuples (as
+    /// `Tuple`) and transactions (as `Txn`). Other tuple names never get
+    /// an atom, so they cannot clash with a later log's kinds.
+    atoms: HashMap<&'l str, AtomKind>,
+    /// Tuple names the apply pass starts tracking — every `Tuple`-kinded
+    /// name of an accepted log; a later `base` line for one is late.
+    tuples: HashSet<&'l str>,
+}
+
+impl<'l> Overlay<'l> {
+    /// Merges an accepted log, given the kinds [`Engine::validate_over`]
+    /// saw it assign (one kind per name, or it would have been rejected).
+    fn accept(&mut self, log: &'l UpdateLog, kinds: HashMap<&'l str, AtomKind>) {
+        for (name, kind) in kinds {
+            match kind {
+                AtomKind::Tuple => {
+                    self.tuples.insert(name);
+                }
+                AtomKind::Txn => {
+                    self.atoms.insert(name, kind);
+                }
+            }
+        }
+        for b in &log.base {
+            self.atoms.insert(b, AtomKind::Tuple);
+        }
+    }
 }
 
 /// The replay engine: a long-lived [`AtomTable`] + [`ExprArena`] plus
@@ -832,51 +879,100 @@ impl Engine {
     /// base tuple is re-declared, without mutating the state or the atom
     /// table (kind checks peek, they never intern), so a rejected log
     /// leaves both exactly as they were.
-    pub fn validate_append<'l>(
+    pub fn validate_append(&self, state: &ReplayState, log: &UpdateLog) -> Result<(), ReplayError> {
+        self.validate_over(state, &Overlay::default(), log)
+            .map(drop)
+    }
+
+    /// [`Engine::validate_append`] for a batch that will be applied in
+    /// order: verdict *i* is what `validate_append` would answer had every
+    /// earlier **accepted** log of the batch already been appended (a
+    /// rejected log contributes nothing). Pure — neither the state, the
+    /// atom table nor the arena is touched — so a write-ahead log can
+    /// validate a whole group commit, persist it, and only then apply the
+    /// accepted logs with [`Engine::append`], each guaranteed to succeed.
+    ///
+    /// ```
+    /// use uprov_engine::{Engine, ReplayError, ReplayState, UpdateLog};
+    ///
+    /// let engine = Engine::new();
+    /// let logs: Vec<UpdateLog> = ["base a\n", "base a\n", "begin t\ninsert a\ncommit\n"]
+    ///     .iter()
+    ///     .map(|s| s.parse().unwrap())
+    ///     .collect();
+    /// let verdicts = engine.validate_batch(&ReplayState::default(), &logs);
+    /// assert!(verdicts[0].is_ok());
+    /// // The second log re-declares what the first one (same batch) declared.
+    /// assert!(matches!(&verdicts[1], Err(ReplayError::LateBase { name }) if name == "a"));
+    /// assert!(verdicts[2].is_ok());
+    /// assert!(engine.atoms().is_empty(), "validation interns nothing");
+    /// ```
+    pub fn validate_batch(
         &self,
         state: &ReplayState,
+        logs: &[UpdateLog],
+    ) -> Vec<Result<(), ReplayError>> {
+        let mut overlay = Overlay::default();
+        logs.iter()
+            .enumerate()
+            .map(|(i, log)| {
+                let kinds = self.validate_over(state, &overlay, log)?;
+                // The last log has no successor to show anything to — and
+                // the batch of one is the common case.
+                if i + 1 < logs.len() {
+                    overlay.accept(log, kinds);
+                }
+                Ok(())
+            })
+            .collect()
+    }
+
+    /// Validates one log against the committed state plus `overlay` (what
+    /// the batch's earlier accepted logs will add). Returns the kinds the
+    /// log itself assigns, for [`Overlay::accept`].
+    fn validate_over<'l>(
+        &self,
+        state: &ReplayState,
+        overlay: &Overlay<'l>,
         log: &'l UpdateLog,
-    ) -> Result<(), ReplayError> {
+    ) -> Result<HashMap<&'l str, AtomKind>, ReplayError> {
         // `pending` tracks the kinds this log itself assigns, catching
         // clashes internal to the log (two uses of one fresh name under
         // different kinds) that the table alone cannot see.
         let mut pending: HashMap<&str, AtomKind> = HashMap::new();
-        let check = |engine: &Engine,
-                     pending: &mut HashMap<&'l str, AtomKind>,
-                     name: &'l str,
-                     kind: AtomKind|
-         -> Result<(), ReplayError> {
-            engine.check_kind(name, kind)?;
-            match pending.insert(name, kind) {
-                Some(prev) if prev != kind => Err(ReplayError::NameKindClash {
+        let mut check = |name: &'l str, kind: AtomKind| -> Result<(), ReplayError> {
+            self.check_kind(name, kind)?;
+            let differs = |seen: Option<AtomKind>| seen.is_some_and(|k| k != kind);
+            if differs(overlay.atoms.get(name).copied()) || differs(pending.insert(name, kind)) {
+                return Err(ReplayError::NameKindClash {
                     name: name.to_owned(),
-                }),
-                _ => Ok(()),
+                });
             }
+            Ok(())
         };
         for b in &log.base {
-            if state.tuples.contains_key(b) {
+            if state.tuples.contains_key(b) || overlay.tuples.contains(b.as_str()) {
                 return Err(ReplayError::LateBase { name: b.clone() });
             }
-            check(self, &mut pending, b, AtomKind::Tuple)?;
+            check(b, AtomKind::Tuple)?;
         }
         for txn in &log.txns {
-            check(self, &mut pending, &txn.name, AtomKind::Txn)?;
+            check(&txn.name, AtomKind::Txn)?;
             for op in &txn.ops {
                 match op {
                     Op::Insert { tuple } | Op::Delete { tuple } => {
-                        check(self, &mut pending, tuple, AtomKind::Tuple)?;
+                        check(tuple, AtomKind::Tuple)?;
                     }
                     Op::Modify { target, sources } => {
-                        check(self, &mut pending, target, AtomKind::Tuple)?;
+                        check(target, AtomKind::Tuple)?;
                         for s in sources {
-                            check(self, &mut pending, s, AtomKind::Tuple)?;
+                            check(s, AtomKind::Tuple)?;
                         }
                     }
                 }
             }
         }
-        Ok(())
+        Ok(pending)
     }
 
     /// Normalizes every dirty tuple of `state` (incrementally — certified

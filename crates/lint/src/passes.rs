@@ -5,7 +5,7 @@
 //! |----------|------------------------------------------------------------------|
 //! | `panic`  | declared no-panic zones contain no panicking construct           |
 //! | `unsafe` | every `unsafe` is allowlisted *and* carries a `// SAFETY:` note  |
-//! | `fsync`  | no visible-state mutation between a WAL append and its barrier   |
+//! | `fsync`  | no visible-state mutation until a WAL append's barrier returned  |
 //! | `api`    | one public fn per operation (no sibling suffix); pub items doc   |
 //!
 //! Every pass skips `#[cfg(test)]` / `#[test]` regions (tests unwrap
@@ -125,12 +125,16 @@ pub fn unsafe_audit(sf: &SourceFile<'_>, allowlisted: bool) -> Vec<Diagnostic> {
     out
 }
 
-/// Pass 3 — durability ordering. Within each function of a zone file,
-/// after a WAL append (`.append(WAL_BLOB, …)`) and before an
-/// fsync-family call ([`FSYNC_METHODS`]), no visible-state mutation may
-/// occur: assignments to `self.state` / `self.seq`, or an
-/// `engine.append(…)` apply. This is the static half of the
-/// durable-before-visible contract.
+/// Pass 3 — durability ordering. Within each function of a zone file
+/// that contains a WAL append (`.append(WAL_BLOB, …)`), no visible-state
+/// mutation may occur until an fsync-family call ([`FSYNC_METHODS`]) has
+/// fenced that append — neither between the two nor *before* the WAL
+/// append (apply-then-log-then-roll-back, the undo-log shape, is visible
+/// before it is durable as well). A mutation is an assignment to
+/// `self.state` / `self.seq`, or an apply: `.append(… state …)` ahead of
+/// the WAL append (an `.append` to a scratch copy touches nothing
+/// visible), any second `.append(…)` once the WAL append is in flight.
+/// This is the static half of the durable-before-visible contract.
 pub fn fsync_order(sf: &SourceFile<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let toks = &sf.tokens;
@@ -190,6 +194,32 @@ pub fn fsync_order(sf: &SourceFile<'_>) -> Vec<Diagnostic> {
     out
 }
 
+/// Where a function stands relative to its WAL append.
+#[derive(Clone, Copy)]
+enum Barrier {
+    /// The WAL append on this line is still ahead.
+    Ahead(u32),
+    /// The WAL append on this line awaits its fsync-family call.
+    Pending(u32),
+    /// Fenced: the append is durable, mutations are legal.
+    Passed,
+}
+
+impl Barrier {
+    /// What a visible-state mutation at this point violates, if anything.
+    fn unfenced(self) -> Option<String> {
+        match self {
+            Barrier::Ahead(line) => Some(format!(
+                "before the WAL append on line {line} is written and fenced"
+            )),
+            Barrier::Pending(line) => Some(format!(
+                "after the WAL append on line {line} without an intervening fsync-family call"
+            )),
+            Barrier::Passed => None,
+        }
+    }
+}
+
 fn check_fn_order(
     sf: &SourceFile<'_>,
     fn_name: &str,
@@ -198,43 +228,56 @@ fn check_fn_order(
     out: &mut Vec<Diagnostic>,
 ) {
     let toks = &sf.tokens;
-    // None = clean; Some(line) = a WAL append at `line` awaits its
-    // barrier.
-    let mut pending: Option<u32> = None;
-    for i in open..=close.min(toks.len().saturating_sub(1)) {
+    let body = open..=close.min(toks.len().saturating_sub(1));
+    // `.name(` at token `i`, and the index of its opening parenthesis.
+    let call_at = |i: usize| {
+        let dotted = sf.prev_code(i).is_some_and(|j| toks[j].is_punct('.'));
+        sf.next_code(i).filter(|&j| dotted && toks[j].is_punct('('))
+    };
+    let wal_append_at = |i: usize| {
+        toks[i].is_ident("append")
+            && call_at(i)
+                .and_then(|paren| sf.next_code(paren))
+                .is_some_and(|arg| toks[arg].is_ident("WAL_BLOB"))
+    };
+    // Functions that never append to the WAL have no barrier to respect.
+    let Some(first) = body
+        .clone()
+        .find(|&i| !toks[i].is_comment() && wal_append_at(i))
+    else {
+        return;
+    };
+    let mut barrier = Barrier::Ahead(toks[first].line);
+    for i in body {
         let t = &toks[i];
         if t.is_comment() {
             continue;
         }
-        let prev_dot = sf.prev_code(i).is_some_and(|j| toks[j].is_punct('.'));
-        let next = sf.next_code(i);
-        let next_is_paren = next.is_some_and(|j| toks[j].is_punct('('));
-        // `.append(WAL_BLOB, …)` — the WAL write.
-        if t.is_ident("append") && prev_dot && next_is_paren {
-            let arg = next.and_then(|j| sf.next_code(j));
-            if arg.is_some_and(|j| toks[j].is_ident("WAL_BLOB")) {
-                pending = Some(t.line);
+        if t.is_ident("append") {
+            let Some(paren) = call_at(i) else { continue };
+            if wal_append_at(i) {
+                barrier = Barrier::Pending(t.line);
                 continue;
             }
-            // `engine.append(…)` (or any non-WAL append) applies replay
-            // state: a mutation if a WAL append is still unfenced.
-            if let Some(appended_at) = pending {
+            // `engine.append(…)` applies replay state. Ahead of the WAL
+            // append only an apply that names `state` counts.
+            let applies = !matches!(barrier, Barrier::Ahead(_))
+                || call_args(toks, paren).any(|a| a.is_ident("state"));
+            if let (true, Some(unfenced)) = (applies, barrier.unfenced()) {
                 out.push(Diagnostic::new(
                     Pass::Fsync,
                     &sf.path,
                     t.line,
-                    format!(
-                        "`{fn_name}` applies state (`.append(…)`) after the WAL append \
-                         on line {appended_at} without an intervening fsync-family call"
-                    ),
+                    format!("`{fn_name}` applies state (`.append(…)`) {unfenced}"),
                 ));
-                pending = None;
             }
             continue;
         }
-        // Fsync family clears the pending barrier.
-        if FSYNC_METHODS.contains(&t.text) && prev_dot && next_is_paren {
-            pending = None;
+        // Fsync family fences a pending WAL append.
+        if FSYNC_METHODS.contains(&t.text) && call_at(i).is_some() {
+            if matches!(barrier, Barrier::Pending(_)) {
+                barrier = Barrier::Passed;
+            }
             continue;
         }
         // `self.state = …` / `self.seq += …` — visible-state mutation.
@@ -250,25 +293,36 @@ fn check_fn_order(
                     Some("+" | "-") => after2.is_some_and(|j| toks[j].text == "="),
                     _ => false,
                 };
-                if assigns {
-                    if let Some(appended_at) = pending {
-                        out.push(Diagnostic::new(
-                            Pass::Fsync,
-                            &sf.path,
-                            toks[i].line,
-                            format!(
-                                "`{fn_name}` mutates visible state (`self.{}`) after the WAL \
-                                 append on line {appended_at} without an intervening \
-                                 fsync-family call",
-                                field_name.unwrap_or_default()
-                            ),
-                        ));
-                        pending = None;
-                    }
+                if let (true, Some(unfenced)) = (assigns, barrier.unfenced()) {
+                    out.push(Diagnostic::new(
+                        Pass::Fsync,
+                        &sf.path,
+                        t.line,
+                        format!(
+                            "`{fn_name}` mutates visible state (`self.{}`) {unfenced}",
+                            field_name.unwrap_or_default()
+                        ),
+                    ));
                 }
             }
         }
     }
+}
+
+/// The tokens between the parenthesis at `paren` and its match.
+fn call_args<'t, 's>(
+    toks: &'t [crate::lexer::Token<'s>],
+    paren: usize,
+) -> impl Iterator<Item = &'t crate::lexer::Token<'s>> {
+    let mut depth = 0i64;
+    toks.iter().skip(paren).take_while(move |t| {
+        match t.text {
+            "(" => depth += 1,
+            ")" => depth -= 1,
+            _ => {}
+        }
+        depth > 0
+    })
 }
 
 /// Options for [`api_discipline`], derived from the crate a file belongs

@@ -281,6 +281,55 @@ fn checkpoint(&mut self) -> Result<(), E> {
     assert!(passes::fsync_order(&parse(src)).is_empty());
 }
 
+#[test]
+fn fsync_pass_accepts_clone_and_swap_since_the_copy_is_not_visible() {
+    // Validation by applying to a scratch copy never touches `self.state`
+    // before the barrier (it costs a clone, which is not this pass's
+    // business).
+    let src = "\
+fn append_many(&mut self, logs: &[UpdateLog]) -> Result<(), E> {
+    let mut scratch = self.state.clone();
+    for log in logs {
+        self.engine.append(&mut scratch, log)?;
+    }
+    self.storage.append(WAL_BLOB, &bytes)?;
+    self.storage.sync(WAL_BLOB)?;
+    self.seq = seq;
+    self.state = scratch;
+    Ok(())
+}
+";
+    assert!(passes::fsync_order(&parse(src)).is_empty());
+}
+
+#[test]
+fn fsync_pass_flags_the_undo_log_shape_that_applies_before_the_wal_append() {
+    let src = "\
+fn append(&mut self, log: &UpdateLog) -> Result<(), E> {
+    let undo = self.state.undo_log(log);
+    self.engine.append(&mut self.state, log)?;
+    self.seq += 1;
+    if self.storage.append(WAL_BLOB, &bytes).is_err() {
+        self.state = undo.roll_back();
+    }
+    self.storage.sync(WAL_BLOB)?;
+    Ok(())
+}
+";
+    let diags = passes::fsync_order(&parse(src));
+    assert_eq!(
+        rendered(&diags),
+        vec![
+            "crates/x/src/f.rs:3: [fsync] `append` applies state (`.append(…)`) before the \
+             WAL append on line 5 is written and fenced",
+            "crates/x/src/f.rs:4: [fsync] `append` mutates visible state (`self.seq`) before \
+             the WAL append on line 5 is written and fenced",
+            "crates/x/src/f.rs:6: [fsync] `append` mutates visible state (`self.state`) after \
+             the WAL append on line 5 without an intervening fsync-family call",
+        ]
+    );
+}
+
 // ------------------------------------------------------------------ api
 
 #[test]

@@ -9,10 +9,11 @@
 //! `&Engine`, so any number run at once. Everything that mutates
 //! (appends, symbolic views, equivalence, snapshots, budgets) serializes
 //! through **one** writer thread holding the write lock, so "durable
-//! before visible" needs no further protocol: [`DurableEngine`] fsyncs
-//! before it swaps state in, and the write lock keeps every reader out
-//! until the swap is complete. No response can reflect a partially
-//! applied append — the soak test pins this from the outside.
+//! before visible" needs no further protocol: [`DurableEngine`] touches
+//! nothing in memory until the batch's fsync has returned, and the write
+//! lock keeps every reader out while it then applies the batch. No
+//! response can reflect a partially applied append — the soak test pins
+//! this from the outside.
 //!
 //! # Coalescing
 //!
@@ -630,7 +631,8 @@ fn serve_appends<S: Storage>(
             }
         }
         Err(e) => {
-            // Storage failure: batch-atomic, nothing applied.
+            // Storage failure: batch-atomic — nothing was applied, `seq`
+            // and the state readers see are where they were.
             let resp = durable_error(&e);
             for ix in owners {
                 responses[ix] = Some(resp.clone());

@@ -10,12 +10,16 @@
 //!   one-at-a-time answers** (same requests, `coalesce_max = 1`,
 //!   sequential issue) — symbolic renders excepted, which are compared
 //!   semantically (see `common`),
+//! - a storage failure inside a coalesced commit fails every append of
+//!   the batch and nothing else: state, `seq` and reads are untouched,
 //! - a full bounded queue answers typed `overloaded` immediately,
 //! - shutdown **drains** — everything enqueued before the stop sentinel
 //!   is answered, nothing is dropped — and late requests get typed
 //!   `shutting_down`.
 
 mod common;
+#[path = "../../storage/tests/common/mod.rs"]
+mod flaky;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -25,7 +29,7 @@ use benchkit::TestRng;
 use uprov_service::proto::{ErrorKind, Request, Response};
 use uprov_service::service::{Service, ServiceConfig};
 use uprov_service::values::StructureId;
-use uprov_storage::{DurableEngine, MemStorage};
+use uprov_storage::{DurableEngine, MemStorage, Storage};
 use uprov_workload::{equivalent_variant, Variant, Workload, WorkloadConfig};
 
 fn start(config: ServiceConfig) -> Service<MemStorage> {
@@ -75,7 +79,10 @@ fn query_script(w: &Workload, rng: &mut TestRng, len: usize) -> Vec<Request> {
 /// Fires `requests` concurrently at a paused service (all enqueued before
 /// the gate opens, so workers drain them as coalesced batches), returning
 /// the responses in request order.
-fn run_coalesced(service: &Service<MemStorage>, requests: &[Request]) -> Vec<Response> {
+fn run_coalesced<S>(service: &Service<S>, requests: &[Request]) -> Vec<Response>
+where
+    S: Storage + Send + Sync + 'static,
+{
     let barrier = Arc::new(Barrier::new(requests.len() + 1));
     let responses: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = requests
@@ -288,6 +295,87 @@ fn append_burst_group_commits_and_matches_sequential_order() {
             "provenance of `{name}` diverged from sequential application"
         );
     }
+}
+
+/// The backend fails inside a group commit: every append of the batch
+/// answers a typed `io` error, the visible state stays at the last
+/// durable `seq` (same `stats`, same concrete `eval` reply — no tuple, no
+/// arena node leaked), readers keep serving, and the same appends retried
+/// take the next contiguous sequence numbers.
+#[test]
+fn storage_failure_in_a_group_commit_fails_the_whole_batch_and_nothing_else() {
+    let eval = Request::EvalAll {
+        structure: StructureId::ALL[0],
+    };
+    // (seq, tuples, nodes): the parts of `stats` a failed batch must not move.
+    let visible = |resp: Response| match resp {
+        Response::Stats {
+            seq, tuples, nodes, ..
+        } => (seq, tuples, nodes),
+        other => panic!("expected stats, got {other}"),
+    };
+
+    let storage = flaky::FlakyStorage::default();
+    let fail = storage.trigger();
+    let (db, _) = DurableEngine::open(storage).expect("open flaky engine");
+    let config = ServiceConfig {
+        readers: 1,
+        coalesce_max: 32,
+        queue_depth: 64,
+        paused: false,
+    };
+    let service = Service::start(db, config.clone());
+    let client = service.client();
+    let first = client.request(Request::Append {
+        log: "base a b\nbegin t0\nmodify a <- b\ncommit\n".to_owned(),
+    });
+    assert!(
+        matches!(first, Response::Appended { seq: 1, .. }),
+        "got {first}"
+    );
+    let rows_before = client.request(eval.clone());
+    let visible_before = visible(client.request(Request::Stats));
+    drop(client);
+    let (_, db) = service.shutdown_into();
+
+    // Restart paused over the same storage, so the three appends below
+    // ride one writer batch — and that batch's WAL write fails.
+    let service = Service::start(
+        db.expect("sole owner after shutdown"),
+        ServiceConfig {
+            paused: true,
+            ..config
+        },
+    );
+    let appends: Vec<Request> = (0..3)
+        .map(|i| Request::Append {
+            log: format!("begin f{i}\ninsert x{i}\nmodify a <- x{i}\ncommit\n"),
+        })
+        .collect();
+    fail.store(true, Ordering::SeqCst);
+    for resp in run_coalesced(&service, &appends) {
+        match resp {
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Io),
+            other => panic!("append in a failed batch answered {other}"),
+        }
+    }
+
+    let client = service.client();
+    assert_eq!(client.request(eval.clone()), rows_before);
+    assert_eq!(visible(client.request(Request::Stats)), visible_before);
+
+    // The failure was transient: the retries commit, one after another.
+    for (req, want_seq) in appends.iter().zip(2u64..) {
+        match client.request(req.clone()) {
+            Response::Appended { seq, applied } => {
+                assert_eq!((seq, applied), (want_seq, 2));
+            }
+            other => panic!("retried append answered {other}"),
+        }
+    }
+    assert_ne!(client.request(eval), rows_before, "retries are visible");
+    drop(client);
+    service.shutdown();
 }
 
 /// A full bounded queue rejects immediately with a typed `overloaded`

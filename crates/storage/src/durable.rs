@@ -5,20 +5,24 @@
 //!
 //! # Write path (durable-before-visible)
 //!
-//! [`DurableEngine::append`] runs in this order, and the order is the
-//! whole durability story:
+//! There is one commit path, [`DurableEngine::append_many`]
+//! ([`DurableEngine::append`] is the batch of one). It runs in this
+//! order, and the order is the whole durability story:
 //!
-//! 1. **Validate** against the in-memory state
-//!    ([`Engine::validate_append`]) — a log that would be rejected is
-//!    never written to the WAL, so replay never re-trips on it.
-//! 2. **Log**: encode the record, append it (plus the 8-byte magic on a
-//!    fresh WAL), and [`sync`](Storage::sync). Only when the barrier
-//!    returns does the append exist.
-//! 3. **Apply** in memory — infallible after step 1.
+//! 1. **Validate** every log against the in-memory state plus the
+//!    batch's earlier accepted logs ([`Engine::validate_batch`]) — pure,
+//!    nothing is mutated, and a log that would be rejected is never
+//!    written to the WAL, so replay never re-trips on it.
+//! 2. **Log**: encode the accepted records, append them in one write
+//!    (plus the 8-byte magic on a fresh WAL), and [`sync`](Storage::sync)
+//!    once. Only when the barrier returns does the batch exist.
+//! 3. **Apply** the accepted logs in memory — infallible after step 1.
 //!
-//! If step 2 fails the in-memory state is untouched and the WAL may hold
-//! a torn suffix; the engine remembers its last known-good length and
-//! truncates back to it before the next append ever writes (the same
+//! The cost of an append is that of its own delta: no step reads or
+//! copies state the batch does not name. If step 2 fails, the state, the
+//! atom table and the arena are exactly as they were, and the WAL may
+//! hold a torn suffix; the engine remembers its last known-good length
+//! and truncates back to it before the next append ever writes (the same
 //! repair recovery would perform).
 //!
 //! # Checkpoints and recovery
@@ -273,92 +277,77 @@ impl<S: Storage> DurableEngine<S> {
         ))
     }
 
-    /// Appends a log durably: validate, WAL + fsync, then apply in memory
-    /// (see the module docs). On `Err` the in-memory state is unchanged.
+    /// Appends one log durably — [`DurableEngine::append_many`] with a
+    /// batch of one. Returns the number of updates applied; a rejected log
+    /// is [`DurableError::Replay`] and writes nothing. On `Err` the
+    /// in-memory state is unchanged.
     pub fn append(&mut self, log: &UpdateLog) -> Result<usize, DurableError> {
-        self.engine.validate_append(&self.state, log)?;
-        // Repair any torn suffix a previously failed append left behind.
-        if self.wal_dirty {
-            self.storage.truncate(WAL_BLOB, self.wal_len)?;
-            self.wal_dirty = false;
-        }
-        let mut bytes = Vec::new();
-        if self.wal_len == 0 {
-            bytes.extend_from_slice(&WAL_MAGIC);
-        }
-        bytes.extend_from_slice(&wal::encode_record(self.seq, log));
-        self.wal_dirty = true;
-        self.storage.append(WAL_BLOB, &bytes)?;
-        self.storage.sync(WAL_BLOB)?;
-        // The fsync barrier passed: the append is durable. Make it
-        // visible — infallible after validation.
-        self.wal_dirty = false;
-        self.wal_len += bytes.len() as u64;
-        self.seq += 1;
-        let applied = self
-            .engine
-            .append(&mut self.state, log)
-            // lint: allow(panic, reason = "the same log validated against the same state before the WAL write; a rejection here means the WAL now holds a record replay would refuse, and crashing beats diverging from disk")
-            .expect("validated before logging");
-        Ok(applied)
+        let mut verdicts = self.append_many(std::slice::from_ref(log))?;
+        // lint: allow(panic, reason = "append_many answers one verdict per log and was handed exactly one")
+        let verdict = verdicts.pop().expect("one verdict per log");
+        Ok(verdict?)
     }
 
-    /// Group commit: appends a batch of logs behind **one** fsync barrier.
+    /// Group commit: appends a batch of logs behind **one** fsync barrier,
+    /// in the order of the module docs — validate every log, one WAL
+    /// append, one fsync, apply.
     ///
-    /// Each log validates and applies (to a scratch copy of the state) in
-    /// order, so later logs in the batch see earlier ones — exactly the
-    /// semantics of calling [`DurableEngine::append`] once per log, at one
-    /// barrier instead of `n`. Verdicts are per log: a rejected log gets
-    /// its [`ReplayError`] and writes nothing, while the accepted ones
-    /// around it proceed. The returned `Vec` is in `logs` order.
+    /// Validation is [`Engine::validate_batch`]: pure, and later logs see
+    /// the earlier accepted ones — exactly the verdicts of calling
+    /// [`DurableEngine::append`] once per log, at one barrier instead of
+    /// `n`. Verdicts are per log: a rejected log gets its [`ReplayError`]
+    /// and writes nothing, while the accepted ones around it proceed. The
+    /// returned `Vec` is in `logs` order; `Ok` carries the number of
+    /// updates the log applied.
     ///
-    /// Failure atomicity matches the single-append path, batch-wide: on a
-    /// storage `Err` **no** log of the batch is applied (the scratch state
-    /// is dropped, the possibly-torn WAL suffix is truncated before the
-    /// next write), so a batch is never half-visible — the property the
+    /// Failure atomicity is batch-wide: nothing in memory (state, atom
+    /// table, arena, `seq`) is touched until `sync` has returned `Ok`, so
+    /// on a storage `Err` **no** log of the batch is applied and nothing
+    /// of it lingers (the possibly-torn WAL suffix is truncated before the
+    /// next write). A batch is never half-visible — the property the
     /// concurrency soak test pins from the outside.
     pub fn append_many(
         &mut self,
         logs: &[UpdateLog],
     ) -> Result<Vec<Result<usize, ReplayError>>, DurableError> {
-        let mut scratch = self.state.clone();
-        let mut verdicts: Vec<Result<usize, ReplayError>> = Vec::with_capacity(logs.len());
-        let mut records = Vec::new();
-        let mut seq = self.seq;
-        for log in logs {
-            // `Engine::append` validates before applying, so a rejected
-            // log leaves `scratch` untouched and the batch marches on.
-            match self.engine.append(&mut scratch, log) {
-                Ok(applied) => {
-                    records.extend_from_slice(&wal::encode_record(seq, log));
-                    seq += 1;
-                    verdicts.push(Ok(applied));
-                }
-                Err(e) => verdicts.push(Err(e)),
-            }
-        }
-        if records.is_empty() {
-            // Nothing accepted: no WAL traffic, no state change.
-            return Ok(verdicts);
-        }
-        if self.wal_dirty {
-            self.storage.truncate(WAL_BLOB, self.wal_len)?;
-            self.wal_dirty = false;
-        }
+        let checked = self.engine.validate_batch(&self.state, logs);
         let mut bytes = Vec::new();
         if self.wal_len == 0 {
             bytes.extend_from_slice(&WAL_MAGIC);
         }
-        bytes.extend_from_slice(&records);
-        self.wal_dirty = true;
-        self.storage.append(WAL_BLOB, &bytes)?;
-        self.storage.sync(WAL_BLOB)?;
-        // One barrier for the whole batch; only now does it become visible.
-        self.wal_dirty = false;
-        self.wal_len += bytes.len() as u64;
-        self.seq = seq;
-        self.state = scratch;
-        Ok(verdicts)
+        let mut seq = self.seq;
+        for (log, verdict) in logs.iter().zip(&checked) {
+            if verdict.is_ok() {
+                bytes.extend_from_slice(&wal::encode_record(seq, log));
+                seq += 1;
+            }
+        }
+        if seq > self.seq {
+            // Repair any torn suffix a previously failed append left behind.
+            if self.wal_dirty {
+                self.storage.truncate(WAL_BLOB, self.wal_len)?;
+            }
+            self.wal_dirty = true;
+            self.storage.append(WAL_BLOB, &bytes)?;
+            self.storage.sync(WAL_BLOB)?;
+            // One barrier for the whole batch: it is durable. Only now
+            // does it become visible.
+            self.wal_dirty = false;
+            self.wal_len += bytes.len() as u64;
+            self.seq = seq;
+        }
+        Ok(logs
+            .iter()
+            .zip(checked)
+            .map(|(log, verdict)| {
+                verdict.map(|()| {
+                    self.engine
+                        .append(&mut self.state, log)
+                        // lint: allow(panic, reason = "validate_batch accepted this log against this state plus the accepted logs before it, which have just been applied; a rejection here means the WAL now holds a record replay would refuse, and crashing beats diverging from disk")
+                        .expect("validated before logging")
+                })
+            })
+            .collect())
     }
 
     /// Checkpoints: atomically replaces the snapshot, then resets the WAL

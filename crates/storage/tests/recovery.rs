@@ -6,11 +6,14 @@
 //! this suite pins the named corners the recovery state machine has
 //! explicit branches for.
 
-use std::io;
+mod common;
 
+use std::sync::atomic::Ordering;
+
+use common::FlakyStorage;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_storage::{
-    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage, WalTail,
+    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, WalTail,
     SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
 };
 
@@ -244,58 +247,17 @@ fn missing_middle_record_is_a_sequence_gap() {
     );
 }
 
-/// A backend whose next `append` fails after writing a garbage prefix —
-/// the transient-IO-failure shape (full disk, EINTR-ish) as opposed to
-/// [`uprov_storage::FaultStorage`]'s process-death model.
-struct FlakyStorage {
-    inner: MemStorage,
-    fail_next_append: bool,
-}
-
-impl Storage for FlakyStorage {
-    fn read(&self, blob: &str) -> io::Result<Option<Vec<u8>>> {
-        self.inner.read(blob)
-    }
-    fn write_atomic(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
-        self.inner.write_atomic(blob, bytes)
-    }
-    fn append(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
-        if self.fail_next_append {
-            self.fail_next_append = false;
-            // Half the bytes land before the failure surfaces.
-            self.inner.append(blob, &bytes[..bytes.len() / 2])?;
-            return Err(io::Error::other("injected transient append failure"));
-        }
-        self.inner.append(blob, bytes)
-    }
-    fn sync(&mut self, blob: &str) -> io::Result<()> {
-        self.inner.sync(blob)
-    }
-    fn truncate(&mut self, blob: &str, len: u64) -> io::Result<()> {
-        self.inner.truncate(blob, len)
-    }
-    fn len(&self, blob: &str) -> io::Result<Option<u64>> {
-        self.inner.len(blob)
-    }
-}
-
 #[test]
 fn failed_append_leaves_state_untouched_and_the_next_append_repairs_the_wal() {
     let base = log("base a\nbegin t1\ninsert b\ncommit\n");
     let delta = log("begin t2\ndelete b\ncommit\n");
-    let storage = FlakyStorage {
-        inner: MemStorage::new(),
-        fail_next_append: false,
-    };
+    let storage = FlakyStorage::default();
+    let fail = storage.trigger();
     let (mut db, _) = DurableEngine::open(storage).expect("fresh");
     db.append(&base).unwrap();
     let want = db.state().to_snapshot();
     let clean_wal = db.storage().inner.blob(WAL_BLOB).unwrap().to_vec();
-    // Arm the transient failure (no &mut storage accessor on
-    // DurableEngine by design, so bounce through a clean reopen).
-    let mut storage = db.into_storage();
-    storage.fail_next_append = true;
-    let (mut db, _) = DurableEngine::open(storage).expect("clean reopen");
+    fail.store(true, Ordering::SeqCst);
     let err = db.append(&delta).expect_err("transient failure");
     assert!(matches!(err, uprov_storage::DurableError::Io(_)));
     assert_eq!(db.state().to_snapshot(), want, "state unchanged on Err");
@@ -311,6 +273,52 @@ fn failed_append_leaves_state_untouched_and_the_next_append_repairs_the_wal() {
     assert_eq!(db.storage().inner.blob(WAL_BLOB).unwrap(), &ref_bytes[..]);
     let (_, state) = reference(&[&base, &delta], &[]);
     assert_eq!(db.state().to_snapshot(), state.to_snapshot());
+}
+
+/// A batch whose WAL write fails leaves nothing behind — not in the
+/// state, and not in the atom table or the arena either: its names stay
+/// free to be used under the other kind, and the retry writes the bytes a
+/// never-failed run writes.
+#[test]
+fn failed_batch_pins_no_names_and_interns_no_nodes() {
+    let base = log("base a\nbegin t1\ninsert b\ncommit\n");
+    let batch = [log("begin n\ninsert z\ncommit\n")];
+    // `n` the other way round: a tuple, where the failed batch had a txn.
+    let swapped = log("begin t9\ninsert n\ncommit\n");
+    let storage = FlakyStorage::default();
+    let fail = storage.trigger();
+    let (mut db, _) = DurableEngine::open(storage).expect("fresh");
+    db.append(&base).unwrap();
+    let atoms = db.engine().atoms().len();
+    let nodes = db.engine().arena().len();
+    let want = db.state().to_snapshot();
+
+    fail.store(true, Ordering::SeqCst);
+    let err = db.append_many(&batch).expect_err("transient failure");
+    assert!(matches!(err, uprov_storage::DurableError::Io(_)));
+    assert_eq!(db.engine().atoms().len(), atoms, "no atom interned");
+    assert_eq!(db.engine().arena().len(), nodes, "no node interned");
+    assert_eq!(db.state().to_snapshot(), want, "state unchanged on Err");
+    assert_eq!(db.seq(), 1);
+
+    db.append(&swapped)
+        .expect("`n` was never pinned to the txn kind");
+    let verdicts = db.append_many(&batch).expect("retry succeeds");
+    assert_eq!(verdicts, [Ok(1)]);
+
+    let (mut never_failed, _) = DurableEngine::open(MemStorage::new()).expect("fresh");
+    for l in [&base, &swapped, &batch[0]] {
+        never_failed.append(l).unwrap();
+    }
+    assert_eq!(
+        db.storage().inner.blob(WAL_BLOB),
+        never_failed.storage().blob(WAL_BLOB)
+    );
+    assert_eq!(db.state().to_snapshot(), never_failed.state().to_snapshot());
+    assert_eq!(
+        db.engine().arena().len(),
+        never_failed.engine().arena().len()
+    );
 }
 
 #[test]
