@@ -5,9 +5,30 @@
 //! transaction length but stays tractable when materialized as a shared DAG.
 //! The `Arc`-based [`Expr`] only shares what the caller
 //! happens to share through pointers; this module guarantees **maximal**
-//! sharing by hash-consing: every node is interned into a contiguous
-//! [`Vec<Node>`] keyed by a dense [`NodeId`], and a hash-cons map ensures
+//! sharing by hash-consing: every node is interned into a contiguous node
+//! vector keyed by a dense [`NodeId`], and an intern table ensures
 //! structurally equal expressions always receive the same id.
+//!
+//! # Layout
+//!
+//! Each node is stored **once**, flat (see [`ExprArena`] for the fields):
+//!
+//! * a 16-byte `Copy` record per node — kind, operator and two or three
+//!   `u32` words: the atom, the two operands, or an `(offset, len)` window
+//!   into a slab;
+//! * two shared append-only slabs holding the variable-arity parts: `Σ`
+//!   terms and counted-block `(entry, multiplicity)` pairs;
+//! * a cached 64-bit **structural hash** per node, computed once at intern
+//!   time from the operator and the children's *cached hashes* (atoms from
+//!   their index), so it does not depend on the order nodes were interned
+//!   in ([`ExprArena::structural_hash`]);
+//! * an open-addressing intern table of bare `u32` node ids (`0` marks an
+//!   empty slot: node 0, the `0` constant, is never looked up), linear
+//!   probing from the hash's top bits, load ≤ 3/4. Growing it re-places ids by their cached
+//!   hashes: no node is ever hashed twice.
+//!
+//! [`ExprArena::node`] hands out a borrowed [`Node`] *view* by value; there
+//! is no owned node type with boxed children.
 //!
 //! Consequences exploited throughout the crate:
 //!
@@ -30,7 +51,7 @@ use std::sync::Arc;
 
 use crate::atom::Atom;
 use crate::expr::{Expr, ExprRef};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::mix;
 
 /// Dense handle of an interned node. Ids are assigned contiguously from 0;
 /// [`ExprArena::ZERO`] is always id 0. Children always have smaller ids than
@@ -77,12 +98,18 @@ pub enum BinOp {
     DotM,
 }
 
-/// An interned expression node. Canonical by construction: no `Zero`
-/// operands, `Sum` is flat with ≥ 2 zero-free terms, and every `+I`/`+M`
-/// block with two or more increments is a single [`Node::Counted`] node
-/// (see below) rather than a left-nested spine of [`Node::Bin`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Node {
+/// A borrowed **view** of an interned expression node, handed out by value
+/// by [`ExprArena::node`]: leaves and binary nodes carry their payload,
+/// `Σ` and counted blocks borrow their children from the arena's slabs.
+/// Canonical by construction: no `Zero` operands, `Sum` is flat with ≥ 2
+/// zero-free terms, and every `+I`/`+M` block with two or more increments
+/// is a single [`Node::Counted`] node (see below) rather than a left-nested
+/// spine of [`Node::Bin`]s.
+///
+/// Equality is structural (slices compare by content), which is exactly
+/// the hash-consing key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Node<'a> {
     /// The distinguished `0`.
     Zero,
     /// A basic annotation from `X`.
@@ -90,7 +117,7 @@ pub enum Node {
     /// One of the four binary operations.
     Bin(BinOp, NodeId, NodeId),
     /// `Σ` over ≥ 2 terms.
-    Sum(Box<[NodeId]>),
+    Sum(&'a [NodeId]),
     /// A **counted block**: `head ⊕ e₁ (×m₁) ⊕ e₂ (×m₂) ⊕ …` for
     /// `⊕ ∈ {+I, +M}` — the condensed form of a maximal increment spine,
     /// denoting the left-nested fold that applies each entry `eᵢ` as the
@@ -111,13 +138,129 @@ pub enum Node {
     /// Entries are opaque increments: an entry may itself be a same-operator
     /// node (mirroring the spine form, where right-nested same-operator
     /// increments were never merged into the left spine).
-    Counted(BinOp, NodeId, Box<[(NodeId, u32)]>),
+    Counted(BinOp, NodeId, &'a [(NodeId, u32)]),
 }
 
 /// True iff `node` is a `+I`/`+M` block carrying `op` — a spine [`Node::Bin`]
 /// or a condensed [`Node::Counted`].
-pub(crate) fn is_same_op_block(node: &Node, op: BinOp) -> bool {
-    matches!(node, Node::Bin(o, ..) | Node::Counted(o, ..) if *o == op)
+pub(crate) fn is_same_op_block(node: Node<'_>, op: BinOp) -> bool {
+    matches!(node, Node::Bin(o, ..) | Node::Counted(o, ..) if o == op)
+}
+
+/// The stored form of a node: what [`Node`] is a view of. Variable-arity
+/// children live in the [`NodeList`] slabs and are addressed by window.
+#[derive(Debug, Clone, Copy)]
+enum PackedNode {
+    Zero,
+    Atom(Atom),
+    Bin(BinOp, NodeId, NodeId),
+    /// `terms[off..off + len]`.
+    Sum {
+        off: u32,
+        len: u32,
+    },
+    /// `entries[off..off + len]`.
+    Counted {
+        op: BinOp,
+        head: NodeId,
+        off: u32,
+        len: u32,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<PackedNode>() == 16);
+
+/// A flat, append-only list of nodes addressed by index: the arena's node
+/// storage without its intern table. Building one by [`push`](Self::push)
+/// checks nothing — it is the input of
+/// [`ExprArena::from_canonical_nodes`], which validates the whole list (a
+/// snapshot decoder fills it straight from bytes, with no allocation per
+/// node).
+#[derive(Debug, Clone, Default)]
+pub struct NodeList {
+    nodes: Vec<PackedNode>,
+    /// `Σ` terms of every sum, in node order.
+    terms: Vec<NodeId>,
+    /// `(entry, multiplicity)` pairs of every counted block, in node order.
+    entries: Vec<(NodeId, u32)>,
+}
+
+impl NodeList {
+    /// An empty list with room for `nodes` nodes.
+    pub fn with_capacity(nodes: usize) -> Self {
+        NodeList {
+            nodes: Vec::with_capacity(nodes),
+            ..NodeList::default()
+        }
+    }
+
+    /// Number of nodes pushed so far.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if no node was pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Appends `node` at index [`len`](Self::len), copying borrowed
+    /// children into the slabs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slab outgrows its `u32` offset space.
+    pub fn push(&mut self, node: Node<'_>) {
+        let window = |at: usize, len: usize| {
+            let off = u32::try_from(at).expect("slab offset fits u32");
+            (off, u32::try_from(len).expect("slab window fits u32"))
+        };
+        let packed = match node {
+            Node::Zero => PackedNode::Zero,
+            Node::Atom(a) => PackedNode::Atom(a),
+            Node::Bin(op, a, b) => PackedNode::Bin(op, a, b),
+            Node::Sum(ts) => {
+                let (off, len) = window(self.terms.len(), ts.len());
+                self.terms.extend_from_slice(ts);
+                PackedNode::Sum { off, len }
+            }
+            Node::Counted(op, head, es) => {
+                let (off, len) = window(self.entries.len(), es.len());
+                self.entries.extend_from_slice(es);
+                PackedNode::Counted { op, head, off, len }
+            }
+        };
+        self.nodes.push(packed);
+    }
+
+    /// The view of node `ix`.
+    #[inline]
+    fn get(&self, ix: usize) -> Node<'_> {
+        match self.nodes[ix] {
+            PackedNode::Zero => Node::Zero,
+            PackedNode::Atom(a) => Node::Atom(a),
+            PackedNode::Bin(op, a, b) => Node::Bin(op, a, b),
+            PackedNode::Sum { off, len } => {
+                Node::Sum(&self.terms[off as usize..off as usize + len as usize])
+            }
+            PackedNode::Counted { op, head, off, len } => Node::Counted(
+                op,
+                head,
+                &self.entries[off as usize..off as usize + len as usize],
+            ),
+        }
+    }
+}
+
+impl<'a> FromIterator<Node<'a>> for NodeList {
+    fn from_iter<I: IntoIterator<Item = Node<'a>>>(nodes: I) -> Self {
+        let nodes = nodes.into_iter();
+        let mut list = NodeList::with_capacity(nodes.size_hint().0);
+        for node in nodes {
+            list.push(node);
+        }
+        list
+    }
 }
 
 /// A reusable dense side table indexed by [`NodeId`].
@@ -273,11 +416,44 @@ pub struct NodeStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExprArena {
-    nodes: Vec<Node>,
-    // Fx-hashed: keys are crate-built nodes, never adversarial input (see
-    // the `fxhash` module docs), and this map is the replay/recovery
-    // hot spot.
-    interned: FxHashMap<Node, NodeId>,
+    list: NodeList,
+    /// `hashes[i]` is node `i`'s structural hash (see [`Self::hash_of`]).
+    hashes: Vec<u64>,
+    /// The intern table: a power-of-two number of slots, each [`EMPTY`] or
+    /// the raw id of a node, found by linear probing from [`home`] of the
+    /// node's cached hash. At most 3/4 of the slots are taken.
+    table: Vec<u32>,
+}
+
+/// An unoccupied intern-table slot. Id 0 is the `0` constant, which is
+/// interned at construction and never looked up, so it needs no slot.
+const EMPTY: u32 = 0;
+
+/// Slots of a fresh arena's intern table.
+const MIN_SLOTS: usize = 8;
+
+/// The smallest power-of-two slot count that keeps `nodes` nodes at load
+/// ≤ 3/4.
+fn slots_for(nodes: usize) -> usize {
+    (nodes + nodes / 3 + 1).next_power_of_two().max(MIN_SLOTS)
+}
+
+/// Where `hash`'s probe chain starts in a table of `slots` slots (a power
+/// of two ≥ 2): its top bits — the well-mixed end of a multiplicative hash.
+#[inline]
+fn home(hash: u64, slots: usize) -> usize {
+    (hash >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// Puts `raw` into the first empty slot of `hash`'s probe chain. The caller
+/// guarantees an empty slot exists and that no equal node is resident.
+fn place(table: &mut [u32], hash: u64, raw: u32) {
+    let mask = table.len() - 1;
+    let mut slot = home(hash, table.len());
+    while table[slot] != EMPTY {
+        slot = (slot + 1) & mask;
+    }
+    table[slot] = raw;
 }
 
 /// Error from [`ExprArena::from_canonical_nodes`]: the node list is not a
@@ -309,21 +485,21 @@ impl ExprArena {
 
     /// Creates an arena containing only `0`.
     pub fn new() -> Self {
-        let mut arena = ExprArena {
-            nodes: Vec::new(),
-            interned: FxHashMap::default(),
-        };
-        let zero = arena.intern(Node::Zero);
-        debug_assert_eq!(zero, Self::ZERO);
-        arena
+        let mut list = NodeList::default();
+        list.push(Node::Zero);
+        ExprArena {
+            list,
+            hashes: vec![0],
+            table: vec![EMPTY; MIN_SLOTS],
+        }
     }
 
     /// Rebuilds an arena from the dump of another one — `nodes` must be
     /// exactly what iterating a live arena's ids in order yields. This is
     /// the **bulk** counterpart of re-interning every node through the
-    /// smart constructors, for snapshot recovery: one pre-sized map build
-    /// with a single hash per node instead of a lookup-then-insert pair,
-    /// which is several times faster on multi-10k-node arenas.
+    /// smart constructors, for snapshot recovery: the node storage is
+    /// adopted as is and the intern table is built pre-sized, with one
+    /// probe per node instead of a lookup-then-insert pair.
     ///
     /// The input is *validated*, not trusted: the result is `Ok` iff
     /// re-interning node `i`'s structure through the smart constructors
@@ -337,29 +513,43 @@ impl ExprArena {
     /// Atom indices are **not** checked here (the arena does not know the
     /// atom table); callers deserializing untrusted bytes must range-check
     /// them against their `AtomTable` first.
-    pub fn from_canonical_nodes(nodes: Vec<Node>) -> Result<Self, NotCanonical> {
+    pub fn from_canonical_nodes(nodes: NodeList) -> Result<Self, NotCanonical> {
+        Self::index(nodes, Self::hash_of)
+    }
+
+    /// [`from_canonical_nodes`](Self::from_canonical_nodes) under a given
+    /// hash function (tests force collisions through it).
+    fn index(
+        nodes: NodeList,
+        hash_of: impl Fn(&ExprArena, Node<'_>) -> u64,
+    ) -> Result<Self, NotCanonical> {
         let err = |reason| Err(NotCanonical(reason));
-        if nodes.first() != Some(&Node::Zero) {
+        if !matches!(nodes.nodes.first(), Some(PackedNode::Zero)) {
             return err("node 0 must be the zero constant");
         }
         if nodes.len() > u32::MAX as usize {
             return err("more nodes than the dense u32 id space");
         }
-        let mut interned = FxHashMap::with_capacity_and_hasher(nodes.len(), Default::default());
-        for (ix, node) in nodes.iter().enumerate() {
-            let below = |id: &NodeId| id.index() < ix;
+        // Sized by the list's capacity, so headroom the caller reserved for
+        // nodes interned after the load covers all three columns.
+        let room = nodes.nodes.capacity();
+        let mut arena = ExprArena {
+            list: nodes,
+            hashes: Vec::with_capacity(room),
+            table: vec![EMPTY; slots_for(room)],
+        };
+        arena.hashes.push(0);
+        for ix in 1..arena.list.len() {
+            let node = arena.list.get(ix);
+            let below = |id: NodeId| id.index() < ix;
             match node {
-                Node::Zero => {
-                    if ix != 0 {
-                        return err("zero interned beyond id 0");
-                    }
-                }
+                Node::Zero => return err("zero interned beyond id 0"),
                 Node::Atom(_) => {}
                 Node::Bin(_, a, b) => {
                     if !below(a) || !below(b) {
                         return err("child id not below its parent");
                     }
-                    if *a == Self::ZERO || *b == Self::ZERO {
+                    if a == Self::ZERO || b == Self::ZERO {
                         // All four ops have a zero axiom: no interned node
                         // ever carries a zero operand.
                         return err("zero operand in a binary node");
@@ -369,14 +559,14 @@ impl ExprArena {
                     if terms.len() < 2 {
                         return err("sum of fewer than two terms");
                     }
-                    for t in terms.iter() {
+                    for &t in terms {
                         if !below(t) {
                             return err("child id not below its parent");
                         }
-                        if *t == Self::ZERO {
+                        if t == Self::ZERO {
                             return err("zero term in a sum");
                         }
-                        if matches!(nodes[t.index()], Node::Sum(_)) {
+                        if matches!(arena.node(t), Node::Sum(_)) {
                             return err("nested sum not flattened");
                         }
                     }
@@ -388,10 +578,10 @@ impl ExprArena {
                     if !below(head) {
                         return err("child id not below its parent");
                     }
-                    if *head == Self::ZERO {
+                    if head == Self::ZERO {
                         return err("zero head in a counted block");
                     }
-                    if is_same_op_block(&nodes[head.index()], *op) {
+                    if is_same_op_block(arena.node(head), op) {
                         return err("counted head repeats the block operator");
                     }
                     if entries.is_empty() {
@@ -399,8 +589,8 @@ impl ExprArena {
                     }
                     let mut total: u64 = 0;
                     let mut prev: Option<NodeId> = None;
-                    for &(e, m) in entries.iter() {
-                        if !below(&e) {
+                    for &(e, m) in entries {
+                        if !below(e) {
                             return err("child id not below its parent");
                         }
                         if e == Self::ZERO {
@@ -420,28 +610,45 @@ impl ExprArena {
                     }
                 }
             }
-            if interned.insert(node.clone(), NodeId(ix as u32)).is_some() {
+            // Children are below `ix`, so their hashes are already cached.
+            let hash = hash_of(&arena, node);
+            let Err(slot) = arena.probe(hash, node) else {
                 return err("duplicate node defeats hash-consing");
-            }
+            };
+            arena.table[slot] = ix as u32;
+            arena.hashes.push(hash);
         }
-        Ok(ExprArena { nodes, interned })
+        Ok(arena)
     }
 
     /// Number of interned nodes (≥ 1: `0` is always present).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.list.len()
     }
 
     /// True if the arena holds no nodes. Never true for arenas created with
     /// [`ExprArena::new`], which pre-intern `0`.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.list.is_empty()
     }
 
-    /// The node behind `id`.
+    /// Heap bytes the arena holds, by **capacity**: node records, hash
+    /// column, intern table and both slabs. Divide by [`len`](Self::len)
+    /// for the per-node cost: ≈ 33 B when the vectors are full, up to ≈ 60 B
+    /// right after they all double (a `clone` is trimmed to the low end).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.list.nodes.capacity() * size_of::<PackedNode>()
+            + self.list.terms.capacity() * size_of::<NodeId>()
+            + self.list.entries.capacity() * size_of::<(NodeId, u32)>()
+            + self.hashes.capacity() * size_of::<u64>()
+            + self.table.capacity() * size_of::<u32>()
+    }
+
+    /// A view of the node behind `id`.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        self.list.get(id.index())
     }
 
     /// True if `id` is the `0` constant.
@@ -450,14 +657,90 @@ impl ExprArena {
         id == Self::ZERO
     }
 
-    fn intern(&mut self, node: Node) -> NodeId {
-        if let Some(&id) = self.interned.get(&node) {
-            return id;
+    /// The cached **structural hash** of `id`: a function of the expression
+    /// alone — operator, atom indices and the children's structural hashes,
+    /// with counted entries combined order-independently — never of node
+    /// ids. Two arenas that interned the same expressions in different
+    /// orders agree on it, so it can serve as a history-independent
+    /// ordering key; equal hashes do not imply equal expressions.
+    #[inline]
+    pub fn structural_hash(&self, id: NodeId) -> u64 {
+        self.hashes[id.index()]
+    }
+
+    /// Computes the structural hash of a node whose children are interned.
+    fn hash_of(&self, node: Node<'_>) -> u64 {
+        // One seed per kind (operators folded in), so `a +I b`, `a − b`
+        // and an atom never start from the same state.
+        const ATOM: u64 = 1;
+        const SUM: u64 = 2;
+        const ENTRY: u64 = 3;
+        const BIN: u64 = 4;
+        const COUNTED: u64 = 8;
+        let h = |id: NodeId| self.hashes[id.index()];
+        match node {
+            Node::Zero => 0,
+            Node::Atom(a) => mix(ATOM, a.index() as u64),
+            Node::Bin(op, a, b) => mix(mix(BIN + op as u64, h(a)), h(b)),
+            Node::Sum(ts) => ts.iter().fold(SUM, |acc, &t| mix(acc, h(t))),
+            // Entries are sorted by id, which is interning history: add
+            // their hashes up so the block hashes as the multiset it is.
+            Node::Counted(op, head, es) => {
+                let bag = es.iter().fold(0u64, |acc, &(e, m)| {
+                    // Multiplicity first: folded in last it would enter
+                    // the sum linearly and `(x, 1), (y, 2)` would meet
+                    // `(x, 2), (y, 1)`.
+                    acc.wrapping_add(mix(mix(ENTRY, u64::from(m)), h(e)))
+                });
+                mix(mix(COUNTED + op as u64, h(head)), bag)
+            }
         }
-        assert!(self.nodes.len() < u32::MAX as usize, "arena full");
-        let id = NodeId(self.nodes.len() as u32);
-        self.interned.insert(node.clone(), id);
-        self.nodes.push(node);
+    }
+
+    /// Walks `hash`'s probe chain for a resident structurally equal to
+    /// `node`: `Ok` with its id, or `Err` with the empty slot that ends the
+    /// chain (where `node` belongs if it gets interned).
+    fn probe(&self, hash: u64, node: Node<'_>) -> Result<NodeId, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = home(hash, self.table.len());
+        loop {
+            let raw = self.table[slot];
+            if raw == EMPTY {
+                return Err(slot);
+            }
+            if self.hashes[raw as usize] == hash && self.list.get(raw as usize) == node {
+                return Ok(NodeId(raw));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn intern(&mut self, node: Node<'_>) -> NodeId {
+        let hash = self.hash_of(node);
+        self.intern_hashed(node, hash)
+    }
+
+    /// [`intern`](Self::intern) under a given hash (tests force collisions
+    /// through it).
+    fn intern_hashed(&mut self, node: Node<'_>, hash: u64) -> NodeId {
+        let slot = match self.probe(hash, node) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        assert!(self.len() < u32::MAX as usize, "arena full");
+        let id = NodeId(self.len() as u32);
+        self.list.push(node);
+        self.hashes.push(hash);
+        self.table[slot] = id.0;
+        let slots = slots_for(self.len());
+        if slots > self.table.len() {
+            // Re-place every id by its cached hash; nothing is re-hashed.
+            let mut table = vec![EMPTY; slots];
+            for (raw, &hash) in self.hashes.iter().enumerate().skip(1) {
+                place(&mut table, hash, raw as u32);
+            }
+            self.table = table;
+        }
         id
     }
 
@@ -529,7 +812,7 @@ impl ExprArena {
             if t == Self::ZERO {
                 continue;
             }
-            match &self.nodes[t.index()] {
+            match self.node(t) {
                 Node::Sum(inner) => flat.extend_from_slice(inner),
                 _ => flat.push(t),
             }
@@ -537,7 +820,7 @@ impl ExprArena {
         match flat.len() {
             0 => Self::ZERO,
             1 => flat[0],
-            _ => self.intern(Node::Sum(flat.into_boxed_slice())),
+            _ => self.intern(Node::Sum(&flat)),
         }
     }
 
@@ -583,16 +866,12 @@ impl ExprArena {
         let mut head = head;
         loop {
             match self.node(head) {
-                Node::Bin(o, a, b) if *o == op => {
-                    entries.push((*b, 1));
-                    head = *a;
+                Node::Bin(o, a, b) if o == op => {
+                    entries.push((b, 1));
+                    head = a;
                 }
-                Node::Counted(o, h, es) if *o == op => {
-                    let h = *h;
-                    // Clone the entry box: extending `entries` needs the
-                    // arena borrow released.
-                    let es = es.clone();
-                    entries.extend(es.iter().copied());
+                Node::Counted(o, h, es) if o == op => {
+                    entries.extend_from_slice(es);
                     head = h;
                 }
                 _ if head == Self::ZERO => {
@@ -630,7 +909,7 @@ impl ExprArena {
         match total {
             0 => head,
             1 => self.intern(Node::Bin(op, head, merged[0].0)),
-            _ => self.intern(Node::Counted(op, head, merged.into_boxed_slice())),
+            _ => self.intern(Node::Counted(op, head, &merged)),
         }
     }
 
@@ -651,9 +930,11 @@ impl ExprArena {
             let Node::Counted(op, head, entries) = ar.node(rebuilt) else {
                 return rebuilt;
             };
-            let (op, head, entries) = (*op, *head, entries.clone());
+            // Copy the entries out: interning the spine appends to the slab
+            // they are borrowed from.
+            let entries = entries.to_vec();
             let mut acc = head;
-            for &(e, m) in entries.iter() {
+            for (e, m) in entries {
                 for _ in 0..m {
                     acc = ar.bin(op, acc, e);
                 }
@@ -713,28 +994,28 @@ impl ExprArena {
     pub fn export(&self, root: NodeId) -> ExprRef {
         let reachable = self.reachable(root);
         let mut out: Vec<Option<ExprRef>> = vec![None; root.index() + 1];
-        for (i, node) in self.nodes.iter().enumerate().take(root.index() + 1) {
+        for i in 0..=root.index() {
             if !reachable[i] {
                 continue;
             }
-            let take = |id: &NodeId| out[id.index()].clone().expect("topological order");
-            let e = match node {
+            let take = |id: NodeId| out[id.index()].clone().expect("topological order");
+            let e = match self.list.get(i) {
                 Node::Zero => Expr::zero(),
-                Node::Atom(a) => Expr::atom(*a),
+                Node::Atom(a) => Expr::atom(a),
                 Node::Bin(BinOp::PlusI, a, b) => Expr::plus_i(take(a), take(b)),
                 Node::Bin(BinOp::Minus, a, b) => Expr::minus(take(a), take(b)),
                 Node::Bin(BinOp::PlusM, a, b) => Expr::plus_m(take(a), take(b)),
                 Node::Bin(BinOp::DotM, a, b) => Expr::dot_m(take(a), take(b)),
-                Node::Sum(ts) => Expr::sum(ts.iter().map(take)),
+                Node::Sum(ts) => Expr::sum(ts.iter().copied().map(take)),
                 // Counted blocks export as their expanded spine (the legacy
                 // representation has no condensed form), so re-importing an
                 // exported counted block yields the spine, not the original
                 // id — normalize to recover the condensed node.
                 Node::Counted(op, h, es) => {
                     let mut acc = take(h);
-                    for (e, m) in es.iter() {
+                    for &(e, m) in es {
                         let inc = take(e);
-                        for _ in 0..*m {
+                        for _ in 0..m {
                             acc = match op {
                                 BinOp::PlusI => Expr::plus_i(acc, inc.clone()),
                                 BinOp::PlusM => Expr::plus_m(acc, inc.clone()),
@@ -760,15 +1041,15 @@ impl ExprArena {
             if std::mem::replace(&mut marked[id.index()], true) {
                 continue;
             }
-            match &self.nodes[id.index()] {
+            match self.node(id) {
                 Node::Zero | Node::Atom(_) => {}
                 Node::Bin(_, a, b) => {
-                    stack.push(*a);
-                    stack.push(*b);
+                    stack.push(a);
+                    stack.push(b);
                 }
                 Node::Sum(ts) => stack.extend_from_slice(ts),
                 Node::Counted(_, h, es) => {
-                    stack.push(*h);
+                    stack.push(h);
                     stack.extend(es.iter().map(|&(e, _)| e));
                 }
             }
@@ -800,15 +1081,15 @@ impl ExprArena {
             if std::mem::replace(&mut marked[id.index()], true) {
                 continue;
             }
-            match &self.nodes[id.index()] {
+            match self.node(id) {
                 Node::Zero | Node::Atom(_) => {}
                 Node::Bin(_, a, b) => {
-                    stack.push(*a);
-                    stack.push(*b);
+                    stack.push(a);
+                    stack.push(b);
                 }
                 Node::Sum(ts) => stack.extend_from_slice(ts),
                 Node::Counted(_, h, es) => {
-                    stack.push(*h);
+                    stack.push(h);
                     stack.extend(es.iter().map(|&(e, _)| e));
                 }
             }
@@ -828,12 +1109,12 @@ impl ExprArena {
         let mut logical = vec![0u128; n];
         let mut depth = vec![0usize; n];
         let mut dag_size = 0usize;
-        for (i, node) in self.nodes.iter().enumerate().take(n) {
+        for i in 0..n {
             if !reachable[i] {
                 continue;
             }
             dag_size += 1;
-            let (l, d) = match node {
+            let (l, d) = match self.list.get(i) {
                 Node::Zero | Node::Atom(_) => (1, 1),
                 Node::Bin(_, a, b) => (
                     logical[a.index()]
@@ -980,15 +1261,15 @@ impl ExprArena {
             }
             let plan = match self.node(id) {
                 Node::Zero | Node::Atom(_) => Plan::Leaf,
-                Node::Bin(op, a, b) => match (memo.get(*a).copied(), memo.get(*b).copied()) {
-                    (Some(ia), Some(ib)) => Plan::Bin(*op, ia, ib),
+                Node::Bin(op, a, b) => match (memo.get(a).copied(), memo.get(b).copied()) {
+                    (Some(ia), Some(ib)) => Plan::Bin(op, ia, ib),
                     (ia, _) => {
                         // Defer: push the missing children and revisit.
                         if ia.is_none() {
-                            stack.push(*a);
+                            stack.push(a);
                         }
-                        if !memo.contains(*b) {
-                            stack.push(*b);
+                        if !memo.contains(b) {
+                            stack.push(b);
                         }
                         continue;
                     }
@@ -1012,25 +1293,25 @@ impl ExprArena {
                 }
                 Node::Counted(op, h, es) => {
                     let mut pushed = false;
-                    if !memo.contains(*h) {
-                        stack.push(*h);
+                    if !memo.contains(h) {
+                        stack.push(h);
                         pushed = true;
                     }
-                    for (e, _) in es.iter() {
-                        if !memo.contains(*e) {
-                            stack.push(*e);
+                    for &(e, _) in es {
+                        if !memo.contains(e) {
+                            stack.push(e);
                             pushed = true;
                         }
                     }
                     if pushed {
                         continue;
                     }
-                    let hi = memo.get(*h).copied().expect("children computed");
+                    let hi = memo.get(h).copied().expect("children computed");
                     let images: Vec<(NodeId, u32)> = es
                         .iter()
                         .map(|&(e, m)| (memo.get(e).copied().expect("children computed"), m))
                         .collect();
-                    Plan::Counted(*op, hi, images)
+                    Plan::Counted(op, hi, images)
                 }
             };
             let rebuilt = match plan {
@@ -1111,11 +1392,11 @@ impl ExprArena {
         // Match on the ORIGINAL node: a parent that zero-collapses onto an
         // atom image must not have the map applied a second time (the
         // documented applied-once contract).
-        let mut step =
-            |arena: &mut ExprArena, orig: NodeId, rebuilt: NodeId| match *arena.node(orig) {
-                Node::Atom(a) => map.get(&a).copied().unwrap_or(rebuilt),
-                _ => rebuilt,
-            };
+        let mut step = |arena: &mut ExprArena, orig: NodeId, rebuilt: NodeId| match arena.node(orig)
+        {
+            Node::Atom(a) => map.get(&a).copied().unwrap_or(rebuilt),
+            _ => rebuilt,
+        };
         roots
             .iter()
             .map(|&root| {
@@ -1139,16 +1420,16 @@ impl ExprArena {
             if std::mem::replace(&mut visited[id.index()], true) {
                 continue;
             }
-            match &self.nodes[id.index()] {
+            match self.node(id) {
                 Node::Zero => {}
                 Node::Atom(a) => {
-                    if seen_atoms.insert(*a) {
-                        out.push(*a);
+                    if seen_atoms.insert(a) {
+                        out.push(a);
                     }
                 }
                 Node::Bin(_, a, b) => {
-                    stack.push(*b);
-                    stack.push(*a);
+                    stack.push(b);
+                    stack.push(a);
                 }
                 Node::Sum(ts) => stack.extend(ts.iter().rev()),
                 // Expanded-spine preorder: head first, then entries
@@ -1156,7 +1437,7 @@ impl ExprArena {
                 // occurrence).
                 Node::Counted(_, h, es) => {
                     stack.extend(es.iter().rev().map(|&(e, _)| e));
-                    stack.push(*h);
+                    stack.push(h);
                 }
             }
         }
@@ -1412,8 +1693,8 @@ mod tests {
         let md = ar.plus_m(a, dot);
         let s = ar.sum([md, b]);
         let e = ar.minus(s, p);
-        let dump: Vec<Node> = (0..ar.len())
-            .map(|i| ar.node(NodeId::from_index(i)).clone())
+        let dump: NodeList = (0..ar.len())
+            .map(|i| ar.node(NodeId::from_index(i)))
             .collect();
         let mut back = ExprArena::from_canonical_nodes(dump).expect("live dump is canonical");
         assert_eq!(back.len(), ar.len());
@@ -1430,66 +1711,123 @@ mod tests {
         let atom0 = Node::Atom(Atom::from_index(0));
         let atom1 = Node::Atom(Atom::from_index(1));
         let id = NodeId::from_index;
+        let load =
+            |nodes: &[Node]| ExprArena::from_canonical_nodes(nodes.iter().copied().collect());
         for (nodes, why) in [
             (vec![], "empty"),
-            (vec![atom0.clone()], "missing zero"),
+            (vec![atom0], "missing zero"),
             (vec![Node::Zero, Node::Zero], "second zero"),
-            (vec![Node::Zero, atom0.clone(), atom0.clone()], "duplicate"),
+            (vec![Node::Zero, atom0, atom0], "duplicate"),
             (
                 vec![Node::Zero, Node::Bin(BinOp::PlusI, id(1), id(1))],
                 "self child",
             ),
             (
-                vec![
-                    Node::Zero,
-                    atom0.clone(),
-                    Node::Bin(BinOp::Minus, id(1), id(0)),
-                ],
+                vec![Node::Zero, atom0, Node::Bin(BinOp::Minus, id(1), id(0))],
                 "zero operand",
             ),
             (
-                vec![Node::Zero, atom0.clone(), Node::Sum(Box::new([id(1)]))],
+                vec![Node::Zero, atom0, Node::Sum(&[id(1)])],
                 "singleton sum",
             ),
             (
-                vec![
-                    Node::Zero,
-                    atom0.clone(),
-                    Node::Sum(Box::new([id(1), id(0)])),
-                ],
+                vec![Node::Zero, atom0, Node::Sum(&[id(1), id(0)])],
                 "zero term",
             ),
             (
                 vec![
                     Node::Zero,
-                    atom0.clone(),
-                    atom1.clone(),
-                    Node::Sum(Box::new([id(1), id(2)])),
-                    Node::Sum(Box::new([id(3), id(1)])),
+                    atom0,
+                    atom1,
+                    Node::Sum(&[id(1), id(2)]),
+                    Node::Sum(&[id(3), id(1)]),
                 ],
                 "nested sum",
             ),
         ] {
-            assert!(
-                ExprArena::from_canonical_nodes(nodes).is_err(),
-                "{why} must be rejected"
-            );
+            assert!(load(&nodes).is_err(), "{why} must be rejected");
         }
         // The smallest valid dumps load.
-        assert_eq!(
-            ExprArena::from_canonical_nodes(vec![Node::Zero])
-                .expect("zero-only")
-                .len(),
-            1
-        );
-        let ok = ExprArena::from_canonical_nodes(vec![
-            Node::Zero,
-            atom0,
-            atom1,
-            Node::Sum(Box::new([id(1), id(2), id(1)])),
-        ])
-        .expect("repeated terms inside one sum are canonical");
+        assert_eq!(load(&[Node::Zero]).expect("zero-only").len(), 1);
+        let ok = load(&[Node::Zero, atom0, atom1, Node::Sum(&[id(1), id(2), id(1)])])
+            .expect("repeated terms inside one sum are canonical");
         assert_eq!(ok.len(), 4);
+    }
+
+    /// Every node forced under ONE hash whose home is the last slot: the
+    /// table is a single probe chain that wraps around the end of the slot
+    /// array, and only structural comparison tells residents apart.
+    #[test]
+    fn equal_hashes_chain_wrap_around_and_still_dedup() {
+        const H: u64 = u64::MAX;
+        let mut ar = ExprArena::new();
+        let atoms: Vec<NodeId> = (0..40)
+            .map(|i| ar.intern_hashed(Node::Atom(Atom::from_index(i)), H))
+            .collect();
+        let want: Vec<NodeId> = (1..=40).map(NodeId::from_index).collect();
+        assert_eq!(atoms, want, "distinct nodes under one hash get fresh ids");
+        assert!(
+            ar.table.len() >= 64,
+            "8 → 16 → 32 → 64 slots: three growths"
+        );
+        assert_eq!(home(H, ar.table.len()), ar.table.len() - 1);
+        assert_ne!(ar.table[ar.table.len() - 1], EMPTY);
+        assert_ne!(ar.table[0], EMPTY, "the chain wrapped to slot 0");
+        for (i, &a) in atoms.iter().enumerate() {
+            let again = ar.intern_hashed(Node::Atom(Atom::from_index(i)), H);
+            assert_eq!(again, a, "found again after the growths");
+        }
+        // Slab-backed kinds in the same chain: windows differ, contents
+        // decide.
+        let ab = ar.intern_hashed(Node::Sum(&[atoms[0], atoms[1]]), H);
+        let ba = ar.intern_hashed(Node::Sum(&[atoms[1], atoms[0]]), H);
+        let c1 = ar.intern_hashed(Node::Counted(BinOp::PlusI, atoms[0], &[(atoms[1], 2)]), H);
+        let c2 = ar.intern_hashed(Node::Counted(BinOp::PlusI, atoms[0], &[(atoms[1], 3)]), H);
+        let c3 = ar.intern_hashed(Node::Counted(BinOp::PlusM, atoms[0], &[(atoms[1], 2)]), H);
+        let fresh = [ab, ba, c1, c2, c3];
+        let want: Vec<NodeId> = (41..=45).map(NodeId::from_index).collect();
+        assert_eq!(fresh.to_vec(), want);
+        assert_eq!(ar.intern_hashed(Node::Sum(&[atoms[0], atoms[1]]), H), ab);
+        assert_eq!(
+            ar.intern_hashed(Node::Counted(BinOp::PlusI, atoms[0], &[(atoms[1], 3)]), H),
+            c2
+        );
+        assert_eq!(ar.len(), 46);
+
+        // The bulk constructor under the same degenerate hash: colliding
+        // but distinct nodes load, and ids keep interning identically...
+        let dump = |ar: &ExprArena| -> NodeList {
+            (0..ar.len())
+                .map(|i| ar.node(NodeId::from_index(i)))
+                .collect()
+        };
+        let mut back =
+            ExprArena::index(dump(&ar), |_, _| H).expect("collisions are not duplicates");
+        assert_eq!(back.len(), ar.len());
+        assert_eq!(back.intern_hashed(Node::Sum(&[atoms[1], atoms[0]]), H), ba);
+        assert_eq!(
+            back.intern_hashed(Node::Atom(Atom::from_index(99)), H)
+                .index(),
+            46
+        );
+        // ...while a true duplicate is found at the far end of the chain,
+        // whether it is a leaf or slab-backed.
+        for dup in [
+            Node::Atom(Atom::from_index(0)),
+            Node::Sum(&[atoms[0], atoms[1]]),
+            Node::Counted(BinOp::PlusI, atoms[0], &[(atoms[1], 2)]),
+        ] {
+            let mut list = dump(&ar);
+            list.push(dup);
+            assert_eq!(
+                ExprArena::index(list, |_, _| H).unwrap_err(),
+                NotCanonical("duplicate node defeats hash-consing"),
+                "{dup:?}"
+            );
+            let mut list = dump(&ar);
+            list.push(dup);
+            assert!(ExprArena::from_canonical_nodes(list).is_err(), "{dup:?}");
+        }
     }
 
     #[test]
@@ -1503,7 +1841,7 @@ mod tests {
         assert_eq!(*order.last().expect("non-empty"), root);
         for (pos, id) in order.iter().enumerate() {
             if let Node::Bin(_, x, y) = ar.node(*id) {
-                assert!(order[..pos].contains(x) && order[..pos].contains(y));
+                assert!(order[..pos].contains(&x) && order[..pos].contains(&y));
             }
         }
     }

@@ -1,11 +1,15 @@
 //! A fast, dependency-free hasher for the crate's internal interning maps.
 //!
-//! The hash-consing maps ([`ExprArena`](crate::ExprArena)'s intern table,
-//! [`AtomTable`](crate::AtomTable)'s name index) hash millions of tiny keys
-//! — 9-byte `Node`s, short names — on the replay and recovery hot paths,
-//! where the standard library's DoS-resistant SipHash spends more time
-//! keying than hashing. This is the classic Fx word-at-a-time multiply-mix
-//! (as used by rustc's interners): 3–5× faster on such keys.
+//! The interning maps ([`AtomTable`](crate::AtomTable)'s name index, the
+//! normalizer's id-keyed sets) hash millions of tiny keys — node ids, short
+//! names — on the replay and recovery hot paths, where the standard
+//! library's DoS-resistant SipHash spends more time keying than hashing.
+//! This is the classic Fx word-at-a-time multiply-mix (as used by rustc's
+//! interners): 3–5× faster on such keys.
+//!
+//! [`ExprArena`](crate::ExprArena) keeps no map at all: its intern table
+//! stores bare ids and is keyed by a per-node structural hash built from
+//! one or two rounds of the same mix.
 //!
 //! **Not** collision-resistant against adversarial keys: use it only for
 //! maps whose keys the crate itself constructs (interned nodes, atom
@@ -24,10 +28,17 @@ pub struct FxHasher {
     hash: u64,
 }
 
+/// One Fx round: folds `word` into `hash`. The multiply leaves the result's
+/// **top** bits the best mixed.
+#[inline]
+pub(crate) fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
 impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.hash = mix(self.hash, word);
     }
 }
 

@@ -43,7 +43,7 @@ pub mod pool;
 pub mod rewrite;
 pub mod structure;
 
-pub use arena::{BinOp, DenseMemo, ExprArena, Node, NodeId, NodeStats, NotCanonical};
+pub use arena::{BinOp, DenseMemo, ExprArena, Node, NodeId, NodeList, NodeStats, NotCanonical};
 pub use atom::{Atom, AtomKind, AtomTable};
 pub use axioms::{
     axiom_info, check_axioms, check_zero_axioms, AxiomFailure, AxiomInfo, AxiomReport, FIGURE_3,

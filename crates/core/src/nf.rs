@@ -834,28 +834,28 @@ fn mark_spine_interiors_into(
         match arena.node(id) {
             Node::Zero | Node::Atom(_) => {}
             Node::Bin(op, a, b) => {
-                if let op @ (BinOp::PlusI | BinOp::PlusM) = *op {
+                if let BinOp::PlusI | BinOp::PlusM = op {
                     // A left child continuing the block — binary spine link
                     // or an already-condensed counted node — is interior:
                     // the top's rule pass decomposes through it wholesale.
-                    if is_same_op_block(arena.node(*a), op) {
-                        let abits = flags.get(*a).copied().unwrap_or(0);
+                    if is_same_op_block(arena.node(a), op) {
+                        let abits = flags.get(a).copied().unwrap_or(0);
                         let bit = if op == BinOp::PlusI {
                             INTERIOR_I
                         } else {
                             INTERIOR_M
                         };
-                        flags.set(*a, abits | bit);
+                        flags.set(a, abits | bit);
                     }
                 }
-                stack.push(*a);
-                stack.push(*b);
+                stack.push(a);
+                stack.push(b);
             }
             // A counted head is never same-op (canonicity invariant), and
             // entries are opaque increments reduced at their own tops — no
             // interior marks to set, just the traversal.
             Node::Counted(_, h, es) => {
-                stack.push(*h);
+                stack.push(h);
                 stack.extend(es.iter().map(|&(e, _)| e));
             }
             Node::Sum(ts) => stack.extend_from_slice(ts),
@@ -1066,7 +1066,7 @@ mod tests {
         assert_eq!(nf(&mut ar, n), n, "nf is idempotent");
         match ar.node(n) {
             Node::Counted(BinOp::PlusM, head, es) => {
-                assert_eq!(*head, h);
+                assert_eq!(head, h);
                 assert_eq!(es.len(), 64);
                 assert!(es.iter().all(|&(_, m)| m == 1));
             }
@@ -1086,8 +1086,8 @@ mod tests {
         let n = nf(&mut ar, spine);
         match ar.node(n) {
             Node::Counted(BinOp::PlusI, head, es) => {
-                assert_eq!(*head, a);
-                assert_eq!(&es[..], &[(p, 100)]);
+                assert_eq!(head, a);
+                assert_eq!(es, &[(p, 100)]);
             }
             other => panic!("expected a counted +I block, got {other:?}"),
         }

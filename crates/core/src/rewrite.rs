@@ -121,10 +121,10 @@ pub static MINUS_IDEMPOTENT: RewriteRule = RewriteRule {
     name: "minus-idempotent",
     axioms: &[4],
     apply: |arena, id| {
-        let Node::Bin(BinOp::Minus, a, b) = *arena.node(id) else {
+        let Node::Bin(BinOp::Minus, a, b) = arena.node(id) else {
             return None;
         };
-        matches!(*arena.node(a), Node::Bin(BinOp::Minus, _, b2) if b2 == b).then_some(a)
+        matches!(arena.node(a), Node::Bin(BinOp::Minus, _, b2) if b2 == b).then_some(a)
     },
 };
 
@@ -134,7 +134,7 @@ pub static MINUS_ABSORBS_INSERT: RewriteRule = RewriteRule {
     name: "minus-absorbs-insert",
     axioms: &[7],
     apply: |arena, id| {
-        let Node::Bin(BinOp::Minus, a, b) = *arena.node(id) else {
+        let Node::Bin(BinOp::Minus, a, b) = arena.node(id) else {
             return None;
         };
         let (head, mut incs) = block(arena, BinOp::PlusI, a);
@@ -154,7 +154,7 @@ pub static MINUS_ABSORBS_MOD: RewriteRule = RewriteRule {
     name: "minus-absorbs-mod",
     axioms: &[2, 1],
     apply: |arena, id| {
-        let Node::Bin(BinOp::Minus, a, c) = *arena.node(id) else {
+        let Node::Bin(BinOp::Minus, a, c) = arena.node(id) else {
             return None;
         };
         let (head, mut incs) = block(arena, BinOp::PlusM, a);
@@ -180,7 +180,7 @@ pub static INSERT_ABSORBS_DELETE: RewriteRule = RewriteRule {
             return None;
         }
         let (head, incs) = block(arena, BinOp::PlusI, id);
-        let Node::Bin(BinOp::Minus, x, c) = *arena.node(head) else {
+        let Node::Bin(BinOp::Minus, x, c) = arena.node(head) else {
             return None;
         };
         incs.iter()
@@ -259,7 +259,7 @@ pub static MOD_OF_INSERTED: RewriteRule = RewriteRule {
         let (head, mut incs) = block(arena, BinOp::PlusM, id);
         let pos = incs.iter().position(|&(m, _)| {
             dot_query(arena, m).is_some_and(|c| {
-                let Node::Bin(BinOp::DotM, e, _) = *arena.node(m) else {
+                let Node::Bin(BinOp::DotM, e, _) = arena.node(m) else {
                     unreachable!("dot_query matched");
                 };
                 let (_, e_incs) = block(arena, BinOp::PlusI, e);
@@ -297,10 +297,10 @@ pub static MOD_OF_DELETED: RewriteRule = RewriteRule {
         let (head, mut incs) = block(arena, BinOp::PlusM, id);
         let before = incs.len();
         incs.retain(|&(m, _)| {
-            let Node::Bin(BinOp::DotM, e, c) = *arena.node(m) else {
+            let Node::Bin(BinOp::DotM, e, c) = arena.node(m) else {
                 return true;
             };
-            !matches!(*arena.node(e), Node::Bin(BinOp::Minus, _, c2) if c2 == c)
+            !matches!(arena.node(e), Node::Bin(BinOp::Minus, _, c2) if c2 == c)
         });
         (incs.len() < before).then(|| build_block(arena, BinOp::PlusM, head, incs))
     },
@@ -328,7 +328,7 @@ pub static MOD_UNNEST: RewriteRule = RewriteRule {
         let mut out: Vec<(NodeId, u32)> = Vec::with_capacity(incs.len());
         let mut hoisted_any = false;
         for &(m, k) in &incs {
-            let Node::Bin(BinOp::DotM, e, c) = *arena.node(m) else {
+            let Node::Bin(BinOp::DotM, e, c) = arena.node(m) else {
                 out.push((m, k));
                 continue;
             };
@@ -364,7 +364,7 @@ pub static MOD_SPLIT_SUM: RewriteRule = RewriteRule {
         }
         let (head, incs) = block(arena, BinOp::PlusM, id);
         let is_sum_dot = |arena: &ExprArena, m: NodeId| {
-            matches!(*arena.node(m), Node::Bin(BinOp::DotM, e, _)
+            matches!(arena.node(m), Node::Bin(BinOp::DotM, e, _)
                 if matches!(arena.node(e), Node::Sum(_)))
         };
         if !incs.iter().any(|&(m, _)| is_sum_dot(arena, m)) {
@@ -383,14 +383,16 @@ pub static MOD_SPLIT_SUM: RewriteRule = RewriteRule {
                 split.push((m, k));
                 continue;
             }
-            let Node::Bin(BinOp::DotM, e, c) = *arena.node(m) else {
+            let Node::Bin(BinOp::DotM, e, c) = arena.node(m) else {
                 unreachable!("is_sum_dot matched");
             };
-            let Node::Sum(ts) = arena.node(e).clone() else {
+            let Node::Sum(ts) = arena.node(e) else {
                 unreachable!("is_sum_dot matched");
             };
-            for t in ts.iter() {
-                let dot = arena.dot_m(*t, c);
+            // Copied out: `dot_m` may append to the slab `ts` borrows.
+            let ts = ts.to_vec();
+            for t in ts {
+                let dot = arena.dot_m(t, c);
                 split.push((dot, k));
             }
         }
@@ -498,13 +500,13 @@ fn block(arena: &ExprArena, op: BinOp, id: NodeId) -> (NodeId, Vec<(NodeId, u32)
     let mut cur = id;
     loop {
         match arena.node(cur) {
-            Node::Bin(o, a, b) if *o == op => {
-                incs.push((*b, 1));
-                cur = *a;
+            Node::Bin(o, a, b) if o == op => {
+                incs.push((b, 1));
+                cur = a;
             }
-            Node::Counted(o, h, es) if *o == op => {
-                incs.extend(es.iter().copied());
-                cur = *h;
+            Node::Counted(o, h, es) if o == op => {
+                incs.extend_from_slice(es);
+                cur = h;
             }
             _ => break,
         }
@@ -524,7 +526,7 @@ fn build_block(arena: &mut ExprArena, op: BinOp, head: NodeId, incs: Vec<(NodeId
 /// If `id` is `x ·M c`, returns `c` (the query annotation keying the
 /// modification).
 fn dot_query(arena: &ExprArena, id: NodeId) -> Option<NodeId> {
-    match *arena.node(id) {
+    match arena.node(id) {
         Node::Bin(BinOp::DotM, _, c) => Some(c),
         _ => None,
     }
@@ -537,7 +539,7 @@ fn dot_query(arena: &ExprArena, id: NodeId) -> Option<NodeId> {
 /// left child is itself an `op` block (a spine link left behind by an
 /// append or a rule rebuild).
 fn condense_block(arena: &mut ExprArena, op: BinOp, id: NodeId) -> Option<NodeId> {
-    let Node::Bin(o, a, _) = *arena.node(id) else {
+    let Node::Bin(o, a, _) = arena.node(id) else {
         return None;
     };
     if o != op || !is_same_op_block(arena.node(a), op) {

@@ -365,17 +365,17 @@ pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
         }
         let v = match arena.node(id) {
             Node::Zero => s.zero(),
-            Node::Atom(a) => val.get(*a).clone(),
+            Node::Atom(a) => val.get(a).clone(),
             Node::Bin(op, a, b) => {
-                match (memo.get(*a), memo.get(*b)) {
-                    (Some(va), Some(vb)) => s.apply_bin(*op, va, vb),
+                match (memo.get(a), memo.get(b)) {
+                    (Some(va), Some(vb)) => s.apply_bin(op, va, vb),
                     (va, _) => {
                         // Defer: push the missing children and revisit.
                         if va.is_none() {
-                            stack.push(*a);
+                            stack.push(a);
                         }
-                        if !memo.contains(*b) {
-                            stack.push(*b);
+                        if !memo.contains(b) {
+                            stack.push(b);
                         }
                         continue;
                     }
@@ -383,8 +383,8 @@ pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
             }
             Node::Counted(op, h, es) => {
                 let mut pushed = false;
-                if !memo.contains(*h) {
-                    stack.push(*h);
+                if !memo.contains(h) {
+                    stack.push(h);
                     pushed = true;
                 }
                 for &(e, _) in es.iter() {
@@ -396,10 +396,10 @@ pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
                 if pushed {
                     continue;
                 }
-                let mut acc = memo.get(*h).expect("children computed").clone();
+                let mut acc = memo.get(h).expect("children computed").clone();
                 for &(e, m) in es.iter() {
                     let ve = memo.get(e).expect("children computed");
-                    acc = s.apply_bin_counted(*op, &acc, ve, m);
+                    acc = s.apply_bin_counted(op, &acc, ve, m);
                 }
                 acc
             }
@@ -551,19 +551,19 @@ pub(crate) fn replay_schedule<S: UpdateStructure, M: EvalMemo<S::Value>>(
     for &id in order {
         let v = match arena.node(id) {
             Node::Zero => s.zero(),
-            Node::Atom(a) => val.get(*a).clone(),
+            Node::Atom(a) => val.get(a).clone(),
             Node::Bin(op, a, b) => {
                 let (va, vb) = (
-                    memo.get(*a).expect("topological order"),
-                    memo.get(*b).expect("topological order"),
+                    memo.get(a).expect("topological order"),
+                    memo.get(b).expect("topological order"),
                 );
-                s.apply_bin(*op, va, vb)
+                s.apply_bin(op, va, vb)
             }
             Node::Counted(op, h, es) => {
-                let mut acc = memo.get(*h).expect("topological order").clone();
+                let mut acc = memo.get(h).expect("topological order").clone();
                 for &(e, m) in es.iter() {
                     let ve = memo.get(e).expect("topological order");
-                    acc = s.apply_bin_counted(*op, &acc, ve, m);
+                    acc = s.apply_bin_counted(op, &acc, ve, m);
                 }
                 acc
             }

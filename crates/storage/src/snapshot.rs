@@ -22,7 +22,7 @@
 //! ```
 //!
 //! The arena section is the paper-structure payoff: the hash-consed arena
-//! is already a topologically ordered `Vec<Node>` whose ids are dense
+//! is already a topologically ordered flat node list whose ids are dense
 //! indices (children before parents), so serialization is a linear dump
 //! and deserialization a linear bulk rebuild
 //! (`ExprArena::from_canonical_nodes`) that verifies each node would
@@ -39,7 +39,7 @@
 
 use std::fmt;
 
-use uprov_core::{Atom, AtomKind, AtomTable, BinOp, ExprArena, Node, NodeId};
+use uprov_core::{Atom, AtomKind, AtomTable, BinOp, ExprArena, Node, NodeId, NodeList};
 use uprov_engine::{Engine, ReplayState, StateSnapshot};
 
 use crate::codec::{put_str, put_u32, put_u64, DecodeError, Reader};
@@ -123,6 +123,9 @@ pub struct RecoveredSnapshot {
     pub wal_seq: u64,
 }
 
+/// Bytes before the payload: magic, version, payload length, payload CRC.
+const HEADER_LEN: usize = 24;
+
 /// Node tag byte: an atom leaf.
 const NODE_ATOM: u8 = 1;
 /// Node tag byte: a binary operation.
@@ -183,11 +186,11 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         match arena.node(id) {
             Node::Zero | Node::Atom(_) => {}
             Node::Bin(_, a, b) => {
-                stack.push(*a);
-                stack.push(*b);
+                stack.push(a);
+                stack.push(b);
             }
             Node::Counted(_, h, es) => {
-                stack.push(*h);
+                stack.push(h);
                 stack.extend(es.iter().map(|&(e, _)| e));
             }
             Node::Sum(terms) => stack.extend_from_slice(terms),
@@ -203,7 +206,14 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         }
     }
 
+    // The frame header goes first into the one output buffer; its length
+    // and CRC fields are patched once the payload behind it is complete.
     let mut p = Vec::new();
+    p.extend_from_slice(&SNAPSHOT_MAGIC);
+    put_u32(&mut p, SNAPSHOT_VERSION);
+    put_u64(&mut p, 0);
+    put_u32(&mut p, 0);
+    debug_assert_eq!(p.len(), HEADER_LEN);
     put_u64(&mut p, wal_seq);
     // Atom table, in index order (named() re-interns at the same index).
     let atoms = engine.atoms();
@@ -226,13 +236,13 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
             }
             Node::Bin(op, a, b) => {
                 p.push(NODE_BIN);
-                p.push(op_tag(*op));
+                p.push(op_tag(op));
                 put_u32(&mut p, remap[a.index()]);
                 put_u32(&mut p, remap[b.index()]);
             }
             Node::Counted(op, h, es) => {
                 p.push(NODE_COUNTED);
-                p.push(op_tag(*op));
+                p.push(op_tag(op));
                 put_u32(&mut p, remap[h.index()]);
                 put_u32(&mut p, es.len() as u32);
                 for &(e, m) in es.iter() {
@@ -291,14 +301,11 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         put_u32(&mut p, root);
         put_u32(&mut p, nf);
     }
-    // Frame it.
-    let mut out = Vec::with_capacity(p.len() + 24);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut out, SNAPSHOT_VERSION);
-    put_u64(&mut out, p.len() as u64);
-    put_u32(&mut out, crc32(&p));
-    out.extend_from_slice(&p);
-    out
+    // Frame it: patch the payload's length and checksum into the header.
+    let (header, payload) = p.split_at_mut(HEADER_LEN);
+    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+    p
 }
 
 /// Decodes the payload sections after the arena node list: the replay
@@ -392,7 +399,7 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // total reads: a blob shorter than its fixed header is a typed error,
     // not a slice panic.
     let magic_ok = bytes.starts_with(&SNAPSHOT_MAGIC);
-    if bytes.len() < 24 {
+    if bytes.len() < HEADER_LEN {
         return Err(if bytes.len() >= 8 && !magic_ok {
             SnapshotError::BadMagic
         } else {
@@ -402,17 +409,17 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     if !magic_ok {
         return Err(SnapshotError::BadMagic);
     }
-    let mut hdr = Reader::new(bytes.get(8..24).unwrap_or_default());
+    let mut hdr = Reader::new(bytes.get(8..HEADER_LEN).unwrap_or_default());
     let version = hdr.take_u32("version")?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let payload_len = hdr.take_u64("payload length")?;
     let stored = hdr.take_u32("payload checksum")?;
-    if bytes.len() as u64 - 24 != payload_len {
+    if (bytes.len() - HEADER_LEN) as u64 != payload_len {
         return Err(SnapshotError::LengthMismatch);
     }
-    let payload = bytes.get(24..).unwrap_or_default();
+    let payload = bytes.get(HEADER_LEN..).unwrap_or_default();
     const CRC_OFFLOAD: usize = 1 << 16;
     std::thread::scope(|s| {
         let crc_task =
@@ -462,12 +469,13 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             return Err(SnapshotError::Corrupt("atom interned out of order"));
         }
     }
-    // Arena: decode the raw node list, then rebuild in bulk through
-    // [`ExprArena::from_canonical_nodes`], which verifies it is exactly
-    // what re-interning through the smart constructors would reproduce —
-    // the decode-side proof that the snapshot was canonical
+    // Arena: decode the nodes straight into the arena's flat storage (two
+    // scratch vectors, no allocation per node), then index it in bulk
+    // through [`ExprArena::from_canonical_nodes`], which verifies it is
+    // exactly what re-interning through the smart constructors would
+    // reproduce — the decode-side proof that the snapshot was canonical
     // (zero-axiom-reduced, deduped, topologically ordered) and that every
-    // id in it stays valid — while paying one pre-sized hash per node
+    // id in it stays valid — while paying one pre-sized probe per node
     // instead of a full re-intern (the recovery hot spot at 10⁴⁺ nodes).
     let nnodes = r.take_u32("node count")? as usize;
     if nnodes == 0 {
@@ -476,8 +484,10 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // An eighth of headroom: post-recovery appends start interning right
     // away, and a doubling realloc of a multi-10k-node vector is the single
     // largest avoidable cost of the first append after a restart.
-    let mut nodes = Vec::with_capacity((nnodes + nnodes / 8).min(1 << 20));
+    let mut nodes = NodeList::with_capacity((nnodes + nnodes / 8).min(1 << 20));
     nodes.push(Node::Zero);
+    let mut terms: Vec<NodeId> = Vec::new();
+    let mut entries: Vec<(NodeId, u32)> = Vec::new();
     for ix in 1..nnodes {
         let child = |r: &mut Reader<'_>, what| -> Result<NodeId, SnapshotError> {
             let raw = r.take_u32(what)? as usize;
@@ -486,6 +496,8 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             }
             Ok(NodeId::from_index(raw))
         };
+        terms.clear();
+        entries.clear();
         let node = match r.take_byte("node tag")? {
             NODE_ATOM => {
                 let raw = r.take_u32("atom node index")? as usize;
@@ -503,11 +515,10 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             }
             NODE_SUM => {
                 let nterms = r.take_u32("sum arity")? as usize;
-                let mut terms = Vec::with_capacity(nterms.min(1 << 16));
                 for _ in 0..nterms {
                     terms.push(child(&mut r, "sum term")?);
                 }
-                Node::Sum(terms.into_boxed_slice())
+                Node::Sum(&terms)
             }
             NODE_COUNTED => {
                 let op = op_from_tag(r.take_byte("counted op tag")?)
@@ -519,7 +530,6 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                 }
                 let h = child(&mut r, "counted head")?;
                 let nentries = r.take_u32("counted arity")? as usize;
-                let mut entries = Vec::with_capacity(nentries.min(1 << 16));
                 // Entry canonicity (strict sortedness, nonzero
                 // multiplicities, the ≥2-applications threshold) is checked
                 // right here in the byte-reading pass: encode-side
@@ -536,10 +546,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                             "zero multiplicity in a counted block",
                         ));
                     }
-                    if entries
-                        .last()
-                        .is_some_and(|&(prev, _): &(NodeId, u32)| prev >= e)
-                    {
+                    if entries.last().is_some_and(|&(prev, _)| prev >= e) {
                         return Err(SnapshotError::Corrupt(
                             "counted entries not strictly sorted",
                         ));
@@ -555,13 +562,13 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                         "counted block below the two-application threshold",
                     ));
                 }
-                Node::Counted(op, h, entries.into_boxed_slice())
+                Node::Counted(op, h, &entries)
             }
             _ => return Err(SnapshotError::Corrupt("unknown node tag")),
         };
         nodes.push(node);
     }
-    // The arena's bulk rebuild (one pre-sized hash insert per node) and
+    // The arena's bulk rebuild (validate, hash and place each node) and
     // the remaining payload sections (replay state, nf cache) touch
     // disjoint data, so on big snapshots the rebuild runs on a helper
     // thread while this thread keeps decoding — recovery's two largest

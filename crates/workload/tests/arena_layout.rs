@@ -1,0 +1,85 @@
+//! What the flat arena costs on a generated workload, and that the
+//! snapshot frame around it kept its bytes.
+
+use uprov_engine::{Engine, ReplayState};
+use uprov_storage::crc::crc32;
+use uprov_storage::{snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use uprov_workload::{Workload, WorkloadConfig};
+
+fn replayed_and_certified(cfg: WorkloadConfig) -> (Engine, ReplayState) {
+    let w = Workload::generate(cfg.clone());
+    let mut engine = Engine::new();
+    let mut state = engine
+        .replay(&w.log)
+        .unwrap_or_else(|e| panic!("{cfg}: {e}"));
+    let cert = engine.certify(&mut state);
+    assert!(cert.saturated.is_empty(), "{cfg}: {:?}", cert.saturated);
+    (engine, state)
+}
+
+/// The repo benchmark's `replay_batch` shape, scaled to 2 000 transactions.
+fn bench_like(seed: u64, txns: usize) -> WorkloadConfig {
+    WorkloadConfig {
+        seed,
+        tables: 4,
+        keys_per_table: 256,
+        txns,
+        ops_per_txn: 5,
+        skew: 2,
+        hot_keys: 8,
+        hot_bias_pct: 30,
+        abort_rate_pct: 15,
+        modify_width: 3,
+    }
+}
+
+/// An absolute budget (ROADMAP aim 1): one stored copy of each node is a
+/// 16-byte record, an 8-byte hash, a 4-byte table slot at load ≤ 3/4 and
+/// its share of the slabs — 39 B per node here, where an owning hash map
+/// beside the node vector cost ≈ 90.
+///
+/// `heap_bytes` counts capacity and every vector involved doubles, so the
+/// live figure saw-tooths (≈ 33 B just before a doubling, ≈ 60 B just
+/// after); this workload's 58 616 nodes sit 10 % under the next one. If a
+/// change to the rewrite rules moves the node count across it, re-pick
+/// `txns` rather than the budget: the trimmed copy (`clone` allocates
+/// exactly) is the phase-free half of the check.
+#[test]
+fn arena_stays_within_its_per_node_heap_budget() {
+    let (engine, _) = replayed_and_certified(bench_like(1, 2_000));
+    let arena = engine.arena();
+    assert!(arena.len() > 10_000, "only {} nodes", arena.len());
+    let live = arena.heap_bytes() / arena.len();
+    assert!(live <= 48, "{live} B per node in the live arena");
+    let trimmed = arena.clone().heap_bytes() / arena.len();
+    assert!(trimmed <= 40, "{trimmed} B per node in a trimmed copy");
+}
+
+/// `snapshot::encode` writes header and payload into one buffer and patches
+/// the length and checksum afterwards; the blob must be what framing a
+/// finished payload produced.
+#[test]
+fn snapshot_frame_is_magic_version_length_crc_payload() {
+    for cfg in [
+        WorkloadConfig::default(),
+        bench_like(2, 40),
+        bench_like(3, 400),
+    ] {
+        let (engine, state) = replayed_and_certified(cfg.clone());
+        let blob = snapshot::encode(&engine, &state, 9);
+        let payload = &blob[24..];
+        let mut framed = Vec::new();
+        framed.extend_from_slice(&SNAPSHOT_MAGIC);
+        framed.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
+        assert!(blob == framed, "{cfg}: frame bytes moved");
+        let back = snapshot::decode(&blob).unwrap_or_else(|e| panic!("{cfg}: {e}"));
+        assert_eq!(back.wal_seq, 9, "{cfg}");
+        assert!(
+            snapshot::encode(&back.engine, &back.state, 9) == blob,
+            "{cfg}: re-encoding the recovered engine moved bytes"
+        );
+    }
+}
