@@ -351,14 +351,16 @@ impl<T> DenseMemo<T> {
         self.get(id).is_some()
     }
 
-    /// Memoizes `value` for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is beyond [`len`](DenseMemo::len) (the high-water
-    /// mark across resets) — storing requires a reserved slot.
+    /// Memoizes `value` for `id`. An id beyond [`len`](DenseMemo::len) —
+    /// a node interned after the last [`reset`](DenseMemo::reset) — grows
+    /// the memo within the current generation (amortized; earlier slots
+    /// keep their stamps and values).
     #[inline]
     pub fn set(&mut self, id: NodeId, value: T) {
+        if id.index() >= self.slots.len() {
+            self.slots.resize_with(id.index() + 1, || None);
+            self.stamps.resize(id.index() + 1, 0);
+        }
         self.slots[id.index()] = Some(value);
         self.stamps[id.index()] = self.generation;
     }
@@ -1168,8 +1170,9 @@ impl ExprArena {
     }
 
     /// One bottom-up rewrite pass over the reachable sub-DAG of `root`: the
-    /// hook every arena rewriter (notably the [`crate::nf`](mod@crate::nf)
-    /// normalizer) drives.
+    /// hook behind [`expand_counted`](ExprArena::expand_counted) and
+    /// [`substitute`](ExprArena::substitute), and the reduce-everywhere
+    /// sweep tests confirm normal forms with.
     ///
     /// Nodes are visited bottom-up (children before parents), discovered by
     /// an explicit-stack DFS over the sub-DAG of `root` — only reachable
@@ -1184,144 +1187,70 @@ impl ExprArena {
     /// `root`'s image.
     ///
     /// Iterative (no recursion — a depth-100 000 chain is fine) and memoized
-    /// into a fresh dense buffer; use
-    /// [`rewrite_pass_in`](ExprArena::rewrite_pass_in) with a pooled
-    /// [`DenseMemo`] when running many passes.
+    /// into a dense buffer.
     pub fn rewrite_pass(
         &mut self,
         root: NodeId,
         step: &mut dyn FnMut(&mut ExprArena, NodeId) -> NodeId,
     ) -> NodeId {
         let mut memo = DenseMemo::new();
-        self.rewrite_pass_in(root, &mut memo, step)
-    }
-
-    /// [`rewrite_pass`](ExprArena::rewrite_pass) with a caller-provided
-    /// [`DenseMemo`], so repeated passes (e.g. the saturation rounds of
-    /// [`crate::nf::nf`]) reuse one allocation — the generation-stamped
-    /// reset keeps the per-pass overhead proportional to the visited
-    /// sub-DAG.
-    ///
-    /// The memo maps each *original* reachable id to its image; images may
-    /// be newly interned ids beyond the original nodes and are never used
-    /// as indices.
-    pub fn rewrite_pass_in(
-        &mut self,
-        root: NodeId,
-        memo: &mut DenseMemo<NodeId>,
-        step: &mut dyn FnMut(&mut ExprArena, NodeId) -> NodeId,
-    ) -> NodeId {
-        self.rewrite_pass_tracked_in(root, memo, &mut |arena, _orig, rebuilt| {
-            step(arena, rebuilt)
-        })
-    }
-
-    /// [`rewrite_pass_in`](ExprArena::rewrite_pass_in) where `step` also
-    /// receives the **original** id being visited (first `NodeId` argument),
-    /// alongside the rebuilt id. Original ids are always `≤ root`, so they
-    /// can index side tables computed over the pre-pass DAG — the
-    /// [`crate::nf`](mod@crate::nf) normalizer uses this to skip interior
-    /// nodes of `+I`/`+M` blocks it already canonicalized at their top.
-    pub fn rewrite_pass_tracked_in(
-        &mut self,
-        root: NodeId,
-        memo: &mut DenseMemo<NodeId>,
-        step: &mut dyn FnMut(&mut ExprArena, NodeId, NodeId) -> NodeId,
-    ) -> NodeId {
         memo.reset(root.index() + 1);
-        self.rewrite_fill(root, memo, step);
+        self.rewrite_fill(root, &mut memo, &mut |arena, _orig, rebuilt| {
+            step(arena, rebuilt)
+        });
         memo.get(root).copied().expect("root computed")
     }
 
-    /// The shared worklist loop behind the rewrite passes: ensures `memo`
-    /// maps `root` (and its whole sub-DAG) to images, without resetting the
-    /// memo first — so multi-root drivers
+    /// The worklist loop behind the rewrite passes: ensures `memo` maps
+    /// `root` (and its whole sub-DAG) to images, without resetting the memo
+    /// first — so multi-root drivers
     /// ([`substitute_roots_in`](ExprArena::substitute_roots_in)) can share
-    /// one generation across roots.
-    pub(crate) fn rewrite_fill(
+    /// one generation across roots. `step` receives the original id and the
+    /// rebuilt one. Images may be newly interned ids.
+    fn rewrite_fill(
         &mut self,
         root: NodeId,
         memo: &mut DenseMemo<NodeId>,
         step: &mut dyn FnMut(&mut ExprArena, NodeId, NodeId) -> NodeId,
     ) {
         let mut stack: Vec<NodeId> = vec![root];
+        // The children of the node being visited, then their images (a
+        // counted head goes first, with a multiplicity nobody reads).
+        let mut kids: Vec<(NodeId, u32)> = Vec::new();
         while let Some(&id) = stack.last() {
             if memo.contains(id) {
                 stack.pop();
                 continue;
             }
-            // Inspect without cloning the node; plans carry only Copy data
-            // (plus the collected Sum images), so deferred visits allocate
-            // nothing.
-            enum Plan {
-                Leaf,
-                Bin(BinOp, NodeId, NodeId),
-                Sum(Vec<NodeId>),
-                Counted(BinOp, NodeId, Vec<(NodeId, u32)>),
+            kids.clear();
+            match self.node(id) {
+                Node::Zero | Node::Atom(_) => {}
+                Node::Bin(_, a, b) => kids.extend([(a, 1), (b, 1)]),
+                Node::Sum(ts) => kids.extend(ts.iter().map(|&t| (t, 1))),
+                Node::Counted(_, h, es) => {
+                    kids.push((h, 1));
+                    kids.extend_from_slice(es);
+                }
             }
-            let plan = match self.node(id) {
-                Node::Zero | Node::Atom(_) => Plan::Leaf,
-                Node::Bin(op, a, b) => match (memo.get(a).copied(), memo.get(b).copied()) {
-                    (Some(ia), Some(ib)) => Plan::Bin(op, ia, ib),
-                    (ia, _) => {
-                        // Defer: push the missing children and revisit.
-                        if ia.is_none() {
-                            stack.push(a);
-                        }
-                        if !memo.contains(b) {
-                            stack.push(b);
-                        }
-                        continue;
-                    }
-                },
-                Node::Sum(ts) => {
-                    let mut pushed = false;
-                    for t in ts.iter() {
-                        if !memo.contains(*t) {
-                            stack.push(*t);
-                            pushed = true;
-                        }
-                    }
-                    if pushed {
-                        continue;
-                    }
-                    let images: Vec<NodeId> = ts
-                        .iter()
-                        .map(|t| memo.get(*t).copied().expect("children computed"))
-                        .collect();
-                    Plan::Sum(images)
-                }
-                Node::Counted(op, h, es) => {
-                    let mut pushed = false;
-                    if !memo.contains(h) {
-                        stack.push(h);
-                        pushed = true;
-                    }
-                    for &(e, _) in es {
-                        if !memo.contains(e) {
-                            stack.push(e);
-                            pushed = true;
-                        }
-                    }
-                    if pushed {
-                        continue;
-                    }
-                    let hi = memo.get(h).copied().expect("children computed");
-                    let images: Vec<(NodeId, u32)> = es
-                        .iter()
-                        .map(|&(e, m)| (memo.get(e).copied().expect("children computed"), m))
-                        .collect();
-                    Plan::Counted(op, hi, images)
-                }
-            };
-            let rebuilt = match plan {
-                Plan::Leaf => id,
-                Plan::Bin(op, ia, ib) => self.bin(op, ia, ib),
-                Plan::Sum(images) => self.sum(images),
+            // Defer: push the children without an image and revisit.
+            let pending = stack.len();
+            stack.extend(kids.iter().map(|k| k.0).filter(|&k| !memo.contains(k)));
+            if stack.len() > pending {
+                continue;
+            }
+            for (kid, _) in kids.iter_mut() {
+                *kid = memo.get(*kid).copied().expect("children computed");
+            }
+            // The images are copied out of `kids`: interning appends to the
+            // slabs a `Sum`/`Counted` view borrows.
+            let rebuilt = match self.node(id) {
+                Node::Zero | Node::Atom(_) => id,
+                Node::Bin(op, ..) => self.bin(op, kids[0].0, kids[1].0),
+                Node::Sum(_) => self.sum(kids.iter().map(|k| k.0)),
                 // Re-canonicalize through the counted constructor: child
                 // images may have become 0, merged onto one id, or turned
                 // the head into a same-op block.
-                Plan::Counted(op, hi, images) => self.counted(op, hi, images),
+                Node::Counted(op, ..) => self.counted(op, kids[0].0, kids[1..].iter().copied()),
             };
             let image = step(self, id, rebuilt);
             memo.set(id, image);
@@ -1363,7 +1292,7 @@ impl ExprArena {
     /// [`substitute`](ExprArena::substitute) with a caller-provided
     /// [`DenseMemo`], for many substitutions against one long-lived arena
     /// (the engine-layer abort-query pattern). One bottom-up
-    /// [`rewrite_pass_in`](ExprArena::rewrite_pass_in) — iterative, memoized,
+    /// [`rewrite_pass`](ExprArena::rewrite_pass) — iterative, memoized,
     /// O(the root's DAG).
     pub fn substitute_in(
         &mut self,
@@ -1663,24 +1592,6 @@ mod tests {
         assert_eq!(batch[0], xa, "x +M (x ·M 0) collapses to x");
         assert_eq!(batch[1], ExprArena::ZERO, "(x ·M 0) − 0 collapses to 0");
         assert_eq!(batch[0], batch[2], "repeated roots served from the memo");
-    }
-
-    #[test]
-    fn tracked_pass_reports_original_ids() {
-        let (mut t, mut ar) = setup();
-        let a = ar.atom(t.fresh_tuple());
-        let p = ar.atom(t.fresh_txn());
-        let e = ar.plus_i(a, p);
-        let mut memo = DenseMemo::new();
-        let mut seen = Vec::new();
-        let out = ar.rewrite_pass_tracked_in(e, &mut memo, &mut |_, orig, rebuilt| {
-            seen.push((orig, rebuilt));
-            rebuilt
-        });
-        assert_eq!(out, e);
-        // Every visited original id is ≤ root and maps to itself here.
-        assert!(seen.iter().all(|&(o, r)| o <= e && o == r));
-        assert_eq!(seen.len(), 3, "a, p, a +I p");
     }
 
     #[test]

@@ -2,38 +2,43 @@
 //! comparison.
 //!
 //! [`nf`] drives the directed Figure 3 rules of [`crate::rewrite`] to a
-//! fixpoint: each **round** is one iterative bottom-up pass over the
-//! reachable sub-DAG in the arena's topological order
-//! ([`ExprArena::rewrite_pass_tracked_in`]) — children first, a dense
-//! [`DenseMemo`]`<NodeId>` keyed by [`NodeId`], no recursion anywhere, so a
-//! depth-100 000 update chain normalizes without touching the call stack —
-//! and rounds repeat until the root's image stops changing (rules can
-//! build new sub-spines whose interiors only become visible to the
-//! per-node reduction on the next pass). Termination of the rule system
-//! itself is argued in the [`crate::rewrite`] module docs.
+//! fixpoint by **memoized innermost normalization**: to normalize a node,
+//! normalize its children, rebuild it over their images through the smart
+//! constructors, and saturate the rule table at its top
+//! ([`crate::rewrite::reduce`]); if that produced a different node — a
+//! *reduct*, below whose top a rule may have built fresh, reducible nodes —
+//! normalize the reduct too (same memo) and take its image. A node's image
+//! is final the first time it is written into the dense
+//! [`DenseMemo`]`<NodeId>`, every node is visited once, and there is no
+//! confirming sweep. The loop runs on an explicit stack — no recursion
+//! anywhere, so a depth-100 000 update chain normalizes without touching
+//! the call stack. Termination of the rule system itself is argued in the
+//! [`crate::rewrite`] module docs.
 //!
 //! # Block-once canonicalization
 //!
 //! Every rule decomposes the maximal `+I`/`+M` block below the node it
 //! fires at, so running the per-node reduction at *every* spine node makes
-//! one very long unsorted block cost O(block²) per round. Instead, each
-//! round first marks the **interior** nodes of every maximal `+I`/`+M`
-//! spine (nodes whose parent in the spine carries the same operator) and
-//! the pass skips reduction there, reducing each block exactly **once at
-//! its top node** — O(block log block) per round (the log from sorting
-//! into canonical spine form). This is sound because every rule matches on
-//! the block *head* or on *individual increments*, both shared between a
-//! block and its prefixes, so any redex visible at an interior node is
-//! also visible at the top (the whole-block matching of
+//! one very long unsorted block cost O(block²). Instead, a `+I`/`+M` node
+//! is only ever visited **as a block top** — a root, a `−`/`·M` operand, a
+//! `Σ` term, a block head, an increment: the visit walks the maximal
+//! same-operator spine below it, demands images for the head and the
+//! increments only, builds the block with one [`ExprArena::counted`] call
+//! and reduces it once — O(block log block), the log from sorting into
+//! canonical form. The spine nodes in between are neither rebuilt nor
+//! interned. This is sound because every rule matches on the block *head*
+//! or on *individual increments*, both shared between a block and its
+//! prefixes, so any redex visible at an interior node is also visible at
+//! the top (the whole-block matching of
 //! [`crate::rewrite::INSERT_ABSORBS_DELETE`] and
-//! [`crate::rewrite::INSERT_ABSORBS_MOD`] exists for exactly this
-//! reason); and an interior node shared into another context (a `·M`
-//! source, a `Σ` term) either stops being interior once its block's top
-//! rebuilds, or remains a prefix of a saturated block — and a prefix of a
-//! canonical block is canonical. Long log-replay spines (10k sequential
-//! inserts to one tuple) therefore normalize in near-linear time; the
-//! `nf/acspine` scaling guard of `cargo bench -p uprov-engine` (run by
-//! CI) is the regression guard.
+//! [`crate::rewrite::INSERT_ABSORBS_MOD`] exists for exactly this reason).
+//! A spine node that some other context uses as a top (a `·M` source, a
+//! `Σ` term, another root) gets a visit of its own; the walk from a longer
+//! block stops at a spine node that already has an image and continues
+//! inside that image. Long log-replay spines (10k sequential inserts to
+//! one tuple) therefore normalize in near-linear time; the `nf/acspine`
+//! scaling guard of `cargo bench -p uprov-engine` (run by CI) is the
+//! regression guard.
 //!
 //! Because every rewrite re-interns through the hash-consing smart
 //! constructors, normal forms inherit the arena's guarantees: two
@@ -51,18 +56,18 @@
 //! append-only), so certified results can be cached forever in an
 //! [`NfCache`] and reused across queries. [`nf_roots_incremental_in`]
 //! serves cached roots in O(1) and normalizes the remaining *dirty* roots
-//! with **cache cuts**: each round's marking DFS stops at any sub-DAG whose
-//! normal form is certified, pre-seeding the rewrite memo to map it
-//! straight to its image — so after a log append, re-normalizing a touched
-//! tuple costs O(the delta region around the append), not O(its whole
-//! provenance DAG). The transaction-log engine builds its per-tuple
+//! with **cache cuts**: a visited node whose normal form is certified is
+//! mapped straight to its image and not descended — so after a log append,
+//! re-normalizing a touched tuple costs O(the delta region around the
+//! append), not O(its whole provenance DAG). The transaction-log engine builds its per-tuple
 //! dirty-set maintenance on exactly this hook (see
 //! `docs/ARCHITECTURE.md` at the repository root).
 //!
 //! # Saturation is surfaced, not swallowed
 //!
-//! The round budget ([`MAX_ROUNDS`]) is a backstop against a
-//! (theoretically excluded) rule cycle. [`nf_in`] reports hitting it
+//! The budget ([`MAX_ROUNDS`]: how many reducts in a row one node's
+//! normalization may follow) is a backstop against a (theoretically
+//! excluded) rule cycle. [`nf_in`] reports hitting it
 //! through [`NfOutcome::saturated`] instead of silently returning a
 //! best-effort id: a saturated result is still *sound* (reachable from the
 //! input by valid rewrites) but may not be fully normal, so comparing two
@@ -87,16 +92,15 @@
 //! assert_eq!(nf(&mut ar, e1), want); // axiom 7
 //! ```
 
-use std::collections::{HashMap, HashSet};
-
 use crate::arena::{is_same_op_block, BinOp, DenseMemo, ExprArena, Node, NodeId};
-use crate::fxhash::FxBuildHasher;
+use crate::fxhash::FxHashMap;
 use crate::rewrite::reduce;
 
-/// Round budget for [`nf`]/[`nf_in`]. Each round reduces every reachable
-/// block top, so in practice two or three rounds suffice; the cap is a loud
-/// backstop against a (theoretically excluded, see the termination argument
-/// in [`crate::rewrite`]) rule cycle. Exhausting it is reported through
+/// Budget for [`nf`]/[`nf_in`]: how many times in a row the reduct of one
+/// node may itself turn out reducible once its children are normalized. In
+/// practice chains of two or three occur; the cap is a loud backstop
+/// against a (theoretically excluded, see the termination argument in
+/// [`crate::rewrite`]) rule cycle. Exhausting it is reported through
 /// [`NfOutcome::saturated`]; the returned id stays *sound* — reachable from
 /// the input by valid rewrites — it may just not be fully normal.
 pub const MAX_ROUNDS: u32 = 64;
@@ -104,19 +108,20 @@ pub const MAX_ROUNDS: u32 = 64;
 /// The result of a normalization: the (possibly best-effort) image id plus
 /// how the fixpoint search ended.
 ///
-/// `saturated == false` means a round mapped the root to itself, i.e. `id`
-/// is the true normal form. `saturated == true` means the round budget ran
-/// out first; `id` is rewrite-reachable from the input but not certified
-/// normal, so id comparison against it can prove equivalence (ids equal)
-/// but never inequivalence — see [`try_equiv_in`].
+/// `saturated == false` means `id` is the true normal form.
+/// `saturated == true` means the budget ran out somewhere in the call; `id`
+/// is rewrite-reachable from the input but not certified normal, so id
+/// comparison against it can prove equivalence (ids equal) but never
+/// inequivalence — see [`try_equiv_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NfOutcome {
-    /// The root's image after the last completed round.
+    /// The root's image.
     pub id: NodeId,
-    /// Rounds actually run (including the final confirming round).
+    /// How the image was reached: `0` — served from an [`NfCache`] without
+    /// normalizing, `1` — the root is its own normal form, `2` — the root
+    /// was rewritten. A saturated outcome reports the memo's budget.
     pub rounds: u32,
-    /// True iff the budget was exhausted before a round confirmed a
-    /// fixpoint.
+    /// True iff the budget was exhausted before the call finished.
     pub saturated: bool,
 }
 
@@ -130,10 +135,10 @@ impl NfOutcome {
 /// Normalizes `root` under the directed Figure 3 rule system, returning the
 /// normal form's id.
 ///
-/// Saturating and bottom-up: rounds of one iterative pass each (children
-/// before parents, dense memo, no recursion — chains 100 000 deep are
-/// fine), until a round maps the root to itself; each maximal `+I`/`+M`
-/// block is canonicalized once at its top node (see the module docs).
+/// Saturating and innermost: children before parents, each node once,
+/// dense memo, no recursion — chains 100 000 deep are fine; each maximal
+/// `+I`/`+M` block is canonicalized once at its top node (see the module
+/// docs).
 /// Allocates fresh scratch buffers per call; use [`nf_in`] with a pooled
 /// [`NfMemo`] for many roots against one long-lived arena.
 ///
@@ -159,29 +164,25 @@ pub fn nf(arena: &mut ExprArena, root: NodeId) -> NodeId {
     let out = nf_in(arena, root, &mut memo);
     debug_assert!(
         !out.saturated,
-        "nf did not stabilize within {MAX_ROUNDS} rounds"
+        "nf followed more than {MAX_ROUNDS} reducts of one node"
     );
     out.id
 }
 
-/// Pooled scratch state for the normalizer: the rewrite memo, the
-/// generation-stamped spine-interior flag buffer, and the per-round
-/// cache-cut list, all reusable across many normalizations against one
-/// long-lived arena.
+/// Pooled scratch state for the normalizer: the node ↦ image memo,
+/// reusable across many normalizations against one long-lived arena.
 ///
-/// The buffers reset in O(1) per use (one-time growth aside), so a pooled
-/// normalization of a small root late in a huge arena costs O(its DAG) per
-/// round — the same contract as [`eval_arena_in`](crate::structure::eval_arena_in).
+/// It resets in O(1) per use (growth aside), so a pooled normalization of a
+/// small root late in a huge arena costs O(its DAG) — the same contract as
+/// [`eval_arena_in`](crate::structure::eval_arena_in).
 ///
-/// The memo also carries the **round budget** every normalization through
-/// it runs under: [`MAX_ROUNDS`] by default, or whatever
+/// The memo also carries the **budget** every normalization through it
+/// runs under: [`MAX_ROUNDS`] by default, or whatever
 /// [`NfMemo::with_max_rounds`] set — the budget belongs to the scratch
-/// state, so it survives across calls like the buffers do.
+/// state, so it survives across calls like the buffer does.
 #[derive(Debug)]
 pub struct NfMemo {
     map: DenseMemo<NodeId>,
-    flags: DenseMemo<u8>,
-    cuts: Vec<(NodeId, NodeId)>,
     max_rounds: u32,
 }
 
@@ -192,21 +193,20 @@ impl Default for NfMemo {
 }
 
 impl NfMemo {
-    /// Empty scratch state under the default [`MAX_ROUNDS`] budget; buffers
-    /// grow on first use.
+    /// Empty scratch state under the default [`MAX_ROUNDS`] budget; the
+    /// buffer grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empty scratch state whose normalizations stop after `max_rounds`
-    /// rounds. `0` runs no rounds at all and reports `saturated` with the
-    /// untouched root — useful for testing saturation handling; real
-    /// callers want [`NfMemo::new`].
+    /// Empty scratch state whose normalizations follow at most `max_rounds`
+    /// reducts of any one node before giving up on the whole call. `0` runs
+    /// nothing at all and reports `saturated` with the untouched root —
+    /// useful for testing saturation handling; real callers want
+    /// [`NfMemo::new`].
     pub fn with_max_rounds(max_rounds: u32) -> Self {
         NfMemo {
             map: DenseMemo::default(),
-            flags: DenseMemo::default(),
-            cuts: Vec::new(),
             max_rounds,
         }
     }
@@ -223,13 +223,14 @@ pub fn nf_in(arena: &mut ExprArena, root: NodeId, memo: &mut NfMemo) -> NfOutcom
         .expect("one root in, one outcome out")
 }
 
-/// Normalizes **many roots**, sharing each round's pass across all of them:
-/// sub-DAGs common to several roots reduce once per round, so normalizing
-/// every tuple of a replayed transaction log costs O(union DAG) per round
-/// rather than O(Σ per-root DAGs) — the normalizer-side analogue of
+/// Normalizes **many roots** through one memo: sub-DAGs common to several
+/// roots normalize once, so normalizing every tuple of a replayed
+/// transaction log costs O(union DAG) rather than O(Σ per-root DAGs) — the
+/// normalizer-side analogue of
 /// [`eval_roots_in`](crate::structure::eval_roots_in) and
 /// [`ExprArena::substitute_roots_in`]. Outcomes are returned in `roots`
-/// order; repeated roots are cheap (memo hits).
+/// order; repeated roots are cheap (memo hits). An exhausted budget marks
+/// **every** outcome of the call saturated.
 pub fn nf_roots_in(arena: &mut ExprArena, roots: &[NodeId], memo: &mut NfMemo) -> Vec<NfOutcome> {
     nf_roots_driver(arena, roots, None, memo)
 }
@@ -297,7 +298,7 @@ pub struct NfCache {
 /// every over-budget query at steady state.
 #[derive(Debug, Clone)]
 pub struct EpochMap<K, V = NodeId> {
-    map: HashMap<K, (V, u64)>,
+    map: FxHashMap<K, (V, u64)>,
     bands: std::collections::BTreeMap<u64, Vec<K>>,
     // Band entries whose key has since moved to a newer epoch (or was
     // re-certified): they no longer correspond to a live (key, epoch)
@@ -319,7 +320,7 @@ pub struct EpochMap<K, V = NodeId> {
 impl<K, V> Default for EpochMap<K, V> {
     fn default() -> Self {
         EpochMap {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             bands: std::collections::BTreeMap::new(),
             stale_band_entries: 0,
             epoch: 0,
@@ -513,7 +514,7 @@ impl NfCache {
     /// being queried keeps migrating into the newest age band, so hot
     /// entries survive budget eviction that drops equally-old cold ones.
     /// [`nf_roots_incremental_in`] uses this for its root-level hits; cut
-    /// lookups inside the round loop stay read-only and do not refresh.
+    /// lookups inside the normalization stay read-only and do not refresh.
     /// A plain lookup unless hit-tracking is on (see
     /// [`set_track_hits`](NfCache::set_track_hits)).
     #[inline]
@@ -586,7 +587,7 @@ impl NfCache {
         self.hits
     }
 
-    /// Root-level cache misses (roots that entered the round loop).
+    /// Root-level cache misses (roots that had to be normalized).
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -602,23 +603,19 @@ impl NfCache {
 }
 
 /// [`nf_roots_in`] with a persistent [`NfCache`]: roots whose normal form
-/// is already certified are served in O(1) without entering the round loop
+/// is already certified are served in O(1) without normalizing anything
 /// (`rounds == 0` in their [`NfOutcome`]), and the remaining **dirty**
-/// roots are normalized as one batch whose per-round passes *cut* at any
-/// sub-DAG with a cached normal form — the marking DFS treats it as an
-/// opaque leaf pre-mapped to its certified image, so re-normalizing a log
-/// append costs O(delta region), not O(whole provenance DAG).
+/// roots are normalized as one batch that *cuts* at any sub-DAG with a
+/// cached normal form — the visit maps it to its certified image like a
+/// leaf, so re-normalizing a log append costs O(delta region), not O(whole
+/// provenance DAG).
 ///
 /// Soundness of the cuts: a cached image is a certified normal form, and
 /// normality is a property of the expression alone — a node strictly
 /// inside a certified region admits no redex in any context, while redexes
 /// *spanning* the boundary are rooted at nodes at-or-above the cut, which
-/// the pass still visits and reduces with full visibility into the cached
-/// structure (rules match on real nodes, not on the cut). Certification of
-/// the dirty batch keeps PR 3's all-or-nothing fixpoint rule: interior
-/// marks are unioned across the dirty roots, a root that is itself interior
-/// to a sibling's block is explicitly re-reduced by the driver, and only a
-/// round in which **no** dirty root moved certifies the batch.
+/// are still visited and reduced with full visibility into the cached
+/// structure (rules match on real nodes, not on the cut).
 ///
 /// Newly certified outcomes are inserted into the cache; saturated ones are
 /// **not** (their ids are best-effort, see [`NfOutcome::saturated`]) and
@@ -630,256 +627,216 @@ pub fn nf_roots_incremental_in(
     cache: &mut NfCache,
     memo: &mut NfMemo,
 ) -> Vec<NfOutcome> {
-    let mut out: Vec<NfOutcome> = Vec::with_capacity(roots.len());
-    let mut dirty_ix: Vec<usize> = Vec::new();
-    let mut dirty_roots: Vec<NodeId> = Vec::new();
-    for (i, &r) in roots.iter().enumerate() {
-        // Refreshing lookup: a hot root migrates to the current epoch on
-        // every hit, so budget eviction drops cold entries first.
-        match cache.lookup_refresh(r) {
-            Some(n) => {
-                cache.hits += 1;
-                out.push(NfOutcome {
-                    id: n,
-                    rounds: 0,
-                    saturated: false,
-                });
+    // Refreshing lookup: a hot root migrates to the current epoch on every
+    // hit, so budget eviction drops cold entries first.
+    let cached: Vec<Option<NodeId>> = roots.iter().map(|&r| cache.lookup_refresh(r)).collect();
+    let dirty: Vec<NodeId> = (roots.iter().zip(&cached))
+        .filter_map(|(&r, hit)| hit.is_none().then_some(r))
+        .collect();
+    cache.misses += dirty.len() as u64;
+    cache.hits += (roots.len() - dirty.len()) as u64;
+    let mut computed = nf_roots_driver(arena, &dirty, Some(cache), memo).into_iter();
+    let outcome = |(&root, hit): (&NodeId, Option<NodeId>)| match hit {
+        Some(id) => NfOutcome {
+            id,
+            rounds: 0,
+            saturated: false,
+        },
+        None => {
+            let out = computed.next().expect("one outcome per dirty root");
+            if !out.saturated {
+                cache.insert_certified(root, out.id);
             }
-            None => {
-                cache.misses += 1;
-                dirty_ix.push(i);
-                dirty_roots.push(r);
-                // Placeholder; overwritten below.
-                out.push(NfOutcome {
-                    id: r,
-                    rounds: memo.max_rounds,
-                    saturated: true,
-                });
-            }
+            out
         }
-    }
-    if dirty_roots.is_empty() {
-        return out;
-    }
-    let computed = nf_roots_driver(arena, &dirty_roots, Some(cache), memo);
-    for (&ix, o) in dirty_ix.iter().zip(computed) {
-        if !o.saturated {
-            cache.insert_certified(roots[ix], o.id);
-        }
-        out[ix] = o;
-    }
-    out
+    };
+    roots.iter().zip(cached).map(outcome).collect()
 }
 
-/// The shared round loop behind [`nf_roots_in`] (no cache) and
-/// [`nf_roots_incremental_in`] (cache cuts enabled), run for at most the
-/// memo's round budget. `cache` is read per round to cut the marking DFS
-/// and pre-seed the rewrite memo; entries are never inserted here.
+/// One pending normalization on [`nf_roots_driver`]'s explicit stack: the
+/// image of `orig` will be the normal form of `cur` — `orig` itself, or
+/// the last of `hops` reducts ([`reduce`] results) followed from it.
+#[derive(Clone, Copy)]
+struct Frame {
+    orig: NodeId,
+    cur: NodeId,
+    hops: u32,
+}
+
+/// The one normalization loop behind [`nf_roots_in`] (no cache) and
+/// [`nf_roots_incremental_in`] (cache cuts enabled): memoized innermost
+/// normalization on an explicit stack, under the memo's budget. `cache` is
+/// only read; entries are never inserted here.
 fn nf_roots_driver(
     arena: &mut ExprArena,
     roots: &[NodeId],
     cache: Option<&NfCache>,
     memo: &mut NfMemo,
 ) -> Vec<NfOutcome> {
-    let max_rounds = memo.max_rounds;
-    let NfMemo {
-        map, flags, cuts, ..
-    } = memo;
-    let mut out: Vec<NfOutcome> = roots
-        .iter()
-        .map(|&r| NfOutcome {
-            id: r,
-            rounds: max_rounds,
-            saturated: true,
-        })
-        .collect();
-    if out.is_empty() {
-        return out;
-    }
-    // Top-level rule fixpoints observed during this call. `reduce`
-    // saturates the rule table, so its result matches no rule — and the
-    // arena is append-only and every rule a pure function of node
-    // structure, so the fact stays true in later rounds. Only `+I`/`+M`
-    // block tops are recorded: they are the nodes whose rule checks
-    // decompose the whole spine (O(block width) per rule), so the
-    // fixpoint-confirmation round gets to skip exactly the expensive
-    // re-check of an unchanged block instead of re-scanning its spine
-    // once per rule.
-    // (`RefCell`: the rewrite step closure and the driver's explicit
-    // root reduction below both consult and extend the set. Consults are
-    // gated on the node *being* a `+I`/`+M` top — for every other node
-    // the set can't contain it, and the per-node hash probe would cost
-    // more than it saves on the incremental fast path.)
-    let top_fixpoints: std::cell::RefCell<HashSet<NodeId, FxBuildHasher>> = Default::default();
-    let is_block_top = |ar: &ExprArena, id: NodeId| {
-        matches!(
-            ar.node(id),
-            Node::Bin(BinOp::PlusI | BinOp::PlusM, ..) | Node::Counted(..)
-        )
+    let budget = memo.max_rounds;
+    let map = &mut memo.map;
+    // Reducts are interned during the call, beyond this length: `set`
+    // grows the memo for them.
+    map.reset(roots.iter().map(|r| r.index() + 1).max().unwrap_or(0));
+    let visit = |id| Frame {
+        orig: id,
+        cur: id,
+        hops: 0,
     };
-    for round in 0..max_rounds {
-        let len = out.iter().map(|o| o.id.index() + 1).max().unwrap_or(0);
-        // One marking sweep and one rewrite pass per round, shared across
-        // the whole batch: the VISITED stamp makes both DFSes skip
-        // sub-DAGs another root already covered this round.
-        flags.reset(len);
-        cuts.clear();
-        for o in out.iter() {
-            mark_spine_interiors_into(arena, o.id, flags, cache, cuts);
-        }
-        map.reset(len);
-        // Seed the pass with the certified sub-normal-forms found by the
-        // marking sweep: the rewrite DFS then treats each cut as an opaque
-        // leaf already mapped to its image, never descending below it.
-        // Children always have smaller ids than parents, so every cut id
-        // fits the memo sized by the round's maximal root.
-        for &(id, nf) in cuts.iter() {
-            map.set(id, nf);
-        }
-        let marked: &DenseMemo<u8> = flags;
-        let mut step = |ar: &mut ExprArena, orig: NodeId, rebuilt: NodeId| {
-            if skips_reduction(ar, marked, orig, rebuilt)
-                || (is_block_top(ar, rebuilt) && top_fixpoints.borrow().contains(&rebuilt))
-            {
-                rebuilt
-            } else {
-                let next = reduce(ar, rebuilt);
-                if is_block_top(ar, next) {
-                    top_fixpoints.borrow_mut().insert(next);
-                }
-                next
-            }
-        };
-        let mut any_changed = false;
-        for o in out.iter_mut() {
-            let cur = o.id;
-            if !map.contains(cur) {
-                arena.rewrite_fill(cur, map, &mut step);
-            }
-            let mut next = map.get(cur).copied().expect("root computed");
-            // A root can be an interior spine node of *another* root's
-            // block (impossible for single-root calls, where no parent is
-            // reachable): the shared pass then skipped its top-level
-            // reduction on behalf of that other root's block top. The root
-            // is its own block top here, so reduce it explicitly.
-            if skips_reduction(arena, marked, cur, next)
-                && !(is_block_top(arena, next) && top_fixpoints.borrow().contains(&next))
-            {
-                next = reduce(arena, next);
-                if is_block_top(arena, next) {
-                    top_fixpoints.borrow_mut().insert(next);
-                }
-            }
-            if next != cur {
-                o.id = next;
-                any_changed = true;
-            }
-        }
-        // Certification is all-or-nothing: interior marks are unioned
-        // across the batch, so a root can map to itself merely because a
-        // *sibling's* marks suppressed reduction inside it while that
-        // sibling was still rewriting. Only a round in which no root moved
-        // proves a fixpoint — then every skipped node is a prefix of some
-        // now-saturated block top reachable from the batch, hence
-        // canonical (the single-root argument lifted to the union).
-        if !any_changed {
-            for o in out.iter_mut() {
-                o.saturated = false;
-                o.rounds = round + 1;
-            }
+    let mut stack: Vec<Frame> = roots.iter().rev().map(|&r| visit(r)).collect();
+    // The children of the node being visited, then their images.
+    let mut kids: Vec<(NodeId, u32)> = Vec::new();
+    // Budget 0 runs nothing: every root stays as it is, uncertified.
+    let mut saturated = budget == 0;
+    while !saturated {
+        let Some(&Frame { orig, cur, hops }) = stack.last() else {
             break;
-        }
-    }
-    out
-}
-
-/// Interior-marking bit: the node is the left child of a `+I` node.
-const INTERIOR_I: u8 = 1;
-/// Interior-marking bit: the node is the left child of a `+M` node.
-const INTERIOR_M: u8 = 2;
-/// Traversal bit: the node itself has been visited by the marking DFS.
-const VISITED: u8 = 4;
-
-/// Marks the interior nodes of every maximal `+I`/`+M` spine reachable from
-/// `root`: after the sweep, `flags` holds `INTERIOR_*` for exactly the
-/// nodes some reachable same-operator parent has as its left (spine)
-/// child. One explicit-stack DFS over the root's sub-DAG — O(DAG) per
-/// round thanks to the generation-stamped buffer (growth to the root's
-/// prefix happens once per pooled buffer, not per round).
-///
-/// With a `cache`, the DFS additionally **cuts** at every node that has a
-/// certified normal form: the `(node, nf)` pair is recorded in `cuts`
-/// (deduplicated by the VISITED stamp) and the node's sub-DAG is not
-/// traversed — the round's rewrite pass will be pre-seeded to map the node
-/// straight to its image. The cut node's children get no interior marks,
-/// which is correct precisely because the pass never visits them.
-fn mark_spine_interiors_into(
-    arena: &ExprArena,
-    root: NodeId,
-    flags: &mut DenseMemo<u8>,
-    cache: Option<&NfCache>,
-    cuts: &mut Vec<(NodeId, NodeId)>,
-) {
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let bits = flags.get(id).copied().unwrap_or(0);
-        if bits & VISITED != 0 {
+        };
+        // Mapped through another parent, a reduct that is already normal,
+        // or a certified sub-DAG: cut, never descended.
+        let known = (map.get(orig).or(map.get(cur)).copied()).or_else(|| cache?.lookup(cur));
+        if let Some(image) = known {
+            map.set(orig, image);
+            stack.pop();
             continue;
         }
-        flags.set(id, bits | VISITED);
-        if let Some(nf) = cache.and_then(|c| c.lookup(id)) {
-            cuts.push((id, nf));
-            continue;
-        }
-        match arena.node(id) {
+        kids.clear();
+        match arena.node(cur) {
             Node::Zero | Node::Atom(_) => {}
-            Node::Bin(op, a, b) => {
-                if let BinOp::PlusI | BinOp::PlusM = op {
-                    // A left child continuing the block — binary spine link
-                    // or an already-condensed counted node — is interior:
-                    // the top's rule pass decomposes through it wholesale.
-                    if is_same_op_block(arena.node(a), op) {
-                        let abits = flags.get(a).copied().unwrap_or(0);
-                        let bit = if op == BinOp::PlusI {
-                            INTERIOR_I
-                        } else {
-                            INTERIOR_M
-                        };
-                        flags.set(a, abits | bit);
-                    }
-                }
-                stack.push(a);
-                stack.push(b);
+            Node::Bin(BinOp::Minus | BinOp::DotM, a, b) => kids.extend([(a, 1), (b, 1)]),
+            Node::Sum(ts) => kids.extend(ts.iter().map(|&t| (t, 1))),
+            // A `+I`/`+M` block reached as a top: only its increments and
+            // its head are demanded, the spine nodes in between are
+            // neither rebuilt nor interned. Top-most increment first, head
+            // last: the stack pops the block bottom-up, so a prefix that
+            // some increment uses as a top of its own is mapped before the
+            // prefixes above it walk down to it.
+            Node::Bin(op, ..) | Node::Counted(op, ..) => {
+                let head = block_below(arena, op, cur, &mut kids, |n| {
+                    map.contains(n) || cache.is_some_and(|c| c.contains(n))
+                });
+                kids.push((head, 1));
             }
-            // A counted head is never same-op (canonicity invariant), and
-            // entries are opaque increments reduced at their own tops — no
-            // interior marks to set, just the traversal.
-            Node::Counted(_, h, es) => {
-                stack.push(h);
-                stack.extend(es.iter().map(|&(e, _)| e));
+        }
+        // Children first: push the ones without an image and come back.
+        let frame = stack.len() - 1;
+        stack.extend(
+            kids.iter()
+                .filter(|k| !map.contains(k.0))
+                .map(|k| visit(k.0)),
+        );
+        if stack.len() > frame + 1 {
+            continue;
+        }
+        let mut moved = false;
+        for (kid, _) in kids.iter_mut() {
+            let image = map.get(*kid).copied().expect("demanded above");
+            moved |= image != *kid;
+            *kid = image;
+        }
+        // Rebuilding copies the images out of `kids`: the constructors
+        // append to the slabs a `Sum`/`Counted` view borrows.
+        let rebuilt = match arena.node(cur) {
+            _ if !moved && is_canonical(arena, cur) => cur,
+            Node::Bin(op @ (BinOp::Minus | BinOp::DotM), ..) => arena.bin(op, kids[0].0, kids[1].0),
+            Node::Sum(_) => arena.sum(kids.iter().map(|k| k.0)),
+            Node::Bin(op, ..) | Node::Counted(op, ..) => {
+                let (head, _) = kids.pop().expect("pushed last");
+                arena.counted(op, head, kids.iter().copied())
             }
-            Node::Sum(ts) => stack.extend_from_slice(ts),
+            Node::Zero | Node::Atom(_) => unreachable!("a leaf has no child to move"),
+        };
+        // Every child of `rebuilt` is a normal form; what is left is its
+        // top — unless it was mapped earlier, is a leaf (no rule matches
+        // one), or is a reduct that rebuilt to itself (it came out of
+        // `reduce`).
+        let mapped = map.get(rebuilt).copied();
+        let settled = matches!(arena.node(rebuilt), Node::Zero | Node::Atom(_))
+            || (rebuilt == cur && cur != orig);
+        let next = match mapped {
+            Some(image) => image,
+            None if settled => rebuilt,
+            None => reduce(arena, rebuilt),
+        };
+        if mapped.is_some() || next == rebuilt {
+            map.set(rebuilt, next);
+            map.set(cur, next);
+            map.set(orig, next);
+            stack.pop();
+        } else if hops == budget {
+            saturated = true;
+        } else {
+            // The rule may have built fresh, reducible nodes below its new
+            // top: normalize the reduct before recording the image.
+            stack[frame] = Frame {
+                orig,
+                cur: next,
+                hops: hops + 1,
+            };
+        }
+    }
+    roots
+        .iter()
+        .map(|&root| {
+            // After an exhausted budget the memo holds the roots that did
+            // finish; the others stay as they were.
+            let id = map.get(root).copied().unwrap_or(root);
+            let rounds = if saturated {
+                budget
+            } else {
+                1 + u32::from(id != root)
+            };
+            NfOutcome {
+                id,
+                rounds,
+                saturated,
+            }
+        })
+        .collect()
+}
+
+/// Walks the maximal `op` spine below the block top `id`: appends its
+/// `(increment, multiplicity)` pairs to `incs`, top-most first, and returns
+/// its head — the first node that does not continue the block, or the
+/// first spine node that `mapped` says already has an image of its own
+/// (the block then continues inside that image, and
+/// [`ExprArena::counted`] merges it back in).
+fn block_below(
+    arena: &ExprArena,
+    op: BinOp,
+    id: NodeId,
+    incs: &mut Vec<(NodeId, u32)>,
+    mapped: impl Fn(NodeId) -> bool,
+) -> NodeId {
+    let mut cur = id;
+    loop {
+        match arena.node(cur) {
+            Node::Bin(o, a, b) if o == op => {
+                incs.push((b, 1));
+                cur = a;
+            }
+            // Entries ascend by id: reversed, like the spine links, so the
+            // oldest increment is the last one pushed.
+            Node::Counted(o, h, es) if o == op => {
+                incs.extend(es.iter().rev());
+                cur = h;
+            }
+            _ => return cur,
+        }
+        if mapped(cur) {
+            return cur;
         }
     }
 }
 
-/// True iff `rebuilt` is an interior spine node of a block whose top will
-/// reduce it wholesale: the original id was marked interior for the same
-/// operator the rebuilt node still carries. (If child images changed the
-/// operator — e.g. a zero collapse — the node is reduced normally and the
-/// stale marking is ignored.)
-fn skips_reduction(
-    arena: &ExprArena,
-    flags: &DenseMemo<u8>,
-    orig: NodeId,
-    rebuilt: NodeId,
-) -> bool {
-    let bit = match arena.node(rebuilt) {
-        Node::Bin(BinOp::PlusI, ..) | Node::Counted(BinOp::PlusI, ..) => INTERIOR_I,
-        Node::Bin(BinOp::PlusM, ..) | Node::Counted(BinOp::PlusM, ..) => INTERIOR_M,
-        _ => return false,
-    };
-    flags.get(orig).copied().unwrap_or(0) & bit != 0
+/// True iff re-interning `id` over unchanged children would give `id`
+/// back: everything but a `+I`/`+M` node whose left child continues the
+/// block, which [`ExprArena::counted`] condenses.
+fn is_canonical(arena: &ExprArena, id: NodeId) -> bool {
+    match arena.node(id) {
+        Node::Bin(op @ (BinOp::PlusI | BinOp::PlusM), a, _) => !is_same_op_block(arena.node(a), op),
+        _ => true,
+    }
 }
 
 /// Decides equivalence of two provenance expressions (or transaction
@@ -923,7 +880,7 @@ pub fn equiv_in(arena: &mut ExprArena, a: NodeId, b: NodeId, memo: &mut NfMemo) 
 
 /// Three-valued equivalence: `Some(true)` / `Some(false)` when normal-form
 /// comparison decides, `None` when it cannot — a normalization exhausted its
-/// round budget ([`NfOutcome::saturated`]) and the best-effort ids differ,
+/// budget ([`NfOutcome::saturated`]) and the best-effort ids differ,
 /// which proves nothing (two equivalent expressions can have distinct
 /// non-normal images). Equal ids decide `true` even under saturation: every
 /// intermediate image is rewrite-reachable, hence equivalent to its input.
@@ -1010,8 +967,9 @@ mod tests {
 
     #[test]
     fn nested_rule_interaction_needs_rounds() {
-        // Build ((a +I p) − p′) where the minus head hides under a spine a
-        // later round has to revisit: (((a +M (x ·M p)) +I p) − q) +I q.
+        // Build ((a +I p) − p′) where the minus head hides under a spine
+        // the outer rule only sees once the inner ones have fired:
+        // (((a +M (x ·M p)) +I p) − q) +I q.
         let (mut t, mut ar) = setup();
         let a = ar.atom(t.fresh_tuple());
         let x = ar.atom(t.fresh_tuple());
@@ -1039,7 +997,7 @@ mod tests {
         let want = ar.minus(a, p);
         assert_eq!(out1.id, want);
         assert!(out1.is_normal());
-        assert!(out1.rounds >= 2, "one rewriting round plus the confirmer");
+        assert!(out1.rounds >= 2, "the root was rewritten");
         let e2 = ar.minus(e1, p); // (…) − p − p → a − p (axiom 4)
         assert_eq!(nf_in(&mut ar, e2, &mut memo).id, want);
     }
@@ -1123,10 +1081,9 @@ mod tests {
     #[test]
     fn nf_roots_certifies_a_root_that_is_interior_to_another_root() {
         // n2 is both a batch root AND an interior spine node of top's +M
-        // block: the shared pass skips n2's top-level reduction on behalf
-        // of top, so the driver must reduce n2's image itself before
-        // certifying it — otherwise the unsorted spine leaks out as a
-        // "normal form".
+        // block: top's visit walks straight through n2 without mapping it,
+        // so n2 must get a visit of its own as a root — otherwise the
+        // unsorted spine leaks out as a "normal form".
         let (mut t, mut ar) = setup();
         let h = ar.atom(t.fresh_tuple());
         let mk = |ar: &mut ExprArena, t: &mut AtomTable| {
@@ -1158,10 +1115,10 @@ mod tests {
 
     #[test]
     fn nf_roots_does_not_certify_under_a_siblings_interior_marks() {
-        // N is an unsorted +M spine; root A = N +M m3 marks N interior,
-        // and root B = N − q contains no +M block top above N — B must
-        // still come out with N sorted, not be certified stable in the
-        // round where A's marks suppressed N's reduction.
+        // N is an unsorted +M spine; root A = N +M m3 has N as an interior
+        // node, and root B = N − q has it as a block top — B must still
+        // come out with N sorted although A's visit walked through N
+        // without mapping it.
         let (mut t, mut ar) = setup();
         let h = ar.atom(t.fresh_tuple());
         let mk = |ar: &mut ExprArena, t: &mut AtomTable| {
@@ -1183,6 +1140,78 @@ mod tests {
         assert_eq!(outs[0].id, nf(&mut ar, a), "batch A == per-root nf");
         assert_eq!(outs[1].id, nf(&mut ar, b), "batch B == per-root nf");
         assert_ne!(outs[1].id, b, "B's buried unsorted spine must normalize");
+    }
+
+    /// One `nf_roots_in` call certifies every root, and each image is the
+    /// expression per-root [`nf`] reaches in a clone of the arena that
+    /// never saw the batch. Ids differ across arenas; the structural hash
+    /// (Σ-free fixtures only: Σ terms hash in id order) does not.
+    fn batch_nf_matching_solo(ar: &mut ExprArena, roots: &[NodeId]) -> Vec<NodeId> {
+        let mut solo = ar.clone();
+        let outs = nf_roots_in(ar, roots, &mut NfMemo::new());
+        for (&root, out) in roots.iter().zip(&outs) {
+            assert!(out.is_normal());
+            let want = nf(&mut solo, root);
+            assert_eq!(ar.structural_hash(out.id), solo.structural_hash(want));
+        }
+        outs.iter().map(|o| o.id).collect()
+    }
+
+    #[test]
+    fn spine_node_that_is_interior_and_a_mod_source_normalizes_in_one_call() {
+        // n is an unsorted +M spine, interior to x's longer block and the
+        // ·M source of another tuple's increment: x's visit never maps n,
+        // y's demands it as a top.
+        let (mut t, mut ar) = setup();
+        let h = ar.atom(t.fresh_tuple());
+        let g = ar.atom(t.fresh_tuple());
+        let q = ar.atom(t.fresh_txn());
+        let mut mk = |ar: &mut ExprArena| {
+            let s = ar.atom(t.fresh_tuple());
+            let c = ar.atom(t.fresh_txn());
+            ar.dot_m(s, c)
+        };
+        let (m1, m2, m3) = (mk(&mut ar), mk(&mut ar), mk(&mut ar));
+        let n1 = ar.plus_m(h, m2);
+        let n = ar.plus_m(n1, m1); // unsorted: m2 folded before m1
+        let x = ar.plus_m(n, m3);
+        let src = ar.dot_m(n, q);
+        let y = ar.plus_m(g, src);
+        let got = batch_nf_matching_solo(&mut ar, &[x, y]);
+        let sorted = ar.counted(BinOp::PlusM, h, [(m1, 1), (m2, 1)]);
+        assert_eq!(got[0], ar.counted(BinOp::PlusM, sorted, [(m3, 1)]));
+        let want_src = ar.dot_m(sorted, q);
+        assert_eq!(got[1], ar.plus_m(g, want_src), "the ·M source is sorted");
+    }
+
+    #[test]
+    fn reducts_with_fresh_reducible_nodes_normalize_in_one_call() {
+        let (mut t, mut ar) = setup();
+        let [a, b, w, x, y, z] = [(); 6].map(|()| ar.atom(t.fresh_tuple()));
+        let [c, d] = [(); 2].map(|()| ar.atom(t.fresh_txn()));
+        let zd = ar.dot_m(z, d);
+        // MOD_OF_INSERTED: ((b − c) +M ((x +I c) ·M c)) +M (z ·M d) puts
+        // `+I c` on the head, and the fresh head (b − c) +I c is a redex
+        // of its own (axiom 10).
+        let del = ar.minus(b, c);
+        let ins = ar.plus_i(x, c);
+        let dot = ar.dot_m(ins, c);
+        let e1 = ar.plus_m(del, dot);
+        let e1 = ar.plus_m(e1, zd);
+        // MOD_UNNEST: a +M (((x +M (y ·M c)) +M (w ·M d)) ·M c) hoists
+        // y ·M c and leaves a fresh block under a fresh ·M increment.
+        let yc = ar.dot_m(y, c);
+        let wd = ar.dot_m(w, d);
+        let inner = ar.plus_m(x, yc);
+        let inner = ar.plus_m(inner, wd);
+        let nested = ar.dot_m(inner, c);
+        let e2 = ar.plus_m(a, nested);
+        let got = batch_nf_matching_solo(&mut ar, &[e1, e2]);
+        let head = ar.plus_i(b, c);
+        assert_eq!(got[0], ar.plus_m(head, zd));
+        let rest = ar.plus_m(x, wd);
+        let rest = ar.dot_m(rest, c);
+        assert_eq!(got[1], ar.counted(BinOp::PlusM, a, [(yc, 1), (rest, 1)]));
     }
 
     #[test]
@@ -1233,13 +1262,13 @@ mod tests {
 
     #[test]
     fn incremental_dirty_root_reuses_clean_siblings_cached_spine() {
-        // Regression for the cache-cut marking: N is an unsorted +M spine
+        // Regression for the cache cuts: N is an unsorted +M spine
         // certified as a "clean sibling"; the dirty roots then alias N —
         // once as an interior node of their own +M block (A = N +M m3,
         // where the cut sits *inside* the block the top must decompose)
         // and once in a non-spine context (B = N − q). Both must land on
-        // exactly the from-scratch normal forms even though the pass never
-        // walks below N.
+        // exactly the from-scratch normal forms even though nothing below N
+        // is visited.
         let (mut t, mut ar) = setup();
         let h = ar.atom(t.fresh_tuple());
         let mk = |ar: &mut ExprArena, t: &mut AtomTable| {

@@ -3,7 +3,9 @@
 //! iterative — construction, traversal, pretty-printing, evaluation, import
 //! and teardown all run with explicit stacks, never call-stack recursion.
 
-use uprov_core::{equiv, eval_arena, nf, AtomTable, Expr, ExprArena, ExprRef, Valuation};
+use uprov_core::{
+    equiv, eval_arena, nf, nf_roots_in, AtomTable, Expr, ExprArena, ExprRef, NfMemo, Valuation,
+};
 use uprov_structures::Bool;
 
 const DEPTH: usize = 100_000;
@@ -67,22 +69,36 @@ fn deep_equiv_at_depth_100k_does_not_overflow() {
     // Two syntactically different depth-100k update chains with the same
     // effect: every layer of the first inserts then deletes by the same
     // transaction ((e +I pᵢ) − pᵢ, collapsed per level by axiom 7), the
-    // second just deletes (e − pᵢ). Normalization is one iterative pass per
-    // round, so neither the 2·100k-node rewrite nor the comparison may
+    // second just deletes (e − pᵢ). Normalization runs on an explicit
+    // stack, so neither the 2·100k-node rewrite nor the comparison may
     // touch the call stack.
     let mut t = AtomTable::new();
     let mut ar = ExprArena::new();
     let base = ar.atom(t.fresh_tuple());
-    let (mut e1, mut e2) = (base, base);
-    for _ in 0..DEPTH {
+    let (mut e1, mut e2, mut mid) = (base, base, base);
+    for level in 0..DEPTH {
         let p = ar.atom(t.fresh_txn());
         let ins = ar.plus_i(e1, p);
         e1 = ar.minus(ins, p);
         e2 = ar.minus(e2, p);
+        if level == DEPTH / 2 {
+            mid = e1;
+        }
     }
     assert_ne!(e1, e2, "syntactically different");
+    // One batched call, top and a node halfway down, against per-root `nf`
+    // in an arena that never saw the batch (ids differ across arenas, the
+    // structural hash does not).
+    let mut solo = ar.clone();
+    let outs = nf_roots_in(&mut ar, &[e1, mid], &mut NfMemo::new());
+    assert!(outs.iter().all(|o| o.is_normal()));
+    assert_eq!(outs[0].id, e2, "the plain chain is the normal form");
+    let want_mid = nf(&mut solo, mid);
+    assert_eq!(
+        ar.structural_hash(outs[1].id),
+        solo.structural_hash(want_mid)
+    );
     assert!(equiv(&mut ar, e1, e2), "equivalent at depth 100k");
-    assert_eq!(nf(&mut ar, e1), e2, "the plain chain is already normal");
 }
 
 #[test]

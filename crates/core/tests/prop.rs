@@ -305,9 +305,9 @@ fn prop_nf_never_maps_a_nonzero_id_to_zero() {
 
 #[test]
 fn prop_nf_result_is_a_full_reduce_fixpoint() {
-    // Block-once canonicalization skips interior spine nodes during the
-    // rounds; the certificate that nothing was missed is that a plain
-    // reduce-everywhere pass maps the final normal form to itself.
+    // Block-once canonicalization never visits interior spine nodes and
+    // runs no confirming sweep; the certificate that nothing was missed is
+    // that a plain reduce-everywhere pass maps the normal form to itself.
     let mut memo = NfMemo::new();
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 2_654_435_761 + 3);

@@ -473,7 +473,7 @@ pub struct SymbolicTuple {
     /// Normalized provenance after the substitution. [`ExprArena::ZERO`]
     /// means the tuple is *certainly* absent in every structure.
     pub provenance: NodeId,
-    /// True if normalization saturated its round budget (the id is then
+    /// True if normalization exhausted its budget (the id is then
     /// best-effort; see [`uprov_core::NfOutcome`]).
     pub saturated: bool,
 }
@@ -512,7 +512,7 @@ impl Equivalence {
 pub struct Certification {
     /// Tuples whose normal form was certified and recorded this sweep.
     pub certified: usize,
-    /// Tuples whose normalization saturated the round budget — left dirty
+    /// Tuples whose normalization exhausted its budget — left dirty
     /// and unrecorded (a best-effort id must never enter the cache).
     pub saturated: Vec<String>,
 }

@@ -1,6 +1,7 @@
-//! What the flat arena costs on a generated workload, and that the
-//! snapshot frame around it kept its bytes.
+//! What the flat arena costs on a generated workload, what certifying adds
+//! to it, and that the snapshot frame around it kept its bytes.
 
+use uprov_core::{reduce, NodeId};
 use uprov_engine::{Engine, ReplayState};
 use uprov_storage::crc::crc32;
 use uprov_storage::{snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -53,6 +54,44 @@ fn arena_stays_within_its_per_node_heap_budget() {
     assert!(live <= 48, "{live} B per node in the live arena");
     let trimmed = arena.clone().heap_bytes() / arena.len();
     assert!(trimmed <= 40, "{trimmed} B per node in a trimmed copy");
+}
+
+/// An absolute budget in counts (ROADMAP aim 1): the nodes certifying
+/// interns beyond what replay built, against the nodes the normal forms
+/// consist of. Visiting each node once leaves only transient reducts
+/// (≈ 1.2×); sweeping the whole DAG in rounds re-interned every ancestor of
+/// whatever moved and sat at ≈ 2.2×.
+#[test]
+fn certify_interns_little_beyond_the_normal_forms() {
+    for seed in 1..=3 {
+        let cfg = WorkloadConfig {
+            keys_per_table: 200,
+            ..bench_like(seed, 2_000)
+        };
+        let w = Workload::generate(cfg.clone());
+        let mut engine = Engine::new();
+        let mut state = engine.replay(&w.log).expect("generated log replays");
+        let replayed = engine.arena().len();
+        let cert = engine.certify(&mut state);
+        assert!(cert.saturated.is_empty(), "{cfg}: {:?}", cert.saturated);
+        let nfs: Vec<NodeId> = state
+            .tuple_names()
+            .filter_map(|name| state.certified_nf(name))
+            .collect();
+        let interned = engine.arena().len() - replayed;
+        let reachable = engine.arena().topo_order_roots(&nfs).len();
+        assert!(
+            interned * 10 <= reachable * 14,
+            "{cfg}: certify interned {interned} nodes for {reachable} normal-form nodes"
+        );
+        // The confirming sweep the normalizer does not run: reducing at
+        // every node under every normal form (one Σ over them all, itself
+        // left alone) moves nothing.
+        let mut arena = engine.arena().clone();
+        let all = arena.sum(nfs);
+        let swept = arena.rewrite_pass(all, &mut |ar, n| if n == all { n } else { reduce(ar, n) });
+        assert_eq!(swept, all, "{cfg}: a certified normal form still reduces");
+    }
 }
 
 /// `snapshot::encode` writes header and payload into one buffer and patches

@@ -3,8 +3,8 @@
 //!
 //! `try_equiv_in` is three-valued: `Some(true)`/`Some(false)` are
 //! *certificates* (ids proved equal / normal forms proved distinct) and
-//! `None` means the memo's round budget (`NfMemo::with_max_rounds`) ran
-//! out first. The trap this guards against: under budget 0 the "normal
+//! `None` means the memo's budget (`NfMemo::with_max_rounds`) ran out
+//! first. The trap this guards against: under budget 0 the "normal
 //! forms" are the untouched inputs,
 //! so two equivalent-but-unnormalized roots have distinct ids — a naive
 //! implementation would report `Some(false)` and turn saturation into a
@@ -48,7 +48,7 @@ fn exhausted_budget_never_reports_a_definite_answer() {
                 }
                 reducible += 1;
 
-                // Budget 0: no rounds run, both sides stay unnormalized
+                // Budget 0: nothing runs, both sides stay unnormalized
                 // and distinct — the only sound verdict is "don't know".
                 let mut starved = NfMemo::with_max_rounds(0);
                 let verdict = try_equiv_in(&mut ar, r, full.id, &mut starved);
