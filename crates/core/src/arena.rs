@@ -141,6 +141,26 @@ pub enum Node<'a> {
     Counted(BinOp, NodeId, &'a [(NodeId, u32)]),
 }
 
+impl Node<'_> {
+    /// Calls `f` on each child id in operand order (a repeated child once
+    /// per occurrence).
+    #[inline]
+    pub(crate) fn for_each_child(self, mut f: impl FnMut(NodeId)) {
+        match self {
+            Node::Zero | Node::Atom(_) => {}
+            Node::Bin(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            Node::Sum(ts) => ts.iter().copied().for_each(f),
+            Node::Counted(_, h, es) => {
+                f(h);
+                es.iter().for_each(|&(e, _)| f(e));
+            }
+        }
+    }
+}
+
 /// True iff `node` is a `+I`/`+M` block carrying `op` — a spine [`Node::Bin`]
 /// or a condensed [`Node::Counted`].
 pub(crate) fn is_same_op_block(node: Node<'_>, op: BinOp) -> bool {
@@ -1037,23 +1057,18 @@ impl ExprArena {
     /// `NodeId(i)` (for `i ≤ root`) occurs in the DAG under `root`.
     /// Iterative DFS with an explicit stack.
     pub fn reachable(&self, root: NodeId) -> Vec<bool> {
-        let mut marked = vec![false; root.index() + 1];
-        let mut stack = vec![root];
+        self.mark(&[root])
+    }
+
+    /// [`reachable`](Self::reachable) from several roots at once, sized by
+    /// the largest.
+    fn mark(&self, roots: &[NodeId]) -> Vec<bool> {
+        let len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
+        let mut marked = vec![false; len];
+        let mut stack: Vec<NodeId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut marked[id.index()], true) {
-                continue;
-            }
-            match self.node(id) {
-                Node::Zero | Node::Atom(_) => {}
-                Node::Bin(_, a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Node::Sum(ts) => stack.extend_from_slice(ts),
-                Node::Counted(_, h, es) => {
-                    stack.push(h);
-                    stack.extend(es.iter().map(|&(e, _)| e));
-                }
+            if !std::mem::replace(&mut marked[id.index()], true) {
+                self.node(id).for_each_child(|c| stack.push(c));
             }
         }
         marked
@@ -1071,32 +1086,11 @@ impl ExprArena {
     }
 
     /// Ids reachable from **any** of `roots`, in ascending (hence
-    /// topological) order: the union evaluation schedule behind the batch
-    /// evaluators ([`crate::structure::eval_roots_many_in`]), computed with
-    /// one marking pass instead of one per root. Empty `roots` yields an
-    /// empty schedule.
+    /// topological) order: the union evaluation schedule behind
+    /// [`crate::structure::EvalBaseline`], computed with one marking pass
+    /// instead of one per root. Empty `roots` yields an empty schedule.
     pub fn topo_order_roots(&self, roots: &[NodeId]) -> Vec<NodeId> {
-        let len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
-        let mut marked = vec![false; len];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut marked[id.index()], true) {
-                continue;
-            }
-            match self.node(id) {
-                Node::Zero | Node::Atom(_) => {}
-                Node::Bin(_, a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Node::Sum(ts) => stack.extend_from_slice(ts),
-                Node::Counted(_, h, es) => {
-                    stack.push(h);
-                    stack.extend(es.iter().map(|&(e, _)| e));
-                }
-            }
-        }
-        marked
+        self.mark(roots)
             .iter()
             .enumerate()
             .filter_map(|(i, &m)| m.then_some(NodeId(i as u32)))
@@ -1285,22 +1279,7 @@ impl ExprArena {
     /// assert_eq!(aborted, xa);
     /// ```
     pub fn substitute(&mut self, root: NodeId, map: &HashMap<Atom, NodeId>) -> NodeId {
-        let mut memo = DenseMemo::new();
-        self.substitute_in(root, map, &mut memo)
-    }
-
-    /// [`substitute`](ExprArena::substitute) with a caller-provided
-    /// [`DenseMemo`], for many substitutions against one long-lived arena
-    /// (the engine-layer abort-query pattern). One bottom-up
-    /// [`rewrite_pass`](ExprArena::rewrite_pass) — iterative, memoized,
-    /// O(the root's DAG).
-    pub fn substitute_in(
-        &mut self,
-        root: NodeId,
-        map: &HashMap<Atom, NodeId>,
-        memo: &mut DenseMemo<NodeId>,
-    ) -> NodeId {
-        self.substitute_roots_in(&[root], map, memo)[0]
+        self.substitute_roots_in(&[root], map, &mut DenseMemo::new())[0]
     }
 
     /// Substitutes one atom map into **many roots**, sharing the memo

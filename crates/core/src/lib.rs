@@ -58,10 +58,10 @@ pub use oracle::{
     check_nf_preserves_eval, check_nf_preserves_eval_in, check_parallel_matches_serial,
     OracleDivergence,
 };
-pub use parallel::{par_eval_many_in, par_eval_roots_in, par_eval_roots_many_in, MemoPool};
+pub use parallel::{par_eval_many_in, par_eval_roots_in, MemoPool};
 pub use pool::WorkerPool;
 pub use rewrite::{reduce, rewrite_once, rules, RewriteRule};
 pub use structure::{
-    eval, eval_arena, eval_arena_in, eval_many, eval_many_in, eval_roots_in, eval_roots_many_in,
-    map_valuation, StructureHomomorphism, UpdateStructure, Valuation,
+    eval, eval_arena, eval_arena_in, eval_many, eval_many_in, eval_roots_in, map_valuation,
+    EvalBaseline, StructureHomomorphism, UpdateStructure, Valuation,
 };

@@ -76,8 +76,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::arena::{DenseMemo, ExprArena, NodeId};
 use crate::pool::WorkerPool;
 use crate::structure::{
-    eval_fill, eval_many_in, eval_one_ordered, eval_roots_in, eval_roots_many_in, replay_schedule,
-    UpdateStructure, Valuation,
+    eval_fill, eval_many_in, eval_one_ordered, eval_roots_in, UpdateStructure, Valuation,
 };
 
 /// Chunks handed out per worker (per [`par_eval_many_in`] /
@@ -254,53 +253,6 @@ pub fn par_eval_roots_in<S: UpdateStructure>(
                 memo.get(root).cloned().expect("root computed")
             })
             .collect::<Vec<S::Value>>()
-    };
-    run_sharded(&chunks, pool, threads, memo_len, worker)
-}
-
-/// [`eval_roots_many_in`] (many roots × many valuations) sharded **by
-/// valuation** across the persistent pool: the union schedule of all
-/// `roots` is computed once and shared read-only, and each worker replays
-/// it for the valuations it claims. One row per valuation, each row in
-/// `roots` order — bit-identical to the serial batch evaluator for every
-/// thread count (`0` = available parallelism).
-///
-/// This is the execution shape behind the service layer's coalesced abort
-/// bursts: *k* concurrent "what if txn `p`ᵢ aborts?" queries against the
-/// same database become one schedule and *k* cheap replays.
-pub fn par_eval_roots_many_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-    pool: &MemoPool<S::Value>,
-    threads: usize,
-) -> Vec<Vec<S::Value>> {
-    let threads = auto_threads(threads).clamp(1, valuations.len().max(1));
-    if threads == 1 {
-        let mut memo = pool.acquire();
-        let out = eval_roots_many_in(arena, roots, s, valuations, &mut memo);
-        pool.release(memo);
-        return out;
-    }
-    let order = arena.topo_order_roots(roots);
-    let memo_len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
-    let chunk_size = valuations
-        .len()
-        .div_ceil(threads * CHUNKS_PER_THREAD)
-        .max(1);
-    let chunks: Vec<&[Valuation<S::Value>]> = valuations.chunks(chunk_size).collect();
-    let worker = |memo: &mut DenseMemo<S::Value>, chunk: &[Valuation<S::Value>]| {
-        chunk
-            .iter()
-            .map(|val| {
-                replay_schedule(arena, &order, s, val, memo);
-                roots
-                    .iter()
-                    .map(|&r| memo.get(r).cloned().expect("root computed"))
-                    .collect::<Vec<S::Value>>()
-            })
-            .collect::<Vec<Vec<S::Value>>>()
     };
     run_sharded(&chunks, pool, threads, memo_len, worker)
 }

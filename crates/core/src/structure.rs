@@ -6,7 +6,7 @@
 //! symbolic expression under a structure plus a valuation of its atoms is
 //! the homomorphic "specialization" of Proposition 4.2.
 //!
-//! Two evaluators are provided:
+//! Three evaluators are provided:
 //!
 //! * [`eval`] — the legacy evaluator over the `Arc`-based
 //!   [`Expr`]: recursive, memoized through a
@@ -16,8 +16,11 @@
 //!   [`ExprArena`]: **iterative** (explicit
 //!   worklist, safe on chains of any depth) with a dense `Vec<Option<V>>`
 //!   memo indexed by [`NodeId`]. [`eval_many`] additionally amortizes the
-//!   evaluation schedule across many valuations — the "abort each
-//!   transaction in turn" workload of the paper's experiments (Section 6).
+//!   evaluation schedule across many valuations.
+//! * [`EvalBaseline`] — many roots evaluated once and kept, so each
+//!   one-atom what-if re-evaluates only the atom's upward cone, stopping
+//!   where values stop changing: the "abort each transaction in turn"
+//!   workload of the paper's experiments (Section 6).
 //!
 //! A structure is only meaningful for this framework if it satisfies the
 //! equivalence axioms of Figure 3 and the zero axioms; the executable
@@ -25,13 +28,15 @@
 //! propagation, the counting/monus negative example, …) live in the
 //! `uprov-structures` crate.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::arena::{BinOp, DenseMemo, ExprArena, Node, NodeId};
 use crate::atom::Atom;
 use crate::expr::{Expr, ExprRef};
+use crate::fxhash::FxHashMap;
 
 /// A concrete Update-Structure `(K, +M, ·M, −, +I, +, 0)`.
 ///
@@ -155,16 +160,6 @@ impl<V: Clone> Valuation<V> {
     /// The value assigned to `atom`.
     pub fn get(&self, atom: Atom) -> &V {
         self.map.get(&atom).unwrap_or(&self.default)
-    }
-
-    /// Number of explicitly overridden atoms.
-    pub fn overridden(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The default value (assigned to every non-overridden atom).
-    pub fn default_value(&self) -> &V {
-        &self.default
     }
 
     /// Iterates over the explicitly overridden atoms.
@@ -346,6 +341,29 @@ fn eval_arena_impl<S: UpdateStructure, M: EvalMemo<S::Value>>(
     memo.take(root).expect("root computed")
 }
 
+/// The one node evaluation every evaluator shares: the value of `node`
+/// given its atoms' values (`atom`) and its children's (`child`).
+#[inline]
+fn eval_node<'v, S: UpdateStructure>(
+    s: &S,
+    node: Node<'_>,
+    atom: impl FnOnce(Atom) -> S::Value,
+    child: impl Fn(NodeId) -> &'v S::Value,
+) -> S::Value
+where
+    S::Value: 'v,
+{
+    match node {
+        Node::Zero => s.zero(),
+        Node::Atom(a) => atom(a),
+        Node::Bin(op, a, b) => s.apply_bin(op, child(a), child(b)),
+        Node::Counted(op, h, es) => es.iter().fold(child(h).clone(), |acc, &(e, m)| {
+            s.apply_bin_counted(op, &acc, child(e), m)
+        }),
+        Node::Sum(ts) => s.sum(ts.iter().map(|&t| child(t))),
+    }
+}
+
 /// Ensures `memo` holds a value for `root` (and hence its whole sub-DAG):
 /// the shared iterative worklist loop behind [`eval_arena`],
 /// [`eval_arena_in`], [`eval_roots_in`] and the root-sharded workers of
@@ -363,60 +381,23 @@ pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
             stack.pop();
             continue;
         }
-        let v = match arena.node(id) {
-            Node::Zero => s.zero(),
-            Node::Atom(a) => val.get(a).clone(),
-            Node::Bin(op, a, b) => {
-                match (memo.get(a), memo.get(b)) {
-                    (Some(va), Some(vb)) => s.apply_bin(op, va, vb),
-                    (va, _) => {
-                        // Defer: push the missing children and revisit.
-                        if va.is_none() {
-                            stack.push(a);
-                        }
-                        if !memo.contains(b) {
-                            stack.push(b);
-                        }
-                        continue;
-                    }
-                }
+        let node = arena.node(id);
+        // Defer: push the missing children and revisit.
+        let pending = stack.len();
+        node.for_each_child(|c| {
+            if !memo.contains(c) {
+                stack.push(c);
             }
-            Node::Counted(op, h, es) => {
-                let mut pushed = false;
-                if !memo.contains(h) {
-                    stack.push(h);
-                    pushed = true;
-                }
-                for &(e, _) in es.iter() {
-                    if !memo.contains(e) {
-                        stack.push(e);
-                        pushed = true;
-                    }
-                }
-                if pushed {
-                    continue;
-                }
-                let mut acc = memo.get(h).expect("children computed").clone();
-                for &(e, m) in es.iter() {
-                    let ve = memo.get(e).expect("children computed");
-                    acc = s.apply_bin_counted(op, &acc, ve, m);
-                }
-                acc
-            }
-            Node::Sum(ts) => {
-                let mut pushed = false;
-                for t in ts.iter() {
-                    if !memo.contains(*t) {
-                        stack.push(*t);
-                        pushed = true;
-                    }
-                }
-                if pushed {
-                    continue;
-                }
-                s.sum(ts.iter().map(|t| memo.get(*t).expect("children computed")))
-            }
-        };
+        });
+        if stack.len() > pending {
+            continue;
+        }
+        let v = eval_node(
+            s,
+            node,
+            |a| val.get(a).clone(),
+            |c| memo.get(c).expect("children computed"),
+        );
         memo.set(id, v);
         stack.pop();
     }
@@ -532,77 +513,288 @@ pub(crate) fn eval_one_ordered<S: UpdateStructure, M: EvalMemo<S::Value>>(
     val: &Valuation<S::Value>,
     memo: &mut M,
 ) -> S::Value {
-    replay_schedule(arena, order, s, val, memo);
+    for &id in order {
+        let v = eval_node(
+            s,
+            arena.node(id),
+            |a| val.get(a).clone(),
+            |c| memo.get(c).expect("topological order"),
+        );
+        memo.set(id, v);
+    }
     memo.get(root).cloned().expect("root computed")
 }
 
-/// The schedule-replay loop shared by [`eval_one_ordered`] and the
-/// multi-root batch evaluators: after the call, `memo` holds a value for
-/// every node in `order` under `val`. Every node is overwritten before it
-/// is read (children precede parents in a topological schedule), so no
-/// reset is needed between valuations.
-pub(crate) fn replay_schedule<S: UpdateStructure, M: EvalMemo<S::Value>>(
-    arena: &ExprArena,
-    order: &[NodeId],
-    s: &S,
-    val: &Valuation<S::Value>,
-    memo: &mut M,
-) {
-    for &id in order {
-        let v = match arena.node(id) {
-            Node::Zero => s.zero(),
-            Node::Atom(a) => val.get(a).clone(),
-            Node::Bin(op, a, b) => {
-                let (va, vb) = (
-                    memo.get(a).expect("topological order"),
-                    memo.get(b).expect("topological order"),
-                );
-                s.apply_bin(op, va, vb)
+/// Every node reachable from a set of roots evaluated once under one
+/// valuation, kept so that "what if atom `a` were `v` instead?" costs only
+/// the nodes above `a` whose value actually changes — the paper's "abort
+/// each transaction in turn" (Section 6) answered from provenance without
+/// re-evaluating the database per question.
+///
+/// [`new`](Self::new) is one pass over the union schedule
+/// ([`ExprArena::topo_order_roots`]) that stores each node's value by its
+/// position there. [`with_atom`](Self::with_atom) walks upward from the
+/// atom through a parent table (built on its first call and shared by
+/// every baseline over the same schedule, so one-shot evaluations never
+/// pay for it), positions popping off a min-heap in topological order, and
+/// stops climbing wherever a recomputed value equals the stored one.
+/// [`revalue`](Self::revalue) evaluates the same schedule under another
+/// structure or valuation without rebuilding it.
+///
+/// A baseline stays valid as long as its roots' nodes do: arenas are
+/// append-only, so only a different set of roots invalidates it.
+///
+/// ```
+/// use uprov_core::{AtomTable, EvalBaseline, ExprArena, Valuation};
+/// use uprov_structures::Bool;
+///
+/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+/// let (x, p, q) = (t.fresh_tuple(), t.fresh_txn(), t.fresh_txn());
+/// let (xa, pa, qa) = (ar.atom(x), ar.atom(p), ar.atom(q));
+/// let y = ar.dot_m(xa, pa); // y: x rewritten by p
+/// let z = ar.plus_i(xa, qa); // z: x, also inserted by q
+///
+/// let base = EvalBaseline::new(&ar, &[y, z], &Bool, &Valuation::constant(true));
+/// assert_eq!(base.roots().collect::<Vec<_>>(), [&true, &true]);
+/// // Abort p: only y changes; z stays alive through x.
+/// assert_eq!(base.with_atom(&ar, &Bool, p, false), [(0, false)]);
+/// // Abort q: x alone keeps z alive, so nothing changes.
+/// assert!(base.with_atom(&ar, &Bool, q, false).is_empty());
+/// ```
+#[derive(Debug)]
+pub struct EvalBaseline<V> {
+    schedule: Arc<Schedule>,
+    /// Node values by schedule position.
+    values: Vec<V>,
+}
+
+/// The valuation-independent half of an [`EvalBaseline`], shared by every
+/// baseline [`revalue`](EvalBaseline::revalue)d from it.
+#[derive(Debug)]
+struct Schedule {
+    /// Reachable ids in ascending (hence topological) order; a node's
+    /// position is its index here.
+    order: Vec<NodeId>,
+    /// `id.index()` → position, `u32::MAX` for ids not in `order`.
+    position: Vec<u32>,
+    /// Root index → position.
+    roots: Vec<u32>,
+    /// `(atom, position)` for every atom node of the schedule, by atom.
+    atoms: Vec<(Atom, u32)>,
+    /// Built by the first [`EvalBaseline::with_atom`].
+    cone: OnceLock<ConeTable>,
+}
+
+/// What the upward walk needs beyond the schedule.
+#[derive(Debug)]
+struct ConeTable {
+    /// Parents of position `p`: `parents[offsets[p]..offsets[p + 1]]`,
+    /// ascending (compressed sparse rows).
+    offsets: Vec<u32>,
+    parents: Vec<u32>,
+    /// `(position, root index)` sorted, for roots that share a node.
+    roots_at: Vec<(u32, u32)>,
+}
+
+impl Schedule {
+    fn new(arena: &ExprArena, roots: &[NodeId]) -> Schedule {
+        let order = arena.topo_order_roots(roots);
+        let len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
+        let mut position = vec![u32::MAX; len];
+        let mut atoms = Vec::new();
+        for (p, &id) in order.iter().enumerate() {
+            position[id.index()] = p as u32;
+            if let Node::Atom(a) = arena.node(id) {
+                atoms.push((a, p as u32));
             }
-            Node::Counted(op, h, es) => {
-                let mut acc = memo.get(h).expect("topological order").clone();
-                for &(e, m) in es.iter() {
-                    let ve = memo.get(e).expect("topological order");
-                    acc = s.apply_bin_counted(op, &acc, ve, m);
-                }
-                acc
+        }
+        atoms.sort_unstable();
+        Schedule {
+            roots: roots.iter().map(|r| position[r.index()]).collect(),
+            order,
+            position,
+            atoms,
+            cone: OnceLock::new(),
+        }
+    }
+
+    #[inline]
+    fn pos(&self, id: NodeId) -> usize {
+        self.position[id.index()] as usize
+    }
+
+    /// Every schedule node's value under `s` and `val`, by position.
+    fn evaluate<S: UpdateStructure>(
+        &self,
+        arena: &ExprArena,
+        s: &S,
+        val: &Valuation<S::Value>,
+    ) -> Vec<S::Value> {
+        let mut values: Vec<S::Value> = Vec::with_capacity(self.order.len());
+        for &id in &self.order {
+            let v = eval_node(
+                s,
+                arena.node(id),
+                |a| val.get(a).clone(),
+                |c| &values[self.pos(c)],
+            );
+            values.push(v);
+        }
+        values
+    }
+
+    fn cone(&self, arena: &ExprArena) -> &ConeTable {
+        self.cone.get_or_init(|| {
+            let n = self.order.len();
+            // Count each position's parents, turn the counts into range
+            // ends, then fill every range back to front: walking parents
+            // in descending order leaves each range ascending.
+            let mut offsets = vec![0u32; n + 1];
+            for &id in &self.order {
+                arena.node(id).for_each_child(|c| offsets[self.pos(c)] += 1);
             }
-            Node::Sum(ts) => s.sum(ts.iter().map(|t| memo.get(*t).expect("topological order"))),
-        };
-        memo.set(id, v);
+            for p in 0..n {
+                offsets[p + 1] += offsets[p];
+            }
+            let mut parents = vec![0u32; offsets[n] as usize];
+            for (p, &id) in self.order.iter().enumerate().rev() {
+                arena.node(id).for_each_child(|c| {
+                    let q = self.pos(c);
+                    offsets[q] -= 1;
+                    parents[offsets[q] as usize] = p as u32;
+                });
+            }
+            let mut roots_at: Vec<(u32, u32)> =
+                self.roots.iter().zip(0..).map(|(&p, r)| (p, r)).collect();
+            roots_at.sort_unstable();
+            ConeTable {
+                offsets,
+                parents,
+                roots_at,
+            }
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let cone = self.cone.get().map_or(0, |c| {
+            (c.offsets.capacity() + c.parents.capacity()) * size_of::<u32>()
+                + c.roots_at.capacity() * size_of::<(u32, u32)>()
+        });
+        self.order.capacity() * size_of::<NodeId>()
+            + (self.position.capacity() + self.roots.capacity()) * size_of::<u32>()
+            + self.atoms.capacity() * size_of::<(Atom, u32)>()
+            + cone
     }
 }
 
-/// Evaluates **many roots under many valuations** — the coalesced-batch
-/// shape of the service layer, where a burst of abort queries against the
-/// same database shares one evaluation schedule.
-///
-/// The union sub-DAG of all `roots` is topologically sorted **once**
-/// ([`ExprArena::topo_order_roots`]); each valuation then replays that
-/// shared schedule into the reusable memo and reads off every root. Output
-/// is one row per valuation, in `valuations` order, each row in `roots`
-/// order — bit-identical to calling [`eval_roots_in`] once per valuation,
-/// at a fraction of the traversal bookkeeping.
-pub fn eval_roots_many_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-    memo: &mut DenseMemo<S::Value>,
-) -> Vec<Vec<S::Value>> {
-    let order = arena.topo_order_roots(roots);
-    let len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
-    memo.reset(len);
-    valuations
-        .iter()
-        .map(|val| {
-            replay_schedule(arena, &order, s, val, memo);
-            roots
-                .iter()
-                .map(|&r| memo.get(r).cloned().expect("root computed"))
-                .collect()
-        })
-        .collect()
+impl ConeTable {
+    fn parents(&self, p: usize) -> &[u32] {
+        &self.parents[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
+
+    fn roots_at(&self, p: u32) -> impl Iterator<Item = usize> + '_ {
+        let from = self.roots_at.partition_point(|&(q, _)| q < p);
+        self.roots_at[from..]
+            .iter()
+            .take_while(move |&&(q, _)| q == p)
+            .map(|&(_, r)| r as usize)
+    }
+}
+
+impl<V: Clone + PartialEq> EvalBaseline<V> {
+    /// Evaluates every node reachable from `roots` under `s` and `val`.
+    pub fn new<S: UpdateStructure<Value = V>>(
+        arena: &ExprArena,
+        roots: &[NodeId],
+        s: &S,
+        val: &Valuation<V>,
+    ) -> Self {
+        let schedule = Schedule::new(arena, roots);
+        EvalBaseline {
+            values: schedule.evaluate(arena, s, val),
+            schedule: Arc::new(schedule),
+        }
+    }
+
+    /// The same roots evaluated under another structure or valuation,
+    /// sharing this baseline's schedule and parent table.
+    pub fn revalue<S: UpdateStructure>(
+        &self,
+        arena: &ExprArena,
+        s: &S,
+        val: &Valuation<S::Value>,
+    ) -> EvalBaseline<S::Value> {
+        EvalBaseline {
+            values: self.schedule.evaluate(arena, s, val),
+            schedule: Arc::clone(&self.schedule),
+        }
+    }
+
+    /// The roots' values, in the order [`new`](Self::new) was given them.
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = &V> + '_ {
+        self.schedule
+            .roots
+            .iter()
+            .map(|&p| &self.values[p as usize])
+    }
+
+    /// The roots whose value changes when `atom` takes `value` instead, as
+    /// `(root index, new value)` in root order — re-evaluating only the
+    /// part of the atom's upward cone whose values actually move. Empty if
+    /// `atom` occurs under no root or nothing changes. `s` must be the
+    /// structure the baseline was evaluated under.
+    pub fn with_atom<S: UpdateStructure<Value = V>>(
+        &self,
+        arena: &ExprArena,
+        s: &S,
+        atom: Atom,
+        value: V,
+    ) -> Vec<(usize, V)> {
+        let sched = &*self.schedule;
+        let Ok(ix) = sched.atoms.binary_search_by_key(&atom, |&(a, _)| a) else {
+            return Vec::new();
+        };
+        let cone = sched.cone(arena);
+        let mut changed: FxHashMap<u32, V> = FxHashMap::default();
+        let mut heap = BinaryHeap::from([Reverse(sched.atoms[ix].1)]);
+        let mut last = None;
+        while let Some(Reverse(p)) = heap.pop() {
+            // Every push of `p` comes from a child popped before it, so
+            // duplicates pop back to back.
+            if last.replace(p) == Some(p) {
+                continue;
+            }
+            // The only atom in the cone is `atom` itself: atoms have no
+            // children, so none is ever pushed as a parent.
+            let v = eval_node(
+                s,
+                arena.node(sched.order[p as usize]),
+                |_| value.clone(),
+                |c| {
+                    let q = sched.pos(c);
+                    changed.get(&(q as u32)).unwrap_or(&self.values[q])
+                },
+            );
+            if v != self.values[p as usize] {
+                changed.insert(p, v);
+                heap.extend(cone.parents(p as usize).iter().map(|&q| Reverse(q)));
+            }
+        }
+        let mut out: Vec<(usize, V)> = changed
+            .iter()
+            .flat_map(|(&p, v)| cone.roots_at(p).map(move |r| (r, v.clone())))
+            .collect();
+        out.sort_unstable_by_key(|&(r, _)| r);
+        out
+    }
+
+    /// Heap bytes held by capacity: the values plus the whole shared
+    /// schedule — the parent table once [`with_atom`](Self::with_atom) has
+    /// built it — but not heap owned by the values themselves (a
+    /// `BTreeSet` carrier's nodes).
+    pub fn heap_bytes(&self) -> usize {
+        self.values.capacity() * size_of::<V>() + self.schedule.heap_bytes()
+    }
 }
 
 /// A homomorphism between two Update-Structures (Definition 4.1): a value
@@ -649,8 +841,6 @@ mod tests {
         let val = Valuation::constant(true).with(a, false);
         assert!(!val.get(a));
         assert!(val.get(b));
-        assert_eq!(val.overridden(), 1);
-        assert!(*val.default_value());
-        assert_eq!(val.overrides().count(), 1);
+        assert_eq!(val.overrides().collect::<Vec<_>>(), [(a, &false)]);
     }
 }

@@ -78,20 +78,19 @@
 //! assert!(engine.nf_cache().misses() - misses_before <= 1);
 //! ```
 //!
-//! # Batched concrete evaluation
+//! # Concrete evaluation and what-ifs
 //!
 //! Concrete evaluation never touches the engine's caches — it is a pure
 //! fold over the read-only arena — so every concrete query takes `&self`.
 //! [`Engine::eval_tuples`], [`Engine::abort_eval`] and
-//! [`Engine::delete_base_eval`] answer one valuation in one serial sweep;
-//! [`Engine::eval_tuples_batch`] answers many valuations over one shared
-//! schedule, sharded by valuation across the persistent worker pool
-//! ([`uprov_core::par_eval_roots_many_in`]) with the memo pool and the
-//! thread count passed in (`0` = available parallelism). This is the
-//! README "Parallel evaluation" example:
+//! [`Engine::delete_base_eval`] answer one valuation in one sweep over
+//! the whole database. [`Engine::what_if`] evaluates the database once and
+//! keeps every node's value, so each "what if this one atom were `0`?"
+//! after it re-evaluates only the nodes above that atom whose value
+//! changes. This is the README "What-if reads" example:
 //!
 //! ```
-//! use uprov_core::{MemoPool, Valuation};
+//! use uprov_core::Valuation;
 //! use uprov_engine::{Engine, UpdateLog};
 //! use uprov_structures::Bool;
 //!
@@ -105,20 +104,15 @@
 //! ".parse().unwrap();
 //! let state = engine.replay(&log).unwrap();
 //!
-//! // "Abort each transaction in turn" as one call: one valuation per
-//! // what-if, one evaluation schedule, rows in valuation order.
+//! // "Abort each transaction in turn": evaluate once, then ask.
+//! let all = Valuation::constant(true);
+//! let what_if = engine.what_if(&state, &Bool, &all);
+//! assert_eq!(what_if.rows(), engine.eval_tuples(&state, &Bool, &all));
 //! let t1 = state.txn_atom("t1").unwrap();
-//! let what_ifs = [
-//!     Valuation::constant(true),
-//!     Valuation::constant(true).with(t1, false),
-//! ];
-//! let pool = MemoPool::new();
-//! let rows = engine.eval_tuples_batch(&state, &Bool, &what_ifs, &pool, 0);
-//!
-//! // Bit-identical to the one-at-a-time queries — sharding never changes
-//! // answers.
-//! assert_eq!(rows[0], engine.eval_tuples(&state, &Bool, &what_ifs[0]));
-//! assert_eq!(rows[1], engine.abort_eval(&state, "t1", &Bool, true).unwrap());
+//! assert_eq!(
+//!     what_if.zeroed(t1),
+//!     engine.abort_eval(&state, "t1", &Bool, true).unwrap()
+//! );
 //!
 //! // Long-lived engines can also cap the symbolic-query caches: an
 //! // epoch-based valve drops oldest-epoch entries at query boundaries.
@@ -160,9 +154,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use uprov_core::{
-    eval_roots_in, nf_roots_in, nf_roots_incremental_in, par_eval_roots_many_in, Atom, AtomKind,
-    AtomTable, DenseMemo, EpochMap, ExprArena, MemoPool, NfCache, NfMemo, NodeId, UpdateStructure,
-    Valuation,
+    eval_roots_in, nf_roots_in, nf_roots_incremental_in, Atom, AtomKind, AtomTable, DenseMemo,
+    EpochMap, EvalBaseline, ExprArena, NfCache, NfMemo, NodeId, UpdateStructure, Valuation,
 };
 
 pub use crate::log::{Op, ParseError, Txn, UpdateLog};
@@ -460,8 +453,49 @@ pub struct StateSnapshot {
 
 /// One whole-database concrete answer: `(tuple name, value)` for every
 /// tracked tuple, in sorted name order — what [`Engine::eval_tuples`]
-/// returns, and the element type of [`Engine::eval_tuples_batch`].
+/// returns.
 pub type TupleRows<'s, V> = Vec<(&'s str, V)>;
+
+/// The whole database evaluated once under one structure and valuation,
+/// ready for one-atom what-ifs: [`Engine::what_if`]'s answer.
+/// [`zeroed`](WhatIf::zeroed) equals [`Engine::abort_eval`] /
+/// [`Engine::delete_base_eval`] under the same valuation, at the cost of
+/// the nodes whose value the zeroed atom changes.
+#[derive(Debug)]
+pub struct WhatIf<'a, S: UpdateStructure> {
+    arena: &'a ExprArena,
+    structure: &'a S,
+    /// Tuple names in sorted order; root `i` of `baseline` is `names[i]`.
+    pub names: Vec<&'a str>,
+    /// Every tuple's provenance evaluated under the valuation.
+    pub baseline: EvalBaseline<S::Value>,
+}
+
+impl<'a, S: UpdateStructure> WhatIf<'a, S> {
+    /// The database under the valuation itself, as [`Engine::eval_tuples`]
+    /// answers it.
+    pub fn rows(&self) -> TupleRows<'a, S::Value> {
+        self.names
+            .iter()
+            .copied()
+            .zip(self.baseline.roots().cloned())
+            .collect()
+    }
+
+    /// The database with `atom` mapped to `0`: [`rows`](Self::rows) with
+    /// the tuples the atom's cone reaches re-evaluated.
+    pub fn zeroed(&self, atom: Atom) -> TupleRows<'a, S::Value> {
+        let mut rows = self.rows();
+        let zero = self.structure.zero();
+        for (i, v) in self
+            .baseline
+            .with_atom(self.arena, self.structure, atom, zero)
+        {
+            rows[i].1 = v;
+        }
+        rows
+    }
+}
 
 /// Per-tuple answer of a symbolic abort or deletion-propagation query: the
 /// tuple's provenance with the aborted transaction (or deleted base tuple)
@@ -1284,8 +1318,8 @@ impl Engine {
     /// the raw "what does the database look like?" query. One
     /// [`eval_roots_in`] sweep: shared sub-DAGs are computed once across
     /// all tuples. Takes `&self`, like every concrete evaluation: it only
-    /// reads the arena. For many valuations at once, see
-    /// [`Engine::eval_tuples_batch`].
+    /// reads the arena. For many one-atom what-ifs under one valuation, see
+    /// [`Engine::what_if`].
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -1377,33 +1411,24 @@ impl Engine {
         Ok(self.eval_tuples(state, structure, &val))
     }
 
-    /// Evaluates every tuple under **many** valuations in one pass: the
-    /// union evaluation schedule over all tuple roots is computed once
-    /// ([`uprov_core::par_eval_roots_many_in`]) and each valuation replays
-    /// it, sharded across the persistent worker pool. One row per
-    /// valuation, each row in sorted tuple order — bit-identical to
-    /// calling [`Engine::eval_tuples`] once per valuation.
-    ///
-    /// The shared state is passed in: `pool` holds the per-worker memos
-    /// (keep one per structure across calls to reuse their buffers) and
-    /// `threads` is the worker count, `0` meaning available parallelism.
-    /// Each element of the result is one [`TupleRows`] — the whole
-    /// database evaluated under the matching valuation.
-    pub fn eval_tuples_batch<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        structure: &S,
-        valuations: &[Valuation<S::Value>],
-        pool: &MemoPool<S::Value>,
-        threads: usize,
-    ) -> Vec<TupleRows<'s, S::Value>> {
+    /// Evaluates every tuple under `structure` and `valuation` once and
+    /// keeps the result, so that each one-atom what-if after it — abort a
+    /// transaction, delete a base tuple — re-evaluates only that atom's
+    /// upward cone ([`EvalBaseline`]). See [`WhatIf`].
+    pub fn what_if<'a, S: UpdateStructure>(
+        &'a self,
+        state: &'a ReplayState,
+        structure: &'a S,
+        valuation: &Valuation<S::Value>,
+    ) -> WhatIf<'a, S> {
         let (names, roots): (Vec<&str>, Vec<NodeId>) =
             state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
-        let rows =
-            par_eval_roots_many_in(&self.arena, &roots, structure, valuations, pool, threads);
-        rows.into_iter()
-            .map(|row| names.iter().copied().zip(row).collect())
-            .collect()
+        WhatIf {
+            arena: &self.arena,
+            structure,
+            baseline: EvalBaseline::new(&self.arena, &roots, structure, valuation),
+            names,
+        }
     }
 
     /// Decides whether two replayed logs are equivalent: for every tuple

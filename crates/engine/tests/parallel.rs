@@ -1,15 +1,15 @@
-//! Bit-identity of the engine's sharded concrete evaluation.
+//! Bit-identity of the engine's cone-based what-if answers.
 //!
-//! [`Engine::eval_tuples_batch`] is the one sharded entry point: row `i`
-//! of its answer must be exactly what the serial [`Engine::eval_tuples`]
-//! returns for valuation `i` — same values, same tuple order — for every
-//! thread count, and the named what-if queries (`abort_eval`,
-//! `delete_base_eval`) must equal the row of the valuation they stand
-//! for. Randomized over log shapes via the repo-standard seeded harness
-//! (see `uprov-core/tests/prop.rs` for the offline-proptest rationale).
+//! [`Engine::what_if`] evaluates the database once; its plain rows must be
+//! exactly what [`Engine::eval_tuples`] returns, and zeroing any
+//! transaction or base-tuple atom must give exactly what the full
+//! re-evaluations `abort_eval` / `delete_base_eval` give — same values,
+//! same tuple order. Randomized over log shapes via the repo-standard
+//! seeded harness (see `uprov-core/tests/prop.rs` for the
+//! offline-proptest rationale).
 
 use benchkit::TestRng;
-use uprov_core::{Atom, MemoPool, Valuation};
+use uprov_core::Valuation;
 use uprov_engine::{Engine, UpdateLog};
 use uprov_structures::{Bool, Worlds};
 
@@ -48,30 +48,8 @@ fn random_log(rng: &mut TestRng, txns: usize, tuples: usize) -> UpdateLog {
     s.parse().expect("generated log is valid")
 }
 
-/// One valuation per entry: everything `present`, the entry's atom (if
-/// any) zeroed.
-fn what_ifs<V: Clone>(zeroed: &[Option<Atom>], present: V, zero: V) -> Vec<Valuation<V>> {
-    zeroed
-        .iter()
-        .map(|z| {
-            let val = Valuation::constant(present.clone());
-            match z {
-                Some(a) => val.with(*a, zero.clone()),
-                None => val,
-            }
-        })
-        .collect()
-}
-
-/// `0` (available parallelism), the serial fallback, genuine sharding,
-/// and more workers than this machine has cores or most batches have
-/// valuations.
-const THREADS: [usize; 5] = [0, 1, 2, 3, 8];
-
 #[test]
-fn prop_eval_tuples_batch_rows_match_the_serial_queries() {
-    let pool: MemoPool<bool> = MemoPool::new();
-    let wpool: MemoPool<u64> = MemoPool::new();
+fn prop_what_if_rows_match_the_serial_queries() {
     for seed in 0..40 {
         let mut rng = TestRng::new(seed * 62_989 + 11);
         let mut engine = Engine::new();
@@ -79,55 +57,49 @@ fn prop_eval_tuples_batch_rows_match_the_serial_queries() {
         let log = random_log(&mut rng, n_txns, n_tuples);
         let state = engine.replay(&log).expect("replays");
 
-        // The batch: the plain database, then each transaction aborted,
-        // then each base tuple deleted.
-        let txns: Vec<(&str, Atom)> = state.txn_atoms().collect();
-        let bases: Vec<(&str, Atom)> = state.base_atoms().collect();
-        let zeroed: Vec<Option<Atom>> = std::iter::once(None)
-            .chain(txns.iter().chain(&bases).map(|&(_, a)| Some(a)))
-            .collect();
-        let vals = what_ifs(&zeroed, true, false);
-        let wvals = what_ifs(&zeroed, u64::MAX, 0);
-
-        let serial: Vec<_> = vals
-            .iter()
-            .map(|v| engine.eval_tuples(&state, &Bool, v))
-            .collect();
-        let wserial: Vec<_> = wvals
-            .iter()
-            .map(|v| engine.eval_tuples(&state, &Worlds, v))
-            .collect();
-        for (i, &(txn, _)) in txns.iter().enumerate() {
-            let row = 1 + i;
+        let all = Valuation::constant(true);
+        let wall = Valuation::constant(u64::MAX);
+        let what_if = engine.what_if(&state, &Bool, &all);
+        let wwhat_if = engine.what_if(&state, &Worlds, &wall);
+        assert_eq!(
+            what_if.rows(),
+            engine.eval_tuples(&state, &Bool, &all),
+            "seed {seed}: Bool baseline"
+        );
+        assert_eq!(
+            wwhat_if.rows(),
+            engine.eval_tuples(&state, &Worlds, &wall),
+            "seed {seed}: Worlds baseline"
+        );
+        for (txn, atom) in state.txn_atoms() {
             assert_eq!(
+                what_if.zeroed(atom),
                 engine.abort_eval(&state, txn, &Bool, true).expect("known"),
-                serial[row],
-                "seed {seed}: abort_eval({txn}) is not row {row}"
+                "seed {seed}: Bool abort({txn})"
+            );
+            assert_eq!(
+                wwhat_if.zeroed(atom),
+                engine
+                    .abort_eval(&state, txn, &Worlds, u64::MAX)
+                    .expect("known"),
+                "seed {seed}: Worlds abort({txn})"
             );
         }
-        for (i, &(base, _)) in bases.iter().enumerate() {
-            let row = 1 + txns.len() + i;
+        for (base, atom) in state.base_atoms() {
             assert_eq!(
+                what_if.zeroed(atom),
+                engine
+                    .delete_base_eval(&state, base, &Bool, true)
+                    .expect("known"),
+                "seed {seed}: Bool delete({base})"
+            );
+            assert_eq!(
+                wwhat_if.zeroed(atom),
                 engine
                     .delete_base_eval(&state, base, &Worlds, u64::MAX)
                     .expect("known"),
-                wserial[row],
-                "seed {seed}: delete_base_eval({base}) is not row {row}"
-            );
-        }
-
-        for threads in THREADS {
-            assert_eq!(
-                engine.eval_tuples_batch(&state, &Bool, &vals, &pool, threads),
-                serial,
-                "seed {seed}: Bool diverged at {threads} threads"
-            );
-            assert_eq!(
-                engine.eval_tuples_batch(&state, &Worlds, &wvals, &wpool, threads),
-                wserial,
-                "seed {seed}: Worlds diverged at {threads} threads"
+                "seed {seed}: Worlds delete({base})"
             );
         }
     }
-    assert!(pool.pooled() >= 1, "worker memos parked for the next call");
 }

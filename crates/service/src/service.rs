@@ -15,18 +15,25 @@
 //! response can reflect a partially applied append — the soak test pins
 //! this from the outside.
 //!
+//! # Read cache
+//!
+//! Concrete reads are answered from one [`Rows`] per structure — the
+//! database evaluated once under that structure, after which each abort
+//! or deletion re-evaluates only the zeroed atom's cone — valid at the
+//! append `seq` it was built at (see `Inner::rows`).
+//!
 //! # Coalescing
 //!
 //! Each worker drains its queue opportunistically: one blocking `recv`,
 //! then up to `coalesce_max - 1` more by `try_recv`. A drained batch is
 //! served under **one** lock acquisition with **one** sequence number,
 //! and bursts of same-shaped requests collapse into the engine's batch
-//! entry points — concurrent aborts share one topo schedule
-//! ([`Engine::abort_symbolic_batch`], [`uprov_engine::Engine::eval_tuples_batch`]),
-//! consecutive appends commit behind one fsync
-//! ([`DurableEngine::append_many`]), equivalence bursts normalize in one
-//! sweep ([`Engine::equivalent_many`]). Batched answers are bit-identical
-//! to one-at-a-time answers (pinned by the interleaving tests).
+//! entry points — concurrent symbolic aborts share one normalization
+//! batch ([`Engine::abort_symbolic_batch`]), consecutive appends commit
+//! behind one fsync ([`DurableEngine::append_many`]), equivalence bursts
+//! normalize in one sweep ([`Engine::equivalent_many`]). Batched answers
+//! are bit-identical to one-at-a-time answers (pinned by the
+//! interleaving tests).
 //!
 //! # Backpressure and shutdown
 //!
@@ -47,7 +54,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 use uprov_core::Atom;
@@ -55,7 +62,7 @@ use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, DurableError, Storage};
 
 use crate::proto::{ErrorKind, Request, Response, SymbolicRow};
-use crate::values::{eval_rows_batch, StructureId};
+use crate::values::{Rows, StructureId};
 
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
@@ -112,6 +119,9 @@ struct Inner<S: Storage> {
     /// the shared engine (the PR 5 epoch valve), so no client can exceed
     /// its own cap by riding another client's slack.
     budgets: Mutex<BTreeMap<u64, usize>>,
+    /// What-if reads answered from per-structure baselines: see
+    /// [`Inner::rows`].
+    reads: Mutex<ReadCache>,
     batches: AtomicU64,
     coalesced: AtomicU64,
     next_client: AtomicU64,
@@ -137,6 +147,62 @@ impl<S: Storage> Inner<S> {
             batches: self.batches.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
         }
+    }
+
+    /// `id`'s [`Rows`] for the state at append `seq`, which the caller
+    /// read under the engine's read lock. Only appends move the state's
+    /// tuple roots, and the arena only grows, so an entry built at `seq`
+    /// answers every read at `seq`; the first read after an append
+    /// rebuilds, reusing the schedule of any structure already rebuilt.
+    /// Builds happen outside the cache lock: two readers that miss at
+    /// once both build, and both answers are the same. Every update under
+    /// the lock leaves the cache whole, so a poisoned lock is recovered
+    /// rather than propagated.
+    fn rows(&self, engine: &Engine, state: &ReplayState, seq: u64, id: StructureId) -> Arc<Rows> {
+        let sibling = {
+            let cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(hit) = cache.get(seq, id) {
+                return hit;
+            }
+            cache.any(seq)
+        };
+        let built = Arc::new(Rows::new(engine, state, id, sibling.as_deref()));
+        let mut cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = cache.get(seq, id) {
+            return hit;
+        }
+        if cache.seq != seq {
+            *cache = ReadCache {
+                seq,
+                rows: Vec::new(),
+            };
+        }
+        cache.rows.push((id, Arc::clone(&built)));
+        built
+    }
+}
+
+/// At most one [`Rows`] per structure, all for the state at `seq`.
+#[derive(Default)]
+struct ReadCache {
+    seq: u64,
+    rows: Vec<(StructureId, Arc<Rows>)>,
+}
+
+impl ReadCache {
+    /// `id`'s entry, if it was built at `seq`.
+    fn get(&self, seq: u64, id: StructureId) -> Option<Arc<Rows>> {
+        let (_, rows) = self
+            .rows
+            .iter()
+            .find(|(k, _)| *k == id && self.seq == seq)?;
+        Some(Arc::clone(rows))
+    }
+
+    /// Any entry built at `seq`: its schedule serves every structure.
+    fn any(&self, seq: u64) -> Option<Arc<Rows>> {
+        let (_, rows) = self.rows.first().filter(|_| self.seq == seq)?;
+        Some(Arc::clone(rows))
     }
 }
 
@@ -270,6 +336,7 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
             running: Mutex::new(!config.paused),
             gate: Condvar::new(),
             budgets: Mutex::new(BTreeMap::new()),
+            reads: Mutex::new(ReadCache::default()),
             batches: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             next_client: AtomicU64::new(0),
@@ -441,8 +508,8 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
     let engine = db.engine();
     let state = db.state();
     let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
-    // Concrete queries group by structure: every entry of a group rides
-    // one `eval_tuples_batch` call, sharing one evaluation schedule.
+    // Concrete queries group by structure: every entry of a group is
+    // answered from that structure's cached baseline.
     let mut groups: BTreeMap<StructureId, Vec<(usize, Option<Atom>)>> = BTreeMap::new();
     for (ix, job) in jobs.iter().enumerate() {
         match &job.req {
@@ -489,10 +556,9 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
         }
     }
     for (id, members) in groups {
-        let zeroed: Vec<Option<Atom>> = members.iter().map(|(_, z)| *z).collect();
-        // `0`: shard over however many cores the machine has.
-        let rows = eval_rows_batch(engine, state, id, &zeroed, 0);
-        for ((ix, _), rows) in members.into_iter().zip(rows) {
+        let cached = inner.rows(engine, state, seq, id);
+        for (ix, zeroed) in members {
+            let rows = cached.rows(engine, zeroed);
             responses[ix] = Some(Response::Rows { seq, rows });
         }
     }

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use uprov_core::{Atom, MemoPool, UpdateStructure, Valuation};
+use uprov_core::{Atom, EvalBaseline, ExprArena, UpdateStructure, Valuation};
 use uprov_engine::{Engine, ReplayState};
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
 
@@ -142,118 +142,224 @@ where
     val
 }
 
-fn rows_generic<S, R>(
-    engine: &Engine,
-    state: &ReplayState,
-    structure: &S,
-    base: Valuation<S::Value>,
-    render: R,
-    zeroed: &[Option<Atom>],
-    threads: usize,
-) -> Vec<Vec<(String, String)>>
-where
-    S: UpdateStructure,
-    R: Fn(&S::Value) -> String,
-{
-    let valuations: Vec<Valuation<S::Value>> = zeroed
-        .iter()
-        .map(|z| match z {
-            None => base.clone(),
-            Some(atom) => base.clone().with(*atom, structure.zero()),
-        })
-        .collect();
-    let pool = MemoPool::new();
-    engine
-        .eval_tuples_batch(state, structure, &valuations, &pool, threads)
-        .into_iter()
-        .map(|rows| {
-            rows.into_iter()
-                .map(|(name, v)| (name.to_owned(), render(&v)))
-                .collect()
-        })
-        .collect()
+/// A computation generic over the catalogue structure: [`with_structure`]
+/// hands it the structure named by a [`StructureId`], that structure's
+/// fingerprint valuation of a state, and its renderer.
+trait PerStructure {
+    type Out;
+    fn run<S>(self, s: S, val: Valuation<S::Value>, render: fn(&S::Value) -> String) -> Self::Out
+    where
+        S: UpdateStructure + Send + 'static;
 }
 
-/// Evaluates every tuple of `state` under `id`'s fingerprint valuation,
-/// once per entry of `zeroed` — `None` is the plain whole-database query,
-/// `Some(atom)` zeroes that atom first (the concrete abort /
-/// deletion-propagation what-if). All entries share **one** evaluation
-/// schedule ([`Engine::eval_tuples_batch`]); each result is bit-identical
-/// to asking alone. Rows come back in sorted tuple order with values
-/// rendered in each structure's canonical textual form.
-pub fn eval_rows_batch(
-    engine: &Engine,
-    state: &ReplayState,
-    id: StructureId,
-    zeroed: &[Option<Atom>],
-    threads: usize,
-) -> Vec<Vec<(String, String)>> {
+/// The one place the catalogue is spelled out: salt, valuation and
+/// canonical rendering per structure.
+fn with_structure<P: PerStructure>(id: StructureId, state: &ReplayState, p: P) -> P::Out {
     let salt = id.salt();
     match id {
         // Mostly-present databases make deletion propagation visible
         // under Bool: 7 of 8 fingerprints are truthy.
-        StructureId::Bool => rows_generic(
-            engine,
-            state,
-            &Bool,
+        StructureId::Bool => p.run(
+            Bool,
             fingerprint_valuation::<Bool, _>(state, salt, true, |m| m & 7 != 0),
             |v| v.to_string(),
-            zeroed,
-            threads,
         ),
-        StructureId::Worlds => rows_generic(
-            engine,
-            state,
-            &Worlds,
+        StructureId::Worlds => p.run(
+            Worlds,
             fingerprint_valuation::<Worlds, _>(state, salt, u64::MAX, |m| m),
             |v| format!("{v:#018x}"),
-            zeroed,
-            threads,
         ),
-        StructureId::Clearance => rows_generic(
-            engine,
-            state,
-            &Clearance,
+        StructureId::Clearance => p.run(
+            Clearance,
             fingerprint_valuation::<Clearance, _>(state, salt, u16::MAX, |m| m as u16),
             |v| format!("{v:#06x}"),
-            zeroed,
-            threads,
         ),
-        StructureId::Trust => rows_generic(
-            engine,
-            state,
-            &Trust,
+        StructureId::Trust => p.run(
+            Trust,
             fingerprint_valuation::<Trust, _>(state, salt, u32::MAX, |m| m as u32),
             |v| format!("{v:#010x}"),
-            zeroed,
-            threads,
         ),
-        StructureId::Witnesses => rows_generic(
-            engine,
-            state,
-            &Witnesses,
+        StructureId::Witnesses => p.run(
+            Witnesses,
             fingerprint_valuation::<Witnesses, _>(state, salt, witness_set(u64::MAX), witness_set),
             |v| {
                 let ids: Vec<String> = v.iter().map(|w| w.to_string()).collect();
                 format!("{{{}}}", ids.join(","))
             },
-            zeroed,
-            threads,
         ),
     }
 }
 
-/// [`eval_rows_batch`] for one query.
+/// Evaluates every tuple of `state` under `id`'s fingerprint valuation —
+/// with `zeroed`'s atom mapped to `0` first if given (the concrete abort /
+/// deletion-propagation what-if). Rows come back in sorted tuple order
+/// with values rendered in each structure's canonical textual form.
+///
+/// Always a **full** evaluation of the database, never a cone over a
+/// cached baseline: it is the reference the service's [`Rows`] answers
+/// are checked against. The thread count is ignored: evaluation is serial.
 pub fn eval_rows(
     engine: &Engine,
     state: &ReplayState,
     id: StructureId,
     zeroed: Option<Atom>,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<(String, String)> {
-    eval_rows_batch(engine, state, id, &[zeroed], threads)
-        .pop()
-        .expect("one query in, one row set out")
+    let cone = with_structure(
+        id,
+        state,
+        Fresh {
+            engine,
+            state,
+            zeroed,
+        },
+    );
+    let names = state.tuple_names().map(str::to_owned);
+    names.zip(cone.rendered()).collect()
+}
+
+/// One structure's answers over one state, ready to serve: the whole
+/// database evaluated once under the fingerprint valuation and rendered,
+/// after which each what-if re-renders only the rows the zeroed atom's
+/// cone changes ([`uprov_core::EvalBaseline`]).
+///
+/// Valid while the state's tuple roots stay where they were; the service
+/// keys it by append `seq`.
+pub struct Rows {
+    rows: Vec<(String, String)>,
+    cone: Box<dyn Cone>,
+}
+
+/// A baseline with its structure and renderer, type-erased so [`Rows`]
+/// can hold any catalogue structure.
+trait Cone: Send + Sync {
+    /// Every root's baseline value, rendered.
+    fn rendered(&self) -> Vec<String>;
+    /// `(root index, rendered value)` of the roots that change when
+    /// `atom` is `0`.
+    fn changed(&self, arena: &ExprArena, atom: Atom) -> Vec<(usize, String)>;
+    /// The same state under the structure `id`, sharing this schedule.
+    fn revalue(&self, arena: &ExprArena, state: &ReplayState, id: StructureId) -> Box<dyn Cone>;
+}
+
+/// A fresh baseline of `state` under the fingerprint valuation, with
+/// `zeroed`'s atom mapped to `0` first if given.
+struct Fresh<'a> {
+    engine: &'a Engine,
+    state: &'a ReplayState,
+    zeroed: Option<Atom>,
+}
+
+impl PerStructure for Fresh<'_> {
+    type Out = Box<dyn Cone>;
+    fn run<S>(self, s: S, val: Valuation<S::Value>, render: fn(&S::Value) -> String) -> Self::Out
+    where
+        S: UpdateStructure + Send + 'static,
+    {
+        let val = match self.zeroed {
+            Some(atom) => val.with(atom, s.zero()),
+            None => val,
+        };
+        let baseline = self.engine.what_if(self.state, &s, &val).baseline;
+        Box::new(Typed {
+            structure: s,
+            baseline,
+            render,
+        })
+    }
+}
+
+struct Typed<S: UpdateStructure> {
+    structure: S,
+    baseline: EvalBaseline<S::Value>,
+    render: fn(&S::Value) -> String,
+}
+
+impl<S: UpdateStructure + Send + 'static> Cone for Typed<S> {
+    fn rendered(&self) -> Vec<String> {
+        self.baseline.roots().map(self.render).collect()
+    }
+
+    fn changed(&self, arena: &ExprArena, atom: Atom) -> Vec<(usize, String)> {
+        let zero = self.structure.zero();
+        let changed = self.baseline.with_atom(arena, &self.structure, atom, zero);
+        changed
+            .into_iter()
+            .map(|(i, v)| (i, (self.render)(&v)))
+            .collect()
+    }
+
+    fn revalue(&self, arena: &ExprArena, state: &ReplayState, id: StructureId) -> Box<dyn Cone> {
+        struct Revalue<'a, V> {
+            arena: &'a ExprArena,
+            like: &'a EvalBaseline<V>,
+        }
+        impl<V: Clone + PartialEq> PerStructure for Revalue<'_, V> {
+            type Out = Box<dyn Cone>;
+            fn run<T>(
+                self,
+                s: T,
+                val: Valuation<T::Value>,
+                render: fn(&T::Value) -> String,
+            ) -> Self::Out
+            where
+                T: UpdateStructure + Send + 'static,
+            {
+                let baseline = self.like.revalue(self.arena, &s, &val);
+                Box::new(Typed {
+                    structure: s,
+                    baseline,
+                    render,
+                })
+            }
+        }
+        let like = &self.baseline;
+        with_structure(id, state, Revalue { arena, like })
+    }
+}
+
+impl Rows {
+    /// Evaluates and renders `state` under `id`. With `sibling` (another
+    /// structure's [`Rows`] over the same state), reuses its evaluation
+    /// schedule and parent table instead of building new ones.
+    pub fn new(
+        engine: &Engine,
+        state: &ReplayState,
+        id: StructureId,
+        sibling: Option<&Rows>,
+    ) -> Rows {
+        let cone = match sibling {
+            Some(rows) => rows.cone.revalue(engine.arena(), state, id),
+            None => with_structure(
+                id,
+                state,
+                Fresh {
+                    engine,
+                    state,
+                    zeroed: None,
+                },
+            ),
+        };
+        let rows = state
+            .tuple_names()
+            .map(str::to_owned)
+            .zip(cone.rendered())
+            .collect();
+        Rows { rows, cone }
+    }
+
+    /// The rows [`eval_rows`] answers for `zeroed` on the same state: the
+    /// rendered baseline, with the rows the zeroed atom's cone changes
+    /// re-rendered. `engine` must be the one [`Rows::new`] evaluated.
+    pub fn rows(&self, engine: &Engine, zeroed: Option<Atom>) -> Vec<(String, String)> {
+        let mut rows = self.rows.clone();
+        if let Some(atom) = zeroed {
+            for (i, text) in self.cone.changed(engine.arena(), atom) {
+                rows[i].1 = text;
+            }
+        }
+        rows
+    }
 }
 
 #[cfg(test)]
@@ -269,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_rows_match_single_queries() {
+    fn cached_rows_match_full_evaluation() {
         let mut engine = Engine::new();
         let log = "base x\nbase y\nbegin t\ninsert x\nmodify z <- y\ncommit\n"
             .parse()
@@ -277,13 +383,14 @@ mod tests {
         let state = engine.replay(&log).unwrap();
         let t = state.txn_atom("t").unwrap();
         let y = state.base_atom("y").unwrap();
+        let mut first: Option<Rows> = None;
         for id in StructureId::ALL {
-            let zeroed = [None, Some(t), Some(y)];
-            let batched = eval_rows_batch(&engine, &state, id, &zeroed, 2);
-            for (z, batch_rows) in zeroed.iter().zip(&batched) {
-                let single = eval_rows(&engine, &state, id, *z, 1);
-                assert_eq!(&single, batch_rows, "{id}: batch diverged");
+            let cached = Rows::new(&engine, &state, id, first.as_ref());
+            for z in [None, Some(t), Some(y), None] {
+                let full = eval_rows(&engine, &state, id, z, 1);
+                assert_eq!(cached.rows(&engine, z), full, "{id}: cached rows diverged");
             }
+            first.get_or_insert(cached);
         }
     }
 

@@ -12,6 +12,9 @@
 //!   semantically (see `common`),
 //! - a storage failure inside a coalesced commit fails every append of
 //!   the batch and nothing else: state, `seq` and reads are untouched,
+//! - concrete reads served from the per-`seq` baseline cache answer
+//!   what a replica's full evaluation says, across appends, failed
+//!   appends and concurrent cache misses,
 //! - a full bounded queue answers typed `overloaded` immediately,
 //! - shutdown **drains** — everything enqueued before the stop sentinel
 //!   is answered, nothing is dropped — and late requests get typed
@@ -28,7 +31,7 @@ use std::time::Duration;
 use benchkit::TestRng;
 use uprov_service::proto::{ErrorKind, Request, Response};
 use uprov_service::service::{Service, ServiceConfig};
-use uprov_service::values::StructureId;
+use uprov_service::values::{self, StructureId};
 use uprov_storage::{DurableEngine, MemStorage, Storage};
 use uprov_workload::{equivalent_variant, Variant, Workload, WorkloadConfig};
 
@@ -376,6 +379,144 @@ fn storage_failure_in_a_group_commit_fails_the_whole_batch_and_nothing_else() {
     assert_ne!(client.request(eval), rows_before, "retries are visible");
     drop(client);
     service.shutdown();
+}
+
+/// A sweep of concrete reads: whole-database, abort and delete, over two
+/// structures.
+fn what_if_requests(txn: &str, base: &str) -> Vec<Request> {
+    let mut reqs = Vec::new();
+    for structure in [StructureId::Bool, StructureId::Worlds] {
+        reqs.push(Request::EvalAll { structure });
+        reqs.push(Request::AbortEval {
+            txn: txn.to_owned(),
+            structure,
+        });
+        reqs.push(Request::DeleteBaseEval {
+            tuple: base.to_owned(),
+            structure,
+        });
+    }
+    reqs
+}
+
+/// What a fresh single-threaded replica of the first `seq` appends says
+/// to `reqs`: the full evaluation (`values::eval_rows`), printed.
+fn replica_lines(logs: &[&str], reqs: &[Request]) -> Vec<String> {
+    let mut engine = uprov_engine::Engine::new();
+    let mut state = uprov_engine::ReplayState::default();
+    for log in logs {
+        engine
+            .append(&mut state, &log.parse().expect("valid log"))
+            .expect("log appends");
+    }
+    reqs.iter()
+        .map(|req| {
+            let (structure, zeroed) = match req {
+                Request::EvalAll { structure } => (*structure, None),
+                Request::AbortEval { txn, structure } => (*structure, state.txn_atom(txn)),
+                Request::DeleteBaseEval { tuple, structure } => {
+                    (*structure, state.base_atom(tuple))
+                }
+                other => panic!("not a concrete read: {other}"),
+            };
+            let rows = values::eval_rows(&engine, &state, structure, zeroed, 1);
+            Response::Rows {
+                seq: logs.len() as u64,
+                rows,
+            }
+            .to_string()
+        })
+        .collect()
+}
+
+/// The service answers every concrete read from a per-structure baseline
+/// cached at the append `seq` it was built at. Read (the cache is built
+/// at `seq` 1), append, read again: the second read answers `seq` 2, byte
+/// for byte what a replica's full evaluation says there. An append whose
+/// storage write fails moves neither `seq` nor the cache: the next reads
+/// are byte-identical to the ones before it.
+#[test]
+fn what_if_reads_follow_the_append_seq_and_survive_a_failed_append() {
+    let logs = [
+        "base a b c\nbegin t0\nmodify a <- b\ninsert d\ncommit\nbegin t1\ndelete c\ncommit\n",
+        "begin t2\nmodify c <- a d\ndelete b\ncommit\n",
+    ];
+    let reqs = what_if_requests("t0", "b");
+    let storage = flaky::FlakyStorage::default();
+    let fail = storage.trigger();
+    let (db, _) = DurableEngine::open(storage).expect("open flaky engine");
+    let service = Service::start(db, ServiceConfig::default());
+    let client = service.client();
+    let read_all = || -> Vec<String> {
+        reqs.iter()
+            .map(|r| client.request(r.clone()).to_string())
+            .collect()
+    };
+    let append = |log: &str| {
+        client.request(Request::Append {
+            log: log.to_owned(),
+        })
+    };
+
+    assert!(matches!(append(logs[0]), Response::Appended { seq: 1, .. }));
+    let at_1 = read_all();
+    assert_eq!(at_1, replica_lines(&logs[..1], &reqs), "reads at seq 1");
+    assert_eq!(read_all(), at_1, "cached reads at seq 1");
+
+    assert!(matches!(append(logs[1]), Response::Appended { seq: 2, .. }));
+    let at_2 = read_all();
+    assert_eq!(at_2, replica_lines(&logs, &reqs), "reads after the append");
+    assert_ne!(at_2, at_1, "the append changed some answer");
+
+    fail.store(true, Ordering::SeqCst);
+    match append("begin t3\ninsert e\nmodify a <- e\ncommit\n") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Io),
+        other => panic!("append over failing storage answered {other}"),
+    }
+    assert_eq!(read_all(), at_2, "a failed append moved the reads");
+    match client.request(Request::Stats) {
+        Response::Stats { seq, .. } => assert_eq!(seq, 2),
+        other => panic!("expected stats, got {other}"),
+    }
+    drop(client);
+    service.shutdown();
+}
+
+/// Two readers that both find no cached baseline build one each and
+/// answer identically — to each other and to the full evaluation.
+#[test]
+fn readers_that_both_miss_the_cache_answer_identically() {
+    let log = "base a b c\nbegin t0\nmodify a <- b\ninsert d\ncommit\nbegin t1\ndelete c\ncommit\n";
+    let config = ServiceConfig {
+        readers: 2,
+        coalesce_max: 1,
+        queue_depth: 64,
+        paused: false,
+    };
+    let service = start(config.clone());
+    assert!(matches!(
+        service.client().request(Request::Append {
+            log: log.to_owned()
+        }),
+        Response::Appended { seq: 1, .. }
+    ));
+    let mut db = service.shutdown_into().1.expect("sole owner");
+    for req in what_if_requests("t0", "b") {
+        // A fresh service per pair: an empty cache, and both copies of
+        // the request waiting at the gate for the two readers.
+        let service = Service::start(
+            db,
+            ServiceConfig {
+                paused: true,
+                ..config.clone()
+            },
+        );
+        let answers = run_coalesced(&service, &[req.clone(), req.clone()]);
+        let want = &replica_lines(&[log], &[req])[0];
+        assert_eq!(&answers[0].to_string(), want);
+        assert_eq!(&answers[1].to_string(), want);
+        db = service.shutdown_into().1.expect("sole owner");
+    }
 }
 
 /// A full bounded queue rejects immediately with a typed `overloaded`

@@ -1,10 +1,12 @@
 //! What the flat arena costs on a generated workload, what certifying adds
-//! to it, and that the snapshot frame around it kept its bytes.
+//! to it, what a cached what-if baseline costs beside it, and that the
+//! snapshot frame around it kept its bytes.
 
-use uprov_core::{reduce, NodeId};
+use uprov_core::{reduce, NodeId, Valuation};
 use uprov_engine::{Engine, ReplayState};
 use uprov_storage::crc::crc32;
 use uprov_storage::{snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use uprov_structures::Worlds;
 use uprov_workload::{Workload, WorkloadConfig};
 
 fn replayed_and_certified(cfg: WorkloadConfig) -> (Engine, ReplayState) {
@@ -54,6 +56,30 @@ fn arena_stays_within_its_per_node_heap_budget() {
     assert!(live <= 48, "{live} B per node in the live arena");
     let trimmed = arena.clone().heap_bytes() / arena.len();
     assert!(trimmed <= 40, "{trimmed} B per node in a trimmed copy");
+}
+
+/// What the service keeps per structure to answer what-if reads: a
+/// `Worlds` baseline over every tuple, parent table included, in bytes per
+/// schedule node. Measured here: 21 962 nodes, 19.6 B each before the
+/// first what-if, 31.2 B after it — a 4 B schedule entry, the 8 B value, a
+/// 4 B slot in the dense position index (sized by the largest root, ≈ 1.1
+/// slots per node here), a 4 B parent-table offset and 4 B per child edge
+/// (≈ 2 per node), plus ≈ 1 B of atom and root tables. The limit leaves
+/// 5 B for the schedule and atom vectors, which grow by doubling; a
+/// second copy of anything per node breaks it.
+#[test]
+fn what_if_baseline_stays_within_its_per_node_heap_budget() {
+    let (engine, state) = replayed_and_certified(bench_like(1, 2_000));
+    let roots: Vec<NodeId> = state.tuples().map(|(_, id)| id).collect();
+    let nodes = engine.arena().topo_order_roots(&roots).len();
+    assert!(nodes > 10_000, "only {nodes} nodes");
+    let what_if = engine.what_if(&state, &Worlds, &Valuation::constant(u64::MAX));
+    let one_shot = what_if.baseline.heap_bytes() / nodes;
+    let (_, t) = state.txn_atoms().next().expect("a transaction");
+    what_if.zeroed(t); // builds the parent table
+    let served = what_if.baseline.heap_bytes() / nodes;
+    assert!(one_shot <= 24, "{one_shot} B per node before any what-if");
+    assert!(served <= 36, "{served} B per node with the parent table");
 }
 
 /// An absolute budget in counts (ROADMAP aim 1): the nodes certifying

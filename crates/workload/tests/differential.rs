@@ -8,8 +8,8 @@
 //! 1. incremental append (random schedule) == one-shot from-scratch replay;
 //! 2. cached queries == their `*_uncached` baselines, and log-state
 //!    equivalence is reflexive (under reprint) and symmetric;
-//! 3. parallel evaluation == serial evaluation, for every catalogue
-//!    structure and several thread counts;
+//! 3. cone re-evaluation from a baseline (`Engine::what_if`) == full
+//!    evaluation, for every catalogue structure;
 //! 4. cache-valve budgets change memory use, never answers;
 //! 5. checkpoint → crash → recover through `uprov-storage` preserves
 //!    every query answer;
@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 
 use benchkit::TestRng;
-use uprov_core::{MemoPool, UpdateStructure, Valuation};
+use uprov_core::{UpdateStructure, Valuation};
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, FaultMode, FaultStorage, MemStorage, Storage, WAL_BLOB};
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
@@ -219,45 +219,44 @@ fn cached_queries_match_uncached_baselines() {
 }
 
 // ---------------------------------------------------------------------
-// Oracle 3: parallel == serial, for every catalogue structure.
+// Oracle 3: what-if cones == full evaluation, for every catalogue structure.
 // ---------------------------------------------------------------------
 
 #[test]
-fn parallel_evaluation_matches_serial_for_every_structure() {
-    /// One batch per structure through the sharded entry point: the
-    /// seeded valuation plain, with one random transaction zeroed (the
-    /// abort what-if) and with one random base tuple zeroed (deletion
-    /// propagation). Every row must equal the serial one-valuation query.
+fn what_if_matches_full_evaluation_for_every_structure() {
+    /// One baseline per structure under the seeded valuation: its plain
+    /// rows, one random transaction zeroed (the abort what-if) and one
+    /// random base tuple zeroed (deletion propagation) must each equal
+    /// the full re-evaluation under that valuation.
     fn check<S, F>(w: &Workload, engine: &Engine, state: &ReplayState, s: &S, top: S::Value, mk: F)
     where
         S: UpdateStructure,
         F: Fn(u64) -> S::Value,
     {
         let cfg = &w.config;
+        let name = std::any::type_name::<S>();
         let mut rng = case_rng(cfg);
         let val = valuation_for::<S, _>(w, state, 0x51, top, mk);
-        let mut vals = vec![val.clone()];
+        let what_if = engine.what_if(state, s, &val);
+        assert_eq!(
+            what_if.rows(),
+            engine.eval_tuples(state, s, &val),
+            "{cfg}: {name} baseline"
+        );
+        let mut atoms = Vec::new();
         if !w.txn_names.is_empty() {
             let txn = &w.txn_names[rng.below(w.txn_names.len())];
-            let atom = state.txn_atom(txn).expect("generated txn is replayed");
-            vals.push(val.clone().with(atom, s.zero()));
+            atoms.push(state.txn_atom(txn).expect("generated txn is replayed"));
         }
         if !w.log.base.is_empty() {
             let tuple = &w.log.base[rng.below(w.log.base.len())];
-            let atom = state.base_atom(tuple).expect("declared base tuple");
-            vals.push(val.clone().with(atom, s.zero()));
+            atoms.push(state.base_atom(tuple).expect("declared base tuple"));
         }
-        let serial: Vec<_> = vals
-            .iter()
-            .map(|v| engine.eval_tuples(state, s, v))
-            .collect();
-        let pool = MemoPool::new();
-        for threads in [0usize, 1, 2, 3, 8] {
+        for atom in atoms {
             assert_eq!(
-                serial,
-                engine.eval_tuples_batch(state, s, &vals, &pool, threads),
-                "{cfg}: {} threads={threads}",
-                std::any::type_name::<S>()
+                what_if.zeroed(atom),
+                engine.eval_tuples(state, s, &val.clone().with(atom, s.zero())),
+                "{cfg}: {name} with {atom:?} zeroed"
             );
         }
     }
