@@ -1279,7 +1279,22 @@ impl ExprArena {
     /// assert_eq!(aborted, xa);
     /// ```
     pub fn substitute(&mut self, root: NodeId, map: &HashMap<Atom, NodeId>) -> NodeId {
-        self.substitute_roots_in(&[root], map, &mut DenseMemo::new())[0]
+        let mut memo = DenseMemo::new();
+        self.substitute_in(root, map, &mut memo)
+    }
+
+    /// [`substitute`](ExprArena::substitute) with a caller-provided
+    /// [`DenseMemo`], for many substitutions against one long-lived arena
+    /// (the engine-layer abort-query pattern). One bottom-up
+    /// [`rewrite_pass`](ExprArena::rewrite_pass) — iterative, memoized,
+    /// O(the root's DAG).
+    pub fn substitute_in(
+        &mut self,
+        root: NodeId,
+        map: &HashMap<Atom, NodeId>,
+        memo: &mut DenseMemo<NodeId>,
+    ) -> NodeId {
+        self.substitute_roots_in(&[root], map, memo)[0]
     }
 
     /// Substitutes one atom map into **many roots**, sharing the memo

@@ -123,6 +123,14 @@ pub struct AxiomFailure {
     pub detail: String,
 }
 
+impl AxiomFailure {
+    /// The [`FIGURE_3`] table entry for this failure (`None` for the zero
+    /// axioms, which are reported as axiom 0).
+    pub fn info(&self) -> Option<&'static AxiomInfo> {
+        axiom_info(self.axiom)
+    }
+}
+
 /// Result of checking a structure against the full axiom set.
 #[derive(Debug, Default)]
 pub struct AxiomReport {

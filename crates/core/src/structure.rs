@@ -162,6 +162,16 @@ impl<V: Clone> Valuation<V> {
         self.map.get(&atom).unwrap_or(&self.default)
     }
 
+    /// Number of explicitly overridden atoms.
+    pub fn overridden(&self) -> usize {
+        self.map.len()
+    }
+
+    /// The default value (assigned to every non-overridden atom).
+    pub fn default_value(&self) -> &V {
+        &self.default
+    }
+
     /// Iterates over the explicitly overridden atoms.
     pub fn overrides(&self) -> impl Iterator<Item = (Atom, &V)> {
         self.map.iter().map(|(a, v)| (*a, v))
@@ -841,6 +851,8 @@ mod tests {
         let val = Valuation::constant(true).with(a, false);
         assert!(!val.get(a));
         assert!(val.get(b));
-        assert_eq!(val.overrides().collect::<Vec<_>>(), [(a, &false)]);
+        assert_eq!(val.overridden(), 1);
+        assert!(*val.default_value());
+        assert_eq!(val.overrides().count(), 1);
     }
 }

@@ -62,7 +62,7 @@ use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, DurableError, Storage};
 
 use crate::proto::{ErrorKind, Request, Response, SymbolicRow};
-use crate::values::{Rows, StructureId};
+use crate::values::{eval_rows, Rows, StructureId};
 
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
@@ -150,60 +150,77 @@ impl<S: Storage> Inner<S> {
     }
 
     /// `id`'s [`Rows`] for the state at append `seq`, which the caller
-    /// read under the engine's read lock. Only appends move the state's
-    /// tuple roots, and the arena only grows, so an entry built at `seq`
-    /// answers every read at `seq`; the first read after an append
-    /// rebuilds, reusing the schedule of any structure already rebuilt.
-    /// Builds happen outside the cache lock: two readers that miss at
-    /// once both build, and both answers are the same. Every update under
-    /// the lock leaves the cache whole, so a poisoned lock is recovered
-    /// rather than propagated.
-    fn rows(&self, engine: &Engine, state: &ReplayState, seq: u64, id: StructureId) -> Arc<Rows> {
+    /// read under the engine's read lock, to answer `reads` more concrete
+    /// reads there — or `None` while they would be the only read of `id`
+    /// at `seq`, which a full evaluation ([`eval_rows`]) answers for less
+    /// than a build costs.
+    ///
+    /// A build is a full evaluation plus rendering every row, and after
+    /// it each read costs only its cone; it pays off from the second read
+    /// of one structure at one `seq`. Whether that second read comes
+    /// depends on the traffic: a static database reads every `seq` many
+    /// times, but a reader racing a writer may see each `seq` once.
+    ///
+    /// Only appends move the state's tuple roots, and the arena only
+    /// grows, so an entry built at `seq` answers every read at `seq`; the
+    /// first read at a newer `seq` drops it. Builds happen outside the
+    /// cache lock: two readers that miss at once both build, and both
+    /// answers are the same. Every update under the lock leaves the cache
+    /// whole, so a poisoned lock is recovered rather than propagated.
+    fn rows(
+        &self,
+        engine: &Engine,
+        state: &ReplayState,
+        seq: u64,
+        id: StructureId,
+        reads: usize,
+    ) -> Option<Arc<Rows>> {
         let sibling = {
-            let cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(hit) = cache.get(seq, id) {
-                return hit;
+            let mut cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
+            if cache.seq != seq {
+                *cache = ReadCache {
+                    seq,
+                    entries: BTreeMap::new(),
+                };
             }
-            cache.any(seq)
+            match cache.entries.entry(id).or_insert(Entry::Read(0)) {
+                Entry::Built(hit) => return Some(Arc::clone(hit)),
+                Entry::Read(n) if *n + reads < 2 => {
+                    *n += reads;
+                    return None;
+                }
+                Entry::Read(_) => {}
+            }
+            cache.entries.values().find_map(|e| match e {
+                Entry::Built(r) => Some(Arc::clone(r)),
+                Entry::Read(_) => None,
+            })
         };
         let built = Arc::new(Rows::new(engine, state, id, sibling.as_deref()));
         let mut cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.get(seq, id) {
-            return hit;
+        // `seq` cannot have moved: the caller still holds the read lock.
+        match cache.entries.entry(id).or_insert(Entry::Read(0)) {
+            Entry::Built(hit) => Some(Arc::clone(hit)),
+            slot => {
+                *slot = Entry::Built(Arc::clone(&built));
+                Some(built)
+            }
         }
-        if cache.seq != seq {
-            *cache = ReadCache {
-                seq,
-                rows: Vec::new(),
-            };
-        }
-        cache.rows.push((id, Arc::clone(&built)));
-        built
     }
 }
 
-/// At most one [`Rows`] per structure, all for the state at `seq`.
+/// What the read path knows about the state at `seq`, per structure.
 #[derive(Default)]
 struct ReadCache {
     seq: u64,
-    rows: Vec<(StructureId, Arc<Rows>)>,
+    entries: BTreeMap<StructureId, Entry>,
 }
 
-impl ReadCache {
-    /// `id`'s entry, if it was built at `seq`.
-    fn get(&self, seq: u64, id: StructureId) -> Option<Arc<Rows>> {
-        let (_, rows) = self
-            .rows
-            .iter()
-            .find(|(k, _)| *k == id && self.seq == seq)?;
-        Some(Arc::clone(rows))
-    }
-
-    /// Any entry built at `seq`: its schedule serves every structure.
-    fn any(&self, seq: u64) -> Option<Arc<Rows>> {
-        let (_, rows) = self.rows.first().filter(|_| self.seq == seq)?;
-        Some(Arc::clone(rows))
-    }
+enum Entry {
+    /// This many reads were answered by a full evaluation.
+    Read(usize),
+    /// Built by the second read.
+    Built(Arc<Rows>),
 }
 
 pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -556,9 +573,12 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
         }
     }
     for (id, members) in groups {
-        let cached = inner.rows(engine, state, seq, id);
+        let cached = inner.rows(engine, state, seq, id, members.len());
         for (ix, zeroed) in members {
-            let rows = cached.rows(engine, zeroed);
+            let rows = match &cached {
+                Some(cached) => cached.rows(engine, zeroed),
+                None => eval_rows(engine, state, id, zeroed, 1),
+            };
             responses[ix] = Some(Response::Rows { seq, rows });
         }
     }
