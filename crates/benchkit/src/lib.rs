@@ -55,7 +55,7 @@ pub struct Metric {
 /// A named speedup derived from two benchmark medians.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    /// Comparison name, e.g. `arena_vs_legacy/eval/pingpong500`.
+    /// Comparison name, e.g. `eval_many_vs_eval_loop/64vals`.
     pub name: String,
     /// `slow.median_ns / fast.median_ns` — how many times faster.
     /// Effectively-zero medians are clamped to 1 ns first (see

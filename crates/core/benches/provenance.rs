@@ -1,5 +1,4 @@
-//! Provenance hot-path benchmarks: legacy `Arc`+`HashMap` representation vs
-//! the hash-consed arena.
+//! Provenance hot-path benchmarks over the hash-consed arena.
 //!
 //! Run with `cargo bench -p uprov-core`; the report goes to stderr.
 //!
@@ -21,29 +20,12 @@
 
 use benchkit::{black_box, Harness};
 use uprov_core::{
-    equiv_in, eval, eval_arena, eval_arena_in, eval_many, nf, nf_in, Atom, AtomTable, DenseMemo,
-    Expr, ExprArena, ExprRef, NfMemo, NodeId, Valuation,
+    equiv_in, eval_arena, eval_arena_in, eval_many, nf, nf_in, Atom, AtomTable, DenseMemo,
+    ExprArena, NfMemo, NodeId, Valuation,
 };
 use uprov_structures::Bool;
 
-/// Proposition 5.1 ping-pong chain over the legacy representation.
-fn pingpong_legacy(depth: usize, t: &mut AtomTable) -> (ExprRef, Vec<Atom>) {
-    let mut txns = Vec::with_capacity(depth);
-    let mut e1 = Expr::atom(t.fresh_tuple());
-    let mut e2 = Expr::atom(t.fresh_tuple());
-    for _ in 0..depth {
-        let p = t.fresh_txn();
-        txns.push(p);
-        let pa = Expr::atom(p);
-        let new_e2 = Expr::plus_m(e2.clone(), Expr::dot_m(e1.clone(), pa.clone()));
-        let new_e1 = Expr::minus(e1, pa);
-        e1 = new_e2;
-        e2 = new_e1;
-    }
-    (e1, txns)
-}
-
-/// The same chain built natively in the arena.
+/// The Proposition 5.1 ping-pong chain.
 fn pingpong_arena(depth: usize, t: &mut AtomTable, ar: &mut ExprArena) -> (NodeId, Vec<Atom>) {
     let mut txns = Vec::with_capacity(depth);
     let mut e1 = ar.atom(t.fresh_tuple());
@@ -65,34 +47,17 @@ fn main() {
     let mut h = Harness::new("uprov-core/provenance");
     let all_true: Valuation<bool> = Valuation::constant(true);
 
-    // --- Prop 5.1 ping-pong chain, depth 500: eval legacy vs arena. ---
+    // --- Prop 5.1 ping-pong chain, depth 500. ---
     let depth = 500;
-    let mut t = AtomTable::new();
-    let (legacy_root, _) = pingpong_legacy(depth, &mut t);
     let mut ar = ExprArena::new();
     let mut t2 = AtomTable::new();
     let (arena_root, txns) = pingpong_arena(depth, &mut t2, &mut ar);
 
-    h.bench("legacy/eval/pingpong500", || {
-        black_box(eval(black_box(&legacy_root), &Bool, &all_true));
-    });
     h.bench("arena/eval/pingpong500", || {
         black_box(eval_arena(black_box(&ar), arena_root, &Bool, &all_true));
     });
-    let speedup = h.compare(
-        "arena_vs_legacy/eval/pingpong500",
-        "legacy/eval/pingpong500",
-        "arena/eval/pingpong500",
-    );
-    if speedup < 2.0 {
-        eprintln!("WARNING: arena eval speedup {speedup:.2}x below the 2x acceptance floor");
-    }
 
     // --- Construction cost of the same chain (interning is not free). ---
-    h.bench("legacy/build/pingpong500", || {
-        let mut tt = AtomTable::new();
-        black_box(pingpong_legacy(depth, &mut tt));
-    });
     h.bench("arena/build/pingpong500", || {
         let mut tt = AtomTable::new();
         let mut aa = ExprArena::new();
@@ -101,24 +66,14 @@ fn main() {
 
     // --- Wide Σ fan-in: 10 000 tuples updated into one. ---
     let fanin = 10_000;
-    let mut t3 = AtomTable::new();
-    let legacy_sum = Expr::sum((0..fanin).map(|_| Expr::atom(t3.fresh_tuple())));
     let mut ar_sum = ExprArena::new();
     let mut t4 = AtomTable::new();
     let leaves: Vec<NodeId> = (0..fanin).map(|_| ar_sum.atom(t4.fresh_tuple())).collect();
     let arena_sum = ar_sum.sum(leaves);
 
-    h.bench("legacy/eval/widesum10k", || {
-        black_box(eval(black_box(&legacy_sum), &Bool, &all_true));
-    });
     h.bench("arena/eval/widesum10k", || {
         black_box(eval_arena(black_box(&ar_sum), arena_sum, &Bool, &all_true));
     });
-    h.compare(
-        "arena_vs_legacy/eval/widesum10k",
-        "legacy/eval/widesum10k",
-        "arena/eval/widesum10k",
-    );
 
     // --- Repeated valuations: abort each of 64 transactions in turn. ---
     let vals: Vec<Valuation<bool>> = txns

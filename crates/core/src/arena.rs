@@ -3,11 +3,12 @@
 //! The paper's central performance observation (Section 5, Proposition 5.1)
 //! is that naive `UP[X]` provenance has *logical* size exponential in the
 //! transaction length but stays tractable when materialized as a shared DAG.
-//! The `Arc`-based [`Expr`] only shares what the caller
-//! happens to share through pointers; this module guarantees **maximal**
-//! sharing by hash-consing: every node is interned into a contiguous node
-//! vector keyed by a dense [`NodeId`], and an intern table ensures
-//! structurally equal expressions always receive the same id.
+//! This module guarantees **maximal** sharing by hash-consing: every node is
+//! interned into a contiguous node vector keyed by a dense [`NodeId`], and an
+//! intern table ensures structurally equal expressions always receive the
+//! same id. It is the crate's only expression representation: construction,
+//! analysis, rewriting, evaluation and printing ([`ExprArena::display`]) all
+//! work on node ids.
 //!
 //! # Layout
 //!
@@ -41,16 +42,14 @@
 //!   [`crate::structure::eval_many`]).
 //!
 //! The zero axioms of Section 3.1 are applied at intern time by the smart
-//! constructors ([`ExprArena::plus_i`], [`ExprArena::minus`], …), mirroring
-//! the legacy smart constructors, so `0` never appears as an operand and `Σ`
-//! is always flat, zero-free and non-trivial (length ≥ 2).
+//! constructors ([`ExprArena::plus_i`], [`ExprArena::minus`], …), so `0`
+//! never appears as an operand and `Σ` is always flat, zero-free and
+//! non-trivial (length ≥ 2).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
-use crate::atom::Atom;
-use crate::expr::{Expr, ExprRef};
+use crate::atom::{Atom, AtomTable};
 use crate::fxhash::mix;
 
 /// Dense handle of an interned node. Ids are assigned contiguously from 0;
@@ -965,94 +964,6 @@ impl ExprArena {
         })
     }
 
-    /// Interns a legacy `Arc` expression, returning the id of its maximally
-    /// shared image. Iterative (explicit work stack): safe on chains of any
-    /// depth. Pointer-shared legacy subtrees are visited once; structurally
-    /// equal but pointer-distinct subtrees collapse onto one id.
-    pub fn import(&mut self, expr: &ExprRef) -> NodeId {
-        let mut memo: HashMap<*const Expr, NodeId> = HashMap::new();
-        let mut stack: Vec<&ExprRef> = vec![expr];
-        while let Some(&e) = stack.last() {
-            let key = Arc::as_ptr(e);
-            if memo.contains_key(&key) {
-                stack.pop();
-                continue;
-            }
-            if crate::expr::push_missing_children(e, &memo, &mut stack) {
-                continue;
-            }
-            let id = match &**e {
-                Expr::Zero => Self::ZERO,
-                Expr::Atom(a) => self.atom(*a),
-                Expr::PlusI(a, b) | Expr::Minus(a, b) | Expr::PlusM(a, b) | Expr::DotM(a, b) => {
-                    let op = match &**e {
-                        Expr::PlusI(..) => BinOp::PlusI,
-                        Expr::Minus(..) => BinOp::Minus,
-                        Expr::PlusM(..) => BinOp::PlusM,
-                        _ => BinOp::DotM,
-                    };
-                    let (ia, ib) = (memo[&Arc::as_ptr(a)], memo[&Arc::as_ptr(b)]);
-                    self.bin(op, ia, ib)
-                }
-                Expr::Sum(ts) => {
-                    let ids: Vec<NodeId> = ts.iter().map(|t| memo[&Arc::as_ptr(t)]).collect();
-                    self.sum(ids)
-                }
-            };
-            memo.insert(key, id);
-            stack.pop();
-        }
-        memo[&Arc::as_ptr(expr)]
-    }
-
-    /// Rebuilds the legacy `Arc` representation of `root`. Lossless up to
-    /// sharing: the result is a pointer-shared DAG with one `Arc` per
-    /// reachable arena node, and `import(export(id)) == id` whenever `root`
-    /// contains no [`Node::Counted`] block (interning is idempotent because
-    /// interned nodes are already canonical). Counted blocks export as
-    /// their **expanded** spines — the legacy representation has no
-    /// condensed form — so re-importing yields the spine; normalizing it
-    /// recovers the condensed node.
-    pub fn export(&self, root: NodeId) -> ExprRef {
-        let reachable = self.reachable(root);
-        let mut out: Vec<Option<ExprRef>> = vec![None; root.index() + 1];
-        for i in 0..=root.index() {
-            if !reachable[i] {
-                continue;
-            }
-            let take = |id: NodeId| out[id.index()].clone().expect("topological order");
-            let e = match self.list.get(i) {
-                Node::Zero => Expr::zero(),
-                Node::Atom(a) => Expr::atom(a),
-                Node::Bin(BinOp::PlusI, a, b) => Expr::plus_i(take(a), take(b)),
-                Node::Bin(BinOp::Minus, a, b) => Expr::minus(take(a), take(b)),
-                Node::Bin(BinOp::PlusM, a, b) => Expr::plus_m(take(a), take(b)),
-                Node::Bin(BinOp::DotM, a, b) => Expr::dot_m(take(a), take(b)),
-                Node::Sum(ts) => Expr::sum(ts.iter().copied().map(take)),
-                // Counted blocks export as their expanded spine (the legacy
-                // representation has no condensed form), so re-importing an
-                // exported counted block yields the spine, not the original
-                // id — normalize to recover the condensed node.
-                Node::Counted(op, h, es) => {
-                    let mut acc = take(h);
-                    for &(e, m) in es {
-                        let inc = take(e);
-                        for _ in 0..m {
-                            acc = match op {
-                                BinOp::PlusI => Expr::plus_i(acc, inc.clone()),
-                                BinOp::PlusM => Expr::plus_m(acc, inc.clone()),
-                                _ => unreachable!("counted blocks are +I/+M"),
-                            };
-                        }
-                    }
-                    acc
-                }
-            };
-            out[i] = Some(e);
-        }
-        out[root.index()].clone().expect("root is reachable")
-    }
-
     /// Marks the nodes reachable from `root`; `result[i]` is true iff
     /// `NodeId(i)` (for `i ≤ root`) occurs in the DAG under `root`.
     /// Iterative DFS with an explicit stack.
@@ -1332,8 +1243,8 @@ impl ExprArena {
     }
 
     /// Atoms occurring under `root`, deduplicated, in first-occurrence
-    /// (preorder, left-to-right) order — the same order the legacy
-    /// [`Expr::atoms`](crate::expr::Expr) reports.
+    /// (preorder, left-to-right) order — the order [`display`](Self::display)
+    /// prints them in.
     pub fn atoms(&self, root: NodeId) -> Vec<Atom> {
         let mut out = Vec::new();
         let mut visited = vec![false; root.index() + 1];
@@ -1366,12 +1277,119 @@ impl ExprArena {
         }
         out
     }
+
+    /// `root` printed in the paper's notation, atom names resolved through
+    /// `table`: `(p1 +M (p3 .M p)) - p` for Example 3.2.
+    ///
+    /// Every operand that is not a leaf is parenthesised, `Σ` terms are
+    /// joined by ` + `, and a [`Node::Counted`] block prints as its expanded
+    /// left-nested spine — entries in order, each repeated by its
+    /// multiplicity — so the text does not depend on whether a block was
+    /// condensed. Shared nodes print once per occurrence: the output has
+    /// the expression's logical size. Printing runs on an explicit stack,
+    /// so chains of any depth print without recursion.
+    pub fn display<'a>(&'a self, root: NodeId, table: &'a AtomTable) -> DisplayNode<'a> {
+        DisplayNode {
+            arena: self,
+            root,
+            table,
+        }
+    }
+}
+
+/// The printer behind [`ExprArena::display`].
+pub struct DisplayNode<'a> {
+    arena: &'a ExprArena,
+    root: NodeId,
+    table: &'a AtomTable,
+}
+
+/// One pending piece of [`DisplayNode`] output.
+enum Frame<'a> {
+    /// A node; `true` if it is an operand and needs parentheses.
+    Node(NodeId, bool),
+    Lit(&'static str),
+    /// The rest of a counted block's spine: application number `rep` of
+    /// `entries[0]`, then the applications of the later entries.
+    Spine(BinOp, &'a [(NodeId, u32)], u32),
+}
+
+fn op_text(op: BinOp) -> &'static str {
+    match op {
+        BinOp::PlusI => " +I ",
+        BinOp::Minus => " - ",
+        BinOp::PlusM => " +M ",
+        BinOp::DotM => " .M ",
+    }
+}
+
+impl fmt::Display for DisplayNode<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut stack = vec![Frame::Node(self.root, false)];
+        while let Some(frame) = stack.pop() {
+            let (id, parens) = match frame {
+                Frame::Node(id, parens) => (id, parens),
+                Frame::Lit(s) => {
+                    f.write_str(s)?;
+                    continue;
+                }
+                Frame::Spine(op, entries, rep) => {
+                    // " op x" closes one spine level; the next application
+                    // (if any) follows after that level's ")".
+                    let (x, mult) = entries[0];
+                    f.write_str(op_text(op))?;
+                    if rep + 1 < mult {
+                        stack.push(Frame::Spine(op, entries, rep + 1));
+                        stack.push(Frame::Lit(")"));
+                    } else if entries.len() > 1 {
+                        stack.push(Frame::Spine(op, &entries[1..], 0));
+                        stack.push(Frame::Lit(")"));
+                    }
+                    stack.push(Frame::Node(x, true));
+                    continue;
+                }
+            };
+            let node = self.arena.node(id);
+            if parens && !matches!(node, Node::Zero | Node::Atom(_)) {
+                f.write_str("(")?;
+                stack.push(Frame::Lit(")"));
+            }
+            match node {
+                Node::Zero => f.write_str("0")?,
+                Node::Atom(a) => f.write_str(self.table.name(a))?,
+                Node::Bin(op, a, b) => {
+                    stack.push(Frame::Node(b, true));
+                    stack.push(Frame::Lit(op_text(op)));
+                    stack.push(Frame::Node(a, true));
+                }
+                Node::Sum(ts) => {
+                    for (i, &t) in ts.iter().enumerate().rev() {
+                        stack.push(Frame::Node(t, true));
+                        if i > 0 {
+                            stack.push(Frame::Lit(" + "));
+                        }
+                    }
+                }
+                Node::Counted(op, head, entries) => {
+                    // The spine's N applications nest N − 1 parenthesised
+                    // levels around the head.
+                    let total: u64 = entries.iter().map(|&(_, m)| u64::from(m)).sum();
+                    for _ in 1..total {
+                        f.write_str("(")?;
+                    }
+                    stack.push(Frame::Spine(op, entries, 0));
+                    stack.push(Frame::Node(head, true));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::AtomTable;
+    use crate::atom::AtomKind;
 
     fn setup() -> (AtomTable, ExprArena) {
         (AtomTable::new(), ExprArena::new())
@@ -1422,7 +1440,7 @@ mod tests {
 
     #[test]
     fn stats_match_legacy_on_shared_example() {
-        // a +M (a ·M p): logical 5, dag 4, depth 3 — as in the expr.rs test.
+        // a +M (a ·M p): logical 5 (a counted twice), dag 4, depth 3.
         let (mut t, mut ar) = setup();
         let a = ar.atom(t.fresh_tuple());
         let p = ar.atom(t.fresh_txn());
@@ -1452,52 +1470,72 @@ mod tests {
     }
 
     #[test]
-    fn import_export_roundtrip_example_3_2() {
-        let mut t = AtomTable::new();
-        let p1 = t.named("p1", crate::atom::AtomKind::Tuple);
-        let p3 = t.named("p3", crate::atom::AtomKind::Tuple);
-        let p = t.named("p", crate::atom::AtomKind::Txn);
-        let legacy = Expr::minus(
-            Expr::plus_m(Expr::atom(p1), Expr::dot_m(Expr::atom(p3), Expr::atom(p))),
-            Expr::atom(p),
-        );
-        let mut ar = ExprArena::new();
-        let id = ar.import(&legacy);
-        let back = ar.export(id);
-        assert_eq!(*back, *legacy, "export is lossless");
-        assert_eq!(ar.import(&back), id, "interning is idempotent");
-        assert_eq!(format!("{}", back.display(&t)), "(p1 +M (p3 .M p)) - p");
-    }
-
-    #[test]
-    fn import_collapses_pointer_distinct_duplicates() {
-        let mut t = AtomTable::new();
-        let x = t.fresh_tuple();
-        let p = t.fresh_txn();
-        // Two pointer-distinct but structurally equal subtrees.
-        let left = Expr::dot_m(Expr::atom(x), Expr::atom(p));
-        let right = Expr::dot_m(Expr::atom(x), Expr::atom(p));
-        let e = Expr::plus_m(left, right);
-        assert_eq!(e.dag_size(), 7, "legacy DAG does not share them");
-        let mut ar = ExprArena::new();
-        let id = ar.import(&e);
-        assert_eq!(ar.dag_size(id), 4, "arena shares them maximally");
-    }
-
-    #[test]
     fn atoms_first_occurrence_order_matches_legacy() {
-        let mut t = AtomTable::new();
+        let (mut t, mut ar) = setup();
         let a = t.fresh_tuple();
         let b = t.fresh_tuple();
         let p = t.fresh_txn();
-        let legacy = Expr::plus_m(
-            Expr::atom(a),
-            Expr::dot_m(Expr::sum([Expr::atom(a), Expr::atom(b)]), Expr::atom(p)),
-        );
-        let mut ar = ExprArena::new();
-        let id = ar.import(&legacy);
-        assert_eq!(ar.atoms(id), legacy.atoms());
+        let (aa, ba, pa) = (ar.atom(a), ar.atom(b), ar.atom(p));
+        // a +M ((a + b) ·M p): preorder, left to right, duplicates dropped.
+        let sum = ar.sum([aa, ba]);
+        let dot = ar.dot_m(sum, pa);
+        let id = ar.plus_m(aa, dot);
         assert_eq!(ar.atoms(id), vec![a, b, p]);
+    }
+
+    /// Atoms named `names` (their kind does not matter to printing),
+    /// interned into `ar`, with their table.
+    fn named<const N: usize>(ar: &mut ExprArena, names: [&str; N]) -> (AtomTable, [NodeId; N]) {
+        let mut t = AtomTable::new();
+        let ids = names.map(|name| ar.atom(t.named(name, AtomKind::Tuple)));
+        (t, ids)
+    }
+
+    #[test]
+    fn display_matches_paper_notation() {
+        let mut ar = ExprArena::new();
+        let (t, [p1, p3, p]) = named(&mut ar, ["p1", "p3", "p"]);
+        // (p1 +M (p3 ·M p)) − p, from Example 3.2.
+        let dot = ar.dot_m(p3, p);
+        let md = ar.plus_m(p1, dot);
+        let e = ar.minus(md, p);
+        assert_eq!(ar.display(e, &t).to_string(), "(p1 +M (p3 .M p)) - p");
+        assert_eq!(ar.display(ExprArena::ZERO, &t).to_string(), "0");
+        assert_eq!(ar.display(p, &t).to_string(), "p");
+    }
+
+    #[test]
+    fn display_sum_terms_in_order() {
+        let mut ar = ExprArena::new();
+        let (t, [a, b, p]) = named(&mut ar, ["a", "b", "p"]);
+        let sum = ar.sum([a, b]);
+        let e = ar.dot_m(sum, p);
+        assert_eq!(ar.display(e, &t).to_string(), "(a + b) .M p");
+        // A Σ as the right operand, with a non-leaf term.
+        let ap = ar.dot_m(a, p);
+        let sum = ar.sum([ap, b]);
+        let e = ar.plus_m(a, sum);
+        assert_eq!(ar.display(e, &t).to_string(), "a +M ((a .M p) + b)");
+    }
+
+    #[test]
+    fn display_prints_a_counted_block_as_its_expanded_spine() {
+        let mut ar = ExprArena::new();
+        let (t, [h, x, y, p]) = named(&mut ar, ["h", "x", "y", "p"]);
+        let yp = ar.dot_m(y, p);
+        let block = ar.counted(BinOp::PlusM, h, [(x, 2), (yp, 1)]);
+        assert!(matches!(ar.node(block), Node::Counted(..)));
+        let spine = "((h +M x) +M x) +M (y .M p)";
+        assert_eq!(ar.display(block, &t).to_string(), spine);
+        let e = ar.minus(block, p);
+        assert_eq!(ar.display(e, &t).to_string(), format!("({spine}) - p"));
+        // The same text as the spine it condenses.
+        let expanded = ar.expand_counted(e);
+        assert_ne!(expanded, e);
+        assert_eq!(
+            ar.display(expanded, &t).to_string(),
+            ar.display(e, &t).to_string()
+        );
     }
 
     #[test]

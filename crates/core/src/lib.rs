@@ -1,22 +1,17 @@
 //! Core algebra for `UP[X]` update provenance (Bourhis, Deutch & Moskovitch,
 //! SIGMOD 2020).
 //!
-//! The crate has two expression representations:
+//! Expressions live in one representation, the hash-consed
+//! [`arena::ExprArena`]. Every node is interned into a contiguous,
+//! topologically-ordered `Vec`, so structurally equal expressions always
+//! receive the same [`arena::NodeId`], equality is O(1), sharing is maximal
+//! by construction, and every pass (evaluation, size/depth analyses,
+//! rewriting, printing with [`arena::ExprArena::display`]) is iterative over
+//! dense vectors — no recursion, no pointer-keyed hash maps.
 //!
-//! * [`expr::Expr`] — the seed `Arc`-based tree with pointer sharing. Kept as
-//!   a convenient builder/compatibility layer; structurally equal subtrees
-//!   built independently are *not* shared.
-//! * [`arena::ExprArena`] — a hash-consed arena. Every node is interned into
-//!   a contiguous, topologically-ordered `Vec`, so structurally equal
-//!   expressions always receive the same [`arena::NodeId`], equality is O(1),
-//!   sharing is maximal by construction, and all hot paths (evaluation,
-//!   size/depth analyses) are iterative passes over dense vectors — no
-//!   recursion, no pointer-keyed hash maps.
-//!
-//! Lossless [`arena::ExprArena::import`] / [`arena::ExprArena::export`]
-//! bridges connect the two. Concrete semantics ([`structure::UpdateStructure`])
-//! and the executable axiom checker ([`axioms`]) apply to both; the catalogue
-//! of concrete structures lives in the `uprov-structures` crate.
+//! Concrete semantics are given by [`structure::UpdateStructure`]s, checked
+//! by the executable axiom checker ([`axioms`]); the catalogue of concrete
+//! structures lives in the `uprov-structures` crate.
 //!
 //! The twelve equivalence axioms of Figure 3 exist in two executable forms
 //! sharing one table ([`axioms::FIGURE_3`]): as checkable *laws* over a
@@ -34,7 +29,6 @@
 pub mod arena;
 pub mod atom;
 pub mod axioms;
-pub mod expr;
 pub mod fxhash;
 pub mod nf;
 pub mod oracle;
@@ -48,7 +42,6 @@ pub use atom::{Atom, AtomKind, AtomTable};
 pub use axioms::{
     axiom_info, check_axioms, check_zero_axioms, AxiomFailure, AxiomInfo, AxiomReport, FIGURE_3,
 };
-pub use expr::{Expr, ExprRef};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use nf::{
     equiv, equiv_in, nf, nf_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, EpochMap,
@@ -62,6 +55,6 @@ pub use parallel::{par_eval_many_in, par_eval_roots_in, MemoPool};
 pub use pool::WorkerPool;
 pub use rewrite::{reduce, rewrite_once, rules, RewriteRule};
 pub use structure::{
-    eval, eval_arena, eval_arena_in, eval_many, eval_many_in, eval_roots_in, map_valuation,
-    EvalBaseline, StructureHomomorphism, UpdateStructure, Valuation,
+    eval_arena, eval_arena_in, eval_many, eval_many_in, eval_roots_in, map_valuation, EvalBaseline,
+    StructureHomomorphism, UpdateStructure, Valuation,
 };

@@ -6,13 +6,9 @@
 //! symbolic expression under a structure plus a valuation of its atoms is
 //! the homomorphic "specialization" of Proposition 4.2.
 //!
-//! Three evaluators are provided:
+//! Two evaluators are provided:
 //!
-//! * [`eval`] — the legacy evaluator over the `Arc`-based
-//!   [`Expr`]: recursive, memoized through a
-//!   pointer-keyed `HashMap`. Kept as the compatibility baseline (it is the
-//!   "before" side of the benchkit suite in `benches/provenance.rs`).
-//! * [`eval_arena`] / [`eval_many`] — the hot path over the hash-consed
+//! * [`eval_arena`] / [`eval_many`] — evaluation over the hash-consed
 //!   [`ExprArena`]: **iterative** (explicit
 //!   worklist, safe on chains of any depth) with a dense `Vec<Option<V>>`
 //!   memo indexed by [`NodeId`]. [`eval_many`] additionally amortizes the
@@ -35,7 +31,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::arena::{BinOp, DenseMemo, ExprArena, Node, NodeId};
 use crate::atom::Atom;
-use crate::expr::{Expr, ExprRef};
 use crate::fxhash::FxHashMap;
 
 /// A concrete Update-Structure `(K, +M, ·M, −, +I, +, 0)`.
@@ -176,61 +171,6 @@ impl<V: Clone> Valuation<V> {
     pub fn overrides(&self) -> impl Iterator<Item = (Atom, &V)> {
         self.map.iter().map(|(a, v)| (*a, v))
     }
-}
-
-/// Evaluates a legacy `Arc` expression under an Update-Structure and a
-/// valuation.
-///
-/// Shared sub-expressions are evaluated once (pointer-memoized), so even the
-/// exponential-size naive provenance of Proposition 5.1 evaluates in time
-/// linear in its DAG size. This is the compatibility baseline: it recurses
-/// (deep unshared chains can overflow the stack) and memoizes through a
-/// pointer-keyed `HashMap`. Prefer [`eval_arena`] on hot paths.
-pub fn eval<S: UpdateStructure>(
-    expr: &ExprRef,
-    structure: &S,
-    valuation: &Valuation<S::Value>,
-) -> S::Value {
-    let mut memo: HashMap<*const Expr, S::Value> = HashMap::new();
-    eval_memo(expr, structure, valuation, &mut memo)
-}
-
-fn eval_memo<S: UpdateStructure>(
-    expr: &ExprRef,
-    s: &S,
-    val: &Valuation<S::Value>,
-    memo: &mut HashMap<*const Expr, S::Value>,
-) -> S::Value {
-    let key = Arc::as_ptr(expr);
-    if let Some(v) = memo.get(&key) {
-        return v.clone();
-    }
-    let v = match &**expr {
-        Expr::Zero => s.zero(),
-        Expr::Atom(a) => val.get(*a).clone(),
-        Expr::PlusI(a, b) => {
-            let (va, vb) = (eval_memo(a, s, val, memo), eval_memo(b, s, val, memo));
-            s.plus_i(&va, &vb)
-        }
-        Expr::Minus(a, b) => {
-            let (va, vb) = (eval_memo(a, s, val, memo), eval_memo(b, s, val, memo));
-            s.minus(&va, &vb)
-        }
-        Expr::PlusM(a, b) => {
-            let (va, vb) = (eval_memo(a, s, val, memo), eval_memo(b, s, val, memo));
-            s.plus_m(&va, &vb)
-        }
-        Expr::DotM(a, b) => {
-            let (va, vb) = (eval_memo(a, s, val, memo), eval_memo(b, s, val, memo));
-            s.dot_m(&va, &vb)
-        }
-        Expr::Sum(ts) => {
-            let vals: Vec<S::Value> = ts.iter().map(|t| eval_memo(t, s, val, memo)).collect();
-            s.sum(vals.iter())
-        }
-    };
-    memo.insert(key, v.clone());
-    v
 }
 
 /// Evaluates an arena node under an Update-Structure and a valuation.

@@ -1,29 +1,30 @@
 //! Regression tests for deep expressions: every path a user can hit with a
 //! depth-100 000 update chain (the paper's long-transaction replay) must be
-//! iterative — construction, traversal, pretty-printing, evaluation, import
-//! and teardown all run with explicit stacks, never call-stack recursion.
+//! iterative — construction, traversal, pretty-printing, evaluation and
+//! normalization all run with explicit stacks, never call-stack recursion.
 
 use uprov_core::{
-    equiv, eval_arena, nf, nf_roots_in, AtomTable, Expr, ExprArena, ExprRef, NfMemo, Valuation,
+    equiv, eval_arena, nf, nf_roots_in, AtomTable, ExprArena, NfMemo, NodeId, Valuation,
 };
 use uprov_structures::Bool;
 
 const DEPTH: usize = 100_000;
 
-fn deep_legacy_chain(t: &mut AtomTable) -> ExprRef {
-    let mut e = Expr::atom(t.fresh_tuple());
+/// `((x − p1) − p2) − … − pDEPTH`.
+fn deep_chain(t: &mut AtomTable, ar: &mut ExprArena) -> NodeId {
+    let mut e = ar.atom(t.fresh_tuple());
     for _ in 0..DEPTH {
-        let p = Expr::atom(t.fresh_txn());
-        e = Expr::minus(e, p);
+        let p = ar.atom(t.fresh_txn());
+        e = ar.minus(e, p);
     }
     e
 }
 
 #[test]
 fn deep_legacy_display_does_not_overflow() {
-    let mut t = AtomTable::new();
-    let e = deep_legacy_chain(&mut t);
-    let s = format!("{}", e.display(&t));
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+    let e = deep_chain(&mut t, &mut ar);
+    let s = ar.display(e, &t).to_string();
     assert!(s.starts_with('('));
     assert!(s.ends_with(&format!("p{DEPTH}")));
     // Each level contributes " - pN" plus wrapping parens.
@@ -32,24 +33,18 @@ fn deep_legacy_display_does_not_overflow() {
 
 #[test]
 fn deep_legacy_atoms_and_stats_do_not_overflow() {
-    let mut t = AtomTable::new();
-    let e = deep_legacy_chain(&mut t);
-    assert_eq!(e.atoms().len(), DEPTH + 1);
-    assert_eq!(e.depth(), DEPTH + 1);
-    assert_eq!(e.logical_size(), 2 * DEPTH as u128 + 1);
-    assert_eq!(e.dag_size(), 2 * DEPTH + 1);
-    // Dropping the last reference tears down iteratively (the derived drop
-    // glue would recurse once per level and overflow).
-    drop(e);
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+    let e = deep_chain(&mut t, &mut ar);
+    assert_eq!(ar.atoms(e).len(), DEPTH + 1);
+    assert_eq!(ar.depth(e), DEPTH + 1);
+    assert_eq!(ar.logical_size(e), 2 * DEPTH as u128 + 1);
+    assert_eq!(ar.dag_size(e), 2 * DEPTH + 1);
 }
 
 #[test]
 fn deep_arena_import_eval_analyze_do_not_overflow() {
-    let mut t = AtomTable::new();
-    let legacy = deep_legacy_chain(&mut t);
-    let mut ar = ExprArena::new();
-    let id = ar.import(&legacy);
-    drop(legacy);
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+    let id = deep_chain(&mut t, &mut ar);
     let stats = ar.analyze(id);
     assert_eq!(stats.depth, DEPTH + 1);
     assert_eq!(stats.dag_size, 2 * DEPTH + 1);

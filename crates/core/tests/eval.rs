@@ -4,8 +4,8 @@
 //! crate instances for integration tests).
 
 use uprov_core::{
-    check_axioms, check_zero_axioms, eval, eval_arena, eval_many, map_valuation, AtomTable, Expr,
-    ExprArena, StructureHomomorphism, UpdateStructure, Valuation,
+    check_axioms, check_zero_axioms, eval_arena, eval_many, map_valuation, AtomTable, ExprArena,
+    StructureHomomorphism, UpdateStructure, Valuation,
 };
 use uprov_structures::{Bool, CountingMonus};
 
@@ -13,14 +13,16 @@ use uprov_structures::{Bool, CountingMonus};
 fn eval_example_4_3() {
     // Tuple annotated 0 +M (p2 ·M p'); deleting the input tuple (p2 :=
     // false) must evaluate to absent.
-    let mut t = AtomTable::new();
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
     let p2 = t.fresh_tuple();
     let pp = t.fresh_txn();
-    let e = Expr::plus_m(Expr::zero(), Expr::dot_m(Expr::atom(p2), Expr::atom(pp)));
+    let (p2a, ppa) = (ar.atom(p2), ar.atom(pp));
+    let dot = ar.dot_m(p2a, ppa);
+    let e = ar.plus_m(ExprArena::ZERO, dot);
     let all_true = Valuation::constant(true);
-    assert!(eval(&e, &Bool, &all_true));
+    assert!(eval_arena(&ar, e, &Bool, &all_true));
     let deleted = Valuation::constant(true).with(p2, false);
-    assert!(!eval(&e, &Bool, &deleted));
+    assert!(!eval_arena(&ar, e, &Bool, &deleted));
 }
 
 #[test]
@@ -28,23 +30,19 @@ fn eval_example_4_4_transaction_abortion() {
     // Products("Kids mnt bike", "Sport", $50) has provenance
     // 0 +M (((p1 +M (p3 ·M p)) − p) ·M p'); aborting the first
     // transaction (p := false) keeps the tuple present.
-    let mut t = AtomTable::new();
-    let p1 = t.fresh_tuple();
-    let p3 = t.fresh_tuple();
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
     let p = t.fresh_txn();
-    let pp = t.fresh_txn();
-    let inner = Expr::minus(
-        Expr::plus_m(Expr::atom(p1), Expr::dot_m(Expr::atom(p3), Expr::atom(p))),
-        Expr::atom(p),
-    );
-    let e = Expr::plus_m(Expr::zero(), Expr::dot_m(inner, Expr::atom(pp)));
+    let p1 = ar.atom(t.fresh_tuple());
+    let p3 = ar.atom(t.fresh_tuple());
+    let pa = ar.atom(p);
+    let ppa = ar.atom(t.fresh_txn());
+    let dot = ar.dot_m(p3, pa);
+    let md = ar.plus_m(p1, dot);
+    let inner = ar.minus(md, pa);
+    let outer = ar.dot_m(inner, ppa);
+    let e = ar.plus_m(ExprArena::ZERO, outer);
     let aborted = Valuation::constant(true).with(p, false);
-    assert!(eval(&e, &Bool, &aborted));
-
-    // The arena evaluator agrees on the imported DAG.
-    let mut ar = ExprArena::new();
-    let id = ar.import(&e);
-    assert!(eval_arena(&ar, id, &Bool, &aborted));
+    assert!(eval_arena(&ar, e, &Bool, &aborted));
 }
 
 #[test]
@@ -55,17 +53,17 @@ fn sum_of_empty_is_zero() {
 
 #[test]
 fn eval_memoizes_shared_nodes() {
-    // Build a deep shared DAG; evaluation must terminate quickly.
-    let mut t = AtomTable::new();
-    let mut e = Expr::atom(t.fresh_tuple());
+    // A shared DAG whose tree has 2^60 leaves: evaluation must visit each
+    // node once and terminate quickly.
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+    let mut e = ar.atom(t.fresh_tuple());
     for _ in 0..60 {
-        let p = Expr::atom(t.fresh_txn());
-        e = Expr::plus_m(e.clone(), Expr::dot_m(e, p));
+        let p = ar.atom(t.fresh_txn());
+        let dot = ar.dot_m(e, p);
+        e = ar.plus_m(e, dot);
     }
-    assert!(eval(&e, &Bool, &Valuation::constant(true)));
-    let mut ar = ExprArena::new();
-    let id = ar.import(&e);
-    assert!(eval_arena(&ar, id, &Bool, &Valuation::constant(true)));
+    assert_eq!(ar.dag_size(e), 3 * 60 + 1);
+    assert!(eval_arena(&ar, e, &Bool, &Valuation::constant(true)));
 }
 
 #[test]
@@ -101,15 +99,16 @@ impl StructureHomomorphism<Bool, Bool> for Identity {
 
 #[test]
 fn homomorphism_commutes_with_eval() {
-    let mut t = AtomTable::new();
+    let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
     let a = t.fresh_tuple();
     let p = t.fresh_txn();
-    let e = Expr::plus_i(Expr::atom(a), Expr::atom(p));
+    let (aa, pa) = (ar.atom(a), ar.atom(p));
+    let e = ar.plus_i(aa, pa);
     let val = Valuation::constant(true).with(a, false);
     let mapped = map_valuation::<Bool, Bool, _>(&Identity, &val);
     assert_eq!(
-        Identity.apply(&eval(&e, &Bool, &val)),
-        eval(&e, &Bool, &mapped)
+        Identity.apply(&eval_arena(&ar, e, &Bool, &val)),
+        eval_arena(&ar, e, &Bool, &mapped)
     );
 }
 

@@ -8,61 +8,17 @@
 //! offline; see ROADMAP.md), with the failing seed printed for
 //! reproduction.
 
+mod common;
+
+use common::{random_dag, random_valuation};
 use uprov_core::{
-    eval_arena, eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, Atom, AtomTable,
-    DenseMemo, Expr, ExprArena, ExprRef, MemoPool, NodeId, UpdateStructure, Valuation,
+    eval_arena, eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable,
+    DenseMemo, ExprArena, MemoPool, NodeId, Valuation,
 };
 use uprov_structures::{Bool, Worlds};
 
 // The repo-standard seeded xorshift64* harness.
 use benchkit::TestRng as Rng;
-
-/// Random shared DAG built bottom-up over a pool of atoms — the same
-/// generator shape as `tests/prop.rs`.
-fn random_expr(rng: &mut Rng, table: &mut AtomTable, ops: usize) -> (ExprRef, Vec<Atom>) {
-    let mut atoms = Vec::new();
-    let mut pool: Vec<ExprRef> = vec![Expr::zero()];
-    for _ in 0..4 {
-        let a = if rng.coin() {
-            table.fresh_tuple()
-        } else {
-            table.fresh_txn()
-        };
-        atoms.push(a);
-        pool.push(Expr::atom(a));
-    }
-    for _ in 0..ops {
-        let a = pool[rng.below(pool.len())].clone();
-        let b = pool[rng.below(pool.len())].clone();
-        let e = match rng.below(6) {
-            0 => Expr::plus_i(a, b),
-            1 => Expr::minus(a, b),
-            2 => Expr::plus_m(a, b),
-            3 => Expr::dot_m(a, b),
-            _ => {
-                let c = pool[rng.below(pool.len())].clone();
-                Expr::sum([a, b, c])
-            }
-        };
-        pool.push(e);
-    }
-    (pool.pop().expect("non-empty pool"), atoms)
-}
-
-fn random_valuation<S, F>(rng: &mut Rng, atoms: &[Atom], mut sample: F) -> Valuation<S::Value>
-where
-    S: UpdateStructure,
-    F: FnMut(&mut Rng) -> S::Value,
-{
-    let mut val = Valuation::constant(sample(rng));
-    for &a in atoms {
-        if rng.coin() {
-            let v = sample(rng);
-            val.set(a, v);
-        }
-    }
-    val
-}
 
 /// Thread counts exercised per case: serial fallback, genuine concurrency,
 /// and oversubscription (more threads than shards — and than cores, on
@@ -93,13 +49,13 @@ fn prop_par_eval_roots_bit_identical_to_serial() {
                 roots.push(ExprArena::ZERO);
             } else {
                 let ops = 8 + rng.below(30);
-                let (e, a) = random_expr(&mut rng, &mut table, ops);
-                atoms.extend(a);
-                roots.push(ar.import(&e));
+                let dag = random_dag(&mut rng, &mut table, &mut ar, ops);
+                atoms.extend(dag.atoms);
+                roots.push(dag.root);
             }
         }
-        let val = random_valuation::<Bool, _>(&mut rng, &atoms, Rng::coin);
-        let wval = random_valuation::<Worlds, _>(&mut rng, &atoms, Rng::next_u64);
+        let val = random_valuation(&mut rng, &atoms, Rng::coin);
+        let wval = random_valuation(&mut rng, &atoms, Rng::next_u64);
         let serial = eval_roots_in(&ar, &roots, &Bool, &val, &mut serial_memo);
         let wserial = eval_roots_in(&ar, &roots, &Worlds, &wval, &mut wserial_memo);
         for threads in THREADS {
@@ -126,16 +82,16 @@ fn prop_par_eval_many_bit_identical_to_serial() {
         let mut table = AtomTable::new();
         let mut ar = ExprArena::new();
         let ops = 10 + rng.below(40);
-        let (e, atoms) = random_expr(&mut rng, &mut table, ops);
-        let root = ar.import(&e);
+        let dag = random_dag(&mut rng, &mut table, &mut ar, ops);
+        let (root, atoms) = (dag.root, dag.atoms);
         // 0..=10 valuations: with up to 9 threads this covers
         // #shards > #valuations and the empty batch.
         let n_vals = rng.below(11);
         let vals: Vec<Valuation<bool>> = (0..n_vals)
-            .map(|_| random_valuation::<Bool, _>(&mut rng, &atoms, Rng::coin))
+            .map(|_| random_valuation(&mut rng, &atoms, Rng::coin))
             .collect();
         let wvals: Vec<Valuation<u64>> = (0..n_vals)
-            .map(|_| random_valuation::<Worlds, _>(&mut rng, &atoms, Rng::next_u64))
+            .map(|_| random_valuation(&mut rng, &atoms, Rng::next_u64))
             .collect();
         let serial = eval_many(&ar, root, &Bool, &vals);
         let wserial = eval_many(&ar, root, &Worlds, &wvals);

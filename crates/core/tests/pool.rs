@@ -12,61 +12,17 @@
 
 use std::collections::BTreeSet;
 
+mod common;
+
+use common::{random_dag, random_valuation, reference_eval};
 use uprov_core::{
-    eval_arena, eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, Atom, AtomTable,
-    DenseMemo, Expr, ExprArena, ExprRef, MemoPool, NodeId, UpdateStructure, Valuation, WorkerPool,
+    eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable, DenseMemo, ExprArena,
+    MemoPool, NodeId, UpdateStructure, Valuation, WorkerPool,
 };
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
 
 // The repo-standard seeded xorshift64* harness.
 use benchkit::TestRng as Rng;
-
-/// Random shared DAG over a handful of atoms (generator shape of
-/// `tests/par.rs`).
-fn random_expr(rng: &mut Rng, table: &mut AtomTable, ops: usize) -> (ExprRef, Vec<Atom>) {
-    let mut atoms = Vec::new();
-    let mut pool: Vec<ExprRef> = vec![Expr::zero()];
-    for _ in 0..4 {
-        let a = if rng.coin() {
-            table.fresh_tuple()
-        } else {
-            table.fresh_txn()
-        };
-        atoms.push(a);
-        pool.push(Expr::atom(a));
-    }
-    for _ in 0..ops {
-        let a = pool[rng.below(pool.len())].clone();
-        let b = pool[rng.below(pool.len())].clone();
-        let e = match rng.below(6) {
-            0 => Expr::plus_i(a, b),
-            1 => Expr::minus(a, b),
-            2 => Expr::plus_m(a, b),
-            3 => Expr::dot_m(a, b),
-            _ => {
-                let c = pool[rng.below(pool.len())].clone();
-                Expr::sum([a, b, c])
-            }
-        };
-        pool.push(e);
-    }
-    (pool.pop().expect("non-empty pool"), atoms)
-}
-
-fn random_valuation<S, F>(rng: &mut Rng, atoms: &[Atom], mut sample: F) -> Valuation<S::Value>
-where
-    S: UpdateStructure,
-    F: FnMut(&mut Rng) -> S::Value,
-{
-    let mut val = Valuation::constant(sample(rng));
-    for &a in atoms {
-        if rng.coin() {
-            let v = sample(rng);
-            val.set(a, v);
-        }
-    }
-    val
-}
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -85,9 +41,9 @@ where
     for case in 0..12 {
         let mut table = AtomTable::new();
         let ops = 3 + rng.below(30);
-        let (expr, atoms) = random_expr(&mut rng, &mut table, ops);
         let mut arena = ExprArena::new();
-        let root = arena.import(&expr);
+        let dag = random_dag(&mut rng, &mut table, &mut arena, ops);
+        let root = dag.root;
         // A spread of roots into the shared DAG (sub-nodes included), so
         // the many-roots path has real sharing to exploit.
         let roots: Vec<NodeId> = (0..=root.index())
@@ -96,7 +52,7 @@ where
             .chain([root])
             .collect();
         let valuations: Vec<Valuation<S::Value>> = (0..1 + rng.below(9))
-            .map(|_| random_valuation::<S, _>(&mut rng, &atoms, &mut sample))
+            .map(|_| random_valuation(&mut rng, &dag.atoms, &mut sample))
             .collect();
         let repro = format!("seed={seed} case={case}");
 
@@ -113,11 +69,11 @@ where
             assert_eq!(pooled, serial_roots, "{repro} t={threads}: pooled roots");
         }
 
-        // Spot-check one root against the no-memo reference evaluator.
+        // Spot-check one root against the op-list reference evaluator.
         assert_eq!(
             serial_many[0],
-            eval_arena(&arena, root, structure, &valuations[0]),
-            "{repro}: eval_many[0] vs eval_arena"
+            reference_eval(&dag, structure, &valuations[0]),
+            "{repro}: eval_many[0] vs the reference"
         );
     }
 }
@@ -163,11 +119,11 @@ fn repeated_calls_ride_one_resident_pool() {
 
     let mut rng = Rng::new(42);
     let mut table = AtomTable::new();
-    let (expr, atoms) = random_expr(&mut rng, &mut table, 24);
     let mut arena = ExprArena::new();
-    let root = arena.import(&expr);
+    let dag = random_dag(&mut rng, &mut table, &mut arena, 24);
+    let (root, atoms) = (dag.root, dag.atoms);
     let valuations: Vec<Valuation<u64>> = (0..16)
-        .map(|_| random_valuation::<Worlds, _>(&mut rng, &atoms, |r| r.next_u64()))
+        .map(|_| random_valuation(&mut rng, &atoms, Rng::next_u64))
         .collect();
     let memo_pool = MemoPool::new();
     let expect = eval_many(&arena, root, &Worlds, &valuations);

@@ -1,15 +1,19 @@
-//! Randomized property tests for the arena/legacy bridge and evaluators.
+//! Randomized property tests for the arena's evaluators, analyses and
+//! normalizer.
 //!
 //! The real `proptest` crate is unavailable in the offline build
 //! environment, so these use a minimal deterministic in-repo harness: a
-//! seeded xorshift generator producing random shared DAGs, with the seed
-//! printed on failure for reproduction. Swap to real `proptest` when a
-//! network-enabled toolchain is available (see ROADMAP.md).
+//! seeded xorshift generator producing random shared DAGs
+//! (`common::random_dag`), with the seed printed on failure for
+//! reproduction. Swap to real `proptest` when a network-enabled toolchain
+//! is available (see ROADMAP.md).
 
+mod common;
+
+use common::{random_dag, random_valuation, reference_eval};
 use uprov_core::{
-    equiv, eval, eval_arena, eval_arena_in, eval_many, nf, nf_in, nf_roots_incremental_in, Atom,
-    AtomTable, DenseMemo, Expr, ExprArena, ExprRef, NfCache, NfMemo, NodeId, UpdateStructure,
-    Valuation,
+    equiv, eval_arena, eval_arena_in, eval_many, nf, nf_in, nf_roots_incremental_in, Atom,
+    AtomTable, DenseMemo, ExprArena, NfCache, NfMemo, NodeId, UpdateStructure, Valuation,
 };
 use uprov_structures::{Bool, Worlds};
 
@@ -17,84 +21,26 @@ use uprov_structures::{Bool, Worlds};
 // workspace's property suites instead of copy-pasted per file.
 use benchkit::TestRng as Rng;
 
-/// Builds a random shared DAG bottom-up: starts from a pool of atoms (plus
-/// `0`) and repeatedly combines random pool entries with random operators,
-/// pushing results back into the pool so later nodes share earlier ones —
-/// exactly the shape hash-consing must handle (including repeated,
-/// structurally identical combinations).
-fn random_expr(rng: &mut Rng, table: &mut AtomTable, ops: usize) -> (ExprRef, Vec<Atom>) {
-    let mut atoms = Vec::new();
-    let mut pool: Vec<ExprRef> = vec![Expr::zero()];
-    for _ in 0..4 {
-        let a = if rng.coin() {
-            table.fresh_tuple()
-        } else {
-            table.fresh_txn()
-        };
-        atoms.push(a);
-        pool.push(Expr::atom(a));
-    }
-    for _ in 0..ops {
-        let a = pool[rng.below(pool.len())].clone();
-        let b = pool[rng.below(pool.len())].clone();
-        let e = match rng.below(6) {
-            0 => Expr::plus_i(a, b),
-            1 => Expr::minus(a, b),
-            2 => Expr::plus_m(a, b),
-            3 => Expr::dot_m(a, b),
-            _ => {
-                let c = pool[rng.below(pool.len())].clone();
-                Expr::sum([a, b, c])
-            }
-        };
-        pool.push(e);
-    }
-    (pool.pop().expect("non-empty pool"), atoms)
-}
-
-fn random_valuation(rng: &mut Rng, atoms: &[Atom]) -> Valuation<bool> {
-    let mut val = Valuation::constant(true);
-    for &a in atoms {
-        if rng.coin() {
-            val.set(a, rng.coin());
-        }
-    }
-    val
-}
-
 const CASES: u64 = 300;
 
 #[test]
-fn prop_interning_is_idempotent() {
-    // intern(export(id)) == id for random expressions.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed * 7919 + 1);
-        let mut table = AtomTable::new();
-        let (e, _) = random_expr(&mut rng, &mut table, 40);
-        let mut ar = ExprArena::new();
-        let id = ar.import(&e);
-        let back = ar.export(id);
-        assert_eq!(
-            ar.import(&back),
-            id,
-            "seed {seed}: intern(export(id)) != id"
-        );
-    }
-}
-
-#[test]
-fn prop_arena_eval_agrees_with_legacy_eval() {
+fn prop_arena_eval_agrees_with_reference_eval() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 104_729 + 3);
         let mut table = AtomTable::new();
-        let (e, atoms) = random_expr(&mut rng, &mut table, 40);
-        let val = random_valuation(&mut rng, &atoms);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let dag = random_dag(&mut rng, &mut table, &mut ar, 40);
+        let val = random_valuation(&mut rng, &dag.atoms, Rng::coin);
         assert_eq!(
-            eval(&e, &Bool, &val),
-            eval_arena(&ar, id, &Bool, &val),
-            "seed {seed}: arena eval diverged from legacy eval"
+            reference_eval(&dag, &Bool, &val),
+            eval_arena(&ar, dag.root, &Bool, &val),
+            "seed {seed}: arena eval diverged from the reference under Bool"
+        );
+        let wval = random_valuation(&mut rng, &dag.atoms, Rng::next_u64);
+        assert_eq!(
+            reference_eval(&dag, &Worlds, &wval),
+            eval_arena(&ar, dag.root, &Worlds, &wval),
+            "seed {seed}: arena eval diverged from the reference under Worlds"
         );
     }
 }
@@ -104,11 +50,12 @@ fn prop_eval_many_agrees_with_eval_arena() {
     for seed in 0..CASES / 3 {
         let mut rng = Rng::new(seed * 31_337 + 5);
         let mut table = AtomTable::new();
-        let (e, atoms) = random_expr(&mut rng, &mut table, 40);
-        let vals: Vec<Valuation<bool>> =
-            (0..8).map(|_| random_valuation(&mut rng, &atoms)).collect();
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let dag = random_dag(&mut rng, &mut table, &mut ar, 40);
+        let (id, atoms) = (dag.root, dag.atoms);
+        let vals: Vec<Valuation<bool>> = (0..8)
+            .map(|_| random_valuation(&mut rng, &atoms, Rng::coin))
+            .collect();
         let batched = eval_many(&ar, id, &Bool, &vals);
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(
@@ -127,9 +74,8 @@ fn prop_nf_is_idempotent() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 48_271 + 7);
         let mut table = AtomTable::new();
-        let (e, _) = random_expr(&mut rng, &mut table, 40);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let id = random_dag(&mut rng, &mut table, &mut ar, 40).root;
         let out = nf_in(&mut ar, id, &mut memo);
         assert!(out.is_normal(), "seed {seed}: nf saturated");
         let again = nf_in(&mut ar, out.id, &mut memo);
@@ -153,15 +99,10 @@ fn prop_nf_preserves_eval_for_every_catalogue_structure() {
         ar: &ExprArena,
         (id, n): (NodeId, NodeId),
         atoms: &[Atom],
-        mut sample: impl FnMut(&mut Rng) -> S::Value,
+        sample: impl FnMut(&mut Rng) -> S::Value,
         seed: u64,
     ) {
-        let mut val = Valuation::constant(sample(rng));
-        for &a in atoms {
-            if rng.coin() {
-                val.set(a, sample(rng));
-            }
-        }
+        let val = random_valuation(rng, atoms, sample);
         assert_eq!(
             eval_arena(ar, id, s, &val),
             eval_arena(ar, n, s, &val),
@@ -172,9 +113,9 @@ fn prop_nf_preserves_eval_for_every_catalogue_structure() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 2_147_483_629 + 13);
         let mut table = AtomTable::new();
-        let (e, atoms) = random_expr(&mut rng, &mut table, 40);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let dag = random_dag(&mut rng, &mut table, &mut ar, 40);
+        let (id, atoms) = (dag.root, dag.atoms);
         let n = nf(&mut ar, id);
         for _ in 0..4 {
             check(&Bool, &mut rng, &ar, (id, n), &atoms, Rng::coin, seed);
@@ -241,11 +182,11 @@ fn prop_eval_arena_in_pools_without_changing_results() {
     for seed in 0..CASES / 3 {
         let mut rng = Rng::new(seed * 179_424_673 + 19);
         let mut table = AtomTable::new();
-        let (e, atoms) = random_expr(&mut rng, &mut table, 30);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let dag = random_dag(&mut rng, &mut table, &mut ar, 30);
+        let (id, atoms) = (dag.root, dag.atoms);
         for _ in 0..3 {
-            let val = random_valuation(&mut rng, &atoms);
+            let val = random_valuation(&mut rng, &atoms, Rng::coin);
             assert_eq!(
                 eval_arena_in(&ar, id, &Bool, &val, &mut memo),
                 eval_arena(&ar, id, &Bool, &val),
@@ -255,24 +196,63 @@ fn prop_eval_arena_in_pools_without_changing_results() {
     }
 }
 
+/// Logical size and depth as an Update-Structure: a value is `(size, depth,
+/// Σ terms or 0)`, `None` is `0`, and the operations apply the zero axioms
+/// and flatten `Σ` as the arena's smart constructors do. Replaying a
+/// generated DAG under it yields what `ExprArena::analyze` must report,
+/// computed without the arena.
+#[derive(Debug)]
+struct TreeShape;
+
+type Shape = Option<(u128, usize, usize)>;
+
+fn node(a: Shape, b: Shape) -> Shape {
+    let ((sa, da, _), (sb, db, _)) = (a?, b?);
+    Some((sa + sb + 1, 1 + da.max(db), 0))
+}
+
+impl UpdateStructure for TreeShape {
+    type Value = Shape;
+    fn zero(&self) -> Shape {
+        None
+    }
+    fn plus_i(&self, a: &Shape, b: &Shape) -> Shape {
+        node(*a, *b).or(a.or(*b))
+    }
+    fn minus(&self, a: &Shape, b: &Shape) -> Shape {
+        node(*a, *b).or(*a)
+    }
+    fn plus_m(&self, a: &Shape, b: &Shape) -> Shape {
+        self.plus_i(a, b)
+    }
+    fn dot_m(&self, a: &Shape, b: &Shape) -> Shape {
+        node(*a, *b)
+    }
+    fn plus(&self, a: &Shape, b: &Shape) -> Shape {
+        // A Σ operand contributes its terms, not itself.
+        let flat = |s: Shape| s.map(|(s, d, n)| if n == 0 { (s, d, 1) } else { (s - 1, d - 1, n) });
+        match (flat(*a), flat(*b)) {
+            (Some((sa, da, na)), Some((sb, db, nb))) => {
+                Some((sa + sb + 1, 1 + da.max(db), na + nb))
+            }
+            _ => a.or(*b),
+        }
+    }
+}
+
 #[test]
 fn prop_arena_stats_agree_with_legacy_stats() {
+    let leaf = Valuation::constant(Some((1, 1, 0)));
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 65_537 + 11);
         let mut table = AtomTable::new();
-        let (e, _) = random_expr(&mut rng, &mut table, 30);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
-        let stats = ar.analyze(id);
-        assert_eq!(
-            stats.logical_size,
-            e.logical_size(),
-            "seed {seed}: logical_size"
-        );
-        assert_eq!(stats.depth, e.depth(), "seed {seed}: depth");
-        assert_eq!(ar.atoms(id), e.atoms(), "seed {seed}: atoms order");
-        // Hash-consing can only merge nodes, never add them.
-        assert!(stats.dag_size <= e.dag_size(), "seed {seed}: dag_size grew");
+        let dag = random_dag(&mut rng, &mut table, &mut ar, 30);
+        let stats = ar.analyze(dag.root);
+        let (size, depth, _) = reference_eval(&dag, &TreeShape, &leaf).unwrap_or((1, 1, 0));
+        assert_eq!(stats.logical_size, size, "seed {seed}: logical_size");
+        assert_eq!(stats.depth, depth, "seed {seed}: depth");
+        assert_eq!(stats.dag_size, ar.topo_order(dag.root).len());
     }
 }
 
@@ -289,9 +269,8 @@ fn prop_nf_never_maps_a_nonzero_id_to_zero() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 87_178_291_199 + 37);
         let mut table = AtomTable::new();
-        let (e, _) = random_expr(&mut rng, &mut table, 50);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let id = random_dag(&mut rng, &mut table, &mut ar, 50).root;
         let out = nf_in(&mut ar, id, &mut memo);
         assert!(out.is_normal(), "seed {seed}: nf saturated");
         assert_eq!(
@@ -312,9 +291,8 @@ fn prop_nf_result_is_a_full_reduce_fixpoint() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 2_654_435_761 + 3);
         let mut table = AtomTable::new();
-        let (e, _) = random_expr(&mut rng, &mut table, 60);
         let mut ar = ExprArena::new();
-        let id = ar.import(&e);
+        let id = random_dag(&mut rng, &mut table, &mut ar, 60).root;
         let out = nf_in(&mut ar, id, &mut memo);
         assert!(out.is_normal(), "seed {seed}: nf saturated");
         let confirm = ar.rewrite_pass(out.id, &mut |arena, node| uprov_core::reduce(arena, node));
@@ -338,12 +316,12 @@ fn prop_eval_roots_in_agrees_with_per_root_eval() {
         let mut roots = vec![ExprArena::ZERO];
         let mut atoms = Vec::new();
         for _ in 0..4 {
-            let (e, a) = random_expr(&mut rng, &mut table, 20);
-            roots.push(ar.import(&e));
-            atoms.extend(a);
+            let dag = random_dag(&mut rng, &mut table, &mut ar, 20);
+            roots.push(dag.root);
+            atoms.extend(dag.atoms);
         }
         roots.push(roots[1]); // repeated root: served from the shared memo
-        let val = random_valuation(&mut rng, &atoms);
+        let val = random_valuation(&mut rng, &atoms, Rng::coin);
         let batch = uprov_core::eval_roots_in(&ar, &roots, &Bool, &val, &mut memo);
         for (i, (&r, got)) in roots.iter().zip(&batch).enumerate() {
             assert_eq!(
@@ -456,9 +434,9 @@ fn prop_nf_incremental_agrees_with_scratch_after_interleavings() {
             // the wrapped root was certified in an earlier wave.
             for _ in 0..2 + rng.below(3) {
                 let id = if rng.coin() || live.len() < 2 {
-                    let (e, a) = random_expr(&mut rng, &mut table, 15);
-                    atoms.extend(a);
-                    ar.import(&e)
+                    let dag = random_dag(&mut rng, &mut table, &mut ar, 15);
+                    atoms.extend(dag.atoms);
+                    dag.root
                 } else {
                     let base = live[rng.below(live.len())];
                     let p_atom = table.fresh_txn();
@@ -496,11 +474,8 @@ fn prop_nf_incremental_agrees_with_scratch_after_interleavings() {
                 );
             }
             // Evaluation is preserved through the cache cuts.
-            let val = random_valuation(&mut rng, &atoms);
-            let mut wval: Valuation<u64> = Valuation::constant(u64::MAX);
-            for (a, v) in val.overrides() {
-                wval.set(a, if *v { u64::MAX } else { 0 });
-            }
+            let val = random_valuation(&mut rng, &atoms, Rng::coin);
+            let wval = random_valuation(&mut rng, &atoms, Rng::next_u64);
             for (&r, out) in batch.iter().zip(&outcomes) {
                 assert_eq!(
                     eval_arena(&ar, r, &Bool, &val),
@@ -528,8 +503,7 @@ fn prop_nf_roots_in_agrees_with_per_root_nf() {
         let mut ar = ExprArena::new();
         let mut roots = vec![ExprArena::ZERO];
         for _ in 0..4 {
-            let (e, _) = random_expr(&mut rng, &mut table, 30);
-            roots.push(ar.import(&e));
+            roots.push(random_dag(&mut rng, &mut table, &mut ar, 30).root);
         }
         roots.push(roots[1]); // repeated root
         let outcomes = uprov_core::nf_roots_in(&mut ar, &roots, &mut memo);

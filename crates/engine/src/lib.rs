@@ -746,8 +746,8 @@ impl Engine {
         self.subst_cache.advance_epoch();
     }
 
-    /// Renders a provenance id in the paper's notation (via the legacy
-    /// expression bridge).
+    /// Renders a provenance id in the paper's notation
+    /// ([`ExprArena::display`]).
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -759,7 +759,7 @@ impl Engine {
     /// assert_eq!(engine.render(state.provenance("y")), "x .M t");
     /// ```
     pub fn render(&self, id: NodeId) -> String {
-        self.arena.export(id).display(&self.atoms).to_string()
+        self.arena.display(id, &self.atoms).to_string()
     }
 
     fn tuple_atom(&mut self, name: &str) -> Result<Atom, ReplayError> {

@@ -16,7 +16,7 @@ use uprov_structures::Worlds;
 /// Evaluate a rendered provenance expression under a name→value map.
 ///
 /// The display grammar is fully parenthesized below the top level
-/// (`crates/core/src/expr.rs`): a level is operands joined by one
+/// (`ExprArena::display`): a level is operands joined by one
 /// operator, an operand is `0`, a name, or a parenthesized level.
 pub fn eval_render<S, F>(s: &S, src: &str, value_of: &F) -> S::Value
 where

@@ -826,14 +826,16 @@ mod tests {
 
     #[test]
     fn bool_deletion_propagation_example() {
-        use uprov_core::{eval, Expr, Valuation};
-        let mut t = uprov_core::AtomTable::new();
+        use uprov_core::{eval_arena, AtomTable, ExprArena, Valuation};
+        let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
         let x = t.fresh_tuple();
         let p = t.fresh_txn();
         // x ·M p: present iff the source tuple exists and the txn ran.
-        let e = Expr::dot_m(Expr::atom(x), Expr::atom(p));
-        assert!(eval(&e, &Bool, &Valuation::constant(true)));
-        assert!(!eval(&e, &Bool, &Valuation::constant(true).with(x, false)));
-        assert!(!eval(&e, &Bool, &Valuation::constant(true).with(p, false)));
+        let (xa, pa) = (ar.atom(x), ar.atom(p));
+        let e = ar.dot_m(xa, pa);
+        let all = Valuation::constant(true);
+        assert!(eval_arena(&ar, e, &Bool, &all));
+        assert!(!eval_arena(&ar, e, &Bool, &all.clone().with(x, false)));
+        assert!(!eval_arena(&ar, e, &Bool, &all.with(p, false)));
     }
 }

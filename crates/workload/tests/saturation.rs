@@ -14,7 +14,7 @@
 //! budgets.
 
 use benchkit::TestRng;
-use uprov_core::{nf_in, try_equiv_in, ExprArena, NfMemo};
+use uprov_core::{nf_in, try_equiv_in, NfMemo};
 use uprov_engine::Engine;
 use uprov_workload::{knobs, Workload, WorkloadConfig};
 
@@ -34,12 +34,10 @@ fn exhausted_budget_never_reports_a_definite_answer() {
                 .replay(&w.log)
                 .unwrap_or_else(|e| panic!("{cfg}: {e}"));
 
-            // Re-intern each tuple's provenance into a private arena we
-            // can normalize in (the engine owns its arena mutably).
-            for (name, root) in state.tuples() {
-                let expr = engine.arena().export(root);
-                let mut ar = ExprArena::new();
-                let r = ar.import(&expr);
+            // Normalize in a private copy of the engine's arena (the
+            // engine owns its arena mutably); tuple ids stay valid in it.
+            let mut ar = engine.arena().clone();
+            for (name, r) in state.tuples() {
                 let mut memo = NfMemo::new();
                 let full = nf_in(&mut ar, r, &mut memo);
                 assert!(!full.saturated, "{cfg}: {name}: workload nf saturated");
