@@ -939,7 +939,7 @@ impl ExprArena {
     /// sorted [`Node::Bin`] spine, bottom-up. The inverse direction of the
     /// condensation the normalizer performs — used by the differential
     /// property tests (counted and expanded forms must be eval- and
-    /// equivalence-identical) and by the node-count benchmarks quantifying
+    /// equivalence-identical) and by the condensed-NF guard test measuring
     /// the condensation ratio.
     ///
     /// Cost is O(total multiplicity): expanding a block whose

@@ -36,8 +36,8 @@
 //! `Σ` term, another root) gets a visit of its own; the walk from a longer
 //! block stops at a spine node that already has an image and continues
 //! inside that image. Long log-replay spines (10k sequential inserts to
-//! one tuple) therefore normalize in near-linear time; the `nf/acspine`
-//! scaling guard of `cargo bench -p uprov-engine` (run by CI) is the
+//! one tuple) therefore normalize in near-linear time; the acspine scaling
+//! guard in `crates/engine/tests/guards.rs` (run in release by CI) is the
 //! regression guard.
 //!
 //! Because every rewrite re-interns through the hash-consing smart

@@ -17,9 +17,10 @@
 //!   or by evaluation ([`Engine::delete_base_eval`]).
 //! * **Log equivalence** (Section 3 / Figure 3): are two logs equivalent —
 //!   per tuple, by normal-form id comparison in the shared arena
-//!   ([`Engine::equivalent`], three-valued via
-//!   [`uprov_core::try_equiv_in`] so normalizer saturation surfaces as
-//!   *undecided* rather than a false "inequivalent").
+//!   ([`Engine::equivalent`], normalized through
+//!   [`uprov_core::nf_roots_incremental_in`]; a pair whose normalization
+//!   saturated surfaces as *undecided* rather than a false
+//!   "inequivalent").
 //!
 //! Replay is pure interning — O(1) amortized per update, no rewriting —
 //! so logs with hundreds of thousands of updates build in milliseconds;
@@ -43,8 +44,8 @@
 //! hits, dirty roots re-normalize with *cache cuts* that stop at certified
 //! sub-DAGs — so an append-then-query cycle on a 10 000-update log costs
 //! O(delta), not O(log). See `docs/ARCHITECTURE.md` for the cache
-//! lifecycle and the invalidation state machine; the `cargo bench -p
-//! uprov-engine` append-then-query guards hold the speedup at ≥ 10×.
+//! lifecycle and the invalidation state machine; the append-then-query
+//! guard in `tests/guards.rs` holds the speedup at ≥ 10×.
 //!
 //! ```
 //! use uprov_engine::{Engine, UpdateLog};
@@ -113,10 +114,6 @@
 //!     what_if.zeroed(t1),
 //!     engine.abort_eval(&state, "t1", &Bool, true).unwrap()
 //! );
-//!
-//! // Long-lived engines can also cap the symbolic-query caches: an
-//! // epoch-based valve drops oldest-epoch entries at query boundaries.
-//! engine.set_cache_budget(Some(100_000));
 //! ```
 //!
 //! ```
@@ -155,7 +152,8 @@ use std::fmt;
 
 use uprov_core::{
     eval_roots_in, nf_roots_in, nf_roots_incremental_in, Atom, AtomKind, AtomTable, DenseMemo,
-    EpochMap, EvalBaseline, ExprArena, NfCache, NfMemo, NodeId, UpdateStructure, Valuation,
+    EpochMap, EvalBaseline, ExprArena, NfCache, NfMemo, NfOutcome, NodeId, UpdateStructure,
+    Valuation,
 };
 
 pub use crate::log::{Op, ParseError, Txn, UpdateLog};
@@ -1059,89 +1057,11 @@ impl Engine {
         cert
     }
 
-    /// Shared body of the symbolic queries: substitute `zeroed ↦ 0` into
-    /// every tuple, then normalize each image — incrementally through the
-    /// NF cache, or from scratch for the validation baseline.
-    fn symbolic_zeroed(
-        &mut self,
-        state: &ReplayState,
-        zeroed: Atom,
-        cached: bool,
-    ) -> Vec<SymbolicTuple> {
-        let map = HashMap::from([(zeroed, ExprArena::ZERO)]);
-        let (names, roots): (Vec<&String>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n, id)).unzip();
-        // Substitution and normalization are both pure functions of the
-        // root id (the arena is append-only), so the incremental path
-        // caches both: roots the substitution cache has seen skip the
-        // sweep entirely, the rest substitute in one shared-generation
-        // batch (sub-DAGs common to several tuples rebuild once), and the
-        // NF cache then re-normalizes only images it has never certified —
-        // a repeated query against an appended log does O(delta) work.
-        let substituted = if cached {
-            // One hash probe per root: resolve hits immediately (the
-            // refreshing lookup re-tags hot entries to the current epoch,
-            // so a repeated query's working set outlives budget eviction),
-            // remember which slots missed, batch-substitute those,
-            // back-fill.
-            let mut out: Vec<NodeId> = Vec::with_capacity(roots.len());
-            let mut miss_ix: Vec<usize> = Vec::new();
-            let mut misses: Vec<NodeId> = Vec::new();
-            for (i, &r) in roots.iter().enumerate() {
-                match self.subst_cache.get_refresh(&(zeroed, r)) {
-                    Some(&img) => out.push(img),
-                    None => {
-                        miss_ix.push(i);
-                        misses.push(r);
-                        out.push(r); // placeholder, overwritten below
-                    }
-                }
-            }
-            if !misses.is_empty() {
-                let images = self
-                    .arena
-                    .substitute_roots_in(&misses, &map, &mut self.subst_memo);
-                for ((&ix, &r), img) in miss_ix.iter().zip(&misses).zip(images) {
-                    self.subst_cache.insert((zeroed, r), img);
-                    out[ix] = img;
-                }
-            }
-            out
-        } else {
-            self.arena
-                .substitute_roots_in(&roots, &map, &mut self.subst_memo)
-        };
-        let outcomes = if cached {
-            nf_roots_incremental_in(
-                &mut self.arena,
-                &substituted,
-                &mut self.nf_cache,
-                &mut self.nf_memo,
-            )
-        } else {
-            nf_roots_in(&mut self.arena, &substituted, &mut self.nf_memo)
-        };
-        if cached {
-            self.enforce_cache_budget();
-        }
-        names
-            .into_iter()
-            .zip(outcomes)
-            .map(|(name, nf)| SymbolicTuple {
-                name: name.clone(),
-                provenance: nf.id,
-                saturated: nf.saturated,
-            })
-            .collect()
-    }
-
-    /// [`Engine::symbolic_zeroed`] for a whole burst of zeroed atoms: per
-    /// atom the substitution cache is probed and misses batch-substitute,
-    /// but every image across **all** atoms funnels into one incremental
-    /// normalization call — sub-DAGs shared between the queries (most of
-    /// the database, for aborts of sibling transactions) certify once.
-    /// Returns one symbolic view per atom, in `zeroed` order; each view is
-    /// bit-identical to the one-at-a-time path.
+    /// The one path behind the symbolic queries: substitute each `zeroed`
+    /// atom `↦ 0` into every tuple, then normalize all images in one
+    /// incremental call. Substitution images and normal forms are pure
+    /// functions of the id, so both are cached and a repeated query against
+    /// an appended log does O(delta) work. One view per atom, in order.
     fn symbolic_zeroed_many(
         &mut self,
         state: &ReplayState,
@@ -1156,6 +1076,8 @@ impl Engine {
         for &z in zeroed {
             let map = HashMap::from([(z, ExprArena::ZERO)]);
             let base = images.len();
+            // One probe per root; the refreshing lookup re-tags hot entries,
+            // so a repeated query's working set outlives budget eviction.
             let mut miss_ix: Vec<usize> = Vec::new();
             let mut misses: Vec<NodeId> = Vec::new();
             for (i, &r) in roots.iter().enumerate() {
@@ -1187,16 +1109,19 @@ impl Engine {
         self.enforce_cache_budget();
         outcomes
             .chunks_exact(names.len())
-            .map(|view| {
-                names
-                    .iter()
-                    .zip(view)
-                    .map(|(name, nf)| SymbolicTuple {
-                        name: (*name).clone(),
-                        provenance: nf.id,
-                        saturated: nf.saturated,
-                    })
-                    .collect()
+            .map(|view| Self::symbolic_view(&names, view))
+            .collect()
+    }
+
+    /// One symbolic view: each tuple name with its normalization outcome.
+    fn symbolic_view(names: &[&String], outcomes: &[NfOutcome]) -> Vec<SymbolicTuple> {
+        names
+            .iter()
+            .zip(outcomes)
+            .map(|(name, nf)| SymbolicTuple {
+                name: (*name).clone(),
+                provenance: nf.id,
+                saturated: nf.saturated,
             })
             .collect()
     }
@@ -1234,16 +1159,14 @@ impl Engine {
         state: &ReplayState,
         txn: &str,
     ) -> Result<Vec<SymbolicTuple>, QueryError> {
-        let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
-            name: txn.to_owned(),
-        })?;
-        Ok(self.symbolic_zeroed(state, p, true))
+        Ok(self.abort_symbolic_batch(state, &[txn])?.remove(0))
     }
 
     /// [`Engine::abort_symbolic`] bypassing the normal-form cache: every
     /// substituted root is normalized from scratch. This is the validation
     /// and benchmarking baseline for the incremental path (the two must
-    /// agree id-for-id; the append-then-query benches guard the speedup) —
+    /// agree id-for-id; the append-then-query guard in `tests/guards.rs`
+    /// holds the speedup) —
     /// production callers want [`Engine::abort_symbolic`].
     pub fn abort_symbolic_uncached(
         &mut self,
@@ -1253,14 +1176,21 @@ impl Engine {
         let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
             name: txn.to_owned(),
         })?;
-        Ok(self.symbolic_zeroed(state, p, false))
+        let (names, roots): (Vec<&String>, Vec<NodeId>) =
+            state.tuples.iter().map(|(n, &id)| (n, id)).unzip();
+        let map = HashMap::from([(p, ExprArena::ZERO)]);
+        let images = self
+            .arena
+            .substitute_roots_in(&roots, &map, &mut self.subst_memo);
+        let outcomes = nf_roots_in(&mut self.arena, &images, &mut self.nf_memo);
+        Ok(Self::symbolic_view(&names, &outcomes))
     }
 
     /// [`Engine::abort_symbolic`] for a coalesced burst of transactions:
     /// one substitution-cache sweep per transaction, one shared incremental
     /// normalization batch across all of them. Returns one symbolic view
-    /// per transaction, in `txns` order, each bit-identical to the
-    /// one-at-a-time query — the service layer's writer turns a queue of
+    /// per transaction, in `txns` order ([`Engine::abort_symbolic`] is the
+    /// batch of one) — the service layer's writer turns a queue of
     /// concurrent abort requests into exactly this call.
     ///
     /// Name resolution is all-or-nothing: any unknown transaction fails
@@ -1311,7 +1241,7 @@ impl Engine {
             .ok_or_else(|| QueryError::UnknownTuple {
                 name: tuple.to_owned(),
             })?;
-        Ok(self.symbolic_zeroed(state, a, true))
+        Ok(self.symbolic_zeroed_many(state, &[a]).remove(0))
     }
 
     /// Evaluates every tuple under `structure` and an explicit valuation —
@@ -1460,16 +1390,15 @@ impl Engine {
     /// assert!(engine.equivalent(&s1, &s2).is_equivalent());
     /// ```
     pub fn equivalent(&mut self, a: &ReplayState, b: &ReplayState) -> Equivalence {
-        let names = Self::differing_candidates(a, b);
-        self.decide_equivalence(&names, a, b, true)
+        self.equivalent_many(a, &[b]).remove(0)
     }
 
     /// [`Engine::equivalent`] for a coalesced burst of right-hand states:
     /// the differing-candidate pairs of **all** `(a, bᵢ)` comparisons
     /// funnel into one incremental normalization batch, so provenance
     /// shared across the comparisons (the common prefix of the logs)
-    /// certifies once. One verdict per `bs` entry, in order, each
-    /// bit-identical to the one-at-a-time query.
+    /// certifies once. One verdict per `bs` entry, in order;
+    /// [`Engine::equivalent`] is the batch of one.
     pub fn equivalent_many(&mut self, a: &ReplayState, bs: &[&ReplayState]) -> Vec<Equivalence> {
         let name_sets: Vec<Vec<&String>> = bs
             .iter()
@@ -1489,28 +1418,13 @@ impl Engine {
             &mut self.nf_memo,
         );
         self.enforce_cache_budget();
-        let mut pairs = outcomes.chunks_exact(2);
+        let mut rest = outcomes.as_slice();
         name_sets
             .iter()
             .map(|names| {
-                let mut verdict = Equivalence {
-                    differing: Vec::new(),
-                    undecided: Vec::new(),
-                };
-                for name in names {
-                    let pair = pairs.next().expect("one outcome pair per candidate");
-                    let (na, nb) = (&pair[0], &pair[1]);
-                    if na.id == nb.id {
-                        // Equal ids prove equivalence even under saturation.
-                    } else if na.saturated || nb.saturated {
-                        verdict.undecided.push((*name).clone());
-                    } else {
-                        verdict.differing.push((*name).clone());
-                    }
-                }
-                verdict.differing.sort_unstable();
-                verdict.undecided.sort_unstable();
-                verdict
+                let (pairs, tail) = rest.split_at(2 * names.len());
+                rest = tail;
+                Self::verdict(names, pairs)
             })
             .collect()
     }
@@ -1579,36 +1493,20 @@ impl Engine {
             .keys()
             .chain(b.tuples.keys().filter(|k| !a.tuples.contains_key(*k)))
             .collect();
-        self.decide_equivalence(&names, a, b, false)
-    }
-
-    /// Normalizes each named tuple's two roots (one batched call — shared
-    /// sub-DAGs normalize once) and assembles the per-tuple verdict.
-    fn decide_equivalence(
-        &mut self,
-        names: &[&String],
-        a: &ReplayState,
-        b: &ReplayState,
-        cached: bool,
-    ) -> Equivalence {
-        let mut verdict = Equivalence {
-            differing: Vec::new(),
-            undecided: Vec::new(),
-        };
         let mut roots = Vec::with_capacity(names.len() * 2);
-        for name in names {
+        for name in &names {
             roots.push(a.provenance(name));
             roots.push(b.provenance(name));
         }
-        let outcomes = if cached {
-            nf_roots_incremental_in(
-                &mut self.arena,
-                &roots,
-                &mut self.nf_cache,
-                &mut self.nf_memo,
-            )
-        } else {
-            nf_roots_in(&mut self.arena, &roots, &mut self.nf_memo)
+        let outcomes = nf_roots_in(&mut self.arena, &roots, &mut self.nf_memo);
+        Self::verdict(&names, &outcomes)
+    }
+
+    /// The verdict from each name's two normal forms, `a`'s then `b`'s.
+    fn verdict(names: &[&String], outcomes: &[NfOutcome]) -> Equivalence {
+        let mut verdict = Equivalence {
+            differing: Vec::new(),
+            undecided: Vec::new(),
         };
         for (name, pair) in names.iter().zip(outcomes.chunks_exact(2)) {
             let (na, nb) = (&pair[0], &pair[1]);
@@ -1620,9 +1518,6 @@ impl Engine {
             } else {
                 verdict.differing.push((*name).clone());
             }
-        }
-        if cached {
-            self.enforce_cache_budget();
         }
         verdict.differing.sort_unstable();
         verdict.undecided.sort_unstable();
