@@ -36,8 +36,8 @@
 //! update log, and the engine's normal forms are maintained the same way:
 //! the engine keeps a persistent [`NfCache`] of certified normal forms
 //! (valid forever — the arena is append-only, so `nf` is a pure function
-//! of the id), every [`ReplayState`] tracks the tuples an append **dirtied**
-//! plus a per-tuple map of certified normal forms, and the NF-backed
+//! of the id), every [`ReplayState`] flags the tuples an append **dirtied**
+//! and keeps the certified normal form of each clean one, and the NF-backed
 //! queries ([`Engine::equivalent`], [`Engine::abort_symbolic`],
 //! [`Engine::delete_base_symbolic`]) go through
 //! [`uprov_core::nf_roots_incremental_in`]: clean roots are O(1) cache
@@ -147,8 +147,9 @@
 
 pub mod log;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use uprov_core::{
     eval_roots_in, nf_roots_in, nf_roots_incremental_in, Atom, AtomKind, AtomTable, DenseMemo,
@@ -223,29 +224,165 @@ impl std::error::Error for QueryError {}
 
 /// The provenance state of one replayed log: every touched tuple's current
 /// symbolic provenance, the atoms behind base tuples and transactions, and
-/// the incremental-normalization bookkeeping — a **dirty set** of tuples
-/// touched since the last [`Engine::certify`] plus the per-tuple map of
-/// certified normal forms for the clean ones.
+/// the incremental-normalization bookkeeping — which tuples are **dirty**
+/// (touched since the last [`Engine::certify`]) and the certified normal
+/// form of each clean one.
 ///
 /// Produced by [`Engine::replay`] and extended in place by
 /// [`Engine::append`]; all ids live in that engine's arena, so several
 /// `ReplayState`s (e.g. the two sides of an equivalence query) share
 /// sub-DAGs maximally.
 ///
+/// Tuples live in one table: each name gets a dense id the first time the
+/// state sees it, and the root, certified normal form and dirty flag are
+/// columns indexed by that id, so an update hashes each name it touches
+/// once and then works by id. The table also keeps the ids in sorted name
+/// order; every iterator here, and every snapshot, walks that order.
+///
 /// The maintenance state machine per tuple (see `docs/ARCHITECTURE.md`):
 /// replay/append **touch** a tuple, which marks it dirty and drops its
-/// certified entry; [`Engine::certify`] normalizes the dirty set and moves
-/// each certified tuple back to clean. Queries never change the sets —
-/// they read through the engine's [`NfCache`], which self-invalidates
-/// because a touched tuple's *root id* changed.
+/// certified entry; [`Engine::certify`] normalizes the dirty tuples and
+/// moves each certified one back to clean. Queries never change the
+/// bookkeeping — they read through the engine's [`NfCache`], which
+/// self-invalidates because a touched tuple's *root id* changed.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayState {
-    tuples: BTreeMap<String, NodeId>,
+    tuples: TupleTable,
     base_atoms: BTreeMap<String, Atom>,
     txn_atoms: BTreeMap<String, Atom>,
     updates: usize,
-    nf_by_tuple: BTreeMap<String, NodeId>,
-    dirty: BTreeSet<String>,
+}
+
+/// One tuple's entry in a [`TupleTable`].
+#[derive(Debug, Clone)]
+struct Slot {
+    name: Arc<str>,
+    root: NodeId,
+    nf: Option<NodeId>,
+    dirty: bool,
+}
+
+/// The tuples of a [`ReplayState`], by dense `u32` id.
+///
+/// Invariants: `slots` and `index` describe the same ids, each name
+/// allocated once and shared by its slot and `index`; between appends,
+/// `order` holds every id exactly once, sorted by name (byte order);
+/// `dirty` and `certified` count the slots with the flag set and with a
+/// normal form on record.
+#[derive(Debug, Clone, Default)]
+struct TupleTable {
+    slots: Vec<Slot>,
+    // SipHash (std's default), not `uprov_core::FxHashMap`: tuple names come
+    // from client logs, and a fixed hash would let them choose collisions.
+    index: HashMap<Arc<str>, u32>,
+    order: Vec<u32>,
+    dirty: usize,
+    certified: usize,
+}
+
+impl TupleTable {
+    fn id(&self, name: &str) -> Option<u32> {
+        self.index.get(name).copied()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.slots[id as usize].name
+    }
+
+    fn slot(&self, id: u32) -> &Slot {
+        &self.slots[id as usize]
+    }
+
+    fn get(&self, name: &str) -> Option<&Slot> {
+        self.id(name).map(|id| self.slot(id))
+    }
+
+    /// The id of `name`, allocating a fresh one (root `0`, clean, not
+    /// certified) on first sight. A fresh id is not in `order` until
+    /// [`TupleTable::merge_new`] runs.
+    fn resolve(&mut self, name: &str) -> u32 {
+        match self.id(name) {
+            Some(id) => id,
+            None => self.push(Slot {
+                name: Arc::from(name),
+                root: ExprArena::ZERO,
+                nf: None,
+                dirty: false,
+            }),
+        }
+    }
+
+    /// Adds the slot of an untracked name under the next id.
+    fn push(&mut self, slot: Slot) -> u32 {
+        let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 tuples");
+        self.index.insert(Arc::clone(&slot.name), id);
+        self.dirty += usize::from(slot.dirty);
+        self.certified += usize::from(slot.nf.is_some());
+        self.slots.push(slot);
+        id
+    }
+
+    /// Records a new provenance root for tuple `id`, dropping its
+    /// certified normal form and marking it dirty.
+    fn touch(&mut self, id: u32, root: NodeId) {
+        let slot = &mut self.slots[id as usize];
+        slot.root = root;
+        if slot.nf.take().is_some() {
+            self.certified -= 1;
+        }
+        if !slot.dirty {
+            slot.dirty = true;
+            self.dirty += 1;
+        }
+    }
+
+    /// Records `nf` as tuple `id`'s certified normal form and marks it
+    /// clean.
+    fn certify(&mut self, id: u32, nf: NodeId) {
+        let slot = &mut self.slots[id as usize];
+        if slot.nf.replace(nf).is_none() {
+            self.certified += 1;
+        }
+        if slot.dirty {
+            slot.dirty = false;
+            self.dirty -= 1;
+        }
+    }
+
+    /// Merges the ids allocated since the last merge into `order`: sorts
+    /// only the new names, then places each by binary search while moving
+    /// every old id at most once — O(old + new · log old), no re-sort.
+    fn merge_new(&mut self) {
+        let old = self.order.len();
+        if self.slots.len() == old {
+            return;
+        }
+        let slots = &self.slots;
+        let name = |id: u32| &*slots[id as usize].name;
+        let mut fresh: Vec<u32> = (old..slots.len()).map(|i| i as u32).collect();
+        fresh.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
+        let order = &mut self.order;
+        order.resize(slots.len(), 0);
+        // Largest new name first: the old ids above new name `j` move up
+        // by `j + 1`, the number of new names below them.
+        let mut end = old;
+        for (j, &id) in fresh.iter().enumerate().rev() {
+            let pos = order[..end].partition_point(|&o| name(o) < name(id));
+            order.copy_within(pos..end, pos + j + 1);
+            order[pos + j] = id;
+            end = pos;
+        }
+    }
+
+    /// `(name, slot)` in sorted name order.
+    fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Slot)> {
+        self.order.iter().map(|&id| (self.name(id), self.slot(id)))
+    }
+
+    /// Dirty ids in sorted name order.
+    fn dirty_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.order.iter().copied().filter(|&id| self.slot(id).dirty)
+    }
 }
 
 impl ReplayState {
@@ -264,17 +401,17 @@ impl ReplayState {
     /// assert_eq!(state.provenance("never-mentioned"), ExprArena::ZERO);
     /// ```
     pub fn provenance(&self, tuple: &str) -> NodeId {
-        self.tuples.get(tuple).copied().unwrap_or(ExprArena::ZERO)
+        self.tuples.get(tuple).map_or(ExprArena::ZERO, |s| s.root)
     }
 
     /// Tuple names with recorded provenance, in sorted order.
-    pub fn tuple_names(&self) -> impl Iterator<Item = &str> {
-        self.tuples.keys().map(String::as_str)
+    pub fn tuple_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.tuples.iter().map(|(n, _)| n)
     }
 
     /// `(name, provenance)` pairs in sorted name order.
-    pub fn tuples(&self) -> impl Iterator<Item = (&str, NodeId)> {
-        self.tuples.iter().map(|(n, &id)| (n.as_str(), id))
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = (&str, NodeId)> {
+        self.tuples.iter().map(|(n, s)| (n, s.root))
     }
 
     /// The annotation atom of a replayed transaction.
@@ -319,17 +456,17 @@ impl ReplayState {
     /// assert_eq!(state.dirty_count(), 0);
     /// ```
     pub fn dirty_tuples(&self) -> impl Iterator<Item = &str> {
-        self.dirty.iter().map(String::as_str)
+        self.tuples.dirty_ids().map(|id| self.tuples.name(id))
     }
 
     /// Number of dirty tuples (see [`ReplayState::dirty_tuples`]).
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.tuples.dirty
     }
 
     /// True if `tuple` was touched since the last [`Engine::certify`].
     pub fn is_dirty(&self, tuple: &str) -> bool {
-        self.dirty.contains(tuple)
+        self.tuples.get(tuple).is_some_and(|s| s.dirty)
     }
 
     /// The certified normal form of `tuple`'s current provenance, if the
@@ -351,41 +488,22 @@ impl ReplayState {
     /// assert_eq!(engine.render(nf), "t - t");
     /// ```
     pub fn certified_nf(&self, tuple: &str) -> Option<NodeId> {
-        self.nf_by_tuple.get(tuple).copied()
+        self.tuples.get(tuple).and_then(|s| s.nf)
     }
 
     /// Number of tuples with a certified normal form on record.
     pub fn certified_count(&self) -> usize {
-        self.nf_by_tuple.len()
+        self.tuples.certified
     }
 
-    /// Records a new provenance root for `tuple`, invalidating its
-    /// certified normal form and marking it dirty.
-    fn touch(&mut self, tuple: &str, id: NodeId) {
-        self.nf_by_tuple.remove(tuple);
-        // A name is copied only when it enters a map: re-touching a
-        // tracked tuple — the common case — allocates nothing.
-        match self.tuples.get_mut(tuple) {
-            Some(root) => {
-                *root = id;
-                if !self.dirty.contains(tuple) {
-                    self.dirty.insert(tuple.to_owned());
-                }
-            }
-            None => {
-                self.tuples.insert(tuple.to_owned(), id);
-                self.dirty.insert(tuple.to_owned());
-            }
-        }
-    }
-
-    /// Exports the full state as plain serializable data — every map in
-    /// sorted name order (the iteration order of the underlying B-trees),
-    /// so exports are deterministic and re-imports rebuild the trees from
-    /// sorted input. The storage layer's snapshot format is built on this.
+    /// Exports the full state as plain serializable data — every section
+    /// in sorted name order, so exports are deterministic and a re-import
+    /// takes the tuple order as given. The storage layer's snapshot format
+    /// is built on this.
     pub fn to_snapshot(&self) -> StateSnapshot {
-        StateSnapshot {
-            tuples: self.tuples.iter().map(|(n, &id)| (n.clone(), id)).collect(),
+        // One walk of the table; each vector allocated at its exact length.
+        let mut snap = StateSnapshot {
+            tuples: Vec::with_capacity(self.tuples.order.len()),
             base_atoms: self
                 .base_atoms
                 .iter()
@@ -397,33 +515,58 @@ impl ReplayState {
                 .map(|(n, &a)| (n.clone(), a))
                 .collect(),
             updates: self.updates as u64,
-            certified: self
-                .nf_by_tuple
-                .iter()
-                .map(|(n, &id)| (n.clone(), id))
-                .collect(),
-            dirty: self.dirty.iter().cloned().collect(),
+            certified: Vec::with_capacity(self.tuples.certified),
+            dirty: Vec::with_capacity(self.tuples.dirty),
+        };
+        for (name, slot) in self.tuples.iter() {
+            snap.tuples.push((name.to_owned(), slot.root));
+            if let Some(nf) = slot.nf {
+                snap.certified.push((name.to_owned(), nf));
+            }
+            if slot.dirty {
+                snap.dirty.push(name.to_owned());
+            }
         }
+        snap
     }
 
     /// Rebuilds a state from a [`StateSnapshot`] — the inverse of
     /// [`ReplayState::to_snapshot`].
     ///
     /// Contract: the snapshot must describe a state of the engine the
-    /// result will be used with — every [`NodeId`] live in its arena,
-    /// every [`Atom`] live in its table with the right kind, exactly as
-    /// [`to_snapshot`](ReplayState::to_snapshot) exported them. The
-    /// storage layer enforces this with checksums plus range validation
-    /// before calling in; a fabricated snapshot yields a state whose
-    /// queries are garbage (or panic on a dangling id).
+    /// result will be used with, exactly as
+    /// [`to_snapshot`](ReplayState::to_snapshot) exported it — every
+    /// [`NodeId`] live in its arena, every [`Atom`] live in its table with
+    /// the right kind, tuple and dirty names strictly sorted, and every
+    /// certified or dirty name a tracked tuple that is not both. The
+    /// storage layer enforces this with checksums plus range and order
+    /// validation before calling in; a fabricated snapshot yields a state
+    /// whose queries are garbage (or panic on a dangling id).
     pub fn from_snapshot(snap: StateSnapshot) -> ReplayState {
+        let n = snap.tuples.len();
+        let mut tuples = TupleTable {
+            slots: Vec::with_capacity(n),
+            index: HashMap::with_capacity(n),
+            ..TupleTable::default()
+        };
+        // Tuples arrive in sorted order, so ids follow it; the certified
+        // and dirty names are sorted subsets, placed by one merge-walk.
+        let mut certified = snap.certified.into_iter().peekable();
+        let mut dirty = snap.dirty.into_iter().peekable();
+        for (name, root) in snap.tuples {
+            tuples.push(Slot {
+                nf: certified.next_if(|(c, _)| *c == name).map(|(_, nf)| nf),
+                dirty: dirty.next_if(|d| *d == name).is_some(),
+                name: Arc::from(name),
+                root,
+            });
+        }
+        tuples.order = (0..tuples.slots.len() as u32).collect();
         ReplayState {
-            tuples: snap.tuples.into_iter().collect(),
+            tuples,
             base_atoms: snap.base_atoms.into_iter().collect(),
             txn_atoms: snap.txn_atoms.into_iter().collect(),
             updates: snap.updates as usize,
-            nf_by_tuple: snap.certified.into_iter().collect(),
-            dirty: snap.dirty.into_iter().collect(),
         }
     }
 }
@@ -672,9 +815,9 @@ impl Engine {
     /// Drops every cached normal form **and** substitution image — the
     /// all-at-once memory valve for long-lived engines (never needed for
     /// correctness: both caches hold pure facts about ids). Per-state
-    /// certified maps ([`ReplayState::certified_nf`]) are unaffected and
-    /// remain valid. For a valve that keeps the hot working set, prefer
-    /// [`Engine::set_cache_budget`].
+    /// certified normal forms ([`ReplayState::certified_nf`]) are
+    /// unaffected and remain valid. For a valve that keeps the hot working
+    /// set, prefer [`Engine::set_cache_budget`].
     pub fn clear_nf_cache(&mut self) {
         self.nf_cache.clear();
         self.subst_cache.clear();
@@ -844,14 +987,18 @@ impl Engine {
         log: &UpdateLog,
     ) -> Result<usize, ReplayError> {
         self.validate_append(state, log)?;
-        // Apply pass: infallible (all atoms validated above).
+        // Apply pass: infallible (all atoms validated above). Each op
+        // resolves its tuple names to ids once, then works by id.
         let before = state.updates;
+        let tuples = &mut state.tuples;
         for b in &log.base {
             let atom = self.tuple_atom(b).expect("validated");
             state.base_atoms.insert(b.clone(), atom);
-            let id = self.arena.atom(atom);
-            state.touch(b, id);
+            let root = self.arena.atom(atom);
+            let id = tuples.resolve(b);
+            tuples.touch(id, root);
         }
+        let mut src_ids: Vec<u32> = Vec::new();
         for txn in &log.txns {
             let p = self
                 .kinded_atom(&txn.name, AtomKind::Txn)
@@ -862,40 +1009,43 @@ impl Engine {
                 state.updates += 1;
                 match op {
                     Op::Insert { tuple } => {
-                        let cur = state.provenance(tuple);
-                        let next = self.arena.plus_i(cur, pa);
-                        state.touch(tuple, next);
+                        let id = tuples.resolve(tuple);
+                        let next = self.arena.plus_i(tuples.slot(id).root, pa);
+                        tuples.touch(id, next);
                     }
                     Op::Delete { tuple } => {
-                        let cur = state.provenance(tuple);
-                        let next = self.arena.minus(cur, pa);
-                        state.touch(tuple, next);
+                        let id = tuples.resolve(tuple);
+                        let next = self.arena.minus(tuples.slot(id).root, pa);
+                        tuples.touch(id, next);
                     }
                     Op::Modify { target, sources } => {
                         // Snapshot source provenance before any mutation of
                         // this op takes effect.
+                        src_ids.clear();
+                        src_ids.extend(sources.iter().map(|s| tuples.resolve(s)));
                         let srcs: Vec<NodeId> =
-                            sources.iter().map(|s| state.provenance(s)).collect();
+                            src_ids.iter().map(|&id| tuples.slot(id).root).collect();
                         let sigma = self.arena.sum(srcs);
                         let dot = self.arena.dot_m(sigma, pa);
-                        let old_target = state.provenance(target);
-                        for s in sources {
+                        let target = tuples.resolve(target);
+                        let old_target = tuples.slot(target).root;
+                        for &s in &src_ids {
                             if s == target {
                                 continue;
                             }
                             // Consume the source. Unseen sources are absent
                             // (0), so the zero axiom records them as ZERO —
                             // present in the state for queries to report.
-                            let cur = state.provenance(s);
-                            let next = self.arena.minus(cur, pa);
-                            state.touch(s, next);
+                            let next = self.arena.minus(tuples.slot(s).root, pa);
+                            tuples.touch(s, next);
                         }
                         let next = self.arena.plus_m(old_target, dot);
-                        state.touch(target, next);
+                        tuples.touch(target, next);
                     }
                 }
             }
         }
+        tuples.merge_new();
         Ok(state.updates - before)
     }
 
@@ -983,7 +1133,7 @@ impl Engine {
             Ok(())
         };
         for b in &log.base {
-            if state.tuples.contains_key(b) || overlay.tuples.contains(b.as_str()) {
+            if state.tuples.id(b).is_some() || overlay.tuples.contains(b.as_str()) {
                 return Err(ReplayError::LateBase { name: b.clone() });
             }
             check(b, AtomKind::Tuple)?;
@@ -1008,9 +1158,9 @@ impl Engine {
     }
 
     /// Normalizes every dirty tuple of `state` (incrementally — certified
-    /// sub-DAGs are cut, clean tuples are not revisited at all), records
-    /// the certified normal forms in the state's per-tuple map, and clears
-    /// the dirty set. Tuples whose normalization saturated stay dirty and
+    /// sub-DAGs are cut, clean tuples are not revisited at all) in sorted
+    /// name order, records each certified normal form in the state's tuple
+    /// table and marks the tuple clean. Tuples whose normalization saturated stay dirty and
     /// are reported in [`Certification::saturated`] instead of being
     /// recorded with a best-effort id.
     ///
@@ -1032,8 +1182,8 @@ impl Engine {
     /// assert_eq!(state.certified_nf("x"), Some(state.provenance("x")));
     /// ```
     pub fn certify(&mut self, state: &mut ReplayState) -> Certification {
-        let dirty: Vec<String> = state.dirty.iter().cloned().collect();
-        let roots: Vec<NodeId> = dirty.iter().map(|n| state.provenance(n)).collect();
+        let dirty: Vec<u32> = state.tuples.dirty_ids().collect();
+        let roots: Vec<NodeId> = dirty.iter().map(|&id| state.tuples.slot(id).root).collect();
         let outcomes = nf_roots_incremental_in(
             &mut self.arena,
             &roots,
@@ -1044,12 +1194,11 @@ impl Engine {
             certified: 0,
             saturated: Vec::new(),
         };
-        for (name, out) in dirty.into_iter().zip(outcomes) {
+        for (id, out) in dirty.into_iter().zip(outcomes) {
             if out.saturated {
-                cert.saturated.push(name);
+                cert.saturated.push(state.tuples.name(id).to_owned());
             } else {
-                state.dirty.remove(&name);
-                state.nf_by_tuple.insert(name, out.id);
+                state.tuples.certify(id, out.id);
                 cert.certified += 1;
             }
         }
@@ -1067,8 +1216,7 @@ impl Engine {
         state: &ReplayState,
         zeroed: &[Atom],
     ) -> Vec<Vec<SymbolicTuple>> {
-        let (names, roots): (Vec<&String>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n, id)).unzip();
+        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
         if names.is_empty() {
             return vec![Vec::new(); zeroed.len()];
         }
@@ -1114,12 +1262,12 @@ impl Engine {
     }
 
     /// One symbolic view: each tuple name with its normalization outcome.
-    fn symbolic_view(names: &[&String], outcomes: &[NfOutcome]) -> Vec<SymbolicTuple> {
+    fn symbolic_view(names: &[&str], outcomes: &[NfOutcome]) -> Vec<SymbolicTuple> {
         names
             .iter()
             .zip(outcomes)
             .map(|(name, nf)| SymbolicTuple {
-                name: (*name).clone(),
+                name: (*name).to_owned(),
                 provenance: nf.id,
                 saturated: nf.saturated,
             })
@@ -1176,8 +1324,7 @@ impl Engine {
         let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
             name: txn.to_owned(),
         })?;
-        let (names, roots): (Vec<&String>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n, id)).unzip();
+        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
         let map = HashMap::from([(p, ExprArena::ZERO)]);
         let images = self
             .arena
@@ -1269,8 +1416,7 @@ impl Engine {
         structure: &S,
         valuation: &Valuation<S::Value>,
     ) -> TupleRows<'s, S::Value> {
-        let (names, roots): (Vec<&str>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
+        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
         let values = eval_roots_in(
             &self.arena,
             &roots,
@@ -1351,8 +1497,7 @@ impl Engine {
         structure: &'a S,
         valuation: &Valuation<S::Value>,
     ) -> WhatIf<'a, S> {
-        let (names, roots): (Vec<&str>, Vec<NodeId>) =
-            state.tuples.iter().map(|(n, &id)| (n.as_str(), id)).unzip();
+        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
         WhatIf {
             arena: &self.arena,
             structure,
@@ -1400,7 +1545,7 @@ impl Engine {
     /// certifies once. One verdict per `bs` entry, in order;
     /// [`Engine::equivalent`] is the batch of one.
     pub fn equivalent_many(&mut self, a: &ReplayState, bs: &[&ReplayState]) -> Vec<Equivalence> {
-        let name_sets: Vec<Vec<&String>> = bs
+        let name_sets: Vec<Vec<&str>> = bs
             .iter()
             .map(|b| Self::differing_candidates(a, b))
             .collect();
@@ -1437,13 +1582,13 @@ impl Engine {
     /// appended successor costs O(#tuples) comparisons plus normalization
     /// of the delta only. A tuple present on one side only still matches
     /// if its provenance is `0` (absent is `0`).
-    fn differing_candidates<'n>(a: &'n ReplayState, b: &'n ReplayState) -> Vec<&'n String> {
-        let mut names: Vec<&String> = Vec::new();
-        let mut ia = a.tuples.iter().peekable();
-        let mut ib = b.tuples.iter().peekable();
+    fn differing_candidates<'n>(a: &'n ReplayState, b: &'n ReplayState) -> Vec<&'n str> {
+        let mut names: Vec<&str> = Vec::new();
+        let mut ia = a.tuples().peekable();
+        let mut ib = b.tuples().peekable();
         loop {
             match (ia.peek(), ib.peek()) {
-                (Some(&(ka, &va)), Some(&(kb, &vb))) => match ka.cmp(kb) {
+                (Some(&(ka, va)), Some(&(kb, vb))) => match ka.cmp(kb) {
                     std::cmp::Ordering::Equal => {
                         if va != vb {
                             names.push(ka);
@@ -1464,13 +1609,13 @@ impl Engine {
                         ib.next();
                     }
                 },
-                (Some(&(ka, &va)), None) => {
+                (Some(&(ka, va)), None) => {
                     if va != ExprArena::ZERO {
                         names.push(ka);
                     }
                     ia.next();
                 }
-                (None, Some(&(kb, &vb))) => {
+                (None, Some(&(kb, vb))) => {
                     if vb != ExprArena::ZERO {
                         names.push(kb);
                     }
@@ -1488,10 +1633,9 @@ impl Engine {
     /// whole database" baseline the incremental path is validated and
     /// benchmarked against; production callers want [`Engine::equivalent`].
     pub fn equivalent_uncached(&mut self, a: &ReplayState, b: &ReplayState) -> Equivalence {
-        let names: Vec<&String> = a
-            .tuples
-            .keys()
-            .chain(b.tuples.keys().filter(|k| !a.tuples.contains_key(*k)))
+        let names: Vec<&str> = a
+            .tuple_names()
+            .chain(b.tuple_names().filter(|k| a.tuples.id(k).is_none()))
             .collect();
         let mut roots = Vec::with_capacity(names.len() * 2);
         for name in &names {
@@ -1503,7 +1647,7 @@ impl Engine {
     }
 
     /// The verdict from each name's two normal forms, `a`'s then `b`'s.
-    fn verdict(names: &[&String], outcomes: &[NfOutcome]) -> Equivalence {
+    fn verdict(names: &[&str], outcomes: &[NfOutcome]) -> Equivalence {
         let mut verdict = Equivalence {
             differing: Vec::new(),
             undecided: Vec::new(),
@@ -1514,9 +1658,9 @@ impl Engine {
                 // Equal ids prove equivalence even under saturation: every
                 // intermediate image is rewrite-reachable from its input.
             } else if na.saturated || nb.saturated {
-                verdict.undecided.push((*name).clone());
+                verdict.undecided.push((*name).to_owned());
             } else {
-                verdict.differing.push((*name).clone());
+                verdict.differing.push((*name).to_owned());
             }
         }
         verdict.differing.sort_unstable();

@@ -1,6 +1,6 @@
 //! The engine's efficiency guards: relative claims of the paper's
 //! representation (§5) that a regression must not quietly undo. The
-//! condensed-NF guard is a node count and runs in every build; the two
+//! condensed-NF guard is a node count and runs in every build; the three
 //! timing guards are ignored in debug builds, where timing ratios are
 //! noise — CI runs `cargo test --release -p uprov-engine --test guards`.
 //! Each timed side is the best of [`SAMPLES`] interleaved samples, so a
@@ -60,6 +60,19 @@ fn acspine(n: usize) -> (ExprArena, NodeId, NodeId) {
     let fwd = incs.iter().fold(head, |acc, &m| ar.plus_m(acc, m));
     let rev = incs.iter().rev().fold(head, |acc, &m| ar.plus_m(acc, m));
     (ar, fwd, rev)
+}
+
+/// 2 500 transactions, 10 000 updates over ≈ 5 000 tuples: each inserts
+/// a fresh `r{i}`, folds it and `seed` into the accumulator `acc`, and
+/// inserts then deletes a fresh `s{i}`.
+fn accumulator_log() -> String {
+    let mut text = String::from("base acc seed\n");
+    text.extend((0..2_500).map(|i| {
+        format!(
+            "begin t{i}\ninsert r{i}\nmodify acc <- r{i} seed\ninsert s{i}\ndelete s{i}\ncommit\n"
+        )
+    }));
+    text
 }
 
 #[test]
@@ -164,15 +177,9 @@ fn append_then_query_is_at_least_10x_faster_than_scratch() {
     // Append one transaction to a certified 10 000-update state and re-run
     // the NF-backed queries: incrementally, and from scratch (the whole
     // database, the accumulator's 2 500-increment spine included).
-    let mut text = String::from("base acc seed\n");
-    text.extend((0..2_500).map(|i| {
-        format!(
-            "begin t{i}\ninsert r{i}\nmodify acc <- r{i} seed\ninsert s{i}\ndelete s{i}\ncommit\n"
-        )
-    }));
     let mut engine = Engine::new();
     let mut state = engine
-        .replay(&text.parse().expect("valid"))
+        .replay(&accumulator_log().parse().expect("valid"))
         .expect("replays");
     assert_eq!(state.update_count(), 10_000);
     let pre_append = state.clone();
@@ -218,5 +225,31 @@ fn append_then_query_is_at_least_10x_faster_than_scratch() {
     assert!(
         abort >= 10.0,
         "append-then-abort only {abort:.2}x (floor 10x)"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing guard: release only")]
+fn replay_is_at_most_3_5x_the_parse_of_its_log() {
+    let _serial = serial();
+    // Replay interns each update's provenance and resolves each tuple name
+    // it touches once, through one hash probe. On a two-core x86-64 host
+    // that is ≈ 2.0–2.3x the parse of the same text; four string-keyed
+    // B-tree walks per update read ≈ 5.2x.
+    let text = accumulator_log();
+    let log: UpdateLog = text.parse().expect("valid");
+    let (parse, replay) = best_of_interleaved(
+        || {
+            black_box(black_box(text.as_str()).parse::<UpdateLog>()).expect("valid");
+        },
+        || {
+            black_box(Engine::new().replay(black_box(&log))).expect("replays");
+        },
+    );
+    let ratio = replay / parse;
+    eprintln!("replay vs parse: {replay:.0} ns / {parse:.0} ns = {ratio:.2}x");
+    assert!(
+        ratio <= 3.5,
+        "replay is {ratio:.2}x the parse of its log (ceiling 3.5x)"
     );
 }

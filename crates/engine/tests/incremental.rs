@@ -5,8 +5,10 @@
 //! append interleavings, with evaluation preserved under `Bool` and
 //! `Worlds`.
 
-use uprov_core::{eval_arena, UpdateStructure, Valuation};
-use uprov_engine::{Engine, ReplayError, UpdateLog};
+use std::collections::BTreeMap;
+
+use uprov_core::{eval_arena, NodeId, UpdateStructure, Valuation};
+use uprov_engine::{Engine, ReplayError, ReplayState, UpdateLog};
 use uprov_structures::{Bool, Worlds};
 
 // The repo-standard seeded xorshift64* harness (`benchkit::testrng`).
@@ -331,6 +333,157 @@ commit
     assert_eq!(w.provenance, state.provenance("w"));
     // Unknown base tuples are reported, not guessed ("y" is not base).
     assert!(engine.delete_base_symbolic(&state, "y").is_err());
+}
+
+/// What the reference model keeps per tuple.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ModelTuple {
+    root: NodeId,
+    nf: Option<NodeId>,
+    dirty: bool,
+}
+
+/// A tuple name for the reference-model test: one of the byte-order edge
+/// cases (`"B" < "a"`, `"a" < "a0" < "ab"`) or a short random string over
+/// the same alphabet, so new names land before, between and after the
+/// names already tracked. No `t`: transactions are `t<n>`.
+fn model_name(rng: &mut Rng) -> String {
+    const EDGE: [&str; 5] = ["B", "a", "a0", "ab", "b"];
+    const ALPHABET: &[u8] = b"0BZab~";
+    if rng.below(3) == 0 {
+        return EDGE[rng.below(EDGE.len())].to_owned();
+    }
+    (0..1 + rng.below(3))
+        .map(|_| char::from(ALPHABET[rng.below(ALPHABET.len())]))
+        .collect()
+}
+
+/// Asserts every bookkeeping reader of `state` against the model.
+fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple>, at: &str) {
+    let names: Vec<&str> = model.keys().map(String::as_str).collect();
+    assert_eq!(state.tuple_names().collect::<Vec<_>>(), names, "{at}");
+    assert_eq!(state.tuple_names().len(), model.len(), "{at}");
+    let tuples: Vec<(&str, NodeId)> = model.iter().map(|(n, t)| (n.as_str(), t.root)).collect();
+    assert_eq!(state.tuples().collect::<Vec<_>>(), tuples, "{at}");
+    assert_eq!(state.tuples().len(), model.len(), "{at}");
+    let dirty: Vec<&str> = model
+        .iter()
+        .filter(|(_, t)| t.dirty)
+        .map(|(n, _)| n.as_str())
+        .collect();
+    assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), dirty, "{at}");
+    assert_eq!(state.dirty_count(), dirty.len(), "{at}");
+    let certified: Vec<(String, NodeId)> = model
+        .iter()
+        .filter_map(|(n, t)| Some((n.clone(), t.nf?)))
+        .collect();
+    assert_eq!(state.certified_count(), certified.len(), "{at}");
+    for (name, t) in model {
+        assert_eq!(state.is_dirty(name), t.dirty, "{at}: {name}");
+        assert_eq!(state.certified_nf(name), t.nf, "{at}: {name}");
+        assert_eq!(state.provenance(name), t.root, "{at}: {name}");
+    }
+    for absent in ["", "A", "a00", "zz"] {
+        if !model.contains_key(absent) {
+            assert!(!state.is_dirty(absent), "{at}: {absent}");
+            assert_eq!(state.certified_nf(absent), None, "{at}: {absent}");
+        }
+    }
+    let snap = state.to_snapshot();
+    assert_eq!(snap.tuples, tuples_owned(&tuples), "{at}");
+    assert_eq!(snap.certified, certified, "{at}");
+    assert_eq!(snap.dirty, dirty, "{at}");
+    assert_eq!(
+        ReplayState::from_snapshot(snap.clone()).to_snapshot(),
+        snap,
+        "{at}: snapshot round trip"
+    );
+}
+
+fn tuples_owned(tuples: &[(&str, NodeId)]) -> Vec<(String, NodeId)> {
+    tuples.iter().map(|&(n, id)| (n.to_owned(), id)).collect()
+}
+
+#[test]
+fn tuple_bookkeeping_matches_a_sorted_map_model() {
+    // Random append schedules interleaved with certify (and with restores
+    // from the state's own snapshot), checked after every step against a
+    // `BTreeMap` model of the bookkeeping: which tuples exist in which
+    // order, their roots, the dirty set and the certified normal forms.
+    // Roots come from a one-shot replay of everything appended so far,
+    // in the same engine (hash-consing makes ids comparable).
+    for seed in 0..24u64 {
+        let mut rng = Rng::new(seed * 6_364_136_223 + 11);
+        let mut engine = Engine::new();
+        let mut state = ReplayState::default();
+        let mut model: BTreeMap<String, ModelTuple> = BTreeMap::new();
+        // Everything appended so far; `base` lines must lead a log.
+        let (mut bases, mut txns) = (String::new(), String::new());
+        for step in 0..14 {
+            let at = format!("seed {seed} step {step}");
+            let (mut base, mut delta) = (String::new(), String::new());
+            let mut touched: Vec<String> = Vec::new();
+            if rng.below(3) == 0 {
+                let name = model_name(&mut rng);
+                if !model.contains_key(&name) {
+                    base = format!("base {name}\n");
+                    touched.push(name);
+                }
+            }
+            for t in 0..rng.below(3) {
+                delta.push_str(&format!("begin t{step}x{t}\n"));
+                for _ in 0..1 + rng.below(4) {
+                    let target = model_name(&mut rng);
+                    match rng.below(3) {
+                        0 => delta.push_str(&format!("insert {target}\n")),
+                        1 => delta.push_str(&format!("delete {target}\n")),
+                        _ => {
+                            let sources: Vec<String> = (0..1 + rng.below(3))
+                                .map(|_| model_name(&mut rng))
+                                .collect();
+                            delta.push_str(&format!("modify {target} <- {}\n", sources.join(" ")));
+                            touched.extend(sources);
+                        }
+                    }
+                    touched.push(target);
+                }
+                delta.push_str("commit\n");
+            }
+            let log: UpdateLog = format!("{base}{delta}").parse().expect("valid");
+            engine.append(&mut state, &log).expect("appends");
+            bases.push_str(&base);
+            txns.push_str(&delta);
+            let whole: UpdateLog = format!("{bases}{txns}").parse().expect("valid");
+            let whole = engine.replay(&whole).expect("replays");
+            for name in touched {
+                let root = whole.provenance(&name);
+                let fresh = ModelTuple {
+                    root,
+                    nf: None,
+                    dirty: true,
+                };
+                model.insert(name, fresh);
+            }
+            assert_matches_model(&state, &model, &at);
+
+            if rng.below(3) == 0 {
+                let cert = engine.certify(&mut state);
+                assert!(cert.saturated.is_empty(), "{at}");
+                let was_dirty = model.values().filter(|t| t.dirty).count();
+                assert_eq!(cert.certified, was_dirty, "{at}");
+                for (name, t) in model.iter_mut().filter(|(_, t)| t.dirty) {
+                    t.nf = Some(state.certified_nf(name).expect("certified"));
+                    t.dirty = false;
+                }
+                assert_matches_model(&state, &model, &format!("{at} certified"));
+            }
+            if rng.below(4) == 0 {
+                // Later appends must merge into a restored table's order.
+                state = ReplayState::from_snapshot(state.to_snapshot());
+                assert_matches_model(&state, &model, &format!("{at} restored"));
+            }
+        }
+    }
 }
 
 #[test]

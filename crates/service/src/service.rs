@@ -555,7 +555,7 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
                 let s = inner.stats();
                 responses[ix] = Some(Response::Stats {
                     seq,
-                    tuples: state.tuples().count() as u64,
+                    tuples: state.tuples().len() as u64,
                     nodes: engine.arena().len() as u64,
                     cached: engine.cached_entries() as u64,
                     batches: s.batches,

@@ -259,36 +259,12 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
             }
         }
     }
-    // Replay state. Base-tuple and transaction names are interned atoms, so
-    // those two sections store 4-byte atom indices instead of spelling each
-    // name out a second time. Tuple/certified/dirty names are NOT generally
-    // atoms (a tuple inserted mid-transaction is annotated with the txn's
-    // atom; its own name lives only in the replay state), so those sections
-    // keep inline strings.
-    put_u64(&mut p, snap.updates);
-    let put_name_ids = |p: &mut Vec<u8>, pairs: &[(String, NodeId)]| {
-        put_u32(p, pairs.len() as u32);
-        for (name, id) in pairs {
-            put_str(p, name);
-            put_u32(p, remap[id.index()]);
-        }
-    };
-    put_name_ids(&mut p, &snap.tuples);
-    put_u32(&mut p, snap.base_atoms.len() as u32);
-    for (name, a) in &snap.base_atoms {
-        debug_assert_eq!(atoms.name(*a), name);
-        put_u32(&mut p, a.index() as u32);
-    }
-    put_u32(&mut p, snap.txn_atoms.len() as u32);
-    for (name, a) in &snap.txn_atoms {
-        debug_assert_eq!(atoms.name(*a), name);
-        put_u32(&mut p, a.index() as u32);
-    }
-    put_name_ids(&mut p, &snap.certified);
-    put_u32(&mut p, snap.dirty.len() as u32);
-    for name in &snap.dirty {
-        put_str(&mut p, name);
-    }
+    debug_assert!(snap
+        .base_atoms
+        .iter()
+        .chain(&snap.txn_atoms)
+        .all(|(name, a)| atoms.name(*a) == name));
+    put_state(&mut p, &snap, |id| remap[id.index()]);
     // Engine-level certified-NF cache (sorted for deterministic bytes).
     let mut nf_entries: Vec<(u32, u32)> = engine
         .nf_cache()
@@ -306,6 +282,36 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     header[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
     p
+}
+
+/// Writes the replay-state section of a snapshot, every id through
+/// `remap` (arena id to snapshot id). Base-tuple and transaction names
+/// are interned atoms, so those two sections store 4-byte atom indices
+/// instead of spelling each name out a second time. Tuple/certified/dirty
+/// names are NOT generally atoms (a tuple inserted mid-transaction is
+/// annotated with the txn's atom; its own name lives only in the replay
+/// state), so those sections keep inline strings.
+fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u32) {
+    put_u64(p, snap.updates);
+    let put_name_ids = |p: &mut Vec<u8>, pairs: &[(String, NodeId)]| {
+        put_u32(p, pairs.len() as u32);
+        for (name, id) in pairs {
+            put_str(p, name);
+            put_u32(p, remap(*id));
+        }
+    };
+    put_name_ids(p, &snap.tuples);
+    for named in [&snap.base_atoms, &snap.txn_atoms] {
+        put_u32(p, named.len() as u32);
+        for (_, a) in named {
+            put_u32(p, a.index() as u32);
+        }
+    }
+    put_name_ids(p, &snap.certified);
+    put_u32(p, snap.dirty.len() as u32);
+    for name in &snap.dirty {
+        put_str(p, name);
+    }
 }
 
 /// Decodes the payload sections after the arena node list: the replay
@@ -345,10 +351,16 @@ fn decode_tail(
         updates: r.take_u64("update count")?,
         ..StateSnapshot::default()
     };
+    // Name sections must arrive strictly sorted (byte order): the engine's
+    // tuple table takes the snapshot order as its sorted order, and
+    // certified/dirty names are checked against the tuples by merge-walks.
     let ntuples = r.take_u32("tuple count")? as usize;
     for _ in 0..ntuples {
-        let name = r.take_str("tuple name")?.to_owned();
+        let name = r.take_str("tuple name")?;
         let id = node_id(r, "tuple root")?;
+        if snap.tuples.last().is_some_and(|(prev, _)| *prev >= name) {
+            return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
+        }
         snap.tuples.push((name, id));
     }
     let kinded_atoms =
@@ -362,15 +374,37 @@ fn decode_tail(
         };
     snap.base_atoms = kinded_atoms(r, AtomKind::Tuple, "base atom")?;
     snap.txn_atoms = kinded_atoms(r, AtomKind::Txn, "txn atom")?;
+    let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
     let ncert = r.take_u32("certified count")? as usize;
     for _ in 0..ncert {
-        let name = r.take_str("certified tuple name")?.to_owned();
+        let name = r.take_str("certified tuple name")?;
         let id = node_id(r, "certified nf")?;
+        if snap.certified.last().is_some_and(|(prev, _)| *prev >= name) {
+            return Err(SnapshotError::Corrupt(
+                "certified names not strictly sorted",
+            ));
+        }
+        if !tracked.any(|t| t == name) {
+            return Err(SnapshotError::Corrupt("certified tuple is not tracked"));
+        }
         snap.certified.push((name, id));
     }
+    let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
+    let mut certified = snap.certified.iter().map(|(n, _)| n.as_str()).peekable();
     let ndirty = r.take_u32("dirty count")? as usize;
     for _ in 0..ndirty {
-        snap.dirty.push(r.take_str("dirty tuple name")?.to_owned());
+        let name = r.take_str("dirty tuple name")?;
+        if snap.dirty.last().is_some_and(|prev| *prev >= name) {
+            return Err(SnapshotError::Corrupt("dirty names not strictly sorted"));
+        }
+        if !tracked.any(|t| t == name) {
+            return Err(SnapshotError::Corrupt("dirty tuple is not tracked"));
+        }
+        while certified.next_if(|c| *c < name.as_str()).is_some() {}
+        if certified.peek() == Some(&name.as_str()) {
+            return Err(SnapshotError::Corrupt("tuple both certified and dirty"));
+        }
+        snap.dirty.push(name);
     }
     // Engine-level NF cache.
     let nnf = r.take_u32("nf cache count")? as usize;
@@ -705,11 +739,6 @@ mod tests {
             }
         }
         let entries_at = found.expect("snapshot holds a counted NF");
-        let reframe = |mut b: Vec<u8>| -> Vec<u8> {
-            let crc = crc32(&b[24..]);
-            b[20..24].copy_from_slice(&crc.to_le_bytes());
-            b
-        };
         // Swap the two sorted (id, mult) pairs: typed corruption, no panic.
         let mut swapped = bytes.clone();
         for i in 0..8 {
@@ -726,6 +755,139 @@ mod tests {
             decode(&reframe(zeroed)).unwrap_err(),
             SnapshotError::Corrupt("zero multiplicity in a counted block")
         );
+    }
+
+    /// Patches the payload length and CRC of a doctored blob's header.
+    fn reframe(mut b: Vec<u8>) -> Vec<u8> {
+        let len = (b.len() - HEADER_LEN) as u64;
+        let crc = crc32(&b[HEADER_LEN..]);
+        b[12..20].copy_from_slice(&len.to_le_bytes());
+        b[20..24].copy_from_slice(&crc.to_le_bytes());
+        b
+    }
+
+    /// A valid, certified snapshot of `log` with its replay-state section
+    /// rewritten by `edit` and re-framed with a recomputed CRC, so only
+    /// the state invariants stand between it and a clean decode.
+    fn with_state(log: &str, edit: impl FnOnce(&mut StateSnapshot)) -> Vec<u8> {
+        let (engine, state) = engine_with(log);
+        let bytes = encode(&engine, &state, 0);
+        // Decoding numbers ids exactly as the snapshot does.
+        let rec = decode(&bytes).expect("valid snapshot");
+        let mut snap = rec.state.to_snapshot();
+        let tail = 4 + 8 * rec.engine.nf_cache().iter_certified().count();
+        // Ids are already compacted: the identity remap.
+        let section = |snap: &StateSnapshot| {
+            let mut p = Vec::new();
+            put_state(&mut p, snap, |id| id.index() as u32);
+            p
+        };
+        let section_bytes = section(&snap);
+        let at = bytes.len() - tail - section_bytes.len();
+        assert_eq!(
+            bytes[at..bytes.len() - tail],
+            section_bytes[..],
+            "section located"
+        );
+        edit(&mut snap);
+        let mut out = bytes[..at].to_vec();
+        out.extend(section(&snap));
+        out.extend_from_slice(&bytes[bytes.len() - tail..]);
+        reframe(out)
+    }
+
+    const STATE_LOG: &str = "base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n";
+
+    /// Moves every certified tuple to the dirty set: a valid state.
+    fn all_dirty(snap: &mut StateSnapshot) {
+        snap.dirty = snap.certified.drain(..).map(|(n, _)| n).collect();
+    }
+
+    fn corrupt(blob: Vec<u8>) -> SnapshotError {
+        decode(&blob).expect_err("state invariant violated")
+    }
+
+    #[test]
+    fn doctored_state_sections_decode_when_valid() {
+        assert!(decode(&with_state(STATE_LOG, |_| {})).is_ok());
+        let rec = decode(&with_state(STATE_LOG, all_dirty)).expect("valid");
+        assert_eq!(
+            rec.state.dirty_tuples().collect::<Vec<_>>(),
+            ["a", "b", "c"]
+        );
+        assert_eq!(rec.state.certified_count(), 0);
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_tuple_names_are_corrupt() {
+        let want = SnapshotError::Corrupt("tuple names not strictly sorted");
+        assert_eq!(
+            corrupt(with_state(STATE_LOG, |s| s.tuples.swap(0, 1))),
+            want
+        );
+        assert_eq!(
+            corrupt(with_state(STATE_LOG, |s| s.tuples[1].0 = "a".into())),
+            want
+        );
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_dirty_names_are_corrupt() {
+        let want = SnapshotError::Corrupt("dirty names not strictly sorted");
+        let unsorted = with_state(STATE_LOG, |s| {
+            all_dirty(s);
+            s.dirty.swap(1, 2);
+        });
+        assert_eq!(corrupt(unsorted), want);
+        let duplicate = with_state(STATE_LOG, |s| {
+            all_dirty(s);
+            s.dirty[1] = "a".into();
+        });
+        assert_eq!(corrupt(duplicate), want);
+        // The certified section is held to the same order.
+        assert_eq!(
+            corrupt(with_state(STATE_LOG, |s| s.certified.swap(0, 2))),
+            SnapshotError::Corrupt("certified names not strictly sorted")
+        );
+    }
+
+    #[test]
+    fn certified_or_dirty_names_must_be_tracked_tuples() {
+        // Before, between and after the tracked names a, b, c.
+        for stray in ["A", "a0", "d"] {
+            let certified = with_state(STATE_LOG, |s| {
+                let nf = s.certified[0].1;
+                s.certified.push((stray.into(), nf));
+                s.certified.sort();
+            });
+            assert_eq!(
+                corrupt(certified),
+                SnapshotError::Corrupt("certified tuple is not tracked"),
+                "{stray}"
+            );
+            let dirty = with_state(STATE_LOG, |s| {
+                all_dirty(s);
+                s.dirty.push(stray.into());
+                s.dirty.sort();
+            });
+            assert_eq!(
+                corrupt(dirty),
+                SnapshotError::Corrupt("dirty tuple is not tracked"),
+                "{stray}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tuple_both_certified_and_dirty_is_corrupt() {
+        for both in ["a", "b", "c"] {
+            let blob = with_state(STATE_LOG, |s| s.dirty.push(both.into()));
+            assert_eq!(
+                corrupt(blob),
+                SnapshotError::Corrupt("tuple both certified and dirty"),
+                "{both}"
+            );
+        }
     }
 
     #[test]
