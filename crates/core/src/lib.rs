@@ -26,6 +26,9 @@
 //! `docs/PAPER_MAP.md` at the repository root for the full paper↔code
 //! cross-reference.
 
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod arena;
 pub mod atom;
 pub mod axioms;

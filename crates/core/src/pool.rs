@@ -51,6 +51,15 @@
 //! assert_eq!(hits.load(Ordering::Relaxed), 8);
 //! ```
 
+// No-panic zone: a panicking resident would strand the latch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+#![expect(
+    unsafe_code,
+    reason = "`run` erases the borrowed closure's lifetime to hand it to resident threads; the claim/latch protocol on `RunCtx` keeps every dereference inside the call"
+)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -85,6 +94,9 @@ struct RunCtx {
 // guarantees every dereference happens while the closure is alive, and
 // `dyn Fn(usize) + Sync` makes concurrent calls from several threads sound.
 unsafe impl Send for RunCtx {}
+// SAFETY: through a shared `&RunCtx` workers call `body`, a `dyn Fn(usize) +
+// Sync` that several threads may call at once while the latch keeps it alive;
+// every other field (`workers`, the atomic, mutex and condvar) is `Sync`.
 unsafe impl Sync for RunCtx {}
 
 struct DoneState {
@@ -133,10 +145,13 @@ impl WorkerPool {
         let handles = (0..residents)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spawn fails only on OS thread exhaustion while constructing the pool; there is no degraded mode to fall back to"
+                )]
                 std::thread::Builder::new()
                     .name(format!("uprov-pool-{i}"))
                     .spawn(move || resident_loop(&shared))
-                    // lint: allow(panic, reason = "spawn fails only on OS thread exhaustion while constructing the pool; there is no degraded mode to fall back to")
                     .expect("spawn pool worker")
             })
             .collect();
@@ -244,8 +259,13 @@ impl WorkerPool {
         let panicked = done.panicked;
         drop(done);
         if panicked {
-            // lint: allow(panic, reason = "deliberate propagation: a worker body panicked and the scoped-harness contract is to re-panic on the calling thread after every body finished")
-            panic!("evaluation worker panicked");
+            #[expect(
+                clippy::panic,
+                reason = "deliberate propagation: a worker body panicked and the scoped-harness contract is to re-panic on the calling thread after every body finished"
+            )]
+            {
+                panic!("evaluation worker panicked");
+            }
         }
     }
 }

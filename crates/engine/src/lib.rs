@@ -145,6 +145,10 @@
 //! assert_eq!(alive, ["x"]);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod log;
 
 use std::collections::{BTreeMap, HashMap, HashSet};

@@ -1,31 +1,13 @@
 //! Integration tests for the transaction-log replay engine: parse/print
 //! round-trips, hand-computed abort and deletion-propagation queries under
 //! `Bool` and `Worlds`, log-equivalence properties (commuting transactions,
-//! order-sensitive counterexamples), and the depth-100k replay smoke test.
+//! order-sensitive counterexamples), the depth-100k replay smoke test, and
+//! the one-public-fn-per-operation rule over the core and engine sources.
 
+use benchkit::TestRng;
 use uprov_core::{eval_arena, ExprArena, Valuation};
 use uprov_engine::{Engine, Op, ReplayError, UpdateLog};
 use uprov_structures::{Bool, Worlds};
-
-/// xorshift64* — the same dependency-free generator as the core prop suite.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 const EXAMPLE: &str = "\
 base x
@@ -47,7 +29,7 @@ fn alive<'a, V: PartialEq>(rows: &[(&'a str, V)], zero: V) -> Vec<&'a str> {
 
 #[test]
 fn parse_print_round_trips_programmatic_logs() {
-    let mut rng = Rng::new(42);
+    let mut rng = TestRng::new(42);
     for case in 0..50 {
         let mut log = UpdateLog::default();
         for b in 0..rng.below(3) {
@@ -194,7 +176,7 @@ fn commuting_transactions_leave_equivalent_logs() {
     // Transactions inserting into / modifying the same tuple commute: the
     // +I/+M spine is a multiset (AC extension, axiom 1). Any permutation
     // of the middle transactions yields an equivalent log.
-    let mut rng = Rng::new(7);
+    let mut rng = TestRng::new(7);
     for case in 0..20 {
         let n = 3 + rng.below(5);
         let mut txns: Vec<String> = (0..n)
@@ -375,4 +357,30 @@ fn depth_100k_replay_smoke() {
     // Symbolic abort normalizes the depth-50k chain without recursion.
     let view = engine.abort_symbolic(&state, "t0").expect("t0");
     assert!(view.iter().all(|t| !t.saturated));
+}
+
+/// One public fn per operation: a thread count, a harness, a round budget
+/// or a memo pool is an argument or rides the memo, never a name suffix.
+#[test]
+fn no_pub_fn_has_a_sibling_suffix() {
+    const SUFFIXES: [&str; 5] = ["_par", "_par_in", "_scoped_in", "_budget_in", "_batch_in"];
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut dirs = vec![crates.join("core/src"), crates.join("engine/src")];
+    let mut bad = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                let fns = src
+                    .lines()
+                    .filter_map(|l| l.trim_start().strip_prefix("pub fn "));
+                let names = fns.filter_map(|rest| rest.split(['(', '<']).next());
+                let hits = names.filter(|n| SUFFIXES.iter().any(|s| n.ends_with(s)));
+                bad.extend(hits.map(|n| format!("{}: {n}", path.display())));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "sibling-suffixed pub fns: {bad:?}");
 }

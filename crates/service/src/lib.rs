@@ -57,6 +57,10 @@
 //! service.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod net;
 pub mod proto;
 pub mod service;

@@ -26,6 +26,9 @@
 //! `PATH`, recovered on restart); the default is a process-lifetime
 //! [`MemStorage`].
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::net::TcpListener;
 use std::process::ExitCode;
 

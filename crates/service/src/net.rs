@@ -30,6 +30,11 @@
 //! `TCP_NODELAY` keeps it fixed when a reply is larger than the socket
 //! buffer and the kernel splits the write itself.
 
+// No-panic zone: the session loop frames whatever bytes a peer sends.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;

@@ -34,6 +34,11 @@
 //! state that answered it; the soak oracle replays exactly that prefix.
 //! Errors carry a machine-readable `err` kind plus a human message.
 
+// No-panic zone: the parser is total over whatever a client sends.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt;
 use std::str::FromStr;
 

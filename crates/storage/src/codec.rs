@@ -8,6 +8,11 @@
 //! unlikely, but "astronomically unlikely" is not an excuse to `unwrap`
 //! in a crash path).
 
+// No-panic zone: decoding is total over corrupt disk bytes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt;
 
 use uprov_engine::{Op, Txn, UpdateLog};

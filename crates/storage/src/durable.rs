@@ -51,6 +51,11 @@
 //! while damage that cannot be safely repaired (bad snapshot CRC, bad WAL
 //! magic, a sequence gap) is a typed [`RecoveryError`].
 
+// No-panic zone: recovery answers damaged blobs with typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt;
 use std::io;
 
@@ -283,7 +288,10 @@ impl<S: Storage> DurableEngine<S> {
     /// in-memory state is unchanged.
     pub fn append(&mut self, log: &UpdateLog) -> Result<usize, DurableError> {
         let mut verdicts = self.append_many(std::slice::from_ref(log))?;
-        // lint: allow(panic, reason = "append_many answers one verdict per log and was handed exactly one")
+        #[expect(
+            clippy::expect_used,
+            reason = "append_many answers one verdict per log and was handed exactly one"
+        )]
         let verdict = verdicts.pop().expect("one verdict per log");
         Ok(verdict?)
     }
@@ -340,10 +348,13 @@ impl<S: Storage> DurableEngine<S> {
             .iter()
             .zip(checked)
             .map(|(log, verdict)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "validate_batch accepted this log against this state plus the accepted logs before it, which have just been applied; a rejection here means the WAL now holds a record replay would refuse, and crashing beats diverging from disk"
+                )]
                 verdict.map(|()| {
                     self.engine
                         .append(&mut self.state, log)
-                        // lint: allow(panic, reason = "validate_batch accepted this log against this state plus the accepted logs before it, which have just been applied; a rejection here means the WAL now holds a record replay would refuse, and crashing beats diverging from disk")
                         .expect("validated before logging")
                 })
             })

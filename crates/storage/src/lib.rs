@@ -58,7 +58,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod backend;
 pub mod codec;

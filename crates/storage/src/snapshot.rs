@@ -318,6 +318,9 @@ fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u3
 /// state and the certified-NF id pairs. Pure byte reading plus range
 /// checks — independent of the arena value, so [`decode`] can run it
 /// concurrently with the arena's bulk rebuild.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn decode_tail(
     r: &mut Reader<'_>,
     atoms: &AtomTable,
@@ -428,6 +431,10 @@ fn decode_tail(
 /// thread parses — both still gate the result: a checksum mismatch is
 /// reported ahead of any parse error (the payload bytes themselves are
 /// untrustworthy), exactly as if the CRC had been checked first.
+// Decode is a no-panic zone; encode is not (it indexes vectors it sized).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // Header. The magic comparison and every header field go through
     // total reads: a blob shorter than its fixed header is a typed error,
@@ -460,7 +467,10 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             (payload.len() >= CRC_OFFLOAD && multicore()).then(|| s.spawn(move || crc32(payload)));
         let parsed = decode_payload(payload);
         let computed = match crc_task {
-            // lint: allow(panic, reason = "join fails only if the crc closure panicked, and crc32 is a total table-driven loop; re-raising the panic is the only sound response")
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only if the crc closure panicked, and crc32 is a total table-driven loop; re-raising the panic is the only sound response"
+            )]
             Some(task) => task.join().expect("crc pass does not panic"),
             None => crc32(payload),
         };
@@ -474,12 +484,18 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
 /// True when a helper thread can actually run in parallel. On a
 /// single-core host (CI containers included) an offloaded pass only adds
 /// spawn + scheduling cost, so the decode stays sequential there.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn multicore() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
 /// The post-header, post-frame-checks parse of one payload (see
 /// [`decode`], which wraps it with the CRC gate).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let mut r = Reader::new(payload);
     let wal_seq = r.take_u64("wal sequence")?;
@@ -613,7 +629,10 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         std::thread::scope(|s| {
             let rebuild = s.spawn(move || ExprArena::from_canonical_nodes(nodes));
             let tail = decode_tail(&mut r, &atoms, natoms, nnodes);
-            // lint: allow(panic, reason = "join fails only if the bulk rebuild panicked; from_canonical_nodes returns typed errors, so a panic there is a bug worth crashing on")
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only if the bulk rebuild panicked; from_canonical_nodes returns typed errors, so a panic there is a bug worth crashing on"
+            )]
             let arena = rebuild.join().expect("bulk arena rebuild does not panic");
             (arena, tail)
         })

@@ -34,6 +34,11 @@
 //! a file shorter than the magic that prefix-matches it, which is treated
 //! as a torn creation and truncated to empty.
 
+// No-panic zone: the scan is total over whatever a crash left on disk.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::codec::{put_u32, put_u64, put_update_log, take_update_log, Reader};
 use crate::crc::crc32;
 use std::fmt;

@@ -8,13 +8,15 @@ use std::sync::Arc;
 
 use uprov_storage::{MemStorage, Storage};
 
-/// A backend whose next `append` fails after writing a garbage prefix —
-/// the transient-IO-failure shape (full disk, EINTR-ish) as opposed to
+/// A backend whose next `append` fails after writing a garbage prefix, or
+/// whose next `sync` fails after the bytes were written — the
+/// transient-IO-failure shape (full disk, EINTR-ish) as opposed to
 /// [`uprov_storage::FaultStorage`]'s process-death model.
 #[derive(Default)]
 pub struct FlakyStorage {
     pub inner: MemStorage,
     fail_next_append: Arc<AtomicBool>,
+    fail_next_sync: Arc<AtomicBool>,
 }
 
 impl FlakyStorage {
@@ -23,6 +25,13 @@ impl FlakyStorage {
     /// running service — hands out no `&mut` to its storage.
     pub fn trigger(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.fail_next_append)
+    }
+
+    /// The same switch for `sync`: the next one fails (and disarms itself)
+    /// with every appended byte already in the blob, unsynced.
+    #[allow(dead_code, reason = "only the recovery suite arms a sync failure")]
+    pub fn sync_trigger(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.fail_next_sync)
     }
 }
 
@@ -42,6 +51,9 @@ impl Storage for FlakyStorage {
         self.inner.append(blob, bytes)
     }
     fn sync(&mut self, blob: &str) -> io::Result<()> {
+        if self.fail_next_sync.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("injected transient sync failure"));
+        }
         self.inner.sync(blob)
     }
     fn truncate(&mut self, blob: &str, len: u64) -> io::Result<()> {

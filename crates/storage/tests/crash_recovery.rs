@@ -16,30 +16,11 @@
 //! Seed matrix: `UPROV_FAULT_SEEDS="1,2,.."` overrides the built-in list
 //! (CI runs an explicit matrix; see `.github/workflows/ci.yml`).
 
+use benchkit::TestRng;
 use uprov_engine::UpdateLog;
 use uprov_storage::{
     snapshot, wal, DurableEngine, FaultMode, FaultStorage, MemStorage, WAL_BLOB, WAL_MAGIC,
 };
-
-/// xorshift64* — deterministic, dependency-free (same as core's prop.rs).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 /// One randomized run shape: what gets appended before the checkpoint,
 /// and which deltas ride the WAL tail afterwards.
@@ -56,10 +37,10 @@ struct Scenario {
 /// random log can never trip `NameKindClash`, and base tuples are declared
 /// exactly once up front, so never `LateBase` — every generated log is
 /// valid by construction and [`DurableEngine::append`] must accept it.
-fn random_scenario(rng: &mut Rng) -> Scenario {
+fn random_scenario(rng: &mut TestRng) -> Scenario {
     let tuples = 3 + rng.below(5);
     let mut txn = 0usize;
-    let mut random_delta = |rng: &mut Rng, max_txns: usize| -> UpdateLog {
+    let mut random_delta = |rng: &mut TestRng, max_txns: usize| -> UpdateLog {
         let ntxns = 1 + rng.below(max_txns);
         let mut s = String::new();
         for _ in 0..ntxns {
@@ -201,7 +182,7 @@ fn surviving_at(spans: &[(u64, u64)], offset: u64) -> usize {
     spans.iter().take_while(|&&(_, end)| end <= offset).count()
 }
 
-fn fault_offsets(rng: &mut Rng, spans: &[(u64, u64)]) -> Vec<u64> {
+fn fault_offsets(rng: &mut TestRng, spans: &[(u64, u64)]) -> Vec<u64> {
     let lo = WAL_MAGIC.len() as u64;
     let hi = spans.last().expect("at least one post record").1;
     let mut offsets = vec![lo, hi];
@@ -230,7 +211,7 @@ fn seeds() -> Vec<u64> {
 #[test]
 fn crash_at_any_offset_recovers_the_surviving_prefix_exactly() {
     for seed in seeds() {
-        let mut rng = Rng::new(seed);
+        let mut rng = TestRng::new(seed);
         let scenario = random_scenario(&mut rng);
         let checkpoint = drive_to_checkpoint(&scenario);
         let first_seq = 1 + scenario.pre.len() as u64;
@@ -278,7 +259,7 @@ fn crash_at_any_offset_recovers_the_surviving_prefix_exactly() {
 #[test]
 fn a_bit_flip_at_any_offset_loses_at_most_the_suffix_from_the_flipped_record() {
     for seed in seeds() {
-        let mut rng = Rng::new(seed ^ 0xB17_F11B);
+        let mut rng = TestRng::new(seed ^ 0xB17_F11B);
         let scenario = random_scenario(&mut rng);
         let checkpoint = drive_to_checkpoint(&scenario);
         let first_seq = 1 + scenario.pre.len() as u64;
@@ -331,7 +312,7 @@ fn a_bit_flip_at_any_offset_loses_at_most_the_suffix_from_the_flipped_record() {
 
 #[test]
 fn a_flip_inside_the_synced_magic_is_refused_loudly() {
-    let mut rng = Rng::new(42);
+    let mut rng = TestRng::new(42);
     let scenario = random_scenario(&mut rng);
     let checkpoint = drive_to_checkpoint(&scenario);
     let mut disk = drive_post(&scenario, checkpoint, scenario.post.len());

@@ -20,6 +20,9 @@
 //! and exploited by the monus tests to show what rewriting would break on a
 //! structure that fails the axioms.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::collections::BTreeSet;
 
 use uprov_core::{BinOp, StructureHomomorphism, UpdateStructure};

@@ -21,6 +21,9 @@
 //! database — the input shape for differential tests of incremental
 //! maintenance against from-scratch replay.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::fmt;
 
 use benchkit::TestRng;
