@@ -8,8 +8,7 @@
 //! (every catalogue structure does) it must agree with the arena, whose
 //! smart constructors applied those axioms while interning.
 
-// Each suite uses a subset of the helpers.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each suite uses a subset of the helpers")]
 
 use benchkit::TestRng as Rng;
 use uprov_core::{Atom, AtomTable, ExprArena, NodeId, UpdateStructure, Valuation};

@@ -1,8 +1,7 @@
 //! Integration tests for the transaction-log replay engine: parse/print
 //! round-trips, hand-computed abort and deletion-propagation queries under
 //! `Bool` and `Worlds`, log-equivalence properties (commuting transactions,
-//! order-sensitive counterexamples), the depth-100k replay smoke test, and
-//! the one-public-fn-per-operation rule over the core and engine sources.
+//! order-sensitive counterexamples), and the depth-100k replay smoke test.
 
 use benchkit::TestRng;
 use uprov_core::{eval_arena, ExprArena, Valuation};
@@ -357,30 +356,4 @@ fn depth_100k_replay_smoke() {
     // Symbolic abort normalizes the depth-50k chain without recursion.
     let view = engine.abort_symbolic(&state, "t0").expect("t0");
     assert!(view.iter().all(|t| !t.saturated));
-}
-
-/// One public fn per operation: a thread count, a harness, a round budget
-/// or a memo pool is an argument or rides the memo, never a name suffix.
-#[test]
-fn no_pub_fn_has_a_sibling_suffix() {
-    const SUFFIXES: [&str; 5] = ["_par", "_par_in", "_scoped_in", "_budget_in", "_batch_in"];
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let mut dirs = vec![crates.join("core/src"), crates.join("engine/src")];
-    let mut bad = Vec::new();
-    while let Some(dir) = dirs.pop() {
-        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let src = std::fs::read_to_string(&path).unwrap();
-                let fns = src
-                    .lines()
-                    .filter_map(|l| l.trim_start().strip_prefix("pub fn "));
-                let names = fns.filter_map(|rest| rest.split(['(', '<']).next());
-                let hits = names.filter(|n| SUFFIXES.iter().any(|s| n.ends_with(s)));
-                bad.extend(hits.map(|n| format!("{}: {n}", path.display())));
-            }
-        }
-    }
-    assert!(bad.is_empty(), "sibling-suffixed pub fns: {bad:?}");
 }

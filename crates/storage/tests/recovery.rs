@@ -8,8 +8,7 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use common::FlakyStorage;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
@@ -282,72 +281,7 @@ fn failed_append_leaves_state_untouched_and_the_next_append_repairs_the_wal() {
 /// never-failed run writes.
 #[test]
 fn failed_batch_pins_no_names_and_interns_no_nodes() {
-    failed_batch_leaves_no_trace(FlakyStorage::trigger);
-}
-
-/// Durable before visible: a batch whose fsync fails is not applied. Its
-/// records are in the WAL, but nothing in memory moved — not the state,
-/// `seq`, the arena or the atom table — and the next append truncates
-/// them, so recovery never sees the batch.
-#[test]
-fn failed_sync_applies_nothing_and_recovery_never_sees_the_batch() {
-    failed_batch_leaves_no_trace(FlakyStorage::sync_trigger);
-}
-
-/// Fails one `append_many` through the switch `arm` returns, then checks
-/// that memory, the WAL and a recovery from it match a never-failed run.
-fn failed_batch_leaves_no_trace(arm: fn(&FlakyStorage) -> Arc<AtomicBool>) {
-    let base = log("base a\nbegin t1\ninsert b\ncommit\n");
-    let batch = [log("begin n\ninsert z\ncommit\n")];
-    // `n` the other way round: a tuple, where the failed batch had a txn.
-    let swapped = log("begin t9\ninsert n\ncommit\n");
-    let storage = FlakyStorage::default();
-    let fail = arm(&storage);
-    let (mut db, _) = DurableEngine::open(storage).expect("fresh");
-    db.append(&base).unwrap();
-    let atoms = db.engine().atoms().len();
-    let nodes = db.engine().arena().len();
-    let want = db.state().to_snapshot();
-    let wal_len = db.storage().inner.blob(WAL_BLOB).unwrap().len();
-
-    fail.store(true, Ordering::SeqCst);
-    let err = db.append_many(&batch).expect_err("transient failure");
-    assert!(matches!(err, uprov_storage::DurableError::Io(_)));
-    assert!(db.storage().inner.blob(WAL_BLOB).unwrap().len() > wal_len);
-    assert_eq!(db.engine().atoms().len(), atoms, "no atom interned");
-    assert_eq!(db.engine().arena().len(), nodes, "no node interned");
-    assert_eq!(db.state().to_snapshot(), want, "state unchanged on Err");
-    assert_eq!(db.seq(), 1);
-
-    db.append(&swapped)
-        .expect("`n` was never pinned to the txn kind");
-    let verdicts = db.append_many(&batch).expect("retry succeeds");
-    assert_eq!(verdicts, [Ok(1)]);
-
-    let (mut never_failed, _) = DurableEngine::open(MemStorage::new()).expect("fresh");
-    for l in [&base, &swapped, &batch[0]] {
-        never_failed.append(l).unwrap();
-    }
-    assert_eq!(
-        db.storage().inner.blob(WAL_BLOB),
-        never_failed.storage().blob(WAL_BLOB)
-    );
-    assert_eq!(db.state().to_snapshot(), never_failed.state().to_snapshot());
-    assert_eq!(
-        db.engine().arena().len(),
-        never_failed.engine().arena().len()
-    );
-    let (mut recovered, _) = DurableEngine::open(db.into_storage().inner).expect("recovers");
-    let nfs = |db: &mut DurableEngine<MemStorage>| {
-        db.certify();
-        let (engine, state) = (db.engine(), db.state());
-        let nf = |name| engine.render(state.certified_nf(name).expect("certified"));
-        state
-            .tuples()
-            .map(|(name, _)| format!("{name}: {}", nf(name)))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(nfs(&mut recovered), nfs(&mut never_failed));
+    common::failed_batch_leaves_no_trace(FlakyStorage::trigger);
 }
 
 #[test]
