@@ -1,6 +1,7 @@
 //! Binary encoding primitives shared by the snapshot and WAL formats:
-//! little-endian fixed-width integers, length-prefixed UTF-8 strings, and
-//! the binary [`UpdateLog`] encoding carried by WAL records.
+//! little-endian fixed-width integers (the WAL and both frame headers),
+//! minimal LEB128 varints (the snapshot payload), length-prefixed UTF-8
+//! strings, and the binary [`UpdateLog`] encoding carried by WAL records.
 //!
 //! Decoding is **total**: every reader returns a typed [`DecodeError`]
 //! with the byte offset it failed at — never a panic — because recovery
@@ -49,6 +50,29 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Appends a `u32` length prefix followed by the string's UTF-8 bytes.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `v` as minimal unsigned LEB128: seven bits per byte, lowest
+/// group first, the high bit set on every byte but the last — one byte
+/// below 128, at most five for a `u32`.
+pub fn put_var(buf: &mut Vec<u8>, v: u32) {
+    put_var64(buf, u64::from(v));
+}
+
+/// [`put_var`] for a `u64` (at most ten bytes).
+pub fn put_var64(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Appends a [`put_var`] length prefix followed by the string's UTF-8
+/// bytes.
+pub fn put_var_str(buf: &mut Vec<u8>, s: &str) {
+    put_var(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
@@ -120,9 +144,79 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
+    /// Reads a minimal LEB128 `u32` (see [`put_var`]). Only the one
+    /// encoding `put_var` writes decodes: a sixth byte, a value above
+    /// `u32::MAX` and a redundant trailing zero group are each a
+    /// [`DecodeError`] at the varint's first byte, so a value has exactly
+    /// one byte string.
+    #[inline]
+    pub fn take_var(&mut self, what: &'static str) -> Result<u32, DecodeError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u32::from(b))
+            }
+            _ => {
+                let v = self.take_leb(5, u64::from(u32::MAX), what)?;
+                Ok(v as u32)
+            }
+        }
+    }
+
+    /// Reads a minimal LEB128 `u64` (see [`put_var64`]), held to the same
+    /// rules as [`Reader::take_var`] at ten bytes.
+    pub fn take_var64(&mut self, what: &'static str) -> Result<u64, DecodeError> {
+        self.take_leb(10, u64::MAX, what)
+    }
+
+    /// The LEB128 loop behind both varint readers: at most `max_len`
+    /// bytes, a value of at most `max`, no trailing zero group.
+    fn take_leb(
+        &mut self,
+        max_len: usize,
+        max: u64,
+        what: &'static str,
+    ) -> Result<u64, DecodeError> {
+        let start = self.pos;
+        let fail = |what| DecodeError {
+            offset: start,
+            what,
+        };
+        let mut v = 0u64;
+        for i in 0..max_len {
+            let b = self.take_byte(what)?;
+            let group = u64::from(b & 0x7f);
+            let shift = 7 * i as u32;
+            if (group << shift) >> shift != group {
+                return Err(fail("varint out of range"));
+            }
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(fail("non-minimal varint"));
+                }
+                if v > max {
+                    return Err(fail("varint out of range"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(fail("varint too long"))
+    }
+
     /// Reads a length-prefixed UTF-8 string (see [`put_str`]).
     pub fn take_str(&mut self, what: &'static str) -> Result<String, DecodeError> {
         let len = self.take_u32(what)? as usize;
+        self.take_utf8(len, what)
+    }
+
+    /// Reads a varint-length-prefixed UTF-8 string (see [`put_var_str`]).
+    pub fn take_var_str(&mut self, what: &'static str) -> Result<String, DecodeError> {
+        let len = self.take_var(what)? as usize;
+        self.take_utf8(len, what)
+    }
+
+    fn take_utf8(&mut self, len: usize, what: &'static str) -> Result<String, DecodeError> {
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError {
             offset: self.pos - len,
@@ -243,6 +337,72 @@ mod tests {
             let got = take_update_log(&mut r);
             assert!(got.is_err(), "prefix of {cut} bytes must not decode");
             assert!(got.unwrap_err().offset <= cut);
+        }
+    }
+
+    const VAR_EDGES: [u32; 7] = [0, 127, 128, 16_383, 16_384, 1 << 21, u32::MAX];
+
+    #[test]
+    fn varints_round_trip_at_every_width_edge() {
+        for (v, len) in VAR_EDGES.into_iter().zip([1, 1, 2, 2, 3, 4, 5]) {
+            let mut buf = Vec::new();
+            put_var(&mut buf, v);
+            assert_eq!(buf.len(), len, "{v}");
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.take_var("v"), Ok(v));
+            assert!(r.is_at_end(), "{v}");
+        }
+        for v in [0, 127, 128, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_var64(&mut buf, v);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.take_var64("v"), Ok(v));
+            assert!(r.is_at_end(), "{v}");
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        let cases: [(&[u8], &str); 5] = [
+            (&[0x80, 0x00], "non-minimal varint"),
+            (&[0xff, 0x80, 0x00], "non-minimal varint"),
+            (&[0xff, 0xff, 0xff, 0xff, 0x1f], "varint out of range"),
+            (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00], "varint too long"),
+            (&[0xff, 0xff, 0xff, 0xff, 0x8f, 0x00], "varint too long"),
+        ];
+        for (bytes, what) in cases {
+            let mut at_two = vec![7, 7];
+            at_two.extend_from_slice(bytes);
+            let mut r = Reader::new(&at_two);
+            r.take(2, "lead").unwrap();
+            let err = r.take_var("v").unwrap_err();
+            assert_eq!((err.offset, err.what), (2, what), "{bytes:x?}");
+        }
+        // Ten bytes carry 70 bits; a u64 keeps the lowest 64.
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        assert_eq!(
+            Reader::new(&over).take_var64("v").unwrap_err().what,
+            "varint out of range"
+        );
+        assert_eq!(
+            Reader::new(&[0x80, 0x00]).take_var64("v").unwrap_err().what,
+            "non-minimal varint"
+        );
+    }
+
+    #[test]
+    fn truncated_varints_report_an_offset_not_a_panic() {
+        for v in VAR_EDGES {
+            let mut buf = Vec::new();
+            put_var(&mut buf, v);
+            put_var_str(&mut buf, "name");
+            for cut in 0..buf.len() {
+                let mut r = Reader::new(&buf[..cut]);
+                let got = r.take_var("v").and_then(|_| r.take_var_str("s"));
+                let err = got.expect_err("a proper prefix must not decode");
+                assert!(err.offset <= cut, "{v} cut at {cut}: {err}");
+            }
         }
     }
 

@@ -6,20 +6,30 @@
 //!
 //! ```text
 //! "UPSNAP01"            8-byte magic
-//! version: u32 LE       currently 2 (counted-block node kind)
+//! version: u32 LE       currently 3 (varint payload)
 //! payload_len: u64 LE
 //! payload_crc: u32 LE   CRC-32 of the payload bytes
-//! payload:
-//!   wal_seq: u64                      appends already folded in
+//! payload:              every integer a minimal LEB128 varint
+//!   wal_seq                           appends already folded in
 //!   atoms:   count, then per atom kind u8 + name
-//!   arena:   node count, then per node (ids 1…) a tagged encoding
-//!            (atom / bin / sum / counted block — a counted block stores
-//!            its operator, head id, and `(entry id, multiplicity)` pairs,
-//!            so a 10k-application NF costs a handful of pairs on disk)
+//!   arena:   node count, then per node (ids 1…) a tag byte — operator in
+//!            the high nibble, node kind in the low one — and its fields:
+//!              atom     atom index
+//!              bin      lhs, rhs
+//!              sum      arity, terms
+//!              counted  head, arity, (entry, multiplicity) pairs
+//!            A child is stored as its back-distance `own id − child id`
+//!            (≥ 1): most children sit a few nodes below their parent, so
+//!            most take one byte. A counted block is a handful of pairs
+//!            on disk however many applications it stands for.
 //!   state:   updates, tuples, base/txn atoms, certified NFs, dirty set
 //!            (base/txn names as atom-table indices, ids as arena indices)
-//!   nf-cache: count, then (root, nf) id pairs
+//!   nf-cache: count, then (root, nf) id pairs, sorted
 //! ```
+//!
+//! Names are a varint length plus UTF-8 bytes. Every varint must be the
+//! minimal encoding ([`Reader::take_var`]), so a snapshot has exactly one
+//! byte string and re-encoding a recovered engine reproduces it.
 //!
 //! The arena section is the paper-structure payoff: the hash-consed arena
 //! is already a topologically ordered flat node list whose ids are dense
@@ -42,19 +52,20 @@ use std::fmt;
 use uprov_core::{Atom, AtomKind, AtomTable, BinOp, ExprArena, Node, NodeId, NodeList};
 use uprov_engine::{Engine, ReplayState, StateSnapshot};
 
-use crate::codec::{put_str, put_u32, put_u64, DecodeError, Reader};
+use crate::codec::{put_u32, put_u64, put_var, put_var64, put_var_str, DecodeError, Reader};
 use crate::crc::crc32;
 
 /// The snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"UPSNAP01";
 
-/// The current snapshot format version. Version 2 added the counted-block
-/// node kind ([`Node::Counted`]) and made normal forms counted; version 1
-/// snapshots are **rejected**, not migrated — their certified-NF sections
-/// record expanded-spine images that are no longer normal under the
-/// counted rule system, and re-seeding them would poison every later
-/// incremental normalization (the [`uprov_core::NfCache`] contract).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The current snapshot format version: varint integers and children as
+/// back-distances (see the module docs). Older versions are **rejected**,
+/// not migrated, so there is one decoder. Version 1 could not be migrated
+/// anyway: its certified-NF sections record expanded-spine images that
+/// are not normal under the counted rule system, and re-seeding them
+/// would poison every later incremental normalization (the
+/// [`uprov_core::NfCache`] contract).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,13 +137,13 @@ pub struct RecoveredSnapshot {
 /// Bytes before the payload: magic, version, payload length, payload CRC.
 const HEADER_LEN: usize = 24;
 
-/// Node tag byte: an atom leaf.
+/// Node kind, the tag byte's low nibble: an atom leaf.
 const NODE_ATOM: u8 = 1;
-/// Node tag byte: a binary operation.
+/// Node kind: a binary operation (operator in the high nibble).
 const NODE_BIN: u8 = 2;
-/// Node tag byte: an n-ary sum.
+/// Node kind: an n-ary sum.
 const NODE_SUM: u8 = 3;
-/// Node tag byte: a counted `+I`/`+M` block (version 2).
+/// Node kind: a counted `+I`/`+M` block (operator in the high nibble).
 const NODE_COUNTED: u8 = 4;
 
 fn op_tag(op: BinOp) -> u8 {
@@ -214,47 +225,48 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     put_u64(&mut p, 0);
     put_u32(&mut p, 0);
     debug_assert_eq!(p.len(), HEADER_LEN);
-    put_u64(&mut p, wal_seq);
+    put_var64(&mut p, wal_seq);
     // Atom table, in index order (named() re-interns at the same index).
     let atoms = engine.atoms();
-    put_u32(&mut p, atoms.len() as u32);
+    put_var(&mut p, atoms.len() as u32);
     for a in atoms.iter() {
         p.push(match atoms.kind(a) {
             AtomKind::Tuple => 0,
             AtomKind::Txn => 1,
         });
-        put_str(&mut p, atoms.name(a));
+        put_var_str(&mut p, atoms.name(a));
     }
     // Live arena nodes, in compacted id order. Id 0 is Zero and implied.
-    put_u32(&mut p, nlive);
+    put_var(&mut p, nlive);
     for (ix, _) in live.iter().enumerate().skip(1).filter(|&(_, &keep)| keep) {
+        // Children as back-distances from this node's compacted id.
+        let own = remap[ix];
+        let back = |child: NodeId| own - remap[child.index()];
         match arena.node(NodeId::from_index(ix)) {
             Node::Zero => unreachable!("Zero is interned exactly once, at id 0"),
             Node::Atom(a) => {
                 p.push(NODE_ATOM);
-                put_u32(&mut p, a.index() as u32);
+                put_var(&mut p, a.index() as u32);
             }
             Node::Bin(op, a, b) => {
-                p.push(NODE_BIN);
-                p.push(op_tag(op));
-                put_u32(&mut p, remap[a.index()]);
-                put_u32(&mut p, remap[b.index()]);
+                p.push(op_tag(op) << 4 | NODE_BIN);
+                put_var(&mut p, back(a));
+                put_var(&mut p, back(b));
             }
             Node::Counted(op, h, es) => {
-                p.push(NODE_COUNTED);
-                p.push(op_tag(op));
-                put_u32(&mut p, remap[h.index()]);
-                put_u32(&mut p, es.len() as u32);
+                p.push(op_tag(op) << 4 | NODE_COUNTED);
+                put_var(&mut p, back(h));
+                put_var(&mut p, es.len() as u32);
                 for &(e, m) in es.iter() {
-                    put_u32(&mut p, remap[e.index()]);
-                    put_u32(&mut p, m);
+                    put_var(&mut p, back(e));
+                    put_var(&mut p, m);
                 }
             }
             Node::Sum(terms) => {
                 p.push(NODE_SUM);
-                put_u32(&mut p, terms.len() as u32);
-                for t in terms.iter() {
-                    put_u32(&mut p, remap[t.index()]);
+                put_var(&mut p, terms.len() as u32);
+                for &t in terms.iter() {
+                    put_var(&mut p, back(t));
                 }
             }
         }
@@ -272,11 +284,7 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         .map(|(root, nf)| (remap[root.index()], remap[nf.index()]))
         .collect();
     nf_entries.sort_unstable();
-    put_u32(&mut p, nf_entries.len() as u32);
-    for (root, nf) in nf_entries {
-        put_u32(&mut p, root);
-        put_u32(&mut p, nf);
-    }
+    put_nf_cache(&mut p, &nf_entries);
     // Frame it: patch the payload's length and checksum into the header.
     let (header, payload) = p.split_at_mut(HEADER_LEN);
     header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -286,31 +294,41 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
 
 /// Writes the replay-state section of a snapshot, every id through
 /// `remap` (arena id to snapshot id). Base-tuple and transaction names
-/// are interned atoms, so those two sections store 4-byte atom indices
-/// instead of spelling each name out a second time. Tuple/certified/dirty
-/// names are NOT generally atoms (a tuple inserted mid-transaction is
-/// annotated with the txn's atom; its own name lives only in the replay
-/// state), so those sections keep inline strings.
+/// are interned atoms, so those two sections store atom indices instead
+/// of spelling each name out a second time. Tuple/certified/dirty names
+/// are NOT generally atoms (a tuple inserted mid-transaction is annotated
+/// with the txn's atom; its own name lives only in the replay state), so
+/// those sections keep inline strings.
 fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u32) {
-    put_u64(p, snap.updates);
+    put_var64(p, snap.updates);
     let put_name_ids = |p: &mut Vec<u8>, pairs: &[(String, NodeId)]| {
-        put_u32(p, pairs.len() as u32);
+        put_var(p, pairs.len() as u32);
         for (name, id) in pairs {
-            put_str(p, name);
-            put_u32(p, remap(*id));
+            put_var_str(p, name);
+            put_var(p, remap(*id));
         }
     };
     put_name_ids(p, &snap.tuples);
     for named in [&snap.base_atoms, &snap.txn_atoms] {
-        put_u32(p, named.len() as u32);
+        put_var(p, named.len() as u32);
         for (_, a) in named {
-            put_u32(p, a.index() as u32);
+            put_var(p, a.index() as u32);
         }
     }
     put_name_ids(p, &snap.certified);
-    put_u32(p, snap.dirty.len() as u32);
+    put_var(p, snap.dirty.len() as u32);
     for name in &snap.dirty {
-        put_str(p, name);
+        put_var_str(p, name);
+    }
+}
+
+/// Writes the certified-NF cache section: its `(root, nf)` snapshot-id
+/// pairs, in the order given.
+fn put_nf_cache(p: &mut Vec<u8>, entries: &[(u32, u32)]) {
+    put_var(p, entries.len() as u32);
+    for &(root, nf) in entries {
+        put_var(p, root);
+        put_var(p, nf);
     }
 }
 
@@ -328,7 +346,7 @@ fn decode_tail(
     nnodes: usize,
 ) -> Result<(StateSnapshot, Vec<(NodeId, NodeId)>), SnapshotError> {
     let node_id = |r: &mut Reader<'_>, what| -> Result<NodeId, SnapshotError> {
-        let raw = r.take_u32(what)? as usize;
+        let raw = r.take_var(what)? as usize;
         if raw >= nnodes {
             return Err(SnapshotError::Corrupt("node id out of arena range"));
         }
@@ -339,7 +357,7 @@ fn decode_tail(
     // table decoded above.
     let named_atom =
         |r: &mut Reader<'_>, want: AtomKind, what| -> Result<(String, Atom), SnapshotError> {
-            let raw = r.take_u32(what)? as usize;
+            let raw = r.take_var(what)? as usize;
             if raw >= natoms {
                 return Err(SnapshotError::Corrupt("state atom out of table range"));
             }
@@ -351,15 +369,15 @@ fn decode_tail(
         };
     // Replay state.
     let mut snap = StateSnapshot {
-        updates: r.take_u64("update count")?,
+        updates: r.take_var64("update count")?,
         ..StateSnapshot::default()
     };
     // Name sections must arrive strictly sorted (byte order): the engine's
     // tuple table takes the snapshot order as its sorted order, and
     // certified/dirty names are checked against the tuples by merge-walks.
-    let ntuples = r.take_u32("tuple count")? as usize;
+    let ntuples = r.take_var("tuple count")? as usize;
     for _ in 0..ntuples {
-        let name = r.take_str("tuple name")?;
+        let name = r.take_var_str("tuple name")?;
         let id = node_id(r, "tuple root")?;
         if snap.tuples.last().is_some_and(|(prev, _)| *prev >= name) {
             return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
@@ -368,7 +386,7 @@ fn decode_tail(
     }
     let kinded_atoms =
         |r: &mut Reader<'_>, want: AtomKind, what| -> Result<Vec<(String, Atom)>, SnapshotError> {
-            let n = r.take_u32(what)? as usize;
+            let n = r.take_var(what)? as usize;
             let mut out = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 out.push(named_atom(r, want, what)?);
@@ -378,9 +396,9 @@ fn decode_tail(
     snap.base_atoms = kinded_atoms(r, AtomKind::Tuple, "base atom")?;
     snap.txn_atoms = kinded_atoms(r, AtomKind::Txn, "txn atom")?;
     let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
-    let ncert = r.take_u32("certified count")? as usize;
+    let ncert = r.take_var("certified count")? as usize;
     for _ in 0..ncert {
-        let name = r.take_str("certified tuple name")?;
+        let name = r.take_var_str("certified tuple name")?;
         let id = node_id(r, "certified nf")?;
         if snap.certified.last().is_some_and(|(prev, _)| *prev >= name) {
             return Err(SnapshotError::Corrupt(
@@ -394,9 +412,9 @@ fn decode_tail(
     }
     let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
     let mut certified = snap.certified.iter().map(|(n, _)| n.as_str()).peekable();
-    let ndirty = r.take_u32("dirty count")? as usize;
+    let ndirty = r.take_var("dirty count")? as usize;
     for _ in 0..ndirty {
-        let name = r.take_str("dirty tuple name")?;
+        let name = r.take_var_str("dirty tuple name")?;
         if snap.dirty.last().is_some_and(|prev| *prev >= name) {
             return Err(SnapshotError::Corrupt("dirty names not strictly sorted"));
         }
@@ -410,7 +428,7 @@ fn decode_tail(
         snap.dirty.push(name);
     }
     // Engine-level NF cache.
-    let nnf = r.take_u32("nf cache count")? as usize;
+    let nnf = r.take_var("nf cache count")? as usize;
     let mut nf_entries = Vec::with_capacity(nnf.min(1 << 16));
     for _ in 0..nnf {
         let root = node_id(r, "nf cache root")?;
@@ -498,11 +516,11 @@ fn multicore() -> bool {
 #[deny(clippy::indexing_slicing)]
 fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let mut r = Reader::new(payload);
-    let wal_seq = r.take_u64("wal sequence")?;
+    let wal_seq = r.take_var64("wal sequence")?;
     // Atom table: re-intern in index order; a duplicate name would silently
     // collapse onto the earlier index and shift every later atom, so it is
     // rejected before `named` can resolve (or kind-clash on) it.
-    let natoms = r.take_u32("atom count")? as usize;
+    let natoms = r.take_var("atom count")? as usize;
     let mut atoms = AtomTable::new();
     atoms.reserve(natoms.min(1 << 16));
     for ix in 0..natoms {
@@ -511,7 +529,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             1 => AtomKind::Txn,
             _ => return Err(SnapshotError::Corrupt("unknown atom kind")),
         };
-        let name = r.take_str("atom name")?;
+        let name = r.take_var_str("atom name")?;
         let atom = atoms
             .insert_new(name, kind)
             .ok_or(SnapshotError::Corrupt("duplicate atom name"))?;
@@ -527,7 +545,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // (zero-axiom-reduced, deduped, topologically ordered) and that every
     // id in it stays valid — while paying one pre-sized probe per node
     // instead of a full re-intern (the recovery hot spot at 10⁴⁺ nodes).
-    let nnodes = r.take_u32("node count")? as usize;
+    let nnodes = r.take_var("node count")? as usize;
     if nnodes == 0 {
         return Err(SnapshotError::Corrupt("arena without its zero node"));
     }
@@ -539,47 +557,50 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let mut terms: Vec<NodeId> = Vec::new();
     let mut entries: Vec<(NodeId, u32)> = Vec::new();
     for ix in 1..nnodes {
+        // A child is stored as its back-distance from `ix`: 1 is the node
+        // right below, `ix` is Zero.
         let child = |r: &mut Reader<'_>, what| -> Result<NodeId, SnapshotError> {
-            let raw = r.take_u32(what)? as usize;
-            if raw >= ix {
+            let back = r.take_var(what)? as usize;
+            if back == 0 || back > ix {
                 return Err(SnapshotError::Corrupt("child id not below its parent"));
             }
-            Ok(NodeId::from_index(raw))
+            Ok(NodeId::from_index(ix - back))
         };
         terms.clear();
         entries.clear();
-        let node = match r.take_byte("node tag")? {
-            NODE_ATOM => {
-                let raw = r.take_u32("atom node index")? as usize;
+        let tag = r.take_byte("node tag")?;
+        let op = |nibble| op_from_tag(nibble).ok_or(SnapshotError::Corrupt("unknown binop tag"));
+        // Atoms and sums carry no operator: their high nibble is zero.
+        let node = match (tag & 0x0f, tag >> 4) {
+            (NODE_ATOM, 0) => {
+                let raw = r.take_var("atom node index")? as usize;
                 if raw >= natoms {
                     return Err(SnapshotError::Corrupt("atom node out of table range"));
                 }
                 Node::Atom(Atom::from_index(raw))
             }
-            NODE_BIN => {
-                let op = op_from_tag(r.take_byte("binop tag")?)
-                    .ok_or(SnapshotError::Corrupt("unknown binop tag"))?;
-                let a = child(&mut r, "bin lhs")?;
-                let b = child(&mut r, "bin rhs")?;
-                Node::Bin(op, a, b)
-            }
-            NODE_SUM => {
-                let nterms = r.take_u32("sum arity")? as usize;
+            (NODE_SUM, 0) => {
+                let nterms = r.take_var("sum arity")? as usize;
                 for _ in 0..nterms {
                     terms.push(child(&mut r, "sum term")?);
                 }
                 Node::Sum(&terms)
             }
-            NODE_COUNTED => {
-                let op = op_from_tag(r.take_byte("counted op tag")?)
-                    .ok_or(SnapshotError::Corrupt("unknown binop tag"))?;
+            (NODE_BIN, nibble) => {
+                let op = op(nibble)?;
+                let a = child(&mut r, "bin lhs")?;
+                let b = child(&mut r, "bin rhs")?;
+                Node::Bin(op, a, b)
+            }
+            (NODE_COUNTED, nibble) => {
+                let op = op(nibble)?;
                 if !matches!(op, BinOp::PlusI | BinOp::PlusM) {
                     return Err(SnapshotError::Corrupt(
                         "counted block under a non-increment operator",
                     ));
                 }
                 let h = child(&mut r, "counted head")?;
-                let nentries = r.take_u32("counted arity")? as usize;
+                let nentries = r.take_var("counted arity")? as usize;
                 // Entry canonicity (strict sortedness, nonzero
                 // multiplicities, the ≥2-applications threshold) is checked
                 // right here in the byte-reading pass: encode-side
@@ -590,7 +611,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                 let mut total: u64 = 0;
                 for _ in 0..nentries {
                     let e = child(&mut r, "counted entry")?;
-                    let m = r.take_u32("counted multiplicity")?;
+                    let m = r.take_var("counted multiplicity")?;
                     if m == 0 {
                         return Err(SnapshotError::Corrupt(
                             "zero multiplicity in a counted block",
@@ -710,6 +731,71 @@ mod tests {
         }
     }
 
+    /// One node of a snapshot's arena section, as its bytes spell it.
+    struct NodeBytes {
+        /// The node's byte range within the blob.
+        span: std::ops::Range<usize>,
+        /// Its own (compacted) id.
+        ix: u32,
+        tag: u8,
+        /// The varints after the tag, in order (children as back-distances).
+        fields: Vec<u32>,
+    }
+
+    /// The first node of `kind` in `bytes`, walking the payload exactly as
+    /// decode does.
+    fn first_node(bytes: &[u8], kind: u8) -> NodeBytes {
+        let mut r = Reader::new(&bytes[HEADER_LEN..]);
+        r.take_var64("wal").unwrap();
+        let natoms = r.take_var("atoms").unwrap();
+        for _ in 0..natoms {
+            r.take(1, "kind").unwrap();
+            r.take_var_str("name").unwrap();
+        }
+        let nnodes = r.take_var("nodes").unwrap();
+        for ix in 1..nnodes {
+            let at = HEADER_LEN + r.pos();
+            let tag = r.take_byte("tag").unwrap();
+            let mut var = || r.take_var("field").unwrap();
+            let mut fields = Vec::new();
+            match tag & 0x0f {
+                NODE_ATOM => fields.push(var()),
+                NODE_BIN => fields.extend([var(), var()]),
+                NODE_SUM => {
+                    let n = var();
+                    fields.push(n);
+                    fields.extend((0..n).map(|_| var()));
+                }
+                NODE_COUNTED => {
+                    fields.extend([var(), var()]);
+                    fields.extend((0..2 * fields[1]).map(|_| var()));
+                }
+                t => panic!("unexpected node kind {t}"),
+            }
+            if tag & 0x0f == kind {
+                let span = at..HEADER_LEN + r.pos();
+                return NodeBytes {
+                    span,
+                    ix,
+                    tag,
+                    fields,
+                };
+            }
+        }
+        panic!("snapshot holds no node of kind {kind}")
+    }
+
+    /// `bytes` with `node` re-spelled as `tag` and `fields`, re-framed.
+    fn respelled(bytes: &[u8], node: &NodeBytes, tag: u8, fields: &[u32]) -> Vec<u8> {
+        let mut spelled = vec![tag];
+        for &f in fields {
+            put_var(&mut spelled, f);
+        }
+        let mut out = bytes.to_vec();
+        out.splice(node.span.clone(), spelled);
+        reframe(out)
+    }
+
     #[test]
     fn corrupt_counted_blocks_are_typed_errors_not_panics() {
         // Two transactions each inserting `a` twice: a's certified NF is a
@@ -719,61 +805,89 @@ mod tests {
             "base a\nbegin t1\ninsert a\ninsert a\ncommit\nbegin t2\ninsert a\ninsert a\ncommit\n",
         );
         let bytes = encode(&engine, &state, 0);
-        // Walk the payload exactly as decode does, up to the first counted
-        // node's entry section.
-        let mut r = Reader::new(&bytes[24..]);
-        r.take_u64("wal").unwrap();
-        let natoms = r.take_u32("atoms").unwrap();
-        for _ in 0..natoms {
-            r.take(1, "kind").unwrap();
-            r.take_str("name").unwrap();
+        let block = first_node(&bytes, NODE_COUNTED);
+        // head, arity, then (entry, multiplicity) pairs.
+        let f = &block.fields;
+        assert_eq!(f[1], 2, "the test log yields a two-entry block");
+        assert_eq!(f.len(), 6);
+        let tag = block.tag;
+        assert_eq!(respelled(&bytes, &block, tag, f), bytes, "re-spelled as is");
+        let decoded =
+            |tag: u8, fields: &[u32]| decode(&respelled(&bytes, &block, tag, fields)).map(|_| ());
+        let corrupt = |what| Err(SnapshotError::Corrupt(what));
+        // The two sorted (entry, multiplicity) pairs swapped, or the first
+        // one twice.
+        let unsorted = corrupt("counted entries not strictly sorted");
+        assert_eq!(decoded(tag, &[f[0], 2, f[4], f[5], f[2], f[3]]), unsorted);
+        assert_eq!(decoded(tag, &[f[0], 2, f[2], f[3], f[2], f[3]]), unsorted);
+        assert_eq!(
+            decoded(tag, &[f[0], 2, f[2], 0, f[4], f[5]]),
+            corrupt("zero multiplicity in a counted block")
+        );
+        assert_eq!(
+            decoded(tag, &[f[0], 1, f[2], 1]),
+            corrupt("counted block below the two-application threshold")
+        );
+        assert_eq!(
+            decoded(tag, &[f[0], 0]),
+            corrupt("counted block without entries")
+        );
+        assert_eq!(
+            decoded(op_tag(BinOp::Minus) << 4 | NODE_COUNTED, f),
+            corrupt("counted block under a non-increment operator")
+        );
+        assert_eq!(
+            decoded(0xf0 | NODE_COUNTED, f),
+            corrupt("unknown binop tag")
+        );
+        // A back-distance of 0 names the node itself; one past its own
+        // index names no node at all. Head and entries alike.
+        let not_below = corrupt("child id not below its parent");
+        for back in [0, block.ix + 1] {
+            let head = [back, 2, f[2], f[3], f[4], f[5]];
+            assert_eq!(decoded(tag, &head), not_below, "head {back}");
+            let entry = [f[0], 2, back, f[3], f[4], f[5]];
+            assert_eq!(decoded(tag, &entry), not_below, "entry {back}");
         }
-        let nnodes = r.take_u32("nodes").unwrap();
-        let mut found = None;
-        for _ in 1..nnodes {
-            match r.take(1, "tag").unwrap()[0] {
-                NODE_ATOM => {
-                    r.take_u32("atom").unwrap();
+        // Leaves and sums carry no operator: a stray high nibble is not a
+        // second spelling of the same node.
+        let atom = first_node(&bytes, NODE_ATOM);
+        assert_eq!(
+            decode(&respelled(&bytes, &atom, 0x10 | NODE_ATOM, &atom.fields)).map(|_| ()),
+            corrupt("unknown node tag")
+        );
+    }
+
+    #[test]
+    fn corrupt_payload_bytes_behind_a_valid_crc_never_panic() {
+        // Atoms, a sum (the two-source modify), binary nodes and a counted
+        // block (a inserted twice per transaction); certify, then a dirty
+        // tail on c.
+        let (mut engine, mut state) = engine_with(
+            "base a b c\nbegin t1\ninsert a\ninsert a\nmodify b <- a c\ncommit\n\
+             begin t2\ninsert a\ninsert a\ndelete c\ncommit\n",
+        );
+        let tail: UpdateLog = "begin t3\ninsert c\ncommit\n".parse().unwrap();
+        engine.append(&mut state, &tail).unwrap();
+        assert!(state.certified_count() > 0 && state.dirty_tuples().next().is_some());
+        let bytes = encode(&engine, &state, 3);
+        for kind in [NODE_ATOM, NODE_BIN, NODE_SUM, NODE_COUNTED] {
+            first_node(&bytes, kind);
+        }
+        let (mut varint, mut not_below) = (0, 0);
+        for at in HEADER_LEN..bytes.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                match decode(&reframe(bad)) {
+                    Err(SnapshotError::Decode(e)) if e.what.contains("varint") => varint += 1,
+                    Err(SnapshotError::Corrupt("child id not below its parent")) => not_below += 1,
+                    _ => {}
                 }
-                NODE_BIN => {
-                    r.take(1, "op").unwrap();
-                    r.take_u32("lhs").unwrap();
-                    r.take_u32("rhs").unwrap();
-                }
-                NODE_SUM => {
-                    let n = r.take_u32("arity").unwrap();
-                    for _ in 0..n {
-                        r.take_u32("term").unwrap();
-                    }
-                }
-                NODE_COUNTED => {
-                    r.take(1, "op").unwrap();
-                    r.take_u32("head").unwrap();
-                    let n = r.take_u32("arity").unwrap();
-                    assert!(n >= 2, "the test log yields a two-entry block");
-                    found = Some(24 + r.pos());
-                    break;
-                }
-                t => panic!("unexpected node tag {t}"),
             }
         }
-        let entries_at = found.expect("snapshot holds a counted NF");
-        // Swap the two sorted (id, mult) pairs: typed corruption, no panic.
-        let mut swapped = bytes.clone();
-        for i in 0..8 {
-            swapped.swap(entries_at + i, entries_at + 8 + i);
-        }
-        assert_eq!(
-            decode(&reframe(swapped)).unwrap_err(),
-            SnapshotError::Corrupt("counted entries not strictly sorted")
-        );
-        // Zero out the first multiplicity.
-        let mut zeroed = bytes.clone();
-        zeroed[entries_at + 4..entries_at + 8].copy_from_slice(&0u32.to_le_bytes());
-        assert_eq!(
-            decode(&reframe(zeroed)).unwrap_err(),
-            SnapshotError::Corrupt("zero multiplicity in a counted block")
-        );
+        assert!(varint > 0, "no mutant reached a varint check");
+        assert!(not_below > 0, "no mutant reached the back-distance check");
     }
 
     /// Patches the payload length and CRC of a doctored blob's header.
@@ -794,7 +908,17 @@ mod tests {
         // Decoding numbers ids exactly as the snapshot does.
         let rec = decode(&bytes).expect("valid snapshot");
         let mut snap = rec.state.to_snapshot();
-        let tail = 4 + 8 * rec.engine.nf_cache().iter_certified().count();
+        let mut nf: Vec<(u32, u32)> = rec
+            .engine
+            .nf_cache()
+            .iter_certified()
+            .map(|(root, nf)| (root.index() as u32, nf.index() as u32))
+            .collect();
+        nf.sort_unstable();
+        let mut nf_section = Vec::new();
+        put_nf_cache(&mut nf_section, &nf);
+        assert!(bytes.ends_with(&nf_section), "nf-cache section located");
+        let tail = nf_section.len();
         // Ids are already compacted: the identity remap.
         let section = |snap: &StateSnapshot| {
             let mut p = Vec::new();
@@ -918,21 +1042,17 @@ mod tests {
             decode(b"WRONGMAGICxxxxxxxxxxxxxxxx").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // Version 1 (pre-counted-block) is rejected, not migrated — its
-        // certified NFs are stale under the counted rule system. Future
-        // versions are equally unreadable.
-        let mut v1 = bytes.clone();
-        v1[8] = 1;
-        assert_eq!(
-            decode(&v1).unwrap_err(),
-            SnapshotError::UnsupportedVersion(1)
-        );
-        let mut v3 = bytes.clone();
-        v3[8] = 3;
-        assert_eq!(
-            decode(&v3).unwrap_err(),
-            SnapshotError::UnsupportedVersion(3)
-        );
+        // Versions 1 (pre-counted-block) and 2 (fixed-width integers) are
+        // rejected, not migrated: there is one decoder. Future versions
+        // are equally unreadable.
+        for old_or_new in [1, 2, 4] {
+            let mut other = bytes.clone();
+            other[8] = old_or_new;
+            assert_eq!(
+                decode(&other).unwrap_err(),
+                SnapshotError::UnsupportedVersion(u32::from(old_or_new))
+            );
+        }
         let mut flipped = bytes.clone();
         *flipped.last_mut().unwrap() ^= 0xFF;
         assert!(matches!(

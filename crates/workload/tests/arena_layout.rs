@@ -1,6 +1,7 @@
 //! What the flat arena costs on a generated workload, what certifying adds
-//! to it, what a cached what-if baseline costs beside it, and that the
-//! snapshot frame around it kept its bytes.
+//! to it, what a cached what-if baseline costs beside it, what a
+//! checkpoint of it costs on disk, and that the snapshot frame around it
+//! kept its bytes.
 
 use uprov_core::{reduce, NodeId, Valuation};
 use uprov_engine::{Engine, ReplayState};
@@ -145,6 +146,25 @@ fn snapshot_frame_is_magic_version_length_crc_payload() {
         assert!(
             snapshot::encode(&back.engine, &back.state, 9) == blob,
             "{cfg}: re-encoding the recovered engine moved bytes"
+        );
+    }
+}
+
+/// An absolute budget in counts (ROADMAP aim 1): the bytes a checkpoint
+/// stores per update applied. Varint integers and children stored as
+/// back-distances put these workloads at 23.6–23.9 B per update; four-byte
+/// ids and integers cost 51.9–52.5.
+#[test]
+fn snapshot_stays_within_its_per_update_byte_budget() {
+    for seed in 1..=3 {
+        let (engine, state) = replayed_and_certified(bench_like(seed, 2_000));
+        let bytes = snapshot::encode(&engine, &state, 0).len();
+        let updates = state.update_count();
+        assert!(updates > 5_000, "seed {seed}: only {updates} updates");
+        assert!(
+            bytes <= 30 * updates,
+            "seed {seed}: {bytes} B for {updates} updates ({:.1} B each)",
+            bytes as f64 / updates as f64
         );
     }
 }
