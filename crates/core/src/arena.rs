@@ -672,12 +672,6 @@ impl ExprArena {
         self.list.get(id.index())
     }
 
-    /// True if `id` is the `0` constant.
-    #[inline]
-    pub fn is_zero(&self, id: NodeId) -> bool {
-        id == Self::ZERO
-    }
-
     /// The cached **structural hash** of `id`: a function of the expression
     /// alone — operator, atom indices and the children's structural hashes,
     /// with counted entries combined order-independently — never of node
@@ -1189,23 +1183,12 @@ impl ExprArena {
     /// let aborted = ar.substitute(e, &HashMap::from([(p, ExprArena::ZERO)]));
     /// assert_eq!(aborted, xa);
     /// ```
+    ///
+    /// Many substitutions against one long-lived arena (the engine-layer
+    /// abort-query pattern) reuse one memo through
+    /// [`substitute_roots_in`](ExprArena::substitute_roots_in).
     pub fn substitute(&mut self, root: NodeId, map: &HashMap<Atom, NodeId>) -> NodeId {
-        let mut memo = DenseMemo::new();
-        self.substitute_in(root, map, &mut memo)
-    }
-
-    /// [`substitute`](ExprArena::substitute) with a caller-provided
-    /// [`DenseMemo`], for many substitutions against one long-lived arena
-    /// (the engine-layer abort-query pattern). One bottom-up
-    /// [`rewrite_pass`](ExprArena::rewrite_pass) — iterative, memoized,
-    /// O(the root's DAG).
-    pub fn substitute_in(
-        &mut self,
-        root: NodeId,
-        map: &HashMap<Atom, NodeId>,
-        memo: &mut DenseMemo<NodeId>,
-    ) -> NodeId {
-        self.substitute_roots_in(&[root], map, memo)[0]
+        self.substitute_roots_in(&[root], map, &mut DenseMemo::new())[0]
     }
 
     /// Substitutes one atom map into **many roots**, sharing the memo

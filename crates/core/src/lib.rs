@@ -47,8 +47,8 @@ pub use axioms::{
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use nf::{
-    equiv, equiv_in, nf, nf_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, EpochMap,
-    NfCache, NfMemo, NfOutcome, MAX_ROUNDS,
+    equiv, equiv_in, nf, nf_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, NfCache,
+    NfMemo, NfOutcome, MAX_ROUNDS,
 };
 pub use oracle::{
     check_nf_preserves_eval, check_nf_preserves_eval_in, check_parallel_matches_serial,

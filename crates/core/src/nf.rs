@@ -253,6 +253,12 @@ pub fn nf_roots_in(arena: &mut ExprArena, roots: &[NodeId], memo: &mut NfMemo) -
 /// that the value really is the certified normal form of the key *in the
 /// same arena* — a wrong entry poisons every later query that cuts at it.
 ///
+/// Every entry carries the **epoch** it was last inserted or hit in. The
+/// cache owns the engine's one epoch counter: the engine advances it at
+/// every certify/query safe point, tags its substitution cache from the
+/// same clock, and its budget valve drops whole epochs, oldest first
+/// ([`evict_before`](NfCache::evict_before)).
+///
 /// ```
 /// use uprov_core::{nf_roots_in, nf_roots_incremental_in, AtomTable, ExprArena, NfCache, NfMemo};
 ///
@@ -271,228 +277,14 @@ pub fn nf_roots_in(arena: &mut ExprArena, roots: &[NodeId], memo: &mut NfMemo) -
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NfCache {
-    map: EpochMap<NodeId>,
+    map: FxHashMap<NodeId, (NodeId, u64)>,
+    epoch: u64,
     hits: u64,
     misses: u64,
 }
 
-/// A hash map whose entries are tagged with the **epoch** they were
-/// inserted in — the shared machinery behind the engine-level cache-budget
-/// valve (used by [`NfCache`] and by the engine's substitution cache, so
-/// the eviction policy exists exactly once).
-///
-/// Epochs partition entries by age: callers [`advance_epoch`](EpochMap::advance_epoch)
-/// once per batch of related work (the engine advances at every
-/// certify/query safe point), and [`evict_oldest_epoch`](EpochMap::evict_oldest_epoch)
-/// drops whole age bands, oldest first, never touching the current epoch.
-/// Epochs are `u64`: one advance per safe point can never realistically
-/// exhaust them, so age ordering never degrades for the lifetime of any
-/// deployment.
-///
-/// Eviction is **amortized O(1) per insert**, not O(map): each insert also
-/// appends its key to the insertion epoch's *band* (a `BTreeMap<epoch,
-/// Vec<K>>`), and eviction walks the oldest band's keys directly —
-/// removing only those still tagged with that epoch (a key re-inserted
-/// later leaves a stale band entry behind, skipped when its band drains).
-/// A full-map scan per evicted band would otherwise put O(budget) work on
-/// every over-budget query at steady state.
-#[derive(Debug, Clone)]
-pub struct EpochMap<K, V = NodeId> {
-    map: FxHashMap<K, (V, u64)>,
-    bands: std::collections::BTreeMap<u64, Vec<K>>,
-    // Band entries whose key has since moved to a newer epoch (or was
-    // re-certified): they no longer correspond to a live (key, epoch)
-    // pair. Once they outnumber live entries the bands are rebuilt from
-    // the map, so band memory stays O(live entries) even for engines that
-    // never evict (no cache budget set) — without the counter, every
-    // re-insert would leave a permanent stale copy behind.
-    stale_band_entries: usize,
-    epoch: u64,
-    // Whether hits migrate entries to the current epoch (see
-    // `get_refresh`). Off by default: age bands only matter once an
-    // eviction budget exists, and an unbudgeted engine makes thousands of
-    // cache hits per query — paying a band push (and its share of a
-    // periodic O(live) compaction) per hit for a policy that never fires
-    // is a measurable tax on the incremental query paths.
-    track_hits: bool,
-}
-
-impl<K, V> Default for EpochMap<K, V> {
-    fn default() -> Self {
-        EpochMap {
-            map: FxHashMap::default(),
-            bands: std::collections::BTreeMap::new(),
-            stale_band_entries: 0,
-            epoch: 0,
-            track_hits: false,
-        }
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V> EpochMap<K, V> {
-    /// An empty map at epoch 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The value recorded for `key`, if any.
-    #[inline]
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
-    }
-
-    /// True if `key` has a recorded value.
-    #[inline]
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Enables or disables hit-refreshing (see
-    /// [`get_refresh`](EpochMap::get_refresh)). The engine flips this on
-    /// exactly when a cache budget is set — with no eviction pressure the
-    /// age bands are never consulted, so tracking hits would be pure
-    /// overhead on every cached query.
-    pub fn set_track_hits(&mut self, on: bool) {
-        self.track_hits = on;
-    }
-
-    /// [`get`](EpochMap::get) that also **refreshes** the entry to the
-    /// current epoch — the hit-aware (LRU-ish) half of the valve: touching
-    /// a cached entry moves it out of the oldest age bands, so a hot
-    /// working set keeps outliving
-    /// [`evict_oldest_epoch`](EpochMap::evict_oldest_epoch) pressure that
-    /// drops cold entries of the same age. The entry's old band slot
-    /// becomes a stale no-op, compacted away by the same counter that
-    /// bounds re-insert garbage.
-    ///
-    /// With hit-tracking off (the default — see
-    /// [`set_track_hits`](EpochMap::set_track_hits)) this is a plain
-    /// [`get`](EpochMap::get).
-    pub fn get_refresh(&mut self, key: &K) -> Option<&V> {
-        if !self.track_hits {
-            return self.map.get(key).map(|(v, _)| v);
-        }
-        let epoch = self.epoch;
-        match self.map.get_mut(key) {
-            None => return None,
-            Some((_, tag)) if *tag == epoch => {}
-            Some((_, tag)) => {
-                *tag = epoch;
-                self.bands.entry(epoch).or_default().push(key.clone());
-                self.stale_band_entries += 1;
-                if self.stale_band_entries > self.map.len() {
-                    self.compact_bands();
-                }
-            }
-        }
-        self.map.get(key).map(|(v, _)| v)
-    }
-
-    /// Iterates over every live `(key, value)` pair, in no particular
-    /// order. Used to export the map (e.g. into a snapshot); epoch tags
-    /// are bookkeeping, not state, and are not exposed.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter().map(|(k, (v, _))| (k, v))
-    }
-
-    /// Records `value` for `key`, tagged with the current epoch. A
-    /// re-inserted key moves to the current epoch (its old band entry
-    /// becomes a stale no-op, compacted away once stale entries outgrow
-    /// the live ones).
-    pub fn insert(&mut self, key: K, value: V) {
-        match self.map.insert(key.clone(), (value, self.epoch)) {
-            // Same-epoch re-insert: this key's band entry already exists.
-            Some((_, old)) if old == self.epoch => return,
-            // Cross-epoch move: the old band entry just went stale.
-            Some(_) => self.stale_band_entries += 1,
-            None => {}
-        }
-        self.bands.entry(self.epoch).or_default().push(key);
-        if self.stale_band_entries > self.map.len() {
-            self.compact_bands();
-        }
-    }
-
-    /// Rebuilds the bands from the live map, dropping every stale entry.
-    /// O(live entries); triggered at most once per O(live) stale inserts,
-    /// so amortized O(1).
-    fn compact_bands(&mut self) {
-        self.bands.clear();
-        for (k, &(_, e)) in &self.map {
-            self.bands.entry(e).or_default().push(k.clone());
-        }
-        self.stale_band_entries = 0;
-    }
-
-    /// Number of recorded entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no entry is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops every entry (the epoch counter keeps running).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.bands.clear();
-        self.stale_band_entries = 0;
-    }
-
-    /// The current insertion epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Starts a new insertion epoch. Purely bookkeeping — entries stay
-    /// valid regardless of epoch.
-    pub fn advance_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Drops every entry inserted during the **oldest** epoch still present
-    /// that is older than the current one, returning how many were removed
-    /// (0 when every entry is current — the valve never silently empties
-    /// the working set of the query that is being finalized). Dropping an
-    /// entry is only ever a recompute cost for pure-fact caches.
-    ///
-    /// Cost: O(keys of the drained bands), amortized O(1) per insert —
-    /// every band entry is processed at most once over the map's lifetime.
-    pub fn evict_oldest_epoch(&mut self) -> usize {
-        while let Some((&band_epoch, _)) = self.bands.first_key_value() {
-            if band_epoch >= self.epoch {
-                return 0; // only current-epoch entries remain
-            }
-            let keys = self
-                .bands
-                .remove(&band_epoch)
-                .expect("first_key_value just saw it");
-            let before = self.map.len();
-            for k in keys {
-                // Only remove keys still tagged with this band's epoch; a
-                // key re-inserted in a later epoch is a stale band entry
-                // (now drained, so it stops counting toward compaction).
-                if self.map.get(&k).is_some_and(|&(_, e)| e == band_epoch) {
-                    self.map.remove(&k);
-                } else {
-                    self.stale_band_entries = self.stale_band_entries.saturating_sub(1);
-                }
-            }
-            let dropped = before - self.map.len();
-            if dropped > 0 {
-                return dropped;
-            }
-            // Every key of this band was re-inserted later: the band was
-            // all-stale; keep draining toward the next oldest.
-        }
-        0
-    }
-}
-
 impl NfCache {
-    /// An empty cache.
+    /// An empty cache at epoch 0.
     pub fn new() -> Self {
         Self::default()
     }
@@ -500,33 +292,25 @@ impl NfCache {
     /// The certified normal form of `id`, if one is recorded.
     #[inline]
     pub fn lookup(&self, id: NodeId) -> Option<NodeId> {
-        self.map.get(&id).copied()
+        self.map.get(&id).map(|&(nf, _)| nf)
     }
 
     /// True if `id` has a certified normal form recorded.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.map.contains(&id)
+        self.map.contains_key(&id)
     }
 
-    /// [`lookup`](NfCache::lookup) that also refreshes the entry to the
-    /// current epoch (see [`EpochMap::get_refresh`]): a root that keeps
-    /// being queried keeps migrating into the newest age band, so hot
-    /// entries survive budget eviction that drops equally-old cold ones.
+    /// [`lookup`](NfCache::lookup) that also re-tags a hit with the current
+    /// epoch: a root that keeps being queried stays in the newest epoch, so
+    /// budget eviction drops equally old cold entries first.
     /// [`nf_roots_incremental_in`] uses this for its root-level hits; cut
-    /// lookups inside the normalization stay read-only and do not refresh.
-    /// A plain lookup unless hit-tracking is on (see
-    /// [`set_track_hits`](NfCache::set_track_hits)).
+    /// lookups inside the normalization stay read-only.
     #[inline]
     pub fn lookup_refresh(&mut self, id: NodeId) -> Option<NodeId> {
-        self.map.get_refresh(&id).copied()
-    }
-
-    /// Enables or disables hit-refreshing (see
-    /// [`EpochMap::set_track_hits`]) — on exactly while an eviction
-    /// budget is in force.
-    pub fn set_track_hits(&mut self, on: bool) {
-        self.map.set_track_hits(on);
+        let (nf, tag) = self.map.get_mut(&id)?;
+        *tag = self.epoch;
+        Some(*nf)
     }
 
     /// Iterates over every certified `root ↦ nf` entry (including the
@@ -536,38 +320,45 @@ impl NfCache {
     /// faithful re-import into a cache over the same (or an id-identically
     /// rebuilt) arena is sound.
     pub fn iter_certified(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+        self.map.iter().map(|(&k, &(v, _))| (k, v))
     }
 
     /// Records `nf` as the certified normal form of `root` (and of itself:
-    /// normal forms are fixpoints, so `nf ↦ nf` is recorded too). Entries
-    /// are tagged with the current [`epoch`](NfCache::epoch) for the
-    /// eviction valve.
+    /// normal forms are fixpoints, so `nf ↦ nf` is recorded too), both
+    /// tagged with the current [`epoch`](NfCache::epoch).
     ///
     /// Contract: `nf` must be the true, certified (non-saturated) normal
     /// form of `root` in the arena this cache is used with. Violating it
     /// silently corrupts later incremental normalizations.
     pub fn insert_certified(&mut self, root: NodeId, nf: NodeId) {
-        self.map.insert(root, nf);
-        self.map.insert(nf, nf);
+        self.map.insert(root, (nf, self.epoch));
+        self.map.insert(nf, (nf, self.epoch));
     }
 
-    /// The current insertion epoch (see [`EpochMap::advance_epoch`]).
+    /// The current epoch: the tag inserts and refreshing hits write.
     pub fn epoch(&self) -> u64 {
-        self.map.epoch()
+        self.epoch
     }
 
-    /// Starts a new insertion epoch (see [`EpochMap::advance_epoch`]; the
-    /// engine advances once per certify/query safe point).
+    /// Starts a new epoch (the engine advances once per certify/query safe
+    /// point). Purely bookkeeping — entries stay valid regardless of epoch.
     pub fn advance_epoch(&mut self) {
-        self.map.advance_epoch();
+        self.epoch += 1;
     }
 
-    /// Drops the oldest non-current epoch's entries — see
-    /// [`EpochMap::evict_oldest_epoch`]. Always safe: a dropped fact is
-    /// simply recomputed on next use.
-    pub fn evict_oldest_epoch(&mut self) -> usize {
-        self.map.evict_oldest_epoch()
+    /// The epoch tag of every entry, in no particular order: what the
+    /// engine's valve counts to find how many whole epochs fit its budget.
+    pub fn entry_epochs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.map.values().map(|&(_, tag)| tag)
+    }
+
+    /// Drops every entry tagged with an epoch older than `epoch` and
+    /// returns how many went. Always safe: a dropped fact is simply
+    /// recomputed on next use.
+    pub fn evict_before(&mut self, epoch: u64) -> usize {
+        let before = self.map.len();
+        self.map.retain(|_, &mut (_, tag)| tag >= epoch);
+        before - self.map.len()
     }
 
     /// Number of recorded entries (including the `nf ↦ nf` fixpoints).
@@ -592,9 +383,8 @@ impl NfCache {
         self.misses
     }
 
-    /// Drops every entry (and the hit/miss counters). The cache never
-    /// *needs* clearing for correctness; this is a memory valve for
-    /// long-lived engines.
+    /// Drops every entry (and the hit/miss counters; the epoch keeps
+    /// running). The cache never *needs* clearing for correctness.
     pub fn clear(&mut self) {
         self.map.clear();
         self.hits = 0;
@@ -1356,13 +1146,20 @@ mod tests {
         cache.advance_epoch();
         cache.insert_certified(c, c);
         assert_eq!(cache.len(), 3);
+        let mut tags: Vec<u64> = cache.entry_epochs().collect();
+        tags.sort_unstable();
+        assert_eq!(tags, [0, 1, 2], "one entry per epoch");
         // Oldest epoch (a's) goes first; the current epoch (c's) is
         // protected even when everything older is gone.
-        assert_eq!(cache.evict_oldest_epoch(), 1);
+        assert_eq!(cache.evict_before(1), 1);
         assert!(!cache.contains(a) && cache.contains(b) && cache.contains(c));
-        assert_eq!(cache.evict_oldest_epoch(), 1);
+        assert_eq!(cache.evict_before(2), 1);
         assert!(!cache.contains(b) && cache.contains(c));
-        assert_eq!(cache.evict_oldest_epoch(), 0, "current epoch is kept");
+        assert_eq!(
+            cache.evict_before(cache.epoch()),
+            0,
+            "current epoch is kept"
+        );
         assert_eq!(cache.lookup(c), Some(c));
         // Dropped entries are recomputed, not wrong: re-certifying after
         // eviction restores the exact entry.
@@ -1374,61 +1171,61 @@ mod tests {
 
     #[test]
     fn epoch_map_reinserted_keys_survive_their_old_band() {
-        // A key inserted in epoch 0 and re-inserted in epoch 2 must NOT be
-        // dropped when epoch 0's band drains (the stale-band-entry path),
-        // and an all-stale band must not terminate eviction early.
-        let mut m: EpochMap<u32, u32> = EpochMap::new();
-        m.insert(1, 10);
-        m.insert(2, 20);
-        m.advance_epoch();
-        m.insert(3, 30);
-        m.advance_epoch();
-        m.insert(1, 11); // re-insert: moves key 1 to epoch 2
-        m.advance_epoch();
-        assert_eq!(m.len(), 3);
-        // Band 0 holds {1, 2}; only 2 still carries epoch 0.
-        assert_eq!(m.evict_oldest_epoch(), 1);
-        assert_eq!(m.get(&1), Some(&11), "re-inserted key survives");
-        assert!(!m.contains(&2));
-        assert_eq!(m.evict_oldest_epoch(), 1, "band 1 drops key 3");
-        assert_eq!(m.evict_oldest_epoch(), 1, "band 2 drops key 1");
-        assert_eq!(m.evict_oldest_epoch(), 0, "empty");
-        // All-stale band: key 4 inserted then immediately re-inserted next
-        // epoch — draining must skip the stale band and drop the live one.
-        m.insert(4, 40);
-        m.advance_epoch();
-        m.insert(4, 41);
-        m.advance_epoch();
-        assert_eq!(m.evict_oldest_epoch(), 1, "skips the all-stale band");
-        assert!(m.is_empty());
+        // A key inserted in epoch 0 and re-inserted in epoch 2 carries the
+        // newer tag: evicting epoch 0 must not drop it.
+        let (mut t, mut ar) = setup();
+        let [k1, k2, k3, k4] = [(); 4].map(|()| ar.atom(t.fresh_tuple()));
+        let mut cache = NfCache::new();
+        cache.insert_certified(k1, k1);
+        cache.insert_certified(k2, k2);
+        cache.advance_epoch();
+        cache.insert_certified(k3, k3);
+        cache.advance_epoch();
+        cache.insert_certified(k1, k1); // re-insert: moves k1 to epoch 2
+        cache.advance_epoch();
+        assert_eq!(cache.len(), 3);
+        // Epoch 0 held {k1, k2}; only k2 still carries epoch 0.
+        assert_eq!(cache.evict_before(1), 1);
+        assert_eq!(cache.lookup(k1), Some(k1), "re-inserted key survives");
+        assert!(!cache.contains(k2));
+        assert_eq!(cache.evict_before(2), 1, "epoch 1 drops k3");
+        assert_eq!(cache.evict_before(3), 1, "epoch 2 drops k1");
+        assert_eq!(cache.evict_before(3), 0, "empty");
+        // A key inserted and re-inserted one epoch later lives only in
+        // the later epoch: the earlier one holds nothing to drop.
+        cache.insert_certified(k4, k4);
+        cache.advance_epoch();
+        cache.insert_certified(k4, k4);
+        cache.advance_epoch();
+        assert_eq!(cache.evict_before(4), 0, "k4 left epoch 3");
+        assert_eq!(cache.evict_before(5), 1, "and lives in epoch 4");
+        assert!(cache.is_empty());
     }
 
     #[test]
     fn get_refresh_moves_hot_keys_out_of_the_oldest_band() {
-        let mut m: EpochMap<u32, u32> = EpochMap::new();
-        // Off by default: a refresh without eviction pressure is a plain
-        // get — no band migration, no bookkeeping.
-        m.insert(0, 0);
-        m.advance_epoch();
-        assert_eq!(m.get_refresh(&0), Some(&0));
-        m.advance_epoch();
-        assert_eq!(m.evict_oldest_epoch(), 1, "untracked hit did not migrate");
-        m.set_track_hits(true);
-        m.insert(1, 10); // will stay hot
-        m.insert(2, 20); // will go cold
-        m.advance_epoch();
-        // Touch key 1 in the new epoch: it migrates, key 2 stays behind.
-        assert_eq!(m.get_refresh(&1), Some(&10));
-        m.advance_epoch();
-        assert_eq!(m.evict_oldest_epoch(), 1, "only the cold key is dropped");
-        assert!(!m.contains(&2));
-        assert_eq!(m.get(&1), Some(&10), "the hot key survived its old band");
-        // Same-epoch refresh is a no-op (no stale band entry accumulates).
-        assert_eq!(m.get_refresh(&1), Some(&10));
-        assert_eq!(m.get_refresh(&1), Some(&10));
-        assert_eq!(m.len(), 1);
-        // A missing key refreshes nothing.
-        assert_eq!(m.get_refresh(&9), None);
+        let (mut t, mut ar) = setup();
+        let [hot, cold] = [(); 2].map(|()| ar.atom(t.fresh_tuple()));
+        let mut cache = NfCache::new();
+        cache.insert_certified(hot, hot);
+        cache.insert_certified(cold, cold);
+        cache.advance_epoch();
+        // Touch the hot key in the new epoch: it moves, the cold one stays.
+        assert_eq!(cache.lookup_refresh(hot), Some(hot));
+        cache.advance_epoch();
+        assert_eq!(cache.evict_before(1), 1, "only the cold key is dropped");
+        assert!(!cache.contains(cold));
+        assert_eq!(cache.lookup(hot), Some(hot), "the hot key survived epoch 0");
+        // A plain lookup reads without re-tagging.
+        assert_eq!(cache.lookup(hot), Some(hot));
+        assert_eq!(cache.evict_before(2), 1, "untouched since epoch 1");
+        // Same-epoch refreshes change nothing, and a missing key refreshes
+        // nothing.
+        cache.insert_certified(hot, hot);
+        assert_eq!(cache.lookup_refresh(hot), Some(hot));
+        assert_eq!(cache.lookup_refresh(hot), Some(hot));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup_refresh(cold), None);
     }
 
     #[test]
@@ -1436,7 +1233,6 @@ mod tests {
         let (mut t, mut ar) = setup();
         let mut memo = NfMemo::new();
         let mut cache = NfCache::new();
-        cache.set_track_hits(true); // as the engine does when budgeted
         let a = ar.atom(t.fresh_tuple());
         let p = ar.atom(t.fresh_txn());
         let ins = ar.plus_i(a, p);
@@ -1448,26 +1244,27 @@ mod tests {
         let again = nf_roots_incremental_in(&mut ar, &[hot], &mut cache, &mut memo);
         assert_eq!(again[0].rounds, 0, "served from cache");
         cache.advance_epoch();
-        // One eviction drains the oldest band (the un-refreshed `nf ↦ nf`
-        // fixpoint twin from epoch 0); the refreshed root entry now lives
-        // in a newer band and survives.
-        assert!(cache.evict_oldest_epoch() > 0);
+        // Evicting epoch 0 drops the un-refreshed `nf ↦ nf` fixpoint twin;
+        // the refreshed root entry now lives in epoch 1 and survives.
+        assert!(cache.evict_before(1) > 0);
         assert!(
             cache.contains(hot),
-            "a root hit in the previous epoch outlives the oldest band"
+            "a root hit in the previous epoch outlives the oldest epoch"
         );
     }
 
     #[test]
     fn epoch_map_iter_sees_exactly_the_live_entries() {
-        let mut m: EpochMap<u32, u32> = EpochMap::new();
-        m.insert(1, 10);
-        m.insert(2, 20);
-        m.advance_epoch();
-        m.insert(1, 11); // re-insert: one live entry per key
-        let mut live: Vec<(u32, u32)> = m.iter().map(|(&k, &v)| (k, v)).collect();
+        let (mut t, mut ar) = setup();
+        let [a, b] = [(); 2].map(|()| ar.atom(t.fresh_tuple()));
+        let mut cache = NfCache::new();
+        cache.insert_certified(a, a);
+        cache.insert_certified(b, b);
+        cache.advance_epoch();
+        cache.insert_certified(a, a); // re-insert: one live entry per key
+        let mut live: Vec<(NodeId, NodeId)> = cache.iter_certified().collect();
         live.sort_unstable();
-        assert_eq!(live, vec![(1, 11), (2, 20)]);
+        assert_eq!(live, vec![(a, a), (b, b)]);
     }
 
     #[test]

@@ -80,7 +80,6 @@
 //! increases and each rule decreases.
 
 use crate::arena::{is_same_op_block, BinOp, ExprArena, Node, NodeId};
-use crate::axioms::{axiom_info, AxiomInfo};
 
 /// One directed rewrite rule: a top-level pattern over an arena node,
 /// returning the rewritten id when the pattern matches.
@@ -98,13 +97,6 @@ pub struct RewriteRule {
     pub axioms: &'static [u8],
     /// Attempts the rule at `id`; `None` if the pattern does not match.
     pub apply: fn(&mut ExprArena, NodeId) -> Option<NodeId>,
-}
-
-impl RewriteRule {
-    /// The [`AxiomInfo`] entries for [`axioms`](RewriteRule::axioms).
-    pub fn axiom_infos(&self) -> impl Iterator<Item = &'static AxiomInfo> + '_ {
-        self.axioms.iter().filter_map(|&n| axiom_info(n))
-    }
 }
 
 impl std::fmt::Debug for RewriteRule {
@@ -555,6 +547,7 @@ fn condense_block(arena: &mut ExprArena, op: BinOp, id: NodeId) -> Option<NodeId
 mod tests {
     use super::*;
     use crate::atom::AtomTable;
+    use crate::axioms::axiom_info;
 
     fn setup() -> (AtomTable, ExprArena) {
         (AtomTable::new(), ExprArena::new())
@@ -578,7 +571,7 @@ mod tests {
     #[test]
     fn rule_axiom_infos_resolve() {
         for rule in rules() {
-            assert_eq!(rule.axiom_infos().count(), rule.axioms.len());
+            assert!(rule.axioms.iter().all(|&n| axiom_info(n).is_some()));
         }
     }
 

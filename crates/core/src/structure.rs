@@ -156,21 +156,6 @@ impl<V: Clone> Valuation<V> {
     pub fn get(&self, atom: Atom) -> &V {
         self.map.get(&atom).unwrap_or(&self.default)
     }
-
-    /// Number of explicitly overridden atoms.
-    pub fn overridden(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The default value (assigned to every non-overridden atom).
-    pub fn default_value(&self) -> &V {
-        &self.default
-    }
-
-    /// Iterates over the explicitly overridden atoms.
-    pub fn overrides(&self) -> impl Iterator<Item = (Atom, &V)> {
-        self.map.iter().map(|(a, v)| (*a, v))
-    }
 }
 
 /// Evaluates an arena node under an Update-Structure and a valuation.
@@ -788,11 +773,12 @@ mod tests {
         let mut t = AtomTable::new();
         let a = t.fresh_tuple();
         let b = t.fresh_tuple();
-        let val = Valuation::constant(true).with(a, false);
+        let mut val = Valuation::constant(true).with(a, false);
         assert!(!val.get(a));
-        assert!(val.get(b));
-        assert_eq!(val.overridden(), 1);
-        assert!(*val.default_value());
-        assert_eq!(val.overrides().count(), 1);
+        assert!(val.get(b), "an untouched atom reads the default");
+        val.set(b, false);
+        assert!(!val.get(b));
+        val.set(a, true);
+        assert!(val.get(a), "a later set overrides an earlier with");
     }
 }

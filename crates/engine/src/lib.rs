@@ -157,7 +157,7 @@ use std::sync::Arc;
 
 use uprov_core::{
     eval_roots_in, nf_roots_in, nf_roots_incremental_in, Atom, AtomKind, AtomTable, DenseMemo,
-    EpochMap, EvalBaseline, ExprArena, NfCache, NfMemo, NfOutcome, NodeId, UpdateStructure,
+    EvalBaseline, ExprArena, FxHashMap, NfCache, NfMemo, NfOutcome, NodeId, UpdateStructure,
     Valuation,
 };
 
@@ -748,13 +748,13 @@ pub struct Engine {
     // Persistent `(zeroed atom, root) ↦ substituted root` map: like normal
     // forms, substitution images are pure functions of the id in an
     // append-only arena, so repeated symbolic queries skip the O(union DAG)
-    // substitution sweep for every root the cache has seen. An `EpochMap`
-    // so the cache-budget valve evicts it with the same age-band policy as
-    // the `NfCache`.
-    subst_cache: EpochMap<(Atom, NodeId)>,
+    // substitution sweep for every root the cache has seen. Each image
+    // carries its epoch, read from the `NfCache`'s clock, so the budget
+    // valve ages both caches alike.
+    subst_cache: FxHashMap<(Atom, NodeId), (NodeId, u64)>,
     // When set, the combined entry count of `nf_cache` + `subst_cache` is
     // pulled back under this budget at every safe point (end of
-    // certify/query) by dropping oldest-epoch entries first.
+    // certify/query) by dropping the oldest epochs of both caches.
     cache_budget: Option<usize>,
 }
 
@@ -816,25 +816,17 @@ impl Engine {
         &self.nf_cache
     }
 
-    /// Drops every cached normal form **and** substitution image — the
-    /// all-at-once memory valve for long-lived engines (never needed for
-    /// correctness: both caches hold pure facts about ids). Per-state
-    /// certified normal forms ([`ReplayState::certified_nf`]) are
-    /// unaffected and remain valid. For a valve that keeps the hot working
-    /// set, prefer [`Engine::set_cache_budget`].
-    pub fn clear_nf_cache(&mut self) {
-        self.nf_cache.clear();
-        self.subst_cache.clear();
-    }
-
     /// Caps the combined size of the normal-form and substitution caches:
     /// whenever the entry count exceeds `entries` at a safe point (the end
-    /// of [`Engine::certify`] or of any cached query), **oldest-epoch**
-    /// entries are dropped until the budget holds again — every enforcement
-    /// point is one epoch, so eviction is by age band, FIFO-style, and the
-    /// entries the *current* query just produced are never dropped (the
-    /// budget may therefore briefly overshoot by one query's working set
-    /// when the budget is smaller than a single query needs).
+    /// of [`Engine::certify`] or of any cached query), the **oldest
+    /// epochs** of both caches are dropped until the budget holds again.
+    /// Every safe point closes one epoch, and an entry's epoch is the last
+    /// one that inserted or hit it, so eviction is least-recently-used at
+    /// epoch granularity. The entries the *current* query just produced or
+    /// touched are never dropped (the budget may therefore briefly
+    /// overshoot by one query's working set when the budget is smaller
+    /// than a single query needs). `Some(0)` empties both caches of
+    /// everything older.
     ///
     /// Eviction is always safe — both caches hold pure facts about arena
     /// ids, and a dropped fact is recomputed on next use — so the only cost
@@ -850,11 +842,6 @@ impl Engine {
     /// ```
     pub fn set_cache_budget(&mut self, entries: Option<usize>) {
         self.cache_budget = entries;
-        // Hit-refreshing (cache hits migrating entries into the newest
-        // age band) only matters while eviction can fire; unbudgeted
-        // engines skip the per-hit band bookkeeping entirely.
-        self.nf_cache.set_track_hits(entries.is_some());
-        self.subst_cache.set_track_hits(entries.is_some());
         self.enforce_cache_budget();
     }
 
@@ -869,26 +856,35 @@ impl Engine {
         self.nf_cache.len() + self.subst_cache.len()
     }
 
-    /// The safe-point hook: pulls the caches back under the budget (oldest
-    /// epochs first, across both caches) and opens a new epoch for whatever
-    /// the next query inserts. Called at the end of `certify` and of every
-    /// cached query path.
+    /// The safe-point hook: when over budget, keeps the newest whole
+    /// epochs of both caches that fit and drops the rest in one sweep, then
+    /// opens a new epoch for whatever the next query inserts. Called at the
+    /// end of `certify`, of every cached query path, and of
+    /// [`Engine::set_cache_budget`].
     fn enforce_cache_budget(&mut self) {
-        if let Some(budget) = self.cache_budget {
-            while self.cached_entries() > budget {
-                let dropped =
-                    self.nf_cache.evict_oldest_epoch() + self.subst_cache.evict_oldest_epoch();
-                if dropped == 0 {
-                    // Only current-epoch entries remain: the budget is
-                    // smaller than this one query's working set. Keep them —
-                    // dropping the entries just inserted would make the
-                    // *next* identical query recompute everything.
+        if let Some(budget) = self.cache_budget.filter(|&b| self.cached_entries() > b) {
+            let now = self.nf_cache.epoch();
+            let mut per_epoch: BTreeMap<u64, usize> = BTreeMap::new();
+            let subst_tags = self.subst_cache.values().map(|&(_, tag)| tag);
+            for tag in self.nf_cache.entry_epochs().chain(subst_tags) {
+                *per_epoch.entry(tag).or_default() += 1;
+            }
+            // The current epoch always stays, even over budget: dropping
+            // what this query just produced would make the *next* identical
+            // query recompute everything.
+            let (mut kept, mut oldest_kept) = (0, now);
+            for (&tag, &n) in per_epoch.iter().rev() {
+                kept += n;
+                if tag < now && kept > budget {
                     break;
                 }
+                oldest_kept = tag;
             }
+            self.nf_cache.evict_before(oldest_kept);
+            self.subst_cache
+                .retain(|_, &mut (_, tag)| tag >= oldest_kept);
         }
         self.nf_cache.advance_epoch();
-        self.subst_cache.advance_epoch();
     }
 
     /// Renders a provenance id in the paper's notation
@@ -1225,16 +1221,21 @@ impl Engine {
             return vec![Vec::new(); zeroed.len()];
         }
         let mut images: Vec<NodeId> = Vec::with_capacity(roots.len() * zeroed.len());
+        let epoch = self.nf_cache.epoch();
         for &z in zeroed {
             let map = HashMap::from([(z, ExprArena::ZERO)]);
             let base = images.len();
-            // One probe per root; the refreshing lookup re-tags hot entries,
-            // so a repeated query's working set outlives budget eviction.
+            // One probe per root; a hit is re-tagged with the current
+            // epoch, so a repeated query's working set outlives budget
+            // eviction.
             let mut miss_ix: Vec<usize> = Vec::new();
             let mut misses: Vec<NodeId> = Vec::new();
             for (i, &r) in roots.iter().enumerate() {
-                match self.subst_cache.get_refresh(&(z, r)) {
-                    Some(&img) => images.push(img),
+                match self.subst_cache.get_mut(&(z, r)) {
+                    Some((img, tag)) => {
+                        *tag = epoch;
+                        images.push(*img);
+                    }
                     None => {
                         miss_ix.push(i);
                         misses.push(r);
@@ -1247,7 +1248,7 @@ impl Engine {
                     self.arena
                         .substitute_roots_in(&misses, &map, &mut self.subst_memo);
                 for ((&ix, &r), img) in miss_ix.iter().zip(&misses).zip(substituted) {
-                    self.subst_cache.insert((z, r), img);
+                    self.subst_cache.insert((z, r), (img, epoch));
                     images[base + ix] = img;
                 }
             }

@@ -129,7 +129,7 @@ fn setting_a_budget_enforces_immediately_and_none_disables() {
 fn hot_working_set_outlives_budget_pressure() {
     // PR 6: the valve is hit-aware. NF-cache entries the workload keeps
     // touching are re-tagged to the current epoch on every hit
-    // (`NfCache::lookup_refresh`), so `evict_oldest_epoch` drains cold
+    // (`NfCache::lookup_refresh`), so eviction drops cold
     // one-shot entries first and a hot working set stays resident across
     // unbounded churn — LRU-ish semantics at epoch granularity.
     //
@@ -193,5 +193,36 @@ fn hot_working_set_outlives_budget_pressure() {
     assert!(
         peak >= 90,
         "the churn never pressured the budget (peak {peak})"
+    );
+}
+
+#[test]
+fn eviction_follows_age_across_both_caches() {
+    // One clock tags both caches, so eviction is oldest-first across them:
+    // a newer substitution image never goes while an older normal form
+    // stays. The old normal forms come from a certify; the newer epoch
+    // holds an abort's normal forms *and* its substitution images on
+    // disjoint names. A budget of exactly the abort's entries keeps that
+    // whole epoch and drops the certify's.
+    let mut engine = Engine::new();
+    let old_log: UpdateLog = "base a0 a1 a2 a3\nbegin t\ninsert a0\ncommit\n"
+        .parse()
+        .unwrap();
+    let mut old = engine.replay(&old_log).unwrap();
+    engine.certify(&mut old);
+    let new_log: UpdateLog = "base b0 b1\nbegin u\ninsert b0\ninsert b1\ncommit\n"
+        .parse()
+        .unwrap();
+    let new = engine.replay(&new_log).unwrap();
+    let before = engine.cached_entries();
+    let view = engine.abort_symbolic(&new, "u").unwrap();
+    assert_eq!(view, engine.abort_symbolic_uncached(&new, "u").unwrap());
+    let budget = engine.cached_entries() - before;
+    assert!(budget > 0 && before > 0);
+    engine.set_cache_budget(Some(budget));
+    assert_eq!(
+        engine.cached_entries(),
+        budget,
+        "the abort's epoch fits the budget and stays whole"
     );
 }

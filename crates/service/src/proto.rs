@@ -24,7 +24,7 @@
 //! {"op":"equiv","log":"..."}                 equivalence vs. a candidate log
 //! {"op":"snapshot"}                          checkpoint (writer)
 //! {"op":"stats"}                             service counters
-//! {"op":"set_budget","entries":4096}         per-client cache budget
+//! {"op":"set_budget","entries":4096}         cache budget, until the client goes
 //! {"op":"shutdown"}                          drain and stop
 //! ```
 //!

@@ -116,15 +116,34 @@ struct Inner<S: Storage> {
     running: Mutex<bool>,
     gate: Condvar,
     /// Per-client requested cache budgets; the tightest one is applied to
-    /// the shared engine (the PR 5 epoch valve), so no client can exceed
-    /// its own cap by riding another client's slack.
-    budgets: Mutex<BTreeMap<u64, usize>>,
+    /// the shared engine's cache valve, so no client can exceed its own
+    /// cap by riding another client's slack.
+    budgets: Mutex<Budgets>,
     /// What-if reads answered from per-structure baselines: see
     /// [`Inner::rows`].
     reads: Mutex<ReadCache>,
     batches: AtomicU64,
     coalesced: AtomicU64,
     next_client: AtomicU64,
+}
+
+/// The live clients' cache budgets, keyed by [`Client::id`]. A client's
+/// entry goes with the client: dropping it marks the map `stale`, and the
+/// writer re-applies the minimum before its next write batch (budgets only
+/// bite on the write path, so that is soon enough).
+#[derive(Default)]
+struct Budgets {
+    per_client: BTreeMap<u64, usize>,
+    stale: bool,
+}
+
+impl Budgets {
+    /// Applies the tightest live budget to `engine` (none if no client
+    /// set one).
+    fn apply(&mut self, engine: &mut Engine) {
+        engine.set_cache_budget(self.per_client.values().min().copied());
+        self.stale = false;
+    }
 }
 
 impl<S: Storage> Inner<S> {
@@ -271,6 +290,20 @@ impl<S: Storage> Clone for Client<S> {
     }
 }
 
+impl<S: Storage> Drop for Client<S> {
+    /// Withdraws this client's cache budget, if it set one.
+    fn drop(&mut self) {
+        let mut budgets = self
+            .inner
+            .budgets
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if budgets.per_client.remove(&self.id).is_some() {
+            budgets.stale = true;
+        }
+    }
+}
+
 impl<S: Storage> Client<S> {
     /// This client's id (budget-map key).
     pub fn id(&self) -> u64 {
@@ -352,7 +385,7 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
             accepting: AtomicBool::new(true),
             running: Mutex::new(!config.paused),
             gate: Condvar::new(),
-            budgets: Mutex::new(BTreeMap::new()),
+            budgets: Mutex::new(Budgets::default()),
             reads: Mutex::new(ReadCache::default()),
             batches: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -595,6 +628,12 @@ fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
 
 fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
     let mut db = inner.db.write().expect("engine lock poisoned");
+    {
+        let mut budgets = inner.budgets.lock().expect("budgets poisoned");
+        if budgets.stale {
+            budgets.apply(db.query().0);
+        }
+    }
     let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
     let mut i = 0;
     while i < jobs.len() {
@@ -620,15 +659,10 @@ fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
                 {
                     let mut budgets = inner.budgets.lock().expect("budgets poisoned");
                     match entries {
-                        Some(n) => {
-                            budgets.insert(jobs[i].client, *n as usize);
-                        }
-                        None => {
-                            budgets.remove(&jobs[i].client);
-                        }
-                    }
-                    let effective = budgets.values().min().copied();
-                    db.query().0.set_cache_budget(effective);
+                        Some(n) => budgets.per_client.insert(jobs[i].client, *n as usize),
+                        None => budgets.per_client.remove(&jobs[i].client),
+                    };
+                    budgets.apply(db.query().0);
                 }
                 responses[i] = Some(Response::BudgetSet { seq: db.seq() });
             }

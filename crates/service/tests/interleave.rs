@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use benchkit::TestRng;
 use uprov_service::proto::{ErrorKind, Request, Response};
-use uprov_service::service::{Service, ServiceConfig};
+use uprov_service::service::{Client, Service, ServiceConfig};
 use uprov_service::values::{self, StructureId};
 use uprov_storage::{DurableEngine, MemStorage, Storage};
 use uprov_workload::{equivalent_variant, Variant, Workload, WorkloadConfig};
@@ -618,4 +618,50 @@ fn shutdown_drains_enqueued_requests_and_rejects_late_ones() {
         Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
         other => panic!("expected shutting_down, got {other}"),
     }
+}
+
+fn set_budget(client: &Client<MemStorage>, entries: u64) {
+    let resp = client.request(Request::SetBudget {
+        entries: Some(entries),
+    });
+    assert!(matches!(resp, Response::BudgetSet { .. }), "{resp}");
+}
+
+/// A client's cache budget ends with the client: once a tight budget's
+/// owner goes away, the next write batch applies the tightest budget of
+/// the clients still connected.
+#[test]
+fn a_departed_clients_budget_stops_counting() {
+    let service = start(ServiceConfig::default());
+    let (a, b) = (service.client(), service.client());
+    set_budget(&a, 1);
+    set_budget(&b, 1000);
+    drop(a);
+    assert!(matches!(
+        b.request(Request::Snapshot),
+        Response::Snapshotted { .. }
+    ));
+    drop(b);
+    let db = service.shutdown_into().1.expect("sole owner");
+    assert_eq!(db.engine().cache_budget(), Some(1000));
+}
+
+/// A reconnect loop that sets a budget per connection leaves nothing
+/// behind: with every such client gone, the next write lifts the cap.
+#[test]
+fn budgets_of_many_departed_clients_leave_no_cap() {
+    let service = start(ServiceConfig::default());
+    for n in 0..100 {
+        set_budget(&service.client(), 10 + n);
+    }
+    let writer = service.client();
+    assert!(matches!(
+        writer.request(Request::Append {
+            log: "base x\n".to_owned()
+        }),
+        Response::Appended { seq: 1, .. }
+    ));
+    drop(writer);
+    let db = service.shutdown_into().1.expect("sole owner");
+    assert_eq!(db.engine().cache_budget(), None);
 }

@@ -69,6 +69,11 @@ const ONE_FN_CRATES: &[&str] = &["core", "engine"];
 /// came from.
 const SIBLING_SUFFIXES: [&str; 5] = ["_par", "_par_in", "_scoped_in", "_budget_in", "_batch_in"];
 
+/// Most `pub fn`s [`ONE_FN_CRATES`] may declare together, counted as lines
+/// whose trimmed start is `pub fn `. A ratchet: lower it when the surface
+/// shrinks, never raise it to admit a new sibling.
+const PUB_FN_CAP: usize = 164;
+
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -388,6 +393,24 @@ fn api_pass_forbids_sibling_suffixes_on_pub_fns() {
         }
     }
     assert!(bad.is_empty(), "sibling-suffixed pub fns: {bad:?}");
+}
+
+#[test]
+fn api_pass_caps_pub_fn_count() {
+    let count: usize = ONE_FN_CRATES
+        .iter()
+        .flat_map(|name| rust_files(&format!("crates/{name}/src")))
+        .map(|file| {
+            read(&file)
+                .lines()
+                .filter(|line| line.trim_start().starts_with("pub fn "))
+                .count()
+        })
+        .sum();
+    assert!(
+        count <= PUB_FN_CAP,
+        "{ONE_FN_CRATES:?} declare {count} pub fns, over the cap of {PUB_FN_CAP}"
+    );
 }
 
 /// Only public API counts, and a plain `_in` is fine: the memo is the
