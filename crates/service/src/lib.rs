@@ -2,9 +2,9 @@
 //!
 //! Everything below this crate is a library you call; this crate is the
 //! *process you talk to*: one long-lived [`uprov_storage::DurableEngine`]
-//! shared by many concurrent clients, multiplexed by a reader pool and a
-//! single durable writer, speaking a line-oriented JSON protocol over
-//! stdin or TCP (the `uprov-service` binary).
+//! shared by many concurrent clients, each request served on its caller's
+//! thread (reads share a lock, writes group-commit leader/follower style),
+//! speaking a line-oriented JSON protocol over stdin or TCP.
 //!
 //! The three layers:
 //!
@@ -15,8 +15,8 @@
 //!   replays the same appended prefix (the soak oracle does exactly
 //!   that).
 //! - [`service`] — the resident [`service::Service`]: concurrency
-//!   regime, request coalescing, backpressure, graceful shutdown. See
-//!   its module docs for the full state machine.
+//!   regime, group commit, backpressure, graceful shutdown. See its
+//!   module docs for the full state machine.
 //!
 //! # Example: a resident service, in-process
 //!
@@ -33,14 +33,14 @@
 //! let service = Service::start(db, ServiceConfig::default());
 //! let client = service.client();
 //!
-//! // Appends serialize through the writer and are durable before visible.
+//! // Appends commit in batches, one at a time, durable before visible.
 //! let resp = client.request(Request::Append {
 //!     log: "base x\nbegin t\ninsert x\nmodify y <- x\ncommit\n".into(),
 //! });
 //! assert_eq!(resp, Response::Appended { seq: 1, applied: 2 });
 //!
-//! // Concrete reads run on the reader pool; `seq` names the prefix the
-//! // answer reflects.
+//! // Concrete reads run on this thread under the shared lock; `seq` names
+//! // the prefix the answer reflects.
 //! let Response::Rows { seq, rows } = client.request(Request::AbortEval {
 //!     txn: "t".into(),
 //!     structure: StructureId::Bool,

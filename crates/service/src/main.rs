@@ -2,13 +2,13 @@
 //! line-oriented JSON protocol.
 //!
 //! ```text
-//! uprov-service [--dir PATH] [--listen ADDR] [--readers N]
+//! uprov-service [--dir PATH] [--listen ADDR]
 //! ```
 //!
 //! With `--listen 127.0.0.1:7117` the service accepts TCP connections,
-//! one protocol session per connection (thread per connection, all
-//! multiplexed onto the one resident engine). Without it, the service
-//! speaks the protocol on stdin/stdout — one request per line, one
+//! one protocol session per connection (a thread per connection, each
+//! serving its own requests on the one resident engine). Without it, the
+//! service speaks the protocol on stdin/stdout — one request per line, one
 //! response per line — which is how the offline examples and scripts
 //! drive it. Both are the same loop, [`net::serve_session`]:
 //!
@@ -39,14 +39,12 @@ use uprov_storage::{DurableEngine, FileStorage, MemStorage, Storage};
 struct Args {
     dir: Option<String>,
     listen: Option<String>,
-    readers: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dir: None,
         listen: None,
-        readers: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -54,17 +52,8 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--dir" => args.dir = Some(value("--dir")?),
             "--listen" => args.listen = Some(value("--listen")?),
-            "--readers" => {
-                args.readers = Some(
-                    value("--readers")?
-                        .parse()
-                        .map_err(|e| format!("--readers: {e}"))?,
-                );
-            }
             "--help" | "-h" => {
-                return Err(
-                    "usage: uprov-service [--dir PATH] [--listen ADDR] [--readers N]".to_owned(),
-                );
+                return Err("usage: uprov-service [--dir PATH] [--listen ADDR]".to_owned());
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -80,10 +69,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut config = ServiceConfig::default();
-    if let Some(n) = args.readers {
-        config.readers = n.max(1);
-    }
     match &args.dir {
         Some(dir) => {
             let storage = match FileStorage::open(dir) {
@@ -93,17 +78,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            open_and_run(storage, config, args.listen.as_deref())
+            open_and_run(storage, args.listen.as_deref())
         }
-        None => open_and_run(MemStorage::new(), config, args.listen.as_deref()),
+        None => open_and_run(MemStorage::new(), args.listen.as_deref()),
     }
 }
 
-fn open_and_run<S: Storage + Send + Sync + 'static>(
-    storage: S,
-    config: ServiceConfig,
-    listen: Option<&str>,
-) -> ExitCode {
+fn open_and_run<S: Storage + Send + Sync + 'static>(storage: S, listen: Option<&str>) -> ExitCode {
     let (db, report) = match DurableEngine::open(storage) {
         Ok(opened) => opened,
         Err(e) => {
@@ -122,7 +103,7 @@ fn open_and_run<S: Storage + Send + Sync + 'static>(
             }
         );
     }
-    let service = Service::start(db, config);
+    let service = Service::start(db, ServiceConfig::default());
     match listen {
         Some(addr) => {
             let listener = match TcpListener::bind(addr) {
@@ -133,27 +114,11 @@ fn open_and_run<S: Storage + Send + Sync + 'static>(
                 }
             };
             eprintln!("listening on {addr}");
-            let mut sessions = Vec::new();
-            // Shutdown-aware accept loop: a client's shutdown request
-            // interrupts it within one poll interval even if no further
+            // Shutdown-aware: a client's shutdown request interrupts the
+            // accept loop within one poll interval even if no further
             // connection ever arrives (see `uprov_service::net`).
-            let accepted = net::accept_loop(
-                &listener,
-                || service.is_accepting(),
-                |stream| {
-                    let client = service.client();
-                    // An error here is a peer that went away mid-session:
-                    // routine, and nobody is left to tell.
-                    sessions.push(std::thread::spawn(move || {
-                        let _ = net::serve_session(&stream, &stream, &client);
-                    }));
-                },
-            );
-            if let Err(e) = accepted {
+            if let Err(e) = net::serve_connections(&listener, &service.client(), |_| {}) {
                 eprintln!("accept loop failed: {e}");
-            }
-            for session in sessions {
-                let _ = session.join();
             }
         }
         None => {

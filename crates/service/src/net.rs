@@ -13,6 +13,11 @@
 //!
 //! # Sessions
 //!
+//! [`serve_connections`] runs one [`serve_session`] thread per TCP
+//! connection. A thread that has exited keeps its stack mapped until it
+//! is joined, so finished sessions are joined on every accept, not at
+//! shutdown: a client reconnecting in a loop must not grow the process.
+//!
 //! [`serve_session`] frames the byte stream into `\n`-terminated request
 //! lines and answers each with exactly one `\n`-terminated reply line,
 //! in order. The bytes come from outside the process, so the loop is
@@ -37,6 +42,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use uprov_storage::Storage;
@@ -98,6 +104,53 @@ where
         }
     }
     Ok(())
+}
+
+/// What [`serve_connections`] reports once every session has ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sessions {
+    /// Most session threads held unjoined at once, counted after each
+    /// accept: the sessions still running plus the new one.
+    pub peak_live: usize,
+    /// Session threads that panicked.
+    pub panicked: u64,
+}
+
+/// Accepts connections on `listener` until the service stops accepting,
+/// serving each with [`serve_session`] on its own thread and its own
+/// clone of `client`; `on_accept` sees each stream first. Finished
+/// sessions are joined on each accept, the rest before this returns (see
+/// the [module docs](self)). A session's `Err` is a peer that went away:
+/// routine, and nobody is left to tell.
+pub fn serve_connections<S: Storage + Send + Sync + 'static>(
+    listener: &TcpListener,
+    client: &Client<S>,
+    mut on_accept: impl FnMut(&TcpStream),
+) -> io::Result<Sessions> {
+    let mut report = Sessions::default();
+    let mut live: Vec<JoinHandle<io::Result<()>>> = Vec::new();
+    let panicked = |h: JoinHandle<io::Result<()>>| u64::from(h.join().is_err());
+    let accepted = accept_loop(
+        listener,
+        || client.is_accepting(),
+        |stream| {
+            let (finished, running) = live.drain(..).partition(|h| h.is_finished());
+            live = running;
+            report.panicked += finished.into_iter().map(panicked).sum::<u64>();
+            on_accept(&stream);
+            let client = client.clone();
+            // A thread that cannot start drops its stream, like a failed accept.
+            if let Ok(handle) = thread::Builder::new()
+                .name("uprov-session".to_owned())
+                .spawn(move || serve_session(&stream, &stream, &client))
+            {
+                live.push(handle);
+                report.peak_live = report.peak_live.max(live.len());
+            }
+        },
+    );
+    report.panicked += live.into_iter().map(panicked).sum::<u64>();
+    accepted.map(|()| report)
 }
 
 /// Serves one protocol conversation: request lines from `reader`, one

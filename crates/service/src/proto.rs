@@ -155,7 +155,7 @@ pub enum ErrorKind {
     Replay,
     /// A query named an unknown transaction or tuple.
     Query,
-    /// A bounded queue was full — retry later.
+    /// Too many requests were in flight — retry later.
     Overloaded,
     /// The service is draining; no new requests.
     ShuttingDown,
@@ -244,9 +244,9 @@ pub enum Response {
         nodes: u64,
         /// Live cache entries (NF + substitution).
         cached: u64,
-        /// Coalesced batches executed so far.
+        /// Lock acquisitions so far: one per read, one per write batch.
         batches: u64,
-        /// Requests that rode a coalesced batch of ≥ 2.
+        /// Writes that rode a coalesced batch of ≥ 2.
         coalesced: u64,
     },
     /// Budget applied.

@@ -1,19 +1,19 @@
-//! The resident service: one shared [`DurableEngine`] behind a reader
-//! pool and a single serialized writer.
+//! The resident service: one shared [`DurableEngine`], every request
+//! served on the thread of the client that made it.
 //!
 //! # Concurrency regime
 //!
-//! The engine sits in an [`RwLock`]. Read-mostly concrete queries
-//! (`abort`/`delete`/`eval`/`stats`) go to a pool of reader threads that
-//! share the read lock — the concrete evaluation entry points take
-//! `&Engine`, so any number run at once. Everything that mutates
-//! (appends, symbolic views, equivalence, snapshots, budgets) serializes
-//! through **one** writer thread holding the write lock, so "durable
-//! before visible" needs no further protocol: [`DurableEngine`] touches
-//! nothing in memory until the batch's fsync has returned, and the write
-//! lock keeps every reader out while it then applies the batch. No
-//! response can reflect a partially applied append — the soak test pins
-//! this from the outside.
+//! The engine sits in an [`RwLock`]. A concrete read
+//! (`abort`/`delete`/`eval`/`stats`) takes the read lock on its caller's
+//! thread — the concrete evaluation entry points take `&Engine`, so any
+//! number run at once. Everything that mutates (appends, symbolic views,
+//! equivalence, snapshots, budgets) is a write, served in batches under
+//! the write lock by one leader at a time (see *Group commit*), so
+//! "durable before visible" needs no further protocol: [`DurableEngine`]
+//! touches nothing in memory until the batch's fsync has returned, and
+//! the write lock keeps every reader out while it then applies the
+//! batch. No response can reflect a partially applied append — the soak
+//! test pins this from the outside.
 //!
 //! # Read cache
 //!
@@ -22,42 +22,38 @@
 //! or deletion re-evaluates only the zeroed atom's cone — valid at the
 //! append `seq` it was built at (see `Inner::rows`).
 //!
-//! # Coalescing
+//! # Group commit
 //!
-//! Each worker drains its queue opportunistically: one blocking `recv`,
-//! then up to `coalesce_max - 1` more by `try_recv`. A drained batch is
-//! served under **one** lock acquisition with **one** sequence number,
-//! and bursts of same-shaped requests collapse into the engine's batch
-//! entry points — concurrent symbolic aborts share one normalization
-//! batch ([`Engine::abort_symbolic_batch`]), consecutive appends commit
-//! behind one fsync ([`DurableEngine::append_many`]), equivalence bursts
-//! normalize in one sweep ([`Engine::equivalent_many`]). Batched answers
-//! are bit-identical to one-at-a-time answers (pinned by the
-//! interleaving tests).
+//! A write joins one FIFO queue, then waits until its answer is posted
+//! or nobody leads; then its caller leads: it takes up to `coalesce_max`
+//! writes off the queue — its own and whatever arrived meanwhile —
+//! serves them under **one** write-lock acquisition, posts the answers
+//! and steps down. A lone writer commits on its own thread; writes that
+//! arrive during a batch's fsync form the next batch. Within a batch,
+//! runs of same-shaped requests collapse into the engine's batch entry
+//! points — symbolic aborts share one normalization batch
+//! ([`Engine::abort_symbolic_batch`]), appends commit behind one fsync
+//! ([`DurableEngine::append_many`]), equivalence bursts normalize in one
+//! sweep ([`Engine::equivalent_many`]) — with answers bit-identical to
+//! one-at-a-time ones (pinned by the interleaving tests). A leader that
+//! unwinds still steps down, and the writes it took answer a typed
+//! error. Reads do not coalesce: each is one read-lock acquisition.
 //!
-//! # Backpressure and shutdown
+//! # Backpressure, shutdown and the pause gate
 //!
-//! Queues are bounded; a full queue rejects immediately with a typed
-//! [`ErrorKind::Overloaded`] response instead of blocking the client.
-//! [`Service::shutdown`] flips `accepting` off (new requests get
-//! [`ErrorKind::ShuttingDown`]), then pushes one stop sentinel per worker
-//! through each FIFO queue — everything enqueued before the sentinel is
-//! served, nothing is dropped — and joins the threads.
-//!
-//! # Determinism hooks
-//!
-//! A service started with [`ServiceConfig::paused`] keeps its workers
-//! parked on a gate while clients enqueue; [`Service::resume`] releases
-//! them. Tests use this to pin exactly which requests coalesce into one
-//! batch.
+//! [`ServiceConfig::queue_depth`] bounds the requests admitted but not
+//! yet answered; past it a request answers [`ErrorKind::Overloaded`] at
+//! once. [`Service::shutdown`] stops admitting (later requests get
+//! [`ErrorKind::ShuttingDown`]), opens the gate and waits until every
+//! admitted request has its answer — nothing is dropped. A service
+//! started [`ServiceConfig::paused`] parks readers and write leaders at
+//! the gate until [`Service::resume`]; tests use it to pin which writes
+//! coalesce into one batch.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
-use uprov_core::Atom;
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, DurableError, Storage};
 
@@ -67,21 +63,18 @@ use crate::values::{eval_rows, Rows, StructureId};
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Reader threads sharing the read lock. Must be ≥ 1.
-    pub readers: usize,
-    /// Capacity of each bounded request queue; a full queue answers
-    /// [`ErrorKind::Overloaded`].
+    /// Requests admitted but not yet answered, reads and writes
+    /// together; past it a request answers [`ErrorKind::Overloaded`].
     pub queue_depth: usize,
-    /// Max requests one worker drains into a single coalesced batch.
+    /// Max writes one leader serves in a single coalesced batch.
     pub coalesce_max: usize,
-    /// Start with the workers parked; release with [`Service::resume`].
+    /// Start with the gate closed; release with [`Service::resume`].
     pub paused: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            readers: 2,
             queue_depth: 64,
             coalesce_max: 16,
             paused: false,
@@ -92,29 +85,44 @@ impl Default for ServiceConfig {
 /// Counters reported by [`Service::shutdown`] and the `stats` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Coalesced batches executed (each = one lock acquisition).
+    /// Lock acquisitions: one per read, one per write batch.
     pub batches: u64,
-    /// Requests that rode a batch of two or more.
+    /// Writes that rode a batch of two or more.
     pub coalesced: u64,
 }
 
 struct Job {
     client: u64,
     req: Request,
-    reply: SyncSender<Response>,
 }
 
-enum WorkerMsg {
-    Work(Box<Job>),
-    Stop,
+/// What requests coordinate on, under one lock. A write is known by its
+/// ticket from the moment it is queued until its caller collects the
+/// answer. Only whole updates happen under the lock, so a poisoned one
+/// is recovered rather than propagated.
+#[derive(Default)]
+struct Traffic {
+    /// `false` while paused.
+    running: bool,
+    /// Requests admitted and not yet answered.
+    admitted: usize,
+    /// Writes no leader has taken yet, oldest first.
+    pending: VecDeque<(u64, Job)>,
+    /// Answers posted by leaders and not yet collected.
+    answers: HashMap<u64, Response>,
+    next_ticket: u64,
+    /// Some caller is serving a write batch.
+    leading: bool,
 }
 
 struct Inner<S: Storage> {
     db: RwLock<DurableEngine<S>>,
     accepting: AtomicBool,
-    /// `false` while paused; workers wait here before each drain.
-    running: Mutex<bool>,
-    gate: Condvar,
+    traffic: Mutex<Traffic>,
+    /// Signalled when the gate opens, a leader steps down, or the last
+    /// admitted request is answered.
+    changed: Condvar,
+    config: ServiceConfig,
     /// Per-client requested cache budgets; the tightest one is applied to
     /// the shared engine's cache valve, so no client can exceed its own
     /// cap by riding another client's slack.
@@ -127,10 +135,10 @@ struct Inner<S: Storage> {
     next_client: AtomicU64,
 }
 
-/// The live clients' cache budgets, keyed by [`Client::id`]. A client's
-/// entry goes with the client: dropping it marks the map `stale`, and the
-/// writer re-applies the minimum before its next write batch (budgets only
-/// bite on the write path, so that is soon enough).
+/// The live clients' cache budgets, keyed by client id. A client's entry
+/// goes with the client: dropping it marks the map `stale`, and the next
+/// write batch re-applies the minimum (budgets only bite on the write
+/// path, so that is soon enough).
 #[derive(Default)]
 struct Budgets {
     per_client: BTreeMap<u64, usize>,
@@ -146,11 +154,138 @@ impl Budgets {
     }
 }
 
+/// One admitted request; dropping it, answered or unwound, frees its
+/// place under [`ServiceConfig::queue_depth`].
+struct Admitted<'a, S: Storage>(&'a Inner<S>);
+
+impl<S: Storage> Drop for Admitted<'_, S> {
+    fn drop(&mut self) {
+        let mut traffic = self.0.traffic();
+        traffic.admitted -= 1;
+        if traffic.admitted == 0 {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+/// Leadership for one batch. Dropping it posts the batch's answers and
+/// steps down — also when the batch unwinds, which leaves the writes it
+/// took without answers: they get a typed error instead.
+struct Leader<'a, S: Storage> {
+    inner: &'a Inner<S>,
+    taken: Vec<u64>,
+    answers: Vec<Response>,
+}
+
+impl<S: Storage> Drop for Leader<'_, S> {
+    fn drop(&mut self) {
+        let unwound = std::iter::repeat_with(|| error(ErrorKind::ShuttingDown, "batch panicked"));
+        let answers = std::mem::take(&mut self.answers).into_iter().chain(unwound);
+        let mut traffic = self.inner.traffic();
+        traffic.answers.extend(self.taken.drain(..).zip(answers));
+        traffic.leading = false;
+        self.inner.changed.notify_all();
+    }
+}
+
 impl<S: Storage> Inner<S> {
-    fn wait_running(&self) {
-        let mut running = self.running.lock().expect("gate poisoned");
-        while !*running {
-            running = self.gate.wait(running).expect("gate poisoned");
+    fn client(inner: &Arc<Self>) -> Client<S> {
+        let id = inner.next_client.fetch_add(1, Ordering::Relaxed);
+        Client {
+            inner: Arc::clone(inner),
+            id,
+        }
+    }
+
+    fn traffic(&self) -> MutexGuard<'_, Traffic> {
+        self.traffic.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, traffic: MutexGuard<'a, Traffic>) -> MutexGuard<'a, Traffic> {
+        self.changed
+            .wait(traffic)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait_running(&self) -> MutexGuard<'_, Traffic> {
+        let mut traffic = self.traffic();
+        while !traffic.running {
+            traffic = self.wait(traffic);
+        }
+        traffic
+    }
+
+    /// Admits one request, or answers why not. `accepting` is read under
+    /// the lock [`Inner::stop`] flips it under, so no request slips in
+    /// behind the drain.
+    fn admit(&self) -> Result<Admitted<'_, S>, Response> {
+        let mut traffic = self.traffic();
+        if !self.accepting.load(Ordering::SeqCst) {
+            return Err(error(ErrorKind::ShuttingDown, "service is draining"));
+        }
+        if traffic.admitted >= self.config.queue_depth {
+            return Err(error(ErrorKind::Overloaded, "too many requests in flight"));
+        }
+        traffic.admitted += 1;
+        Ok(Admitted(self))
+    }
+
+    /// Queues a write, then leads a batch whenever nobody else does until
+    /// the write's answer is posted.
+    fn write(&self, client: u64, req: Request) -> Response {
+        let mut traffic = self.traffic();
+        let ticket = traffic.next_ticket;
+        traffic.next_ticket += 1;
+        traffic.pending.push_back((ticket, Job { client, req }));
+        loop {
+            if let Some(answer) = traffic.answers.remove(&ticket) {
+                return answer;
+            }
+            if traffic.leading {
+                traffic = self.wait(traffic);
+                continue;
+            }
+            traffic.leading = true;
+            drop(traffic);
+            self.lead();
+            traffic = self.traffic();
+        }
+    }
+
+    /// Serves one batch: past the gate, up to `coalesce_max` writes off
+    /// the front of the queue.
+    fn lead(&self) {
+        let (taken, jobs): (Vec<u64>, Vec<Job>) = {
+            let mut traffic = self.wait_running();
+            let n = traffic.pending.len().min(self.config.coalesce_max);
+            traffic.pending.drain(..n).unzip()
+        };
+        let mut leader = Leader {
+            inner: self,
+            taken,
+            answers: Vec::new(),
+        };
+        if !jobs.is_empty() {
+            self.note_batch(jobs.len());
+            leader.answers = serve_write_batch(self, jobs);
+        }
+    }
+
+    fn resume(&self) {
+        self.traffic().running = true;
+        self.changed.notify_all();
+    }
+
+    /// Stops admitting, opens the gate, and waits until every admitted
+    /// request is answered; the callers of pending writes lead their
+    /// batches themselves. Idempotent.
+    fn stop(&self) {
+        let mut traffic = self.traffic();
+        self.accepting.store(false, Ordering::SeqCst);
+        traffic.running = true;
+        self.changed.notify_all();
+        while traffic.admitted > 0 {
+            traffic = self.wait(traffic);
         }
     }
 
@@ -169,10 +304,9 @@ impl<S: Storage> Inner<S> {
     }
 
     /// `id`'s [`Rows`] for the state at append `seq`, which the caller
-    /// read under the engine's read lock, to answer `reads` more concrete
-    /// reads there — or `None` while they would be the only read of `id`
-    /// at `seq`, which a full evaluation ([`eval_rows`]) answers for less
-    /// than a build costs.
+    /// read under the engine's read lock — or `None` for the first read
+    /// of `id` at `seq`, which a full evaluation ([`eval_rows`]) answers
+    /// for less than a build costs.
     ///
     /// A build is a full evaluation plus rendering every row, and after
     /// it each read costs only its cone; it pays off from the second read
@@ -192,7 +326,6 @@ impl<S: Storage> Inner<S> {
         state: &ReplayState,
         seq: u64,
         id: StructureId,
-        reads: usize,
     ) -> Option<Arc<Rows>> {
         let sibling = {
             let mut cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
@@ -202,44 +335,32 @@ impl<S: Storage> Inner<S> {
                     entries: BTreeMap::new(),
                 };
             }
-            match cache.entries.entry(id).or_insert(Entry::Read(0)) {
-                Entry::Built(hit) => return Some(Arc::clone(hit)),
-                Entry::Read(n) if *n + reads < 2 => {
-                    *n += reads;
+            match cache.entries.get(&id) {
+                Some(Some(hit)) => return Some(Arc::clone(hit)),
+                Some(None) => {}
+                None => {
+                    cache.entries.insert(id, None);
                     return None;
                 }
-                Entry::Read(_) => {}
             }
-            cache.entries.values().find_map(|e| match e {
-                Entry::Built(r) => Some(Arc::clone(r)),
-                Entry::Read(_) => None,
-            })
+            cache.entries.values().flatten().next().cloned()
         };
         let built = Arc::new(Rows::new(engine, state, id, sibling.as_deref()));
         let mut cache = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
         // `seq` cannot have moved: the caller still holds the read lock.
-        match cache.entries.entry(id).or_insert(Entry::Read(0)) {
-            Entry::Built(hit) => Some(Arc::clone(hit)),
-            slot => {
-                *slot = Entry::Built(Arc::clone(&built));
-                Some(built)
-            }
-        }
+        Some(Arc::clone(
+            cache.entries.entry(id).or_default().get_or_insert(built),
+        ))
     }
 }
 
-/// What the read path knows about the state at `seq`, per structure.
+/// What the read path knows about the state at `seq`, per structure:
+/// `None` once one read was answered by a full evaluation, the [`Rows`]
+/// once the second read built them.
 #[derive(Default)]
 struct ReadCache {
     seq: u64,
-    entries: BTreeMap<StructureId, Entry>,
-}
-
-enum Entry {
-    /// This many reads were answered by a full evaluation.
-    Read(usize),
-    /// Built by the second read.
-    Built(Arc<Rows>),
+    entries: BTreeMap<StructureId, Option<Arc<Rows>>>,
 }
 
 pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -247,6 +368,11 @@ pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
         kind,
         message: message.into(),
     }
+}
+
+/// Every answer after a panic inside the engine poisoned its lock.
+fn poisoned() -> Response {
+    error(ErrorKind::ShuttingDown, "the engine panicked; cannot serve")
 }
 
 fn durable_error(e: &DurableError) -> Response {
@@ -269,24 +395,16 @@ fn is_write(req: &Request) -> bool {
     )
 }
 
-/// A client handle: cheap to clone, one per connection/thread. All
-/// requests block until their response arrives (or the service drains
-/// away, which answers [`ErrorKind::ShuttingDown`]).
+/// A client handle: cheap to clone, one per connection/thread. Each
+/// request is served on the thread that calls [`Client::request`].
 pub struct Client<S: Storage> {
     inner: Arc<Inner<S>>,
-    read_tx: SyncSender<WorkerMsg>,
-    write_tx: SyncSender<WorkerMsg>,
     id: u64,
 }
 
 impl<S: Storage> Clone for Client<S> {
     fn clone(&self) -> Self {
-        Client {
-            inner: Arc::clone(&self.inner),
-            read_tx: self.read_tx.clone(),
-            write_tx: self.write_tx.clone(),
-            id: self.inner.next_client.fetch_add(1, Ordering::Relaxed),
-        }
+        Inner::client(&self.inner)
     }
 }
 
@@ -305,48 +423,31 @@ impl<S: Storage> Drop for Client<S> {
 }
 
 impl<S: Storage> Client<S> {
-    /// This client's id (budget-map key).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// True until shutdown begins — [`Service::is_accepting`] through a
-    /// client handle, so connection loops that only hold clients (the
-    /// accept loop's sessions) can watch the gate too.
+    /// True until shutdown begins: connection loops watch it to stop.
     pub fn is_accepting(&self) -> bool {
         self.inner.accepting.load(Ordering::SeqCst)
     }
 
-    /// Submits a request and blocks for the response.
+    /// Serves a request on this thread and returns the response: a read
+    /// under the shared lock, a write as the leader of its batch or as a
+    /// follower of the leader that serves it.
     ///
-    /// Never panics and never blocks on a full queue: overload and
-    /// shutdown come back as typed [`Response::Error`]s.
+    /// Never blocks on a full service: overload and shutdown come back as
+    /// typed [`Response::Error`]s. A panic inside the engine — a bug —
+    /// unwinds the thread that was serving it, so a leader's caller
+    /// panics; the writes of its batch and every later request answer a
+    /// typed [`ErrorKind::ShuttingDown`] instead.
     pub fn request(&self, req: Request) -> Response {
-        if !self.inner.accepting.load(Ordering::SeqCst) {
-            return error(ErrorKind::ShuttingDown, "service is draining");
-        }
-        let (reply, rx) = sync_channel(1);
-        let queue = if is_write(&req) {
-            &self.write_tx
-        } else {
-            &self.read_tx
+        let _admitted = match self.inner.admit() {
+            Ok(admitted) => admitted,
+            Err(resp) => return resp,
         };
-        let job = WorkerMsg::Work(Box::new(Job {
-            client: self.id,
-            req,
-            reply,
-        }));
-        match queue.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                return error(ErrorKind::Overloaded, "request queue is full, retry later");
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                return error(ErrorKind::ShuttingDown, "service is gone");
-            }
+        if is_write(&req) {
+            self.inner.write(self.id, req)
+        } else {
+            drop(self.inner.wait_running());
+            serve_read(&self.inner, &req)
         }
-        rx.recv()
-            .unwrap_or_else(|_| error(ErrorKind::ShuttingDown, "request dropped during drain"))
     }
 
     /// Parses and executes one protocol line. Malformed input becomes an
@@ -368,89 +469,48 @@ impl<S: Storage> Client<S> {
 }
 
 /// The resident service. See the [module docs](self) for the regime.
-pub struct Service<S: Storage + Send + Sync + 'static> {
+pub struct Service<S: Storage> {
     inner: Arc<Inner<S>>,
-    read_tx: SyncSender<WorkerMsg>,
-    write_tx: SyncSender<WorkerMsg>,
-    workers: Vec<JoinHandle<()>>,
 }
 
-impl<S: Storage + Send + Sync + 'static> Service<S> {
-    /// Spawns the reader pool and the writer over an opened engine.
+impl<S: Storage> Service<S> {
+    /// Wraps an opened engine. No thread is started: every request runs
+    /// on its client's thread.
     pub fn start(db: DurableEngine<S>, config: ServiceConfig) -> Service<S> {
-        assert!(config.readers >= 1, "a service needs at least one reader");
         assert!(config.coalesce_max >= 1, "coalesce_max must be >= 1");
-        let inner = Arc::new(Inner {
-            db: RwLock::new(db),
-            accepting: AtomicBool::new(true),
-            running: Mutex::new(!config.paused),
-            gate: Condvar::new(),
-            budgets: Mutex::new(Budgets::default()),
-            reads: Mutex::new(ReadCache::default()),
-            batches: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            next_client: AtomicU64::new(0),
-        });
-        let (read_tx, read_rx) = sync_channel(config.queue_depth);
-        let (write_tx, write_rx) = sync_channel(config.queue_depth);
-        let read_rx = Arc::new(Mutex::new(read_rx));
-        let mut workers = Vec::with_capacity(config.readers + 1);
-        for i in 0..config.readers {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&read_rx);
-            let max = config.coalesce_max;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("uprov-read-{i}"))
-                    .spawn(move || reader_loop(&inner, &rx, max))
-                    .expect("spawn reader"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            let max = config.coalesce_max;
-            workers.push(
-                std::thread::Builder::new()
-                    .name("uprov-write".to_owned())
-                    .spawn(move || writer_loop(&inner, &write_rx, max))
-                    .expect("spawn writer"),
-            );
-        }
         Service {
-            inner,
-            read_tx,
-            write_tx,
-            workers,
+            inner: Arc::new(Inner {
+                db: RwLock::new(db),
+                accepting: AtomicBool::new(true),
+                traffic: Mutex::new(Traffic {
+                    running: !config.paused,
+                    ..Traffic::default()
+                }),
+                changed: Condvar::new(),
+                config,
+                budgets: Mutex::new(Budgets::default()),
+                reads: Mutex::new(ReadCache::default()),
+                batches: AtomicU64::new(0),
+                coalesced: AtomicU64::new(0),
+                next_client: AtomicU64::new(0),
+            }),
         }
     }
 
     /// A new client handle.
     pub fn client(&self) -> Client<S> {
-        Client {
-            inner: Arc::clone(&self.inner),
-            read_tx: self.read_tx.clone(),
-            write_tx: self.write_tx.clone(),
-            id: self.inner.next_client.fetch_add(1, Ordering::Relaxed),
-        }
+        Inner::client(&self.inner)
     }
 
     /// Opens the pause gate ([`ServiceConfig::paused`]). Idempotent.
     pub fn resume(&self) {
-        let mut running = self.inner.running.lock().expect("gate poisoned");
-        *running = true;
-        self.inner.gate.notify_all();
+        self.inner.resume();
     }
 
-    /// True until shutdown begins.
-    pub fn is_accepting(&self) -> bool {
-        self.inner.accepting.load(Ordering::SeqCst)
-    }
-
-    /// Graceful shutdown: stop accepting, serve everything already
-    /// queued (FIFO order guarantees nothing jumps the sentinel), join
-    /// the workers, and report the coalescing counters.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.drain_and_join();
+    /// Graceful shutdown: stop admitting, serve everything already
+    /// admitted, and report the coalescing counters.
+    pub fn shutdown(self) -> ServiceStats {
+        self.inner.stop();
         self.inner.stats()
     }
 
@@ -459,175 +519,85 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
     /// to inspect the drained state and storage — e.g. counting fsync
     /// barriers behind a coalesced append burst — or to restart the
     /// service over the same storage.
-    pub fn shutdown_into(mut self) -> (ServiceStats, Option<DurableEngine<S>>) {
-        self.drain_and_join();
+    pub fn shutdown_into(self) -> (ServiceStats, Option<DurableEngine<S>>) {
+        self.inner.stop();
         let stats = self.inner.stats();
         let inner = Arc::clone(&self.inner);
-        // Drop the handle (drain_and_join already ran, so this is just
-        // field cleanup); with every Client gone too, the clone below is
-        // the final owner.
+        // Dropping the handle stops an already stopped service, a no-op;
+        // with every Client gone too, the clone is the final owner.
         drop(self);
         let db = Arc::try_unwrap(inner)
             .ok()
             .map(|inner| inner.db.into_inner().expect("engine lock poisoned"));
         (stats, db)
     }
-
-    fn drain_and_join(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        self.inner.accepting.store(false, Ordering::SeqCst);
-        self.resume(); // a paused service must still drain
-        let readers = self.workers.len() - 1;
-        for _ in 0..readers {
-            // Blocking send: the queue is draining, so capacity frees up.
-            let _ = self.read_tx.send(WorkerMsg::Stop);
-        }
-        let _ = self.write_tx.send(WorkerMsg::Stop);
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
-impl<S: Storage + Send + Sync + 'static> Drop for Service<S> {
+impl<S: Storage> Drop for Service<S> {
     fn drop(&mut self) {
-        self.drain_and_join();
+        self.inner.stop();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Worker loops.
+// Read path: one read-lock acquisition per request.
 
-/// Drains one batch: a blocking `recv`, then opportunistic `try_recv` up
-/// to `max` total. Returns the jobs plus whether a stop sentinel was hit
-/// (each sentinel terminates exactly one worker — the one that drains it).
-fn drain(rx: &Receiver<WorkerMsg>, max: usize) -> (Vec<Job>, bool) {
-    let mut jobs = Vec::new();
-    match rx.recv() {
-        Ok(WorkerMsg::Work(job)) => jobs.push(*job),
-        Ok(WorkerMsg::Stop) | Err(_) => return (jobs, true),
-    }
-    while jobs.len() < max {
-        match rx.try_recv() {
-            Ok(WorkerMsg::Work(job)) => jobs.push(*job),
-            Ok(WorkerMsg::Stop) => return (jobs, true),
-            Err(_) => break,
-        }
-    }
-    (jobs, false)
-}
-
-fn reader_loop<S: Storage>(inner: &Inner<S>, rx: &Mutex<Receiver<WorkerMsg>>, max: usize) {
-    loop {
-        inner.wait_running();
-        // Readers share one queue: the lock is held for the whole drain,
-        // so a batch is a contiguous run of the queue.
-        let (jobs, stop) = drain(&rx.lock().expect("queue poisoned"), max);
-        if !jobs.is_empty() {
-            inner.note_batch(jobs.len());
-            serve_read_batch(inner, jobs);
-        }
-        if stop {
-            return;
-        }
-    }
-}
-
-fn writer_loop<S: Storage>(inner: &Inner<S>, rx: &Receiver<WorkerMsg>, max: usize) {
-    loop {
-        inner.wait_running();
-        let (jobs, stop) = drain(rx, max);
-        if !jobs.is_empty() {
-            inner.note_batch(jobs.len());
-            serve_write_batch(inner, jobs);
-        }
-        if stop {
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Read path: one read-lock acquisition, one seq, per-structure grouping.
-
-fn serve_read_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
-    let db = inner.db.read().expect("engine lock poisoned");
+fn serve_read<S: Storage>(inner: &Inner<S>, req: &Request) -> Response {
+    let Ok(db) = inner.db.read() else {
+        return poisoned();
+    };
+    inner.note_batch(1);
     let seq = db.seq();
     let engine = db.engine();
     let state = db.state();
-    let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
-    // Concrete queries group by structure: every entry of a group is
-    // answered from that structure's cached baseline.
-    let mut groups: BTreeMap<StructureId, Vec<(usize, Option<Atom>)>> = BTreeMap::new();
-    for (ix, job) in jobs.iter().enumerate() {
-        match &job.req {
-            Request::EvalAll { structure } => {
-                groups.entry(*structure).or_default().push((ix, None));
+    let (id, zeroed) = match req {
+        Request::EvalAll { structure } => (*structure, None),
+        Request::AbortEval { txn, structure } => match state.txn_atom(txn) {
+            Some(atom) => (*structure, Some(atom)),
+            None => {
+                return error(ErrorKind::Query, format!("unknown transaction `{txn}`"));
             }
-            Request::AbortEval { txn, structure } => match state.txn_atom(txn) {
-                Some(atom) => groups.entry(*structure).or_default().push((ix, Some(atom))),
-                None => {
-                    responses[ix] = Some(error(
-                        ErrorKind::Query,
-                        format!("unknown transaction `{txn}`"),
-                    ));
-                }
-            },
-            Request::DeleteBaseEval { tuple, structure } => match state.base_atom(tuple) {
-                Some(atom) => groups.entry(*structure).or_default().push((ix, Some(atom))),
-                None => {
-                    responses[ix] = Some(error(
-                        ErrorKind::Query,
-                        format!("unknown base tuple `{tuple}`"),
-                    ));
-                }
-            },
-            Request::Stats => {
-                let s = inner.stats();
-                responses[ix] = Some(Response::Stats {
-                    seq,
-                    tuples: state.tuples().len() as u64,
-                    nodes: engine.arena().len() as u64,
-                    cached: engine.cached_entries() as u64,
-                    batches: s.batches,
-                    coalesced: s.coalesced,
-                });
+        },
+        Request::DeleteBaseEval { tuple, structure } => match state.base_atom(tuple) {
+            Some(atom) => (*structure, Some(atom)),
+            None => {
+                return error(ErrorKind::Query, format!("unknown base tuple `{tuple}`"));
             }
-            // Routing sent a write here; answer honestly instead of
-            // panicking a worker.
-            other => {
-                responses[ix] = Some(error(
-                    ErrorKind::Query,
-                    format!("request routed to reader is not a read: {other}"),
-                ));
-            }
-        }
-    }
-    for (id, members) in groups {
-        let cached = inner.rows(engine, state, seq, id, members.len());
-        for (ix, zeroed) in members {
-            let rows = match &cached {
-                Some(cached) => cached.rows(engine, zeroed),
-                None => eval_rows(engine, state, id, zeroed, 1),
+        },
+        Request::Stats => {
+            let s = inner.stats();
+            return Response::Stats {
+                seq,
+                tuples: state.tuples().len() as u64,
+                nodes: engine.arena().len() as u64,
+                cached: engine.cached_entries() as u64,
+                batches: s.batches,
+                coalesced: s.coalesced,
             };
-            responses[ix] = Some(Response::Rows { seq, rows });
         }
-    }
-    drop(db);
-    for (job, resp) in jobs.into_iter().zip(responses) {
-        let resp = resp.expect("every read job answered");
-        let _ = job.reply.send(resp);
-    }
+        // Routing sent a write here; answer honestly instead of panicking.
+        other => {
+            return error(
+                ErrorKind::Query,
+                format!("request routed to the read path is not a read: {other}"),
+            );
+        }
+    };
+    let rows = match inner.rows(engine, state, seq, id) {
+        Some(cached) => cached.rows(engine, zeroed),
+        None => eval_rows(engine, state, id, zeroed, 1),
+    };
+    Response::Rows { seq, rows }
 }
 
 // ---------------------------------------------------------------------------
 // Write path: one write-lock acquisition; consecutive same-kind runs
 // collapse into the engine's batch entry points.
 
-fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
-    let mut db = inner.db.write().expect("engine lock poisoned");
+fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) -> Vec<Response> {
+    let Ok(mut db) = inner.db.write() else {
+        return jobs.iter().map(|_| poisoned()).collect();
+    };
     {
         let mut budgets = inner.budgets.lock().expect("budgets poisoned");
         if budgets.stale {
@@ -673,17 +643,17 @@ fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) {
             other => {
                 responses[i] = Some(error(
                     ErrorKind::Query,
-                    format!("request routed to writer is not a write: {other}"),
+                    format!("request routed to the write path is not a write: {other}"),
                 ));
             }
         }
         i = run_end;
     }
     drop(db);
-    for (job, resp) in jobs.into_iter().zip(responses) {
-        let resp = resp.expect("every write job answered");
-        let _ = job.reply.send(resp);
-    }
+    responses
+        .into_iter()
+        .map(|resp| resp.expect("every write job answered"))
+        .collect()
 }
 
 /// End of the maximal run of batchable same-kind requests starting at `i`.

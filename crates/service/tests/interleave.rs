@@ -1,10 +1,10 @@
-//! Deterministic interleaving tests for the coalescer, backpressure and
+//! Deterministic interleaving tests for group commit, backpressure and
 //! the shutdown path.
 //!
 //! The service's pause gate ([`ServiceConfig::paused`]) makes batching
-//! reproducible: clients enqueue against parked workers, so when
-//! [`Service::resume`] opens the gate the drained batch is exactly the
-//! enqueued set. On top of that:
+//! reproducible: clients queue their writes while the leader is parked at
+//! the gate, so when [`Service::resume`] opens it the leader's batch is
+//! exactly the queued set. On top of that:
 //!
 //! - seeded request scripts pin **coalesced answers bit-identical to
 //!   one-at-a-time answers** (same requests, `coalesce_max = 1`,
@@ -15,17 +15,22 @@
 //! - concrete reads served from the per-`seq` baseline cache answer
 //!   what a replica's full evaluation says, across appends, failed
 //!   appends and concurrent cache misses,
-//! - a full bounded queue answers typed `overloaded` immediately,
-//! - shutdown **drains** — everything enqueued before the stop sentinel
-//!   is answered, nothing is dropped — and late requests get typed
-//!   `shutting_down`.
+//! - a write is served on its caller's thread, with no hand-off,
+//! - appenders racing an unpaused service commit dense seqs, at most one
+//!   fsync per batch, in a state equal to a sequential replay,
+//! - a service at its admission bound answers typed `overloaded`
+//!   immediately, for reads and writes alike,
+//! - shutdown **drains** — everything admitted before it is answered,
+//!   nothing is dropped — and late requests get typed `shutting_down`.
 
 mod common;
 #[path = "../../storage/tests/common/mod.rs"]
 mod flaky;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use benchkit::TestRng;
@@ -79,9 +84,9 @@ fn query_script(w: &Workload, rng: &mut TestRng, len: usize) -> Vec<Request> {
         .collect()
 }
 
-/// Fires `requests` concurrently at a paused service (all enqueued before
-/// the gate opens, so workers drain them as coalesced batches), returning
-/// the responses in request order.
+/// Fires `requests` concurrently at a paused service (all parked at the
+/// gate before it opens, so the writes among them coalesce into batches),
+/// returning the responses in request order.
 fn run_coalesced<S>(service: &Service<S>, requests: &[Request]) -> Vec<Response>
 where
     S: Storage + Send + Sync + 'static,
@@ -101,8 +106,8 @@ where
             })
             .collect();
         barrier.wait();
-        // Let every thread get through its (non-blocking) enqueue before
-        // opening the gate, so the batch composition is the full script.
+        // Let every thread reach the gate before opening it, so the
+        // batch composition is the full script.
         std::thread::sleep(Duration::from_millis(300));
         service.resume();
         handles
@@ -140,7 +145,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
         // Service A: coalescing on, queries fired concurrently at a
         // paused service.
         let service_a = start(ServiceConfig {
-            readers: 2,
             coalesce_max: 16,
             queue_depth: 64,
             paused: false, // pause only after the append below
@@ -156,7 +160,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
             Service::start(
                 db,
                 ServiceConfig {
-                    readers: 2,
                     coalesce_max: 16,
                     queue_depth: 64,
                     paused: true,
@@ -172,7 +175,6 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
 
         // Service B: no coalescing possible, sequential issue.
         let service_b = start(ServiceConfig {
-            readers: 1,
             coalesce_max: 1,
             queue_depth: 64,
             paused: false,
@@ -210,8 +212,8 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
     }
 }
 
-/// A burst of appends enqueued against a paused service group-commits as
-/// one writer batch (one fsync barrier), and the resulting state is
+/// A burst of appends queued against a paused service group-commits as
+/// one write batch (one fsync barrier), and the resulting state is
 /// exactly the sequential application in response-seq order. The logs
 /// use disjoint name spaces so the burst's (nondeterministic) arrival
 /// order cannot change validity — what's pinned here is the commit
@@ -227,7 +229,6 @@ fn append_burst_group_commits_and_matches_sequential_order() {
         })
         .collect();
     let service = start(ServiceConfig {
-        readers: 1,
         coalesce_max: 32,
         queue_depth: 64,
         paused: true,
@@ -257,7 +258,7 @@ fn append_burst_group_commits_and_matches_sequential_order() {
         "seqs must be a dense permutation"
     );
 
-    // One writer batch: the whole burst rode one coalesced batch, and
+    // One write batch: the whole burst rode one coalesced batch, and
     // the sync count shows a single group-commit barrier.
     let (stats, db) = service.shutdown_into();
     assert!(
@@ -272,10 +273,18 @@ fn append_burst_group_commits_and_matches_sequential_order() {
         "a coalesced append burst commits behind one fsync barrier"
     );
 
-    // State equals sequential application in seq order: same tuple set,
-    // same rendered provenance per tuple.
+    let by_seq: Vec<(u64, &str)> = seqs
+        .iter()
+        .copied()
+        .zip(logs.iter().map(String::as_str))
+        .collect();
+    assert_is_replay_in_seq_order(&db, by_seq);
+}
+
+/// State equals sequential application of `by_seq`'s logs in seq order:
+/// same tuple set, same rendered provenance per tuple.
+fn assert_is_replay_in_seq_order<S: Storage>(db: &DurableEngine<S>, mut by_seq: Vec<(u64, &str)>) {
     let mut engine = uprov_engine::Engine::new();
-    let mut by_seq: Vec<(u64, &String)> = seqs.iter().copied().zip(logs.iter()).collect();
     by_seq.sort_unstable_by_key(|(s, _)| *s);
     let mut oracle_state = engine
         .replay(&by_seq[0].1.parse().expect("valid log"))
@@ -322,7 +331,6 @@ fn storage_failure_in_a_group_commit_fails_the_whole_batch_and_nothing_else() {
     let fail = storage.trigger();
     let (db, _) = DurableEngine::open(storage).expect("open flaky engine");
     let config = ServiceConfig {
-        readers: 1,
         coalesce_max: 32,
         queue_depth: 64,
         paused: false,
@@ -342,7 +350,7 @@ fn storage_failure_in_a_group_commit_fails_the_whole_batch_and_nothing_else() {
     let (_, db) = service.shutdown_into();
 
     // Restart paused over the same storage, so the three appends below
-    // ride one writer batch — and that batch's WAL write fails.
+    // ride one write batch — and that batch's WAL write fails.
     let service = Service::start(
         db.expect("sole owner after shutdown"),
         ServiceConfig {
@@ -482,13 +490,12 @@ fn what_if_reads_follow_the_append_seq_and_survive_a_failed_append() {
     service.shutdown();
 }
 
-/// Two readers that both find no cached baseline build one each and
+/// Two reads that both find no cached baseline build one each and
 /// answer identically — to each other and to the full evaluation.
 #[test]
 fn readers_that_both_miss_the_cache_answer_identically() {
     let log = "base a b c\nbegin t0\nmodify a <- b\ninsert d\ncommit\nbegin t1\ndelete c\ncommit\n";
     let config = ServiceConfig {
-        readers: 2,
         coalesce_max: 1,
         queue_depth: 64,
         paused: false,
@@ -503,7 +510,7 @@ fn readers_that_both_miss_the_cache_answer_identically() {
     let mut db = service.shutdown_into().1.expect("sole owner");
     for req in what_if_requests("t0", "b") {
         // A fresh service per pair: an empty cache, and both copies of
-        // the request waiting at the gate for the two readers.
+        // the request waiting at the gate.
         let service = Service::start(
             db,
             ServiceConfig {
@@ -519,12 +526,12 @@ fn readers_that_both_miss_the_cache_answer_identically() {
     }
 }
 
-/// A full bounded queue rejects immediately with a typed `overloaded`
-/// error — no blocking, no panic — and the queued requests still answer.
+/// A service at its admission bound rejects immediately with a typed
+/// `overloaded` error — no blocking, no panic — and the admitted requests
+/// still answer.
 #[test]
 fn full_queue_answers_typed_overloaded() {
     let service = start(ServiceConfig {
-        readers: 1,
         coalesce_max: 4,
         queue_depth: 2,
         paused: true,
@@ -543,7 +550,7 @@ fn full_queue_answers_typed_overloaded() {
             .collect();
         barrier.wait();
         std::thread::sleep(Duration::from_millis(300));
-        // Queue (depth 2) is now full of the fillers; the next request
+        // The fillers now hold both admissions (depth 2); the next request
         // must bounce synchronously even though the service is paused.
         let bounced = service.client().request(Request::Stats);
         match bounced {
@@ -562,13 +569,12 @@ fn full_queue_answers_typed_overloaded() {
     service.shutdown();
 }
 
-/// Shutdown drains: every request enqueued before shutdown is answered
+/// Shutdown drains: every request admitted before shutdown is answered
 /// with a real response; requests arriving after it get a typed
 /// `shutting_down` error; nothing hangs and nothing is dropped.
 #[test]
 fn shutdown_drains_enqueued_requests_and_rejects_late_ones() {
     let service = start(ServiceConfig {
-        readers: 2,
         coalesce_max: 8,
         queue_depth: 64,
         paused: true,
@@ -601,9 +607,9 @@ fn shutdown_drains_enqueued_requests_and_rejects_late_ones() {
             });
         }
         barrier.wait();
-        // All n requests enqueue against the closed gate...
+        // All n requests park at the closed gate...
         std::thread::sleep(Duration::from_millis(500));
-        // ...then shutdown must serve every one of them before joining.
+        // ...then shutdown must see every one of them answered.
         let service = service;
         service.shutdown();
     });
@@ -664,4 +670,291 @@ fn budgets_of_many_departed_clients_leave_no_cap() {
     drop(writer);
     let db = service.shutdown_into().1.expect("sole owner");
     assert_eq!(db.engine().cache_budget(), None);
+}
+
+/// A [`MemStorage`] that records the thread each `sync` ran on.
+#[derive(Default)]
+struct SyncThreads {
+    inner: MemStorage,
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Storage for SyncThreads {
+    fn read(&self, blob: &str) -> io::Result<Option<Vec<u8>>> {
+        self.inner.read(blob)
+    }
+    fn write_atomic(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_atomic(blob, bytes)
+    }
+    fn append(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(blob, bytes)
+    }
+    fn sync(&mut self, blob: &str) -> io::Result<()> {
+        self.threads
+            .lock()
+            .expect("recorder poisoned")
+            .push(std::thread::current().id());
+        self.inner.sync(blob)
+    }
+    fn truncate(&mut self, blob: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(blob, len)
+    }
+    fn len(&self, blob: &str) -> io::Result<Option<u64>> {
+        self.inner.len(blob)
+    }
+}
+
+/// A [`MemStorage`] whose `sync` panics once armed: an engine bug in the
+/// middle of a group commit.
+#[derive(Default)]
+struct PanickingSync {
+    inner: MemStorage,
+    armed: Arc<AtomicBool>,
+}
+
+impl Storage for PanickingSync {
+    fn read(&self, blob: &str) -> io::Result<Option<Vec<u8>>> {
+        self.inner.read(blob)
+    }
+    fn write_atomic(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_atomic(blob, bytes)
+    }
+    fn append(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(blob, bytes)
+    }
+    fn sync(&mut self, blob: &str) -> io::Result<()> {
+        assert!(!self.armed.load(Ordering::SeqCst), "injected panic in sync");
+        self.inner.sync(blob)
+    }
+    fn truncate(&mut self, blob: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(blob, len)
+    }
+    fn len(&self, blob: &str) -> io::Result<Option<u64>> {
+        self.inner.len(blob)
+    }
+}
+
+/// A leader that panics mid-batch does not strand its followers: the
+/// leader's own caller unwinds, the other writes of the batch answer a
+/// typed `shutting_down`, and so do later reads and writes — nobody
+/// hangs, and nobody else panics.
+#[test]
+fn a_leader_that_panics_leaves_no_follower_waiting() {
+    let storage = PanickingSync::default();
+    let armed = Arc::clone(&storage.armed);
+    let (db, _) = DurableEngine::open(storage).expect("open engine");
+    let service = Service::start(
+        db,
+        ServiceConfig {
+            paused: true,
+            ..ServiceConfig::default()
+        },
+    );
+    armed.store(true, Ordering::SeqCst);
+    let outcomes: Vec<std::thread::Result<Response>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|i| {
+                let client = service.client();
+                scope.spawn(move || {
+                    client.request(Request::Append {
+                        log: format!("begin p{i}\ninsert x{i}\ncommit\n"),
+                    })
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(300));
+        service.resume();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let panicked = outcomes.iter().filter(|o| o.is_err()).count();
+    assert_eq!(panicked, 1, "exactly the leader's caller unwinds");
+    for resp in outcomes.into_iter().flatten() {
+        match resp {
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
+            other => panic!("a follower of the panicked batch answered {other}"),
+        }
+    }
+    let client = service.client();
+    for req in [
+        Request::Stats,
+        Request::Append {
+            log: "begin late\ninsert z\ncommit\n".to_owned(),
+        },
+    ] {
+        match client.request(req) {
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
+            other => panic!("a request after the panic answered {other}"),
+        }
+    }
+    drop(client);
+    service.shutdown();
+}
+
+/// A write has no hand-off: a client thread's append is made durable on
+/// that same thread.
+#[test]
+fn an_append_syncs_on_its_callers_thread() {
+    let storage = SyncThreads::default();
+    let threads = Arc::clone(&storage.threads);
+    let (db, _) = DurableEngine::open(storage).expect("open recording engine");
+    let service = Service::start(db, ServiceConfig::default());
+    let client = service.client();
+    let caller = std::thread::spawn(move || {
+        threads.lock().expect("recorder poisoned").clear();
+        let resp = client.request(Request::Append {
+            log: "base x\nbegin t\ninsert y\ncommit\n".to_owned(),
+        });
+        assert!(matches!(resp, Response::Appended { seq: 1, .. }), "{resp}");
+        let synced_on = threads.lock().expect("recorder poisoned").clone();
+        (std::thread::current().id(), synced_on)
+    });
+    let (caller, synced_on) = caller.join().expect("caller thread");
+    assert_eq!(synced_on, [caller], "the append must sync on its caller");
+    service.shutdown();
+}
+
+/// Appends against a paused service at `queue_depth: 2`: two wait at the
+/// gate and a third bounces `overloaded`; after `resume` the two commit
+/// as one batch behind one fsync.
+#[test]
+fn appends_at_the_admission_bound_bounce_and_the_admitted_commit_together() {
+    let service = start(ServiceConfig {
+        queue_depth: 2,
+        coalesce_max: 16,
+        paused: true,
+    });
+    let append = |i: usize| Request::Append {
+        log: format!("begin w{i}\ninsert x{i}\ncommit\n"),
+    };
+    std::thread::scope(|scope| {
+        let waiting: Vec<_> = (0..2)
+            .map(|i| {
+                let client = service.client();
+                let req = append(i);
+                scope.spawn(move || client.request(req))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(300));
+        match service.client().request(append(2)) {
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Overloaded),
+            other => panic!("expected overloaded, got {other}"),
+        }
+        service.resume();
+        let mut seqs: Vec<u64> = waiting
+            .into_iter()
+            .map(|h| match h.join().expect("no panic") {
+                Response::Appended { seq, applied: 1 } => seq,
+                other => panic!("admitted append answered {other}"),
+            })
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [1, 2]);
+    });
+    let (stats, db) = service.shutdown_into();
+    assert_eq!(stats.coalesced, 2, "both appends rode one batch: {stats:?}");
+    let db = db.expect("sole owner after shutdown");
+    assert_eq!(db.storage().syncs(), 1, "one fsync behind both appends");
+}
+
+/// Appends parked at the closed gate each answer `Appended` on shutdown,
+/// and an append after it answers `shutting_down`.
+#[test]
+fn shutdown_commits_appends_waiting_at_the_gate() {
+    let service = start(ServiceConfig {
+        queue_depth: 64,
+        coalesce_max: 2,
+        paused: true,
+    });
+    let late_client = service.client();
+    let n = 5;
+    std::thread::scope(|scope| {
+        let waiting: Vec<_> = (0..n)
+            .map(|i| {
+                let client = service.client();
+                scope.spawn(move || {
+                    client.request(Request::Append {
+                        log: format!("begin s{i}\ninsert x{i}\ncommit\n"),
+                    })
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(300));
+        let service = service;
+        service.shutdown();
+        let mut seqs: Vec<u64> = waiting
+            .into_iter()
+            .map(|h| match h.join().expect("no panic") {
+                Response::Appended { seq, .. } => seq,
+                other => panic!("append waiting at the gate answered {other}"),
+            })
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=n as u64).collect::<Vec<_>>());
+    });
+    match late_client.request(Request::Append {
+        log: "begin late\ninsert z\ncommit\n".to_owned(),
+    }) {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
+        other => panic!("expected shutting_down, got {other}"),
+    }
+}
+
+/// Leader/follower under contention: `UPROV_SOAK_CLIENTS` appenders
+/// (default 4) race an unpaused service with 25 appends each, on
+/// disjoint names. The acknowledged seqs are exactly 1..=25N, the state
+/// is the sequential replay in seq order, and no batch synced twice:
+/// `syncs ≤ batches`.
+#[test]
+fn contending_appenders_commit_dense_seqs_and_one_sync_per_batch_at_most() {
+    let appenders: usize = std::env::var("UPROV_SOAK_CLIENTS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(4);
+    let per_appender = 25;
+    let service = start(ServiceConfig::default());
+    let acked: Vec<(u64, String)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..appenders)
+            .map(|a| {
+                let client = service.client();
+                scope.spawn(move || {
+                    (0..per_appender)
+                        .map(|j| {
+                            let log = format!(
+                                "begin t{a}_{j}\ninsert x{a}_{j}\nmodify y{a} <- x{a}_{j}\ncommit\n"
+                            );
+                            match client.request(Request::Append { log: log.clone() }) {
+                                Response::Appended { seq, applied: 2 } => (seq, log),
+                                other => panic!("append {a}/{j} answered {other}"),
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("no panic"))
+            .collect()
+    });
+    let mut seqs: Vec<u64> = acked.iter().map(|(seq, _)| *seq).collect();
+    seqs.sort_unstable();
+    assert_eq!(
+        seqs,
+        (1..=(appenders * per_appender) as u64).collect::<Vec<_>>(),
+        "acknowledged seqs must be dense"
+    );
+    let (stats, db) = service.shutdown_into();
+    let db = db.expect("sole owner after shutdown");
+    assert!(
+        db.storage().syncs() <= stats.batches,
+        "{} syncs over {stats:?}",
+        db.storage().syncs()
+    );
+    assert_is_replay_in_seq_order(
+        &db,
+        acked
+            .iter()
+            .map(|(seq, log)| (*seq, log.as_str()))
+            .collect(),
+    );
 }

@@ -10,47 +10,48 @@
 //!   to compute, not a delayed-ACK timeout;
 //! - whatever a peer sends — half a line, too long a line, bytes that are
 //!   not UTF-8 — is answered with a typed error or dropped, never a
-//!   panic, and other sessions do not notice.
+//!   panic, and other sessions do not notice;
+//! - finished session threads are joined as new connections arrive, so a
+//!   reconnect loop does not pile them up until shutdown.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use uprov_service::net::{accept_loop, serve_session, MAX_LINE_BYTES, POLL_INTERVAL};
+use uprov_service::net::{serve_connections, Sessions, MAX_LINE_BYTES, POLL_INTERVAL};
 use uprov_service::proto::{ErrorKind, Response};
 use uprov_service::service::{Service, ServiceConfig};
 use uprov_storage::{DurableEngine, MemStorage};
 
-/// A service behind the accept loop, one `serve_session` thread per
-/// connection — `main.rs` in miniature. The accept thread returns what
-/// `nodelay()` reported for every stream it accepted.
+/// A service behind [`serve_connections`], exactly as `main.rs` runs it.
+/// The accept thread returns what `nodelay()` reported for every stream
+/// it accepted.
 fn listen() -> (Service<MemStorage>, SocketAddr, JoinHandle<Vec<bool>>) {
+    listen_then(|nodelay, sessions| {
+        // A peer that resets its socket is an `Err`; a panic is not.
+        assert_eq!(sessions.panicked, 0, "session thread never panics");
+        nodelay
+    })
+}
+
+/// [`listen`], with the accept thread returning what `finish` makes of
+/// the accepted streams' `nodelay()` and the session report.
+fn listen_then<T: Send + 'static>(
+    finish: fn(Vec<bool>, Sessions) -> T,
+) -> (Service<MemStorage>, SocketAddr, JoinHandle<T>) {
     let (db, _) = DurableEngine::open(MemStorage::new()).expect("open mem engine");
     let service = Service::start(db, ServiceConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("addr");
-    let gate = service.client();
+    let client = service.client();
     let accept_thread = std::thread::spawn(move || {
-        let mut sessions = Vec::new();
         let mut nodelay = Vec::new();
-        accept_loop(
-            &listener,
-            || gate.is_accepting(),
-            |stream| {
-                nodelay.push(stream.nodelay().expect("query TCP_NODELAY"));
-                let client = gate.clone();
-                sessions.push(std::thread::spawn(move || {
-                    serve_session(&stream, &stream, &client)
-                }));
-            },
-        )
+        let sessions = serve_connections(&listener, &client, |stream| {
+            nodelay.push(stream.nodelay().expect("query TCP_NODELAY"));
+        })
         .expect("accept loop");
-        for session in sessions {
-            // A peer that resets its socket is an `Err`; a panic is not.
-            let _ = session.join().expect("session thread never panics");
-        }
-        nodelay
+        finish(nodelay, sessions)
     });
     (service, addr, accept_thread)
 }
@@ -212,4 +213,27 @@ fn hostile_input_is_answered_or_dropped_and_other_sessions_keep_serving() {
     drop((bystander, big, odd));
     service.shutdown();
     accept_thread.join().expect("no session panicked");
+}
+
+/// A client that reconnects in a loop does not grow the session set:
+/// each accept joins the sessions that have finished, so after 200
+/// connect–request–close cycles at most a handful of session threads
+/// were ever held at once (holding every handle until shutdown would
+/// make it 200).
+#[test]
+fn finished_sessions_are_joined_as_new_connections_arrive() {
+    let (service, addr, accept_thread) = listen_then(|_, sessions| sessions);
+    for _ in 0..200 {
+        let mut conn = Conn::open(addr);
+        let reply = conn.call(STATS);
+        assert!(reply.starts_with("{\"ok\":\"stats\""), "got: {reply}");
+    }
+    service.shutdown();
+    let sessions = accept_thread.join().expect("accept thread");
+    assert_eq!(sessions.panicked, 0);
+    assert!(
+        sessions.peak_live <= 4,
+        "{} session threads held at once",
+        sessions.peak_live
+    );
 }

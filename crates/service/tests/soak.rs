@@ -242,13 +242,7 @@ fn soak_many_clients_one_writer_match_single_threaded_oracle() {
     assert!(slices.len() >= 2, "schedule must have a burst to append");
 
     let (db, _) = DurableEngine::open(MemStorage::new()).expect("open");
-    let service = Service::start(
-        db,
-        ServiceConfig {
-            readers: 3,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = Service::start(db, ServiceConfig::default());
 
     // Slice 0 (the base declarations plus any merged head txns) goes in
     // before anyone races: every oracle starts from the same seq-1 state.
