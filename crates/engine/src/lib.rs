@@ -228,9 +228,9 @@ impl std::error::Error for QueryError {}
 
 /// The provenance state of one replayed log: every touched tuple's current
 /// symbolic provenance, the atoms behind base tuples and transactions, and
-/// the incremental-normalization bookkeeping — which tuples are **dirty**
-/// (touched since the last [`Engine::certify`]) and the certified normal
-/// form of each clean one.
+/// the incremental-normalization bookkeeping — the certified normal form
+/// of each tuple that has one. A tuple without one is **dirty** (touched
+/// since the last [`Engine::certify`], or saturated there).
 ///
 /// Produced by [`Engine::replay`] and extended in place by
 /// [`Engine::append`]; all ids live in that engine's arena, so several
@@ -238,17 +238,18 @@ impl std::error::Error for QueryError {}
 /// sub-DAGs maximally.
 ///
 /// Tuples live in one table: each name gets a dense id the first time the
-/// state sees it, and the root, certified normal form and dirty flag are
-/// columns indexed by that id, so an update hashes each name it touches
+/// state sees it, and the root and certified normal form are columns
+/// indexed by that id, so an update hashes each name it touches
 /// once and then works by id. The table also keeps the ids in sorted name
 /// order; every iterator here, and every snapshot, walks that order.
 ///
 /// The maintenance state machine per tuple (see `docs/ARCHITECTURE.md`):
-/// replay/append **touch** a tuple, which marks it dirty and drops its
-/// certified entry; [`Engine::certify`] normalizes the dirty tuples and
-/// moves each certified one back to clean. Queries never change the
-/// bookkeeping — they read through the engine's [`NfCache`], which
-/// self-invalidates because a touched tuple's *root id* changed.
+/// replay/append **touch** a tuple, which drops its certified normal form
+/// and so makes it dirty; [`Engine::certify`] normalizes the dirty tuples
+/// and records a normal form for each, which makes it clean again.
+/// Queries never change the bookkeeping — they read through the engine's
+/// [`NfCache`], which self-invalidates because a touched tuple's *root
+/// id* changed.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayState {
     tuples: TupleTable,
@@ -262,8 +263,8 @@ pub struct ReplayState {
 struct Slot {
     name: Arc<str>,
     root: NodeId,
+    /// The certified normal form; `None` is what "dirty" means.
     nf: Option<NodeId>,
-    dirty: bool,
 }
 
 /// The tuples of a [`ReplayState`], by dense `u32` id.
@@ -271,8 +272,8 @@ struct Slot {
 /// Invariants: `slots` and `index` describe the same ids, each name
 /// allocated once and shared by its slot and `index`; between appends,
 /// `order` holds every id exactly once, sorted by name (byte order);
-/// `dirty` and `certified` count the slots with the flag set and with a
-/// normal form on record.
+/// `certified` counts the slots with a normal form on record, and every
+/// other slot is dirty.
 #[derive(Debug, Clone, Default)]
 struct TupleTable {
     slots: Vec<Slot>,
@@ -280,7 +281,6 @@ struct TupleTable {
     // from client logs, and a fixed hash would let them choose collisions.
     index: HashMap<Arc<str>, u32>,
     order: Vec<u32>,
-    dirty: usize,
     certified: usize,
 }
 
@@ -301,8 +301,8 @@ impl TupleTable {
         self.id(name).map(|id| self.slot(id))
     }
 
-    /// The id of `name`, allocating a fresh one (root `0`, clean, not
-    /// certified) on first sight. A fresh id is not in `order` until
+    /// The id of `name`, allocating a fresh one (root `0`, not certified)
+    /// on first sight. A fresh id is not in `order` until
     /// [`TupleTable::merge_new`] runs.
     fn resolve(&mut self, name: &str) -> u32 {
         match self.id(name) {
@@ -311,7 +311,6 @@ impl TupleTable {
                 name: Arc::from(name),
                 root: ExprArena::ZERO,
                 nf: None,
-                dirty: false,
             }),
         }
     }
@@ -320,36 +319,25 @@ impl TupleTable {
     fn push(&mut self, slot: Slot) -> u32 {
         let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 tuples");
         self.index.insert(Arc::clone(&slot.name), id);
-        self.dirty += usize::from(slot.dirty);
         self.certified += usize::from(slot.nf.is_some());
         self.slots.push(slot);
         id
     }
 
     /// Records a new provenance root for tuple `id`, dropping its
-    /// certified normal form and marking it dirty.
+    /// certified normal form (the tuple is dirty until certified again).
     fn touch(&mut self, id: u32, root: NodeId) {
         let slot = &mut self.slots[id as usize];
         slot.root = root;
         if slot.nf.take().is_some() {
             self.certified -= 1;
         }
-        if !slot.dirty {
-            slot.dirty = true;
-            self.dirty += 1;
-        }
     }
 
-    /// Records `nf` as tuple `id`'s certified normal form and marks it
-    /// clean.
+    /// Records `nf` as tuple `id`'s certified normal form.
     fn certify(&mut self, id: u32, nf: NodeId) {
-        let slot = &mut self.slots[id as usize];
-        if slot.nf.replace(nf).is_none() {
+        if self.slots[id as usize].nf.replace(nf).is_none() {
             self.certified += 1;
-        }
-        if slot.dirty {
-            slot.dirty = false;
-            self.dirty -= 1;
         }
     }
 
@@ -385,7 +373,10 @@ impl TupleTable {
 
     /// Dirty ids in sorted name order.
     fn dirty_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.order.iter().copied().filter(|&id| self.slot(id).dirty)
+        self.order
+            .iter()
+            .copied()
+            .filter(|&id| self.slot(id).nf.is_none())
     }
 }
 
@@ -445,8 +436,9 @@ impl ReplayState {
         self.updates
     }
 
-    /// Tuples touched since the last [`Engine::certify`] (all of them
-    /// right after a [`Engine::replay`]), in sorted order.
+    /// Tuples with no certified normal form — touched since the last
+    /// [`Engine::certify`] (all of them right after a [`Engine::replay`])
+    /// or saturated there — in sorted order.
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -465,12 +457,14 @@ impl ReplayState {
 
     /// Number of dirty tuples (see [`ReplayState::dirty_tuples`]).
     pub fn dirty_count(&self) -> usize {
-        self.tuples.dirty
+        self.tuples.slots.len() - self.tuples.certified
     }
 
-    /// True if `tuple` was touched since the last [`Engine::certify`].
+    /// True if `tuple` is tracked and has no certified normal form: touched
+    /// since the last [`Engine::certify`], or saturated there. Untracked
+    /// names are not dirty.
     pub fn is_dirty(&self, tuple: &str) -> bool {
-        self.tuples.get(tuple).is_some_and(|s| s.dirty)
+        self.tuples.get(tuple).is_some_and(|s| s.nf.is_none())
     }
 
     /// The certified normal form of `tuple`'s current provenance, if the
@@ -505,9 +499,12 @@ impl ReplayState {
     /// takes the tuple order as given. The storage layer's snapshot format
     /// is built on this.
     pub fn to_snapshot(&self) -> StateSnapshot {
-        // One walk of the table; each vector allocated at its exact length.
-        let mut snap = StateSnapshot {
-            tuples: Vec::with_capacity(self.tuples.order.len()),
+        StateSnapshot {
+            tuples: self
+                .tuples
+                .iter()
+                .map(|(name, slot)| (name.to_owned(), slot.root, slot.nf))
+                .collect(),
             base_atoms: self
                 .base_atoms
                 .iter()
@@ -519,19 +516,7 @@ impl ReplayState {
                 .map(|(n, &a)| (n.clone(), a))
                 .collect(),
             updates: self.updates as u64,
-            certified: Vec::with_capacity(self.tuples.certified),
-            dirty: Vec::with_capacity(self.tuples.dirty),
-        };
-        for (name, slot) in self.tuples.iter() {
-            snap.tuples.push((name.to_owned(), slot.root));
-            if let Some(nf) = slot.nf {
-                snap.certified.push((name.to_owned(), nf));
-            }
-            if slot.dirty {
-                snap.dirty.push(name.to_owned());
-            }
         }
-        snap
     }
 
     /// Rebuilds a state from a [`StateSnapshot`] — the inverse of
@@ -541,11 +526,12 @@ impl ReplayState {
     /// result will be used with, exactly as
     /// [`to_snapshot`](ReplayState::to_snapshot) exported it — every
     /// [`NodeId`] live in its arena, every [`Atom`] live in its table with
-    /// the right kind, tuple and dirty names strictly sorted, and every
-    /// certified or dirty name a tracked tuple that is not both. The
-    /// storage layer enforces this with checksums plus range and order
-    /// validation before calling in; a fabricated snapshot yields a state
-    /// whose queries are garbage (or panic on a dangling id).
+    /// the right kind, and tuple names strictly sorted. A row with no
+    /// normal form is a dirty tuple, so every row is exactly one of dirty
+    /// or certified. The storage layer enforces this with checksums plus
+    /// range and order validation before calling in; a fabricated
+    /// snapshot yields a state whose queries are garbage (or panic on a
+    /// dangling id).
     pub fn from_snapshot(snap: StateSnapshot) -> ReplayState {
         let n = snap.tuples.len();
         let mut tuples = TupleTable {
@@ -553,16 +539,12 @@ impl ReplayState {
             index: HashMap::with_capacity(n),
             ..TupleTable::default()
         };
-        // Tuples arrive in sorted order, so ids follow it; the certified
-        // and dirty names are sorted subsets, placed by one merge-walk.
-        let mut certified = snap.certified.into_iter().peekable();
-        let mut dirty = snap.dirty.into_iter().peekable();
-        for (name, root) in snap.tuples {
+        // Tuples arrive in sorted order, so ids follow it.
+        for (name, root, nf) in snap.tuples {
             tuples.push(Slot {
-                nf: certified.next_if(|(c, _)| *c == name).map(|(_, nf)| nf),
-                dirty: dirty.next_if(|d| *d == name).is_some(),
                 name: Arc::from(name),
                 root,
+                nf,
             });
         }
         tuples.order = (0..tuples.slots.len() as u32).collect();
@@ -582,18 +564,15 @@ impl ReplayState {
 /// *what* durable state is, the storage layer defines the bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateSnapshot {
-    /// `(tuple name, provenance root)` for every tracked tuple.
-    pub tuples: Vec<(String, NodeId)>,
+    /// `(tuple name, provenance root, certified normal form)` for every
+    /// tracked tuple; a tuple with no normal form is dirty.
+    pub tuples: Vec<(String, NodeId, Option<NodeId>)>,
     /// `(tuple name, atom)` for every declared base tuple.
     pub base_atoms: Vec<(String, Atom)>,
     /// `(transaction name, annotation atom)` for every replayed txn.
     pub txn_atoms: Vec<(String, Atom)>,
     /// Number of updates replayed into the state.
     pub updates: u64,
-    /// `(tuple name, certified normal form)` for every clean tuple.
-    pub certified: Vec<(String, NodeId)>,
-    /// Names of the dirty tuples.
-    pub dirty: Vec<String>,
 }
 
 /// One whole-database concrete answer: `(tuple name, value)` for every
@@ -955,10 +934,10 @@ impl Engine {
 
     /// Appends a log to an existing state in place — the maintenance
     /// counterpart of [`Engine::replay`]: only the tuples the appended
-    /// transactions touch are invalidated (marked dirty, certified entry
-    /// dropped); everything else keeps its certified normal form, so the
-    /// next NF-backed query re-normalizes O(delta) roots instead of the
-    /// whole database.
+    /// transactions touch are invalidated (certified normal form dropped,
+    /// which makes them dirty); everything else keeps its certified normal
+    /// form, so the next NF-backed query re-normalizes O(delta) roots
+    /// instead of the whole database.
     ///
     /// Re-using a transaction name continues the *same* transaction (same
     /// annotation atom), matching the textual format's semantics. `base`
@@ -1159,10 +1138,11 @@ impl Engine {
 
     /// Normalizes every dirty tuple of `state` (incrementally — certified
     /// sub-DAGs are cut, clean tuples are not revisited at all) in sorted
-    /// name order, records each certified normal form in the state's tuple
-    /// table and marks the tuple clean. Tuples whose normalization saturated stay dirty and
-    /// are reported in [`Certification::saturated`] instead of being
-    /// recorded with a best-effort id.
+    /// name order and records each certified normal form in the state's
+    /// tuple table, which makes the tuple clean. Tuples whose normalization
+    /// saturated get no normal form, so they stay dirty, and are reported
+    /// in [`Certification::saturated`] instead of being recorded with a
+    /// best-effort id.
     ///
     /// Certification is a *maintenance* operation: queries work without it
     /// (they warm the same engine-level cache), but a certify after each

@@ -339,12 +339,12 @@ commit
     assert!(engine.delete_base_symbolic(&state, "y").is_err());
 }
 
-/// What the reference model keeps per tuple.
+/// What the reference model keeps per tuple; a tuple without a normal
+/// form is dirty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ModelTuple {
     root: NodeId,
     nf: Option<NodeId>,
-    dirty: bool,
 }
 
 /// A tuple name for the reference-model test: one of the byte-order edge
@@ -372,20 +372,26 @@ fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple
     assert_eq!(state.tuples().len(), model.len(), "{at}");
     let dirty: Vec<&str> = model
         .iter()
-        .filter(|(_, t)| t.dirty)
+        .filter(|(_, t)| t.nf.is_none())
         .map(|(n, _)| n.as_str())
         .collect();
     assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), dirty, "{at}");
     assert_eq!(state.dirty_count(), dirty.len(), "{at}");
-    let certified: Vec<(String, NodeId)> = model
-        .iter()
-        .filter_map(|(n, t)| Some((n.clone(), t.nf?)))
-        .collect();
-    assert_eq!(state.certified_count(), certified.len(), "{at}");
+    assert_eq!(state.certified_count(), model.len() - dirty.len(), "{at}");
+    assert_eq!(
+        state.certified_count() + state.dirty_count(),
+        state.tuples().len(),
+        "{at}"
+    );
     for (name, t) in model {
-        assert_eq!(state.is_dirty(name), t.dirty, "{at}: {name}");
+        assert_eq!(state.is_dirty(name), t.nf.is_none(), "{at}: {name}");
         assert_eq!(state.certified_nf(name), t.nf, "{at}: {name}");
         assert_eq!(state.provenance(name), t.root, "{at}: {name}");
+        assert_ne!(
+            state.is_dirty(name),
+            state.certified_nf(name).is_some(),
+            "{at}: {name} is exactly one of dirty or certified"
+        );
     }
     for absent in ["", "A", "a00", "zz"] {
         if !model.contains_key(absent) {
@@ -394,18 +400,16 @@ fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple
         }
     }
     let snap = state.to_snapshot();
-    assert_eq!(snap.tuples, tuples_owned(&tuples), "{at}");
-    assert_eq!(snap.certified, certified, "{at}");
-    assert_eq!(snap.dirty, dirty, "{at}");
+    let rows: Vec<(String, NodeId, Option<NodeId>)> = model
+        .iter()
+        .map(|(n, t)| (n.clone(), t.root, t.nf))
+        .collect();
+    assert_eq!(snap.tuples, rows, "{at}");
     assert_eq!(
         ReplayState::from_snapshot(snap.clone()).to_snapshot(),
         snap,
         "{at}: snapshot round trip"
     );
-}
-
-fn tuples_owned(tuples: &[(&str, NodeId)]) -> Vec<(String, NodeId)> {
-    tuples.iter().map(|&(n, id)| (n.to_owned(), id)).collect()
 }
 
 #[test]
@@ -461,23 +465,17 @@ fn tuple_bookkeeping_matches_a_sorted_map_model() {
             let whole = engine.replay(&whole).expect("replays");
             for name in touched {
                 let root = whole.provenance(&name);
-                let fresh = ModelTuple {
-                    root,
-                    nf: None,
-                    dirty: true,
-                };
-                model.insert(name, fresh);
+                model.insert(name, ModelTuple { root, nf: None });
             }
             assert_matches_model(&state, &model, &at);
 
             if rng.below(3) == 0 {
                 let cert = engine.certify(&mut state);
                 assert!(cert.saturated.is_empty(), "{at}");
-                let was_dirty = model.values().filter(|t| t.dirty).count();
+                let was_dirty = model.values().filter(|t| t.nf.is_none()).count();
                 assert_eq!(cert.certified, was_dirty, "{at}");
-                for (name, t) in model.iter_mut().filter(|(_, t)| t.dirty) {
+                for (name, t) in model.iter_mut().filter(|(_, t)| t.nf.is_none()) {
                     t.nf = Some(state.certified_nf(name).expect("certified"));
-                    t.dirty = false;
                 }
                 assert_matches_model(&state, &model, &format!("{at} certified"));
             }

@@ -41,7 +41,10 @@ struct Args {
     listen: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: uprov-service [--dir PATH] [--listen ADDR]";
+
+/// The command line, or `Ok(None)` when it asks for [`USAGE`].
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         dir: None,
         listen: None,
@@ -52,18 +55,20 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--dir" => args.dir = Some(value("--dir")?),
             "--listen" => args.listen = Some(value("--listen")?),
-            "--help" | "-h" => {
-                return Err("usage: uprov-service [--dir PATH] [--listen ADDR]".to_owned());
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

@@ -12,10 +12,13 @@
 //!   not UTF-8 — is answered with a typed error or dropped, never a
 //!   panic, and other sessions do not notice;
 //! - finished session threads are joined as new connections arrive, so a
-//!   reconnect loop does not pile them up until shutdown.
+//!   reconnect loop does not pile them up until shutdown;
+//! - the binary's `--help` prints its usage to stdout and succeeds, and an
+//!   unknown flag fails.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::{Command, Output, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -236,4 +239,25 @@ fn finished_sessions_are_joined_as_new_connections_arrive() {
         "{} session threads held at once",
         sessions.peak_live
     );
+}
+
+#[test]
+fn help_succeeds_on_stdout_and_an_unknown_flag_fails() {
+    let run = |flag: &str| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_uprov-service"))
+            .arg(flag)
+            .stdin(Stdio::null())
+            .output()
+            .expect("the binary starts")
+    };
+    let help = run("--help");
+    assert!(help.status.success(), "{help:?}");
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert!(stdout.starts_with("usage: uprov-service"), "{stdout}");
+    assert!(help.stderr.is_empty(), "{help:?}");
+    let bogus = run("--bogus");
+    assert!(!bogus.status.success(), "{bogus:?}");
+    assert!(bogus.stdout.is_empty(), "{bogus:?}");
+    let stderr = String::from_utf8_lossy(&bogus.stderr);
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
 }

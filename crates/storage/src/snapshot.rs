@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! "UPSNAP01"            8-byte magic
-//! version: u32 LE       currently 3 (varint payload)
+//! version: u32 LE       currently 4 (varint payload, one row per tuple)
 //! payload_len: u64 LE
 //! payload_crc: u32 LE   CRC-32 of the payload bytes
 //! payload:              every integer a minimal LEB128 varint
@@ -22,8 +22,9 @@
 //!            (≥ 1): most children sit a few nodes below their parent, so
 //!            most take one byte. A counted block is a handful of pairs
 //!            on disk however many applications it stands for.
-//!   state:   updates, tuples, base/txn atoms, certified NFs, dirty set
-//!            (base/txn names as atom-table indices, ids as arena indices)
+//!   state:   updates, then one row per tuple: name, root, NF column
+//!            (0 = dirty, else certified NF + 1); then base/txn atoms as
+//!            atom-table indices. Ids are arena indices.
 //!   nf-cache: count, then (root, nf) id pairs, sorted
 //! ```
 //!
@@ -58,14 +59,15 @@ use crate::crc::crc32;
 /// The snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"UPSNAP01";
 
-/// The current snapshot format version: varint integers and children as
-/// back-distances (see the module docs). Older versions are **rejected**,
+/// The current snapshot format version: varint integers, children as
+/// back-distances, and each tuple written once as one row (see the module
+/// docs). Older versions are **rejected**,
 /// not migrated, so there is one decoder. Version 1 could not be migrated
 /// anyway: its certified-NF sections record expanded-spine images that
 /// are not normal under the counted rule system, and re-seeding them
 /// would poison every later incremental normalization (the
 /// [`uprov_core::NfCache`] contract).
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,8 +186,10 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     let mut live = vec![false; arena.len()];
     live[0] = true; // Zero is structural: always id 0, always kept.
     let mut stack: Vec<NodeId> = Vec::new();
-    stack.extend(snap.tuples.iter().map(|(_, id)| *id));
-    stack.extend(snap.certified.iter().map(|(_, id)| *id));
+    for (_, root, nf) in &snap.tuples {
+        stack.push(*root);
+        stack.extend(*nf);
+    }
     for (root, nf) in engine.nf_cache().iter_certified() {
         stack.push(root);
         stack.push(nf);
@@ -293,32 +297,25 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
 }
 
 /// Writes the replay-state section of a snapshot, every id through
-/// `remap` (arena id to snapshot id). Base-tuple and transaction names
-/// are interned atoms, so those two sections store atom indices instead
-/// of spelling each name out a second time. Tuple/certified/dirty names
-/// are NOT generally atoms (a tuple inserted mid-transaction is annotated
-/// with the txn's atom; its own name lives only in the replay state), so
-/// those sections keep inline strings.
+/// `remap` (arena id to snapshot id). Each tuple is one row: its name
+/// inline (a tuple inserted mid-transaction is annotated with the txn's
+/// atom, so its own name lives only in the replay state), its root, and
+/// its NF column, `0` for a dirty tuple and `nf + 1` for a certified one.
+/// Base-tuple and transaction names are interned atoms, so those two
+/// sections store atom indices instead of spelling each name out again.
 fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u32) {
     put_var64(p, snap.updates);
-    let put_name_ids = |p: &mut Vec<u8>, pairs: &[(String, NodeId)]| {
-        put_var(p, pairs.len() as u32);
-        for (name, id) in pairs {
-            put_var_str(p, name);
-            put_var(p, remap(*id));
-        }
-    };
-    put_name_ids(p, &snap.tuples);
+    put_var(p, snap.tuples.len() as u32);
+    for (name, root, nf) in &snap.tuples {
+        put_var_str(p, name);
+        put_var(p, remap(*root));
+        put_var(p, nf.map_or(0, |nf| remap(nf) + 1));
+    }
     for named in [&snap.base_atoms, &snap.txn_atoms] {
         put_var(p, named.len() as u32);
         for (_, a) in named {
             put_var(p, a.index() as u32);
         }
-    }
-    put_name_ids(p, &snap.certified);
-    put_var(p, snap.dirty.len() as u32);
-    for name in &snap.dirty {
-        put_var_str(p, name);
     }
 }
 
@@ -372,17 +369,23 @@ fn decode_tail(
         updates: r.take_var64("update count")?,
         ..StateSnapshot::default()
     };
-    // Name sections must arrive strictly sorted (byte order): the engine's
-    // tuple table takes the snapshot order as its sorted order, and
-    // certified/dirty names are checked against the tuples by merge-walks.
+    // Tuple names must arrive strictly sorted (byte order): the engine's
+    // tuple table takes the snapshot order as its sorted order.
     let ntuples = r.take_var("tuple count")? as usize;
     for _ in 0..ntuples {
         let name = r.take_var_str("tuple name")?;
-        let id = node_id(r, "tuple root")?;
-        if snap.tuples.last().is_some_and(|(prev, _)| *prev >= name) {
+        let root = node_id(r, "tuple root")?;
+        let nf = match r.take_var("tuple nf")? as usize {
+            0 => None,
+            raw if raw > nnodes => {
+                return Err(SnapshotError::Corrupt("node id out of arena range"))
+            }
+            raw => Some(NodeId::from_index(raw - 1)),
+        };
+        if snap.tuples.last().is_some_and(|(prev, ..)| *prev >= name) {
             return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
         }
-        snap.tuples.push((name, id));
+        snap.tuples.push((name, root, nf));
     }
     let kinded_atoms =
         |r: &mut Reader<'_>, want: AtomKind, what| -> Result<Vec<(String, Atom)>, SnapshotError> {
@@ -395,38 +398,6 @@ fn decode_tail(
         };
     snap.base_atoms = kinded_atoms(r, AtomKind::Tuple, "base atom")?;
     snap.txn_atoms = kinded_atoms(r, AtomKind::Txn, "txn atom")?;
-    let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
-    let ncert = r.take_var("certified count")? as usize;
-    for _ in 0..ncert {
-        let name = r.take_var_str("certified tuple name")?;
-        let id = node_id(r, "certified nf")?;
-        if snap.certified.last().is_some_and(|(prev, _)| *prev >= name) {
-            return Err(SnapshotError::Corrupt(
-                "certified names not strictly sorted",
-            ));
-        }
-        if !tracked.any(|t| t == name) {
-            return Err(SnapshotError::Corrupt("certified tuple is not tracked"));
-        }
-        snap.certified.push((name, id));
-    }
-    let mut tracked = snap.tuples.iter().map(|(n, _)| n.as_str());
-    let mut certified = snap.certified.iter().map(|(n, _)| n.as_str()).peekable();
-    let ndirty = r.take_var("dirty count")? as usize;
-    for _ in 0..ndirty {
-        let name = r.take_var_str("dirty tuple name")?;
-        if snap.dirty.last().is_some_and(|prev| *prev >= name) {
-            return Err(SnapshotError::Corrupt("dirty names not strictly sorted"));
-        }
-        if !tracked.any(|t| t == name) {
-            return Err(SnapshotError::Corrupt("dirty tuple is not tracked"));
-        }
-        while certified.next_if(|c| *c < name.as_str()).is_some() {}
-        if certified.peek() == Some(&name.as_str()) {
-            return Err(SnapshotError::Corrupt("tuple both certified and dirty"));
-        }
-        snap.dirty.push(name);
-    }
     // Engine-level NF cache.
     let nnf = r.take_var("nf cache count")? as usize;
     let mut nf_entries = Vec::with_capacity(nnf.min(1 << 16));
@@ -941,9 +912,12 @@ mod tests {
 
     const STATE_LOG: &str = "base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n";
 
-    /// Moves every certified tuple to the dirty set: a valid state.
+    /// Drops every row's normal form, making every tuple dirty: a valid
+    /// state.
     fn all_dirty(snap: &mut StateSnapshot) {
-        snap.dirty = snap.certified.drain(..).map(|(n, _)| n).collect();
+        for (_, _, nf) in &mut snap.tuples {
+            *nf = None;
+        }
     }
 
     fn corrupt(blob: Vec<u8>) -> SnapshotError {
@@ -959,6 +933,13 @@ mod tests {
             ["a", "b", "c"]
         );
         assert_eq!(rec.state.certified_count(), 0);
+        // A row without its normal form is dirty, and certify reaches it.
+        let rec = decode(&with_state(STATE_LOG, |s| s.tuples[0].2 = None)).expect("valid");
+        let (mut engine, mut state) = (rec.engine, rec.state);
+        assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), ["a"]);
+        assert_eq!(state.certified_count() + state.dirty_count(), 3);
+        assert_eq!(engine.certify(&mut state).certified, 1);
+        assert_eq!(state.dirty_count(), 0);
     }
 
     #[test]
@@ -975,62 +956,49 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_or_duplicate_dirty_names_are_corrupt() {
-        let want = SnapshotError::Corrupt("dirty names not strictly sorted");
-        let unsorted = with_state(STATE_LOG, |s| {
-            all_dirty(s);
-            s.dirty.swap(1, 2);
-        });
-        assert_eq!(corrupt(unsorted), want);
-        let duplicate = with_state(STATE_LOG, |s| {
-            all_dirty(s);
-            s.dirty[1] = "a".into();
-        });
-        assert_eq!(corrupt(duplicate), want);
-        // The certified section is held to the same order.
+    fn nf_column_ids_are_range_checked() {
+        let nnodes = decode(&with_state(STATE_LOG, |_| {}))
+            .expect("valid")
+            .engine
+            .arena()
+            .len();
+        // The column holds `nf + 1`: the last node is in range, one past
+        // it is not.
+        let nf_of_a = |ix| with_state(STATE_LOG, |s| s.tuples[0].2 = Some(NodeId::from_index(ix)));
+        assert!(decode(&nf_of_a(nnodes - 1)).is_ok());
         assert_eq!(
-            corrupt(with_state(STATE_LOG, |s| s.certified.swap(0, 2))),
-            SnapshotError::Corrupt("certified names not strictly sorted")
+            corrupt(nf_of_a(nnodes)),
+            SnapshotError::Corrupt("node id out of arena range")
         );
     }
 
     #[test]
-    fn certified_or_dirty_names_must_be_tracked_tuples() {
-        // Before, between and after the tracked names a, b, c.
-        for stray in ["A", "a0", "d"] {
-            let certified = with_state(STATE_LOG, |s| {
-                let nf = s.certified[0].1;
-                s.certified.push((stray.into(), nf));
-                s.certified.sort();
-            });
-            assert_eq!(
-                corrupt(certified),
-                SnapshotError::Corrupt("certified tuple is not tracked"),
-                "{stray}"
-            );
-            let dirty = with_state(STATE_LOG, |s| {
-                all_dirty(s);
-                s.dirty.push(stray.into());
-                s.dirty.sort();
-            });
-            assert_eq!(
-                corrupt(dirty),
-                SnapshotError::Corrupt("dirty tuple is not tracked"),
-                "{stray}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_tuple_both_certified_and_dirty_is_corrupt() {
-        for both in ["a", "b", "c"] {
-            let blob = with_state(STATE_LOG, |s| s.dirty.push(both.into()));
-            assert_eq!(
-                corrupt(blob),
-                SnapshotError::Corrupt("tuple both certified and dirty"),
-                "{both}"
-            );
-        }
+    fn each_tuple_name_is_written_once() {
+        // Inserted, never declared: the name is no atom, so only the
+        // state section spells it out.
+        const NAME: &str = "inserted_tuple";
+        let log: UpdateLog =
+            format!("base a\nbegin t\ninsert {NAME}\nmodify a <- {NAME}\ncommit\n")
+                .parse()
+                .unwrap();
+        let mut engine = Engine::new();
+        let mut state = engine.replay(&log).unwrap();
+        assert!(engine
+            .atoms()
+            .iter()
+            .all(|a| engine.atoms().name(a) != NAME));
+        let occurrences = |engine: &Engine, state: &ReplayState| {
+            let bytes = encode(engine, state, 0);
+            bytes
+                .windows(NAME.len())
+                .filter(|w| *w == NAME.as_bytes())
+                .count()
+        };
+        assert!(state.is_dirty(NAME));
+        assert_eq!(occurrences(&engine, &state), 1, "dirty");
+        engine.certify(&mut state);
+        assert!(state.certified_nf(NAME).is_some());
+        assert_eq!(occurrences(&engine, &state), 1, "certified");
     }
 
     #[test]
@@ -1042,10 +1010,11 @@ mod tests {
             decode(b"WRONGMAGICxxxxxxxxxxxxxxxx").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // Versions 1 (pre-counted-block) and 2 (fixed-width integers) are
-        // rejected, not migrated: there is one decoder. Future versions
-        // are equally unreadable.
-        for old_or_new in [1, 2, 4] {
+        // Versions 1 (pre-counted-block), 2 (fixed-width integers) and 3
+        // (separate certified and dirty sections) are rejected, not
+        // migrated: there is one decoder. Future versions are equally
+        // unreadable.
+        for old_or_new in [1, 2, 3, 5] {
             let mut other = bytes.clone();
             other[8] = old_or_new;
             assert_eq!(

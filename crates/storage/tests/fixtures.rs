@@ -413,6 +413,28 @@ fn api_pass_caps_pub_fn_count() {
     );
 }
 
+/// Most bytes each long-lived document may hold. A ratchet like
+/// [`PUB_FN_CAP`]: a change edits the text in place, and a cap only ever
+/// comes down.
+const DOC_BYTE_CAPS: &[(&str, usize)] = &[
+    ("README.md", 24_812),
+    ("docs/ARCHITECTURE.md", 50_604),
+    ("docs/PAPER_MAP.md", 12_152),
+    (".claude/skills/verify/SKILL.md", 38_834),
+];
+
+#[test]
+fn docs_stay_under_their_byte_caps() {
+    let over: Vec<String> = DOC_BYTE_CAPS
+        .iter()
+        .filter_map(|&(doc, cap)| {
+            let len = read(doc).len();
+            (len > cap).then(|| format!("{doc}: {len} bytes, cap {cap}"))
+        })
+        .collect();
+    assert!(over.is_empty(), "documents over their byte caps: {over:?}");
+}
+
 /// Only public API counts, and a plain `_in` is fine: the memo is the
 /// context, passed in.
 #[test]

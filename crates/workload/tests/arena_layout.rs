@@ -151,9 +151,11 @@ fn snapshot_frame_is_magic_version_length_crc_payload() {
 }
 
 /// An absolute budget in counts (ROADMAP aim 1): the bytes a checkpoint
-/// stores per update applied. Varint integers and children stored as
-/// back-distances put these workloads at 23.6–23.9 B per update; four-byte
-/// ids and integers cost 51.9–52.5.
+/// stores per update applied. Varint integers, children stored as
+/// back-distances and one row per tuple put these workloads at
+/// 22.9–23.2 B per update (the cap leaves ≈ 25 % headroom); separate
+/// certified and dirty sections cost 23.6–23.9, four-byte ids and
+/// integers 51.9–52.5.
 #[test]
 fn snapshot_stays_within_its_per_update_byte_budget() {
     for seed in 1..=3 {
@@ -162,7 +164,7 @@ fn snapshot_stays_within_its_per_update_byte_budget() {
         let updates = state.update_count();
         assert!(updates > 5_000, "seed {seed}: only {updates} updates");
         assert!(
-            bytes <= 30 * updates,
+            bytes <= 29 * updates,
             "seed {seed}: {bytes} B for {updates} updates ({:.1} B each)",
             bytes as f64 / updates as f64
         );
