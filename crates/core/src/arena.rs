@@ -37,9 +37,9 @@
 //! * children are interned before parents, so the node vector is
 //!   **topologically ordered** and every analysis is a single bottom-up
 //!   sweep over a dense vector — no recursion, no pointer-keyed maps,
-//! * evaluation memoizes into a `Vec<Option<V>>` indexed by `NodeId`
-//!   (see [`crate::structure::eval_arena`] and
-//!   [`crate::structure::eval_many`]).
+//! * evaluation memoizes into a [`DenseMemo`] indexed by `NodeId`
+//!   (see [`crate::structure::eval_roots_in`] and
+//!   [`crate::structure::eval_many_in`]).
 //!
 //! The zero axioms of Section 3.1 are applied at intern time by the smart
 //! constructors ([`ExprArena::plus_i`], [`ExprArena::minus`], …), so `0`
@@ -284,13 +284,13 @@ impl<'a> FromIterator<Node<'a>> for NodeList {
 
 /// A reusable dense side table indexed by [`NodeId`].
 ///
-/// All hot passes over the arena (evaluation, normalization) memoize into a
-/// `Vec<Option<T>>` sized by the arena prefix they touch. For a single pass
-/// that vector is cheap, but *many small queries against one long-lived
-/// arena* reallocate it per call; pooling the buffer in a `DenseMemo` and
-/// passing it to the `*_in` entry points ([`crate::structure::eval_arena_in`],
-/// [`crate::structure::eval_many_in`], [`crate::nf::nf_in`]) amortizes the
-/// allocation.
+/// All hot passes over the arena (evaluation, normalization, substitution)
+/// memoize into a dense table sized by the arena prefix they touch. *Many
+/// small queries against one long-lived arena* would reallocate a fresh
+/// table per call; the `*_in` entry points
+/// ([`crate::structure::eval_roots_in`], [`crate::structure::eval_many_in`],
+/// [`crate::nf::nf_roots_in`], [`ExprArena::substitute_roots_in`]) take the
+/// caller's `DenseMemo` instead, which amortizes the allocation.
 ///
 /// Slots are **generation-stamped**: [`DenseMemo::reset`] bumps a counter
 /// instead of clearing, so (beyond one-time growth) reset is O(1) and a
@@ -383,17 +383,6 @@ impl<T> DenseMemo<T> {
         self.slots[id.index()] = Some(value);
         self.stamps[id.index()] = self.generation;
     }
-
-    /// Removes and returns the memoized value for `id`, if computed this
-    /// generation. Total, like [`get`](DenseMemo::get).
-    #[inline]
-    pub fn take(&mut self, id: NodeId) -> Option<T> {
-        if self.stamps.get(id.index()) == Some(&self.generation) {
-            self.slots[id.index()].take()
-        } else {
-            None
-        }
-    }
 }
 
 /// Size/depth statistics for one root, computed by [`ExprArena::analyze`] in
@@ -430,7 +419,7 @@ pub struct NodeStats {
 /// assert_eq!(ar.len(), 4); // 0, a, p, a +I p — nothing duplicated
 ///
 /// // Zero axioms fire at intern time: no new node is created.
-/// let z = ar.zero();
+/// let z = ExprArena::ZERO;
 /// assert_eq!(ar.plus_i(a, z), a);
 /// assert_eq!(ar.dot_m(a, z), z);
 /// assert_eq!(ar.len(), 4);
@@ -759,12 +748,6 @@ impl ExprArena {
         id
     }
 
-    /// The `0` constant.
-    #[inline]
-    pub fn zero(&self) -> NodeId {
-        Self::ZERO
-    }
-
     /// An atom leaf.
     pub fn atom(&mut self, a: Atom) -> NodeId {
         self.intern(Node::Atom(a))
@@ -958,15 +941,9 @@ impl ExprArena {
         })
     }
 
-    /// Marks the nodes reachable from `root`; `result[i]` is true iff
-    /// `NodeId(i)` (for `i ≤ root`) occurs in the DAG under `root`.
-    /// Iterative DFS with an explicit stack.
-    pub fn reachable(&self, root: NodeId) -> Vec<bool> {
-        self.mark(&[root])
-    }
-
-    /// [`reachable`](Self::reachable) from several roots at once, sized by
-    /// the largest.
+    /// Marks the nodes reachable from any of `roots`: `result[i]` is true
+    /// iff `NodeId(i)` occurs under one of them. Sized by the largest root;
+    /// iterative DFS with an explicit stack.
     fn mark(&self, roots: &[NodeId]) -> Vec<bool> {
         let len = roots.iter().map(|r| r.index() + 1).max().unwrap_or(0);
         let mut marked = vec![false; len];
@@ -979,19 +956,10 @@ impl ExprArena {
         marked
     }
 
-    /// Ids reachable from `root` in ascending (hence topological) order:
-    /// every child precedes its parents. This is the evaluation schedule
-    /// reused by [`crate::structure::eval_many`].
-    pub fn topo_order(&self, root: NodeId) -> Vec<NodeId> {
-        self.reachable(root)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(NodeId(i as u32)))
-            .collect()
-    }
-
     /// Ids reachable from **any** of `roots`, in ascending (hence
-    /// topological) order: the union evaluation schedule behind
+    /// topological) order: every child precedes its parents. This is the
+    /// evaluation schedule [`crate::structure::eval_many_in`] replays per
+    /// valuation (one root) and the union schedule behind
     /// [`crate::structure::EvalBaseline`], computed with one marking pass
     /// instead of one per root. Empty `roots` yields an empty schedule.
     pub fn topo_order_roots(&self, roots: &[NodeId]) -> Vec<NodeId> {
@@ -1005,7 +973,7 @@ impl ExprArena {
     /// Computes [`NodeStats`] for `root` in one bottom-up sweep over the
     /// topologically ordered node vector (plus one reachability marking).
     pub fn analyze(&self, root: NodeId) -> NodeStats {
-        let reachable = self.reachable(root);
+        let reachable = self.mark(&[root]);
         let n = root.index() + 1;
         let mut logical = vec![0u128; n];
         let mut depth = vec![0usize; n];
@@ -1053,25 +1021,11 @@ impl ExprArena {
         }
     }
 
-    /// Logical (tree) size of `root`; see [`NodeStats::logical_size`].
-    pub fn logical_size(&self, root: NodeId) -> u128 {
-        self.analyze(root).logical_size
-    }
-
-    /// Number of distinct nodes reachable from `root`.
-    pub fn dag_size(&self, root: NodeId) -> usize {
-        self.analyze(root).dag_size
-    }
-
-    /// Depth of `root`'s DAG (a leaf has depth 1).
-    pub fn depth(&self, root: NodeId) -> usize {
-        self.analyze(root).depth
-    }
-
     /// One bottom-up rewrite pass over the reachable sub-DAG of `root`: the
-    /// hook behind [`expand_counted`](ExprArena::expand_counted) and
-    /// [`substitute`](ExprArena::substitute), and the reduce-everywhere
-    /// sweep tests confirm normal forms with.
+    /// hook behind [`expand_counted`](ExprArena::expand_counted), and the
+    /// reduce-everywhere sweep tests confirm normal forms with. It shares
+    /// its worklist loop with
+    /// [`substitute_roots_in`](ExprArena::substitute_roots_in).
     ///
     /// Nodes are visited bottom-up (children before parents), discovered by
     /// an explicit-stack DFS over the sub-DAG of `root` — only reachable
@@ -1157,19 +1111,25 @@ impl ExprArena {
         }
     }
 
-    /// Substitutes expressions for atoms under `root`: every leaf whose atom
-    /// is a key of `map` is replaced by the mapped id, and all ancestors are
-    /// rebuilt through the smart constructors — so the zero axioms re-fire
-    /// wherever a substituted `0` collapses an operand (the transaction-abort
-    /// query "substitute `T ↦ 0` and simplify" of Section 4.1).
+    /// Substitutes expressions for atoms under **many roots**: every leaf
+    /// whose atom is a key of `map` is replaced by the mapped id, and all
+    /// ancestors are rebuilt through the smart constructors — so the zero
+    /// axioms re-fire wherever a substituted `0` collapses an operand (the
+    /// transaction-abort query "substitute `T ↦ 0` and simplify" of
+    /// Section 4.1).
     ///
     /// The substitution is applied **once** (images are not themselves
     /// re-substituted), and unmapped structure is preserved with maximal
-    /// sharing: untouched sub-DAGs keep their ids.
+    /// sharing: untouched sub-DAGs keep their ids. The roots share one memo
+    /// generation: sub-DAGs common to several roots are rebuilt once, so
+    /// substituting a transaction abort into every tuple of a replayed log
+    /// costs O(union DAG), not O(Σ per-root DAGs) — the rewrite-side
+    /// analogue of [`eval_roots_in`](crate::structure::eval_roots_in).
+    /// Images are returned in `roots` order.
     ///
     /// ```
     /// use std::collections::HashMap;
-    /// use uprov_core::{AtomTable, ExprArena};
+    /// use uprov_core::{AtomTable, DenseMemo, ExprArena};
     ///
     /// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
     /// let x = t.fresh_tuple();
@@ -1180,24 +1140,9 @@ impl ExprArena {
     /// let e = ar.minus(ins, pa); // (x +I p) − p
     ///
     /// // Abort p: the insertion and the deletion both vanish.
-    /// let aborted = ar.substitute(e, &HashMap::from([(p, ExprArena::ZERO)]));
-    /// assert_eq!(aborted, xa);
+    /// let abort = HashMap::from([(p, ExprArena::ZERO)]);
+    /// assert_eq!(ar.substitute_roots_in(&[e], &abort, &mut DenseMemo::new()), [xa]);
     /// ```
-    ///
-    /// Many substitutions against one long-lived arena (the engine-layer
-    /// abort-query pattern) reuse one memo through
-    /// [`substitute_roots_in`](ExprArena::substitute_roots_in).
-    pub fn substitute(&mut self, root: NodeId, map: &HashMap<Atom, NodeId>) -> NodeId {
-        self.substitute_roots_in(&[root], map, &mut DenseMemo::new())[0]
-    }
-
-    /// Substitutes one atom map into **many roots**, sharing the memo
-    /// generation across them: sub-DAGs common to several roots are rebuilt
-    /// once, so substituting a transaction abort into every tuple of a
-    /// replayed log costs O(union DAG), not O(Σ per-root DAGs) — the
-    /// rewrite-side analogue of
-    /// [`eval_roots_in`](crate::structure::eval_roots_in). Images are
-    /// returned in `roots` order.
     pub fn substitute_roots_in(
         &mut self,
         roots: &[NodeId],
@@ -1393,7 +1338,7 @@ mod tests {
     fn zero_axioms_applied_at_intern_time() {
         let (mut t, mut ar) = setup();
         let a = ar.atom(t.fresh_tuple());
-        let z = ar.zero();
+        let z = ExprArena::ZERO;
         assert_eq!(ar.plus_i(z, a), a);
         assert_eq!(ar.plus_i(a, z), a);
         assert_eq!(ar.minus(z, a), z);
@@ -1412,9 +1357,9 @@ mod tests {
         let b = ar.atom(t.fresh_tuple());
         let p = ar.atom(t.fresh_txn());
         assert_eq!(ar.sum([]), ExprArena::ZERO);
-        assert_eq!(ar.sum([a, ar.zero()]), a, "singleton collapses");
+        assert_eq!(ar.sum([a, ExprArena::ZERO]), a, "singleton collapses");
         let inner = ar.sum([a, b]);
-        let s = ar.sum([inner, p, ar.zero()]);
+        let s = ar.sum([inner, p, ExprArena::ZERO]);
         match ar.node(s) {
             Node::Sum(ts) => assert_eq!(ts.len(), 3, "nested sum flattened, zero dropped"),
             other => panic!("expected sum, got {other:?}"),
@@ -1448,8 +1393,9 @@ mod tests {
             e1 = new_e2;
             e2 = new_e1;
         }
-        assert_eq!(ar.logical_size(e1), u128::MAX, "saturated ⇒ astronomical");
-        assert!(ar.dag_size(e1) < 2000, "but the DAG stays linear");
+        let stats = ar.analyze(e1);
+        assert_eq!(stats.logical_size, u128::MAX, "saturated ⇒ astronomical");
+        assert!(stats.dag_size < 2000, "but the DAG stays linear");
     }
 
     #[test]
@@ -1534,16 +1480,13 @@ mod tests {
         memo.reset(2);
         assert!(memo.get(id).is_none(), "stale generation is invisible");
         assert!(!memo.contains(id));
-        assert_eq!(memo.take(id), None, "stale value cannot be taken");
         assert_eq!(memo.len(), 4, "high-water mark is kept");
         memo.set(id, 9);
-        assert_eq!(memo.take(id), Some(9));
-        assert!(memo.get(id).is_none(), "taken this generation");
+        assert_eq!(memo.get(id), Some(&9));
         // Query methods are total beyond the reserved length.
         let far = NodeId(1_000);
         assert!(memo.get(far).is_none());
         assert!(!memo.contains(far));
-        assert_eq!(memo.take(far), None);
         let fresh: DenseMemo<u32> = DenseMemo::new();
         assert!(fresh.get(far).is_none(), "unreset memo answers None");
     }
@@ -1551,6 +1494,7 @@ mod tests {
     #[test]
     fn substitute_rebuilds_and_refires_zero_axioms() {
         let (mut t, mut ar) = setup();
+        let mut memo = DenseMemo::new();
         let x = t.fresh_tuple();
         let p = t.fresh_txn();
         let q = t.fresh_txn();
@@ -1561,25 +1505,30 @@ mod tests {
         let md = ar.plus_m(xa, dot);
         let e = ar.minus(md, qa); // (x +M (x ·M p)) − q
                                   // Abort p: the ·M p increment collapses to 0 and the +M drops it.
-        let aborted = ar.substitute(e, &HashMap::from([(p, ExprArena::ZERO)]));
+        let aborted =
+            ar.substitute_roots_in(&[e], &HashMap::from([(p, ExprArena::ZERO)]), &mut memo)[0];
         let want = ar.minus(xa, qa);
         assert_eq!(aborted, want);
         // Unmapped roots are untouched (same id, maximal sharing kept).
-        assert_eq!(ar.substitute(e, &HashMap::new()), e);
+        assert_eq!(
+            ar.substitute_roots_in(&[e], &HashMap::new(), &mut memo),
+            [e]
+        );
         // Applied once: a parent that zero-collapses onto a mapped atom's
         // image is NOT re-substituted. (x +M (x ·M p)) with {x↦q, p↦0}:
         // the dot dies, the +M collapses onto x's image q — and q, though
         // an atom, must not be chased further even if it were mapped.
         let s = t.fresh_tuple();
         let sa = ar.atom(s);
-        let chained = ar.substitute(e, &HashMap::from([(x, qa), (q, sa), (p, ExprArena::ZERO)]));
+        let chained = HashMap::from([(x, qa), (q, sa), (p, ExprArena::ZERO)]);
+        let chained = ar.substitute_roots_in(&[e], &chained, &mut memo)[0];
         let want_once = ar.minus(qa, sa);
         assert_eq!(
             chained, want_once,
             "x↦q applied once; q's own mapping must not fire on the image"
         );
         // Substituting a non-zero expression works too, applied once.
-        let swapped = ar.substitute(e, &HashMap::from([(x, qa)]));
+        let swapped = ar.substitute_roots_in(&[e], &HashMap::from([(x, qa)]), &mut memo)[0];
         let qdot = ar.dot_m(qa, pa);
         let qmd = ar.plus_m(qa, qdot);
         let want2 = ar.minus(qmd, qa);
@@ -1601,7 +1550,7 @@ mod tests {
         let batch = ar.substitute_roots_in(&[r1, r2, r1, ExprArena::ZERO], &map, &mut memo);
         let per_root: Vec<NodeId> = [r1, r2, r1, ExprArena::ZERO]
             .iter()
-            .map(|&r| ar.substitute(r, &map))
+            .map(|&r| ar.substitute_roots_in(&[r], &map, &mut DenseMemo::new())[0])
             .collect();
         assert_eq!(batch, per_root);
         assert_eq!(batch[0], xa, "x +M (x ·M 0) collapses to x");
@@ -1763,7 +1712,7 @@ mod tests {
         let p = ar.atom(t.fresh_txn());
         let dot = ar.dot_m(a, p);
         let root = ar.plus_m(a, dot);
-        let order = ar.topo_order(root);
+        let order = ar.topo_order_roots(&[root]);
         assert_eq!(*order.last().expect("non-empty"), root);
         for (pos, id) in order.iter().enumerate() {
             if let Node::Bin(_, x, y) = ar.node(*id) {

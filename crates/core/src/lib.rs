@@ -16,12 +16,17 @@
 //! The twelve equivalence axioms of Figure 3 exist in two executable forms
 //! sharing one table ([`axioms::FIGURE_3`]): as checkable *laws* over a
 //! concrete structure ([`axioms::check_axioms`]) and as *directed rewrite
-//! rules* over the arena ([`rewrite`]). The saturating normalizer [`nf::nf`]
-//! drives the rules to a fixpoint (block-once over the `+I`/`+M` spines, so
-//! long blocks normalize in O(block log block)), and [`nf::equiv`] decides
-//! equivalence of provenance expressions / transaction effects by comparing
-//! normal-form ids. The transaction-log replay engine built on these hooks
-//! (`ExprArena::substitute`, [`structure::eval_roots_in`],
+//! rules* over the arena ([`rewrite`]). The saturating normalizer
+//! [`nf::nf_roots_in`] drives the rules to a fixpoint (block-once over the
+//! `+I`/`+M` spines, so long blocks normalize in O(block log block)), and
+//! [`nf::try_equiv_in`] decides equivalence of provenance expressions /
+//! transaction effects by comparing normal-form ids.
+//!
+//! Each operation has one public entry point. It takes a slice of roots
+//! (one root where the operation is per-root by nature) and a memo the
+//! caller owns, so many queries against one long-lived arena reuse one set
+//! of allocations. The transaction-log replay engine built on these hooks
+//! ([`arena::ExprArena::substitute_roots_in`], [`structure::eval_roots_in`],
 //! [`nf::try_equiv_in`]) lives in the `uprov-engine` crate. See
 //! `docs/PAPER_MAP.md` at the repository root for the full paper↔code
 //! cross-reference.
@@ -47,17 +52,13 @@ pub use axioms::{
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use nf::{
-    equiv, equiv_in, nf, nf_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, NfCache,
-    NfMemo, NfOutcome, MAX_ROUNDS,
+    nf_roots_in, nf_roots_incremental_in, try_equiv_in, NfCache, NfMemo, NfOutcome, MAX_ROUNDS,
 };
-pub use oracle::{
-    check_nf_preserves_eval, check_nf_preserves_eval_in, check_parallel_matches_serial,
-    OracleDivergence,
-};
+pub use oracle::{check_nf_preserves_eval_in, check_parallel_matches_serial, OracleDivergence};
 pub use parallel::{par_eval_many_in, par_eval_roots_in, MemoPool};
 pub use pool::WorkerPool;
 pub use rewrite::{reduce, rewrite_once, rules, RewriteRule};
 pub use structure::{
-    eval_arena, eval_arena_in, eval_many, eval_many_in, eval_roots_in, map_valuation, EvalBaseline,
-    StructureHomomorphism, UpdateStructure, Valuation,
+    eval_many_in, eval_roots_in, map_valuation, EvalBaseline, StructureHomomorphism,
+    UpdateStructure, Valuation,
 };

@@ -1,10 +1,10 @@
 //! Normal forms for `UP[X]` expressions, and equivalence via normal-form
 //! comparison.
 //!
-//! [`nf`] drives the directed Figure 3 rules of [`crate::rewrite`] to a
-//! fixpoint by **memoized innermost normalization**: to normalize a node,
-//! normalize its children, rebuild it over their images through the smart
-//! constructors, and saturate the rule table at its top
+//! [`nf_roots_in`] drives the directed Figure 3 rules of [`crate::rewrite`]
+//! to a fixpoint by **memoized innermost normalization**: to normalize a
+//! node, normalize its children, rebuild it over their images through the
+//! smart constructors, and saturate the rule table at its top
 //! ([`crate::rewrite::reduce`]); if that produced a different node — a
 //! *reduct*, below whose top a rule may have built fresh, reducible nodes —
 //! normalize the reduct too (same memo) and take its image. A node's image
@@ -44,11 +44,11 @@
 //! constructors, normal forms inherit the arena's guarantees: two
 //! expressions equivalent under "Figure 3 + AC of the `+I`/`+M` spines +
 //! `Σ`-as-set" (see [`crate::rewrite`] for the exact theory decided)
-//! normalize to the **same [`NodeId`]**, so [`equiv`] is two
-//! normalizations and one integer comparison. By Propositions 3.5/4.2,
-//! evaluation under any axiom-satisfying Update-Structure is invariant
-//! under these rewrites: `eval(e) == eval(nf(e))` is property-tested for
-//! every catalogue structure.
+//! normalize to the **same [`NodeId`]**, so [`try_equiv_in`] is one
+//! normalization of both sides and one integer comparison. By
+//! Propositions 3.5/4.2, evaluation under any axiom-satisfying
+//! Update-Structure is invariant under these rewrites: `eval(e) ==
+//! eval(nf(e))` is property-tested for every catalogue structure.
 //!
 //! # Incremental re-normalization
 //!
@@ -67,36 +67,46 @@
 //!
 //! The budget ([`MAX_ROUNDS`]: how many reducts in a row one node's
 //! normalization may follow) is a backstop against a (theoretically
-//! excluded) rule cycle. [`nf_in`] reports hitting it
+//! excluded) rule cycle. [`nf_roots_in`] reports hitting it
 //! through [`NfOutcome::saturated`] instead of silently returning a
 //! best-effort id: a saturated result is still *sound* (reachable from the
 //! input by valid rewrites) but may not be fully normal, so comparing two
 //! saturated ids cannot prove **in**equivalence. [`try_equiv_in`] returns
-//! `None` in that case; the infallible [`equiv`]/[`equiv_in`] keep their
-//! `bool` signature (treating "undecided" as `false`, loudly in debug
-//! builds) and the engine layer checks outcomes explicitly.
+//! `None` in that case, and every caller decides what "undecided" means.
 //!
 //! # Example
 //!
+//! The README's worked example: two syntactically different abort effects
+//! collapse to one id.
+//!
 //! ```
-//! use uprov_core::{nf, AtomTable, ExprArena};
+//! use uprov_core::{nf_roots_in, try_equiv_in, AtomTable, ExprArena, NfMemo};
 //!
 //! let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
 //! let a = ar.atom(t.fresh_tuple());
+//! let b = ar.atom(t.fresh_tuple());
 //! let p = ar.atom(t.fresh_txn());
 //!
-//! // Insert-then-delete and modify-then-delete both leave just `a − p`.
-//! let ins = ar.plus_i(a, p); // a +I p
-//! let e1 = ar.minus(ins, p); // (a +I p) − p
-//! let want = ar.minus(a, p);
-//! assert_eq!(nf(&mut ar, e1), want); // axiom 7
+//! // e1 = (a +I p) − p      insert by p, then delete by p        (axiom 7)
+//! // e2 = (a +M (b ·M p)) − p   modify by p, then delete by p    (axiom 2)
+//! let ins = ar.plus_i(a, p);
+//! let e1 = ar.minus(ins, p);
+//! let dot = ar.dot_m(b, p);
+//! let md = ar.plus_m(a, dot);
+//! let e2 = ar.minus(md, p);
+//!
+//! let mut memo = NfMemo::new();
+//! let want = ar.minus(a, p);              // both leave just  a − p
+//! let out = nf_roots_in(&mut ar, &[e1, e2], &mut memo);
+//! assert_eq!([out[0].id, out[1].id], [want, want]);  // identical NodeId
+//! assert_eq!(try_equiv_in(&mut ar, e1, e2, &mut memo), Some(true));
 //! ```
 
 use crate::arena::{is_same_op_block, BinOp, DenseMemo, ExprArena, Node, NodeId};
 use crate::fxhash::FxHashMap;
 use crate::rewrite::reduce;
 
-/// Budget for [`nf`]/[`nf_in`]: how many times in a row the reduct of one
+/// Budget for [`nf_roots_in`]: how many times in a row the reduct of one
 /// node may itself turn out reducible once its children are normalized. In
 /// practice chains of two or three occur; the cap is a loud backstop
 /// against a (theoretically excluded, see the termination argument in
@@ -125,56 +135,12 @@ pub struct NfOutcome {
     pub saturated: bool,
 }
 
-impl NfOutcome {
-    /// True iff `id` is a certified normal form.
-    pub fn is_normal(&self) -> bool {
-        !self.saturated
-    }
-}
-
-/// Normalizes `root` under the directed Figure 3 rule system, returning the
-/// normal form's id.
-///
-/// Saturating and innermost: children before parents, each node once,
-/// dense memo, no recursion — chains 100 000 deep are fine; each maximal
-/// `+I`/`+M` block is canonicalized once at its top node (see the module
-/// docs).
-/// Allocates fresh scratch buffers per call; use [`nf_in`] with a pooled
-/// [`NfMemo`] for many roots against one long-lived arena.
-///
-/// ```
-/// use uprov_core::{nf, AtomTable, ExprArena};
-///
-/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
-/// let a = ar.atom(t.fresh_tuple());
-/// let x = ar.atom(t.fresh_tuple());
-/// let p = ar.atom(t.fresh_txn());
-///
-/// // a +M ((x − p) ·M p) — a modification sourced only from a tuple the
-/// // same transaction deleted — vanishes entirely (axiom 5).
-/// let del = ar.minus(x, p);
-/// let dot = ar.dot_m(del, p);
-/// let e = ar.plus_m(a, dot);
-/// assert_eq!(nf(&mut ar, e), a);
-/// // Normal forms are interned ids: nf is idempotent by construction.
-/// assert_eq!(nf(&mut ar, a), a);
-/// ```
-pub fn nf(arena: &mut ExprArena, root: NodeId) -> NodeId {
-    let mut memo = NfMemo::new();
-    let out = nf_in(arena, root, &mut memo);
-    debug_assert!(
-        !out.saturated,
-        "nf followed more than {MAX_ROUNDS} reducts of one node"
-    );
-    out.id
-}
-
 /// Pooled scratch state for the normalizer: the node ↦ image memo,
 /// reusable across many normalizations against one long-lived arena.
 ///
 /// It resets in O(1) per use (growth aside), so a pooled normalization of a
 /// small root late in a huge arena costs O(its DAG) — the same contract as
-/// [`eval_arena_in`](crate::structure::eval_arena_in).
+/// [`eval_roots_in`](crate::structure::eval_roots_in).
 ///
 /// The memo also carries the **budget** every normalization through it
 /// runs under: [`MAX_ROUNDS`] by default, or whatever
@@ -212,25 +178,40 @@ impl NfMemo {
     }
 }
 
-/// [`nf`] with a caller-provided [`NfMemo`] and an explicit
-/// [`NfOutcome`], so many normalizations against one long-lived arena reuse
-/// a single set of allocations (the engine-layer "many small queries"
-/// pattern) and callers can check [`NfOutcome::saturated`] instead of
-/// trusting the id blindly.
-pub fn nf_in(arena: &mut ExprArena, root: NodeId, memo: &mut NfMemo) -> NfOutcome {
-    nf_roots_in(arena, &[root], memo)
-        .pop()
-        .expect("one root in, one outcome out")
-}
-
-/// Normalizes **many roots** through one memo: sub-DAGs common to several
-/// roots normalize once, so normalizing every tuple of a replayed
-/// transaction log costs O(union DAG) rather than O(Σ per-root DAGs) — the
-/// normalizer-side analogue of
+/// Normalizes **many roots** under the directed Figure 3 rule system
+/// through one caller-provided [`NfMemo`].
+///
+/// Saturating and innermost: children before parents, each node once,
+/// dense memo, no recursion — chains 100 000 deep are fine; each maximal
+/// `+I`/`+M` block is canonicalized once at its top node (see the module
+/// docs). Sub-DAGs common to several roots normalize once, so normalizing
+/// every tuple of a replayed transaction log costs O(union DAG) rather than
+/// O(Σ per-root DAGs) — the normalizer-side analogue of
 /// [`eval_roots_in`](crate::structure::eval_roots_in) and
 /// [`ExprArena::substitute_roots_in`]. Outcomes are returned in `roots`
 /// order; repeated roots are cheap (memo hits). An exhausted budget marks
-/// **every** outcome of the call saturated.
+/// **every** outcome of the call saturated: check
+/// [`NfOutcome::saturated`] instead of trusting the id blindly.
+///
+/// ```
+/// use uprov_core::{nf_roots_in, AtomTable, ExprArena, NfMemo};
+///
+/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+/// let a = ar.atom(t.fresh_tuple());
+/// let x = ar.atom(t.fresh_tuple());
+/// let p = ar.atom(t.fresh_txn());
+///
+/// // a +M ((x − p) ·M p) — a modification sourced only from a tuple the
+/// // same transaction deleted — vanishes entirely (axiom 5).
+/// let del = ar.minus(x, p);
+/// let dot = ar.dot_m(del, p);
+/// let e = ar.plus_m(a, dot);
+/// let mut memo = NfMemo::new();
+/// let out = nf_roots_in(&mut ar, &[e, a], &mut memo);
+/// assert_eq!((out[0].id, out[0].saturated), (a, false));
+/// // Normal forms are interned ids: normalization is idempotent.
+/// assert_eq!(out[1].id, a);
+/// ```
 pub fn nf_roots_in(arena: &mut ExprArena, roots: &[NodeId], memo: &mut NfMemo) -> Vec<NfOutcome> {
     nf_roots_driver(arena, roots, None, memo)
 }
@@ -632,10 +613,18 @@ fn is_canonical(arena: &ExprArena, id: NodeId) -> bool {
 /// Decides equivalence of two provenance expressions (or transaction
 /// effects) by comparing normal forms: sound for the theory "Figure 3 + AC
 /// spines + `Σ`-as-set" described in [`crate::rewrite`], and an integer
-/// comparison once both sides are normalized.
+/// comparison once both sides are normalized (in one [`nf_roots_in`] call
+/// through `memo`).
+///
+/// Three-valued: `Some(true)` / `Some(false)` when normal-form comparison
+/// decides, `None` when it cannot — the normalization exhausted its budget
+/// ([`NfOutcome::saturated`]) and the best-effort ids differ, which proves
+/// nothing (two equivalent expressions can have distinct non-normal
+/// images). Equal ids decide `true` even under saturation: every
+/// intermediate image is rewrite-reachable, hence equivalent to its input.
 ///
 /// ```
-/// use uprov_core::{equiv, AtomTable, ExprArena};
+/// use uprov_core::{try_equiv_in, AtomTable, ExprArena, NfMemo};
 ///
 /// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
 /// let a = ar.atom(t.fresh_tuple());
@@ -649,31 +638,10 @@ fn is_canonical(arena: &ExprArena, id: NodeId) -> bool {
 /// let dot = ar.dot_m(b, p);
 /// let md = ar.plus_m(a, dot);
 /// let e2 = ar.minus(md, p);
-/// assert!(equiv(&mut ar, e1, e2)); // both normalize to a − p
-/// assert!(!equiv(&mut ar, e1, a));
+/// let mut memo = NfMemo::new();
+/// assert_eq!(try_equiv_in(&mut ar, e1, e2, &mut memo), Some(true)); // both are a − p
+/// assert_eq!(try_equiv_in(&mut ar, e1, a, &mut memo), Some(false));
 /// ```
-pub fn equiv(arena: &mut ExprArena, a: NodeId, b: NodeId) -> bool {
-    let mut memo = NfMemo::new();
-    equiv_in(arena, a, b, &mut memo)
-}
-
-/// [`equiv`] with a caller-provided memo buffer (shared by both
-/// normalizations). "Undecided" (a normalization saturated with differing
-/// ids — see [`try_equiv_in`]) is reported as `false`, loudly in debug
-/// builds; callers that must distinguish should use [`try_equiv_in`].
-pub fn equiv_in(arena: &mut ExprArena, a: NodeId, b: NodeId, memo: &mut NfMemo) -> bool {
-    try_equiv_in(arena, a, b, memo).unwrap_or_else(|| {
-        debug_assert!(false, "equiv undecided: normalization saturated");
-        false
-    })
-}
-
-/// Three-valued equivalence: `Some(true)` / `Some(false)` when normal-form
-/// comparison decides, `None` when it cannot — a normalization exhausted its
-/// budget ([`NfOutcome::saturated`]) and the best-effort ids differ,
-/// which proves nothing (two equivalent expressions can have distinct
-/// non-normal images). Equal ids decide `true` even under saturation: every
-/// intermediate image is rewrite-reachable, hence equivalent to its input.
 pub fn try_equiv_in(
     arena: &mut ExprArena,
     a: NodeId,
@@ -683,11 +651,10 @@ pub fn try_equiv_in(
     if a == b {
         return Some(true);
     }
-    let na = nf_in(arena, a, memo);
-    let nb = nf_in(arena, b, memo);
-    if na.id == nb.id {
+    let outs = nf_roots_in(arena, &[a, b], memo);
+    if outs[0].id == outs[1].id {
         Some(true)
-    } else if na.saturated || nb.saturated {
+    } else if outs[0].saturated || outs[1].saturated {
         None
     } else {
         Some(false)
@@ -703,11 +670,18 @@ mod tests {
         (AtomTable::new(), ExprArena::new())
     }
 
+    /// `root`'s certified normal form, through a fresh memo.
+    fn nf(ar: &mut ExprArena, root: NodeId) -> NodeId {
+        let out = nf_roots_in(ar, &[root], &mut NfMemo::new())[0];
+        assert!(!out.saturated, "nf saturated");
+        out.id
+    }
+
     #[test]
     fn nf_of_atom_and_zero_is_identity() {
         let (mut t, mut ar) = setup();
         let a = ar.atom(t.fresh_tuple());
-        let z = ar.zero();
+        let z = ExprArena::ZERO;
         assert_eq!(nf(&mut ar, a), a);
         assert_eq!(nf(&mut ar, z), z);
     }
@@ -732,8 +706,9 @@ mod tests {
         let (mut t, mut ar) = setup();
         let a = ar.atom(t.fresh_tuple());
         let b = ar.atom(t.fresh_tuple());
-        assert!(equiv(&mut ar, a, a));
-        assert!(!equiv(&mut ar, a, b));
+        let mut memo = NfMemo::new();
+        assert_eq!(try_equiv_in(&mut ar, a, a, &mut memo), Some(true));
+        assert_eq!(try_equiv_in(&mut ar, a, b, &mut memo), Some(false));
     }
 
     #[test]
@@ -783,13 +758,13 @@ mod tests {
         let p = ar.atom(t.fresh_txn());
         let ins = ar.plus_i(a, p);
         let e1 = ar.minus(ins, p);
-        let out1 = nf_in(&mut ar, e1, &mut memo);
+        let out1 = nf_roots_in(&mut ar, &[e1], &mut memo)[0];
         let want = ar.minus(a, p);
         assert_eq!(out1.id, want);
-        assert!(out1.is_normal());
+        assert!(!out1.saturated);
         assert!(out1.rounds >= 2, "the root was rewritten");
         let e2 = ar.minus(e1, p); // (…) − p − p → a − p (axiom 4)
-        assert_eq!(nf_in(&mut ar, e2, &mut memo).id, want);
+        assert_eq!(nf_roots_in(&mut ar, &[e2], &mut memo)[0].id, want);
     }
 
     #[test]
@@ -890,7 +865,7 @@ mod tests {
         let top = ar.plus_m(n2, m0);
         let mut memo = NfMemo::new();
         let outs = nf_roots_in(&mut ar, &[top, n2], &mut memo);
-        assert!(outs.iter().all(|o| o.is_normal()));
+        assert!(outs.iter().all(|o| !o.saturated));
         assert_eq!(outs[0].id, nf(&mut ar, top), "batch top == per-root nf");
         assert_eq!(
             outs[1].id,
@@ -926,7 +901,7 @@ mod tests {
         let b = ar.minus(n, q);
         let mut memo = NfMemo::new();
         let outs = nf_roots_in(&mut ar, &[a, b], &mut memo);
-        assert!(outs.iter().all(|o| o.is_normal()));
+        assert!(outs.iter().all(|o| !o.saturated));
         assert_eq!(outs[0].id, nf(&mut ar, a), "batch A == per-root nf");
         assert_eq!(outs[1].id, nf(&mut ar, b), "batch B == per-root nf");
         assert_ne!(outs[1].id, b, "B's buried unsorted spine must normalize");
@@ -940,7 +915,7 @@ mod tests {
         let mut solo = ar.clone();
         let outs = nf_roots_in(ar, roots, &mut NfMemo::new());
         for (&root, out) in roots.iter().zip(&outs) {
-            assert!(out.is_normal());
+            assert!(!out.saturated);
             let want = nf(&mut solo, root);
             assert_eq!(ar.structural_hash(out.id), solo.structural_hash(want));
         }
@@ -1015,7 +990,7 @@ mod tests {
         // Twice through one memo: the budget rides the memo, so reuse
         // must not quietly fall back to the default.
         for _ in 0..2 {
-            let out = nf_in(&mut ar, e, &mut starved);
+            let out = nf_roots_in(&mut ar, &[e], &mut starved)[0];
             assert_eq!(
                 out,
                 NfOutcome {
@@ -1024,10 +999,10 @@ mod tests {
                     saturated: true
                 }
             );
-            assert!(!out.is_normal());
+            assert!(out.saturated);
         }
         // A sufficient budget resolves the same root.
-        assert!(nf_in(&mut ar, e, &mut NfMemo::new()).is_normal());
+        assert!(!nf_roots_in(&mut ar, &[e], &mut NfMemo::new())[0].saturated);
     }
 
     #[test]
@@ -1076,12 +1051,12 @@ mod tests {
         let mut cache = NfCache::new();
         // Certify the clean sibling first.
         let warm = nf_roots_incremental_in(&mut ar, &[n], &mut cache, &mut memo);
-        assert!(warm[0].is_normal());
+        assert!(!warm[0].saturated);
         assert_ne!(warm[0].id, n, "the unsorted spine is not normal");
         let a = ar.plus_m(n, m3);
         let b = ar.minus(n, q);
         let outs = nf_roots_incremental_in(&mut ar, &[a, b], &mut cache, &mut memo);
-        assert!(outs.iter().all(|o| o.is_normal()));
+        assert!(outs.iter().all(|o| !o.saturated));
         assert_eq!(outs[0].id, nf(&mut ar, a), "block-interior cut == scratch");
         assert_eq!(outs[1].id, nf(&mut ar, b), "non-spine cut == scratch");
         // The freshly certified roots now hit directly.
@@ -1128,7 +1103,7 @@ mod tests {
         );
         // A real budget resolves and certifies.
         let out = nf_roots_incremental_in(&mut ar, &[e], &mut cache, &mut memo);
-        assert!(out[0].is_normal());
+        assert!(!out[0].saturated);
         assert!(cache.contains(e));
     }
 

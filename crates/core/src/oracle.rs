@@ -62,8 +62,14 @@ impl std::error::Error for OracleDivergence {}
 ///
 /// Returns the number of `(root, valuation)` comparisons on success.
 ///
+/// The caller provides both memos, so a fuzz loop that runs the oracle per
+/// generated case reuses one normalization memo and one evaluation memo
+/// across cases.
+///
 /// ```
-/// use uprov_core::{check_nf_preserves_eval, AtomTable, ExprArena, Valuation};
+/// use uprov_core::{
+///     check_nf_preserves_eval_in, AtomTable, DenseMemo, ExprArena, NfMemo, Valuation,
+/// };
 /// use uprov_structures::Bool;
 ///
 /// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
@@ -76,23 +82,11 @@ impl std::error::Error for OracleDivergence {}
 ///     Valuation::constant(true),
 ///     Valuation::constant(true).with(p, false),
 /// ];
-/// let checked = check_nf_preserves_eval(&mut ar, &[root], &Bool, &vals).unwrap();
-/// assert_eq!(checked, 2);
+/// let (mut nf_memo, mut memo) = (NfMemo::new(), DenseMemo::new());
+/// let checked =
+///     check_nf_preserves_eval_in(&mut ar, &[root], &Bool, &vals, &mut nf_memo, &mut memo);
+/// assert_eq!(checked, Ok(2));
 /// ```
-pub fn check_nf_preserves_eval<S: UpdateStructure>(
-    arena: &mut ExprArena,
-    roots: &[NodeId],
-    structure: &S,
-    valuations: &[Valuation<S::Value>],
-) -> Result<usize, OracleDivergence> {
-    let mut nf_memo = NfMemo::new();
-    let mut memo = DenseMemo::new();
-    check_nf_preserves_eval_in(arena, roots, structure, valuations, &mut nf_memo, &mut memo)
-}
-
-/// [`check_nf_preserves_eval`] with caller-provided memos — the pooling
-/// variant for fuzz loops that run the oracle per generated case and want
-/// one normalization memo and one evaluation memo reused across cases.
 pub fn check_nf_preserves_eval_in<S: UpdateStructure>(
     arena: &mut ExprArena,
     roots: &[NodeId],
@@ -220,8 +214,16 @@ mod tests {
         let ins = ar.plus_i(aa, pa);
         let root = ar.minus(ins, pa); // axiom 7 rewrites to a − p
         let val = Valuation::constant(0u32).with(a, 1).with(p, 2);
-        let err = check_nf_preserves_eval(&mut ar, &[root], &BadMinus, &[val])
-            .expect_err("monus-style minus must be observable");
+        let (mut nf_memo, mut memo) = (NfMemo::new(), DenseMemo::new());
+        let err = check_nf_preserves_eval_in(
+            &mut ar,
+            &[root],
+            &BadMinus,
+            &[val],
+            &mut nf_memo,
+            &mut memo,
+        )
+        .expect_err("monus-style minus must be observable");
         assert_eq!(err.oracle, "nf-preserves-eval");
         assert_eq!(err.root_ix, 0);
         let msg = err.to_string();

@@ -164,7 +164,9 @@ fn auto_threads(threads: usize) -> usize {
 /// `threads == 1`, which runs serially without spawning).
 ///
 /// ```
-/// use uprov_core::{eval_many, par_eval_many_in, AtomTable, ExprArena, MemoPool, Valuation};
+/// use uprov_core::{
+///     eval_many_in, par_eval_many_in, AtomTable, DenseMemo, ExprArena, MemoPool, Valuation,
+/// };
 /// use uprov_structures::Bool;
 ///
 /// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
@@ -183,7 +185,7 @@ fn auto_threads(threads: usize) -> usize {
 ///     .collect();
 /// let pool = MemoPool::new();
 /// let par = par_eval_many_in(&ar, root, &Bool, &vals, &pool, 4);
-/// assert_eq!(par, eval_many(&ar, root, &Bool, &vals));
+/// assert_eq!(par, eval_many_in(&ar, root, &Bool, &vals, &mut DenseMemo::new()));
 /// ```
 pub fn par_eval_many_in<S: UpdateStructure>(
     arena: &ExprArena,
@@ -200,7 +202,7 @@ pub fn par_eval_many_in<S: UpdateStructure>(
         pool.release(memo);
         return out;
     }
-    let order = arena.topo_order(root);
+    let order = arena.topo_order_roots(&[root]);
     let chunk_size = valuations
         .len()
         .div_ceil(threads * CHUNKS_PER_THREAD)

@@ -11,8 +11,8 @@
 //! `NodeId → NodeId` transformation that re-interns through the smart
 //! constructors, so maximal sharing is preserved and structurally converging
 //! rewrites land on the same id. The saturating normalizer driving these
-//! rules to a fixpoint is [`crate::nf::nf`]; equivalence is then id equality
-//! of normal forms ([`crate::nf::equiv`]).
+//! rules to a fixpoint is [`crate::nf::nf_roots_in`]; equivalence is then id
+//! equality of normal forms ([`crate::nf::try_equiv_in`]).
 //!
 //! # Orientation of the twelve axioms
 //!
@@ -433,7 +433,8 @@ pub static AC_SUM: RewriteRule = RewriteRule {
 
 /// The active directed rules, in application order: structural collapses
 /// first, then increment splits, then AC ordering. [`reduce`] saturates
-/// this table at a node; [`crate::nf::nf`] saturates it over a whole DAG.
+/// this table at a node; [`crate::nf::nf_roots_in`] saturates it over a whole
+/// DAG.
 pub fn rules() -> &'static [&'static RewriteRule] {
     static RULES: [&RewriteRule; 13] = [
         &MINUS_IDEMPOTENT,
@@ -467,8 +468,8 @@ pub fn rewrite_once(arena: &mut ExprArena, id: NodeId) -> Option<(NodeId, &'stat
 
 /// Saturates the rule table at the top of `id`: applies rules until none
 /// matches. Sub-expressions are not visited — that is the normalizer's job
-/// ([`crate::nf::nf`] runs bottom-up passes calling `reduce` per node, and
-/// repeats passes until the whole DAG is stable).
+/// ([`crate::nf::nf_roots_in`] calls `reduce` at each node it visits,
+/// children first, and chases every reduct through the same memo).
 pub fn reduce(arena: &mut ExprArena, id: NodeId) -> NodeId {
     let mut cur = id;
     while let Some((next, _)) = rewrite_once(arena, cur) {
@@ -647,7 +648,8 @@ mod tests {
         // increment (the full critical pair, through `nf`).
         let del = ar.minus(e, c2);
         let want_del = ar.minus(want_head, c2);
-        assert_eq!(crate::nf::nf(&mut ar, del), want_del);
+        let out = crate::nf::nf_roots_in(&mut ar, &[del], &mut crate::nf::NfMemo::new());
+        assert_eq!(out[0].id, want_del);
     }
 
     #[test]

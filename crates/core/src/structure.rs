@@ -8,11 +8,11 @@
 //!
 //! Two evaluators are provided:
 //!
-//! * [`eval_arena`] / [`eval_many`] — evaluation over the hash-consed
-//!   [`ExprArena`]: **iterative** (explicit
-//!   worklist, safe on chains of any depth) with a dense `Vec<Option<V>>`
-//!   memo indexed by [`NodeId`]. [`eval_many`] additionally amortizes the
-//!   evaluation schedule across many valuations.
+//! * [`eval_roots_in`] / [`eval_many_in`] — evaluation over the
+//!   hash-consed [`ExprArena`]: **iterative** (explicit worklist, safe on
+//!   chains of any depth) into a caller's dense [`DenseMemo`] indexed by
+//!   [`NodeId`]. [`eval_many_in`] additionally amortizes the evaluation
+//!   schedule across many valuations.
 //! * [`EvalBaseline`] — many roots evaluated once and kept, so each
 //!   one-atom what-if re-evaluates only the atom's upward cone, stopping
 //!   where values stop changing: the "abort each transaction in turn"
@@ -158,124 +158,6 @@ impl<V: Clone> Valuation<V> {
     }
 }
 
-/// Evaluates an arena node under an Update-Structure and a valuation.
-///
-/// Iterative worklist evaluation: no recursion (a depth-100 000 chain is
-/// fine), and the memo is a dense `Vec<Option<V>>` indexed by [`NodeId`]
-/// rather than a pointer-keyed hash map — each shared node is computed
-/// exactly once, and lookups are array indexing.
-///
-/// The memo is sized by `root`'s id, i.e. by the arena *prefix*, not the
-/// query's DAG. That is the right trade when the arena holds (mostly) the
-/// expression being evaluated, but evaluating many small roots against one
-/// long-lived arena reallocates the buffer per call — pool it with
-/// [`eval_arena_in`], or batch valuations with [`eval_many`].
-///
-/// ```
-/// use uprov_core::{eval_arena, AtomTable, ExprArena, Valuation};
-/// use uprov_structures::Bool;
-///
-/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
-/// let p = t.fresh_txn();
-/// let x = ar.atom(t.fresh_tuple());
-/// let pa = ar.atom(p);
-/// let e = ar.dot_m(x, pa); // x ·M p: x's image under transaction p
-///
-/// assert!(eval_arena(&ar, e, &Bool, &Valuation::constant(true)));
-/// // Aborting the transaction (p := false) removes the tuple.
-/// let aborted = Valuation::constant(true).with(p, false);
-/// assert!(!eval_arena(&ar, e, &Bool, &aborted));
-/// ```
-pub fn eval_arena<S: UpdateStructure>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    val: &Valuation<S::Value>,
-) -> S::Value {
-    // A fresh plain vector, not a DenseMemo: a single-use memo needs no
-    // generation stamps, and the hot loops below monomorphize against the
-    // stamp-free storage.
-    let mut memo: Vec<Option<S::Value>> = vec![None; root.index() + 1];
-    eval_arena_impl(arena, root, s, val, &mut memo)
-}
-
-/// [`eval_arena`] with a caller-provided [`DenseMemo`]: the generation-
-/// stamped memo is reset in O(1) per call (no reallocation, no clearing),
-/// so many small queries against one long-lived arena cost O(their own
-/// DAG) rather than O(arena prefix) each — the ROADMAP engine-layer
-/// pattern; [`eval_many_in`] and the [`crate::nf`](mod@crate::nf)
-/// normalizer use the same pooling.
-pub fn eval_arena_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    val: &Valuation<S::Value>,
-    memo: &mut DenseMemo<S::Value>,
-) -> S::Value {
-    memo.reset(root.index() + 1);
-    eval_arena_impl(arena, root, s, val, memo)
-}
-
-/// Memo storage the arena evaluators are generic over: a plain
-/// `Vec<Option<V>>` (single use, zero per-access bookkeeping) or the
-/// pooled, generation-stamped [`DenseMemo`]. Callers prepare the storage
-/// (sized/reset for `root`) before the shared worklist loop runs.
-pub(crate) trait EvalMemo<T> {
-    fn get(&self, id: NodeId) -> Option<&T>;
-    fn contains(&self, id: NodeId) -> bool;
-    fn set(&mut self, id: NodeId, value: T);
-    fn take(&mut self, id: NodeId) -> Option<T>;
-}
-
-impl<T> EvalMemo<T> for Vec<Option<T>> {
-    #[inline]
-    fn get(&self, id: NodeId) -> Option<&T> {
-        self[id.index()].as_ref()
-    }
-    #[inline]
-    fn contains(&self, id: NodeId) -> bool {
-        self[id.index()].is_some()
-    }
-    #[inline]
-    fn set(&mut self, id: NodeId, value: T) {
-        self[id.index()] = Some(value);
-    }
-    #[inline]
-    fn take(&mut self, id: NodeId) -> Option<T> {
-        self[id.index()].take()
-    }
-}
-
-impl<T> EvalMemo<T> for DenseMemo<T> {
-    #[inline]
-    fn get(&self, id: NodeId) -> Option<&T> {
-        DenseMemo::get(self, id)
-    }
-    #[inline]
-    fn contains(&self, id: NodeId) -> bool {
-        DenseMemo::contains(self, id)
-    }
-    #[inline]
-    fn set(&mut self, id: NodeId, value: T) {
-        DenseMemo::set(self, id, value)
-    }
-    #[inline]
-    fn take(&mut self, id: NodeId) -> Option<T> {
-        DenseMemo::take(self, id)
-    }
-}
-
-fn eval_arena_impl<S: UpdateStructure, M: EvalMemo<S::Value>>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    val: &Valuation<S::Value>,
-    memo: &mut M,
-) -> S::Value {
-    eval_fill(arena, root, s, val, memo);
-    memo.take(root).expect("root computed")
-}
-
 /// The one node evaluation every evaluator shares: the value of `node`
 /// given its atoms' values (`atom`) and its children's (`child`).
 #[inline]
@@ -300,15 +182,14 @@ where
 }
 
 /// Ensures `memo` holds a value for `root` (and hence its whole sub-DAG):
-/// the shared iterative worklist loop behind [`eval_arena`],
-/// [`eval_arena_in`], [`eval_roots_in`] and the root-sharded workers of
-/// [`crate::parallel::par_eval_roots_in`].
-pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
+/// the shared iterative worklist loop behind [`eval_roots_in`] and the
+/// root-sharded workers of [`crate::parallel::par_eval_roots_in`].
+pub(crate) fn eval_fill<S: UpdateStructure>(
     arena: &ExprArena,
     root: NodeId,
     s: &S,
     val: &Valuation<S::Value>,
-    memo: &mut M,
+    memo: &mut DenseMemo<S::Value>,
 ) {
     let mut stack: Vec<NodeId> = vec![root];
     while let Some(&id) = stack.last() {
@@ -338,15 +219,40 @@ pub(crate) fn eval_fill<S: UpdateStructure, M: EvalMemo<S::Value>>(
     }
 }
 
-/// Evaluates **many roots** under one valuation, sharing the memo across
-/// them: sub-DAGs common to several roots are computed once, so evaluating
-/// every tuple of a replayed transaction log costs O(union DAG), not
-/// O(Σ per-root DAGs). The complement of [`eval_many`]/[`eval_many_in`]
-/// (one root, many valuations); the engine layer's "what does the whole
-/// database look like under this valuation?" query is exactly this shape.
+/// Evaluates arena nodes under an Update-Structure and a valuation: the
+/// homomorphic specialization of Proposition 4.2, one value per root.
 ///
-/// Results are returned in `roots` order; repeated roots are cheap (memo
-/// hits).
+/// Iterative worklist evaluation: no recursion (a depth-100 000 chain is
+/// fine), and the memo is the caller's generation-stamped [`DenseMemo`]
+/// indexed by [`NodeId`] rather than a pointer-keyed hash map. It resets in
+/// O(1) per call, so many small queries against one long-lived arena cost
+/// O(their own DAG) rather than O(arena prefix) each.
+///
+/// The roots share that memo: sub-DAGs common to several roots are computed
+/// once, so evaluating every tuple of a replayed transaction log costs
+/// O(union DAG), not O(Σ per-root DAGs). The complement of
+/// [`eval_many_in`] (one root, many valuations); the engine layer's "what
+/// does the whole database look like under this valuation?" query is
+/// exactly this shape. Results are returned in `roots` order; repeated
+/// roots are cheap (memo hits).
+///
+/// ```
+/// use uprov_core::{eval_roots_in, AtomTable, DenseMemo, ExprArena, Valuation};
+/// use uprov_structures::Bool;
+///
+/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
+/// let p = t.fresh_txn();
+/// let x = ar.atom(t.fresh_tuple());
+/// let pa = ar.atom(p);
+/// let e = ar.dot_m(x, pa); // x ·M p: x's image under transaction p
+///
+/// let mut memo = DenseMemo::new();
+/// let all = Valuation::constant(true);
+/// assert_eq!(eval_roots_in(&ar, &[x, e], &Bool, &all, &mut memo), [true, true]);
+/// // Aborting the transaction (p := false) removes the tuple.
+/// let aborted = Valuation::constant(true).with(p, false);
+/// assert_eq!(eval_roots_in(&ar, &[e], &Bool, &aborted, &mut memo), [false]);
+/// ```
 pub fn eval_roots_in<S: UpdateStructure>(
     arena: &ExprArena,
     roots: &[NodeId],
@@ -368,17 +274,19 @@ pub fn eval_roots_in<S: UpdateStructure>(
 }
 
 /// Evaluates one arena node under **many** valuations, amortizing the
-/// evaluation schedule.
+/// evaluation schedule and pooling the caller's [`DenseMemo`] across
+/// batches as well as across the valuations within one batch.
 ///
 /// The reachable sub-DAG is topologically sorted once
-/// ([`ExprArena::topo_order`]); each valuation then replays the same dense
-/// bottom-up schedule, overwriting a single reusable memo. This is the
-/// paper-experiment workload "abort each transaction in turn and re-evaluate"
-/// (Section 6), where the per-valuation cost drops to one tight loop over
-/// the reachable nodes with no traversal bookkeeping at all.
+/// ([`ExprArena::topo_order_roots`]); each valuation then replays the same
+/// dense bottom-up schedule, overwriting the one memo. This is the
+/// paper-experiment workload "abort each transaction in turn and
+/// re-evaluate" (Section 6), where the per-valuation cost drops to one
+/// tight loop over the reachable nodes with no traversal bookkeeping at
+/// all.
 ///
 /// ```
-/// use uprov_core::{eval_many, AtomTable, ExprArena, Valuation};
+/// use uprov_core::{eval_many_in, AtomTable, DenseMemo, ExprArena, Valuation};
 /// use uprov_structures::Bool;
 ///
 /// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
@@ -395,20 +303,9 @@ pub fn eval_roots_in<S: UpdateStructure>(
 ///     Valuation::constant(true).with(p1, false),
 ///     Valuation::constant(true).with(p2, false),
 /// ];
-/// assert_eq!(eval_many(&ar, e, &Bool, &vals), vec![true, true]);
+/// let got = eval_many_in(&ar, e, &Bool, &vals, &mut DenseMemo::new());
+/// assert_eq!(got, vec![true, true]);
 /// ```
-pub fn eval_many<S: UpdateStructure>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-) -> Vec<S::Value> {
-    let mut memo: Vec<Option<S::Value>> = vec![None; root.index() + 1];
-    eval_many_impl(arena, root, s, valuations, &mut memo)
-}
-
-/// [`eval_many`] with a caller-provided [`DenseMemo`], pooling the dense
-/// buffer across batches as well as across the valuations within one batch.
 pub fn eval_many_in<S: UpdateStructure>(
     arena: &ExprArena,
     root: NodeId,
@@ -417,17 +314,7 @@ pub fn eval_many_in<S: UpdateStructure>(
     memo: &mut DenseMemo<S::Value>,
 ) -> Vec<S::Value> {
     memo.reset(root.index() + 1);
-    eval_many_impl(arena, root, s, valuations, memo)
-}
-
-fn eval_many_impl<S: UpdateStructure, M: EvalMemo<S::Value>>(
-    arena: &ExprArena,
-    root: NodeId,
-    s: &S,
-    valuations: &[Valuation<S::Value>],
-    memo: &mut M,
-) -> Vec<S::Value> {
-    let order = arena.topo_order(root);
+    let order = arena.topo_order_roots(&[root]);
     valuations
         .iter()
         .map(|val| eval_one_ordered(arena, &order, root, s, val, memo))
@@ -435,18 +322,18 @@ fn eval_many_impl<S: UpdateStructure, M: EvalMemo<S::Value>>(
 }
 
 /// Replays the shared dense evaluation schedule for one valuation: the tight
-/// per-valuation loop of [`eval_many`], factored out so the
+/// per-valuation loop of [`eval_many_in`], factored out so the
 /// valuation-sharded workers of [`crate::parallel::par_eval_many_in`] can
 /// reuse one precomputed `order` across threads. Every node in `order` is
 /// overwritten before it is read (children precede parents), so no reset is
 /// needed between valuations.
-pub(crate) fn eval_one_ordered<S: UpdateStructure, M: EvalMemo<S::Value>>(
+pub(crate) fn eval_one_ordered<S: UpdateStructure>(
     arena: &ExprArena,
     order: &[NodeId],
     root: NodeId,
     s: &S,
     val: &Valuation<S::Value>,
-    memo: &mut M,
+    memo: &mut DenseMemo<S::Value>,
 ) -> S::Value {
     for &id in order {
         let v = eval_node(

@@ -1,8 +1,9 @@
-//! Shared by the property suites (`prop`, `par`, `pool`): one random-DAG
-//! generator that interns straight into an [`ExprArena`], and a reference
-//! evaluator that replays the generator's op list under any structure.
+//! Shared by the core test suites: one random-DAG generator that interns
+//! straight into an [`ExprArena`], a reference evaluator that replays the
+//! generator's op list under any structure, and [`eval`], one root through
+//! a fresh memo.
 //!
-//! The reference evaluator shares no code with `eval_arena`: it calls the
+//! The reference evaluator shares no code with `eval_roots_in`: it calls the
 //! structure's operations in op order, with no arena, no memo and no
 //! syntactic zero axioms. For a structure that satisfies the zero axioms
 //! (every catalogue structure does) it must agree with the arena, whose
@@ -11,7 +12,19 @@
 #![allow(dead_code, reason = "each suite uses a subset of the helpers")]
 
 use benchkit::TestRng as Rng;
-use uprov_core::{Atom, AtomTable, ExprArena, NodeId, UpdateStructure, Valuation};
+use uprov_core::{
+    eval_roots_in, Atom, AtomTable, DenseMemo, ExprArena, NodeId, UpdateStructure, Valuation,
+};
+
+/// The value of `root` under `s` and `val`, through a fresh memo.
+pub fn eval<S: UpdateStructure>(
+    ar: &ExprArena,
+    root: NodeId,
+    s: &S,
+    val: &Valuation<S::Value>,
+) -> S::Value {
+    eval_roots_in(ar, &[root], s, val, &mut DenseMemo::new()).swap_remove(0)
+}
 
 /// One generator step over earlier pool slots: slot 0 is `0`, slots 1–4
 /// the atoms, slot 5 + i the result of op i.

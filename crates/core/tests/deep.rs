@@ -3,9 +3,10 @@
 //! iterative — construction, traversal, pretty-printing, evaluation and
 //! normalization all run with explicit stacks, never call-stack recursion.
 
-use uprov_core::{
-    equiv, eval_arena, nf, nf_roots_in, AtomTable, ExprArena, NfMemo, NodeId, Valuation,
-};
+mod common;
+
+use common::eval;
+use uprov_core::{nf_roots_in, try_equiv_in, AtomTable, ExprArena, NfMemo, NodeId, Valuation};
 use uprov_structures::Bool;
 
 const DEPTH: usize = 100_000;
@@ -36,9 +37,10 @@ fn deep_legacy_atoms_and_stats_do_not_overflow() {
     let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
     let e = deep_chain(&mut t, &mut ar);
     assert_eq!(ar.atoms(e).len(), DEPTH + 1);
-    assert_eq!(ar.depth(e), DEPTH + 1);
-    assert_eq!(ar.logical_size(e), 2 * DEPTH as u128 + 1);
-    assert_eq!(ar.dag_size(e), 2 * DEPTH + 1);
+    let stats = ar.analyze(e);
+    assert_eq!(stats.depth, DEPTH + 1);
+    assert_eq!(stats.logical_size, 2 * DEPTH as u128 + 1);
+    assert_eq!(stats.dag_size, 2 * DEPTH + 1);
 }
 
 #[test]
@@ -49,14 +51,14 @@ fn deep_arena_import_eval_analyze_do_not_overflow() {
     assert_eq!(stats.depth, DEPTH + 1);
     assert_eq!(stats.dag_size, 2 * DEPTH + 1);
     // All txn atoms true: the tuple is deleted by the first subtraction.
-    assert!(!eval_arena(&ar, id, &Bool, &Valuation::constant(true)));
+    assert!(!eval(&ar, id, &Bool, &Valuation::constant(true)));
     // All txns aborted (atoms false): every subtraction is a no-op and the
     // original tuple survives.
     let mut aborted = Valuation::constant(true);
     for a in t.iter_kind(uprov_core::AtomKind::Txn) {
         aborted.set(a, false);
     }
-    assert!(eval_arena(&ar, id, &Bool, &aborted));
+    assert!(eval(&ar, id, &Bool, &aborted));
 }
 
 #[test]
@@ -86,14 +88,15 @@ fn deep_equiv_at_depth_100k_does_not_overflow() {
     // structural hash does not).
     let mut solo = ar.clone();
     let outs = nf_roots_in(&mut ar, &[e1, mid], &mut NfMemo::new());
-    assert!(outs.iter().all(|o| o.is_normal()));
+    assert!(outs.iter().all(|o| !o.saturated));
     assert_eq!(outs[0].id, e2, "the plain chain is the normal form");
-    let want_mid = nf(&mut solo, mid);
+    let want_mid = nf_roots_in(&mut solo, &[mid], &mut NfMemo::new())[0].id;
     assert_eq!(
         ar.structural_hash(outs[1].id),
         solo.structural_hash(want_mid)
     );
-    assert!(equiv(&mut ar, e1, e2), "equivalent at depth 100k");
+    let verdict = try_equiv_in(&mut ar, e1, e2, &mut NfMemo::new());
+    assert_eq!(verdict, Some(true), "equivalent at depth 100k");
 }
 
 #[test]
@@ -106,6 +109,6 @@ fn deep_arena_native_chain_evaluates() {
         let dot = ar.dot_m(e, p);
         e = ar.plus_m(e, dot);
     }
-    assert!(eval_arena(&ar, e, &Bool, &Valuation::constant(true)));
-    assert_eq!(ar.depth(e), 2 * DEPTH + 1);
+    assert!(eval(&ar, e, &Bool, &Valuation::constant(true)));
+    assert_eq!(ar.analyze(e).depth, 2 * DEPTH + 1);
 }

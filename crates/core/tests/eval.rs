@@ -3,8 +3,11 @@
 //! `uprov-core` ↔ `uprov-structures` dev-dependency cycle only unifies
 //! crate instances for integration tests).
 
+mod common;
+
+use common::eval;
 use uprov_core::{
-    check_axioms, check_zero_axioms, eval_arena, eval_many, map_valuation, AtomTable, ExprArena,
+    check_axioms, check_zero_axioms, eval_many_in, map_valuation, AtomTable, DenseMemo, ExprArena,
     StructureHomomorphism, UpdateStructure, Valuation,
 };
 use uprov_structures::{Bool, CountingMonus};
@@ -20,9 +23,9 @@ fn eval_example_4_3() {
     let dot = ar.dot_m(p2a, ppa);
     let e = ar.plus_m(ExprArena::ZERO, dot);
     let all_true = Valuation::constant(true);
-    assert!(eval_arena(&ar, e, &Bool, &all_true));
+    assert!(eval(&ar, e, &Bool, &all_true));
     let deleted = Valuation::constant(true).with(p2, false);
-    assert!(!eval_arena(&ar, e, &Bool, &deleted));
+    assert!(!eval(&ar, e, &Bool, &deleted));
 }
 
 #[test]
@@ -42,7 +45,7 @@ fn eval_example_4_4_transaction_abortion() {
     let outer = ar.dot_m(inner, ppa);
     let e = ar.plus_m(ExprArena::ZERO, outer);
     let aborted = Valuation::constant(true).with(p, false);
-    assert!(eval_arena(&ar, e, &Bool, &aborted));
+    assert!(eval(&ar, e, &Bool, &aborted));
 }
 
 #[test]
@@ -62,8 +65,8 @@ fn eval_memoizes_shared_nodes() {
         let dot = ar.dot_m(e, p);
         e = ar.plus_m(e, dot);
     }
-    assert_eq!(ar.dag_size(e), 3 * 60 + 1);
-    assert!(eval_arena(&ar, e, &Bool, &Valuation::constant(true)));
+    assert_eq!(ar.analyze(e).dag_size, 3 * 60 + 1);
+    assert!(eval(&ar, e, &Bool, &Valuation::constant(true)));
 }
 
 #[test]
@@ -84,9 +87,9 @@ fn eval_many_matches_individual_evals() {
         .iter()
         .map(|&p| Valuation::constant(true).with(p, false))
         .collect();
-    let batched = eval_many(&ar, e, &Bool, &vals);
+    let batched = eval_many_in(&ar, e, &Bool, &vals, &mut DenseMemo::new());
     for (val, batch) in vals.iter().zip(&batched) {
-        assert_eq!(eval_arena(&ar, e, &Bool, val), *batch);
+        assert_eq!(eval(&ar, e, &Bool, val), *batch);
     }
 }
 
@@ -107,8 +110,8 @@ fn homomorphism_commutes_with_eval() {
     let val = Valuation::constant(true).with(a, false);
     let mapped = map_valuation::<Bool, Bool, _>(&Identity, &val);
     assert_eq!(
-        Identity.apply(&eval_arena(&ar, e, &Bool, &val)),
-        eval_arena(&ar, e, &Bool, &mapped)
+        Identity.apply(&eval(&ar, e, &Bool, &val)),
+        eval(&ar, e, &Bool, &mapped)
     );
 }
 

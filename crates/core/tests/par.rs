@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::{random_dag, random_valuation};
+use common::{eval, random_dag, random_valuation};
 use uprov_core::{
-    eval_arena, eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable,
-    DenseMemo, ExprArena, MemoPool, NodeId, Valuation,
+    eval_many_in, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable, DenseMemo,
+    ExprArena, MemoPool, NodeId, Valuation,
 };
 use uprov_structures::{Bool, Worlds};
 
@@ -93,8 +93,8 @@ fn prop_par_eval_many_bit_identical_to_serial() {
         let wvals: Vec<Valuation<u64>> = (0..n_vals)
             .map(|_| random_valuation(&mut rng, &atoms, Rng::next_u64))
             .collect();
-        let serial = eval_many(&ar, root, &Bool, &vals);
-        let wserial = eval_many(&ar, root, &Worlds, &wvals);
+        let serial = eval_many_in(&ar, root, &Bool, &vals, &mut DenseMemo::new());
+        let wserial = eval_many_in(&ar, root, &Worlds, &wvals, &mut DenseMemo::new());
         for threads in THREADS {
             assert_eq!(
                 par_eval_many_in(&ar, root, &Bool, &vals, &pool, threads),
@@ -139,13 +139,13 @@ fn pooled_workers_interleaved_across_arenas_never_serve_stale_hits() {
     let pool: MemoPool<bool> = MemoPool::new();
     for round in 0..20 {
         let r = big_roots[(round * 13) % big_roots.len()];
-        let expect = eval_arena(&big, r, &Bool, &all_true);
+        let expect = eval(&big, r, &Bool, &all_true);
         assert_eq!(
             par_eval_roots_in(&big, &[r; 8], &Bool, &all_true, &pool, 3),
             vec![expect; 8],
             "round {round}: big arena diverged"
         );
-        let small_expect = eval_arena(&small, sroot, &Bool, &small_val);
+        let small_expect = eval(&small, sroot, &Bool, &small_val);
         assert_eq!(
             par_eval_roots_in(&small, &[sroot; 8], &Bool, &small_val, &pool, 3),
             vec![small_expect; 8],

@@ -16,8 +16,8 @@ mod common;
 
 use common::{random_dag, random_valuation, reference_eval};
 use uprov_core::{
-    eval_many, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable, DenseMemo, ExprArena,
-    MemoPool, NodeId, UpdateStructure, Valuation, WorkerPool,
+    eval_many_in, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable, DenseMemo,
+    ExprArena, MemoPool, NodeId, UpdateStructure, Valuation, WorkerPool,
 };
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
 
@@ -56,7 +56,7 @@ where
             .collect();
         let repro = format!("seed={seed} case={case}");
 
-        let serial_many = eval_many(&arena, root, structure, &valuations);
+        let serial_many = eval_many_in(&arena, root, structure, &valuations, &mut DenseMemo::new());
         let mut memo = DenseMemo::new();
         let serial_roots = eval_roots_in(&arena, &roots, structure, &valuations[0], &mut memo);
 
@@ -73,7 +73,7 @@ where
         assert_eq!(
             serial_many[0],
             reference_eval(&dag, structure, &valuations[0]),
-            "{repro}: eval_many[0] vs the reference"
+            "{repro}: eval_many_in[0] vs the reference"
         );
     }
 }
@@ -126,7 +126,7 @@ fn repeated_calls_ride_one_resident_pool() {
         .map(|_| random_valuation(&mut rng, &atoms, Rng::next_u64))
         .collect();
     let memo_pool = MemoPool::new();
-    let expect = eval_many(&arena, root, &Worlds, &valuations);
+    let expect = eval_many_in(&arena, root, &Worlds, &valuations, &mut DenseMemo::new());
     for _ in 0..10 {
         let got = par_eval_many_in(&arena, root, &Worlds, &valuations, &memo_pool, 4);
         assert_eq!(got, expect);

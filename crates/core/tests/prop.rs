@@ -10,9 +10,9 @@
 
 mod common;
 
-use common::{random_dag, random_valuation, reference_eval};
+use common::{eval, random_dag, random_valuation, reference_eval};
 use uprov_core::{
-    equiv, eval_arena, eval_arena_in, eval_many, nf, nf_in, nf_roots_incremental_in, Atom,
+    eval_many_in, eval_roots_in, nf_roots_in, nf_roots_incremental_in, try_equiv_in, Atom,
     AtomTable, DenseMemo, ExprArena, NfCache, NfMemo, NodeId, UpdateStructure, Valuation,
 };
 use uprov_structures::{Bool, Worlds};
@@ -33,13 +33,13 @@ fn prop_arena_eval_agrees_with_reference_eval() {
         let val = random_valuation(&mut rng, &dag.atoms, Rng::coin);
         assert_eq!(
             reference_eval(&dag, &Bool, &val),
-            eval_arena(&ar, dag.root, &Bool, &val),
+            eval(&ar, dag.root, &Bool, &val),
             "seed {seed}: arena eval diverged from the reference under Bool"
         );
         let wval = random_valuation(&mut rng, &dag.atoms, Rng::next_u64);
         assert_eq!(
             reference_eval(&dag, &Worlds, &wval),
-            eval_arena(&ar, dag.root, &Worlds, &wval),
+            eval(&ar, dag.root, &Worlds, &wval),
             "seed {seed}: arena eval diverged from the reference under Worlds"
         );
     }
@@ -56,12 +56,12 @@ fn prop_eval_many_agrees_with_eval_arena() {
         let vals: Vec<Valuation<bool>> = (0..8)
             .map(|_| random_valuation(&mut rng, &atoms, Rng::coin))
             .collect();
-        let batched = eval_many(&ar, id, &Bool, &vals);
+        let batched = eval_many_in(&ar, id, &Bool, &vals, &mut DenseMemo::new());
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(
                 batched[i],
-                eval_arena(&ar, id, &Bool, v),
-                "seed {seed}: eval_many[{i}] diverged"
+                eval(&ar, id, &Bool, v),
+                "seed {seed}: eval_many_in[{i}] diverged"
             );
         }
     }
@@ -76,9 +76,9 @@ fn prop_nf_is_idempotent() {
         let mut table = AtomTable::new();
         let mut ar = ExprArena::new();
         let id = random_dag(&mut rng, &mut table, &mut ar, 40).root;
-        let out = nf_in(&mut ar, id, &mut memo);
-        assert!(out.is_normal(), "seed {seed}: nf saturated");
-        let again = nf_in(&mut ar, out.id, &mut memo);
+        let out = nf_roots_in(&mut ar, &[id], &mut memo)[0];
+        assert!(!out.saturated, "seed {seed}: nf saturated");
+        let again = nf_roots_in(&mut ar, &[out.id], &mut memo)[0];
         assert_eq!(again.id, out.id, "seed {seed}: nf is not idempotent");
         assert_eq!(
             again.rounds, 1,
@@ -104,8 +104,8 @@ fn prop_nf_preserves_eval_for_every_catalogue_structure() {
     ) {
         let val = random_valuation(rng, atoms, sample);
         assert_eq!(
-            eval_arena(ar, id, s, &val),
-            eval_arena(ar, n, s, &val),
+            eval(ar, id, s, &val),
+            eval(ar, n, s, &val),
             "seed {seed}: nf changed evaluation under {s:?}",
         );
     }
@@ -116,7 +116,7 @@ fn prop_nf_preserves_eval_for_every_catalogue_structure() {
         let mut ar = ExprArena::new();
         let dag = random_dag(&mut rng, &mut table, &mut ar, 40);
         let (id, atoms) = (dag.root, dag.atoms);
-        let n = nf(&mut ar, id);
+        let n = nf_roots_in(&mut ar, &[id], &mut NfMemo::new())[0].id;
         for _ in 0..4 {
             check(&Bool, &mut rng, &ar, (id, n), &atoms, Rng::coin, seed);
             check(&Worlds, &mut rng, &ar, (id, n), &atoms, Rng::next_u64, seed);
@@ -166,11 +166,15 @@ fn prop_ac_permutations_share_one_normal_form_id() {
         }
         let e2 = fold(&mut ar, &incs, op);
         assert_eq!(
-            nf(&mut ar, e1),
-            nf(&mut ar, e2),
+            nf_roots_in(&mut ar, &[e1], &mut NfMemo::new())[0].id,
+            nf_roots_in(&mut ar, &[e2], &mut NfMemo::new())[0].id,
             "seed {seed}: permuted increments diverged (op {op})"
         );
-        assert!(equiv(&mut ar, e1, e2), "seed {seed}: equiv disagrees");
+        assert_eq!(
+            try_equiv_in(&mut ar, e1, e2, &mut NfMemo::new()),
+            Some(true),
+            "seed {seed}: equiv disagrees"
+        );
     }
 }
 
@@ -188,8 +192,8 @@ fn prop_eval_arena_in_pools_without_changing_results() {
         for _ in 0..3 {
             let val = random_valuation(&mut rng, &atoms, Rng::coin);
             assert_eq!(
-                eval_arena_in(&ar, id, &Bool, &val, &mut memo),
-                eval_arena(&ar, id, &Bool, &val),
+                eval_roots_in(&ar, &[id], &Bool, &val, &mut memo)[0],
+                eval(&ar, id, &Bool, &val),
                 "seed {seed}: pooled eval diverged"
             );
         }
@@ -252,7 +256,7 @@ fn prop_arena_stats_agree_with_legacy_stats() {
         let (size, depth, _) = reference_eval(&dag, &TreeShape, &leaf).unwrap_or((1, 1, 0));
         assert_eq!(stats.logical_size, size, "seed {seed}: logical_size");
         assert_eq!(stats.depth, depth, "seed {seed}: depth");
-        assert_eq!(stats.dag_size, ar.topo_order(dag.root).len());
+        assert_eq!(stats.dag_size, ar.topo_order_roots(&[dag.root]).len());
     }
 }
 
@@ -271,8 +275,8 @@ fn prop_nf_never_maps_a_nonzero_id_to_zero() {
         let mut table = AtomTable::new();
         let mut ar = ExprArena::new();
         let id = random_dag(&mut rng, &mut table, &mut ar, 50).root;
-        let out = nf_in(&mut ar, id, &mut memo);
-        assert!(out.is_normal(), "seed {seed}: nf saturated");
+        let out = nf_roots_in(&mut ar, &[id], &mut memo)[0];
+        assert!(!out.saturated, "seed {seed}: nf saturated");
         assert_eq!(
             id == ExprArena::ZERO,
             out.id == ExprArena::ZERO,
@@ -293,8 +297,8 @@ fn prop_nf_result_is_a_full_reduce_fixpoint() {
         let mut table = AtomTable::new();
         let mut ar = ExprArena::new();
         let id = random_dag(&mut rng, &mut table, &mut ar, 60).root;
-        let out = nf_in(&mut ar, id, &mut memo);
-        assert!(out.is_normal(), "seed {seed}: nf saturated");
+        let out = nf_roots_in(&mut ar, &[id], &mut memo)[0];
+        assert!(!out.saturated, "seed {seed}: nf saturated");
         let confirm = ar.rewrite_pass(out.id, &mut |arena, node| uprov_core::reduce(arena, node));
         assert_eq!(
             confirm, out.id,
@@ -322,11 +326,11 @@ fn prop_eval_roots_in_agrees_with_per_root_eval() {
         }
         roots.push(roots[1]); // repeated root: served from the shared memo
         let val = random_valuation(&mut rng, &atoms, Rng::coin);
-        let batch = uprov_core::eval_roots_in(&ar, &roots, &Bool, &val, &mut memo);
+        let batch = eval_roots_in(&ar, &roots, &Bool, &val, &mut memo);
         for (i, (&r, got)) in roots.iter().zip(&batch).enumerate() {
             assert_eq!(
                 *got,
-                eval_arena(&ar, r, &Bool, &val),
+                eval(&ar, r, &Bool, &val),
                 "seed {seed}: root {i} diverged"
             );
         }
@@ -364,18 +368,18 @@ fn dense_memo_reuse_across_interleaved_arenas_never_serves_stale_hits() {
         // Big arena first: floods the high-water slots with `true`s.
         let r = big_roots[(round * 7) % big_roots.len()];
         assert_eq!(
-            eval_arena_in(&big, r, &Bool, &all_true, &mut memo),
-            eval_arena(&big, r, &Bool, &all_true),
+            eval_roots_in(&big, &[r], &Bool, &all_true, &mut memo)[0],
+            eval(&big, r, &Bool, &all_true),
             "round {round}: big arena diverged"
         );
         // Small arena next: its ids alias the big arena's low slots; a
         // stale hit would leak the big chain's values into this answer.
         assert_eq!(
-            eval_arena_in(&small, sroot, &Bool, &small_val, &mut memo),
-            eval_arena(&small, sroot, &Bool, &small_val),
+            eval_roots_in(&small, &[sroot], &Bool, &small_val, &mut memo)[0],
+            eval(&small, sroot, &Bool, &small_val),
             "round {round}: small arena served a stale hit"
         );
-        assert!(!eval_arena_in(&small, sroot, &Bool, &small_val, &mut memo));
+        assert!(!eval_roots_in(&small, &[sroot], &Bool, &small_val, &mut memo)[0]);
     }
 }
 
@@ -392,7 +396,7 @@ fn dense_memo_survives_arena_growth_between_queries() {
     let e1 = ar.dot_m(a, pa);
     let mut memo: DenseMemo<bool> = DenseMemo::new();
     let all_true: Valuation<bool> = Valuation::constant(true);
-    assert!(eval_arena_in(&ar, e1, &Bool, &all_true, &mut memo));
+    assert!(eval_roots_in(&ar, &[e1], &Bool, &all_true, &mut memo)[0]);
     for step in 0..10 {
         // Grow: a fresh sub-DAG whose ids extend past the old high-water
         // mark, plus a root that also reaches the old nodes.
@@ -403,8 +407,8 @@ fn dense_memo_survives_arena_growth_between_queries() {
         let root = ar.plus_m(e1, dot);
         let val = Valuation::constant(true).with(if step % 2 == 0 { p } else { q_atom }, false);
         assert_eq!(
-            eval_arena_in(&ar, root, &Bool, &val, &mut memo),
-            eval_arena(&ar, root, &Bool, &val),
+            eval_roots_in(&ar, &[root], &Bool, &val, &mut memo)[0],
+            eval(&ar, root, &Bool, &val),
             "step {step}: growth leaked stale values"
         );
     }
@@ -464,12 +468,12 @@ fn prop_nf_incremental_agrees_with_scratch_after_interleavings() {
             let outcomes = nf_roots_incremental_in(&mut ar, &batch, &mut cache, &mut memo);
             for (i, (&r, out)) in batch.iter().zip(&outcomes).enumerate() {
                 assert!(
-                    out.is_normal(),
+                    !out.saturated,
                     "seed {seed} wave {wave}: root {i} saturated"
                 );
                 assert_eq!(
                     out.id,
-                    nf(&mut ar, r),
+                    nf_roots_in(&mut ar, &[r], &mut NfMemo::new())[0].id,
                     "seed {seed} wave {wave}: incremental root {i} != scratch nf"
                 );
             }
@@ -478,13 +482,13 @@ fn prop_nf_incremental_agrees_with_scratch_after_interleavings() {
             let wval = random_valuation(&mut rng, &atoms, Rng::next_u64);
             for (&r, out) in batch.iter().zip(&outcomes) {
                 assert_eq!(
-                    eval_arena(&ar, r, &Bool, &val),
-                    eval_arena(&ar, out.id, &Bool, &val),
+                    eval(&ar, r, &Bool, &val),
+                    eval(&ar, out.id, &Bool, &val),
                     "seed {seed} wave {wave}: Bool evaluation changed"
                 );
                 assert_eq!(
-                    eval_arena(&ar, r, &Worlds, &wval),
-                    eval_arena(&ar, out.id, &Worlds, &wval),
+                    eval(&ar, r, &Worlds, &wval),
+                    eval(&ar, out.id, &Worlds, &wval),
                     "seed {seed} wave {wave}: Worlds evaluation changed"
                 );
             }
@@ -506,11 +510,15 @@ fn prop_nf_roots_in_agrees_with_per_root_nf() {
             roots.push(random_dag(&mut rng, &mut table, &mut ar, 30).root);
         }
         roots.push(roots[1]); // repeated root
-        let outcomes = uprov_core::nf_roots_in(&mut ar, &roots, &mut memo);
+        let outcomes = nf_roots_in(&mut ar, &roots, &mut memo);
         assert_eq!(outcomes.len(), roots.len());
         for (i, (&r, out)) in roots.iter().zip(&outcomes).enumerate() {
-            assert!(out.is_normal(), "seed {seed}: root {i} saturated");
-            assert_eq!(out.id, nf(&mut ar, r), "seed {seed}: root {i} diverged");
+            assert!(!out.saturated, "seed {seed}: root {i} saturated");
+            assert_eq!(
+                out.id,
+                nf_roots_in(&mut ar, &[r], &mut NfMemo::new())[0].id,
+                "seed {seed}: root {i} diverged"
+            );
         }
         assert_eq!(outcomes[1].id, outcomes[5].id, "repeated roots agree");
     }

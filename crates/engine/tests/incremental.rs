@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use uprov_core::{eval_arena, NodeId, UpdateStructure, Valuation};
+use uprov_core::{eval_roots_in, DenseMemo, NodeId, UpdateStructure, Valuation};
 use uprov_engine::{Engine, ReplayError, ReplayState, UpdateLog};
 use uprov_structures::{Bool, Worlds};
 
@@ -292,7 +292,13 @@ fn assert_symbolic_matches_eval<S: UpdateStructure>(
         assert_eq!(sym.name, *name);
         assert!(!sym.saturated, "seed {seed} step {step}: {name} saturated");
         assert_eq!(
-            eval_arena(engine.arena(), sym.provenance, structure, &val),
+            eval_roots_in(
+                engine.arena(),
+                &[sym.provenance],
+                structure,
+                &val,
+                &mut DenseMemo::new()
+            )[0],
             *want,
             "seed {seed} step {step}: {name}: symbolic != concrete abort"
         );
@@ -326,7 +332,13 @@ commit
         assert_eq!(sym.name, *name);
         assert!(!sym.saturated);
         assert_eq!(
-            eval_arena(engine.arena(), sym.provenance, &Bool, &val),
+            eval_roots_in(
+                engine.arena(),
+                &[sym.provenance],
+                &Bool,
+                &val,
+                &mut DenseMemo::new()
+            )[0],
             *want,
             "{name}: symbolic deletion propagation diverged from eval"
         );

@@ -415,11 +415,9 @@ fn decode_tail(
 /// Deserializes a snapshot blob, rebuilding the engine id-identically (see
 /// the module docs). Total over arbitrary input.
 ///
-/// The CRC pass and the structural parse read the same immutable payload,
-/// so on big snapshots the checksum runs on a helper thread while this
-/// thread parses — both still gate the result: a checksum mismatch is
-/// reported ahead of any parse error (the payload bytes themselves are
-/// untrustworthy), exactly as if the CRC had been checked first.
+/// One pass on the calling thread: the header, then the payload's CRC,
+/// then the parse. A checksum mismatch is therefore reported ahead of any
+/// parse error: the payload bytes themselves are untrustworthy.
 // Decode is a no-panic zone; encode is not (it indexes vectors it sized).
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -450,38 +448,14 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         return Err(SnapshotError::LengthMismatch);
     }
     let payload = bytes.get(HEADER_LEN..).unwrap_or_default();
-    const CRC_OFFLOAD: usize = 1 << 16;
-    std::thread::scope(|s| {
-        let crc_task =
-            (payload.len() >= CRC_OFFLOAD && multicore()).then(|| s.spawn(move || crc32(payload)));
-        let parsed = decode_payload(payload);
-        let computed = match crc_task {
-            #[expect(
-                clippy::expect_used,
-                reason = "join fails only if the crc closure panicked, and crc32 is a total table-driven loop; re-raising the panic is the only sound response"
-            )]
-            Some(task) => task.join().expect("crc pass does not panic"),
-            None => crc32(payload),
-        };
-        if computed != stored {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        parsed
-    })
+    let computed = crc32(payload);
+    if computed != stored {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    }
+    decode_payload(payload)
 }
 
-/// True when a helper thread can actually run in parallel. On a
-/// single-core host (CI containers included) an offloaded pass only adds
-/// spawn + scheduling cost, so the decode stays sequential there.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#[deny(clippy::indexing_slicing)]
-fn multicore() -> bool {
-    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-}
-
-/// The post-header, post-frame-checks parse of one payload (see
-/// [`decode`], which wraps it with the CRC gate).
+/// The parse of one payload whose CRC [`decode`] has checked.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #[deny(clippy::indexing_slicing)]
@@ -565,44 +539,15 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             }
             (NODE_COUNTED, nibble) => {
                 let op = op(nibble)?;
-                if !matches!(op, BinOp::PlusI | BinOp::PlusM) {
-                    return Err(SnapshotError::Corrupt(
-                        "counted block under a non-increment operator",
-                    ));
-                }
+                // Block canonicity (operator, sorted entries, nonzero
+                // multiplicities, the two-application threshold) is
+                // checked once, by the bulk rebuild below.
                 let h = child(&mut r, "counted head")?;
                 let nentries = r.take_var("counted arity")? as usize;
-                // Entry canonicity (strict sortedness, nonzero
-                // multiplicities, the ≥2-applications threshold) is checked
-                // right here in the byte-reading pass: encode-side
-                // compaction is order-preserving, so a canonical block
-                // arrives sorted, and validating inline means the bulk
-                // rebuild below never re-scans entry lists it would only
-                // reject anyway.
-                let mut total: u64 = 0;
                 for _ in 0..nentries {
                     let e = child(&mut r, "counted entry")?;
                     let m = r.take_var("counted multiplicity")?;
-                    if m == 0 {
-                        return Err(SnapshotError::Corrupt(
-                            "zero multiplicity in a counted block",
-                        ));
-                    }
-                    if entries.last().is_some_and(|&(prev, _)| prev >= e) {
-                        return Err(SnapshotError::Corrupt(
-                            "counted entries not strictly sorted",
-                        ));
-                    }
-                    total += u64::from(m);
                     entries.push((e, m));
-                }
-                if entries.is_empty() {
-                    return Err(SnapshotError::Corrupt("counted block without entries"));
-                }
-                if total < 2 {
-                    return Err(SnapshotError::Corrupt(
-                        "counted block below the two-application threshold",
-                    ));
                 }
                 Node::Counted(op, h, &entries)
             }
@@ -610,33 +555,11 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         };
         nodes.push(node);
     }
-    // The arena's bulk rebuild (validate, hash and place each node) and
-    // the remaining payload sections (replay state, nf cache) touch
-    // disjoint data, so on big snapshots the rebuild runs on a helper
-    // thread while this thread keeps decoding — recovery's two largest
-    // costs overlap instead of adding up. Small snapshots stay inline:
-    // a thread spawn costs more than the rebuild it would hide.
-    const OVERLAP_THRESHOLD: usize = 1 << 13;
-    let (arena, tail) = if nnodes >= OVERLAP_THRESHOLD && multicore() {
-        std::thread::scope(|s| {
-            let rebuild = s.spawn(move || ExprArena::from_canonical_nodes(nodes));
-            let tail = decode_tail(&mut r, &atoms, natoms, nnodes);
-            #[expect(
-                clippy::expect_used,
-                reason = "join fails only if the bulk rebuild panicked; from_canonical_nodes returns typed errors, so a panic there is a bug worth crashing on"
-            )]
-            let arena = rebuild.join().expect("bulk arena rebuild does not panic");
-            (arena, tail)
-        })
-    } else {
-        let arena = ExprArena::from_canonical_nodes(nodes);
-        (arena, decode_tail(&mut r, &atoms, natoms, nnodes))
-    };
     // The arena verdict outranks tail errors: a non-canonical node list is
     // the more fundamental corruption (the tail's ids are meaningless
     // against a rejected arena).
-    let arena = arena.map_err(|e| SnapshotError::Corrupt(e.0))?;
-    let (snap, nf_entries) = tail?;
+    let arena = ExprArena::from_canonical_nodes(nodes).map_err(|e| SnapshotError::Corrupt(e.0))?;
+    let (snap, nf_entries) = decode_tail(&mut r, &atoms, natoms, nnodes)?;
     let mut engine = Engine::from_parts(atoms, arena);
     for (root, nf) in nf_entries {
         engine.nf_cache_mut().insert_certified(root, nf);

@@ -36,7 +36,7 @@ const NO_PANIC_ZONES: &[(&str, &[&str])] = &[
     ("crates/storage/src/wal.rs", &[]),
     (
         "crates/storage/src/snapshot.rs",
-        &["decode", "decode_payload", "decode_tail", "multicore"],
+        &["decode", "decode_payload", "decode_tail"],
     ),
     ("crates/storage/src/durable.rs", &[]),
     ("crates/core/src/pool.rs", &[]),
@@ -72,7 +72,7 @@ const SIBLING_SUFFIXES: [&str; 5] = ["_par", "_par_in", "_scoped_in", "_budget_i
 /// Most `pub fn`s [`ONE_FN_CRATES`] may declare together, counted as lines
 /// whose trimmed start is `pub fn `. A ratchet: lower it when the surface
 /// shrinks, never raise it to admit a new sibling.
-const PUB_FN_CAP: usize = 164;
+const PUB_FN_CAP: usize = 147;
 
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -417,10 +417,10 @@ fn api_pass_caps_pub_fn_count() {
 /// [`PUB_FN_CAP`]: a change edits the text in place, and a cap only ever
 /// comes down.
 const DOC_BYTE_CAPS: &[(&str, usize)] = &[
-    ("README.md", 24_812),
-    ("docs/ARCHITECTURE.md", 50_604),
-    ("docs/PAPER_MAP.md", 12_152),
-    (".claude/skills/verify/SKILL.md", 38_834),
+    ("README.md", 24_713),
+    ("docs/ARCHITECTURE.md", 50_580),
+    ("docs/PAPER_MAP.md", 12_144),
+    (".claude/skills/verify/SKILL.md", 24_104),
 ];
 
 #[test]

@@ -325,7 +325,19 @@ impl UpdateStructure for CountingMonus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uprov_core::{check_axioms, check_zero_axioms};
+    use uprov_core::{
+        check_axioms, check_zero_axioms, eval_roots_in, DenseMemo, ExprArena, NodeId, Valuation,
+    };
+
+    /// The value of `root` under `s` and `val`, through a fresh memo.
+    fn eval<S: UpdateStructure>(
+        ar: &ExprArena,
+        root: NodeId,
+        s: &S,
+        val: &Valuation<S::Value>,
+    ) -> S::Value {
+        eval_roots_in(ar, &[root], s, val, &mut DenseMemo::new()).swap_remove(0)
+    }
 
     // The catalogue contract: every exported structure (the negative example
     // aside) passes the full axiom check over a carrier sample.
@@ -477,7 +489,7 @@ mod tests {
 
     #[test]
     fn trusted_by_commutes_with_eval() {
-        use uprov_core::{eval_arena, map_valuation, AtomTable, ExprArena, Valuation};
+        use uprov_core::{map_valuation, AtomTable};
         let mut t = AtomTable::new();
         let mut ar = ExprArena::new();
         let x = t.fresh_tuple();
@@ -488,13 +500,13 @@ mod tests {
         let e = ar.minus(dot, xa);
         // Sources {0, 2} vouch for x; sources {0, 1} stand behind p.
         let val: Valuation<u32> = Valuation::constant(u32::MAX).with(x, 0b101).with(p, 0b011);
-        let vouchers = eval_arena(&ar, e, &Trust, &val);
+        let vouchers = eval(&ar, e, &Trust, &val);
         for k in 0..3 {
             let h = TrustedBy(k);
             let projected = map_valuation::<Trust, Bool, _>(&h, &val);
             assert_eq!(
                 h.apply(&vouchers),
-                eval_arena(&ar, e, &Bool, &projected),
+                eval(&ar, e, &Bool, &projected),
                 "source {k}: projection must commute with evaluation"
             );
         }
@@ -504,7 +516,7 @@ mod tests {
 
     #[test]
     fn world_projection_commutes_with_eval() {
-        use uprov_core::{eval_arena, map_valuation, AtomTable, ExprArena, Valuation};
+        use uprov_core::{map_valuation, AtomTable};
         let mut t = AtomTable::new();
         let mut ar = ExprArena::new();
         let x = t.fresh_tuple();
@@ -515,13 +527,13 @@ mod tests {
         let e = ar.plus_i(dot, pa);
         // x exists in worlds {0, 2}; p ran in worlds {0, 1}.
         let val: Valuation<u64> = Valuation::constant(u64::MAX).with(x, 0b101).with(p, 0b011);
-        let worlds = eval_arena(&ar, e, &Worlds, &val);
+        let worlds = eval(&ar, e, &Worlds, &val);
         for k in 0..3 {
             let h = WorldProjection(k);
             let projected = map_valuation::<Worlds, Bool, _>(&h, &val);
             assert_eq!(
                 h.apply(&worlds),
-                eval_arena(&ar, e, &Bool, &projected),
+                eval(&ar, e, &Bool, &projected),
                 "world {k}: projection must commute with evaluation"
             );
         }
@@ -535,7 +547,7 @@ mod tests {
     /// changes what an expression evaluates to.
     #[test]
     fn nf_preserves_eval_under_every_catalogue_structure() {
-        use uprov_core::{eval_arena, nf, AtomTable, ExprArena, UpdateStructure, Valuation};
+        use uprov_core::{nf_roots_in, AtomTable, NfMemo};
 
         fn check<S: UpdateStructure>(s: &S, carrier: &[S::Value]) {
             let mut t = AtomTable::new();
@@ -562,7 +574,7 @@ mod tests {
             let sum_dot = ar.dot_m(sum, q);
             let e_ax11 = ar.plus_m(ins, sum_dot);
             for e in [e_ax7, e_ax2, e_ax9, e_ax5, e_ax11] {
-                let n = nf(&mut ar, e);
+                let n = nf_roots_in(&mut ar, &[e], &mut NfMemo::new())[0].id;
                 // Exhaust all carrier-sample valuations of the four atoms.
                 let k = carrier.len();
                 for mask in 0..k.pow(4) {
@@ -573,8 +585,8 @@ mod tests {
                         m /= k;
                     }
                     assert_eq!(
-                        eval_arena(&ar, e, s, &val),
-                        eval_arena(&ar, n, s, &val),
+                        eval(&ar, e, s, &val),
+                        eval(&ar, n, s, &val),
                         "nf changed evaluation"
                     );
                 }
@@ -601,7 +613,7 @@ mod tests {
     /// are equal (equivalence is representation-independent).
     #[test]
     fn counted_and_expanded_normal_forms_agree_under_every_structure() {
-        use uprov_core::{eval_arena, nf, AtomTable, ExprArena, Node, NodeId, Valuation};
+        use uprov_core::{nf_roots_in, AtomTable, NfMemo, Node};
 
         // Deterministic xorshift so failures replay.
         let mut rng_state = 0x9e37_79b9_7f4a_7c15u64;
@@ -659,7 +671,7 @@ mod tests {
         }
 
         fn has_counted(ar: &ExprArena, root: NodeId) -> bool {
-            ar.topo_order(root)
+            ar.topo_order_roots(&[root])
                 .iter()
                 .any(|&id| matches!(ar.node(id), Node::Counted(..)))
         }
@@ -678,9 +690,9 @@ mod tests {
                 for (i, &at) in atoms.iter().enumerate() {
                     val.set(at, carrier[(i + rot) % carrier.len()].clone());
                 }
-                let want = eval_arena(ar, roots[0], s, &val);
+                let want = eval(ar, roots[0], s, &val);
                 for &r in &roots[1..] {
-                    assert_eq!(want, eval_arena(ar, r, s, &val), "paths diverged");
+                    assert_eq!(want, eval(ar, r, s, &val), "paths diverged");
                 }
             }
         }
@@ -706,8 +718,8 @@ mod tests {
                 .collect();
             let fwd = interpret(&mut ar, &tup, &txn, &script, false);
             let rev = interpret(&mut ar, &tup, &txn, &script, true);
-            let nf_fwd = nf(&mut ar, fwd);
-            let nf_rev = nf(&mut ar, rev);
+            let nf_fwd = nf_roots_in(&mut ar, &[fwd], &mut NfMemo::new())[0].id;
+            let nf_rev = nf_roots_in(&mut ar, &[rev], &mut NfMemo::new())[0].id;
             assert_eq!(
                 nf_fwd, nf_rev,
                 "case {case}: AC-permuted builds must share one counted NF"
@@ -726,7 +738,7 @@ mod tests {
             // counted NFs are equal exactly when their expansions are.
             // (Distinct cases use fresh arenas, so compare within one by
             // re-normalizing the expanded form.)
-            let renf = nf(&mut ar, exp_fwd);
+            let renf = nf_roots_in(&mut ar, &[exp_fwd], &mut NfMemo::new())[0].id;
             assert_eq!(renf, nf_fwd, "expanding then re-normalizing round-trips");
             if let Some((p_nf, p_exp)) = prev {
                 assert_eq!(p_nf == nf_fwd, p_exp == exp_fwd, "equivalence diverged");
@@ -759,8 +771,7 @@ mod tests {
     #[test]
     fn core_oracles_accept_the_catalogue() {
         use uprov_core::{
-            check_nf_preserves_eval, check_parallel_matches_serial, AtomTable, ExprArena,
-            UpdateStructure, Valuation,
+            check_nf_preserves_eval_in, check_parallel_matches_serial, AtomTable, NfMemo,
         };
 
         fn drive<S: UpdateStructure>(s: &S, carrier: &[S::Value]) {
@@ -784,8 +795,10 @@ mod tests {
                         .with(atoms[2], y.clone()),
                 );
             }
-            let checked = check_nf_preserves_eval(&mut ar, &roots, s, &vals)
-                .unwrap_or_else(|d| panic!("{d}"));
+            let (mut nf_memo, mut memo) = (NfMemo::new(), DenseMemo::new());
+            let checked =
+                check_nf_preserves_eval_in(&mut ar, &roots, s, &vals, &mut nf_memo, &mut memo)
+                    .unwrap_or_else(|d| panic!("{d}"));
             assert_eq!(checked, roots.len() * vals.len());
             let checked = check_parallel_matches_serial(&ar, &roots, s, &vals[0], &[1, 2, 8])
                 .unwrap_or_else(|d| panic!("{d}"));
@@ -810,7 +823,7 @@ mod tests {
     /// answers.
     #[test]
     fn monus_breaks_rewrite_invariance_where_the_checker_says_so() {
-        use uprov_core::{equiv, eval_arena, AtomTable, ExprArena, Valuation};
+        use uprov_core::{try_equiv_in, AtomTable, NfMemo};
         let mut t = AtomTable::new();
         let mut ar = ExprArena::new();
         let a = t.fresh_tuple();
@@ -820,16 +833,20 @@ mod tests {
         let dela = ar.minus(aa, ba);
         let e1 = ar.plus_i(dela, ba); // (a − b) +I b
         let e2 = ar.plus_i(aa, ba); // a +I b
-        assert!(equiv(&mut ar, e1, e2), "axiom 10 identifies the two");
+        assert_eq!(
+            try_equiv_in(&mut ar, e1, e2, &mut NfMemo::new()),
+            Some(true),
+            "axiom 10 identifies the two"
+        );
         let val: Valuation<u32> = Valuation::constant(0).with(a, 1).with(b, 2);
-        let v1 = eval_arena(&ar, e1, &CountingMonus, &val);
-        let v2 = eval_arena(&ar, e2, &CountingMonus, &val);
+        let v1 = eval(&ar, e1, &CountingMonus, &val);
+        let v2 = eval(&ar, e2, &CountingMonus, &val);
         assert_eq!((v1, v2), (2, 3), "monus tells the two sides apart");
     }
 
     #[test]
     fn bool_deletion_propagation_example() {
-        use uprov_core::{eval_arena, AtomTable, ExprArena, Valuation};
+        use uprov_core::AtomTable;
         let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
         let x = t.fresh_tuple();
         let p = t.fresh_txn();
@@ -837,8 +854,8 @@ mod tests {
         let (xa, pa) = (ar.atom(x), ar.atom(p));
         let e = ar.dot_m(xa, pa);
         let all = Valuation::constant(true);
-        assert!(eval_arena(&ar, e, &Bool, &all));
-        assert!(!eval_arena(&ar, e, &Bool, &all.clone().with(x, false)));
-        assert!(!eval_arena(&ar, e, &Bool, &all.with(p, false)));
+        assert!(eval(&ar, e, &Bool, &all));
+        assert!(!eval(&ar, e, &Bool, &all.clone().with(x, false)));
+        assert!(!eval(&ar, e, &Bool, &all.with(p, false)));
     }
 }

@@ -14,7 +14,7 @@
 //! budgets.
 
 use benchkit::TestRng;
-use uprov_core::{nf_in, try_equiv_in, NfMemo};
+use uprov_core::{nf_roots_in, try_equiv_in, NfMemo};
 use uprov_engine::Engine;
 use uprov_workload::{knobs, Workload, WorkloadConfig};
 
@@ -39,7 +39,7 @@ fn exhausted_budget_never_reports_a_definite_answer() {
             let mut ar = engine.arena().clone();
             for (name, r) in state.tuples() {
                 let mut memo = NfMemo::new();
-                let full = nf_in(&mut ar, r, &mut memo);
+                let full = nf_roots_in(&mut ar, &[r], &mut memo)[0];
                 assert!(!full.saturated, "{cfg}: {name}: workload nf saturated");
                 if full.id == r {
                     continue; // already normal; equal ids decide instantly
