@@ -14,9 +14,11 @@
 //! - finished session threads are joined as new connections arrive, so a
 //!   reconnect loop does not pile them up until shutdown;
 //! - the binary's `--help` prints its usage to stdout and succeeds, and an
-//!   unknown flag fails.
+//!   unknown flag fails;
+//! - a `--dir` service killed with SIGKILL after its last acknowledgement
+//!   restarts with every acknowledged append and reports no torn tail.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Command, Output, Stdio};
 use std::thread::JoinHandle;
@@ -260,4 +262,84 @@ fn help_succeeds_on_stdout_and_an_unknown_flag_fails() {
     assert!(bogus.stdout.is_empty(), "{bogus:?}");
     let stderr = String::from_utf8_lossy(&bogus.stderr);
     assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
+}
+
+/// Appends through a real `uprov-service --dir` process, kills it with
+/// SIGKILL right after the last acknowledgement (no `Drop`, no trim: the
+/// WAL file keeps its zero fill), and restarts it over the directory.
+#[test]
+fn a_killed_service_restarts_with_every_acknowledged_append() {
+    const APPENDS: u64 = 40;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("net_killed_service");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_uprov-service"))
+            .arg("--dir")
+            .arg(&dir)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the binary starts")
+    };
+    let mut child = spawn();
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut call = |stdin: &mut std::process::ChildStdin, line: &str| {
+        writeln!(stdin, "{line}").expect("service reads");
+        let mut reply = String::new();
+        stdout.read_line(&mut reply).expect("service answers");
+        reply.parse::<Response>().expect("a protocol reply")
+    };
+    let mut acked = 0;
+    for i in 0..APPENDS {
+        let log = if i == 0 {
+            "base x\\nbegin t0\\ninsert x\\ncommit\\n".to_owned()
+        } else {
+            format!("begin t{i}\\nmodify y{i} <- x\\ncommit\\n")
+        };
+        match call(
+            &mut stdin,
+            &format!("{{\"op\":\"append\",\"log\":\"{log}\"}}"),
+        ) {
+            Response::Appended { seq, .. } => acked = seq,
+            other => panic!("append {i} answered {other:?}"),
+        }
+    }
+    assert_eq!(acked, APPENDS);
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reaped");
+    let wal = std::fs::read(dir.join(uprov_storage::WAL_BLOB)).expect("the WAL exists");
+    let scan = uprov_storage::wal::scan(&wal).expect("a WAL");
+    assert!(scan.valid_len < wal.len() as u64, "the kill left zero fill");
+
+    let mut child = spawn();
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    writeln!(stdin, "{{\"op\":\"stats\"}}").expect("service reads");
+    let mut reply = String::new();
+    stdout.read_line(&mut reply).expect("service answers");
+    match reply.parse::<Response>() {
+        Ok(Response::Stats { seq, tuples, .. }) => {
+            assert_eq!(seq, acked, "every acknowledged append is back");
+            assert_eq!(tuples, APPENDS, "x and y1..y{}", APPENDS - 1);
+        }
+        other => panic!("stats answered {other:?}"),
+    }
+    writeln!(stdin, "{{\"op\":\"shutdown\"}}").expect("service reads");
+    drop(stdin);
+    assert!(child.wait().expect("exits").success());
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr readable");
+    assert!(
+        stderr.contains("recovered: 40 WAL record(s) replayed"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("torn tail truncated"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A named-blob storage backend.
@@ -31,6 +31,9 @@ pub trait Storage {
 
     /// Appends `bytes` to the blob (creating it empty first if missing).
     /// Not required to be durable until [`sync`](Storage::sync) returns.
+    /// A backend may preallocate: after a crash the blob can end in zero
+    /// bytes past its last append ([`FileStorage`] does; the WAL scan
+    /// reads them as the end of the log).
     fn append(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()>;
 
     /// Durability barrier for the blob's appended bytes.
@@ -116,18 +119,110 @@ impl Storage for MemStorage {
     }
 }
 
+/// The first extent [`FileStorage`] zero-fills past an appended blob's
+/// end; each later one is as long as the file was before it, so the file
+/// doubles.
+const EXTENT: u64 = 64 * 1024;
+
 /// File-backed [`Storage`]: each blob is a file inside one directory.
 ///
 /// * [`write_atomic`](Storage::write_atomic) writes a temporary sibling,
 ///   fsyncs it, renames it over the blob, then fsyncs the directory — the
 ///   classic crash-safe replace.
-/// * [`append`](Storage::append) opens in append mode per call;
-///   [`sync`](Storage::sync) opens the file and `fsync`s it (any handle
-///   to the inode flushes its data). Open-per-call costs a few µs — noise
-///   next to the fsync the WAL pays anyway.
+/// * [`append`](Storage::append) writes at the blob's logical end through
+///   one handle the backend keeps open, into space it has already
+///   zero-filled and made durable. An append that runs past that space
+///   is followed by real zeros for the next extent (64 KiB, then as long
+///   as the file was) and a `sync_all`, plus a directory sync when the
+///   file was empty (the append may have created it).
+///   [`sync`](Storage::sync) on that blob is then `fdatasync`: it changes
+///   no inode size, so the barrier commits no metadata.
+/// * While the handle is open, [`read`](Storage::read) and
+///   [`len`](Storage::len) report the logical bytes.
+///   [`truncate`](Storage::truncate), [`write_atomic`](Storage::write_atomic)
+///   and `Drop` close it, trimming the file to its logical length, so a
+///   clean shutdown leaves exactly the appended bytes. After a crash the
+///   file may end in zero bytes past its last append; the WAL scan reads
+///   them as the end of the log.
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
+    /// The blob being appended, if any.
+    tail: Option<Tail>,
+}
+
+/// The open handle on the blob being appended.
+#[derive(Debug)]
+struct Tail {
+    blob: String,
+    file: fs::File,
+    /// Bytes appended: the blob's logical length.
+    len: u64,
+    /// The file's length: zero-filled and durable past `len`.
+    allocated: u64,
+    /// The next extent also syncs the directory: the file was empty when
+    /// opened, so it may have just been created and its name not be
+    /// durable yet.
+    sync_dir: bool,
+}
+
+impl Tail {
+    fn open(dir: &Path, blob: &str) -> io::Result<Tail> {
+        let file = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(dir.join(blob))?;
+        let len = file.metadata()?.len();
+        Ok(Tail {
+            blob: blob.to_owned(),
+            file,
+            len,
+            allocated: len,
+            sync_dir: len == 0,
+        })
+    }
+
+    fn append(&mut self, dir: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(bytes)?;
+        self.len += bytes.len() as u64;
+        if self.len > self.allocated {
+            self.extend(dir)?;
+        }
+        Ok(())
+    }
+
+    /// The append just written ran past the allocated space: zero-fills
+    /// the next extent after it and makes both durable. Real zeros, not
+    /// `set_len`: a sparse hole would make the next `fdatasync` allocate
+    /// blocks after all.
+    fn extend(&mut self, dir: &Path) -> io::Result<()> {
+        let extent = self.allocated.max(EXTENT);
+        io::copy(&mut io::repeat(0).take(extent), &mut self.file)?;
+        self.file.sync_all()?;
+        if self.sync_dir {
+            sync_dir(dir)?;
+            self.sync_dir = false;
+        }
+        self.allocated = self.len + extent;
+        Ok(())
+    }
+
+    /// Closes the handle, trimming the zero-filled space past `len`.
+    fn close(self) -> io::Result<()> {
+        self.file.set_len(self.len)
+    }
+}
+
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    // Directory fsync makes a rename or a creation durable. Some platforms
+    // refuse to open directories; degrade gracefully there (Linux — the
+    // deployment target — accepts it).
+    match fs::File::open(dir) {
+        Ok(d) => d.sync_all(),
+        Err(_) => Ok(()),
+    }
 }
 
 impl FileStorage {
@@ -135,7 +230,7 @@ impl FileStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<FileStorage> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(FileStorage { dir })
+        Ok(FileStorage { dir, tail: None })
     }
 
     /// The backing directory.
@@ -147,13 +242,29 @@ impl FileStorage {
         self.dir.join(blob)
     }
 
-    fn sync_dir(&self) -> io::Result<()> {
-        // Directory fsync makes the rename itself durable. Some platforms
-        // refuse to open directories; degrade gracefully there (Linux — the
-        // deployment target — accepts it).
-        match fs::File::open(&self.dir) {
-            Ok(d) => d.sync_all(),
-            Err(_) => Ok(()),
+    /// The open handle, if it is `blob`'s.
+    fn tail_of(&self, blob: &str) -> Option<&Tail> {
+        self.tail.as_ref().filter(|t| t.blob == blob)
+    }
+
+    /// Closes the open handle if it is `blob`'s.
+    fn close(&mut self, blob: &str) -> io::Result<()> {
+        match self.tail.take() {
+            Some(t) if t.blob == blob => t.close(),
+            other => {
+                self.tail = other;
+                Ok(())
+            }
+        }
+    }
+}
+
+impl Drop for FileStorage {
+    fn drop(&mut self) {
+        if let Some(t) = self.tail.take() {
+            // Nothing to report to: a file left untrimmed ends in zeros,
+            // which recovery drops.
+            let _ = t.close();
         }
     }
 }
@@ -161,13 +272,19 @@ impl FileStorage {
 impl Storage for FileStorage {
     fn read(&self, blob: &str) -> io::Result<Option<Vec<u8>>> {
         match fs::read(self.path(blob)) {
-            Ok(bytes) => Ok(Some(bytes)),
+            Ok(mut bytes) => {
+                if let Some(t) = self.tail_of(blob) {
+                    bytes.truncate(t.len as usize);
+                }
+                Ok(Some(bytes))
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
     }
 
     fn write_atomic(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
+        self.close(blob)?;
         let tmp = self.path(&format!(".{blob}.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
@@ -175,22 +292,31 @@ impl Storage for FileStorage {
             f.sync_all()?;
         }
         fs::rename(&tmp, self.path(blob))?;
-        self.sync_dir()
+        sync_dir(&self.dir)
     }
 
     fn append(&mut self, blob: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(blob))?;
-        f.write_all(bytes)
+        let tail = match self.tail.take() {
+            Some(t) if t.blob == blob => t,
+            other => {
+                if let Some(t) = other {
+                    t.close()?;
+                }
+                Tail::open(&self.dir, blob)?
+            }
+        };
+        self.tail.insert(tail).append(&self.dir, bytes)
     }
 
     fn sync(&mut self, blob: &str) -> io::Result<()> {
-        fs::File::open(self.path(blob))?.sync_all()
+        match self.tail_of(blob) {
+            Some(t) => t.file.sync_data(),
+            None => fs::File::open(self.path(blob))?.sync_all(),
+        }
     }
 
     fn truncate(&mut self, blob: &str, len: u64) -> io::Result<()> {
+        self.close(blob)?;
         let path = self.path(blob);
         match fs::OpenOptions::new().write(true).open(&path) {
             Ok(f) => {
@@ -206,6 +332,9 @@ impl Storage for FileStorage {
     }
 
     fn len(&self, blob: &str) -> io::Result<Option<u64>> {
+        if let Some(t) = self.tail_of(blob) {
+            return Ok(Some(t.len));
+        }
         match fs::metadata(self.path(blob)) {
             Ok(m) => Ok(Some(m.len())),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),

@@ -40,6 +40,7 @@
 //!      ▼                                        ▼
 //! scan WAL: valid record prefix + tail verdict (wal::scan)
 //!      │ torn tail? truncate to the valid prefix, note it in the report
+//!      │ zero fill past a clean end? truncate it, silently
 //!      ▼
 //! replay records with seq ≥ snapshot's wal_seq, in sequence
 //!      │ gap or replay rejection ⇒ typed RecoveryError (refuse, loudly)
@@ -234,14 +235,17 @@ impl<S: Storage> DurableEngine<S> {
         let wal_bytes = storage.read(WAL_BLOB)?.unwrap_or_default();
         let scan = wal::scan(&wal_bytes)?;
         let mut wal_len = scan.valid_len;
-        if !scan.tail.is_clean() {
+        if scan.valid_len < wal_bytes.len() as u64 {
             storage.truncate(WAL_BLOB, scan.valid_len)?;
             storage.sync(WAL_BLOB)?;
-            report.truncated = Some(WalTruncation {
-                from: wal_bytes.len() as u64,
-                to: scan.valid_len,
-                tail: scan.tail,
-            });
+            // Zero fill past a clean end is no loss, so not reported.
+            if !scan.tail.is_clean() {
+                report.truncated = Some(WalTruncation {
+                    from: wal_bytes.len() as u64,
+                    to: scan.valid_len,
+                    tail: scan.tail,
+                });
+            }
         }
         // A WAL truncated below its magic is gone entirely; the next
         // append recreates it from scratch.

@@ -8,6 +8,7 @@
 //! ┌──────────────┬──────────────┬──────────────┐
 //! │ len: u32 LE  │ crc: u32 LE  │ payload      │  repeated per record
 //! └──────────────┴──────────────┴──────────────┘
+//! 00 00 00 …                                     zero fill, any length
 //! payload = seq: u64 LE, then the binary UpdateLog (codec module)
 //! ```
 //!
@@ -16,23 +17,27 @@
 //! across checkpoints: a snapshot taken at sequence `s` skips any WAL
 //! record with `seq < s` (the crash-between-snapshot-and-WAL-reset window
 //! leaves exactly such records behind), and a duplicated record is skipped
-//! the same way.
+//! the same way. The zero fill is space the backend preallocated and a
+//! crash left behind ([`FileStorage`](crate::FileStorage) appends into
+//! it); `len` is never 0, so no record starts with four zero bytes.
 //!
 //! # The scan contract
 //!
-//! [`scan`] walks records from the front and stops at the **first**
-//! anomaly: a header that doesn't fit, a length past end-of-file, a CRC
-//! mismatch, a payload that doesn't decode. Everything before the anomaly
-//! is the *valid prefix* — exactly the appends whose fsync barrier
-//! completed — and everything from it on is a torn tail to truncate. This
-//! is why a mid-record crash (or a bit flip anywhere in a record) costs at
-//! most the suffix of un-synced appends, never a panic and never silently
-//! corrupt state. A file whose 8-byte magic itself is damaged is *not* a
-//! torn tail (the magic is written and synced before any record): that is
-//! [`BadMagic`], surfaced as a hard
+//! [`scan`] walks records from the front. It ends **clean** where the
+//! bytes left are all zeros (none at all, or the fill): an all-zero image
+//! is an empty WAL. Otherwise it stops at the **first** anomaly: a header
+//! that doesn't fit, a length past end-of-file, a CRC mismatch, a payload
+//! that doesn't decode — a zero run followed by any non-zero byte is one.
+//! Everything before the stop is the *valid prefix* — exactly the appends
+//! whose fsync barrier completed — and everything from an anomaly on is a
+//! torn tail to truncate. This is why a mid-record crash (or a bit flip
+//! anywhere in a record) costs at most the suffix of un-synced appends,
+//! never a panic and never silently corrupt state. A file whose 8-byte
+//! magic itself is damaged is *not* a torn tail (the magic is written and
+//! synced before any record): that is [`BadMagic`], surfaced as a hard
 //! [`RecoveryError`](crate::RecoveryError) — except the boot-crash case of
-//! a file shorter than the magic that prefix-matches it, which is treated
-//! as a torn creation and truncated to empty.
+//! a strict prefix of the magic, zero-filled or not, which is treated as
+//! a torn creation and truncated to empty.
 
 // No-panic zone: the scan is total over whatever a crash left on disk.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -88,10 +93,11 @@ impl std::error::Error for BadMagic {}
 /// Why a [`scan`] stopped where it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalTail {
-    /// The file ends exactly at a record boundary — nothing torn.
+    /// The records end at a record boundary, followed by nothing or by
+    /// zero fill only — nothing torn.
     Clean,
     /// Fewer than 8 header bytes remained at `offset` (a crash mid-header,
-    /// or mid-magic for a file shorter than the magic).
+    /// or mid-magic: a strict prefix of the magic, zero-filled or not).
     TornHeader {
         /// Offset of the torn record (or 0 for a torn magic).
         offset: u64,
@@ -130,7 +136,8 @@ pub struct WalScan {
     /// Every record of the valid prefix, in append order.
     pub records: Vec<WalRecord>,
     /// Byte length of the valid prefix (magic included). Recovery
-    /// truncates the blob to this length when the tail is not clean.
+    /// truncates the blob to this length when it holds more: zero fill
+    /// silently, a torn tail with a report.
     pub valid_len: u64,
     /// Why the scan stopped.
     pub tail: WalTail,
@@ -140,25 +147,28 @@ pub struct WalScan {
 /// docs for the exact stop-and-truncate contract). Total: arbitrary bytes
 /// produce either a [`WalScan`] or [`BadMagic`], never a panic.
 pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
-    if bytes.is_empty() {
+    // Zero bytes past the last non-zero one are preallocated space a
+    // crash left behind, not data: the log ends where they begin.
+    let written = bytes
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1);
+    if written < WAL_MAGIC.len() {
+        // Crash while writing the magic itself: a prefix of the magic is a
+        // torn creation (truncate to empty); anything else is not ours.
+        let head = bytes.get(..written).unwrap_or_default();
+        if !WAL_MAGIC.starts_with(head) {
+            return Err(BadMagic);
+        }
         return Ok(WalScan {
             records: Vec::new(),
             valid_len: 0,
-            tail: WalTail::Clean,
+            tail: if written == 0 {
+                WalTail::Clean
+            } else {
+                WalTail::TornHeader { offset: 0 }
+            },
         });
-    }
-    if bytes.len() < WAL_MAGIC.len() {
-        // Crash while writing the magic itself: a prefix of the magic is a
-        // torn creation (truncate to empty); anything else is not ours.
-        return if WAL_MAGIC.starts_with(bytes) {
-            Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                tail: WalTail::TornHeader { offset: 0 },
-            })
-        } else {
-            Err(BadMagic)
-        };
     }
     if !bytes.starts_with(&WAL_MAGIC) {
         return Err(BadMagic);
@@ -166,7 +176,9 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
     loop {
-        if pos == bytes.len() {
+        // Every record has a non-zero length field, so none starts in a
+        // run of zeros that reaches the end.
+        if pos >= written {
             return Ok(WalScan {
                 records,
                 valid_len: pos as u64,
@@ -304,6 +316,82 @@ mod tests {
             assert_eq!(scan.records.len(), 1, "flip at {at}: first record survives");
             assert!(!scan.tail.is_clean(), "flip at {at} must be detected");
             assert!(scan.valid_len <= 8 + rec0_len, "flip at {at}");
+        }
+    }
+
+    /// A three-record WAL and the byte offset where each record prefix
+    /// ends (magic only, then after each record).
+    fn wal_and_boundaries() -> (Vec<u8>, WalScan, Vec<usize>) {
+        let (bytes, _) = wal_with(&[
+            "base a\nbegin t1\ninsert b\ncommit\n",
+            "begin t2\ndelete b\ncommit\n",
+            "begin t3\ninsert c\ncommit\n",
+        ]);
+        let full = scan(&bytes).expect("clean");
+        let mut boundaries = vec![WAL_MAGIC.len()];
+        for rec in &full.records {
+            let last = boundaries[boundaries.len() - 1];
+            boundaries.push(last + encode_record(rec.seq, &rec.delta).len());
+        }
+        (bytes, full, boundaries)
+    }
+
+    #[test]
+    fn every_record_prefix_followed_by_zeros_scans_clean() {
+        let (bytes, full, boundaries) = wal_and_boundaries();
+        for (kept, &end) in boundaries.iter().enumerate() {
+            for fill in [0, 1, 7, 8, 9, 4096] {
+                let mut image = bytes[..end].to_vec();
+                image.resize(end + fill, 0);
+                let got = scan(&image).expect("good magic");
+                let ctx = format!("{kept} records + {fill} zero bytes");
+                assert_eq!(got.tail, WalTail::Clean, "{ctx}");
+                assert_eq!(got.valid_len, end as u64, "{ctx}");
+                assert_eq!(got.records, full.records[..kept], "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_zero_image_is_an_empty_clean_wal() {
+        for len in (0..=20).chain([64, 4096, 65_536]) {
+            let got = scan(&vec![0; len]).expect("zeros are not a bad magic");
+            assert_eq!(got.tail, WalTail::Clean, "{len} zero bytes");
+            assert_eq!(got.valid_len, 0, "{len} zero bytes");
+            assert!(got.records.is_empty(), "{len} zero bytes");
+        }
+    }
+
+    #[test]
+    fn a_zero_run_then_a_non_zero_byte_is_torn_at_the_boundary() {
+        let (bytes, full, boundaries) = wal_and_boundaries();
+        for (kept, &end) in boundaries.iter().enumerate() {
+            for at in 0..40 {
+                let mut image = bytes[..end].to_vec();
+                image.resize(end + 40, 0);
+                image[end + at] = 0x5A;
+                let got = scan(&image).expect("good magic");
+                let ctx = format!("{kept} records, non-zero byte {at} into the fill");
+                assert!(!got.tail.is_clean(), "{ctx}");
+                assert_eq!(got.valid_len, end as u64, "{ctx}");
+                assert_eq!(got.records, full.records[..kept], "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_fill_keeps_the_magic_verdicts() {
+        for fill in [0, 1, 8, 4096] {
+            let padded = |head: &[u8]| {
+                let mut image = head.to_vec();
+                image.resize(head.len() + fill, 0);
+                scan(&image)
+            };
+            assert_eq!(padded(b"NOTAWAL!"), Err(BadMagic), "fill {fill}");
+            assert_eq!(padded(b"XY").err(), Some(BadMagic), "fill {fill}");
+            let torn = padded(&WAL_MAGIC[..5]).expect("torn creation");
+            assert_eq!(torn.tail, WalTail::TornHeader { offset: 0 }, "fill {fill}");
+            assert_eq!(torn.valid_len, 0, "fill {fill}");
         }
     }
 

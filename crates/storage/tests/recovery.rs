@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use common::FlakyStorage;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_storage::{
-    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, WalTail,
+    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage, WalTail,
     SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
 };
 
@@ -327,5 +327,100 @@ fn file_storage_round_trips_through_a_real_directory() {
     }
     let repaired = std::fs::read(&wal_path).expect("wal still there");
     assert_eq!(repaired, WAL_MAGIC, "truncated back to the reset point");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh scratch directory for one `FileStorage` test.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn file_len(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).expect("file exists").len()
+}
+
+/// A process that dies skips `Drop`, so the WAL file keeps the zero fill
+/// past its last record. Recovery drops the fill without calling it a
+/// tear, and the next append lands right after the last record.
+#[test]
+fn file_storage_zero_fill_left_by_a_crash_is_dropped_silently() {
+    let dir = scratch_dir("recovery_zero_fill");
+    let wal_path = dir.join(WAL_BLOB);
+    let logs = [
+        log("base a b\nbegin t1\ninsert c\ncommit\n"),
+        log("begin t2\nmodify a <- b c\ncommit\n"),
+        log("begin t3\ndelete b\ncommit\n"),
+    ];
+    let (mut db, _) = DurableEngine::open(FileStorage::open(&dir).unwrap()).expect("fresh");
+    for l in &logs {
+        db.append(l).unwrap();
+    }
+    let logical = db.storage().len(WAL_BLOB).unwrap().expect("wal exists");
+    assert!(file_len(&wal_path) > logical, "the file holds zero fill");
+    std::mem::forget(db);
+
+    let (mut db, report) = DurableEngine::open(FileStorage::open(&dir).unwrap()).expect("recovers");
+    assert_eq!(report.truncated, None, "zero fill is not a torn tail");
+    assert_eq!(report.wal_records_applied, logs.len());
+    let (_, state) = reference(&logs.iter().collect::<Vec<_>>(), &[]);
+    assert_eq!(db.state().to_snapshot(), state.to_snapshot());
+    let before = std::fs::read(&wal_path).unwrap();
+    assert_eq!(before.len() as u64, logical, "recovery trimmed the fill");
+    let next = log("begin t4\ninsert a\ncommit\n");
+    db.append(&next).unwrap();
+    drop(db);
+    let mut want = before;
+    want.extend_from_slice(&wal::encode_record(logs.len() as u64, &next));
+    assert_eq!(std::fs::read(&wal_path).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_dropped_file_storage_leaves_exactly_the_logical_bytes() {
+    let dir = scratch_dir("recovery_drop_trims");
+    let logs = [
+        log("base a\nbegin t1\ninsert b\ncommit\n"),
+        log("begin t2\ndelete b\ncommit\n"),
+    ];
+    let mut want = WAL_MAGIC.to_vec();
+    let (mut db, _) = DurableEngine::open(FileStorage::open(&dir).unwrap()).expect("fresh");
+    for (seq, l) in logs.iter().enumerate() {
+        db.append(l).unwrap();
+        want.extend_from_slice(&wal::encode_record(seq as u64, l));
+    }
+    assert_eq!(db.storage().read(WAL_BLOB).unwrap(), Some(want.clone()));
+    assert_eq!(db.storage().len(WAL_BLOB).unwrap(), Some(want.len() as u64));
+    drop(db);
+    assert_eq!(std::fs::read(dir.join(WAL_BLOB)).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fast path changes no file size: once an extent is allocated, the
+/// appends that fit in it leave the file's length alone, so each barrier
+/// is an `fdatasync` with no size to commit.
+#[test]
+fn appends_inside_one_extent_leave_the_file_length_unchanged() {
+    let dir = scratch_dir("recovery_one_extent");
+    let wal_path = dir.join(WAL_BLOB);
+    let (mut db, _) = DurableEngine::open(FileStorage::open(&dir).unwrap()).expect("fresh");
+    db.append(&log("base a\n")).unwrap();
+    let allocated = file_len(&wal_path);
+    for i in 0..100 {
+        db.append(&log(&format!("begin t{i}\ninsert a\ncommit\n")))
+            .unwrap();
+        assert_eq!(
+            file_len(&wal_path),
+            allocated,
+            "append {i} resized the file"
+        );
+    }
+    let logical = db.storage().len(WAL_BLOB).unwrap().expect("wal exists");
+    assert!(
+        logical < allocated,
+        "all 100 appends fit in the first extent"
+    );
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
