@@ -1186,51 +1186,43 @@ impl Engine {
         cert
     }
 
-    /// The one path behind the symbolic queries: substitute each `zeroed`
-    /// atom `↦ 0` into every tuple, then normalize all images in one
-    /// incremental call. Substitution images and normal forms are pure
-    /// functions of the id, so both are cached and a repeated query against
-    /// an appended log does O(delta) work. One view per atom, in order.
-    fn symbolic_zeroed_many(
-        &mut self,
-        state: &ReplayState,
-        zeroed: &[Atom],
-    ) -> Vec<Vec<SymbolicTuple>> {
+    /// The one path behind the symbolic queries: substitute `zeroed ↦ 0`
+    /// into every tuple, then normalize all images in one incremental
+    /// call. Substitution images and normal forms are pure functions of
+    /// the id, so both are cached and a repeated query against an appended
+    /// log does O(delta) work.
+    fn symbolic_zeroed(&mut self, state: &ReplayState, zeroed: Atom) -> Vec<SymbolicTuple> {
         let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
         if names.is_empty() {
-            return vec![Vec::new(); zeroed.len()];
+            return Vec::new();
         }
-        let mut images: Vec<NodeId> = Vec::with_capacity(roots.len() * zeroed.len());
+        let map = HashMap::from([(zeroed, ExprArena::ZERO)]);
         let epoch = self.nf_cache.epoch();
-        for &z in zeroed {
-            let map = HashMap::from([(z, ExprArena::ZERO)]);
-            let base = images.len();
-            // One probe per root; a hit is re-tagged with the current
-            // epoch, so a repeated query's working set outlives budget
-            // eviction.
-            let mut miss_ix: Vec<usize> = Vec::new();
-            let mut misses: Vec<NodeId> = Vec::new();
-            for (i, &r) in roots.iter().enumerate() {
-                match self.subst_cache.get_mut(&(z, r)) {
-                    Some((img, tag)) => {
-                        *tag = epoch;
-                        images.push(*img);
-                    }
-                    None => {
-                        miss_ix.push(i);
-                        misses.push(r);
-                        images.push(r); // placeholder, overwritten below
-                    }
+        // One probe per root; a hit is re-tagged with the current epoch, so
+        // a repeated query's working set outlives budget eviction.
+        let mut images: Vec<NodeId> = Vec::with_capacity(roots.len());
+        let mut miss_ix: Vec<usize> = Vec::new();
+        let mut misses: Vec<NodeId> = Vec::new();
+        for (i, &r) in roots.iter().enumerate() {
+            match self.subst_cache.get_mut(&(zeroed, r)) {
+                Some((img, tag)) => {
+                    *tag = epoch;
+                    images.push(*img);
+                }
+                None => {
+                    miss_ix.push(i);
+                    misses.push(r);
+                    images.push(r); // placeholder, overwritten below
                 }
             }
-            if !misses.is_empty() {
-                let substituted =
-                    self.arena
-                        .substitute_roots_in(&misses, &map, &mut self.subst_memo);
-                for ((&ix, &r), img) in miss_ix.iter().zip(&misses).zip(substituted) {
-                    self.subst_cache.insert((z, r), (img, epoch));
-                    images[base + ix] = img;
-                }
+        }
+        if !misses.is_empty() {
+            let substituted = self
+                .arena
+                .substitute_roots_in(&misses, &map, &mut self.subst_memo);
+            for ((&ix, &r), img) in miss_ix.iter().zip(&misses).zip(substituted) {
+                self.subst_cache.insert((zeroed, r), (img, epoch));
+                images[ix] = img;
             }
         }
         let outcomes = nf_roots_incremental_in(
@@ -1240,10 +1232,7 @@ impl Engine {
             &mut self.nf_memo,
         );
         self.enforce_cache_budget();
-        outcomes
-            .chunks_exact(names.len())
-            .map(|view| Self::symbolic_view(&names, view))
-            .collect()
+        Self::symbolic_view(&names, &outcomes)
     }
 
     /// One symbolic view: each tuple name with its normalization outcome.
@@ -1292,7 +1281,10 @@ impl Engine {
         state: &ReplayState,
         txn: &str,
     ) -> Result<Vec<SymbolicTuple>, QueryError> {
-        Ok(self.abort_symbolic_batch(state, &[txn])?.remove(0))
+        let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
+            name: txn.to_owned(),
+        })?;
+        Ok(self.symbolic_zeroed(state, p))
     }
 
     /// [`Engine::abort_symbolic`] bypassing the normal-form cache: every
@@ -1316,31 +1308,6 @@ impl Engine {
             .substitute_roots_in(&roots, &map, &mut self.subst_memo);
         let outcomes = nf_roots_in(&mut self.arena, &images, &mut self.nf_memo);
         Ok(Self::symbolic_view(&names, &outcomes))
-    }
-
-    /// [`Engine::abort_symbolic`] for a coalesced burst of transactions:
-    /// one substitution-cache sweep per transaction, one shared incremental
-    /// normalization batch across all of them. Returns one symbolic view
-    /// per transaction, in `txns` order ([`Engine::abort_symbolic`] is the
-    /// batch of one) — the service layer's writer turns a queue of
-    /// concurrent abort requests into exactly this call.
-    ///
-    /// Name resolution is all-or-nothing: any unknown transaction fails
-    /// the whole batch before any work happens.
-    pub fn abort_symbolic_batch(
-        &mut self,
-        state: &ReplayState,
-        txns: &[&str],
-    ) -> Result<Vec<Vec<SymbolicTuple>>, QueryError> {
-        let atoms = txns
-            .iter()
-            .map(|&txn| {
-                state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
-                    name: txn.to_owned(),
-                })
-            })
-            .collect::<Result<Vec<Atom>, QueryError>>()?;
-        Ok(self.symbolic_zeroed_many(state, &atoms))
     }
 
     /// The symbolic deletion-propagation query: substitutes the base
@@ -1373,7 +1340,7 @@ impl Engine {
             .ok_or_else(|| QueryError::UnknownTuple {
                 name: tuple.to_owned(),
             })?;
-        Ok(self.symbolic_zeroed_many(state, &[a]).remove(0))
+        Ok(self.symbolic_zeroed(state, a))
     }
 
     /// Evaluates every tuple under `structure` and an explicit valuation —
@@ -1520,26 +1487,11 @@ impl Engine {
     /// assert!(engine.equivalent(&s1, &s2).is_equivalent());
     /// ```
     pub fn equivalent(&mut self, a: &ReplayState, b: &ReplayState) -> Equivalence {
-        self.equivalent_many(a, &[b]).remove(0)
-    }
-
-    /// [`Engine::equivalent`] for a coalesced burst of right-hand states:
-    /// the differing-candidate pairs of **all** `(a, bᵢ)` comparisons
-    /// funnel into one incremental normalization batch, so provenance
-    /// shared across the comparisons (the common prefix of the logs)
-    /// certifies once. One verdict per `bs` entry, in order;
-    /// [`Engine::equivalent`] is the batch of one.
-    pub fn equivalent_many(&mut self, a: &ReplayState, bs: &[&ReplayState]) -> Vec<Equivalence> {
-        let name_sets: Vec<Vec<&str>> = bs
-            .iter()
-            .map(|b| Self::differing_candidates(a, b))
-            .collect();
-        let mut roots: Vec<NodeId> = Vec::new();
-        for (b, names) in bs.iter().zip(&name_sets) {
-            for name in names {
-                roots.push(a.provenance(name));
-                roots.push(b.provenance(name));
-            }
+        let names = Self::differing_candidates(a, b);
+        let mut roots: Vec<NodeId> = Vec::with_capacity(names.len() * 2);
+        for name in &names {
+            roots.push(a.provenance(name));
+            roots.push(b.provenance(name));
         }
         let outcomes = nf_roots_incremental_in(
             &mut self.arena,
@@ -1548,15 +1500,7 @@ impl Engine {
             &mut self.nf_memo,
         );
         self.enforce_cache_budget();
-        let mut rest = outcomes.as_slice();
-        name_sets
-            .iter()
-            .map(|names| {
-                let (pairs, tail) = rest.split_at(2 * names.len());
-                rest = tail;
-                Self::verdict(names, pairs)
-            })
-            .collect()
+        Self::verdict(&names, &outcomes)
     }
 
     /// The merge-join behind the equivalence queries: tuple names whose

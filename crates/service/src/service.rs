@@ -27,17 +27,16 @@
 //! A write joins one FIFO queue, then waits until its answer is posted
 //! or nobody leads; then its caller leads: it takes up to `coalesce_max`
 //! writes off the queue — its own and whatever arrived meanwhile —
-//! serves them under **one** write-lock acquisition, posts the answers
-//! and steps down. A lone writer commits on its own thread; writes that
-//! arrive during a batch's fsync form the next batch. Within a batch,
-//! runs of same-shaped requests collapse into the engine's batch entry
-//! points — symbolic aborts share one normalization batch
-//! ([`Engine::abort_symbolic_batch`]), appends commit behind one fsync
-//! ([`DurableEngine::append_many`]), equivalence bursts normalize in one
-//! sweep ([`Engine::equivalent_many`]) — with answers bit-identical to
-//! one-at-a-time ones (pinned by the interleaving tests). A leader that
-//! unwinds still steps down, and the writes it took answer a typed
-//! error. Reads do not coalesce: each is one read-lock acquisition.
+//! serves them in queue order under **one** write-lock acquisition,
+//! posts the answers and steps down. A lone writer commits on its own
+//! thread; writes that arrive during a batch's fsync form the next batch.
+//! Only appends share work: each maximal run of them commits behind one
+//! fsync ([`DurableEngine::append_many`]). Every other write — a symbolic
+//! abort, an equivalence probe, a snapshot, a budget — is one engine
+//! call, so its answer is the one-at-a-time answer (pinned by the
+//! interleaving tests). A leader that unwinds still steps down, and the
+//! writes it took answer a typed error. Reads do not coalesce: each is
+//! one read-lock acquisition.
 //!
 //! # Backpressure, shutdown and the pause gate
 //!
@@ -49,6 +48,11 @@
 //! started [`ServiceConfig::paused`] parks readers and write leaders at
 //! the gate until [`Service::resume`]; tests use it to pin which writes
 //! coalesce into one batch.
+
+// No-panic zone: no request, poisoned lock or engine answer panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,7 +142,8 @@ struct Inner<S: Storage> {
 /// The live clients' cache budgets, keyed by client id. A client's entry
 /// goes with the client: dropping it marks the map `stale`, and the next
 /// write batch re-applies the minimum (budgets only bite on the write
-/// path, so that is soon enough).
+/// path, so that is soon enough). Every update leaves the map whole, so a
+/// poisoned lock is recovered rather than propagated.
 #[derive(Default)]
 struct Budgets {
     per_client: BTreeMap<u64, usize>,
@@ -199,6 +204,10 @@ impl<S: Storage> Inner<S> {
 
     fn traffic(&self) -> MutexGuard<'_, Traffic> {
         self.traffic.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn budgets(&self) -> MutexGuard<'_, Budgets> {
+        self.budgets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn wait<'a>(&self, traffic: MutexGuard<'a, Traffic>) -> MutexGuard<'a, Traffic> {
@@ -411,11 +420,7 @@ impl<S: Storage> Clone for Client<S> {
 impl<S: Storage> Drop for Client<S> {
     /// Withdraws this client's cache budget, if it set one.
     fn drop(&mut self) {
-        let mut budgets = self
-            .inner
-            .budgets
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut budgets = self.inner.budgets();
         if budgets.per_client.remove(&self.id).is_some() {
             budgets.stale = true;
         }
@@ -515,7 +520,8 @@ impl<S: Storage> Service<S> {
     }
 
     /// [`Service::shutdown`] that also hands back the engine, when this
-    /// handle is the sole owner (every [`Client`] dropped). Tests use it
+    /// handle is the sole owner (every [`Client`] dropped) and no engine
+    /// panic poisoned its lock; `None` otherwise. Tests use it
     /// to inspect the drained state and storage — e.g. counting fsync
     /// barriers behind a coalesced append burst — or to restart the
     /// service over the same storage.
@@ -526,9 +532,7 @@ impl<S: Storage> Service<S> {
         // Dropping the handle stops an already stopped service, a no-op;
         // with every Client gone too, the clone is the final owner.
         drop(self);
-        let db = Arc::try_unwrap(inner)
-            .ok()
-            .map(|inner| inner.db.into_inner().expect("engine lock poisoned"));
+        let db = Arc::into_inner(inner).and_then(|inner| inner.db.into_inner().ok());
         (stats, db)
     }
 }
@@ -591,143 +595,122 @@ fn serve_read<S: Storage>(inner: &Inner<S>, req: &Request) -> Response {
 }
 
 // ---------------------------------------------------------------------------
-// Write path: one write-lock acquisition; consecutive same-kind runs
-// collapse into the engine's batch entry points.
+// Write path: one write-lock acquisition per batch. Each maximal run of
+// appends commits behind one fsync; every other write is one engine call.
 
 fn serve_write_batch<S: Storage>(inner: &Inner<S>, jobs: Vec<Job>) -> Vec<Response> {
     let Ok(mut db) = inner.db.write() else {
         return jobs.iter().map(|_| poisoned()).collect();
     };
     {
-        let mut budgets = inner.budgets.lock().expect("budgets poisoned");
+        let mut budgets = inner.budgets();
         if budgets.stale {
             budgets.apply(db.query().0);
         }
     }
-    let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
-    let mut i = 0;
-    while i < jobs.len() {
-        let run_end = run_end(&jobs, i);
-        match &jobs[i].req {
-            Request::Append { .. } => {
-                serve_appends(&mut db, &jobs[i..run_end], &mut responses[i..run_end])
-            }
-            Request::AbortSymbolic { .. } => {
-                serve_symbolic(&mut db, &jobs[i..run_end], &mut responses[i..run_end])
-            }
-            Request::Equiv { .. } => {
-                serve_equiv(&mut db, &jobs[i..run_end], &mut responses[i..run_end])
-            }
-            Request::Snapshot => {
-                let resp = match db.snapshot() {
-                    Ok(()) => Response::Snapshotted { seq: db.seq() },
-                    Err(e) => durable_error(&e),
-                };
-                responses[i] = Some(resp);
-            }
-            Request::SetBudget { entries } => {
-                {
-                    let mut budgets = inner.budgets.lock().expect("budgets poisoned");
-                    match entries {
-                        Some(n) => budgets.per_client.insert(jobs[i].client, *n as usize),
-                        None => budgets.per_client.remove(&jobs[i].client),
-                    };
-                    budgets.apply(db.query().0);
-                }
-                responses[i] = Some(Response::BudgetSet { seq: db.seq() });
-            }
-            Request::Shutdown => {
-                inner.accepting.store(false, Ordering::SeqCst);
-                responses[i] = Some(Response::Bye { seq: db.seq() });
-            }
-            other => {
-                responses[i] = Some(error(
-                    ErrorKind::Query,
-                    format!("request routed to the write path is not a write: {other}"),
-                ));
-            }
+    let mut responses = Vec::with_capacity(jobs.len());
+    let mut appends: Vec<&str> = Vec::new();
+    for job in &jobs {
+        if let Request::Append { log } = &job.req {
+            appends.push(log);
+        } else {
+            serve_appends(&mut db, &mut appends, &mut responses);
+            responses.push(serve_write(inner, &mut db, job));
         }
-        i = run_end;
     }
-    drop(db);
+    serve_appends(&mut db, &mut appends, &mut responses);
     responses
-        .into_iter()
-        .map(|resp| resp.expect("every write job answered"))
-        .collect()
 }
 
-/// End of the maximal run of batchable same-kind requests starting at `i`.
-/// Only the three kinds with batch entry points form runs; everything
-/// else is a run of one.
-fn run_end(jobs: &[Job], i: usize) -> usize {
-    fn kind(req: &Request) -> Option<u8> {
-        match req {
-            Request::Append { .. } => Some(0),
-            Request::AbortSymbolic { .. } => Some(1),
-            Request::Equiv { .. } => Some(2),
-            _ => None,
+/// One write other than an append.
+fn serve_write<S: Storage>(inner: &Inner<S>, db: &mut DurableEngine<S>, job: &Job) -> Response {
+    let seq = db.seq();
+    match &job.req {
+        Request::AbortSymbolic { txn } => {
+            let (engine, state) = db.query();
+            match engine.abort_symbolic(state, txn) {
+                Ok(view) => Response::Symbolic {
+                    seq,
+                    rows: render_symbolic(engine, view),
+                },
+                Err(e) => error(ErrorKind::Query, e.to_string()),
+            }
         }
+        Request::Equiv { log } => serve_equiv(db, log),
+        Request::Snapshot => match db.snapshot() {
+            Ok(()) => Response::Snapshotted { seq },
+            Err(e) => durable_error(&e),
+        },
+        Request::SetBudget { entries } => {
+            let mut budgets = inner.budgets();
+            match entries {
+                Some(n) => budgets.per_client.insert(job.client, *n as usize),
+                None => budgets.per_client.remove(&job.client),
+            };
+            budgets.apply(db.query().0);
+            Response::BudgetSet { seq }
+        }
+        Request::Shutdown => {
+            inner.accepting.store(false, Ordering::SeqCst);
+            Response::Bye { seq }
+        }
+        other => error(
+            ErrorKind::Query,
+            format!("request routed to the write path is not a write: {other}"),
+        ),
     }
-    let Some(k) = kind(&jobs[i].req) else {
-        return i + 1;
-    };
-    let mut end = i + 1;
-    while end < jobs.len() && kind(&jobs[end].req) == Some(k) {
-        end += 1;
-    }
-    end
 }
 
-/// A run of appends: parse each, group-commit the well-formed ones
-/// behind one fsync, answer per-log verdicts. Each accepted log's `seq`
-/// is its own 1-based position — the prefix an oracle must replay to
-/// reproduce the response.
+/// A run of appends, drained from `run`: parse each, group-commit the
+/// well-formed ones behind one fsync, and answer in `run` order. Each
+/// accepted log's `seq` is its own 1-based position — the prefix an
+/// oracle must replay to reproduce the response.
 fn serve_appends<S: Storage>(
     db: &mut DurableEngine<S>,
-    jobs: &[Job],
-    responses: &mut [Option<Response>],
+    run: &mut Vec<&str>,
+    out: &mut Vec<Response>,
 ) {
     let mut logs: Vec<UpdateLog> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
-    for (ix, job) in jobs.iter().enumerate() {
-        let Request::Append { log } = &job.req else {
-            unreachable!("run_end grouped a non-append into an append run");
-        };
-        match log.parse::<UpdateLog>() {
-            Ok(parsed) => {
-                logs.push(parsed);
-                owners.push(ix);
+    // Per request, its parse error, or `None` for its log in `logs`.
+    let mut parse_errors: Vec<Option<Response>> = Vec::new();
+    for text in run.drain(..) {
+        match text.parse::<UpdateLog>() {
+            Ok(log) => {
+                logs.push(log);
+                parse_errors.push(None);
             }
-            Err(e) => responses[ix] = Some(error(ErrorKind::Parse, e.to_string())),
+            Err(e) => parse_errors.push(Some(error(ErrorKind::Parse, e.to_string()))),
         }
     }
+    let mut answers = commit(db, &logs).into_iter();
+    for parse_error in parse_errors {
+        out.extend(parse_error.or_else(|| answers.next()));
+    }
+}
+
+/// One answer per log of one [`DurableEngine::append_many`]. A storage
+/// failure is batch-atomic: nothing was applied, `seq` and the state
+/// readers see are where they were, and every log answers the error.
+fn commit<S: Storage>(db: &mut DurableEngine<S>, logs: &[UpdateLog]) -> Vec<Response> {
     if logs.is_empty() {
-        return;
+        return Vec::new();
     }
-    match db.append_many(&logs) {
-        Ok(verdicts) => {
-            let mut seq = db.seq() - verdicts.iter().filter(|v| v.is_ok()).count() as u64;
-            for (ix, verdict) in owners.into_iter().zip(verdicts) {
-                responses[ix] = Some(match verdict {
-                    Ok(applied) => {
-                        seq += 1;
-                        Response::Appended {
-                            seq,
-                            applied: applied as u64,
-                        }
+    let mut seq = db.seq();
+    match db.append_many(logs) {
+        Ok(verdicts) => verdicts
+            .into_iter()
+            .map(|verdict| match verdict {
+                Ok(applied) => {
+                    seq += 1;
+                    Response::Appended {
+                        seq,
+                        applied: applied as u64,
                     }
-                    Err(e) => error(ErrorKind::Replay, e.to_string()),
-                });
-            }
-        }
-        Err(e) => {
-            // Storage failure: batch-atomic — nothing was applied, `seq`
-            // and the state readers see are where they were.
-            let resp = durable_error(&e);
-            for ix in owners {
-                responses[ix] = Some(resp.clone());
-            }
-        }
+                }
+                Err(e) => error(ErrorKind::Replay, e.to_string()),
+            })
+            .collect(),
+        Err(e) => vec![durable_error(&e); logs.len()],
     }
 }
 
@@ -741,82 +724,25 @@ fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Vec<SymbolicRow
         .collect()
 }
 
-/// A run of symbolic aborts: unknown transactions answer per-request,
-/// the rest share one incremental normalization batch.
-fn serve_symbolic<S: Storage>(
-    db: &mut DurableEngine<S>,
-    jobs: &[Job],
-    responses: &mut [Option<Response>],
-) {
+/// An equivalence query: parse and replay the candidate log in the shared
+/// arena, then compare it with the served state.
+fn serve_equiv<S: Storage>(db: &mut DurableEngine<S>, log: &str) -> Response {
     let seq = db.seq();
     let (engine, state) = db.query();
-    let mut txns: Vec<&str> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
-    for (ix, job) in jobs.iter().enumerate() {
-        let Request::AbortSymbolic { txn } = &job.req else {
-            unreachable!("run_end grouped a non-abort into a symbolic run");
-        };
-        if state.txn_atom(txn).is_some() {
-            txns.push(txn);
-            owners.push(ix);
-        } else {
-            responses[ix] = Some(error(
-                ErrorKind::Query,
-                format!("unknown transaction `{txn}`"),
-            ));
+    let parsed = match log.parse::<UpdateLog>() {
+        Ok(parsed) => parsed,
+        Err(e) => return error(ErrorKind::Parse, e.to_string()),
+    };
+    match engine.replay(&parsed) {
+        Ok(candidate) => {
+            let verdict = engine.equivalent(state, &candidate);
+            Response::Equiv {
+                seq,
+                equivalent: verdict.is_equivalent(),
+                differing: verdict.differing,
+                undecided: verdict.undecided,
+            }
         }
-    }
-    if txns.is_empty() {
-        return;
-    }
-    let views = engine
-        .abort_symbolic_batch(state, &txns)
-        .expect("names resolved under the same lock");
-    for (ix, view) in owners.into_iter().zip(views) {
-        responses[ix] = Some(Response::Symbolic {
-            seq,
-            rows: render_symbolic(engine, view),
-        });
-    }
-}
-
-/// A run of equivalence queries: parse + replay each candidate log in
-/// the shared arena, then one [`Engine::equivalent_many`] sweep.
-fn serve_equiv<S: Storage>(
-    db: &mut DurableEngine<S>,
-    jobs: &[Job],
-    responses: &mut [Option<Response>],
-) {
-    let seq = db.seq();
-    let (engine, state) = db.query();
-    let mut candidates: Vec<ReplayState> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
-    for (ix, job) in jobs.iter().enumerate() {
-        let Request::Equiv { log } = &job.req else {
-            unreachable!("run_end grouped a non-equiv into an equiv run");
-        };
-        match log.parse::<UpdateLog>() {
-            Ok(parsed) => match engine.replay(&parsed) {
-                Ok(candidate) => {
-                    candidates.push(candidate);
-                    owners.push(ix);
-                }
-                Err(e) => responses[ix] = Some(error(ErrorKind::Replay, e.to_string())),
-            },
-            Err(e) => responses[ix] = Some(error(ErrorKind::Parse, e.to_string())),
-        }
-    }
-    if candidates.is_empty() {
-        return;
-    }
-    let refs: Vec<&ReplayState> = candidates.iter().collect();
-    let verdicts = engine.equivalent_many(state, &refs);
-    for (ix, verdict) in owners.into_iter().zip(verdicts) {
-        responses[ix] = Some(Response::Equiv {
-            seq,
-            equivalent: verdict.is_equivalent(),
-            differing: verdict.differing,
-            undecided: verdict.undecided,
-        });
+        Err(e) => error(ErrorKind::Replay, e.to_string()),
     }
 }

@@ -12,6 +12,8 @@
 //!   semantically (see `common`),
 //! - a storage failure inside a coalesced commit fails every append of
 //!   the batch and nothing else: state, `seq` and reads are untouched,
+//! - a batch's malformed or rejected writes answer typed errors, and the
+//!   writes around them what a one-at-a-time run answers,
 //! - concrete reads served from the per-`seq` baseline cache answer
 //!   what a replica's full evaluation says, across appends, failed
 //!   appends and concurrent cache misses,
@@ -387,6 +389,117 @@ fn storage_failure_in_a_group_commit_fails_the_whole_batch_and_nothing_else() {
     assert_ne!(client.request(eval), rows_before, "retries are visible");
     drop(client);
     service.shutdown();
+}
+
+/// Every error arm of the write path inside coalesced batches: an
+/// `abort_symbolic` of an unknown transaction answers a typed `query`
+/// error, an `equiv` whose log does not parse a `parse` error, and an
+/// `equiv` whose log the engine rejects a `replay` error. The appends and
+/// the valid `abort_symbolic` among them answer what a one-at-a-time run
+/// in the same queue order answers, the final `seq` and state are that
+/// run's, and no run of appends syncs twice.
+#[test]
+fn write_errors_in_a_batch_answer_typed_and_leave_the_rest_one_at_a_time() {
+    let base = Request::Append {
+        log: "base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n".to_owned(),
+    };
+    let appends = 8;
+    let mut script: Vec<Request> = (0..appends)
+        .map(|i| Request::Append {
+            log: format!("begin u{i}\ninsert x{i}\nmodify y{i} <- x{i}\ncommit\n"),
+        })
+        .collect();
+    script.extend([
+        Request::AbortSymbolic { txn: "t1".into() },
+        Request::AbortSymbolic { txn: "nope".into() },
+        Request::Equiv {
+            log: "frobnicate a\n".into(),
+        },
+        // `a` is a tuple: naming a transaction after it is a kind clash.
+        Request::Equiv {
+            log: "begin a\ninsert z\ncommit\n".into(),
+        },
+    ]);
+    let config = ServiceConfig {
+        coalesce_max: 16,
+        queue_depth: 64,
+        paused: false,
+    };
+
+    let service = start(config.clone());
+    assert!(matches!(
+        service.client().request(base.clone()),
+        Response::Appended { seq: 1, .. }
+    ));
+    let db = service.shutdown_into().1.expect("sole owner");
+    let syncs_before = db.storage().syncs();
+    let service = Service::start(
+        db,
+        ServiceConfig {
+            paused: true,
+            ..config.clone()
+        },
+    );
+    let got = run_coalesced(&service, &script);
+    let (stats, db) = service.shutdown_into();
+    let db = db.expect("sole owner after shutdown");
+    assert!(stats.coalesced > 0, "the burst must coalesce: {stats:?}");
+    // Each non-append, and each batch boundary, can end a run of appends.
+    let runs = appends.min(script.len() - appends + stats.batches as usize) as u64;
+    let syncs = db.storage().syncs() - syncs_before;
+    assert!(syncs <= runs, "{syncs} syncs for at most {runs} runs");
+    for (ix, kind) in [
+        (appends + 1, ErrorKind::Query),
+        (appends + 2, ErrorKind::Parse),
+        (appends + 3, ErrorKind::Replay),
+    ] {
+        match &got[ix] {
+            Response::Error { kind: got_kind, .. } => assert_eq!(*got_kind, kind),
+            other => panic!("request #{ix} ({}) answered {other}", script[ix]),
+        }
+    }
+
+    // The queue order the answers show: appends by `seq`, the symbolic
+    // abort after the appends its `seq` counts. The errors change nothing,
+    // so they may go anywhere.
+    let mut order: Vec<usize> = (0..script.len()).collect();
+    order.sort_by_key(|&ix| match &got[ix] {
+        Response::Appended { seq, .. } => (*seq, 0),
+        Response::Symbolic { seq, .. } => (*seq, 1),
+        _ => (0, 0),
+    });
+    let one_at_a_time = start(ServiceConfig {
+        coalesce_max: 1,
+        ..config
+    });
+    let client = one_at_a_time.client();
+    client.request(base);
+    let mut want: Vec<Option<Response>> = vec![None; script.len()];
+    for ix in order {
+        want[ix] = Some(client.request(script[ix].clone()));
+    }
+    drop(client);
+    let want_db = one_at_a_time.shutdown_into().1.expect("sole owner");
+
+    for (ix, (got, want)) in got.iter().zip(want).enumerate() {
+        let context = format!("request #{ix} ({})", script[ix]);
+        match (got, want.expect("every request answered")) {
+            (
+                Response::Symbolic { seq, rows },
+                Response::Symbolic {
+                    seq: want_seq,
+                    rows: want_rows,
+                },
+            ) => {
+                assert_eq!(*seq, want_seq, "{context}");
+                common::assert_symbolic_rows_agree(rows, &want_rows, &context);
+            }
+            (got, want) => assert_eq!(*got, want, "{context}"),
+        }
+    }
+    assert_eq!(db.seq(), 1 + appends as u64);
+    assert_eq!(db.seq(), want_db.seq());
+    assert_eq!(db.state().to_snapshot(), want_db.state().to_snapshot());
 }
 
 /// A sweep of concrete reads: whole-database, abort and delete, over two

@@ -237,7 +237,6 @@ impl<S: Storage> DurableEngine<S> {
         let mut wal_len = scan.valid_len;
         if scan.valid_len < wal_bytes.len() as u64 {
             storage.truncate(WAL_BLOB, scan.valid_len)?;
-            storage.sync(WAL_BLOB)?;
             // Zero fill past a clean end is no loss, so not reported.
             if !scan.tail.is_clean() {
                 report.truncated = Some(WalTruncation {

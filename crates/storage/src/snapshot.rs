@@ -25,7 +25,8 @@
 //!   state:   updates, then one row per tuple: name, root, NF column
 //!            (0 = dirty, else certified NF + 1); then base/txn atoms as
 //!            atom-table indices. Ids are arena indices.
-//!   nf-cache: count, then (root, nf) id pairs, sorted
+//!   nf-cache: count, then (root, nf) id pairs keyed inside the tuple
+//!             roots' DAG, sorted
 //! ```
 //!
 //! Names are a varint length plus UTF-8 bytes. Every varint must be the
@@ -171,46 +172,36 @@ fn op_from_tag(tag: u8) -> Option<BinOp> {
 /// all-time append sequence the snapshot covers (see
 /// [`RecoveredSnapshot::wal_seq`]).
 ///
-/// The snapshot is also the arena's garbage collector: only nodes
-/// reachable from the replay state (tuple roots, certified ids) or the
-/// certified-NF cache are written, with ids compacted order-preservingly —
-/// dead rewrite intermediates (typically 20–25% of a long-lived arena)
-/// never hit the disk, so checkpoints shrink and recovery rebuilds only
-/// what the engine can ever reach again. Compaction is sound because no
-/// live id escapes the snapshot un-remapped and the WAL addresses updates
-/// by *name*, never by node id.
+/// A checkpoint holds the database, not the query history. It writes the
+/// nodes the tuple rows reach (roots and certified NFs) and, of the
+/// certified-NF cache, only the pairs keyed by a node some tuple root
+/// reaches: those are the cuts recovery's certify can use. A symbolic
+/// query's or an equivalence probe's answers are keyed by nodes no tuple
+/// reaches, so they never hit the disk, and neither do dead rewrite
+/// intermediates. Ids are compacted order-preservingly, which is sound
+/// because no live id escapes the snapshot un-remapped and the WAL
+/// addresses updates by *name*, never by node id.
 pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
-    // Live-set marking over every root the recovered engine can reach.
     let arena = engine.arena();
     let snap = state.to_snapshot();
     let mut live = vec![false; arena.len()];
     live[0] = true; // Zero is structural: always id 0, always kept.
-    let mut stack: Vec<NodeId> = Vec::new();
-    for (_, root, nf) in &snap.tuples {
-        stack.push(*root);
-        stack.extend(*nf);
-    }
-    for (root, nf) in engine.nf_cache().iter_certified() {
-        stack.push(root);
-        stack.push(nf);
-    }
-    while let Some(id) = stack.pop() {
-        if std::mem::replace(&mut live[id.index()], true) {
-            continue;
-        }
-        match arena.node(id) {
-            Node::Zero | Node::Atom(_) => {}
-            Node::Bin(_, a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            Node::Counted(_, h, es) => {
-                stack.push(h);
-                stack.extend(es.iter().map(|&(e, _)| e));
-            }
-            Node::Sum(terms) => stack.extend_from_slice(terms),
-        }
-    }
+    mark_live(
+        arena,
+        &mut live,
+        snap.tuples.iter().map(|&(_, root, _)| root),
+    );
+    let nf_pairs: Vec<(NodeId, NodeId)> = engine
+        .nf_cache()
+        .iter_certified()
+        .filter(|(root, _)| live[root.index()])
+        .collect();
+    let nfs = snap.tuples.iter().filter_map(|&(_, _, nf)| nf);
+    mark_live(
+        arena,
+        &mut live,
+        nfs.chain(nf_pairs.iter().map(|&(_, nf)| nf)),
+    );
     // Order-preserving compaction: children stay below parents.
     let mut remap = vec![0u32; arena.len()];
     let mut nlive = 0u32;
@@ -282,9 +273,8 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         .all(|(name, a)| atoms.name(*a) == name));
     put_state(&mut p, &snap, |id| remap[id.index()]);
     // Engine-level certified-NF cache (sorted for deterministic bytes).
-    let mut nf_entries: Vec<(u32, u32)> = engine
-        .nf_cache()
-        .iter_certified()
+    let mut nf_entries: Vec<(u32, u32)> = nf_pairs
+        .iter()
         .map(|(root, nf)| (remap[root.index()], remap[nf.index()]))
         .collect();
     nf_entries.sort_unstable();
@@ -294,6 +284,29 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     header[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
     p
+}
+
+/// Marks every node reachable from `roots` in `live`; a node already
+/// marked is not walked again.
+fn mark_live(arena: &ExprArena, live: &mut [bool], roots: impl Iterator<Item = NodeId>) {
+    let mut stack: Vec<NodeId> = roots.collect();
+    while let Some(id) = stack.pop() {
+        if std::mem::replace(&mut live[id.index()], true) {
+            continue;
+        }
+        match arena.node(id) {
+            Node::Zero | Node::Atom(_) => {}
+            Node::Bin(_, a, b) => {
+                stack.push(a);
+                stack.push(b);
+            }
+            Node::Counted(_, h, es) => {
+                stack.push(h);
+                stack.extend(es.iter().map(|&(e, _)| e));
+            }
+            Node::Sum(terms) => stack.extend_from_slice(terms),
+        }
+    }
 }
 
 /// Writes the replay-state section of a snapshot, every id through
@@ -802,10 +815,16 @@ mod tests {
         // Decoding numbers ids exactly as the snapshot does.
         let rec = decode(&bytes).expect("valid snapshot");
         let mut snap = rec.state.to_snapshot();
+        // `encode` keeps the cache pairs keyed inside the tuple roots' DAG.
+        let mut live = vec![false; rec.engine.arena().len()];
+        live[0] = true;
+        let roots = rec.state.tuples().map(|(_, root)| root);
+        mark_live(rec.engine.arena(), &mut live, roots);
         let mut nf: Vec<(u32, u32)> = rec
             .engine
             .nf_cache()
             .iter_certified()
+            .filter(|(root, _)| live[root.index()])
             .map(|(root, nf)| (root.index() as u32, nf.index() as u32))
             .collect();
         nf.sort_unstable();

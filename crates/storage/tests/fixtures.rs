@@ -25,13 +25,14 @@ use uprov_storage::{DurableEngine, DurableError, SNAPSHOT_BLOB, WAL_BLOB};
 /// The panic-freedom zones: a file and the functions the zone covers (none
 /// = the whole file). These are the paths whose claims no test can check
 /// exhaustively: the total protocol parser, the session loop that frames
-/// whatever bytes a peer sends, the storage decode and recovery paths, and
-/// the worker pool's run loop. `snapshot.rs` is zoned in its decode half
-/// only: `encode` indexes vectors it sized, `decode` must be total over
-/// arbitrary bytes.
+/// whatever bytes a peer sends, the service every client's requests run
+/// through, the storage decode and recovery paths, and the worker pool's
+/// run loop. `snapshot.rs` is zoned in its decode half only: `encode`
+/// indexes vectors it sized, `decode` must be total over arbitrary bytes.
 const NO_PANIC_ZONES: &[(&str, &[&str])] = &[
     ("crates/service/src/proto.rs", &[]),
     ("crates/service/src/net.rs", &[]),
+    ("crates/service/src/service.rs", &[]),
     ("crates/storage/src/codec.rs", &[]),
     ("crates/storage/src/wal.rs", &[]),
     (
@@ -72,7 +73,7 @@ const SIBLING_SUFFIXES: [&str; 5] = ["_par", "_par_in", "_scoped_in", "_budget_i
 /// Most `pub fn`s [`ONE_FN_CRATES`] may declare together, counted as lines
 /// whose trimmed start is `pub fn `. A ratchet: lower it when the surface
 /// shrinks, never raise it to admit a new sibling.
-const PUB_FN_CAP: usize = 147;
+const PUB_FN_CAP: usize = 145;
 
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -417,10 +418,10 @@ fn api_pass_caps_pub_fn_count() {
 /// [`PUB_FN_CAP`]: a change edits the text in place, and a cap only ever
 /// comes down.
 const DOC_BYTE_CAPS: &[(&str, usize)] = &[
-    ("README.md", 24_713),
-    ("docs/ARCHITECTURE.md", 50_571),
+    ("README.md", 24_666),
+    ("docs/ARCHITECTURE.md", 50_440),
     ("docs/PAPER_MAP.md", 12_144),
-    (".claude/skills/verify/SKILL.md", 24_101),
+    (".claude/skills/verify/SKILL.md", 24_095),
 ];
 
 #[test]

@@ -144,6 +144,34 @@ fn partial_final_record_is_truncated_and_reported() {
     assert_eq!(db3.state().to_snapshot(), state.to_snapshot());
 }
 
+/// Trimming a WAL tail on open is one `truncate`, which is durable by the
+/// `Storage` contract: no extra barrier follows it, for a torn tail or a
+/// zero-filled one.
+#[test]
+fn trimming_the_wal_tail_on_open_adds_no_sync() {
+    let base = log("base a\nbegin t1\ninsert b\ncommit\n");
+    let (mut db, _) = DurableEngine::open(MemStorage::new()).expect("fresh");
+    db.append(&base).unwrap();
+    db.append(&log("begin t2\ndelete b\ncommit\n")).unwrap();
+    let disk = db.into_storage();
+    let bytes = disk.blob(WAL_BLOB).unwrap().to_vec();
+    let torn = bytes[..bytes.len() - 3].to_vec();
+    let zero_filled = [bytes.as_slice(), &[0; 64]].concat();
+    for (tail, clean) in [(torn, false), (zero_filled, true)] {
+        let mut disk = disk.clone();
+        disk.set_blob(WAL_BLOB, tail);
+        let syncs = disk.syncs();
+        let (db, report) = DurableEngine::open(disk).expect("repairs the tail");
+        assert_eq!(
+            db.storage().syncs(),
+            syncs,
+            "open synced (clean tail: {clean})"
+        );
+        assert_eq!(report.truncated.is_none(), clean);
+        assert_eq!(report.wal_records_applied, if clean { 2 } else { 1 });
+    }
+}
+
 #[test]
 fn crash_between_snapshot_and_wal_reset_skips_covered_records() {
     let base = log("base a\nbegin t1\ninsert b\ncommit\n");

@@ -1,14 +1,15 @@
 //! What the flat arena costs on a generated workload, what certifying adds
 //! to it, what a cached what-if baseline costs beside it, what a
-//! checkpoint of it costs on disk, and that the snapshot frame around it
-//! kept its bytes.
+//! checkpoint of it costs on disk (and that queries add nothing to it),
+//! and that the snapshot frame around it kept its bytes.
 
+use benchkit::TestRng;
 use uprov_core::{reduce, NodeId, Valuation};
 use uprov_engine::{Engine, ReplayState};
 use uprov_storage::crc::crc32;
 use uprov_storage::{snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use uprov_structures::Worlds;
-use uprov_workload::{Workload, WorkloadConfig};
+use uprov_workload::{equivalent_variant, Variant, Workload, WorkloadConfig};
 
 fn replayed_and_certified(cfg: WorkloadConfig) -> (Engine, ReplayState) {
     let w = Workload::generate(cfg.clone());
@@ -153,9 +154,9 @@ fn snapshot_frame_is_magic_version_length_crc_payload() {
 /// An absolute budget in counts (ROADMAP aim 1): the bytes a checkpoint
 /// stores per update applied. Varint integers, children stored as
 /// back-distances and one row per tuple put these workloads at
-/// 22.9–23.2 B per update (the cap leaves ≈ 25 % headroom); separate
-/// certified and dirty sections cost 23.6–23.9, four-byte ids and
-/// integers 51.9–52.5.
+/// 22.4–22.8 B per update (the cap leaves ≈ 27 % headroom); writing the
+/// cache pairs no tuple root reaches cost 22.9–23.2, separate certified
+/// and dirty sections 23.6–23.9, four-byte ids and integers 51.9–52.5.
 #[test]
 fn snapshot_stays_within_its_per_update_byte_budget() {
     for seed in 1..=3 {
@@ -167,6 +168,77 @@ fn snapshot_stays_within_its_per_update_byte_budget() {
             bytes <= 29 * updates,
             "seed {seed}: {bytes} B for {updates} updates ({:.1} B each)",
             bytes as f64 / updates as f64
+        );
+    }
+}
+
+/// A decoded checkpoint's tuple rows — name, root, normal form — with each
+/// id as its structural hash, so rows compare across compactions.
+fn decoded_rows(blob: &[u8]) -> Vec<(String, u64, Option<u64>)> {
+    let rec = snapshot::decode(blob).expect("valid snapshot");
+    let hash = |id| rec.engine.arena().structural_hash(id);
+    rec.state
+        .tuples()
+        .map(|(name, root)| {
+            let nf = rec.state.certified_nf(name).map(hash);
+            (name.to_owned(), hash(root), nf)
+        })
+        .collect()
+}
+
+/// A checkpoint holds the database, not the query history: any sequence
+/// of symbolic aborts, symbolic deletions and equivalence probes between
+/// two checkpoints leaves the decoded tuple rows as they were and the
+/// blob at most 1 % larger. (A query root can coincide with an interior
+/// node of a tuple root, so byte identity is too strict.) Writing every
+/// cached normal form made it 8× larger after 20 aborts.
+#[test]
+fn queries_between_checkpoints_add_nothing_to_the_checkpoint() {
+    let variants = [
+        Variant::PermuteModifySources,
+        Variant::DeadSelfModify,
+        Variant::ModifyFromDeleted,
+    ];
+    for seed in 1..=3 {
+        let cfg = bench_like(seed, 300);
+        let log = Workload::generate(cfg.clone()).log;
+        let (mut engine, state) = replayed_and_certified(cfg.clone());
+        let before = snapshot::encode(&engine, &state, 0);
+        let txns: Vec<String> = state.txn_atoms().map(|(n, _)| n.to_owned()).collect();
+        let bases: Vec<String> = state.base_atoms().map(|(n, _)| n.to_owned()).collect();
+        let mut rng = TestRng::new(seed);
+        for _ in 0..12 {
+            match rng.below(3) {
+                0 => {
+                    let txn = &txns[rng.below(txns.len())];
+                    engine.abort_symbolic(&state, txn).expect("known txn");
+                }
+                1 => {
+                    let base = &bases[rng.below(bases.len())];
+                    engine
+                        .delete_base_symbolic(&state, base)
+                        .expect("known base");
+                }
+                _ => {
+                    let variant = variants[rng.below(variants.len())];
+                    let other = engine
+                        .replay(&equivalent_variant(&log, variant, &mut rng))
+                        .expect("variant replays");
+                    let verdict = engine.equivalent(&state, &other);
+                    assert!(verdict.is_equivalent(), "{cfg}: {verdict:?}");
+                }
+            }
+        }
+        let after = snapshot::encode(&engine, &state, 0);
+        assert!(
+            decoded_rows(&after) == decoded_rows(&before),
+            "{cfg}: the tuple rows moved"
+        );
+        assert!(
+            after.len() * 100 <= before.len() * 101,
+            "{cfg}: {} B after the queries, {} B before",
+            after.len(),
+            before.len()
         );
     }
 }
