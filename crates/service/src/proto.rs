@@ -162,7 +162,8 @@ pub enum ErrorKind {
     /// The storage backend failed.
     Io,
     /// The request line exceeded the transport's size cap
-    /// ([`crate::net::MAX_LINE_BYTES`]); it was discarded unread.
+    /// ([`crate::net::MAX_LINE_BYTES`]) and was discarded unread, or the
+    /// symbolic reply it asked for would have.
     TooLarge,
 }
 

@@ -55,12 +55,14 @@
 #![deny(clippy::indexing_slicing)]
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, DurableError, Storage};
 
+use crate::net::MAX_LINE_BYTES;
 use crate::proto::{ErrorKind, Request, Response, SymbolicRow};
 use crate::values::{eval_rows, Rows, StructureId};
 
@@ -629,9 +631,12 @@ fn serve_write<S: Storage>(inner: &Inner<S>, db: &mut DurableEngine<S>, job: &Jo
         Request::AbortSymbolic { txn } => {
             let (engine, state) = db.query();
             match engine.abort_symbolic(state, txn) {
-                Ok(view) => Response::Symbolic {
-                    seq,
-                    rows: render_symbolic(engine, view),
+                Ok(view) => match render_symbolic(engine, view) {
+                    Ok(rows) => Response::Symbolic { seq, rows },
+                    Err(tuple) => error(
+                        ErrorKind::TooLarge,
+                        format!("symbolic reply exceeds {MAX_LINE_BYTES} bytes at tuple `{tuple}`"),
+                    ),
                 },
                 Err(e) => error(ErrorKind::Query, e.to_string()),
             }
@@ -714,14 +719,44 @@ fn commit<S: Storage>(db: &mut DurableEngine<S>, logs: &[UpdateLog]) -> Vec<Resp
     }
 }
 
-fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Vec<SymbolicRow> {
-    view.into_iter()
-        .map(|t| SymbolicRow {
+/// Prints a symbolic view's rows within one byte budget shared by all of
+/// them, the transport's line cap: a reply past it could not travel, and
+/// a counted normal form prints its whole expanded spine, so printing it
+/// anyway could exhaust memory under the write lock. Past the budget, the
+/// name of the tuple that crossed it.
+fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Result<Vec<SymbolicRow>, String> {
+    let mut left = MAX_LINE_BYTES;
+    let mut rows = Vec::with_capacity(view.len());
+    for t in view {
+        let mut out = Bounded {
+            text: String::new(),
+            left: &mut left,
+        };
+        let shown = engine.arena().display(t.provenance, engine.atoms());
+        if write!(out, "{shown}").is_err() {
+            return Err(t.name);
+        }
+        rows.push(SymbolicRow {
             name: t.name,
-            provenance: engine.render(t.provenance),
+            provenance: out.text,
             saturated: t.saturated,
-        })
-        .collect()
+        });
+    }
+    Ok(rows)
+}
+
+/// A string that refuses any write past the bytes `left`.
+struct Bounded<'a> {
+    text: String,
+    left: &'a mut usize,
+}
+
+impl fmt::Write for Bounded<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        *self.left = self.left.checked_sub(s.len()).ok_or(fmt::Error)?;
+        self.text.push_str(s);
+        Ok(())
+    }
 }
 
 /// An equivalence query: parse and replay the candidate log in the shared

@@ -22,6 +22,8 @@
 //!   fsync per batch, in a state equal to a sequential replay,
 //! - a service at its admission bound answers typed `overloaded`
 //!   immediately, for reads and writes alike,
+//! - a symbolic reply past the transport's line cap answers typed
+//!   `too_large`, and the next request is served,
 //! - shutdown **drains** — everything admitted before it is answered,
 //!   nothing is dropped — and late requests get typed `shutting_down`.
 
@@ -637,6 +639,45 @@ fn readers_that_both_miss_the_cache_answer_identically() {
         assert_eq!(&answers[1].to_string(), want);
         db = service.shutdown_into().1.expect("sole owner");
     }
+}
+
+/// A symbolic reply is printed within one byte budget for all its rows,
+/// the transport's line cap: past it, the request answers typed
+/// `too_large` naming the tuple that crossed it, and the next request is
+/// served. Here the first row alone would print ≈ 5 × 10¹¹ symbols (a
+/// counted normal form prints its expanded spine); printed whole, such a
+/// reply exhausted memory.
+#[test]
+fn an_oversized_symbolic_reply_answers_too_large_and_the_service_goes_on() {
+    let w = Workload::generate(WorkloadConfig::bench_shaped(21, 500, 2_000));
+    let service = start(ServiceConfig::default());
+    let client = service.client();
+    let log = w.log.to_string();
+    assert!(matches!(
+        client.request(Request::Append { log }),
+        Response::Appended { seq: 1, .. }
+    ));
+    let txn = w.txn_names[0].clone();
+    match client.request(Request::AbortSymbolic { txn: txn.clone() }) {
+        Response::Error {
+            kind: ErrorKind::TooLarge,
+            message,
+        } => assert!(message.ends_with("at tuple `r0_k0`"), "{message}"),
+        Response::Symbolic { rows, .. } => panic!("{} rows answered", rows.len()),
+        other => panic!("expected too_large, got {other}"),
+    }
+    let stats = client.serve_line(r#"{"op":"stats"}"#);
+    assert!(
+        stats.starts_with(r#"{"ok":"stats","seq":1"#),
+        "got: {stats}"
+    );
+    let abort = client.request(Request::AbortEval {
+        txn,
+        structure: StructureId::Bool,
+    });
+    assert!(matches!(abort, Response::Rows { seq: 1, .. }));
+    drop(client);
+    service.shutdown();
 }
 
 /// A service at its admission bound rejects immediately with a typed

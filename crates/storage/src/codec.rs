@@ -69,13 +69,6 @@ pub fn put_var64(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
-/// Appends a [`put_var`] length prefix followed by the string's UTF-8
-/// bytes.
-pub fn put_var_str(buf: &mut Vec<u8>, s: &str) {
-    put_var(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
 /// A bounds-checked, offset-tracking reader over a byte slice.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -207,16 +200,6 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed UTF-8 string (see [`put_str`]).
     pub fn take_str(&mut self, what: &'static str) -> Result<String, DecodeError> {
         let len = self.take_u32(what)? as usize;
-        self.take_utf8(len, what)
-    }
-
-    /// Reads a varint-length-prefixed UTF-8 string (see [`put_var_str`]).
-    pub fn take_var_str(&mut self, what: &'static str) -> Result<String, DecodeError> {
-        let len = self.take_var(what)? as usize;
-        self.take_utf8(len, what)
-    }
-
-    fn take_utf8(&mut self, len: usize, what: &'static str) -> Result<String, DecodeError> {
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError {
             offset: self.pos - len,
@@ -396,10 +379,10 @@ mod tests {
         for v in VAR_EDGES {
             let mut buf = Vec::new();
             put_var(&mut buf, v);
-            put_var_str(&mut buf, "name");
+            put_var(&mut buf, 300);
             for cut in 0..buf.len() {
                 let mut r = Reader::new(&buf[..cut]);
-                let got = r.take_var("v").and_then(|_| r.take_var_str("s"));
+                let got = r.take_var("v").and_then(|_| r.take_var("w"));
                 let err = got.expect_err("a proper prefix must not decode");
                 assert!(err.offset <= cut, "{v} cut at {cut}: {err}");
             }

@@ -6,32 +6,54 @@
 //!
 //! ```text
 //! "UPSNAP01"            8-byte magic
-//! version: u32 LE       currently 4 (varint payload, one row per tuple)
+//! version: u32 LE       currently 5 (nothing stored that decode infers)
 //! payload_len: u64 LE
 //! payload_crc: u32 LE   CRC-32 of the payload bytes
 //! payload:              every integer a minimal LEB128 varint
 //!   wal_seq                           appends already folded in
-//!   atoms:   count, then per atom kind u8 + name
-//!   arena:   node count, then per node (ids 1…) a tag byte — operator in
-//!            the high nibble, node kind in the low one — and its fields:
-//!              atom     atom index
-//!              bin      lhs, rhs
+//!   atoms:   count, then per atom kind u8 + front-coded name
+//!   arena:   node count, then per node (ids 1…) a tag byte — node kind in
+//!            bits 0–2, operator in bits 3–4, flags above — and its fields:
+//!              atom     atom index, unless bit 5: the next fresh index
+//!              bin      lhs, unless bit 5: the node right below; rhs,
+//!                       unless bits 6–7 name a slot of the rhs window
 //!              sum      arity, terms
 //!              counted  head, arity, (entry, multiplicity) pairs
 //!            A child is stored as its back-distance `own id − child id`
 //!            (≥ 1): most children sit a few nodes below their parent, so
 //!            most take one byte. A counted block is a handful of pairs
 //!            on disk however many applications it stands for.
-//!   state:   updates, then one row per tuple: name, root, NF column
-//!            (0 = dirty, else certified NF + 1); then base/txn atoms as
-//!            atom-table indices. Ids are arena indices.
-//!   nf-cache: count, then (root, nf) id pairs keyed inside the tuple
-//!             roots' DAG, sorted
+//!   state:   updates, then one row per tuple: front-coded name, root, NF
+//!            column (0 = dirty, else certified NF + 1); then the base and
+//!            txn atoms as ascending, gap-coded atom-table indices. Ids are
+//!            arena indices.
+//!   nf-cache: count, then (root, nf) pairs no certified row implies, by
+//!             ascending gap-coded root
 //! ```
 //!
-//! Names are a varint length plus UTF-8 bytes. Every varint must be the
-//! minimal encoding ([`Reader::take_var`]), so a snapshot has exactly one
-//! byte string and re-encoding a recovered engine reproduces it.
+//! What decode can infer is not stored:
+//! - **Fresh atoms.** An atom node whose index is the smallest one no
+//!   earlier atom node holds sets tag bit 5 instead of spelling it.
+//! - **Left children.** A binary node whose left child is the node right
+//!   below sets tag bit 5 instead of writing back-distance 1.
+//! - **Right operands** are coded against a two-slot move-to-front window
+//!   of earlier binary nodes' right operands: bits 6–7 are `0` (spelled
+//!   out; a miss pushes it into slot 0), `1` (slot 0) or `2` (slot 1; the
+//!   hit swaps the slots).
+//! - **Names** (atom table in index order, tuple rows in sorted order) are
+//!   front-coded against the name before: shared-prefix length, suffix
+//!   length, suffix bytes.
+//! - **Gaps.** A list of ascending indices stores each as its distance
+//!   above one past the index before it.
+//! - **Cache pairs.** Decode re-seeds `root ↦ nf` and `nf ↦ nf` for every
+//!   certified row, and `nf ↦ nf` for every stored pair, so those pairs
+//!   are not stored.
+//!
+//! Each rule is mandatory wherever it applies, and every varint must be
+//! minimal ([`Reader::take_var`]): decode rejects any other spelling, and
+//! any node no tuple, normal form or stored pair reaches, as
+//! [`SnapshotError::Corrupt`]. So a snapshot has exactly one byte string
+//! and re-encoding a recovered engine reproduces it.
 //!
 //! The arena section is the paper-structure payoff: the hash-consed arena
 //! is already a topologically ordered flat node list whose ids are dense
@@ -54,21 +76,21 @@ use std::fmt;
 use uprov_core::{Atom, AtomKind, AtomTable, BinOp, ExprArena, Node, NodeId, NodeList};
 use uprov_engine::{Engine, ReplayState, StateSnapshot};
 
-use crate::codec::{put_u32, put_u64, put_var, put_var64, put_var_str, DecodeError, Reader};
+use crate::codec::{put_u32, put_u64, put_var, put_var64, DecodeError, Reader};
 use crate::crc::crc32;
 
 /// The snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"UPSNAP01";
 
 /// The current snapshot format version: varint integers, children as
-/// back-distances, and each tuple written once as one row (see the module
-/// docs). Older versions are **rejected**,
-/// not migrated, so there is one decoder. Version 1 could not be migrated
-/// anyway: its certified-NF sections record expanded-spine images that
-/// are not normal under the counted rule system, and re-seeding them
-/// would poison every later incremental normalization (the
+/// back-distances, each tuple written once as one row, and nothing written
+/// that decode infers (see the module docs). Older versions are
+/// **rejected**, not migrated, so there is one decoder. Version 1 could
+/// not be migrated anyway: its certified-NF sections record expanded-spine
+/// images that are not normal under the counted rule system, and
+/// re-seeding them would poison every later incremental normalization (the
 /// [`uprov_core::NfCache`] contract).
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,14 +162,31 @@ pub struct RecoveredSnapshot {
 /// Bytes before the payload: magic, version, payload length, payload CRC.
 const HEADER_LEN: usize = 24;
 
-/// Node kind, the tag byte's low nibble: an atom leaf.
+/// Node kind, the tag's bits 0–2: an atom leaf.
 const NODE_ATOM: u8 = 1;
-/// Node kind: a binary operation (operator in the high nibble).
+/// Node kind: a binary operation.
 const NODE_BIN: u8 = 2;
 /// Node kind: an n-ary sum.
 const NODE_SUM: u8 = 3;
-/// Node kind: a counted `+I`/`+M` block (operator in the high nibble).
+/// Node kind: a counted `+I`/`+M` block.
 const NODE_COUNTED: u8 = 4;
+/// The tag bits that hold the node kind.
+const KIND_MASK: u8 = 0x07;
+/// Where the operator of a binary node or counted block sits in its tag.
+const OP_SHIFT: u8 = 3;
+/// The tag bits that hold the operator.
+const OP_MASK: u8 = 0x18;
+/// Tag bit 5: the node's first field is implied — an atom node's index is
+/// the next fresh one, a binary node's left child is the node right below.
+const IMPLIED: u8 = 0x20;
+/// Where a binary node's right-operand mode sits in its tag (bits 6–7).
+const RHS_SHIFT: u8 = 6;
+/// Right-operand mode: spelled out as a back-distance.
+const RHS_EXPLICIT: u8 = 0;
+/// Right-operand mode: slot 0 of the window.
+const RHS_SLOT0: u8 = 1;
+/// Right-operand mode: slot 1 of the window.
+const RHS_SLOT1: u8 = 2;
 
 fn op_tag(op: BinOp) -> u8 {
     match op {
@@ -158,14 +197,92 @@ fn op_tag(op: BinOp) -> u8 {
     }
 }
 
-fn op_from_tag(tag: u8) -> Option<BinOp> {
-    Some(match tag {
+/// The operator in a tag's bits 3–4.
+fn op_of(tag: u8) -> BinOp {
+    match (tag & OP_MASK) >> OP_SHIFT {
         0 => BinOp::PlusI,
         1 => BinOp::Minus,
         2 => BinOp::PlusM,
-        3 => BinOp::DotM,
-        _ => return None,
-    })
+        _ => BinOp::DotM,
+    }
+}
+
+/// The two most recent right operands of binary nodes, most recent first:
+/// a binary node's right operand is coded as a hit in one of the slots or
+/// spelled out. Encode and decode step it alike, so it never travels.
+#[derive(Default)]
+struct RhsWindow([Option<u32>; 2]);
+
+impl RhsWindow {
+    /// The right-operand mode that codes `id`, moving it to the front: a
+    /// hit in slot 1 swaps the slots, a miss pushes `id` into slot 0. The
+    /// slots never hold the same id twice, so the mode is unique.
+    fn code(&mut self, id: u32) -> u8 {
+        let [first, second] = self.0;
+        if first == Some(id) {
+            RHS_SLOT0
+        } else if second == Some(id) {
+            self.0 = [second, first];
+            RHS_SLOT1
+        } else {
+            self.0 = [Some(id), first];
+            RHS_EXPLICIT
+        }
+    }
+}
+
+/// The atom indices atom nodes have taken so far, and the smallest index
+/// none has: the one an atom node codes with [`IMPLIED`].
+struct FreshAtoms {
+    seen: Vec<bool>,
+    next: usize,
+}
+
+impl FreshAtoms {
+    fn new(natoms: usize) -> Self {
+        FreshAtoms {
+            seen: vec![false; natoms],
+            next: 0,
+        }
+    }
+
+    /// Records an atom node holding `ix` and answers whether `ix` was the
+    /// fresh index, i.e. whether the node codes it with [`IMPLIED`].
+    fn code(&mut self, ix: usize) -> bool {
+        let fresh = ix == self.next;
+        if let Some(seen) = self.seen.get_mut(ix) {
+            *seen = true;
+        }
+        while self.seen.get(self.next) == Some(&true) {
+            self.next += 1;
+        }
+        fresh
+    }
+}
+
+/// Front-codes `name` against the name before it: the length of their
+/// longest common byte prefix, then the rest of `name`, length first.
+fn put_name(p: &mut Vec<u8>, prev: &str, name: &str) {
+    let shared = prev
+        .bytes()
+        .zip(name.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    let suffix = &name.as_bytes()[shared..];
+    put_var(p, shared as u32);
+    put_var(p, suffix.len() as u32);
+    p.extend_from_slice(suffix);
+}
+
+/// Writes ascending indices: the count, then each one's distance above
+/// one past the index before it (the first: above zero).
+fn put_ascending(p: &mut Vec<u8>, ixs: &[u32]) {
+    put_var(p, ixs.len() as u32);
+    let mut next = 0;
+    for &ix in ixs {
+        put_var(p, ix - next);
+        next = ix + 1;
+    }
 }
 
 /// Serializes the engine + state into one snapshot blob. `wal_seq` is the
@@ -175,12 +292,13 @@ fn op_from_tag(tag: u8) -> Option<BinOp> {
 /// A checkpoint holds the database, not the query history. It writes the
 /// nodes the tuple rows reach (roots and certified NFs) and, of the
 /// certified-NF cache, only the pairs keyed by a node some tuple root
-/// reaches: those are the cuts recovery's certify can use. A symbolic
-/// query's or an equivalence probe's answers are keyed by nodes no tuple
-/// reaches, so they never hit the disk, and neither do dead rewrite
-/// intermediates. Ids are compacted order-preservingly, which is sound
-/// because no live id escapes the snapshot un-remapped and the WAL
-/// addresses updates by *name*, never by node id.
+/// reaches: those are the cuts recovery's certify can use. Of those, it
+/// leaves out the pairs decode re-seeds on its own (see the module docs).
+/// A symbolic query's or an equivalence probe's answers are keyed by
+/// nodes no tuple reaches, so they never hit the disk, and neither do
+/// dead rewrite intermediates. Ids are compacted order-preservingly, which
+/// is sound because no live id escapes the snapshot un-remapped and the
+/// WAL addresses updates by *name*, never by node id.
 pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     let arena = engine.arena();
     let snap = state.to_snapshot();
@@ -191,11 +309,27 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         &mut live,
         snap.tuples.iter().map(|&(_, root, _)| root),
     );
-    let nf_pairs: Vec<(NodeId, NodeId)> = engine
+    // Keys whose pair decode re-seeds: both ends of every certified row,
+    // then the image of every pair written.
+    let mut implied = vec![false; arena.len()];
+    for &(_, root, nf) in &snap.tuples {
+        if let Some(nf) = nf {
+            implied[root.index()] = true;
+            implied[nf.index()] = true;
+        }
+    }
+    let mut nf_pairs: Vec<(NodeId, NodeId)> = engine
         .nf_cache()
         .iter_certified()
-        .filter(|(root, _)| live[root.index()])
+        .filter(|(root, _)| live[root.index()] && !implied[root.index()])
         .collect();
+    for &(root, nf) in &nf_pairs {
+        if root != nf {
+            implied[nf.index()] = true;
+        }
+    }
+    nf_pairs.retain(|&(root, nf)| root != nf || !implied[root.index()]);
+    nf_pairs.sort_unstable();
     let nfs = snap.tuples.iter().filter_map(|&(_, _, nf)| nf);
     mark_live(
         arena,
@@ -224,15 +358,19 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     // Atom table, in index order (named() re-interns at the same index).
     let atoms = engine.atoms();
     put_var(&mut p, atoms.len() as u32);
+    let mut prev = "";
     for a in atoms.iter() {
         p.push(match atoms.kind(a) {
             AtomKind::Tuple => 0,
             AtomKind::Txn => 1,
         });
-        put_var_str(&mut p, atoms.name(a));
+        put_name(&mut p, prev, atoms.name(a));
+        prev = atoms.name(a);
     }
     // Live arena nodes, in compacted id order. Id 0 is Zero and implied.
     put_var(&mut p, nlive);
+    let mut fresh = FreshAtoms::new(atoms.len());
+    let mut window = RhsWindow::default();
     for (ix, _) in live.iter().enumerate().skip(1).filter(|&(_, &keep)| keep) {
         // Children as back-distances from this node's compacted id.
         let own = remap[ix];
@@ -240,16 +378,27 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         match arena.node(NodeId::from_index(ix)) {
             Node::Zero => unreachable!("Zero is interned exactly once, at id 0"),
             Node::Atom(a) => {
-                p.push(NODE_ATOM);
-                put_var(&mut p, a.index() as u32);
+                if fresh.code(a.index()) {
+                    p.push(NODE_ATOM | IMPLIED);
+                } else {
+                    p.push(NODE_ATOM);
+                    put_var(&mut p, a.index() as u32);
+                }
             }
             Node::Bin(op, a, b) => {
-                p.push(op_tag(op) << 4 | NODE_BIN);
-                put_var(&mut p, back(a));
-                put_var(&mut p, back(b));
+                let left_below = back(a) == 1;
+                let rhs = window.code(remap[b.index()]);
+                let implied = if left_below { IMPLIED } else { 0 };
+                p.push(NODE_BIN | op_tag(op) << OP_SHIFT | implied | rhs << RHS_SHIFT);
+                if !left_below {
+                    put_var(&mut p, back(a));
+                }
+                if rhs == RHS_EXPLICIT {
+                    put_var(&mut p, back(b));
+                }
             }
             Node::Counted(op, h, es) => {
-                p.push(op_tag(op) << 4 | NODE_COUNTED);
+                p.push(NODE_COUNTED | op_tag(op) << OP_SHIFT);
                 put_var(&mut p, back(h));
                 put_var(&mut p, es.len() as u32);
                 for &(e, m) in es.iter() {
@@ -272,12 +421,10 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         .chain(&snap.txn_atoms)
         .all(|(name, a)| atoms.name(*a) == name));
     put_state(&mut p, &snap, |id| remap[id.index()]);
-    // Engine-level certified-NF cache (sorted for deterministic bytes).
-    let mut nf_entries: Vec<(u32, u32)> = nf_pairs
+    let nf_entries: Vec<(u32, u32)> = nf_pairs
         .iter()
         .map(|(root, nf)| (remap[root.index()], remap[nf.index()]))
         .collect();
-    nf_entries.sort_unstable();
     put_nf_cache(&mut p, &nf_entries);
     // Frame it: patch the payload's length and checksum into the header.
     let (header, payload) = p.split_at_mut(HEADER_LEN);
@@ -311,41 +458,94 @@ fn mark_live(arena: &ExprArena, live: &mut [bool], roots: impl Iterator<Item = N
 
 /// Writes the replay-state section of a snapshot, every id through
 /// `remap` (arena id to snapshot id). Each tuple is one row: its name
-/// inline (a tuple inserted mid-transaction is annotated with the txn's
-/// atom, so its own name lives only in the replay state), its root, and
-/// its NF column, `0` for a dirty tuple and `nf + 1` for a certified one.
-/// Base-tuple and transaction names are interned atoms, so those two
-/// sections store atom indices instead of spelling each name out again.
+/// front-coded against the row before (a tuple inserted mid-transaction
+/// is annotated with the txn's atom, so its own name lives only in the
+/// replay state), its root, and its NF column, `0` for a dirty tuple and
+/// `nf + 1` for a certified one. Base-tuple and transaction names are
+/// interned atoms, so those two sections store ascending atom indices
+/// instead of spelling each name out again.
 fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u32) {
     put_var64(p, snap.updates);
     put_var(p, snap.tuples.len() as u32);
+    let mut prev = "";
     for (name, root, nf) in &snap.tuples {
-        put_var_str(p, name);
+        put_name(p, prev, name);
+        prev = name;
         put_var(p, remap(*root));
         put_var(p, nf.map_or(0, |nf| remap(nf) + 1));
     }
     for named in [&snap.base_atoms, &snap.txn_atoms] {
-        put_var(p, named.len() as u32);
-        for (_, a) in named {
-            put_var(p, a.index() as u32);
-        }
+        let mut ixs: Vec<u32> = named.iter().map(|(_, a)| a.index() as u32).collect();
+        ixs.sort_unstable();
+        put_ascending(p, &ixs);
     }
 }
 
 /// Writes the certified-NF cache section: its `(root, nf)` snapshot-id
-/// pairs, in the order given.
+/// pairs, sorted by root, each root gap-coded as in [`put_ascending`].
 fn put_nf_cache(p: &mut Vec<u8>, entries: &[(u32, u32)]) {
     put_var(p, entries.len() as u32);
+    let mut next = 0;
     for &(root, nf) in entries {
-        put_var(p, root);
+        put_var(p, root - next);
         put_var(p, nf);
+        next = root + 1;
     }
 }
 
+/// Reads one name [`put_name`] front-coded against `name`, the bytes of
+/// the name before it, and leaves the new name's bytes there. Only the
+/// longest shared prefix decodes, so a name has one spelling.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
+fn take_name<'n>(
+    r: &mut Reader<'_>,
+    name: &'n mut Vec<u8>,
+    what: &'static str,
+) -> Result<&'n str, SnapshotError> {
+    let shared = r.take_var(what)? as usize;
+    let len = r.take_var(what)? as usize;
+    let suffix = r.take(len, what)?;
+    if shared > name.len() {
+        return Err(SnapshotError::Corrupt(
+            "name shares more than the name before it",
+        ));
+    }
+    if suffix.first().is_some_and(|b| name.get(shared) == Some(b)) {
+        return Err(SnapshotError::Corrupt(
+            "shared prefix of a name not the longest",
+        ));
+    }
+    name.truncate(shared);
+    name.extend_from_slice(suffix);
+    std::str::from_utf8(name).map_err(|_| SnapshotError::Corrupt("name is not UTF-8"))
+}
+
+/// Reads one index [`put_ascending`] gap-coded after `next` (one past the
+/// index before it) and advances `next`; `bound` is one past the largest
+/// index allowed.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
+fn take_gap(
+    r: &mut Reader<'_>,
+    next: &mut usize,
+    bound: usize,
+    what: &'static str,
+    out_of_range: &'static str,
+) -> Result<usize, SnapshotError> {
+    let ix = next.saturating_add(r.take_var(what)? as usize);
+    if ix >= bound {
+        return Err(SnapshotError::Corrupt(out_of_range));
+    }
+    *next = ix + 1;
+    Ok(ix)
+}
+
 /// Decodes the payload sections after the arena node list: the replay
-/// state and the certified-NF id pairs. Pure byte reading plus range
-/// checks — independent of the arena value, so [`decode`] can run it
-/// concurrently with the arena's bulk rebuild.
+/// state and the stored certified-NF pairs. Pure byte reading plus range
+/// and canonicity checks, independent of the arena value.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #[deny(clippy::indexing_slicing)]
@@ -355,74 +555,155 @@ fn decode_tail(
     natoms: usize,
     nnodes: usize,
 ) -> Result<(StateSnapshot, Vec<(NodeId, NodeId)>), SnapshotError> {
+    const OUT_OF_ARENA: &str = "node id out of arena range";
     let node_id = |r: &mut Reader<'_>, what| -> Result<NodeId, SnapshotError> {
         let raw = r.take_var(what)? as usize;
         if raw >= nnodes {
-            return Err(SnapshotError::Corrupt("node id out of arena range"));
+            return Err(SnapshotError::Corrupt(OUT_OF_ARENA));
         }
         Ok(NodeId::from_index(raw))
     };
-    // Base/txn names are stored as atom indices (see [`encode`]); each is
-    // range- and kind-checked, then its name re-materialized from the
-    // table decoded above.
-    let named_atom =
-        |r: &mut Reader<'_>, want: AtomKind, what| -> Result<(String, Atom), SnapshotError> {
-            let raw = r.take_var(what)? as usize;
-            if raw >= natoms {
-                return Err(SnapshotError::Corrupt("state atom out of table range"));
-            }
-            let atom = Atom::from_index(raw);
-            if atoms.kind(atom) != want {
-                return Err(SnapshotError::Corrupt("state atom has the wrong kind"));
-            }
-            Ok((atoms.name(atom).to_owned(), atom))
-        };
     // Replay state.
     let mut snap = StateSnapshot {
         updates: r.take_var64("update count")?,
         ..StateSnapshot::default()
     };
+    // Keys of the cache pairs decode re-seeds, so no stored pair may hold.
+    let mut implied = vec![false; nnodes];
     // Tuple names must arrive strictly sorted (byte order): the engine's
     // tuple table takes the snapshot order as its sorted order.
     let ntuples = r.take_var("tuple count")? as usize;
+    let mut prev = Vec::new();
     for _ in 0..ntuples {
-        let name = r.take_var_str("tuple name")?;
+        let name = take_name(r, &mut prev, "tuple name")?.to_owned();
         let root = node_id(r, "tuple root")?;
         let nf = match r.take_var("tuple nf")? as usize {
             0 => None,
-            raw if raw > nnodes => {
-                return Err(SnapshotError::Corrupt("node id out of arena range"))
-            }
+            raw if raw > nnodes => return Err(SnapshotError::Corrupt(OUT_OF_ARENA)),
             raw => Some(NodeId::from_index(raw - 1)),
         };
         if snap.tuples.last().is_some_and(|(prev, ..)| *prev >= name) {
             return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
         }
+        if let Some(nf) = nf {
+            mark(&mut implied, root, true);
+            mark(&mut implied, nf, true);
+        }
         snap.tuples.push((name, root, nf));
     }
+    // Base/txn names are stored as atom indices (see [`encode`]); each is
+    // range- and kind-checked, then its name re-materialized from the
+    // table decoded above.
     let kinded_atoms =
         |r: &mut Reader<'_>, want: AtomKind, what| -> Result<Vec<(String, Atom)>, SnapshotError> {
             let n = r.take_var(what)? as usize;
             let mut out = Vec::with_capacity(n.min(1 << 16));
+            let mut next = 0;
             for _ in 0..n {
-                out.push(named_atom(r, want, what)?);
+                let ix = take_gap(r, &mut next, natoms, what, "state atom out of table range")?;
+                let atom = Atom::from_index(ix);
+                if atoms.kind(atom) != want {
+                    return Err(SnapshotError::Corrupt("state atom has the wrong kind"));
+                }
+                out.push((atoms.name(atom).to_owned(), atom));
             }
             Ok(out)
         };
     snap.base_atoms = kinded_atoms(r, AtomKind::Tuple, "base atom")?;
     snap.txn_atoms = kinded_atoms(r, AtomKind::Txn, "txn atom")?;
-    // Engine-level NF cache.
+    // Engine-level NF cache: only pairs decode cannot re-seed.
     let nnf = r.take_var("nf cache count")? as usize;
     let mut nf_entries = Vec::with_capacity(nnf.min(1 << 16));
+    let mut next = 0;
     for _ in 0..nnf {
-        let root = node_id(r, "nf cache root")?;
+        let root = take_gap(r, &mut next, nnodes, "nf cache root", OUT_OF_ARENA)?;
+        let root = NodeId::from_index(root);
         let nf = node_id(r, "nf cache image")?;
+        if implied.get(root.index()) != Some(&false) {
+            return Err(SnapshotError::Corrupt("nf-cache pair implied by a row"));
+        }
         nf_entries.push((root, nf));
+    }
+    // A stored `root ↦ nf` re-seeds `nf ↦ nf` as well.
+    for &(root, nf) in &nf_entries {
+        if root != nf {
+            mark(&mut implied, nf, true);
+        }
+    }
+    if nf_entries
+        .iter()
+        .any(|(root, _)| implied.get(root.index()) != Some(&false))
+    {
+        return Err(SnapshotError::Corrupt(
+            "nf-cache pair implied by another pair",
+        ));
     }
     if !r.is_at_end() {
         return Err(SnapshotError::Corrupt("trailing bytes after payload"));
     }
     Ok((snap, nf_entries))
+}
+
+/// Checks that `arena` holds exactly the nodes [`encode`] writes: each is
+/// reachable from a tuple root, a certified normal form or a stored
+/// pair's image, and each stored pair is keyed inside the tuple roots'
+/// DAG. One sweep from the top id down suffices, as children sit below
+/// their parents.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
+fn check_live(
+    arena: &ExprArena,
+    snap: &StateSnapshot,
+    nf_entries: &[(NodeId, NodeId)],
+) -> Result<(), SnapshotError> {
+    /// Reached from a tuple root.
+    const FROM_ROOT: u8 = 1;
+    /// Reached from a normal form only.
+    const FROM_NF: u8 = 2;
+    let mut reach = vec![0u8; arena.len()];
+    mark(&mut reach, ExprArena::ZERO, FROM_ROOT);
+    for &(_, root, nf) in &snap.tuples {
+        mark(&mut reach, root, FROM_ROOT);
+        nf.into_iter().for_each(|nf| mark(&mut reach, nf, FROM_NF));
+    }
+    for &(_, nf) in nf_entries {
+        mark(&mut reach, nf, FROM_NF);
+    }
+    for ix in (1..arena.len()).rev() {
+        let how = reach.get(ix).copied().unwrap_or_default();
+        if how == 0 {
+            return Err(SnapshotError::Corrupt("node no tuple reaches"));
+        }
+        match arena.node(NodeId::from_index(ix)) {
+            Node::Zero | Node::Atom(_) => {}
+            Node::Bin(_, a, b) => {
+                mark(&mut reach, a, how);
+                mark(&mut reach, b, how);
+            }
+            Node::Counted(_, h, es) => {
+                mark(&mut reach, h, how);
+                es.iter().for_each(|&(e, _)| mark(&mut reach, e, how));
+            }
+            Node::Sum(terms) => terms.iter().for_each(|&t| mark(&mut reach, t, how)),
+        }
+    }
+    if nf_entries
+        .iter()
+        .any(|(root, _)| reach.get(root.index()).is_none_or(|r| r & FROM_ROOT == 0))
+    {
+        return Err(SnapshotError::Corrupt(
+            "nf-cache pair keyed outside the tuple roots",
+        ));
+    }
+    Ok(())
+}
+
+/// ORs `how` into `id`'s flags (an id out of range marks nothing).
+fn mark<T: Copy + std::ops::BitOr<Output = T>>(flags: &mut [T], id: NodeId, how: T) {
+    if let Some(flag) = flags.get_mut(id.index()) {
+        *flag = *flag | how;
+    }
 }
 
 /// Deserializes a snapshot blob, rebuilding the engine id-identically (see
@@ -481,13 +762,14 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let natoms = r.take_var("atom count")? as usize;
     let mut atoms = AtomTable::new();
     atoms.reserve(natoms.min(1 << 16));
+    let mut prev = Vec::new();
     for ix in 0..natoms {
         let kind = match r.take_byte("atom kind")? {
             0 => AtomKind::Tuple,
             1 => AtomKind::Txn,
             _ => return Err(SnapshotError::Corrupt("unknown atom kind")),
         };
-        let name = r.take_var_str("atom name")?;
+        let name = take_name(&mut r, &mut prev, "atom name")?.to_owned();
         let atom = atoms
             .insert_new(name, kind)
             .ok_or(SnapshotError::Corrupt("duplicate atom name"))?;
@@ -514,6 +796,8 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     nodes.push(Node::Zero);
     let mut terms: Vec<NodeId> = Vec::new();
     let mut entries: Vec<(NodeId, u32)> = Vec::new();
+    let mut fresh = FreshAtoms::new(natoms);
+    let mut window = RhsWindow::default();
     for ix in 1..nnodes {
         // A child is stored as its back-distance from `ix`: 1 is the node
         // right below, `ix` is Zero.
@@ -527,31 +811,56 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         terms.clear();
         entries.clear();
         let tag = r.take_byte("node tag")?;
-        let op = |nibble| op_from_tag(nibble).ok_or(SnapshotError::Corrupt("unknown binop tag"));
-        // Atoms and sums carry no operator: their high nibble is zero.
-        let node = match (tag & 0x0f, tag >> 4) {
-            (NODE_ATOM, 0) => {
-                let raw = r.take_var("atom node index")? as usize;
+        let implied = tag & IMPLIED != 0;
+        // Each kind uses only its own tag bits: any other bit pattern is
+        // not a second spelling of some node.
+        let node = match tag & KIND_MASK {
+            NODE_ATOM if tag & !IMPLIED == NODE_ATOM => {
+                let raw = if implied {
+                    fresh.next
+                } else {
+                    r.take_var("atom node index")? as usize
+                };
                 if raw >= natoms {
                     return Err(SnapshotError::Corrupt("atom node out of table range"));
                 }
+                if fresh.code(raw) != implied {
+                    return Err(SnapshotError::Corrupt("fresh atom index spelled out"));
+                }
                 Node::Atom(Atom::from_index(raw))
             }
-            (NODE_SUM, 0) => {
+            NODE_SUM if tag == NODE_SUM => {
                 let nterms = r.take_var("sum arity")? as usize;
                 for _ in 0..nterms {
                     terms.push(child(&mut r, "sum term")?);
                 }
                 Node::Sum(&terms)
             }
-            (NODE_BIN, nibble) => {
-                let op = op(nibble)?;
-                let a = child(&mut r, "bin lhs")?;
-                let b = child(&mut r, "bin rhs")?;
-                Node::Bin(op, a, b)
+            NODE_BIN if tag >> RHS_SHIFT <= RHS_SLOT1 => {
+                let a = if implied {
+                    NodeId::from_index(ix - 1)
+                } else {
+                    let a = child(&mut r, "bin lhs")?;
+                    if a.index() + 1 == ix {
+                        return Err(SnapshotError::Corrupt("left child right below spelled out"));
+                    }
+                    a
+                };
+                let rhs = tag >> RHS_SHIFT;
+                let b = match rhs {
+                    RHS_EXPLICIT => Some(child(&mut r, "bin rhs")?.index() as u32),
+                    RHS_SLOT0 => window.0[0],
+                    _ => window.0[1],
+                };
+                let b = b.ok_or(SnapshotError::Corrupt("right operand from an empty slot"))?;
+                if window.code(b) != rhs {
+                    return Err(SnapshotError::Corrupt(
+                        "right operand in the window spelled out",
+                    ));
+                }
+                Node::Bin(op_of(tag), a, NodeId::from_index(b as usize))
             }
-            (NODE_COUNTED, nibble) => {
-                let op = op(nibble)?;
+            NODE_COUNTED if tag & !OP_MASK == NODE_COUNTED => {
                 // Block canonicity (operator, sorted entries, nonzero
                 // multiplicities, the two-application threshold) is
                 // checked once, by the bulk rebuild below.
@@ -562,7 +871,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                     let m = r.take_var("counted multiplicity")?;
                     entries.push((e, m));
                 }
-                Node::Counted(op, h, &entries)
+                Node::Counted(op_of(tag), h, &entries)
             }
             _ => return Err(SnapshotError::Corrupt("unknown node tag")),
         };
@@ -573,9 +882,16 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // against a rejected arena).
     let arena = ExprArena::from_canonical_nodes(nodes).map_err(|e| SnapshotError::Corrupt(e.0))?;
     let (snap, nf_entries) = decode_tail(&mut r, &atoms, natoms, nnodes)?;
+    check_live(&arena, &snap, &nf_entries)?;
     let mut engine = Engine::from_parts(atoms, arena);
+    let cache = engine.nf_cache_mut();
+    for &(_, root, nf) in &snap.tuples {
+        if let Some(nf) = nf {
+            cache.insert_certified(root, nf);
+        }
+    }
     for (root, nf) in nf_entries {
-        engine.nf_cache_mut().insert_certified(root, nf);
+        cache.insert_certified(root, nf);
     }
     Ok(RecoveredSnapshot {
         engine,
@@ -583,10 +899,10 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         wal_seq,
     })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use uprov_engine::UpdateLog;
 
     fn engine_with(log: &str) -> (Engine, ReplayState) {
@@ -641,33 +957,80 @@ mod tests {
     /// One node of a snapshot's arena section, as its bytes spell it.
     struct NodeBytes {
         /// The node's byte range within the blob.
-        span: std::ops::Range<usize>,
+        span: Range<usize>,
         /// Its own (compacted) id.
         ix: u32,
         tag: u8,
         /// The varints after the tag, in order (children as back-distances).
         fields: Vec<u32>,
+        /// A binary node's right operand, an atom node's atom index.
+        operand: u32,
     }
 
-    /// The first node of `kind` in `bytes`, walking the payload exactly as
-    /// decode does.
-    fn first_node(bytes: &[u8], kind: u8) -> NodeBytes {
+    /// A snapshot's payload cut where decode cuts it.
+    struct Layout {
+        /// Each atom-table name's bytes (prefix length to suffix end).
+        names: Vec<Range<usize>>,
+        /// Every arena node after Zero.
+        nodes: Vec<NodeBytes>,
+        /// The replay-state section.
+        state: Range<usize>,
+        /// The nf-cache section.
+        nf: Range<usize>,
+    }
+
+    /// Walks `bytes` exactly as decode does, stepping the fresh-atom
+    /// cursor and the right-operand window alike.
+    fn layout(bytes: &[u8]) -> Layout {
         let mut r = Reader::new(&bytes[HEADER_LEN..]);
+        let at = |r: &Reader<'_>| HEADER_LEN + r.pos();
+        let skip_name = |r: &mut Reader<'_>| {
+            r.take_var("shared").unwrap();
+            let len = r.take_var("suffix length").unwrap();
+            r.take(len as usize, "suffix").unwrap();
+        };
         r.take_var64("wal").unwrap();
-        let natoms = r.take_var("atoms").unwrap();
+        let natoms = r.take_var("atoms").unwrap() as usize;
+        let mut names = Vec::new();
         for _ in 0..natoms {
             r.take(1, "kind").unwrap();
-            r.take_var_str("name").unwrap();
+            let from = at(&r);
+            skip_name(&mut r);
+            names.push(from..at(&r));
         }
         let nnodes = r.take_var("nodes").unwrap();
+        let (mut fresh, mut window) = (FreshAtoms::new(natoms), RhsWindow::default());
+        let mut nodes = Vec::new();
         for ix in 1..nnodes {
-            let at = HEADER_LEN + r.pos();
+            let from = at(&r);
             let tag = r.take_byte("tag").unwrap();
             let mut var = || r.take_var("field").unwrap();
             let mut fields = Vec::new();
-            match tag & 0x0f {
-                NODE_ATOM => fields.push(var()),
-                NODE_BIN => fields.extend([var(), var()]),
+            let mut operand = 0;
+            match tag & KIND_MASK {
+                NODE_ATOM => {
+                    operand = if tag & IMPLIED != 0 {
+                        fresh.next as u32
+                    } else {
+                        fields.push(var());
+                        fields[0]
+                    };
+                    fresh.code(operand as usize);
+                }
+                NODE_BIN => {
+                    if tag & IMPLIED == 0 {
+                        fields.push(var());
+                    }
+                    operand = match tag >> RHS_SHIFT {
+                        RHS_EXPLICIT => {
+                            fields.push(var());
+                            ix - fields.last().unwrap()
+                        }
+                        RHS_SLOT0 => window.0[0].unwrap(),
+                        _ => window.0[1].unwrap(),
+                    };
+                    window.code(operand);
+                }
                 NODE_SUM => {
                     let n = var();
                     fields.push(n);
@@ -679,17 +1042,53 @@ mod tests {
                 }
                 t => panic!("unexpected node kind {t}"),
             }
-            if tag & 0x0f == kind {
-                let span = at..HEADER_LEN + r.pos();
-                return NodeBytes {
-                    span,
-                    ix,
-                    tag,
-                    fields,
-                };
+            nodes.push(NodeBytes {
+                span: from..at(&r),
+                ix,
+                tag,
+                fields,
+                operand,
+            });
+        }
+        let state_from = at(&r);
+        r.take_var64("updates").unwrap();
+        for _ in 0..r.take_var("tuples").unwrap() {
+            skip_name(&mut r);
+            r.take_var("root").unwrap();
+            r.take_var("nf").unwrap();
+        }
+        for _ in 0..2 {
+            for _ in 0..r.take_var("atom list").unwrap() {
+                r.take_var("gap").unwrap();
             }
         }
-        panic!("snapshot holds no node of kind {kind}")
+        Layout {
+            names,
+            nodes,
+            state: state_from..at(&r),
+            nf: at(&r)..bytes.len(),
+        }
+    }
+
+    /// The first node of `bytes` for which `pick` holds.
+    fn node_where(bytes: &[u8], pick: impl Fn(&NodeBytes) -> bool) -> NodeBytes {
+        let nodes = layout(bytes).nodes.into_iter();
+        nodes
+            .into_iter()
+            .find(pick)
+            .expect("the snapshot holds such a node")
+    }
+
+    /// The first node of `kind` in `bytes`.
+    fn first_node(bytes: &[u8], kind: u8) -> NodeBytes {
+        node_where(bytes, |n| n.tag & KIND_MASK == kind)
+    }
+
+    /// `bytes` with `span` replaced by `with`, re-framed.
+    fn spliced(bytes: &[u8], span: Range<usize>, with: Vec<u8>) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out.splice(span, with);
+        reframe(out)
     }
 
     /// `bytes` with `node` re-spelled as `tag` and `fields`, re-framed.
@@ -698,16 +1097,22 @@ mod tests {
         for &f in fields {
             put_var(&mut spelled, f);
         }
-        let mut out = bytes.to_vec();
-        out.splice(node.span.clone(), spelled);
-        reframe(out)
+        spliced(bytes, node.span.clone(), spelled)
+    }
+
+    fn corrupt(what: &'static str) -> Result<(), SnapshotError> {
+        Err(SnapshotError::Corrupt(what))
+    }
+
+    fn decoded(blob: &[u8]) -> Result<(), SnapshotError> {
+        decode(blob).map(|_| ())
     }
 
     #[test]
     fn corrupt_counted_blocks_are_typed_errors_not_panics() {
         // Two transactions each inserting `a` twice: a's certified NF is a
         // counted +I block with two entries, live in the snapshot through
-        // the NF cache.
+        // its tuple row.
         let (engine, state) = engine_with(
             "base a\nbegin t1\ninsert a\ninsert a\ncommit\nbegin t2\ninsert a\ninsert a\ncommit\n",
         );
@@ -719,9 +1124,7 @@ mod tests {
         assert_eq!(f.len(), 6);
         let tag = block.tag;
         assert_eq!(respelled(&bytes, &block, tag, f), bytes, "re-spelled as is");
-        let decoded =
-            |tag: u8, fields: &[u32]| decode(&respelled(&bytes, &block, tag, fields)).map(|_| ());
-        let corrupt = |what| Err(SnapshotError::Corrupt(what));
+        let decoded = |tag: u8, fields: &[u32]| decoded(&respelled(&bytes, &block, tag, fields));
         // The two sorted (entry, multiplicity) pairs swapped, or the first
         // one twice.
         let unsorted = corrupt("counted entries not strictly sorted");
@@ -740,12 +1143,8 @@ mod tests {
             corrupt("counted block without entries")
         );
         assert_eq!(
-            decoded(op_tag(BinOp::Minus) << 4 | NODE_COUNTED, f),
+            decoded(op_tag(BinOp::Minus) << OP_SHIFT | NODE_COUNTED, f),
             corrupt("counted block under a non-increment operator")
-        );
-        assert_eq!(
-            decoded(0xf0 | NODE_COUNTED, f),
-            corrupt("unknown binop tag")
         );
         // A back-distance of 0 names the node itself; one past its own
         // index names no node at all. Head and entries alike.
@@ -756,39 +1155,166 @@ mod tests {
             let entry = [f[0], 2, back, f[3], f[4], f[5]];
             assert_eq!(decoded(tag, &entry), not_below, "entry {back}");
         }
-        // Leaves and sums carry no operator: a stray high nibble is not a
-        // second spelling of the same node.
+    }
+
+    /// Whether a node tag is one encode writes: each kind uses its own
+    /// bits only.
+    fn tag_in_use(tag: u8) -> bool {
+        match tag & KIND_MASK {
+            NODE_ATOM => tag & !IMPLIED == NODE_ATOM,
+            NODE_BIN => tag >> RHS_SHIFT <= RHS_SLOT1,
+            NODE_SUM => tag == NODE_SUM,
+            NODE_COUNTED => tag & !OP_MASK == NODE_COUNTED,
+            _ => false,
+        }
+    }
+
+    /// A log whose snapshot holds every node kind and every binary-node
+    /// spelling: atoms, a sum (the two-source modify), a counted block (a
+    /// inserted twice per transaction), left children right below and
+    /// not, right operands from both slots and spelled out.
+    const EVERY_KIND_LOG: &str = "base a b c\nbegin t1\ninsert a\ninsert a\nmodify b <- a c\n\
+        commit\nbegin t2\ninsert a\ninsert a\ndelete c\ncommit\nbegin t3\nmodify c <- b\n\
+        modify a <- c\ncommit\nbegin t4\ndelete b\ncommit\n";
+
+    #[test]
+    fn the_test_log_spells_every_node_every_way() {
+        let (engine, state) = engine_with(EVERY_KIND_LOG);
+        let bytes = encode(&engine, &state, 0);
+        let tags: Vec<u8> = layout(&bytes).nodes.iter().map(|n| n.tag).collect();
+        let has = |mask: u8, want: u8| tags.iter().any(|&t| t & mask == want);
+        for kind in [NODE_ATOM, NODE_BIN, NODE_SUM, NODE_COUNTED] {
+            assert!(has(KIND_MASK, kind), "kind {kind}");
+        }
+        for (mask, want) in [
+            (KIND_MASK | IMPLIED, NODE_BIN | IMPLIED),
+            (KIND_MASK | IMPLIED, NODE_BIN),
+            (0xc7, NODE_BIN | RHS_EXPLICIT << RHS_SHIFT),
+            (0xc7, NODE_BIN | RHS_SLOT0 << RHS_SHIFT),
+            (0xc7, NODE_BIN | RHS_SLOT1 << RHS_SHIFT),
+        ] {
+            assert!(has(mask, want), "no tag {want:#04x} under {mask:#04x}");
+        }
+        assert!(tags.iter().all(|&t| tag_in_use(t)));
+    }
+
+    #[test]
+    fn every_unused_tag_bit_pattern_is_corrupt() {
+        let (engine, state) = engine_with(EVERY_KIND_LOG);
+        let bytes = encode(&engine, &state, 0);
         let atom = first_node(&bytes, NODE_ATOM);
+        let unused: Vec<u8> = (0..=u8::MAX).filter(|&t| !tag_in_use(t)).collect();
+        // Four of eight kinds unused; of the 32 tags of each kind in use,
+        // atoms 30, binary nodes the 8 whose rhs mode is 3, sums 31 and
+        // counted blocks 28.
+        assert_eq!(unused.len(), 128 + 30 + 8 + 31 + 28);
+        for tag in unused {
+            let blob = respelled(&bytes, &atom, tag, &atom.fields);
+            assert_eq!(decoded(&blob), corrupt("unknown node tag"), "{tag:#04x}");
+        }
+    }
+
+    #[test]
+    fn implied_fields_spelled_out_are_corrupt() {
+        let (engine, state) = engine_with(EVERY_KIND_LOG);
+        let bytes = encode(&engine, &state, 0);
+        // A fresh atom index written out.
+        let atom = node_where(&bytes, |n| n.tag == NODE_ATOM | IMPLIED);
+        let blob = respelled(&bytes, &atom, NODE_ATOM, &[atom.operand]);
+        assert_eq!(decoded(&blob), corrupt("fresh atom index spelled out"));
+        // A left child at distance 1 written out.
+        let bin = node_where(&bytes, |n| {
+            n.tag & (KIND_MASK | IMPLIED) == NODE_BIN | IMPLIED
+        });
+        let mut fields = vec![1];
+        fields.extend(&bin.fields);
+        let blob = respelled(&bytes, &bin, bin.tag & !IMPLIED, &fields);
         assert_eq!(
-            decode(&respelled(&bytes, &atom, 0x10 | NODE_ATOM, &atom.fields)).map(|_| ()),
-            corrupt("unknown node tag")
+            decoded(&blob),
+            corrupt("left child right below spelled out")
         );
+        // A right operand in either slot of the window written out.
+        for slot in [RHS_SLOT0, RHS_SLOT1] {
+            let bin = node_where(&bytes, |n| n.tag & 0xc7 == NODE_BIN | slot << RHS_SHIFT);
+            let mut fields = bin.fields.clone();
+            fields.push(bin.ix - bin.operand);
+            let blob = respelled(&bytes, &bin, bin.tag & !(3 << RHS_SHIFT), &fields);
+            assert_eq!(
+                decoded(&blob),
+                corrupt("right operand in the window spelled out"),
+                "slot {slot}"
+            );
+        }
+        // The first binary node finds the window empty.
+        let bin = first_node(&bytes, NODE_BIN);
+        assert_eq!(bin.tag >> RHS_SHIFT, RHS_EXPLICIT);
+        let left = &bin.fields[..bin.fields.len() - 1];
+        for slot in [RHS_SLOT0, RHS_SLOT1] {
+            let blob = respelled(&bytes, &bin, bin.tag | slot << RHS_SHIFT, left);
+            assert_eq!(decoded(&blob), corrupt("right operand from an empty slot"));
+        }
+    }
+
+    /// `bytes` with atom-table name `i` re-spelled as `shared` bytes of
+    /// the name before it and `suffix`.
+    fn renamed(bytes: &[u8], i: usize, shared: u32, suffix: &[u8]) -> Vec<u8> {
+        let mut spelled = Vec::new();
+        put_var(&mut spelled, shared);
+        put_var(&mut spelled, suffix.len() as u32);
+        spelled.extend_from_slice(suffix);
+        spliced(bytes, layout(bytes).names[i].clone(), spelled)
+    }
+
+    #[test]
+    fn names_have_one_front_coding() {
+        // Atoms in index order: `ab`, `ac`, `t1`.
+        let (engine, state) = engine_with("base ab ac\nbegin t1\nmodify ac <- ab\ncommit\n");
+        let bytes = encode(&engine, &state, 0);
+        assert_eq!(renamed(&bytes, 1, 1, b"c"), bytes, "`ac` after `ab`");
+        assert_eq!(
+            decoded(&renamed(&bytes, 1, 0, b"ac")),
+            corrupt("shared prefix of a name not the longest")
+        );
+        assert_eq!(
+            decoded(&renamed(&bytes, 1, 3, b"")),
+            corrupt("name shares more than the name before it")
+        );
+        assert_eq!(
+            decoded(&renamed(&bytes, 1, 1, &[0xff])),
+            corrupt("name is not UTF-8")
+        );
+        // A prefix of the name before is a name of its own: `a` decodes,
+        // as a duplicate of nothing.
+        assert!(decoded(&renamed(&bytes, 1, 1, b"")).is_ok());
+        // Front coding works on bytes, not characters: `é` and `è` share
+        // their first byte, and the suffix alone is no UTF-8.
+        let (engine, state) = engine_with("base é è\n");
+        let bytes = encode(&engine, &state, 0);
+        assert_eq!(renamed(&bytes, 1, 1, &"è".as_bytes()[1..]), bytes);
+        assert!(decode(&bytes).is_ok());
     }
 
     #[test]
     fn corrupt_payload_bytes_behind_a_valid_crc_never_panic() {
-        // Atoms, a sum (the two-source modify), binary nodes and a counted
-        // block (a inserted twice per transaction); certify, then a dirty
-        // tail on c.
-        let (mut engine, mut state) = engine_with(
-            "base a b c\nbegin t1\ninsert a\ninsert a\nmodify b <- a c\ncommit\n\
-             begin t2\ninsert a\ninsert a\ndelete c\ncommit\n",
-        );
-        let tail: UpdateLog = "begin t3\ninsert c\ncommit\n".parse().unwrap();
+        // Every node kind; certify, then a dirty tail on c.
+        let (mut engine, mut state) = engine_with(EVERY_KIND_LOG);
+        let tail: UpdateLog = "begin t5\ninsert c\ncommit\n".parse().unwrap();
         engine.append(&mut state, &tail).unwrap();
         assert!(state.certified_count() > 0 && state.dirty_tuples().next().is_some());
         let bytes = encode(&engine, &state, 3);
-        for kind in [NODE_ATOM, NODE_BIN, NODE_SUM, NODE_COUNTED] {
-            first_node(&bytes, kind);
-        }
         let (mut varint, mut not_below) = (0, 0);
         for at in HEADER_LEN..bytes.len() {
             for mask in [0x01, 0x80, 0xff] {
                 let mut bad = bytes.clone();
                 bad[at] ^= mask;
-                match decode(&reframe(bad)) {
+                let bad = reframe(bad);
+                match decode(&bad) {
                     Err(SnapshotError::Decode(e)) if e.what.contains("varint") => varint += 1,
                     Err(SnapshotError::Corrupt("child id not below its parent")) => not_below += 1,
+                    Ok(rec) => assert!(
+                        encode(&rec.engine, &rec.state, rec.wal_seq) == bad,
+                        "byte {at} ^ {mask:#04x} decodes to another snapshot"
+                    ),
                     _ => {}
                 }
             }
@@ -807,49 +1333,34 @@ mod tests {
     }
 
     /// A valid, certified snapshot of `log` with its replay-state section
-    /// rewritten by `edit` and re-framed with a recomputed CRC, so only
-    /// the state invariants stand between it and a clean decode.
+    /// rewritten by `edit` and re-framed with a recomputed CRC, every
+    /// other section left as it was, so only the state invariants stand
+    /// between it and a clean decode.
     fn with_state(log: &str, edit: impl FnOnce(&mut StateSnapshot)) -> Vec<u8> {
         let (engine, state) = engine_with(log);
         let bytes = encode(&engine, &state, 0);
         // Decoding numbers ids exactly as the snapshot does.
-        let rec = decode(&bytes).expect("valid snapshot");
-        let mut snap = rec.state.to_snapshot();
-        // `encode` keeps the cache pairs keyed inside the tuple roots' DAG.
-        let mut live = vec![false; rec.engine.arena().len()];
-        live[0] = true;
-        let roots = rec.state.tuples().map(|(_, root)| root);
-        mark_live(rec.engine.arena(), &mut live, roots);
-        let mut nf: Vec<(u32, u32)> = rec
-            .engine
-            .nf_cache()
-            .iter_certified()
-            .filter(|(root, _)| live[root.index()])
-            .map(|(root, nf)| (root.index() as u32, nf.index() as u32))
-            .collect();
-        nf.sort_unstable();
-        let mut nf_section = Vec::new();
-        put_nf_cache(&mut nf_section, &nf);
-        assert!(bytes.ends_with(&nf_section), "nf-cache section located");
-        let tail = nf_section.len();
+        let mut snap = decode(&bytes).expect("valid snapshot").state.to_snapshot();
         // Ids are already compacted: the identity remap.
         let section = |snap: &StateSnapshot| {
             let mut p = Vec::new();
             put_state(&mut p, snap, |id| id.index() as u32);
             p
         };
-        let section_bytes = section(&snap);
-        let at = bytes.len() - tail - section_bytes.len();
-        assert_eq!(
-            bytes[at..bytes.len() - tail],
-            section_bytes[..],
-            "section located"
-        );
+        let span = layout(&bytes).state;
+        assert_eq!(bytes[span.clone()], section(&snap), "section located");
         edit(&mut snap);
-        let mut out = bytes[..at].to_vec();
-        out.extend(section(&snap));
-        out.extend_from_slice(&bytes[bytes.len() - tail..]);
-        reframe(out)
+        spliced(&bytes, span, section(&snap))
+    }
+
+    /// The snapshot `encode` writes for the state of `log` rewritten by
+    /// `edit`, over the engine decoded from its checkpoint.
+    fn reencoded(log: &str, edit: impl FnOnce(&mut StateSnapshot)) -> Vec<u8> {
+        let (engine, state) = engine_with(log);
+        let rec = decode(&encode(&engine, &state, 0)).expect("valid snapshot");
+        let mut snap = rec.state.to_snapshot();
+        edit(&mut snap);
+        encode(&rec.engine, &ReplayState::from_snapshot(snap), 0)
     }
 
     const STATE_LOG: &str = "base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n";
@@ -862,37 +1373,42 @@ mod tests {
         }
     }
 
-    fn corrupt(blob: Vec<u8>) -> SnapshotError {
+    fn rejected(blob: Vec<u8>) -> SnapshotError {
         decode(&blob).expect_err("state invariant violated")
     }
 
     #[test]
     fn doctored_state_sections_decode_when_valid() {
         assert!(decode(&with_state(STATE_LOG, |_| {})).is_ok());
-        let rec = decode(&with_state(STATE_LOG, all_dirty)).expect("valid");
+        let rec = decode(&reencoded(STATE_LOG, all_dirty)).expect("valid");
         assert_eq!(
             rec.state.dirty_tuples().collect::<Vec<_>>(),
             ["a", "b", "c"]
         );
         assert_eq!(rec.state.certified_count(), 0);
         // A row without its normal form is dirty, and certify reaches it.
-        let rec = decode(&with_state(STATE_LOG, |s| s.tuples[0].2 = None)).expect("valid");
+        let rec = decode(&reencoded(STATE_LOG, |s| s.tuples[0].2 = None)).expect("valid");
         let (mut engine, mut state) = (rec.engine, rec.state);
         assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), ["a"]);
         assert_eq!(state.certified_count() + state.dirty_count(), 3);
         assert_eq!(engine.certify(&mut state).certified, 1);
         assert_eq!(state.dirty_count(), 0);
+        // Dropping it in place strands the nodes only that form reached.
+        assert_eq!(
+            rejected(with_state(STATE_LOG, |s| s.tuples[0].2 = None)),
+            SnapshotError::Corrupt("node no tuple reaches")
+        );
     }
 
     #[test]
     fn unsorted_or_duplicate_tuple_names_are_corrupt() {
         let want = SnapshotError::Corrupt("tuple names not strictly sorted");
         assert_eq!(
-            corrupt(with_state(STATE_LOG, |s| s.tuples.swap(0, 1))),
+            rejected(with_state(STATE_LOG, |s| s.tuples.swap(0, 1))),
             want
         );
         assert_eq!(
-            corrupt(with_state(STATE_LOG, |s| s.tuples[1].0 = "a".into())),
+            rejected(with_state(STATE_LOG, |s| s.tuples[1].0 = "a".into())),
             want
         );
     }
@@ -909,8 +1425,127 @@ mod tests {
         let nf_of_a = |ix| with_state(STATE_LOG, |s| s.tuples[0].2 = Some(NodeId::from_index(ix)));
         assert!(decode(&nf_of_a(nnodes - 1)).is_ok());
         assert_eq!(
-            corrupt(nf_of_a(nnodes)),
+            rejected(nf_of_a(nnodes)),
             SnapshotError::Corrupt("node id out of arena range")
+        );
+    }
+
+    /// A certified engine whose cache holds live pairs no row implies:
+    /// `a`'s old root ↦ old normal form survives the append that dirties
+    /// `a`, and the equivalence probe certifies `a`'s new root.
+    fn certified_appended_probed() -> (Engine, ReplayState) {
+        let (mut engine, mut state) = engine_with(STATE_LOG);
+        let tail: UpdateLog = "begin t2\ninsert a\ncommit\n".parse().unwrap();
+        engine.append(&mut state, &tail).unwrap();
+        assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), ["a"]);
+        // The twin reads `a`'s sources the other way round: another root,
+        // the same normal form.
+        let log =
+            "base a b\nbegin t1\ninsert c\nmodify a <- c b\ncommit\nbegin t2\ninsert a\ncommit\n";
+        let twin = engine.replay(&log.parse().unwrap()).unwrap();
+        let misses = engine.nf_cache().misses();
+        assert!(engine.equivalent(&state, &twin).is_equivalent());
+        assert!(engine.nf_cache().misses() > misses, "the probe normalized");
+        (engine, state)
+    }
+
+    /// The stored cache pairs of a snapshot, as decode reads them.
+    fn stored_pairs(bytes: &[u8]) -> Vec<(u32, u32)> {
+        let mut r = Reader::new(&bytes[layout(bytes).nf]);
+        let mut next = 0;
+        let pairs = (0..r.take_var("count").unwrap())
+            .map(|_| {
+                let root = next + r.take_var("root gap").unwrap();
+                next = root + 1;
+                (root, r.take_var("nf").unwrap())
+            })
+            .collect();
+        assert!(r.is_at_end());
+        pairs
+    }
+
+    /// `bytes` with its nf-cache section holding `pairs`.
+    fn with_pairs(bytes: &[u8], pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut section = Vec::new();
+        put_nf_cache(&mut section, pairs);
+        spliced(bytes, layout(bytes).nf, section)
+    }
+
+    #[test]
+    fn live_pairs_no_row_implies_round_trip() {
+        let (engine, state) = certified_appended_probed();
+        let bytes = encode(&engine, &state, 4);
+        let pairs = stored_pairs(&bytes);
+        assert!(!pairs.is_empty(), "the probe's pairs are stored");
+        let rec = decode(&bytes).expect("valid");
+        assert_eq!(encode(&rec.engine, &rec.state, 4), bytes);
+        // Every pair keyed inside the tuple roots' DAG survives, stored or
+        // re-seeded, as a structural-hash pair.
+        let mut live = vec![false; engine.arena().len()];
+        mark_live(engine.arena(), &mut live, state.tuples().map(|(_, r)| r));
+        let hashed = |e: &Engine, (root, nf): (NodeId, NodeId)| {
+            let h = |id| e.arena().structural_hash(id);
+            (h(root), h(nf))
+        };
+        let back: std::collections::HashSet<_> = rec
+            .engine
+            .nf_cache()
+            .iter_certified()
+            .map(|p| hashed(&rec.engine, p))
+            .collect();
+        let kept = engine
+            .nf_cache()
+            .iter_certified()
+            .filter(|(r, _)| live[r.index()]);
+        for pair in kept {
+            assert!(back.contains(&hashed(&engine, pair)), "{pair:?} lost");
+        }
+        // Recovery's certify cuts at the stored pairs: nothing to do.
+        let (mut engine, mut state) = (rec.engine, rec.state);
+        let misses = engine.nf_cache().misses();
+        engine.certify(&mut state);
+        assert_eq!(engine.nf_cache().misses(), misses);
+    }
+
+    #[test]
+    fn implied_or_stray_cache_pairs_are_corrupt() {
+        let (engine, state) = certified_appended_probed();
+        let bytes = encode(&engine, &state, 0);
+        let pairs = stored_pairs(&bytes);
+        assert_eq!(with_pairs(&bytes, &pairs), bytes, "section located");
+        let with = |extra: (u32, u32)| {
+            let mut all = pairs.clone();
+            all.push(extra);
+            all.sort_unstable();
+            all.dedup_by_key(|p| p.0);
+            decoded(&with_pairs(&bytes, &all))
+        };
+        // Both ends of a certified row.
+        let snap = decode(&bytes).unwrap().state.to_snapshot();
+        let (_, root, nf) = snap.tuples.iter().find(|t| t.2.is_some()).unwrap();
+        let (root, nf) = (root.index() as u32, nf.unwrap().index() as u32);
+        let by_row = corrupt("nf-cache pair implied by a row");
+        assert_eq!(with((root, nf)), by_row);
+        assert_eq!(with((nf, nf)), by_row);
+        // The image of a stored pair.
+        let &(_, image) = pairs.iter().find(|(k, v)| k != v).unwrap();
+        assert_eq!(
+            with((image, image)),
+            corrupt("nf-cache pair implied by another pair")
+        );
+        // A pair keyed at a node only a normal form reaches.
+        let rec = decode(&bytes).unwrap();
+        let mut live = vec![false; rec.engine.arena().len()];
+        live[0] = true;
+        mark_live(
+            rec.engine.arena(),
+            &mut live,
+            rec.state.tuples().map(|(_, r)| r),
+        );
+        let stray = live.iter().position(|&l| !l).expect("an nf-only node") as u32;
+        assert_eq!(
+            with((stray, image)),
+            corrupt("nf-cache pair keyed outside the tuple roots")
         );
     }
 
@@ -952,11 +1587,11 @@ mod tests {
             decode(b"WRONGMAGICxxxxxxxxxxxxxxxx").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // Versions 1 (pre-counted-block), 2 (fixed-width integers) and 3
-        // (separate certified and dirty sections) are rejected, not
-        // migrated: there is one decoder. Future versions are equally
-        // unreadable.
-        for old_or_new in [1, 2, 3, 5] {
+        // Versions 1 (pre-counted-block), 2 (fixed-width integers), 3
+        // (separate certified and dirty sections) and 4 (every name, id
+        // and implied cache pair spelled out) are rejected, not migrated:
+        // there is one decoder. Future versions are equally unreadable.
+        for old_or_new in [1, 2, 3, 4, 6] {
             let mut other = bytes.clone();
             other[8] = old_or_new;
             assert_eq!(

@@ -13,14 +13,22 @@
 //! record's byte span, and drives [`FaultStorage`] at every record
 //! boundary, every boundary ±1, and a batch of random interior offsets.
 //!
-//! Seed matrix: `UPROV_FAULT_SEEDS="1,2,.."` overrides the built-in list
+//! The snapshot side has its own sweep: seeded byte mutations of a
+//! checkpoint's payload behind a valid CRC either fail to decode or
+//! decode to the one engine whose encoding they are.
+//!
+//! Seed matrix: `UPROV_FAULT_SEEDS="1,2,.."` overrides the built-in lists
 //! (CI runs an explicit matrix; see `.github/workflows/ci.yml`).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use benchkit::TestRng;
-use uprov_engine::UpdateLog;
+use uprov_engine::{Engine, UpdateLog};
+use uprov_storage::crc::crc32;
 use uprov_storage::{
     snapshot, wal, DurableEngine, FaultMode, FaultStorage, MemStorage, WAL_BLOB, WAL_MAGIC,
 };
+use uprov_workload::{Workload, WorkloadConfig};
 
 /// One randomized run shape: what gets appended before the checkpoint,
 /// and which deltas ride the WAL tail afterwards.
@@ -198,14 +206,19 @@ fn fault_offsets(rng: &mut TestRng, spans: &[(u64, u64)]) -> Vec<u64> {
     offsets
 }
 
-fn seeds() -> Vec<u64> {
+/// `UPROV_FAULT_SEEDS`, else `default`.
+fn seeds_or(default: &[u64]) -> Vec<u64> {
     match std::env::var("UPROV_FAULT_SEEDS") {
         Ok(list) => list
             .split(',')
             .map(|s| s.trim().parse().expect("UPROV_FAULT_SEEDS: u64 list"))
             .collect(),
-        Err(_) => (1..=6).collect(),
+        Err(_) => default.to_vec(),
     }
+}
+
+fn seeds() -> Vec<u64> {
+    seeds_or(&[1, 2, 3, 4, 5, 6])
 }
 
 #[test]
@@ -373,5 +386,83 @@ fn zero_fill_after_a_crash_at_any_offset_changes_nothing() {
             }
             assert_exact(recovered, &mut unpadded, &ctx);
         }
+    }
+}
+
+/// A benchmark-shaped checkpoint of every kind of row and cache pair: the
+/// log replayed and certified, then its last transactions appended again
+/// under new names (dirty rows beside certified ones, and the dirtied
+/// rows' old normal forms left in the cache), then one symbolic abort.
+fn mutation_input(seed: u64) -> Vec<u8> {
+    let log = Workload::generate(WorkloadConfig::bench_shaped(seed, 256, 60)).log;
+    let mut engine = Engine::new();
+    let mut state = engine.replay(&log).expect("generated log replays");
+    engine.certify(&mut state);
+    let mut tail = UpdateLog::default();
+    for txn in log.txns.iter().rev().take(3) {
+        let mut txn = txn.clone();
+        txn.name = format!("again_{}", txn.name);
+        tail.txns.push(txn);
+    }
+    engine.append(&mut state, &tail).expect("tail appends");
+    let aborted = &log.txns[0].name;
+    engine.abort_symbolic(&state, aborted).expect("known txn");
+    snapshot::encode(&engine, &state, seed)
+}
+
+/// Patches the payload length and CRC of a mutated snapshot's header.
+fn reframe(mut blob: Vec<u8>) -> Vec<u8> {
+    let len = (blob.len() - 24) as u64;
+    let crc = crc32(&blob[24..]);
+    blob[12..20].copy_from_slice(&len.to_le_bytes());
+    blob[20..24].copy_from_slice(&crc.to_le_bytes());
+    blob
+}
+
+/// Seeded mutations of a checkpoint's payload — a flipped, an inserted or
+/// a deleted byte, re-framed with a correct CRC — never panic decode, and
+/// every one that decodes is the one byte string of the engine it decodes
+/// to. Tier-1 runs seed 1; the fault-recovery matrix runs its seeds.
+#[test]
+fn mutated_checkpoints_decode_to_their_own_encoding_or_not_at_all() {
+    const MUTATIONS: usize = 1_000;
+    for seed in seeds_or(&[1]) {
+        let blob = mutation_input(seed);
+        let payload = blob.len() - 24;
+        let mut rng = TestRng::new(seed ^ 0x5AA_9507);
+        let (mut rejected, mut decoded) = (0, 0);
+        for m in 0..MUTATIONS {
+            let at = 24 + rng.below(payload);
+            let byte = rng.below(256) as u8;
+            let mut bad = blob.clone();
+            let how = match rng.below(3) {
+                0 => {
+                    bad[at] ^= byte.max(1);
+                    "flip"
+                }
+                1 => {
+                    bad.insert(at, byte);
+                    "insert"
+                }
+                _ => {
+                    bad.remove(at);
+                    "delete"
+                }
+            };
+            let bad = reframe(bad);
+            let ctx = format!("seed {seed}, mutation {m}: {how} at {at} ({byte:#04x})");
+            match catch_unwind(AssertUnwindSafe(|| snapshot::decode(&bad))) {
+                Err(_) => panic!("{ctx}: decode panicked"),
+                Ok(Err(_)) => rejected += 1,
+                Ok(Ok(rec)) => {
+                    decoded += 1;
+                    assert!(
+                        snapshot::encode(&rec.engine, &rec.state, rec.wal_seq) == bad,
+                        "{ctx}: decodes to an engine with another encoding"
+                    );
+                }
+            }
+        }
+        assert!(rejected > MUTATIONS / 2, "seed {seed}: {decoded} decoded");
     }
 }

@@ -37,7 +37,14 @@ const NO_PANIC_ZONES: &[(&str, &[&str])] = &[
     ("crates/storage/src/wal.rs", &[]),
     (
         "crates/storage/src/snapshot.rs",
-        &["decode", "decode_payload", "decode_tail"],
+        &[
+            "decode",
+            "decode_payload",
+            "decode_tail",
+            "take_name",
+            "take_gap",
+            "check_live",
+        ],
     ),
     ("crates/storage/src/durable.rs", &[]),
     ("crates/core/src/pool.rs", &[]),
@@ -418,10 +425,10 @@ fn api_pass_caps_pub_fn_count() {
 /// [`PUB_FN_CAP`]: a change edits the text in place, and a cap only ever
 /// comes down.
 const DOC_BYTE_CAPS: &[(&str, usize)] = &[
-    ("README.md", 24_666),
-    ("docs/ARCHITECTURE.md", 50_440),
-    ("docs/PAPER_MAP.md", 12_144),
-    (".claude/skills/verify/SKILL.md", 24_095),
+    ("README.md", 24_661),
+    ("docs/ARCHITECTURE.md", 50_425),
+    ("docs/PAPER_MAP.md", 12_141),
+    (".claude/skills/verify/SKILL.md", 24_089),
 ];
 
 #[test]

@@ -105,6 +105,24 @@ impl fmt::Display for WorkloadConfig {
 }
 
 impl WorkloadConfig {
+    /// The repo benchmark's shape at a given size: 4 tables, 5 ops per
+    /// transaction, skew 2, 8 hot keys per table drawing 30 % of picks,
+    /// 15 % compensating transactions, modifies of up to 3 sources.
+    pub fn bench_shaped(seed: u64, keys_per_table: usize, txns: usize) -> Self {
+        WorkloadConfig {
+            seed,
+            tables: 4,
+            keys_per_table,
+            txns,
+            ops_per_txn: 5,
+            skew: 2,
+            hot_keys: 8,
+            hot_bias_pct: 30,
+            abort_rate_pct: 15,
+            modify_width: 3,
+        }
+    }
+
     /// Draws a randomized-but-sane configuration from `rng`, keeping
     /// `seed` as given. The differential harness uses this to sweep the
     /// knob space; ranges are chosen so every feature (hot set, skew,

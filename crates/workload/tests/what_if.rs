@@ -16,18 +16,7 @@ use uprov_workload::{Workload, WorkloadConfig};
 /// The repo benchmark's workload shape at a size a debug test can sweep
 /// exhaustively.
 fn bench_shaped(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        seed,
-        tables: 4,
-        keys_per_table: 100,
-        txns: 400,
-        ops_per_txn: 5,
-        skew: 2,
-        hot_keys: 8,
-        hot_bias_pct: 30,
-        abort_rate_pct: 15,
-        modify_width: 3,
-    }
+    WorkloadConfig::bench_shaped(seed, 100, 400)
 }
 
 fn witness_set(mask: u64) -> BTreeSet<u32> {
