@@ -388,8 +388,8 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
             Node::Bin(op, a, b) => {
                 let left_below = back(a) == 1;
                 let rhs = window.code(remap[b.index()]);
-                let implied = if left_below { IMPLIED } else { 0 };
-                p.push(NODE_BIN | op_tag(op) << OP_SHIFT | implied | rhs << RHS_SHIFT);
+                let left = if left_below { IMPLIED } else { 0 };
+                p.push(NODE_BIN | op_tag(op) << OP_SHIFT | left | rhs << RHS_SHIFT);
                 if !left_below {
                     put_var(&mut p, back(a));
                 }
