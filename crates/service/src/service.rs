@@ -59,6 +59,7 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
+use uprov_core::{Node, NodeId};
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, DurableError, Storage};
 
@@ -723,8 +724,17 @@ fn commit<S: Storage>(db: &mut DurableEngine<S>, logs: &[UpdateLog]) -> Vec<Resp
 /// them, the transport's line cap: a reply past it could not travel, and
 /// a counted normal form prints its whole expanded spine, so printing it
 /// anyway could exhaust memory under the write lock. Past the budget, the
-/// name of the tuple that crossed it.
+/// name of the tuple that crossed it. A view whose lower bound alone
+/// crosses the budget is refused without printing a byte.
 fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Result<Vec<SymbolicRow>, String> {
+    let roots: Vec<NodeId> = view.iter().map(|t| t.provenance).collect();
+    let mut bound = 0u64;
+    for (t, row) in view.iter().zip(printed_lower_bounds(engine, &roots)) {
+        bound = bound.saturating_add(row);
+        if bound > MAX_LINE_BYTES as u64 {
+            return Err(t.name.clone());
+        }
+    }
     let mut left = MAX_LINE_BYTES;
     let mut rows = Vec::with_capacity(view.len());
     for t in view {
@@ -743,6 +753,40 @@ fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Result<Vec<Symb
         });
     }
     Ok(rows)
+}
+
+/// A lower bound on the bytes `display` prints for each of `roots`, in
+/// one bottom-up pass over their union DAG: `0` prints one byte, an atom
+/// its name, and each operator application and `Σ` separator at least
+/// three (` - `, ` + `); a counted block counts every application it
+/// stands for. Saturating: a bound past `u64::MAX` is past any budget.
+fn printed_lower_bounds(engine: &Engine, roots: &[NodeId]) -> Vec<u64> {
+    let arena = engine.arena();
+    let mut bytes = vec![0u64; arena.len()];
+    for id in arena.topo_order_roots(roots) {
+        let of = |child: NodeId| bytes.get(child.index()).copied().unwrap_or_default();
+        let here = match arena.node(id) {
+            Node::Zero => 1,
+            Node::Atom(a) => engine.atoms().name(a).len() as u64,
+            Node::Bin(_, a, b) => of(a).saturating_add(of(b)).saturating_add(3),
+            Node::Sum(terms) => {
+                let separators = 3 * (terms.len() as u64).saturating_sub(1);
+                terms
+                    .iter()
+                    .fold(separators, |sum, &t| sum.saturating_add(of(t)))
+            }
+            Node::Counted(_, head, entries) => entries.iter().fold(of(head), |sum, &(e, m)| {
+                sum.saturating_add(of(e).saturating_add(3).saturating_mul(u64::from(m)))
+            }),
+        };
+        if let Some(slot) = bytes.get_mut(id.index()) {
+            *slot = here;
+        }
+    }
+    roots
+        .iter()
+        .map(|r| bytes.get(r.index()).copied().unwrap_or_default())
+        .collect()
 }
 
 /// A string that refuses any write past the bytes `left`.
@@ -779,5 +823,45 @@ fn serve_equiv<S: Storage>(db: &mut DurableEngine<S>, log: &str) -> Response {
             }
         }
         Err(e) => error(ErrorKind::Replay, e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uprov_workload::{Workload, WorkloadConfig};
+
+    /// The bound is a true lower bound, and within a factor two of what
+    /// `display` prints: every byte it leaves out is a parenthesis or the
+    /// fourth byte of a ` +I `-style operator.
+    #[test]
+    fn printed_lower_bounds_bracket_the_printed_length() {
+        let w = Workload::generate(WorkloadConfig::bench_shaped(3, 12, 40));
+        let mut engine = Engine::new();
+        let mut state = engine.replay(&w.log).unwrap();
+        let mut roots: Vec<NodeId> = state.tuples().map(|(_, r)| r).collect();
+        engine.certify(&mut state);
+        roots.extend(state.tuples().filter_map(|(n, _)| state.certified_nf(n)));
+        for txn in w.txn_names.iter().take(5) {
+            let view = engine.abort_symbolic(&state, txn).unwrap();
+            roots.extend(view.iter().map(|t| t.provenance));
+        }
+        let bounds = printed_lower_bounds(&engine, &roots);
+        let mut counted = 0;
+        for (&root, bound) in roots.iter().zip(bounds) {
+            if matches!(engine.arena().node(root), Node::Counted(..)) {
+                counted += 1;
+            }
+            let len = engine
+                .arena()
+                .display(root, engine.atoms())
+                .to_string()
+                .len() as u64;
+            assert!(
+                bound <= len && len <= 2 * bound,
+                "{root:?}: {bound} vs {len}"
+            );
+        }
+        assert!(counted > 0, "counted blocks covered");
     }
 }

@@ -1,7 +1,8 @@
 //! Binary encoding primitives shared by the snapshot and WAL formats:
-//! little-endian fixed-width integers (the WAL and both frame headers),
-//! minimal LEB128 varints (the snapshot payload), length-prefixed UTF-8
-//! strings, and the binary [`UpdateLog`] encoding carried by WAL records.
+//! little-endian fixed-width integers (both frame headers), minimal
+//! LEB128 varints (both payloads), front-coded names ([`put_name`]), and
+//! the binary [`UpdateLog`] encoding carried by WAL records
+//! ([`put_update_log`]: one name table per record, then indices).
 //!
 //! Decoding is **total**: every reader returns a typed [`DecodeError`]
 //! with the byte offset it failed at — never a panic — because recovery
@@ -45,12 +46,6 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// Appends a little-endian `u64`.
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u32` length prefix followed by the string's UTF-8 bytes.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Appends `v` as minimal unsigned LEB128: seven bits per byte, lowest
@@ -196,16 +191,22 @@ impl<'a> Reader<'a> {
         }
         Err(fail("varint too long"))
     }
+}
 
-    /// Reads a length-prefixed UTF-8 string (see [`put_str`]).
-    pub fn take_str(&mut self, what: &'static str) -> Result<String, DecodeError> {
-        let len = self.take_u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError {
-            offset: self.pos - len,
-            what,
-        })
-    }
+/// Front-codes `name` against the name before it: the length of their
+/// longest common byte prefix, then the rest of `name`, length first. Both
+/// formats write every name this way: the snapshot's atom table and tuple
+/// rows, and each WAL record's name table.
+pub fn put_name(buf: &mut Vec<u8>, prev: &str, name: &str) {
+    let shared = prev
+        .bytes()
+        .zip(name.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    let suffix = name.as_bytes().get(shared..).unwrap_or_default();
+    put_var(buf, shared as u32);
+    put_var(buf, suffix.len() as u32);
+    buf.extend_from_slice(suffix);
 }
 
 /// Op tag byte: `insert`.
@@ -216,33 +217,89 @@ const OP_DELETE: u8 = 1;
 const OP_MODIFY: u8 = 2;
 
 /// Encodes an [`UpdateLog`] into `buf` — the payload format of one WAL
-/// record. Layout: base-tuple list, then per transaction its name and
-/// tagged op list, everything length-prefixed.
+/// record, every integer a minimal varint:
+///
+/// ```text
+/// names   count, then every distinct name of the log (base, tuple and
+///         transaction alike) in strictly ascending byte order, each
+///         front-coded against the one before (put_name)
+/// base    count, then each base name's table index, in declaration order
+/// txns    count, then per transaction its name index and op count, and
+///         per op a tag byte (0 insert, 1 delete, 2 modify) and the
+///         target index; a modify adds its source count and source indices
+/// ```
+///
+/// Each name is spelled once however often the log names it, and every
+/// table entry is referenced, so a log has exactly one encoding.
 pub fn put_update_log(buf: &mut Vec<u8>, log: &UpdateLog) {
-    put_u32(buf, log.base.len() as u32);
-    for b in &log.base {
-        put_str(buf, b);
+    // Every name occurrence with its position, sorted by name: the table
+    // is the distinct names in that order, and an occurrence's index is
+    // its name's rank.
+    let mut names = Vec::new();
+    for_each_field(log, |field| {
+        if let Field::Name(name) = field {
+            names.push((name, names.len()));
+        }
+    });
+    names.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut ixs = vec![0u32; names.len()];
+    let mut table: Vec<&str> = Vec::new();
+    for (name, at) in names {
+        if table.last() != Some(&name) {
+            table.push(name);
+        }
+        if let Some(ix) = ixs.get_mut(at) {
+            *ix = table.len() as u32 - 1;
+        }
     }
-    put_u32(buf, log.txns.len() as u32);
+    put_var(buf, table.len() as u32);
+    let mut prev = "";
+    for name in table {
+        put_name(buf, prev, name);
+        prev = name;
+    }
+    let mut ixs = ixs.into_iter();
+    for_each_field(log, |field| match field {
+        Field::Count(n) => put_var(buf, n as u32),
+        Field::Tag(tag) => buf.push(tag),
+        Field::Name(_) => put_var(buf, ixs.next().unwrap_or_default()),
+    });
+}
+
+/// One field of a log's body, as [`for_each_field`] visits it.
+enum Field<'a> {
+    Count(usize),
+    Tag(u8),
+    Name(&'a str),
+}
+
+/// Calls `f` on every field of `log`'s body in the order
+/// [`put_update_log`] writes them, a name where its index goes.
+fn for_each_field<'a>(log: &'a UpdateLog, mut f: impl FnMut(Field<'a>)) {
+    f(Field::Count(log.base.len()));
+    for b in &log.base {
+        f(Field::Name(b));
+    }
+    f(Field::Count(log.txns.len()));
     for txn in &log.txns {
-        put_str(buf, &txn.name);
-        put_u32(buf, txn.ops.len() as u32);
+        f(Field::Name(&txn.name));
+        f(Field::Count(txn.ops.len()));
         for op in &txn.ops {
             match op {
                 Op::Insert { tuple } => {
-                    buf.push(OP_INSERT);
-                    put_str(buf, tuple);
+                    f(Field::Tag(OP_INSERT));
+                    f(Field::Name(tuple));
                 }
                 Op::Delete { tuple } => {
-                    buf.push(OP_DELETE);
-                    put_str(buf, tuple);
+                    f(Field::Tag(OP_DELETE));
+                    f(Field::Name(tuple));
                 }
                 Op::Modify { target, sources } => {
-                    buf.push(OP_MODIFY);
-                    put_str(buf, target);
-                    put_u32(buf, sources.len() as u32);
+                    f(Field::Tag(OP_MODIFY));
+                    f(Field::Name(target));
+                    f(Field::Count(sources.len()));
                     for s in sources {
-                        put_str(buf, s);
+                        f(Field::Name(s));
                     }
                 }
             }
@@ -250,33 +307,105 @@ pub fn put_update_log(buf: &mut Vec<u8>, log: &UpdateLog) {
     }
 }
 
-/// Decodes one [`UpdateLog`] (see [`put_update_log`]).
-pub fn take_update_log(r: &mut Reader<'_>) -> Result<UpdateLog, DecodeError> {
-    let mut log = UpdateLog::default();
-    let nbase = r.take_u32("base tuple count")?;
-    for _ in 0..nbase {
-        log.base.push(r.take_str("base tuple name")?);
+/// Reads one name [`put_name`] front-coded against `name`, the bytes of
+/// the name before it, and leaves the new name's bytes there. Only the
+/// longest shared prefix decodes, so a name has one spelling.
+pub fn take_name<'n>(
+    r: &mut Reader<'_>,
+    name: &'n mut Vec<u8>,
+    what: &'static str,
+) -> Result<&'n str, DecodeError> {
+    let at = r.pos();
+    let shared = r.take_var(what)? as usize;
+    let len = r.take_var(what)? as usize;
+    let suffix = r.take(len, what)?;
+    let fail = |what| DecodeError { offset: at, what };
+    if shared > name.len() {
+        return Err(fail("name shares more than the name before it"));
     }
-    let ntxns = r.take_u32("transaction count")?;
+    if suffix.first().is_some_and(|b| name.get(shared) == Some(b)) {
+        return Err(fail("shared prefix of a name not the longest"));
+    }
+    name.truncate(shared);
+    name.extend_from_slice(suffix);
+    std::str::from_utf8(name).map_err(|_| fail("name is not UTF-8"))
+}
+
+/// A WAL record's decoded name table, and which entries the body has
+/// referenced so far.
+struct NameTable {
+    names: Vec<String>,
+    used: Vec<bool>,
+}
+
+impl NameTable {
+    /// Reads the table: strictly ascending names, each front-coded.
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.take_var("name count")? as usize;
+        // Each name takes at least two bytes: no allocation past the input.
+        let mut names: Vec<String> = Vec::with_capacity(n.min(r.remaining() / 2));
+        let mut buf = Vec::new();
+        for _ in 0..n {
+            let at = r.pos();
+            let name = take_name(r, &mut buf, "name")?;
+            if names.last().is_some_and(|prev| prev.as_str() >= name) {
+                return Err(DecodeError {
+                    offset: at,
+                    what: "names not strictly ascending",
+                });
+            }
+            names.push(name.to_owned());
+        }
+        let used = vec![false; names.len()];
+        Ok(NameTable { names, used })
+    }
+
+    /// Reads one table index and returns the name it refers to.
+    fn name(&mut self, r: &mut Reader<'_>, what: &'static str) -> Result<String, DecodeError> {
+        let at = r.pos();
+        let ix = r.take_var(what)? as usize;
+        let (Some(name), Some(used)) = (self.names.get(ix), self.used.get_mut(ix)) else {
+            return Err(DecodeError {
+                offset: at,
+                what: "name index out of range",
+            });
+        };
+        *used = true;
+        Ok(name.clone())
+    }
+}
+
+/// Decodes one [`UpdateLog`] (see [`put_update_log`]). Any other spelling
+/// of a log — names out of order or front-coded short of the longest
+/// prefix, an unreferenced name, an index past the table, an unknown op
+/// tag, a non-minimal varint — is a [`DecodeError`].
+pub fn take_update_log(r: &mut Reader<'_>) -> Result<UpdateLog, DecodeError> {
+    let mut table = NameTable::take(r)?;
+    let mut log = UpdateLog::default();
+    let nbase = r.take_var("base tuple count")?;
+    for _ in 0..nbase {
+        log.base.push(table.name(r, "base tuple name")?);
+    }
+    let ntxns = r.take_var("transaction count")?;
     for _ in 0..ntxns {
-        let name = r.take_str("transaction name")?;
-        let nops = r.take_u32("op count")?;
-        let mut ops = Vec::with_capacity(nops.min(1 << 16) as usize);
+        let name = table.name(r, "transaction name")?;
+        let nops = r.take_var("op count")?;
+        let mut ops = Vec::with_capacity((nops as usize).min(r.remaining() / 2));
         for _ in 0..nops {
             let tag = r.take_byte("op tag")?;
             ops.push(match tag {
                 OP_INSERT => Op::Insert {
-                    tuple: r.take_str("insert tuple")?,
+                    tuple: table.name(r, "insert tuple")?,
                 },
                 OP_DELETE => Op::Delete {
-                    tuple: r.take_str("delete tuple")?,
+                    tuple: table.name(r, "delete tuple")?,
                 },
                 OP_MODIFY => {
-                    let target = r.take_str("modify target")?;
-                    let nsrc = r.take_u32("modify source count")?;
-                    let mut sources = Vec::with_capacity(nsrc.min(1 << 16) as usize);
+                    let target = table.name(r, "modify target")?;
+                    let nsrc = r.take_var("modify source count")?;
+                    let mut sources = Vec::with_capacity((nsrc as usize).min(r.remaining()));
                     for _ in 0..nsrc {
-                        sources.push(r.take_str("modify source")?);
+                        sources.push(table.name(r, "modify source")?);
                     }
                     Op::Modify { target, sources }
                 }
@@ -289,6 +418,12 @@ pub fn take_update_log(r: &mut Reader<'_>) -> Result<UpdateLog, DecodeError> {
             });
         }
         log.txns.push(Txn { name, ops });
+    }
+    if table.used.contains(&false) {
+        return Err(DecodeError {
+            offset: r.pos(),
+            what: "unreferenced name",
+        });
     }
     Ok(log)
 }
@@ -389,18 +524,91 @@ mod tests {
         }
     }
 
+    /// A log's bytes spelled by hand: the name table as `(shared, suffix)`
+    /// pairs, then the body, whose numbers are all below 128 (one byte).
+    fn spelled(names: &[(u8, &[u8])], body: &[u8]) -> Vec<u8> {
+        let mut buf = vec![names.len() as u8];
+        for &(shared, suffix) in names {
+            buf.extend([shared, suffix.len() as u8]);
+            buf.extend_from_slice(suffix);
+        }
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    /// `base ab ac`, then `t` inserting `b` and modifying `ab` from `ac`
+    /// and `b`. Table: ab, ac, b, t.
+    const LOG: &str = "base ab ac\nbegin t\ninsert b\nmodify ab <- ac b\ncommit\n";
+    const TABLE: [(u8, &[u8]); 4] = [(0, b"ab"), (1, b"c"), (0, b"b"), (0, b"t")];
+    const BODY: [u8; 13] = [2, 0, 1, 1, 3, 2, 0, 2, 2, 0, 2, 1, 2];
+
+    fn rejected(bytes: &[u8]) -> &'static str {
+        let got = take_update_log(&mut Reader::new(bytes));
+        got.expect_err("another spelling must not decode").what
+    }
+
     #[test]
-    fn unknown_op_tag_is_rejected() {
-        let log: UpdateLog = "begin t\ninsert b\ncommit\n".parse().unwrap();
+    fn a_log_has_one_spelling_and_every_other_is_rejected() {
+        let log: UpdateLog = LOG.parse().unwrap();
         let mut buf = Vec::new();
         put_update_log(&mut buf, &log);
-        // The op tag is the byte right after base count (4), txn count (4),
-        // name ("t": 4 + 1) and op count (4).
-        let tag_at = 4 + 4 + 5 + 4;
-        assert_eq!(buf[tag_at], 0, "insert tag");
-        buf[tag_at] = 9;
+        assert_eq!(spelled(&TABLE, &BODY), buf, "the one spelling");
+        let mut table = TABLE;
+        table.swap(2, 3);
+        assert_eq!(
+            rejected(&spelled(&table, &BODY)),
+            "names not strictly ascending"
+        );
+        let dup = [(0, &b"ab"[..]), (2, b""), (1, b"c"), (0, b"b"), (0, b"t")];
+        assert_eq!(
+            rejected(&spelled(&dup, &BODY)),
+            "names not strictly ascending"
+        );
+        table = TABLE;
+        table[1] = (0, b"ac");
+        assert_eq!(
+            rejected(&spelled(&table, &BODY)),
+            "shared prefix of a name not the longest"
+        );
+        table[1] = (3, b"");
+        assert_eq!(
+            rejected(&spelled(&table, &BODY)),
+            "name shares more than the name before it"
+        );
+        table[1] = (1, &[0xff]);
+        assert_eq!(rejected(&spelled(&table, &BODY)), "name is not UTF-8");
+        let extra = [(0, &b"ab"[..]), (1, b"c"), (0, b"b"), (0, b"t"), (0, b"z")];
+        assert_eq!(rejected(&spelled(&extra, &BODY)), "unreferenced name");
+        let mut body = BODY;
+        body[9] = 4;
+        assert_eq!(rejected(&spelled(&TABLE, &body)), "name index out of range");
+        let mut long = spelled(&TABLE, &BODY[..1]);
+        long.extend([0x80, 0x00]);
+        long.extend_from_slice(&BODY[2..]);
+        assert_eq!(rejected(&long), "non-minimal varint");
+    }
+
+    #[test]
+    fn unknown_op_tag_is_rejected() {
+        let mut buf = spelled(&TABLE, &BODY);
+        // The insert's tag is body byte 6; the table takes 14 bytes.
+        let tag_at = 14 + 6;
+        assert_eq!(buf[tag_at], OP_INSERT);
+        buf[tag_at] = 3;
         let got = take_update_log(&mut Reader::new(&buf)).unwrap_err();
-        assert_eq!(got.what, "unknown op tag");
-        assert_eq!(got.offset, tag_at);
+        assert_eq!((got.offset, got.what), (tag_at, "unknown op tag"));
+    }
+
+    #[test]
+    fn each_name_is_spelled_once_per_log() {
+        let log: UpdateLog = "begin t1\ninsert someverylongname\ncommit\n\
+                              begin t2\ndelete someverylongname\ncommit\n"
+            .parse()
+            .unwrap();
+        let mut buf = Vec::new();
+        put_update_log(&mut buf, &log);
+        let hits = buf.windows(16).filter(|w| w == b"someverylongname").count();
+        assert_eq!(hits, 1);
+        assert_eq!(take_update_log(&mut Reader::new(&buf)), Ok(log));
     }
 }

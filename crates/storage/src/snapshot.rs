@@ -41,8 +41,8 @@
 //!   out; a miss pushes it into slot 0), `1` (slot 0) or `2` (slot 1; the
 //!   hit swaps the slots).
 //! - **Names** (atom table in index order, tuple rows in sorted order) are
-//!   front-coded against the name before: shared-prefix length, suffix
-//!   length, suffix bytes.
+//!   front-coded against the name before ([`put_name`], as in the WAL):
+//!   shared-prefix length, suffix length, suffix bytes.
 //! - **Gaps.** A list of ascending indices stores each as its distance
 //!   above one past the index before it.
 //! - **Cache pairs.** Decode re-seeds `root ↦ nf` and `nf ↦ nf` for every
@@ -52,7 +52,8 @@
 //! Each rule is mandatory wherever it applies, and every varint must be
 //! minimal ([`Reader::take_var`]): decode rejects any other spelling, and
 //! any node no tuple, normal form or stored pair reaches, as
-//! [`SnapshotError::Corrupt`]. So a snapshot has exactly one byte string
+//! [`SnapshotError::Corrupt`] (a misspelled varint or name as
+//! [`SnapshotError::Decode`]). So a snapshot has exactly one byte string
 //! and re-encoding a recovered engine reproduces it.
 //!
 //! The arena section is the paper-structure payoff: the hash-consed arena
@@ -76,7 +77,9 @@ use std::fmt;
 use uprov_core::{Atom, AtomKind, AtomTable, BinOp, ExprArena, Node, NodeId, NodeList};
 use uprov_engine::{Engine, ReplayState, StateSnapshot};
 
-use crate::codec::{put_u32, put_u64, put_var, put_var64, DecodeError, Reader};
+use crate::codec::{
+    put_name, put_u32, put_u64, put_var, put_var64, take_name, DecodeError, Reader,
+};
 use crate::crc::crc32;
 
 /// The snapshot file magic.
@@ -258,20 +261,6 @@ impl FreshAtoms {
         }
         fresh
     }
-}
-
-/// Front-codes `name` against the name before it: the length of their
-/// longest common byte prefix, then the rest of `name`, length first.
-fn put_name(p: &mut Vec<u8>, prev: &str, name: &str) {
-    let shared = prev
-        .bytes()
-        .zip(name.bytes())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let suffix = &name.as_bytes()[shared..];
-    put_var(p, shared as u32);
-    put_var(p, suffix.len() as u32);
-    p.extend_from_slice(suffix);
 }
 
 /// Writes ascending indices: the count, then each one's distance above
@@ -491,35 +480,6 @@ fn put_nf_cache(p: &mut Vec<u8>, entries: &[(u32, u32)]) {
         put_var(p, nf);
         next = root + 1;
     }
-}
-
-/// Reads one name [`put_name`] front-coded against `name`, the bytes of
-/// the name before it, and leaves the new name's bytes there. Only the
-/// longest shared prefix decodes, so a name has one spelling.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#[deny(clippy::indexing_slicing)]
-fn take_name<'n>(
-    r: &mut Reader<'_>,
-    name: &'n mut Vec<u8>,
-    what: &'static str,
-) -> Result<&'n str, SnapshotError> {
-    let shared = r.take_var(what)? as usize;
-    let len = r.take_var(what)? as usize;
-    let suffix = r.take(len, what)?;
-    if shared > name.len() {
-        return Err(SnapshotError::Corrupt(
-            "name shares more than the name before it",
-        ));
-    }
-    if suffix.first().is_some_and(|b| name.get(shared) == Some(b)) {
-        return Err(SnapshotError::Corrupt(
-            "shared prefix of a name not the longest",
-        ));
-    }
-    name.truncate(shared);
-    name.extend_from_slice(suffix);
-    std::str::from_utf8(name).map_err(|_| SnapshotError::Corrupt("name is not UTF-8"))
 }
 
 /// Reads one index [`put_ascending`] gap-coded after `next` (one past the
@@ -1271,18 +1231,19 @@ mod tests {
         let (engine, state) = engine_with("base ab ac\nbegin t1\nmodify ac <- ab\ncommit\n");
         let bytes = encode(&engine, &state, 0);
         assert_eq!(renamed(&bytes, 1, 1, b"c"), bytes, "`ac` after `ab`");
+        let misspelled = |shared, suffix| match decoded(&renamed(&bytes, 1, shared, suffix)) {
+            Err(SnapshotError::Decode(e)) => e.what,
+            other => panic!("{other:?}"),
+        };
         assert_eq!(
-            decoded(&renamed(&bytes, 1, 0, b"ac")),
-            corrupt("shared prefix of a name not the longest")
+            misspelled(0, b"ac"),
+            "shared prefix of a name not the longest"
         );
         assert_eq!(
-            decoded(&renamed(&bytes, 1, 3, b"")),
-            corrupt("name shares more than the name before it")
+            misspelled(3, b""),
+            "name shares more than the name before it"
         );
-        assert_eq!(
-            decoded(&renamed(&bytes, 1, 1, &[0xff])),
-            corrupt("name is not UTF-8")
-        );
+        assert_eq!(misspelled(1, &[0xff]), "name is not UTF-8");
         // A prefix of the name before is a name of its own: `a` decodes,
         // as a duplicate of nothing.
         assert!(decoded(&renamed(&bytes, 1, 1, b"")).is_ok());

@@ -4,12 +4,13 @@
 //! # On-disk layout
 //!
 //! ```text
-//! "UPWAL001"                                     8-byte magic, written once
+//! "UPWAL002"                                     8-byte magic, written once
 //! ┌──────────────┬──────────────┬──────────────┐
 //! │ len: u32 LE  │ crc: u32 LE  │ payload      │  repeated per record
 //! └──────────────┴──────────────┴──────────────┘
 //! 00 00 00 …                                     zero fill, any length
-//! payload = seq: u64 LE, then the binary UpdateLog (codec module)
+//! payload = seq varint, then the UpdateLog: one front-coded name table,
+//!           then a body of varint indices (codec::put_update_log)
 //! ```
 //!
 //! `crc` is the CRC-32 of the payload; `seq` is the record's position in
@@ -37,20 +38,29 @@
 //! synced before any record): that is [`BadMagic`], surfaced as a hard
 //! [`RecoveryError`](crate::RecoveryError) — except the boot-crash case of
 //! a strict prefix of the magic, zero-filled or not, which is treated as
-//! a torn creation and truncated to empty.
+//! a torn creation and truncated to empty. A WAL of an older record
+//! format is refused the same way, naming its version: there is one
+//! decoder and no migration.
+//!
+//! A payload has exactly one spelling (see [`put_update_log`]): any
+//! other — and any byte after the log — is a payload that does not
+//! decode.
 
 // No-panic zone: the scan is total over whatever a crash left on disk.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::indexing_slicing)]
 
-use crate::codec::{put_u32, put_u64, put_update_log, take_update_log, Reader};
+use crate::codec::{put_u32, put_update_log, put_var64, take_update_log, Reader};
 use crate::crc::crc32;
 use std::fmt;
 use uprov_engine::UpdateLog;
 
 /// The WAL file magic, written (and synced) when the first record is.
-pub const WAL_MAGIC: [u8; 8] = *b"UPWAL001";
+pub const WAL_MAGIC: [u8; 8] = *b"UPWAL002";
+
+/// The magic of record format 1, which is refused by name.
+const WAL_MAGIC_V1: [u8; 8] = *b"UPWAL001";
 
 /// One decoded WAL record: an update-log delta plus its position in the
 /// engine's all-time append sequence.
@@ -67,7 +77,7 @@ pub struct WalRecord {
 /// [`DurableEngine`](crate::DurableEngine) writes on first use.
 pub fn encode_record(seq: u64, delta: &UpdateLog) -> Vec<u8> {
     let mut payload = Vec::new();
-    put_u64(&mut payload, seq);
+    put_var64(&mut payload, seq);
     put_update_log(&mut payload, delta);
     let mut out = Vec::with_capacity(payload.len() + 8);
     put_u32(&mut out, payload.len() as u32);
@@ -77,14 +87,25 @@ pub fn encode_record(seq: u64, delta: &UpdateLog) -> Vec<u8> {
 }
 
 /// A non-empty WAL whose magic is not [`WAL_MAGIC`]: the file is not a
-/// torn tail but something else entirely (wrong file, media corruption of
-/// the synced header), so recovery refuses it loudly instead of guessing.
+/// torn tail but something else entirely, so recovery refuses it loudly
+/// instead of guessing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BadMagic;
+pub enum BadMagic {
+    /// Not a WAL: a wrong file, or media corruption of the synced header.
+    Foreign,
+    /// A WAL whose records are in format `n`, which this build does not
+    /// read (it reads only the format [`WAL_MAGIC`] names).
+    UnsupportedVersion(u32),
+}
 
 impl fmt::Display for BadMagic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WAL header magic mismatch (not a UPWAL001 file)")
+        match self {
+            BadMagic::Foreign => write!(f, "WAL header magic mismatch (not a UPWAL002 file)"),
+            BadMagic::UnsupportedVersion(v) => {
+                write!(f, "unsupported WAL record format version {v}")
+            }
+        }
     }
 }
 
@@ -158,7 +179,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
         // torn creation (truncate to empty); anything else is not ours.
         let head = bytes.get(..written).unwrap_or_default();
         if !WAL_MAGIC.starts_with(head) {
-            return Err(BadMagic);
+            return Err(BadMagic::Foreign);
         }
         return Ok(WalScan {
             records: Vec::new(),
@@ -170,8 +191,11 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
             },
         });
     }
+    if bytes.starts_with(&WAL_MAGIC_V1) {
+        return Err(BadMagic::UnsupportedVersion(1));
+    }
     if !bytes.starts_with(&WAL_MAGIC) {
-        return Err(BadMagic);
+        return Err(BadMagic::Foreign);
     }
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
@@ -212,7 +236,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
         }
         let mut r = Reader::new(payload);
         let decoded = r
-            .take_u64("record sequence")
+            .take_var64("record sequence")
             .and_then(|seq| take_update_log(&mut r).map(|delta| WalRecord { seq, delta }));
         match decoded {
             Ok(rec) if r.is_at_end() => records.push(rec),
@@ -387,8 +411,8 @@ mod tests {
                 image.resize(head.len() + fill, 0);
                 scan(&image)
             };
-            assert_eq!(padded(b"NOTAWAL!"), Err(BadMagic), "fill {fill}");
-            assert_eq!(padded(b"XY").err(), Some(BadMagic), "fill {fill}");
+            assert_eq!(padded(b"NOTAWAL!"), Err(BadMagic::Foreign), "fill {fill}");
+            assert_eq!(padded(b"XY").err(), Some(BadMagic::Foreign), "fill {fill}");
             let torn = padded(&WAL_MAGIC[..5]).expect("torn creation");
             assert_eq!(torn.tail, WalTail::TornHeader { offset: 0 }, "fill {fill}");
             assert_eq!(torn.valid_len, 0, "fill {fill}");
@@ -397,12 +421,63 @@ mod tests {
 
     #[test]
     fn bad_magic_is_a_hard_error_and_short_magic_prefix_is_torn() {
-        assert_eq!(scan(b"NOTAWAL!"), Err(BadMagic));
-        assert_eq!(scan(b"garbage that is long enough").err(), Some(BadMagic));
-        assert_eq!(scan(b"XY").err(), Some(BadMagic));
+        assert_eq!(scan(b"NOTAWAL!"), Err(BadMagic::Foreign));
+        assert_eq!(
+            scan(b"garbage that is long enough").err(),
+            Some(BadMagic::Foreign)
+        );
+        assert_eq!(scan(b"XY").err(), Some(BadMagic::Foreign));
         // A strict prefix of the magic = crash during creation.
         let scan_torn = scan(&WAL_MAGIC[..5]).expect("torn creation");
         assert_eq!(scan_torn.tail, WalTail::TornHeader { offset: 0 });
         assert_eq!(scan_torn.valid_len, 0);
+    }
+    #[test]
+    fn a_version_1_wal_is_refused_by_name_not_torn() {
+        // Magic only, a record, zero fill: the version decides first.
+        for tail in [&[][..], &[5, 0, 0, 0, 1, 2, 3, 4, 9], &[0; 8]] {
+            let image = [&b"UPWAL001"[..], tail].concat();
+            assert_eq!(scan(&image), Err(BadMagic::UnsupportedVersion(1)));
+        }
+        let err = scan(b"UPWAL001").unwrap_err().to_string();
+        assert!(err.contains("version 1"), "{err}");
+        assert_eq!(scan(b"UPWAL0x1"), Err(BadMagic::Foreign));
+        // `UPWAL00` is a prefix of every version's magic: a torn creation.
+        let torn = scan(b"UPWAL00").expect("torn creation");
+        assert_eq!(torn.tail, WalTail::TornHeader { offset: 0 });
+    }
+
+    /// `payload` as one framed record after the magic.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut image = WAL_MAGIC.to_vec();
+        put_u32(&mut image, payload.len() as u32);
+        put_u32(&mut image, crc32(payload));
+        image.extend_from_slice(payload);
+        image
+    }
+
+    #[test]
+    fn a_payload_of_another_spelling_is_an_undecodable_tail() {
+        let log: UpdateLog = "base a\nbegin t\ninsert b\ncommit\n".parse().unwrap();
+        let good = encode_record(7, &log);
+        let payload = &good[8..];
+        assert_eq!(framed(payload), [&WAL_MAGIC[..], &good].concat());
+        let undecodable = |payload: &[u8]| scan(&framed(payload)).map(|s| s.tail);
+        let torn = Ok(WalTail::Undecodable { offset: 8 });
+        assert_eq!(
+            undecodable(&[payload, &[0]].concat()),
+            torn,
+            "trailing byte"
+        );
+        assert_eq!(
+            undecodable(&[&[0x87, 0x00], &payload[1..]].concat()),
+            torn,
+            "long seq"
+        );
+        // Table a, b, t: `t` out of range once the count says two names.
+        assert_eq!(payload[1], 3, "name count");
+        let mut short = payload.to_vec();
+        short[1] = 2;
+        assert_eq!(undecodable(&short), torn, "short table");
     }
 }

@@ -13,9 +13,9 @@
 //! record's byte span, and drives [`FaultStorage`] at every record
 //! boundary, every boundary ±1, and a batch of random interior offsets.
 //!
-//! The snapshot side has its own sweep: seeded byte mutations of a
-//! checkpoint's payload behind a valid CRC either fail to decode or
-//! decode to the one engine whose encoding they are.
+//! Both formats have their own sweep: seeded byte mutations of a
+//! checkpoint's or a WAL record's payload behind a valid CRC either fail
+//! to decode or decode to the one value whose encoding they are.
 //!
 //! Seed matrix: `UPROV_FAULT_SEEDS="1,2,.."` overrides the built-in lists
 //! (CI runs an explicit matrix; see `.github/workflows/ci.yml`).
@@ -26,7 +26,7 @@ use benchkit::TestRng;
 use uprov_engine::{Engine, UpdateLog};
 use uprov_storage::crc::crc32;
 use uprov_storage::{
-    snapshot, wal, DurableEngine, FaultMode, FaultStorage, MemStorage, WAL_BLOB, WAL_MAGIC,
+    snapshot, wal, DurableEngine, FaultMode, FaultStorage, MemStorage, WalTail, WAL_BLOB, WAL_MAGIC,
 };
 use uprov_workload::{Workload, WorkloadConfig};
 
@@ -461,6 +461,66 @@ fn mutated_checkpoints_decode_to_their_own_encoding_or_not_at_all() {
                         "{ctx}: decodes to an engine with another encoding"
                     );
                 }
+            }
+        }
+        assert!(rejected > MUTATIONS / 2, "seed {seed}: {decoded} decoded");
+    }
+}
+
+/// Seeded mutations of a benchmark-shaped WAL record's payload — a
+/// flipped, an inserted or a deleted byte, re-framed with a correct CRC —
+/// never panic the scan, and every record the scan accepts is the one
+/// byte string of the log it decodes to. Tier-1 runs seed 1; the
+/// fault-recovery matrix runs its seeds.
+#[test]
+fn mutated_wal_records_decode_to_their_own_encoding_or_not_at_all() {
+    const MUTATIONS: usize = 1_000;
+    for seed in seeds_or(&[1]) {
+        let log = Workload::generate(WorkloadConfig::bench_shaped(seed, 256, 60)).log;
+        let payload = wal::encode_record(seed, &log).split_off(8);
+        let mut rng = TestRng::new(seed ^ 0x3A1_0C0D);
+        let (mut rejected, mut decoded) = (0, 0);
+        for m in 0..MUTATIONS {
+            let at = rng.below(payload.len());
+            let byte = rng.below(256) as u8;
+            let mut bad = payload.clone();
+            let how = match rng.below(3) {
+                0 => {
+                    bad[at] ^= byte.max(1);
+                    "flip"
+                }
+                1 => {
+                    bad.insert(at, byte);
+                    "insert"
+                }
+                _ => {
+                    bad.remove(at);
+                    "delete"
+                }
+            };
+            let mut image = WAL_MAGIC.to_vec();
+            image.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+            image.extend_from_slice(&crc32(&bad).to_le_bytes());
+            image.extend_from_slice(&bad);
+            let ctx = format!("seed {seed}, mutation {m}: {how} at {at} ({byte:#04x})");
+            let scan = match catch_unwind(AssertUnwindSafe(|| wal::scan(&image))) {
+                Err(_) => panic!("{ctx}: scan panicked"),
+                Ok(scan) => scan.unwrap_or_else(|e| panic!("{ctx}: {e}")),
+            };
+            match scan.records.as_slice() {
+                [] => {
+                    assert_eq!(scan.tail, WalTail::Undecodable { offset: 8 }, "{ctx}");
+                    rejected += 1;
+                }
+                [rec] => {
+                    assert!(scan.tail.is_clean(), "{ctx}");
+                    assert!(
+                        wal::encode_record(rec.seq, &rec.delta) == image[8..],
+                        "{ctx}: decodes to a log with another encoding"
+                    );
+                    decoded += 1;
+                }
+                more => panic!("{ctx}: {} records", more.len()),
             }
         }
         assert!(rejected > MUTATIONS / 2, "seed {seed}: {decoded} decoded");

@@ -41,7 +41,6 @@ const NO_PANIC_ZONES: &[(&str, &[&str])] = &[
             "decode",
             "decode_payload",
             "decode_tail",
-            "take_name",
             "take_gap",
             "check_live",
         ],
@@ -425,10 +424,10 @@ fn api_pass_caps_pub_fn_count() {
 /// [`PUB_FN_CAP`]: a change edits the text in place, and a cap only ever
 /// comes down.
 const DOC_BYTE_CAPS: &[(&str, usize)] = &[
-    ("README.md", 24_661),
-    ("docs/ARCHITECTURE.md", 50_425),
+    ("README.md", 24_657),
+    ("docs/ARCHITECTURE.md", 50_410),
     ("docs/PAPER_MAP.md", 12_141),
-    (".claude/skills/verify/SKILL.md", 24_089),
+    (".claude/skills/verify/SKILL.md", 23_992),
 ];
 
 #[test]

@@ -13,9 +13,10 @@ use std::sync::atomic::Ordering;
 use common::FlakyStorage;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_storage::{
-    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage, WalTail,
-    SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
+    wal, BadMagic, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage,
+    WalTail, SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
 };
+use uprov_workload::{Workload, WorkloadConfig};
 
 fn log(text: &str) -> UpdateLog {
     text.parse().expect("valid log text")
@@ -228,6 +229,43 @@ fn bad_wal_magic_is_a_typed_hard_error() {
     disk.set_blob(WAL_BLOB, b"NOTAWAL!records follow".to_vec());
     let err = DurableEngine::open(disk).expect_err("refuses");
     assert!(matches!(err, RecoveryError::WalHeader(_)), "got {err:?}");
+}
+
+#[test]
+fn a_version_1_wal_is_refused_naming_its_version() {
+    let mut disk = MemStorage::new();
+    disk.set_blob(WAL_BLOB, b"UPWAL001\x05\0\0\0records follow".to_vec());
+    let err = DurableEngine::open(disk).expect_err("refuses");
+    assert!(
+        matches!(
+            err,
+            RecoveryError::WalHeader(BadMagic::UnsupportedVersion(1))
+        ),
+        "got {err:?}"
+    );
+    assert!(err.to_string().contains("version 1"), "{err}");
+}
+
+/// Decode re-seeds the certified-NF cache from the rows, which store each
+/// certified NF but no cache pair: right after a reopen, before any
+/// certify, every certified row's root maps to its NF.
+#[test]
+fn recovery_reseeds_every_certified_row() {
+    let log = Workload::generate(WorkloadConfig::bench_shaped(1, 256, 60)).log;
+    let (mut db, _) = DurableEngine::open(MemStorage::new()).expect("fresh");
+    db.append(&log).expect("generated log appends");
+    db.certify();
+    db.snapshot().expect("checkpoint");
+    let (db, report) = DurableEngine::open(db.into_storage()).expect("reopens");
+    assert!(report.snapshot_loaded);
+    let state = db.state();
+    assert_eq!(state.certified_count(), state.tuples().len());
+    let cache = db.engine().nf_cache();
+    for (name, root) in state.tuples() {
+        let nf = state.certified_nf(name);
+        assert!(nf.is_some(), "{name} certified");
+        assert_eq!(cache.lookup(root), nf, "{name}: root not re-seeded");
+    }
 }
 
 #[test]
