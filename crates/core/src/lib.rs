@@ -31,7 +31,7 @@
 //! `docs/PAPER_MAP.md` at the repository root for the full paper↔code
 //! cross-reference.
 
-#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod arena;
@@ -54,7 +54,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use nf::{
     nf_roots_in, nf_roots_incremental_in, try_equiv_in, NfCache, NfMemo, NfOutcome, MAX_ROUNDS,
 };
-pub use oracle::{check_nf_preserves_eval_in, check_parallel_matches_serial, OracleDivergence};
+pub use oracle::{check_nf_preserves_eval_in, OracleDivergence};
 pub use parallel::{par_eval_many_in, par_eval_roots_in, MemoPool};
 pub use pool::WorkerPool;
 pub use rewrite::{reduce, rewrite_once, rules, RewriteRule};

@@ -1,18 +1,16 @@
 //! Cross-path differential oracles.
 //!
-//! The correctness story of this workspace rests on a small set of
-//! *agreement facts* between independent execution paths: normalization
-//! never changes what an expression evaluates to (the soundness of the
-//! directed Figure 3 rules under any axiom-satisfying
-//! [`UpdateStructure`]), and sharded parallel evaluation is bit-identical
-//! to serial evaluation. The structure-catalogue tests, the core property
-//! suites, and the `uprov-workload` differential fuzzing harness all
-//! assert the same facts against different inputs; this module is the one
-//! executable definition they share, so every caller checks *exactly* the
-//! same oracle and failures are reported uniformly (which root, which
-//! valuation, both values).
+//! The correctness story of this workspace rests on an *agreement fact*
+//! between independent execution paths: normalization never changes what
+//! an expression evaluates to (the soundness of the directed Figure 3
+//! rules under any axiom-satisfying [`UpdateStructure`]). The
+//! structure-catalogue tests, the core property suites, and the
+//! `uprov-workload` differential fuzzing harness all assert it against
+//! different inputs; this module is the one executable definition they
+//! share, so every caller checks *exactly* the same oracle and failures
+//! are reported uniformly (which root, which valuation, both values).
 //!
-//! The helpers return `Ok(checked)` (how many comparisons ran) so callers
+//! The oracle returns `Ok(checked)` (how many comparisons ran) so callers
 //! can assert coverage, or a typed [`OracleDivergence`] naming the first
 //! disagreement — its `Display` form is designed to be dropped straight
 //! into a test panic message next to the generator seed that produced the
@@ -22,7 +20,6 @@ use std::fmt;
 
 use crate::arena::{DenseMemo, ExprArena, NodeId};
 use crate::nf::{nf_roots_in, NfMemo};
-use crate::parallel::{par_eval_roots_in, MemoPool};
 use crate::structure::{eval_roots_in, UpdateStructure, Valuation};
 
 /// The first disagreement an oracle found between two execution paths.
@@ -34,7 +31,7 @@ pub struct OracleDivergence {
     pub root_ix: usize,
     /// The offending root id.
     pub root: NodeId,
-    /// Human-readable detail: valuation / thread count and the two values.
+    /// Human-readable detail: the valuation and the two values.
     pub detail: String,
 }
 
@@ -122,55 +119,6 @@ pub fn check_nf_preserves_eval_in<S: UpdateStructure>(
     Ok(checked)
 }
 
-/// The parallel-agreement oracle: sharded evaluation over every given
-/// thread count produces exactly the serial answers, root for root.
-///
-/// A thread count of `0` means available parallelism, as everywhere in
-/// [`crate::parallel`]; counts larger than the root count exercise the
-/// worker-starvation edge.
-///
-/// Returns the number of `(root, thread-count)` comparisons on success.
-///
-/// ```
-/// use uprov_core::{check_parallel_matches_serial, AtomTable, ExprArena, Valuation};
-/// use uprov_structures::Bool;
-///
-/// let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
-/// let x = ar.atom(t.fresh_tuple());
-/// let p = ar.atom(t.fresh_txn());
-/// let roots = [ar.plus_i(x, p), ar.dot_m(x, p)];
-/// let val = Valuation::constant(true);
-/// let checked =
-///     check_parallel_matches_serial(&ar, &roots, &Bool, &val, &[1, 2, 8]).unwrap();
-/// assert_eq!(checked, 6);
-/// ```
-pub fn check_parallel_matches_serial<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    structure: &S,
-    val: &Valuation<S::Value>,
-    thread_counts: &[usize],
-) -> Result<usize, OracleDivergence> {
-    let serial = eval_roots_in(arena, roots, structure, val, &mut DenseMemo::new());
-    let pool = MemoPool::new();
-    let mut checked = 0;
-    for &threads in thread_counts {
-        let par = par_eval_roots_in(arena, roots, structure, val, &pool, threads);
-        for (ix, (s_val, p_val)) in serial.iter().zip(&par).enumerate() {
-            checked += 1;
-            if s_val != p_val {
-                return Err(OracleDivergence {
-                    oracle: "parallel-matches-serial",
-                    root_ix: ix,
-                    root: roots[ix],
-                    detail: format!("threads={threads}: serial={s_val:?} but parallel={p_val:?}"),
-                });
-            }
-        }
-    }
-    Ok(checked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,19 +176,5 @@ mod tests {
         assert_eq!(err.root_ix, 0);
         let msg = err.to_string();
         assert!(msg.contains("diverged"), "message names the failure: {msg}");
-    }
-
-    #[test]
-    fn parallel_oracle_counts_comparisons() {
-        let (mut t, mut ar) = (AtomTable::new(), ExprArena::new());
-        let x = ar.atom(t.fresh_tuple());
-        let p = ar.atom(t.fresh_txn());
-        let roots = [ar.plus_i(x, p), ar.minus(x, p), ExprArena::ZERO];
-        let val = Valuation::constant(0u32);
-        // BadMinus is a fine *evaluator* (parallel agreement is about
-        // scheduling, not axioms), so it serves here too.
-        let checked =
-            check_parallel_matches_serial(&ar, &roots, &BadMinus, &val, &[0, 1, 2, 7]).unwrap();
-        assert_eq!(checked, 12);
     }
 }

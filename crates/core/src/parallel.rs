@@ -38,14 +38,12 @@
 //!
 //! # Threads
 //!
-//! The build environment is offline (no rayon), so workers come from the
-//! process-wide persistent [`WorkerPool`]: resident
-//! threads parked on a queue, woken per call, with the calling thread
-//! participating as one more worker. Work is distributed by an atomic
-//! chunk counter (a few chunks per worker), so a heavy chunk does not
-//! serialize the batch behind one worker, and a busy pool merely means
-//! fewer concurrent claimants — never a wrong answer. Every entry point
-//! takes a `threads` argument: an explicit count is honored as given
+//! The build environment is offline (no rayon), so each call runs its
+//! workers through [`WorkerPool::run`]: the calling thread plus scoped
+//! threads spawned for the call and joined before it returns. Work is
+//! distributed by an atomic chunk counter (a few chunks per worker), so a
+//! heavy chunk does not serialize the batch behind one worker. Every entry
+//! point takes a `threads` argument: an explicit count is honored as given
 //! (including oversubscription, which is how small machines exercise the
 //! sharded path), and `0` means [`std::thread::available_parallelism`].
 //!
@@ -153,8 +151,8 @@ fn auto_threads(threads: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// [`eval_many_in`] sharded **by valuation** across `threads` workers of
-/// the persistent pool (`0` = available parallelism).
+/// [`eval_many_in`] sharded **by valuation** across `threads` workers
+/// (`0` = available parallelism).
 ///
 /// The reachable sub-DAG of `root` is topologically sorted once and shared
 /// read-only; the valuation batch is split into chunks which workers claim
@@ -217,8 +215,8 @@ pub fn par_eval_many_in<S: UpdateStructure>(
     run_sharded(&chunks, pool, threads, root.index() + 1, worker)
 }
 
-/// [`eval_roots_in`] sharded **by root** across `threads` workers of the
-/// persistent pool (`0` = available parallelism).
+/// [`eval_roots_in`] sharded **by root** across `threads` workers
+/// (`0` = available parallelism).
 ///
 /// Roots are split into chunks which workers claim from an atomic counter;
 /// each worker evaluates its chunks into its own pooled memo, so sub-DAGs
@@ -260,11 +258,10 @@ pub fn par_eval_roots_in<S: UpdateStructure>(
 }
 
 /// The shared harness behind the parallel evaluators: run `threads`
-/// worker bodies on the process-wide persistent [`WorkerPool`] (no thread
-/// spawns, just queue entries and wakeups; the caller is one of the
+/// worker bodies through [`WorkerPool::global`] (the caller is one of the
 /// workers). Each body acquires one memo from the caller's [`MemoPool`] —
-/// so memo buffers, like the residents themselves, are reused across
-/// calls — resets it to `memo_len`, claims chunk indices from an atomic
+/// so memo buffers are reused across calls — resets it to `memo_len`,
+/// claims chunk indices from an atomic
 /// counter and deposits `work`'s output into claim-once slots, which are
 /// stitched back together in input order — the determinism half of the
 /// module contract.

@@ -1,14 +1,11 @@
-//! Pool-reuse property tests: the persistent-worker-pool harness is a
-//! pure transport.
+//! Memo-pool property tests: the sharded harness is a pure transport.
 //!
-//! The contract: `par_eval_many_in` / `par_eval_roots_in`, dispatched
-//! onto the resident
+//! The contract: `par_eval_many_in` / `par_eval_roots_in`, run on
 //! [`uprov_core::WorkerPool`], are **bit-identical** to the serial
-//! evaluators for every thread count, across repeated calls on the same
-//! process-wide pool (memo buffers and parked workers are reused between
-//! calls — the whole point of the pool), under all five catalogue
-//! structures. Same deterministic xorshift harness as `tests/par.rs`;
-//! failing seeds print a repro line.
+//! evaluators for every thread count, across repeated calls that share
+//! one [`MemoPool`] (memo buffers are reused between calls), under all
+//! five catalogue structures. Same deterministic xorshift harness as
+//! `tests/par.rs`; failing seeds print a repro line.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +14,7 @@ mod common;
 use common::{random_dag, random_valuation, reference_eval};
 use uprov_core::{
     eval_many_in, eval_roots_in, par_eval_many_in, par_eval_roots_in, AtomTable, DenseMemo,
-    ExprArena, MemoPool, NodeId, UpdateStructure, Valuation, WorkerPool,
+    ExprArena, MemoPool, NodeId, UpdateStructure, Valuation,
 };
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
 
@@ -29,7 +26,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// One structure's sweep: random DAG, random valuations, then for every
 /// thread count assert serial == pooled on the many-valuations and
 /// many-roots paths — repeatedly, so one
-/// process-wide pool serves many calls back to back.
+/// memo pool serves many calls back to back.
 fn sweep<S, F>(structure: &S, seed: u64, mut sample: F)
 where
     S: UpdateStructure,
@@ -106,41 +103,4 @@ fn pooled_eval_is_bit_identical_under_witnesses() {
             .filter(|k| mask >> k & 1 == 1)
             .collect::<BTreeSet<u32>>()
     });
-}
-
-/// Repeated calls on one explicit pool actually *reuse* it: the resident
-/// worker count is fixed, and dispatch bookkeeping advances — evidence
-/// the calls went through the pool rather than spawning fresh threads.
-#[test]
-fn repeated_calls_ride_one_resident_pool() {
-    let pool = WorkerPool::global();
-    let residents_before = pool.residents();
-    let dispatches_before = pool.dispatches();
-
-    let mut rng = Rng::new(42);
-    let mut table = AtomTable::new();
-    let mut arena = ExprArena::new();
-    let dag = random_dag(&mut rng, &mut table, &mut arena, 24);
-    let (root, atoms) = (dag.root, dag.atoms);
-    let valuations: Vec<Valuation<u64>> = (0..16)
-        .map(|_| random_valuation(&mut rng, &atoms, Rng::next_u64))
-        .collect();
-    let memo_pool = MemoPool::new();
-    let expect = eval_many_in(&arena, root, &Worlds, &valuations, &mut DenseMemo::new());
-    for _ in 0..10 {
-        let got = par_eval_many_in(&arena, root, &Worlds, &valuations, &memo_pool, 4);
-        assert_eq!(got, expect);
-    }
-
-    assert_eq!(
-        pool.residents(),
-        residents_before,
-        "no new residents may appear: the pool is the process-wide one"
-    );
-    if residents_before > 0 {
-        assert!(
-            pool.dispatches() > dispatches_before,
-            "multi-threaded eval must dispatch through the resident pool"
-        );
-    }
 }

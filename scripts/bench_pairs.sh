@@ -16,15 +16,19 @@
 # median gap wider than the parent's own q1-q3 spread; a median worse than
 # the metric's bound is flagged WORSE.
 #
-# Every run is appended to target/bench_pairs/runs-<sha>-<workload>.jsonl,
-# so a second call with more seeds extends the same series (delete the
-# file to start over). Example:
+# Every run is appended, with its time, to
+# target/bench_pairs/runs-<parent>-<change>-<workload>.jsonl. <change> is
+# HEAD's short sha, plus -dirty-<hash of the uncommitted diff and untracked
+# files> when the tree is dirty, so a second call with more seeds on the
+# same code extends the same series (delete the file to start over) and
+# an edit starts a new one. The summary names both sides and their run
+# counts, and exits 1 if the counts differ. Example:
 #
 #   scripts/bench_pairs.sh HEAD~1 replay_batch 24 21 22 23 31 32 33 41 42 43 44
 set -euo pipefail
 
 if (($# < 4)); then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 ref=$1 workload=$2 seconds=$3
@@ -32,9 +36,16 @@ shift 3
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --short "$ref^{commit}")
+change=$(git -C "$root" rev-parse --short HEAD)
+if [[ -n $(git -C "$root" status --porcelain) ]]; then
+    change+=-dirty-$(cd "$root" && {
+        git diff HEAD --binary
+        git ls-files -o --exclude-standard -z | xargs -0r sha1sum
+    } | sha1sum | cut -c1-8)
+fi
 work=$root/target/bench_pairs
 parent=$work/parent-$sha
-runs=$work/runs-$sha-$workload.jsonl
+runs=$work/runs-$sha-$change-$workload.jsonl
 
 # `git archive`, not `git worktree`: the checkout must not register itself
 # in this repository's .git.
@@ -47,7 +58,8 @@ run() { # side checkout seed
     local result
     result=$(cd "$2" && CARGO_TARGET_DIR=$work/target-$1 bash bench/run.sh \
         --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1)
-    printf '{"side":"%s","seed":%s,"result":%s}\n' "$1" "$3" "$result" >>"$runs"
+    printf '{"side":"%s","change":"%s","at":"%s","seed":%s,"result":%s}\n' \
+        "$1" "$change" "$(date -u +%FT%TZ)" "$3" "$result" >>"$runs"
     echo "  $1 seed $3 done" >&2
 }
 
@@ -63,10 +75,10 @@ for seed in "$@"; do
     pair=$((pair + 1))
 done
 
-python3 - "$root/BENCHMARK.json" "$runs" "$sha" "$workload" <<'PY'
+python3 - "$root/BENCHMARK.json" "$runs" "$sha" "$change" "$workload" <<'PY'
 import json, statistics, sys
 
-spec, runs, sha, workload = sys.argv[1:5]
+spec, runs, sha, change, workload = sys.argv[1:6]
 metrics = json.load(open(spec))["end_to_end"]
 sides = {"parent": [], "change": []}
 for line in open(runs):
@@ -74,8 +86,11 @@ for line in open(runs):
     sides[rec["side"]].append(rec["result"])
 pairs = list(zip(sides["parent"], sides["change"]))
 bad = [r for rs in sides.values() for r in rs if not r["correct"] or r["failed"]]
-print(f"{workload}: {len(pairs)} pairs, parent {sha} vs working tree; "
-      f"{len(bad)} runs incorrect or with failed operations")
+counts = {side: len(rs) for side, rs in sides.items()}
+print(f"{workload}: parent {sha} ({counts['parent']} runs) vs change {change} "
+      f"({counts['change']} runs); {len(bad)} runs incorrect or with failed operations")
+if counts["parent"] != counts["change"]:
+    sys.exit(f"{runs}: the sides have different run counts, so runs do not pair up")
 
 def quartiles(xs):
     if len(xs) < 2:
