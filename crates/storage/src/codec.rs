@@ -132,11 +132,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    /// Reads a minimal LEB128 `u32` (see [`put_var`]). Only the one
-    /// encoding `put_var` writes decodes: a sixth byte, a value above
-    /// `u32::MAX` and a redundant trailing zero group are each a
-    /// [`DecodeError`] at the varint's first byte, so a value has exactly
-    /// one byte string.
+    /// Reads an LEB128 `u32` (see [`put_var`]). A sixth byte or a value
+    /// above `u32::MAX` is a [`DecodeError`] at the varint's first byte; a
+    /// redundant trailing zero group reads as its value. Each format
+    /// re-encodes what it decodes and compares, so only `put_var`'s minimal
+    /// spelling survives there.
     #[inline]
     pub fn take_var(&mut self, what: &'static str) -> Result<u32, DecodeError> {
         match self.buf.get(self.pos) {
@@ -151,14 +151,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a minimal LEB128 `u64` (see [`put_var64`]), held to the same
-    /// rules as [`Reader::take_var`] at ten bytes.
+    /// Reads an LEB128 `u64` (see [`put_var64`]), held to the same rules
+    /// as [`Reader::take_var`] at ten bytes.
     pub fn take_var64(&mut self, what: &'static str) -> Result<u64, DecodeError> {
         self.take_leb(10, u64::MAX, what)
     }
 
     /// The LEB128 loop behind both varint readers: at most `max_len`
-    /// bytes, a value of at most `max`, no trailing zero group.
+    /// bytes and a value of at most `max`.
     fn take_leb(
         &mut self,
         max_len: usize,
@@ -180,9 +180,6 @@ impl<'a> Reader<'a> {
             }
             v |= group << shift;
             if b & 0x80 == 0 {
-                if b == 0 && i > 0 {
-                    return Err(fail("non-minimal varint"));
-                }
                 if v > max {
                     return Err(fail("varint out of range"));
                 }
@@ -229,8 +226,7 @@ const OP_MODIFY: u8 = 2;
 ///         target index; a modify adds its source count and source indices
 /// ```
 ///
-/// Each name is spelled once however often the log names it, and every
-/// table entry is referenced, so a log has exactly one encoding.
+/// Each name is spelled once however often the log names it.
 pub fn put_update_log(buf: &mut Vec<u8>, log: &UpdateLog) {
     // Every name occurrence with its position, sorted by name: the table
     // is the distinct names in that order, and an occurrence's index is
@@ -308,8 +304,9 @@ fn for_each_field<'a>(log: &'a UpdateLog, mut f: impl FnMut(Field<'a>)) {
 }
 
 /// Reads one name [`put_name`] front-coded against `name`, the bytes of
-/// the name before it, and leaves the new name's bytes there. Only the
-/// longest shared prefix decodes, so a name has one spelling.
+/// the name before it, and leaves the new name's bytes there. Any shared
+/// length up to the name before reads; a format that re-encodes what it
+/// decodes keeps only the longest, `put_name`'s.
 pub fn take_name<'n>(
     r: &mut Reader<'_>,
     name: &'n mut Vec<u8>,
@@ -323,89 +320,63 @@ pub fn take_name<'n>(
     if shared > name.len() {
         return Err(fail("name shares more than the name before it"));
     }
-    if suffix.first().is_some_and(|b| name.get(shared) == Some(b)) {
-        return Err(fail("shared prefix of a name not the longest"));
-    }
     name.truncate(shared);
     name.extend_from_slice(suffix);
     std::str::from_utf8(name).map_err(|_| fail("name is not UTF-8"))
 }
 
-/// A WAL record's decoded name table, and which entries the body has
-/// referenced so far.
-struct NameTable {
-    names: Vec<String>,
-    used: Vec<bool>,
+/// Reads one table index and returns the name it refers to.
+fn take_indexed(
+    r: &mut Reader<'_>,
+    names: &[String],
+    what: &'static str,
+) -> Result<String, DecodeError> {
+    let at = r.pos();
+    let ix = r.take_var(what)? as usize;
+    names.get(ix).cloned().ok_or(DecodeError {
+        offset: at,
+        what: "name index out of range",
+    })
 }
 
-impl NameTable {
-    /// Reads the table: strictly ascending names, each front-coded.
-    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.take_var("name count")? as usize;
-        // Each name takes at least two bytes: no allocation past the input.
-        let mut names: Vec<String> = Vec::with_capacity(n.min(r.remaining() / 2));
-        let mut buf = Vec::new();
-        for _ in 0..n {
-            let at = r.pos();
-            let name = take_name(r, &mut buf, "name")?;
-            if names.last().is_some_and(|prev| prev.as_str() >= name) {
-                return Err(DecodeError {
-                    offset: at,
-                    what: "names not strictly ascending",
-                });
-            }
-            names.push(name.to_owned());
-        }
-        let used = vec![false; names.len()];
-        Ok(NameTable { names, used })
-    }
-
-    /// Reads one table index and returns the name it refers to.
-    fn name(&mut self, r: &mut Reader<'_>, what: &'static str) -> Result<String, DecodeError> {
-        let at = r.pos();
-        let ix = r.take_var(what)? as usize;
-        let (Some(name), Some(used)) = (self.names.get(ix), self.used.get_mut(ix)) else {
-            return Err(DecodeError {
-                offset: at,
-                what: "name index out of range",
-            });
-        };
-        *used = true;
-        Ok(name.clone())
-    }
-}
-
-/// Decodes one [`UpdateLog`] (see [`put_update_log`]). Any other spelling
-/// of a log — names out of order or front-coded short of the longest
-/// prefix, an unreferenced name, an index past the table, an unknown op
-/// tag, a non-minimal varint — is a [`DecodeError`].
+/// Decodes one [`UpdateLog`] (see [`put_update_log`]): an index past the
+/// table, an unknown op tag, a name that is not UTF-8 or bytes that run
+/// out are a [`DecodeError`]. Any name table reads, in any order and with
+/// any front coding; the WAL scan re-encodes each record it decodes and
+/// compares, so only the spelling `put_update_log` writes is a record.
 pub fn take_update_log(r: &mut Reader<'_>) -> Result<UpdateLog, DecodeError> {
-    let mut table = NameTable::take(r)?;
+    let n = r.take_var("name count")? as usize;
+    // Each name takes at least two bytes: no allocation past the input.
+    let mut table: Vec<String> = Vec::with_capacity(n.min(r.remaining() / 2));
+    let mut buf = Vec::new();
+    for _ in 0..n {
+        table.push(take_name(r, &mut buf, "name")?.to_owned());
+    }
     let mut log = UpdateLog::default();
     let nbase = r.take_var("base tuple count")?;
     for _ in 0..nbase {
-        log.base.push(table.name(r, "base tuple name")?);
+        log.base.push(take_indexed(r, &table, "base tuple name")?);
     }
     let ntxns = r.take_var("transaction count")?;
     for _ in 0..ntxns {
-        let name = table.name(r, "transaction name")?;
+        let name = take_indexed(r, &table, "transaction name")?;
         let nops = r.take_var("op count")?;
         let mut ops = Vec::with_capacity((nops as usize).min(r.remaining() / 2));
         for _ in 0..nops {
             let tag = r.take_byte("op tag")?;
             ops.push(match tag {
                 OP_INSERT => Op::Insert {
-                    tuple: table.name(r, "insert tuple")?,
+                    tuple: take_indexed(r, &table, "insert tuple")?,
                 },
                 OP_DELETE => Op::Delete {
-                    tuple: table.name(r, "delete tuple")?,
+                    tuple: take_indexed(r, &table, "delete tuple")?,
                 },
                 OP_MODIFY => {
-                    let target = table.name(r, "modify target")?;
+                    let target = take_indexed(r, &table, "modify target")?;
                     let nsrc = r.take_var("modify source count")?;
                     let mut sources = Vec::with_capacity((nsrc as usize).min(r.remaining()));
                     for _ in 0..nsrc {
-                        sources.push(table.name(r, "modify source")?);
+                        sources.push(take_indexed(r, &table, "modify source")?);
                     }
                     Op::Modify { target, sources }
                 }
@@ -419,18 +390,13 @@ pub fn take_update_log(r: &mut Reader<'_>) -> Result<UpdateLog, DecodeError> {
         }
         log.txns.push(Txn { name, ops });
     }
-    if table.used.contains(&false) {
-        return Err(DecodeError {
-            offset: r.pos(),
-            what: "unreferenced name",
-        });
-    }
     Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalTail;
 
     #[test]
     fn update_log_round_trips_binary() {
@@ -481,9 +447,7 @@ mod tests {
 
     #[test]
     fn malformed_varints_are_typed_errors() {
-        let cases: [(&[u8], &str); 5] = [
-            (&[0x80, 0x00], "non-minimal varint"),
-            (&[0xff, 0x80, 0x00], "non-minimal varint"),
+        let cases: [(&[u8], &str); 3] = [
             (&[0xff, 0xff, 0xff, 0xff, 0x1f], "varint out of range"),
             (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00], "varint too long"),
             (&[0xff, 0xff, 0xff, 0xff, 0x8f, 0x00], "varint too long"),
@@ -503,10 +467,26 @@ mod tests {
             Reader::new(&over).take_var64("v").unwrap_err().what,
             "varint out of range"
         );
-        assert_eq!(
-            Reader::new(&[0x80, 0x00]).take_var64("v").unwrap_err().what,
-            "non-minimal varint"
-        );
+        // A redundant zero group reads as its value, but no record is
+        // spelled with one: as a record's seq it is an undecodable tail.
+        for (long, v) in [(&[0x80, 0x00][..], 0), (&[0xff, 0x80, 0x00], 127)] {
+            assert_eq!(Reader::new(long).take_var("v"), Ok(v));
+            assert_eq!(Reader::new(long).take_var64("v"), Ok(u64::from(v)));
+            let mut payload = long.to_vec();
+            put_update_log(&mut payload, &UpdateLog::default());
+            assert_eq!(scanned(&payload), UNDECODABLE, "{long:x?}");
+        }
+    }
+
+    const UNDECODABLE: WalTail = WalTail::Undecodable { offset: 8 };
+
+    /// How [`crate::wal::scan`] ends on a WAL of the one record `payload`.
+    fn scanned(payload: &[u8]) -> WalTail {
+        let mut image = crate::wal::WAL_MAGIC.to_vec();
+        put_u32(&mut image, payload.len() as u32);
+        put_u32(&mut image, crate::crc::crc32(payload));
+        image.extend_from_slice(payload);
+        crate::wal::scan(&image).expect("good magic").tail
     }
 
     #[test]
@@ -544,7 +524,12 @@ mod tests {
 
     fn rejected(bytes: &[u8]) -> &'static str {
         let got = take_update_log(&mut Reader::new(bytes));
-        got.expect_err("another spelling must not decode").what
+        got.expect_err("the bytes spell no log").what
+    }
+
+    /// How the WAL scan ends on a record at seq 0 whose log is `bytes`.
+    fn scanned_log(bytes: &[u8]) -> WalTail {
+        scanned(&[&[0], bytes].concat())
     }
 
     #[test]
@@ -553,23 +538,18 @@ mod tests {
         let mut buf = Vec::new();
         put_update_log(&mut buf, &log);
         assert_eq!(spelled(&TABLE, &BODY), buf, "the one spelling");
+        assert_eq!(scanned_log(&buf), WalTail::Clean);
+        // Names out of order or twice, a shorter shared prefix, a name no
+        // index refers to and a long varint each read as some log, but
+        // not as the bytes its encoder writes.
         let mut table = TABLE;
         table.swap(2, 3);
-        assert_eq!(
-            rejected(&spelled(&table, &BODY)),
-            "names not strictly ascending"
-        );
+        assert_eq!(scanned_log(&spelled(&table, &BODY)), UNDECODABLE);
         let dup = [(0, &b"ab"[..]), (2, b""), (1, b"c"), (0, b"b"), (0, b"t")];
-        assert_eq!(
-            rejected(&spelled(&dup, &BODY)),
-            "names not strictly ascending"
-        );
+        assert_eq!(scanned_log(&spelled(&dup, &BODY)), UNDECODABLE);
         table = TABLE;
         table[1] = (0, b"ac");
-        assert_eq!(
-            rejected(&spelled(&table, &BODY)),
-            "shared prefix of a name not the longest"
-        );
+        assert_eq!(scanned_log(&spelled(&table, &BODY)), UNDECODABLE);
         table[1] = (3, b"");
         assert_eq!(
             rejected(&spelled(&table, &BODY)),
@@ -578,14 +558,14 @@ mod tests {
         table[1] = (1, &[0xff]);
         assert_eq!(rejected(&spelled(&table, &BODY)), "name is not UTF-8");
         let extra = [(0, &b"ab"[..]), (1, b"c"), (0, b"b"), (0, b"t"), (0, b"z")];
-        assert_eq!(rejected(&spelled(&extra, &BODY)), "unreferenced name");
+        assert_eq!(scanned_log(&spelled(&extra, &BODY)), UNDECODABLE);
         let mut body = BODY;
         body[9] = 4;
         assert_eq!(rejected(&spelled(&TABLE, &body)), "name index out of range");
         let mut long = spelled(&TABLE, &BODY[..1]);
         long.extend([0x80, 0x00]);
         long.extend_from_slice(&BODY[2..]);
-        assert_eq!(rejected(&long), "non-minimal varint");
+        assert_eq!(scanned_log(&long), UNDECODABLE);
     }
 
     #[test]

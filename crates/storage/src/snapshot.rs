@@ -49,12 +49,12 @@
 //!   certified row, and `nf ↦ nf` for every stored pair, so those pairs
 //!   are not stored.
 //!
-//! Each rule is mandatory wherever it applies, and every varint must be
-//! minimal ([`Reader::take_var`]): decode rejects any other spelling, and
-//! any node no tuple, normal form or stored pair reaches, as
-//! [`SnapshotError::Corrupt`] (a misspelled varint or name as
-//! [`SnapshotError::Decode`]). So a snapshot has exactly one byte string
-//! and re-encoding a recovered engine reproduces it.
+//! Decode reads any spelling it can parse, then ends by re-encoding what
+//! it rebuilt: bytes that differ from that encoding (an implied field
+//! spelled out, a long varint, a node no tuple reaches, a pair decode
+//! re-seeds) are [`SnapshotError::Corrupt`]`("not the canonical
+//! spelling")`. So [`encode`] is the one rulebook, a snapshot has exactly
+//! one byte string, and re-encoding a recovered engine reproduces it.
 //!
 //! The arena section is the paper-structure payoff: the hash-consed arena
 //! is already a topologically ordered flat node list whose ids are dense
@@ -265,12 +265,27 @@ impl FreshAtoms {
 
 /// Writes ascending indices: the count, then each one's distance above
 /// one past the index before it (the first: above zero).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn put_ascending(p: &mut Vec<u8>, ixs: &[u32]) {
     put_var(p, ixs.len() as u32);
     let mut next = 0;
     for &ix in ixs {
         put_var(p, ix - next);
         next = ix + 1;
+    }
+}
+
+/// Whether `id` is set in `flags` (an id out of range is not).
+fn has(flags: &[bool], id: NodeId) -> bool {
+    flags.get(id.index()) == Some(&true)
+}
+
+/// Sets `id` in `flags` (an id out of range sets nothing).
+fn set(flags: &mut [bool], id: NodeId) {
+    if let Some(flag) = flags.get_mut(id.index()) {
+        *flag = true;
     }
 }
 
@@ -288,36 +303,38 @@ fn put_ascending(p: &mut Vec<u8>, ixs: &[u32]) {
 /// dead rewrite intermediates. Ids are compacted order-preservingly, which
 /// is sound because no live id escapes the snapshot un-remapped and the
 /// WAL addresses updates by *name*, never by node id.
+///
+/// Total, like decode: [`decode`] runs it on whatever it rebuilt.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     let arena = engine.arena();
     let snap = state.to_snapshot();
     let mut live = vec![false; arena.len()];
-    live[0] = true; // Zero is structural: always id 0, always kept.
-    mark_live(
-        arena,
-        &mut live,
-        snap.tuples.iter().map(|&(_, root, _)| root),
-    );
+    // Zero is structural: always id 0, always kept.
+    let roots = snap.tuples.iter().map(|&(_, root, _)| root);
+    mark_live(arena, &mut live, roots.chain([ExprArena::ZERO]));
     // Keys whose pair decode re-seeds: both ends of every certified row,
     // then the image of every pair written.
     let mut implied = vec![false; arena.len()];
     for &(_, root, nf) in &snap.tuples {
         if let Some(nf) = nf {
-            implied[root.index()] = true;
-            implied[nf.index()] = true;
+            set(&mut implied, root);
+            set(&mut implied, nf);
         }
     }
     let mut nf_pairs: Vec<(NodeId, NodeId)> = engine
         .nf_cache()
         .iter_certified()
-        .filter(|(root, _)| live[root.index()] && !implied[root.index()])
+        .filter(|&(root, _)| has(&live, root) && !has(&implied, root))
         .collect();
     for &(root, nf) in &nf_pairs {
         if root != nf {
-            implied[nf.index()] = true;
+            set(&mut implied, nf);
         }
     }
-    nf_pairs.retain(|&(root, nf)| root != nf || !implied[root.index()]);
+    nf_pairs.retain(|&(root, nf)| root != nf || !has(&implied, root));
     nf_pairs.sort_unstable();
     let nfs = snap.tuples.iter().filter_map(|&(_, _, nf)| nf);
     mark_live(
@@ -326,14 +343,13 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         nfs.chain(nf_pairs.iter().map(|&(_, nf)| nf)),
     );
     // Order-preserving compaction: children stay below parents.
-    let mut remap = vec![0u32; arena.len()];
+    let mut remap = Vec::with_capacity(live.len());
     let mut nlive = 0u32;
-    for (ix, &keep) in live.iter().enumerate() {
-        if keep {
-            remap[ix] = nlive;
-            nlive += 1;
-        }
+    for &keep in &live {
+        remap.push(nlive);
+        nlive += u32::from(keep);
     }
+    let remapped = |id: NodeId| remap.get(id.index()).copied().unwrap_or_default();
 
     // The frame header goes first into the one output buffer; its length
     // and CRC fields are patched once the payload behind it is complete.
@@ -356,16 +372,17 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         put_name(&mut p, prev, atoms.name(a));
         prev = atoms.name(a);
     }
-    // Live arena nodes, in compacted id order. Id 0 is Zero and implied.
+    // Live arena nodes, in compacted id order.
     put_var(&mut p, nlive);
     let mut fresh = FreshAtoms::new(atoms.len());
     let mut window = RhsWindow::default();
-    for (ix, _) in live.iter().enumerate().skip(1).filter(|&(_, &keep)| keep) {
+    for (ix, _) in live.iter().enumerate().filter(|&(_, &keep)| keep) {
         // Children as back-distances from this node's compacted id.
-        let own = remap[ix];
-        let back = |child: NodeId| own - remap[child.index()];
-        match arena.node(NodeId::from_index(ix)) {
-            Node::Zero => unreachable!("Zero is interned exactly once, at id 0"),
+        let id = NodeId::from_index(ix);
+        let back = |child: NodeId| remapped(id) - remapped(child);
+        match arena.node(id) {
+            // Zero is id 0, implied: it writes nothing.
+            Node::Zero => {}
             Node::Atom(a) => {
                 if fresh.code(a.index()) {
                     p.push(NODE_ATOM | IMPLIED);
@@ -376,7 +393,7 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
             }
             Node::Bin(op, a, b) => {
                 let left_below = back(a) == 1;
-                let rhs = window.code(remap[b.index()]);
+                let rhs = window.code(remapped(b));
                 let left = if left_below { IMPLIED } else { 0 };
                 p.push(NODE_BIN | op_tag(op) << OP_SHIFT | left | rhs << RHS_SHIFT);
                 if !left_below {
@@ -409,26 +426,34 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
         .iter()
         .chain(&snap.txn_atoms)
         .all(|(name, a)| atoms.name(*a) == name));
-    put_state(&mut p, &snap, |id| remap[id.index()]);
+    put_state(&mut p, &snap, remapped);
     let nf_entries: Vec<(u32, u32)> = nf_pairs
         .iter()
-        .map(|(root, nf)| (remap[root.index()], remap[nf.index()]))
+        .map(|&(root, nf)| (remapped(root), remapped(nf)))
         .collect();
     put_nf_cache(&mut p, &nf_entries);
     // Frame it: patch the payload's length and checksum into the header.
-    let (header, payload) = p.split_at_mut(HEADER_LEN);
-    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+    if let Some((header, payload)) = p.split_at_mut_checked(HEADER_LEN) {
+        let len = (payload.len() as u64).to_le_bytes();
+        let fields = len.into_iter().chain(crc32(payload).to_le_bytes());
+        for (at, b) in header.iter_mut().skip(12).zip(fields) {
+            *at = b;
+        }
+    }
     p
 }
 
 /// Marks every node reachable from `roots` in `live`; a node already
-/// marked is not walked again.
+/// marked (or an id out of range) is not walked.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn mark_live(arena: &ExprArena, live: &mut [bool], roots: impl Iterator<Item = NodeId>) {
     let mut stack: Vec<NodeId> = roots.collect();
     while let Some(id) = stack.pop() {
-        if std::mem::replace(&mut live[id.index()], true) {
-            continue;
+        match live.get_mut(id.index()) {
+            Some(seen) if !*seen => *seen = true,
+            _ => continue,
         }
         match arena.node(id) {
             Node::Zero | Node::Atom(_) => {}
@@ -453,6 +478,9 @@ fn mark_live(arena: &ExprArena, live: &mut [bool], roots: impl Iterator<Item = N
 /// `nf + 1` for a certified one. Base-tuple and transaction names are
 /// interned atoms, so those two sections store ascending atom indices
 /// instead of spelling each name out again.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u32) {
     put_var64(p, snap.updates);
     put_var(p, snap.tuples.len() as u32);
@@ -472,6 +500,9 @@ fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u3
 
 /// Writes the certified-NF cache section: its `(root, nf)` snapshot-id
 /// pairs, sorted by root, each root gap-coded as in [`put_ascending`].
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing)]
 fn put_nf_cache(p: &mut Vec<u8>, entries: &[(u32, u32)]) {
     put_var(p, entries.len() as u32);
     let mut next = 0;
@@ -504,8 +535,8 @@ fn take_gap(
 }
 
 /// Decodes the payload sections after the arena node list: the replay
-/// state and the stored certified-NF pairs. Pure byte reading plus range
-/// and canonicity checks, independent of the arena value.
+/// state and the stored certified-NF pairs. Pure byte reading plus range,
+/// kind and order checks, independent of the arena value.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #[deny(clippy::indexing_slicing)]
@@ -528,8 +559,6 @@ fn decode_tail(
         updates: r.take_var64("update count")?,
         ..StateSnapshot::default()
     };
-    // Keys of the cache pairs decode re-seeds, so no stored pair may hold.
-    let mut implied = vec![false; nnodes];
     // Tuple names must arrive strictly sorted (byte order): the engine's
     // tuple table takes the snapshot order as its sorted order.
     let ntuples = r.take_var("tuple count")? as usize;
@@ -544,10 +573,6 @@ fn decode_tail(
         };
         if snap.tuples.last().is_some_and(|(prev, ..)| *prev >= name) {
             return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
-        }
-        if let Some(nf) = nf {
-            mark(&mut implied, root, true);
-            mark(&mut implied, nf, true);
         }
         snap.tuples.push((name, root, nf));
     }
@@ -571,7 +596,7 @@ fn decode_tail(
         };
     snap.base_atoms = kinded_atoms(r, AtomKind::Tuple, "base atom")?;
     snap.txn_atoms = kinded_atoms(r, AtomKind::Txn, "txn atom")?;
-    // Engine-level NF cache: only pairs decode cannot re-seed.
+    // Engine-level NF cache: the pairs decode cannot re-seed.
     let nnf = r.take_var("nf cache count")? as usize;
     let mut nf_entries = Vec::with_capacity(nnf.min(1 << 16));
     let mut next = 0;
@@ -579,100 +604,18 @@ fn decode_tail(
         let root = take_gap(r, &mut next, nnodes, "nf cache root", OUT_OF_ARENA)?;
         let root = NodeId::from_index(root);
         let nf = node_id(r, "nf cache image")?;
-        if implied.get(root.index()) != Some(&false) {
-            return Err(SnapshotError::Corrupt("nf-cache pair implied by a row"));
-        }
         nf_entries.push((root, nf));
     }
-    // A stored `root ↦ nf` re-seeds `nf ↦ nf` as well.
-    for &(root, nf) in &nf_entries {
-        if root != nf {
-            mark(&mut implied, nf, true);
-        }
-    }
-    if nf_entries
-        .iter()
-        .any(|(root, _)| implied.get(root.index()) != Some(&false))
-    {
-        return Err(SnapshotError::Corrupt(
-            "nf-cache pair implied by another pair",
-        ));
-    }
-    if !r.is_at_end() {
-        return Err(SnapshotError::Corrupt("trailing bytes after payload"));
-    }
     Ok((snap, nf_entries))
-}
-
-/// Checks that `arena` holds exactly the nodes [`encode`] writes: each is
-/// reachable from a tuple root, a certified normal form or a stored
-/// pair's image, and each stored pair is keyed inside the tuple roots'
-/// DAG. One sweep from the top id down suffices, as children sit below
-/// their parents.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#[deny(clippy::indexing_slicing)]
-fn check_live(
-    arena: &ExprArena,
-    snap: &StateSnapshot,
-    nf_entries: &[(NodeId, NodeId)],
-) -> Result<(), SnapshotError> {
-    /// Reached from a tuple root.
-    const FROM_ROOT: u8 = 1;
-    /// Reached from a normal form only.
-    const FROM_NF: u8 = 2;
-    let mut reach = vec![0u8; arena.len()];
-    mark(&mut reach, ExprArena::ZERO, FROM_ROOT);
-    for &(_, root, nf) in &snap.tuples {
-        mark(&mut reach, root, FROM_ROOT);
-        nf.into_iter().for_each(|nf| mark(&mut reach, nf, FROM_NF));
-    }
-    for &(_, nf) in nf_entries {
-        mark(&mut reach, nf, FROM_NF);
-    }
-    for ix in (1..arena.len()).rev() {
-        let how = reach.get(ix).copied().unwrap_or_default();
-        if how == 0 {
-            return Err(SnapshotError::Corrupt("node no tuple reaches"));
-        }
-        match arena.node(NodeId::from_index(ix)) {
-            Node::Zero | Node::Atom(_) => {}
-            Node::Bin(_, a, b) => {
-                mark(&mut reach, a, how);
-                mark(&mut reach, b, how);
-            }
-            Node::Counted(_, h, es) => {
-                mark(&mut reach, h, how);
-                es.iter().for_each(|&(e, _)| mark(&mut reach, e, how));
-            }
-            Node::Sum(terms) => terms.iter().for_each(|&t| mark(&mut reach, t, how)),
-        }
-    }
-    if nf_entries
-        .iter()
-        .any(|(root, _)| reach.get(root.index()).is_none_or(|r| r & FROM_ROOT == 0))
-    {
-        return Err(SnapshotError::Corrupt(
-            "nf-cache pair keyed outside the tuple roots",
-        ));
-    }
-    Ok(())
-}
-
-/// ORs `how` into `id`'s flags (an id out of range marks nothing).
-fn mark<T: Copy + std::ops::BitOr<Output = T>>(flags: &mut [T], id: NodeId, how: T) {
-    if let Some(flag) = flags.get_mut(id.index()) {
-        *flag = *flag | how;
-    }
 }
 
 /// Deserializes a snapshot blob, rebuilding the engine id-identically (see
 /// the module docs). Total over arbitrary input.
 ///
 /// One pass on the calling thread: the header, then the payload's CRC,
-/// then the parse. A checksum mismatch is therefore reported ahead of any
-/// parse error: the payload bytes themselves are untrustworthy.
-// Decode is a no-panic zone; encode is not (it indexes vectors it sized).
+/// then the parse, then the re-encode. A checksum mismatch is therefore
+/// reported ahead of any parse error: the payload bytes themselves are
+/// untrustworthy.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #[deny(clippy::indexing_slicing)]
@@ -706,7 +649,12 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     if computed != stored {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
-    decode_payload(payload)
+    let rec = decode_payload(payload)?;
+    // The parse reads any spelling; the encoder writes the one there is.
+    if encode(&rec.engine, &rec.state, rec.wal_seq) != bytes {
+        return Err(SnapshotError::Corrupt("not the canonical spelling"));
+    }
+    Ok(rec)
 }
 
 /// The parse of one payload whose CRC [`decode`] has checked.
@@ -723,19 +671,16 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let mut atoms = AtomTable::new();
     atoms.reserve(natoms.min(1 << 16));
     let mut prev = Vec::new();
-    for ix in 0..natoms {
+    for _ in 0..natoms {
         let kind = match r.take_byte("atom kind")? {
             0 => AtomKind::Tuple,
             1 => AtomKind::Txn,
             _ => return Err(SnapshotError::Corrupt("unknown atom kind")),
         };
         let name = take_name(&mut r, &mut prev, "atom name")?.to_owned();
-        let atom = atoms
+        atoms
             .insert_new(name, kind)
             .ok_or(SnapshotError::Corrupt("duplicate atom name"))?;
-        if atom.index() != ix {
-            return Err(SnapshotError::Corrupt("atom interned out of order"));
-        }
     }
     // Arena: decode the nodes straight into the arena's flat storage (two
     // scratch vectors, no allocation per node), then index it in bulk
@@ -784,9 +729,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                 if raw >= natoms {
                     return Err(SnapshotError::Corrupt("atom node out of table range"));
                 }
-                if fresh.code(raw) != implied {
-                    return Err(SnapshotError::Corrupt("fresh atom index spelled out"));
-                }
+                fresh.code(raw);
                 Node::Atom(Atom::from_index(raw))
             }
             NODE_SUM if tag == NODE_SUM => {
@@ -800,11 +743,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                 let a = if implied {
                     NodeId::from_index(ix - 1)
                 } else {
-                    let a = child(&mut r, "bin lhs")?;
-                    if a.index() + 1 == ix {
-                        return Err(SnapshotError::Corrupt("left child right below spelled out"));
-                    }
-                    a
+                    child(&mut r, "bin lhs")?
                 };
                 let rhs = tag >> RHS_SHIFT;
                 let b = match rhs {
@@ -813,11 +752,7 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
                     _ => window.0[1],
                 };
                 let b = b.ok_or(SnapshotError::Corrupt("right operand from an empty slot"))?;
-                if window.code(b) != rhs {
-                    return Err(SnapshotError::Corrupt(
-                        "right operand in the window spelled out",
-                    ));
-                }
+                window.code(b);
                 Node::Bin(op_of(tag), a, NodeId::from_index(b as usize))
             }
             NODE_COUNTED if tag & !OP_MASK == NODE_COUNTED => {
@@ -842,7 +777,6 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // against a rejected arena).
     let arena = ExprArena::from_canonical_nodes(nodes).map_err(|e| SnapshotError::Corrupt(e.0))?;
     let (snap, nf_entries) = decode_tail(&mut r, &atoms, natoms, nnodes)?;
-    check_live(&arena, &snap, &nf_entries)?;
     let mut engine = Engine::from_parts(atoms, arena);
     let cache = engine.nf_cache_mut();
     for &(_, root, nf) in &snap.tuples {
@@ -850,8 +784,12 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             cache.insert_certified(root, nf);
         }
     }
-    for (root, nf) in nf_entries {
+    for &(root, nf) in &nf_entries {
         cache.insert_certified(root, nf);
+    }
+    // An image is a normal form whatever a later pair keys at it.
+    for (_, nf) in nf_entries {
+        cache.insert_certified(nf, nf);
     }
     Ok(RecoveredSnapshot {
         engine,
@@ -1064,6 +1002,10 @@ mod tests {
         Err(SnapshotError::Corrupt(what))
     }
 
+    /// What decode answers for any spelling but the one encode writes.
+    const OTHER_SPELLING: Result<(), SnapshotError> =
+        Err(SnapshotError::Corrupt("not the canonical spelling"));
+
     fn decoded(blob: &[u8]) -> Result<(), SnapshotError> {
         decode(blob).map(|_| ())
     }
@@ -1181,7 +1123,7 @@ mod tests {
         // A fresh atom index written out.
         let atom = node_where(&bytes, |n| n.tag == NODE_ATOM | IMPLIED);
         let blob = respelled(&bytes, &atom, NODE_ATOM, &[atom.operand]);
-        assert_eq!(decoded(&blob), corrupt("fresh atom index spelled out"));
+        assert_eq!(decoded(&blob), OTHER_SPELLING);
         // A left child at distance 1 written out.
         let bin = node_where(&bytes, |n| {
             n.tag & (KIND_MASK | IMPLIED) == NODE_BIN | IMPLIED
@@ -1189,21 +1131,14 @@ mod tests {
         let mut fields = vec![1];
         fields.extend(&bin.fields);
         let blob = respelled(&bytes, &bin, bin.tag & !IMPLIED, &fields);
-        assert_eq!(
-            decoded(&blob),
-            corrupt("left child right below spelled out")
-        );
+        assert_eq!(decoded(&blob), OTHER_SPELLING);
         // A right operand in either slot of the window written out.
         for slot in [RHS_SLOT0, RHS_SLOT1] {
             let bin = node_where(&bytes, |n| n.tag & 0xc7 == NODE_BIN | slot << RHS_SHIFT);
             let mut fields = bin.fields.clone();
             fields.push(bin.ix - bin.operand);
             let blob = respelled(&bytes, &bin, bin.tag & !(3 << RHS_SHIFT), &fields);
-            assert_eq!(
-                decoded(&blob),
-                corrupt("right operand in the window spelled out"),
-                "slot {slot}"
-            );
+            assert_eq!(decoded(&blob), OTHER_SPELLING, "slot {slot}");
         }
         // The first binary node finds the window empty.
         let bin = first_node(&bytes, NODE_BIN);
@@ -1231,14 +1166,11 @@ mod tests {
         let (engine, state) = engine_with("base ab ac\nbegin t1\nmodify ac <- ab\ncommit\n");
         let bytes = encode(&engine, &state, 0);
         assert_eq!(renamed(&bytes, 1, 1, b"c"), bytes, "`ac` after `ab`");
+        assert_eq!(decoded(&renamed(&bytes, 1, 0, b"ac")), OTHER_SPELLING);
         let misspelled = |shared, suffix| match decoded(&renamed(&bytes, 1, shared, suffix)) {
             Err(SnapshotError::Decode(e)) => e.what,
             other => panic!("{other:?}"),
         };
-        assert_eq!(
-            misspelled(0, b"ac"),
-            "shared prefix of a name not the longest"
-        );
         assert_eq!(
             misspelled(3, b""),
             "name shares more than the name before it"
@@ -1263,14 +1195,14 @@ mod tests {
         engine.append(&mut state, &tail).unwrap();
         assert!(state.certified_count() > 0 && state.dirty_tuples().next().is_some());
         let bytes = encode(&engine, &state, 3);
-        let (mut varint, mut not_below) = (0, 0);
+        let (mut other, mut not_below) = (0, 0);
         for at in HEADER_LEN..bytes.len() {
             for mask in [0x01, 0x80, 0xff] {
                 let mut bad = bytes.clone();
                 bad[at] ^= mask;
                 let bad = reframe(bad);
                 match decode(&bad) {
-                    Err(SnapshotError::Decode(e)) if e.what.contains("varint") => varint += 1,
+                    Err(SnapshotError::Corrupt("not the canonical spelling")) => other += 1,
                     Err(SnapshotError::Corrupt("child id not below its parent")) => not_below += 1,
                     Ok(rec) => assert!(
                         encode(&rec.engine, &rec.state, rec.wal_seq) == bad,
@@ -1280,7 +1212,7 @@ mod tests {
                 }
             }
         }
-        assert!(varint > 0, "no mutant reached a varint check");
+        assert!(other > 0, "no mutant reached the re-encode check");
         assert!(not_below > 0, "no mutant reached the back-distance check");
     }
 
@@ -1356,8 +1288,8 @@ mod tests {
         assert_eq!(state.dirty_count(), 0);
         // Dropping it in place strands the nodes only that form reached.
         assert_eq!(
-            rejected(with_state(STATE_LOG, |s| s.tuples[0].2 = None)),
-            SnapshotError::Corrupt("node no tuple reaches")
+            decoded(&with_state(STATE_LOG, |s| s.tuples[0].2 = None)),
+            OTHER_SPELLING
         );
     }
 
@@ -1371,6 +1303,49 @@ mod tests {
         assert_eq!(
             rejected(with_state(STATE_LOG, |s| s.tuples[1].0 = "a".into())),
             want
+        );
+    }
+
+    #[test]
+    fn state_atoms_of_the_wrong_kind_are_corrupt() {
+        let want = SnapshotError::Corrupt("state atom has the wrong kind");
+        assert_eq!(
+            rejected(with_state(STATE_LOG, |s| s.base_atoms[1].1 = s.txn_atoms[0].1)),
+            want
+        );
+        assert_eq!(
+            rejected(with_state(STATE_LOG, |s| s.txn_atoms[0].1 = s.base_atoms[0].1)),
+            want
+        );
+    }
+
+    #[test]
+    fn duplicate_or_unknown_kind_atoms_are_corrupt() {
+        // Atoms in index order: `a`, `b`, `t1`.
+        let (engine, state) = engine_with(STATE_LOG);
+        let bytes = encode(&engine, &state, 0);
+        assert_eq!(
+            decoded(&renamed(&bytes, 1, 1, b"")),
+            corrupt("duplicate atom name")
+        );
+        // The kind byte sits right before the name.
+        let kind = layout(&bytes).names[1].start - 1;
+        assert_eq!(
+            decoded(&spliced(&bytes, kind..kind + 1, vec![2])),
+            corrupt("unknown atom kind")
+        );
+    }
+
+    #[test]
+    fn an_arena_without_its_zero_node_is_corrupt() {
+        let (engine, state) = engine_with(STATE_LOG);
+        let bytes = encode(&engine, &state, 0);
+        // The node count sits between the atom table and the first node.
+        let layout = layout(&bytes);
+        let count = layout.names.last().unwrap().end..layout.nodes[0].span.start;
+        assert_eq!(
+            decoded(&spliced(&bytes, count, vec![0])),
+            corrupt("arena without its zero node")
         );
     }
 
@@ -1485,15 +1460,11 @@ mod tests {
         let snap = decode(&bytes).unwrap().state.to_snapshot();
         let (_, root, nf) = snap.tuples.iter().find(|t| t.2.is_some()).unwrap();
         let (root, nf) = (root.index() as u32, nf.unwrap().index() as u32);
-        let by_row = corrupt("nf-cache pair implied by a row");
-        assert_eq!(with((root, nf)), by_row);
-        assert_eq!(with((nf, nf)), by_row);
-        // The image of a stored pair.
+        assert_eq!(with((root, nf)), OTHER_SPELLING);
+        assert_eq!(with((nf, nf)), OTHER_SPELLING);
+        // The image of a stored pair, mapped to itself or to any node.
         let &(_, image) = pairs.iter().find(|(k, v)| k != v).unwrap();
-        assert_eq!(
-            with((image, image)),
-            corrupt("nf-cache pair implied by another pair")
-        );
+        assert_eq!(with((image, image)), OTHER_SPELLING);
         // A pair keyed at a node only a normal form reaches.
         let rec = decode(&bytes).unwrap();
         let mut live = vec![false; rec.engine.arena().len()];
@@ -1504,10 +1475,31 @@ mod tests {
             rec.state.tuples().map(|(_, r)| r),
         );
         let stray = live.iter().position(|&l| !l).expect("an nf-only node") as u32;
-        assert_eq!(
-            with((stray, image)),
-            corrupt("nf-cache pair keyed outside the tuple roots")
-        );
+        assert_eq!(with((stray, image)), OTHER_SPELLING);
+    }
+
+    #[test]
+    fn a_pair_keyed_at_another_pairs_image_is_corrupt() {
+        // Dirty rows only: every node a root reaches may key a pair.
+        let mut engine = Engine::new();
+        let state = engine.replay(&STATE_LOG.parse().unwrap()).unwrap();
+        let mut live = vec![false; engine.arena().len()];
+        mark_live(engine.arena(), &mut live, state.tuples().map(|(_, r)| r));
+        let ids: Vec<NodeId> = (1..live.len())
+            .filter(|&ix| live[ix])
+            .map(NodeId::from_index)
+            .collect();
+        let &[a, b, c, ..] = ids.as_slice() else {
+            panic!("three live nodes")
+        };
+        // `a ↦ b` re-seeds `b ↦ b`, which `b ↦ c` then overwrites: the
+        // encoder writes both pairs, but `b` is a normal form.
+        let cache = engine.nf_cache_mut();
+        cache.insert_certified(a, b);
+        cache.insert_certified(b, c);
+        let bytes = encode(&engine, &state, 0);
+        assert_eq!(stored_pairs(&bytes).len(), 2);
+        assert_eq!(decoded(&bytes), OTHER_SPELLING);
     }
 
     #[test]

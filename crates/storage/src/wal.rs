@@ -42,9 +42,10 @@
 //! format is refused the same way, naming its version: there is one
 //! decoder and no migration.
 //!
-//! A payload has exactly one spelling (see [`put_update_log`]): any
-//! other — and any byte after the log — is a payload that does not
-//! decode.
+//! A record has exactly one spelling, the one [`encode_record`] writes:
+//! the scan re-encodes each record it decodes and stops at the first
+//! whose bytes differ. A long varint, a name table out of order and a
+//! byte after the log are each a payload that does not decode.
 
 // No-panic zone: the scan is total over whatever a crash left on disk.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -135,8 +136,9 @@ pub enum WalTail {
         /// Offset of the corrupt record.
         offset: u64,
     },
-    /// The CRC matched but the payload does not spell a record — only
-    /// reachable via CRC collision on garbage, handled anyway.
+    /// The CRC matched but the payload is not the one spelling of a
+    /// record — only reachable via CRC collision on garbage, handled
+    /// anyway.
     Undecodable {
         /// Offset of the undecodable record.
         offset: u64,
@@ -225,12 +227,13 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
             finish!(WalTail::TornHeader { offset: pos as u64 });
         };
         let len = len as usize;
-        let Some(payload) = (pos + 8)
+        let Some(record) = (pos + 8)
             .checked_add(len)
-            .and_then(|end| bytes.get(pos + 8..end))
+            .and_then(|end| bytes.get(pos..end))
         else {
             finish!(WalTail::TornPayload { offset: pos as u64 });
         };
+        let payload = record.get(8..).unwrap_or_default();
         if crc32(payload) != stored_crc {
             finish!(WalTail::ChecksumMismatch { offset: pos as u64 });
         }
@@ -239,7 +242,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, BadMagic> {
             .take_var64("record sequence")
             .and_then(|seq| take_update_log(&mut r).map(|delta| WalRecord { seq, delta }));
         match decoded {
-            Ok(rec) if r.is_at_end() => records.push(rec),
+            Ok(rec) if encode_record(rec.seq, &rec.delta) == record => records.push(rec),
             _ => finish!(WalTail::Undecodable { offset: pos as u64 }),
         }
         pos += 8 + len;
