@@ -962,12 +962,19 @@ impl ExprArena {
     /// valuation (one root) and the union schedule behind
     /// [`crate::structure::EvalBaseline`], computed with one marking pass
     /// instead of one per root. Empty `roots` yields an empty schedule.
+    /// The vector is allocated at its exact length: a schedule is kept
+    /// (by [`crate::structure::EvalBaseline`]), so doubling slack would
+    /// be held for its lifetime.
     pub fn topo_order_roots(&self, roots: &[NodeId]) -> Vec<NodeId> {
-        self.mark(roots)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(NodeId(i as u32)))
-            .collect()
+        let marked = self.mark(roots);
+        let mut order = Vec::with_capacity(marked.iter().filter(|&&m| m).count());
+        order.extend(
+            marked
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &m)| m.then_some(NodeId(i as u32))),
+        );
+        order
     }
 
     /// Computes [`NodeStats`] for `root` in one bottom-up sweep over the

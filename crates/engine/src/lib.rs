@@ -37,7 +37,7 @@
 //! the engine keeps a persistent [`NfCache`] of certified normal forms
 //! (valid forever — the arena is append-only, so `nf` is a pure function
 //! of the id), every [`ReplayState`] flags the tuples an append **dirtied**
-//! and keeps the certified normal form of each clean one, and the NF-backed
+//! and holds each clean one's certified normal form as its root, and the NF-backed
 //! queries ([`Engine::equivalent`], [`Engine::abort_symbolic`],
 //! [`Engine::delete_base_symbolic`]) go through
 //! [`uprov_core::nf_roots_incremental_in`]: clean roots are O(1) cache
@@ -228,9 +228,10 @@ impl std::error::Error for QueryError {}
 
 /// The provenance state of one replayed log: every touched tuple's current
 /// symbolic provenance, the atoms behind base tuples and transactions, and
-/// the incremental-normalization bookkeeping — the certified normal form
-/// of each tuple that has one. A tuple without one is **dirty** (touched
-/// since the last [`Engine::certify`], or saturated there).
+/// the incremental-normalization bookkeeping — which tuples are
+/// certified, i.e. hold their normal form as their provenance. Any other
+/// tuple is **dirty** (touched since the last [`Engine::certify`], or
+/// saturated there).
 ///
 /// Produced by [`Engine::replay`] and extended in place by
 /// [`Engine::append`]; all ids live in that engine's arena, so several
@@ -238,15 +239,16 @@ impl std::error::Error for QueryError {}
 /// sub-DAGs maximally.
 ///
 /// Tuples live in one table: each name gets a dense id the first time the
-/// state sees it, and the root and certified normal form are columns
+/// state sees it, and the root and the certified flag are columns
 /// indexed by that id, so an update hashes each name it touches
 /// once and then works by id. The table also keeps the ids in sorted name
 /// order; every iterator here, and every snapshot, walks that order.
 ///
 /// The maintenance state machine per tuple (see `docs/ARCHITECTURE.md`):
-/// replay/append **touch** a tuple, which drops its certified normal form
-/// and so makes it dirty; [`Engine::certify`] normalizes the dirty tuples
-/// and records a normal form for each, which makes it clean again.
+/// replay/append **touch** a tuple, which extends its root (a certified
+/// one extends its normal form: `nf +I p`) and so makes it dirty;
+/// [`Engine::certify`] replaces each dirty root by its normal form, which
+/// makes it clean again.
 /// Queries never change the bookkeeping — they read through the engine's
 /// [`NfCache`], which self-invalidates because a touched tuple's *root
 /// id* changed.
@@ -262,9 +264,11 @@ pub struct ReplayState {
 #[derive(Debug, Clone)]
 struct Slot {
     name: Arc<str>,
+    /// The provenance; once certified, its normal form.
     root: NodeId,
-    /// The certified normal form; `None` is what "dirty" means.
-    nf: Option<NodeId>,
+    /// Whether `root` is a certified normal form; `false` is what "dirty"
+    /// means.
+    certified: bool,
 }
 
 /// The tuples of a [`ReplayState`], by dense `u32` id.
@@ -272,8 +276,7 @@ struct Slot {
 /// Invariants: `slots` and `index` describe the same ids, each name
 /// allocated once and shared by its slot and `index`; between appends,
 /// `order` holds every id exactly once, sorted by name (byte order);
-/// `certified` counts the slots with a normal form on record, and every
-/// other slot is dirty.
+/// `certified` counts the certified slots, and every other slot is dirty.
 #[derive(Debug, Clone, Default)]
 struct TupleTable {
     slots: Vec<Slot>,
@@ -310,7 +313,7 @@ impl TupleTable {
             None => self.push(Slot {
                 name: Arc::from(name),
                 root: ExprArena::ZERO,
-                nf: None,
+                certified: false,
             }),
         }
     }
@@ -319,24 +322,26 @@ impl TupleTable {
     fn push(&mut self, slot: Slot) -> u32 {
         let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 tuples");
         self.index.insert(Arc::clone(&slot.name), id);
-        self.certified += usize::from(slot.nf.is_some());
+        self.certified += usize::from(slot.certified);
         self.slots.push(slot);
         id
     }
 
-    /// Records a new provenance root for tuple `id`, dropping its
-    /// certified normal form (the tuple is dirty until certified again).
+    /// Records a new provenance root for tuple `id`, which makes it dirty
+    /// until certified again.
     fn touch(&mut self, id: u32, root: NodeId) {
         let slot = &mut self.slots[id as usize];
         slot.root = root;
-        if slot.nf.take().is_some() {
+        if std::mem::take(&mut slot.certified) {
             self.certified -= 1;
         }
     }
 
-    /// Records `nf` as tuple `id`'s certified normal form.
+    /// Replaces tuple `id`'s root by `nf`, its certified normal form.
     fn certify(&mut self, id: u32, nf: NodeId) {
-        if self.slots[id as usize].nf.replace(nf).is_none() {
+        let slot = &mut self.slots[id as usize];
+        slot.root = nf;
+        if !std::mem::replace(&mut slot.certified, true) {
             self.certified += 1;
         }
     }
@@ -376,13 +381,16 @@ impl TupleTable {
         self.order
             .iter()
             .copied()
-            .filter(|&id| self.slot(id).nf.is_none())
+            .filter(|&id| !self.slot(id).certified)
     }
 }
 
 impl ReplayState {
     /// The current provenance of `tuple` ([`ExprArena::ZERO`] for tuples
-    /// the log never touched and never declared).
+    /// the log never touched and never declared): an expression equivalent
+    /// to the one replay built. Once certified it is that expression's
+    /// normal form, which evaluates alike in every Update-Structure that
+    /// satisfies the axioms (Prop. 3.5/4.2).
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -464,13 +472,14 @@ impl ReplayState {
     /// since the last [`Engine::certify`], or saturated there. Untracked
     /// names are not dirty.
     pub fn is_dirty(&self, tuple: &str) -> bool {
-        self.tuples.get(tuple).is_some_and(|s| s.nf.is_none())
+        self.tuples.get(tuple).is_some_and(|s| !s.certified)
     }
 
     /// The certified normal form of `tuple`'s current provenance, if the
-    /// tuple is clean (certified and untouched since). Dirty or
-    /// never-certified tuples report `None`; run [`Engine::certify`] to
-    /// (re)populate.
+    /// tuple is clean (certified and untouched since): its
+    /// [`provenance`](ReplayState::provenance), which certify replaced by
+    /// its normal form. Dirty or never-certified tuples report `None`; run
+    /// [`Engine::certify`] to (re)populate.
     ///
     /// ```
     /// use uprov_engine::Engine;
@@ -486,7 +495,9 @@ impl ReplayState {
     /// assert_eq!(engine.render(nf), "t - t");
     /// ```
     pub fn certified_nf(&self, tuple: &str) -> Option<NodeId> {
-        self.tuples.get(tuple).and_then(|s| s.nf)
+        self.tuples
+            .get(tuple)
+            .and_then(|s| s.certified.then_some(s.root))
     }
 
     /// Number of tuples with a certified normal form on record.
@@ -503,7 +514,7 @@ impl ReplayState {
             tuples: self
                 .tuples
                 .iter()
-                .map(|(name, slot)| (name.to_owned(), slot.root, slot.nf))
+                .map(|(name, slot)| (name.to_owned(), slot.root, slot.certified))
                 .collect(),
             base_atoms: self
                 .base_atoms
@@ -526,9 +537,8 @@ impl ReplayState {
     /// result will be used with, exactly as
     /// [`to_snapshot`](ReplayState::to_snapshot) exported it — every
     /// [`NodeId`] live in its arena, every [`Atom`] live in its table with
-    /// the right kind, and tuple names strictly sorted. A row with no
-    /// normal form is a dirty tuple, so every row is exactly one of dirty
-    /// or certified. The storage layer enforces this with checksums plus
+    /// the right kind, tuple names strictly sorted, and a certified row's
+    /// root a normal form. The storage layer enforces this with checksums plus
     /// range and order validation before calling in; a fabricated
     /// snapshot yields a state whose queries are garbage (or panic on a
     /// dangling id).
@@ -540,11 +550,11 @@ impl ReplayState {
             ..TupleTable::default()
         };
         // Tuples arrive in sorted order, so ids follow it.
-        for (name, root, nf) in snap.tuples {
+        for (name, root, certified) in snap.tuples {
             tuples.push(Slot {
                 name: Arc::from(name),
                 root,
-                nf,
+                certified,
             });
         }
         tuples.order = (0..tuples.slots.len() as u32).collect();
@@ -564,9 +574,10 @@ impl ReplayState {
 /// *what* durable state is, the storage layer defines the bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateSnapshot {
-    /// `(tuple name, provenance root, certified normal form)` for every
-    /// tracked tuple; a tuple with no normal form is dirty.
-    pub tuples: Vec<(String, NodeId, Option<NodeId>)>,
+    /// `(tuple name, provenance root, certified)` for every tracked tuple:
+    /// a certified tuple's root is its normal form, any other tuple is
+    /// dirty.
+    pub tuples: Vec<(String, NodeId, bool)>,
     /// `(tuple name, atom)` for every declared base tuple.
     pub base_atoms: Vec<(String, Atom)>,
     /// `(transaction name, annotation atom)` for every replayed txn.
@@ -626,8 +637,8 @@ impl<'a, S: UpdateStructure> WhatIf<'a, S> {
 /// zeroed out and re-normalized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolicTuple {
-    /// The tuple's name.
-    pub name: String,
+    /// The tuple's name, shared with the [`ReplayState`] it came from.
+    pub name: Arc<str>,
     /// Normalized provenance after the substitution. [`ExprArena::ZERO`]
     /// means the tuple is *certainly* absent in every structure.
     pub provenance: NodeId,
@@ -1138,8 +1149,10 @@ impl Engine {
 
     /// Normalizes every dirty tuple of `state` (incrementally — certified
     /// sub-DAGs are cut, clean tuples are not revisited at all) in sorted
-    /// name order and records each certified normal form in the state's
-    /// tuple table, which makes the tuple clean. Tuples whose normalization
+    /// name order and replaces each tuple's root by its normal form, which
+    /// makes the tuple clean. The replayed expression is not kept: the
+    /// normal form evaluates alike in every Update-Structure that satisfies
+    /// the axioms (Prop. 3.5/4.2). Tuples whose normalization
     /// saturated get no normal form, so they stay dirty, and are reported
     /// in [`Certification::saturated`] instead of being recorded with a
     /// best-effort id.
@@ -1192,8 +1205,8 @@ impl Engine {
     /// the id, so both are cached and a repeated query against an appended
     /// log does O(delta) work.
     fn symbolic_zeroed(&mut self, state: &ReplayState, zeroed: Atom) -> Vec<SymbolicTuple> {
-        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
-        if names.is_empty() {
+        let roots: Vec<NodeId> = state.tuples().map(|(_, root)| root).collect();
+        if roots.is_empty() {
             return Vec::new();
         }
         let map = HashMap::from([(zeroed, ExprArena::ZERO)]);
@@ -1232,16 +1245,18 @@ impl Engine {
             &mut self.nf_memo,
         );
         self.enforce_cache_budget();
-        Self::symbolic_view(&names, &outcomes)
+        Self::symbolic_view(state, &outcomes)
     }
 
-    /// One symbolic view: each tuple name with its normalization outcome.
-    fn symbolic_view(names: &[&str], outcomes: &[NfOutcome]) -> Vec<SymbolicTuple> {
-        names
+    /// One symbolic view: each tuple, its name shared with the state's
+    /// table, with its normalization outcome.
+    fn symbolic_view(state: &ReplayState, outcomes: &[NfOutcome]) -> Vec<SymbolicTuple> {
+        state
+            .tuples
             .iter()
             .zip(outcomes)
-            .map(|(name, nf)| SymbolicTuple {
-                name: (*name).to_owned(),
+            .map(|((_, slot), nf)| SymbolicTuple {
+                name: Arc::clone(&slot.name),
                 provenance: nf.id,
                 saturated: nf.saturated,
             })
@@ -1269,7 +1284,7 @@ impl Engine {
     /// let state = engine.replay(&log).unwrap();
     /// let view = engine.abort_symbolic(&state, "t").unwrap();
     /// for tuple in &view {
-    ///     match tuple.name.as_str() {
+    ///     match &*tuple.name {
     ///         "x" => assert_eq!(engine.render(tuple.provenance), "x"),
     ///         "y" => assert_eq!(tuple.provenance, ExprArena::ZERO),
     ///         _ => unreachable!(),
@@ -1301,13 +1316,13 @@ impl Engine {
         let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
             name: txn.to_owned(),
         })?;
-        let (names, roots): (Vec<&str>, Vec<NodeId>) = state.tuples().unzip();
+        let roots: Vec<NodeId> = state.tuples().map(|(_, root)| root).collect();
         let map = HashMap::from([(p, ExprArena::ZERO)]);
         let images = self
             .arena
             .substitute_roots_in(&roots, &map, &mut self.subst_memo);
         let outcomes = nf_roots_in(&mut self.arena, &images, &mut self.nf_memo);
-        Ok(Self::symbolic_view(&names, &outcomes))
+        Ok(Self::symbolic_view(state, &outcomes))
     }
 
     /// The symbolic deletion-propagation query: substitutes the base
@@ -1327,7 +1342,7 @@ impl Engine {
     /// let state = engine.replay(&log).unwrap();
     /// let view = engine.delete_base_symbolic(&state, "x").unwrap();
     /// // y was derived solely from x: deleting x certainly deletes y.
-    /// let y = view.iter().find(|t| t.name == "y").unwrap();
+    /// let y = view.iter().find(|t| &*t.name == "y").unwrap();
     /// assert_eq!(y.provenance, ExprArena::ZERO);
     /// ```
     pub fn delete_base_symbolic(

@@ -112,7 +112,7 @@ fn abort_symbolic_substitutes_and_normalizes() {
     let view = engine.abort_symbolic(&state, "t1").expect("t1");
     for t in &view {
         assert!(!t.saturated, "{}: normalization saturated", t.name);
-        match t.name.as_str() {
+        match &*t.name {
             // x's consumption vanishes with t1: back to the bare atom.
             "x" => assert_eq!(engine.render(t.provenance), "x"),
             // y and z were created by t1: certainly absent, in every
@@ -125,7 +125,7 @@ fn abort_symbolic_substitutes_and_normalizes() {
     // the substituted provenance under all-true equals the abort query.
     let concrete = engine.abort_eval(&state, "t1", &Bool, true).expect("t1");
     for (t, (name, v)) in view.iter().zip(&concrete) {
-        assert_eq!(t.name, *name);
+        assert_eq!(&*t.name, *name);
         assert_eq!(
             eval_roots_in(
                 engine.arena(),

@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use uprov_core::{eval_roots_in, DenseMemo, NodeId, UpdateStructure, Valuation};
+use uprov_core::{
+    eval_roots_in, nf_roots_in, DenseMemo, NfMemo, NodeId, UpdateStructure, Valuation,
+};
 use uprov_engine::{Engine, ReplayError, ReplayState, UpdateLog};
 use uprov_structures::{Bool, Worlds};
 
@@ -102,6 +104,58 @@ fn dirty_certify_lifecycle() {
     assert_eq!(state.certified_count(), 2);
     // A second certify is a no-op.
     assert_eq!(engine.certify(&mut state).certified, 0);
+}
+
+/// Asserts that every tuple of `state` is certified with its root as its
+/// normal form, and that normalizing the roots again moves none of them.
+fn assert_roots_are_normal_forms(engine: &Engine, state: &ReplayState, at: &str) {
+    assert_eq!(state.dirty_count(), 0, "{at}");
+    for (name, root) in state.tuples() {
+        assert_eq!(state.certified_nf(name), Some(root), "{at}: {name}");
+    }
+    let roots: Vec<NodeId> = state.tuples().map(|(_, root)| root).collect();
+    let mut arena = engine.arena().clone();
+    let outcomes = nf_roots_in(&mut arena, &roots, &mut NfMemo::new());
+    for ((name, root), out) in state.tuples().zip(outcomes) {
+        assert!(!out.saturated, "{at}: {name}");
+        assert_eq!(out.id, root, "{at}: {name} is not a fixpoint");
+    }
+}
+
+#[test]
+fn certify_makes_each_root_its_normal_form() {
+    for seed in 0..12u64 {
+        let mut rng = Rng::new(seed * 7_919 + 3);
+        let txns: String = (0..12).map(|i| random_txn(&mut rng, i)).collect();
+        let log: UpdateLog = format!("base r0 r1\n{txns}").parse().expect("valid");
+        let mut engine = Engine::new();
+        let mut state = engine.replay(&log).expect("replays");
+        let names: Vec<String> = state.tuple_names().map(str::to_owned).collect();
+        let replayed: Vec<NodeId> = state.tuples().map(|(_, root)| root).collect();
+        assert!(engine.certify(&mut state).saturated.is_empty());
+        assert_roots_are_normal_forms(&engine, &state, &format!("seed {seed}"));
+        // The normal form evaluates like the expression it replaced.
+        let mut val = Valuation::constant(u64::MAX);
+        for (_, atom) in state.base_atoms().chain(state.txn_atoms()) {
+            val.set(atom, rng.next_u64());
+        }
+        let roots: Vec<NodeId> = state.tuples().map(|(_, root)| root).collect();
+        let eval = |roots: &[NodeId]| {
+            eval_roots_in(engine.arena(), roots, &Worlds, &val, &mut DenseMemo::new())
+        };
+        assert_eq!(eval(&roots), eval(&replayed), "seed {seed}");
+        // An append extends the normal form of what it touches; certify
+        // makes that extension a normal form in turn.
+        let delta: UpdateLog = random_txn(&mut rng, 12).parse().expect("valid");
+        engine.append(&mut state, &delta).expect("appends");
+        for name in &names {
+            if state.is_dirty(name) {
+                assert_ne!(state.certified_nf(name), Some(state.provenance(name)));
+            }
+        }
+        assert!(engine.certify(&mut state).saturated.is_empty());
+        assert_roots_are_normal_forms(&engine, &state, &format!("seed {seed}, appended"));
+    }
 }
 
 #[test]
@@ -289,7 +343,7 @@ fn assert_symbolic_matches_eval<S: UpdateStructure>(
         .expect("known txn");
     let val = Valuation::constant(present);
     for (sym, (name, want)) in view.iter().zip(&concrete) {
-        assert_eq!(sym.name, *name);
+        assert_eq!(&*sym.name, *name);
         assert!(!sym.saturated, "seed {seed} step {step}: {name} saturated");
         assert_eq!(
             eval_roots_in(
@@ -329,7 +383,7 @@ commit
         .expect("base tuple");
     let val = Valuation::constant(true);
     for (sym, (name, want)) in view.iter().zip(&concrete) {
-        assert_eq!(sym.name, *name);
+        assert_eq!(&*sym.name, *name);
         assert!(!sym.saturated);
         assert_eq!(
             eval_roots_in(
@@ -345,18 +399,18 @@ commit
     }
     // w never depended on x: its provenance is untouched by the
     // substitution (exact same id ⇒ O(1) cache hit on later queries).
-    let w = view.iter().find(|t| t.name == "w").unwrap();
+    let w = view.iter().find(|t| &*t.name == "w").unwrap();
     assert_eq!(w.provenance, state.provenance("w"));
     // Unknown base tuples are reported, not guessed ("y" is not base).
     assert!(engine.delete_base_symbolic(&state, "y").is_err());
 }
 
-/// What the reference model keeps per tuple; a tuple without a normal
-/// form is dirty.
+/// What the reference model keeps per tuple; a tuple not certified is
+/// dirty, and a certified tuple's root is its normal form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ModelTuple {
     root: NodeId,
-    nf: Option<NodeId>,
+    certified: bool,
 }
 
 /// A tuple name for the reference-model test: one of the byte-order edge
@@ -384,7 +438,7 @@ fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple
     assert_eq!(state.tuples().len(), model.len(), "{at}");
     let dirty: Vec<&str> = model
         .iter()
-        .filter(|(_, t)| t.nf.is_none())
+        .filter(|(_, t)| !t.certified)
         .map(|(n, _)| n.as_str())
         .collect();
     assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), dirty, "{at}");
@@ -396,8 +450,9 @@ fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple
         "{at}"
     );
     for (name, t) in model {
-        assert_eq!(state.is_dirty(name), t.nf.is_none(), "{at}: {name}");
-        assert_eq!(state.certified_nf(name), t.nf, "{at}: {name}");
+        assert_eq!(state.is_dirty(name), !t.certified, "{at}: {name}");
+        let nf = t.certified.then_some(t.root);
+        assert_eq!(state.certified_nf(name), nf, "{at}: {name}");
         assert_eq!(state.provenance(name), t.root, "{at}: {name}");
         assert_ne!(
             state.is_dirty(name),
@@ -412,9 +467,9 @@ fn assert_matches_model(state: &ReplayState, model: &BTreeMap<String, ModelTuple
         }
     }
     let snap = state.to_snapshot();
-    let rows: Vec<(String, NodeId, Option<NodeId>)> = model
+    let rows: Vec<(String, NodeId, bool)> = model
         .iter()
-        .map(|(n, t)| (n.clone(), t.root, t.nf))
+        .map(|(n, t)| (n.clone(), t.root, t.certified))
         .collect();
     assert_eq!(snap.tuples, rows, "{at}");
     assert_eq!(
@@ -430,8 +485,10 @@ fn tuple_bookkeeping_matches_a_sorted_map_model() {
     // from the state's own snapshot), checked after every step against a
     // `BTreeMap` model of the bookkeeping: which tuples exist in which
     // order, their roots, the dirty set and the certified normal forms.
-    // Roots come from a one-shot replay of everything appended so far,
-    // in the same engine (hash-consing makes ids comparable).
+    // A touched tuple's root must be equivalent to a one-shot replay of
+    // everything appended so far, in the same engine (an append extends a
+    // certified tuple's normal form, not the replayed expression); certify
+    // then sets the model's root to the normal form.
     for seed in 0..24u64 {
         let mut rng = Rng::new(seed * 6_364_136_223 + 11);
         let mut engine = Engine::new();
@@ -475,19 +532,22 @@ fn tuple_bookkeeping_matches_a_sorted_map_model() {
             txns.push_str(&delta);
             let whole: UpdateLog = format!("{bases}{txns}").parse().expect("valid");
             let whole = engine.replay(&whole).expect("replays");
+            assert!(engine.equivalent(&state, &whole).is_equivalent(), "{at}");
             for name in touched {
-                let root = whole.provenance(&name);
-                model.insert(name, ModelTuple { root, nf: None });
+                let root = state.provenance(&name);
+                let certified = false;
+                model.insert(name, ModelTuple { root, certified });
             }
             assert_matches_model(&state, &model, &at);
 
             if rng.below(3) == 0 {
                 let cert = engine.certify(&mut state);
                 assert!(cert.saturated.is_empty(), "{at}");
-                let was_dirty = model.values().filter(|t| t.nf.is_none()).count();
+                let was_dirty = model.values().filter(|t| !t.certified).count();
                 assert_eq!(cert.certified, was_dirty, "{at}");
-                for (name, t) in model.iter_mut().filter(|(_, t)| t.nf.is_none()) {
-                    t.nf = Some(state.certified_nf(name).expect("certified"));
+                for (name, t) in model.iter_mut().filter(|(_, t)| !t.certified) {
+                    t.root = state.certified_nf(name).expect("certified");
+                    t.certified = true;
                 }
                 assert_matches_model(&state, &model, &format!("{at} certified"));
             }

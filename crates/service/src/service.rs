@@ -732,7 +732,7 @@ fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Result<Vec<Symb
     for (t, row) in view.iter().zip(printed_lower_bounds(engine, &roots)) {
         bound = bound.saturating_add(row);
         if bound > MAX_LINE_BYTES as u64 {
-            return Err(t.name.clone());
+            return Err(t.name.to_string());
         }
     }
     let mut left = MAX_LINE_BYTES;
@@ -744,10 +744,10 @@ fn render_symbolic(engine: &Engine, view: Vec<SymbolicTuple>) -> Result<Vec<Symb
         };
         let shown = engine.arena().display(t.provenance, engine.atoms());
         if write!(out, "{shown}").is_err() {
-            return Err(t.name);
+            return Err(t.name.to_string());
         }
         rows.push(SymbolicRow {
-            name: t.name,
+            name: t.name.to_string(),
             provenance: out.text,
             saturated: t.saturated,
         });

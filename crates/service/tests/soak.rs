@@ -99,7 +99,7 @@ fn expect_symbolic(oracle: &mut Oracle, txn: &str) -> Vec<SymbolicRow> {
         .expect("oracle resolved the txn");
     view.into_iter()
         .map(|t| SymbolicRow {
-            name: t.name,
+            name: t.name.to_string(),
             provenance: oracle.engine.render(t.provenance),
             saturated: t.saturated,
         })

@@ -2,8 +2,9 @@
 //! binary **snapshots** plus an append-only binary **WAL**, glued together
 //! by [`DurableEngine`] so that every accepted append is fsynced before it
 //! is visible, and a restart — or a crash at *any* byte offset —
-//! recovers the exact in-memory state (same arena ids, same certified
-//! normal forms) by loading the snapshot and replaying the WAL tail.
+//! recovers the in-memory state (the same roots up to structural hash,
+//! the same certified tuples) by loading the snapshot and replaying the
+//! WAL tail.
 //!
 //! The crate is layered bottom-up:
 //!
@@ -13,7 +14,7 @@
 //! | [`codec`] | binary primitives + the [`UpdateLog`](uprov_engine::UpdateLog) wire form |
 //! | [`backend`] | the [`Storage`] trait; [`MemStorage`], [`FileStorage`] |
 //! | [`wal`] | record framing and the valid-prefix [`scan`](wal::scan) |
-//! | [`snapshot`] | the snapshot format, id-identical rebuild |
+//! | [`snapshot`] | the snapshot format, rebuild of the live nodes |
 //! | [`durable`] | [`DurableEngine`]: write path, checkpoint, recovery |
 //! | [`fault`] | [`FaultStorage`]: seeded crash/bit-flip injection |
 //!
@@ -37,8 +38,8 @@
 //! // Appends are durable before they are visible: WAL + fsync, then apply.
 //! db.append(&"base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n".parse()?)?;
 //!
-//! // Checkpoint: snapshot the engine (arena + state + certified NFs),
-//! // then reset the WAL. Later appends land in the fresh WAL tail.
+//! // Checkpoint: snapshot the engine (each certified root its normal
+//! // form), then reset the WAL. Later appends land in the fresh WAL tail.
 //! db.certify();
 //! db.snapshot()?;
 //! db.append(&"begin t2\ndelete b\ncommit\n".parse()?)?;
@@ -49,10 +50,10 @@
 //! assert!(report.snapshot_loaded);
 //! assert_eq!(report.wal_records_applied, 1);
 //!
-//! // The exact state is back: roots, certified NFs, query results.
+//! // The state is back: roots, certified tuples, query results.
 //! let (engine, state) = db.query();
 //! let view = engine.abort_symbolic(state, "t2")?;
-//! assert!(view.iter().any(|t| t.name == "b"));
+//! assert!(view.iter().any(|t| &*t.name == "b"));
 //! # Ok(())
 //! # }
 //! ```

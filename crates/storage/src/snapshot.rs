@@ -1,12 +1,12 @@
 //! The versioned, checksummed binary snapshot format: one blob holding
 //! everything a restart needs — atom table, the topo-ordered arena, the
-//! replay state's maps, and the certified normal forms.
+//! replay state's maps, and which tuples are certified.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! "UPSNAP01"            8-byte magic
-//! version: u32 LE       currently 5 (nothing stored that decode infers)
+//! version: u32 LE       currently 6 (one root per tuple row)
 //! payload_len: u64 LE
 //! payload_crc: u32 LE   CRC-32 of the payload bytes
 //! payload:              every integer a minimal LEB128 varint
@@ -23,10 +23,10 @@
 //!            (≥ 1): most children sit a few nodes below their parent, so
 //!            most take one byte. A counted block is a handful of pairs
 //!            on disk however many applications it stands for.
-//!   state:   updates, then one row per tuple: front-coded name, root, NF
-//!            column (0 = dirty, else certified NF + 1); then the base and
-//!            txn atoms as ascending, gap-coded atom-table indices. Ids are
-//!            arena indices.
+//!   state:   updates, then one row per tuple: front-coded name and
+//!            `root << 1 | certified` (a certified root is its normal
+//!            form); then the base and txn atoms as ascending, gap-coded
+//!            atom-table indices. Ids are arena indices.
 //!   nf-cache: count, then (root, nf) pairs no certified row implies, by
 //!             ascending gap-coded root
 //! ```
@@ -45,9 +45,9 @@
 //!   shared-prefix length, suffix length, suffix bytes.
 //! - **Gaps.** A list of ascending indices stores each as its distance
 //!   above one past the index before it.
-//! - **Cache pairs.** Decode re-seeds `root ↦ nf` and `nf ↦ nf` for every
-//!   certified row, and `nf ↦ nf` for every stored pair, so those pairs
-//!   are not stored.
+//! - **Cache pairs.** Decode re-seeds `root ↦ root` for every certified
+//!   row, and `nf ↦ nf` for every stored pair, so those pairs are not
+//!   stored.
 //!
 //! Decode reads any spelling it can parse, then ends by re-encoding what
 //! it rebuilt: bytes that differ from that encoding (an implied field
@@ -61,10 +61,12 @@
 //! indices (children before parents), so serialization is a linear dump
 //! and deserialization a linear bulk rebuild
 //! (`ExprArena::from_canonical_nodes`) that verifies each node would
-//! re-intern at **exactly its original index** — so ids in the snapshot
-//! (roots, certified NFs) stay valid bit-identically and any
-//! non-canonical or reordered input is rejected as
-//! [`SnapshotError::Corrupt`] rather than trusted.
+//! re-intern at **exactly its index in the snapshot** — so every stored
+//! id names the node it named when written, and any non-canonical or
+//! reordered input is rejected as [`SnapshotError::Corrupt`] rather than
+//! trusted. The decoded arena is the checkpoint's live set, numbered in
+//! the original order: ids match the writer's only through structural
+//! hashes.
 //!
 //! Decoding is **total** over arbitrary bytes: magic/version/CRC gate the
 //! payload, and every structural read is bounds-checked ([`SnapshotError`]
@@ -86,14 +88,15 @@ use crate::crc::crc32;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"UPSNAP01";
 
 /// The current snapshot format version: varint integers, children as
-/// back-distances, each tuple written once as one row, and nothing written
+/// back-distances, each tuple written once as one row holding one root
+/// (a certified tuple's root is its normal form), and nothing written
 /// that decode infers (see the module docs). Older versions are
 /// **rejected**, not migrated, so there is one decoder. Version 1 could
 /// not be migrated anyway: its certified-NF sections record expanded-spine
 /// images that are not normal under the counted rule system, and
 /// re-seeding them would poison every later incremental normalization (the
 /// [`uprov_core::NfCache`] contract).
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,8 +297,8 @@ fn set(flags: &mut [bool], id: NodeId) {
 /// [`RecoveredSnapshot::wal_seq`]).
 ///
 /// A checkpoint holds the database, not the query history. It writes the
-/// nodes the tuple rows reach (roots and certified NFs) and, of the
-/// certified-NF cache, only the pairs keyed by a node some tuple root
+/// nodes the tuple roots reach (a certified root is a normal form) and, of
+/// the certified-NF cache, only the pairs keyed by a node some tuple root
 /// reaches: those are the cuts recovery's certify can use. Of those, it
 /// leaves out the pairs decode re-seeds on its own (see the module docs).
 /// A symbolic query's or an equivalence probe's answers are keyed by
@@ -315,13 +318,12 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     // Zero is structural: always id 0, always kept.
     let roots = snap.tuples.iter().map(|&(_, root, _)| root);
     mark_live(arena, &mut live, roots.chain([ExprArena::ZERO]));
-    // Keys whose pair decode re-seeds: both ends of every certified row,
-    // then the image of every pair written.
+    // Keys whose pair decode re-seeds: every certified root, then the
+    // image of every pair written.
     let mut implied = vec![false; arena.len()];
-    for &(_, root, nf) in &snap.tuples {
-        if let Some(nf) = nf {
+    for &(_, root, certified) in &snap.tuples {
+        if certified {
             set(&mut implied, root);
-            set(&mut implied, nf);
         }
     }
     let mut nf_pairs: Vec<(NodeId, NodeId)> = engine
@@ -336,12 +338,7 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
     }
     nf_pairs.retain(|&(root, nf)| root != nf || !has(&implied, root));
     nf_pairs.sort_unstable();
-    let nfs = snap.tuples.iter().filter_map(|&(_, _, nf)| nf);
-    mark_live(
-        arena,
-        &mut live,
-        nfs.chain(nf_pairs.iter().map(|&(_, nf)| nf)),
-    );
+    mark_live(arena, &mut live, nf_pairs.iter().map(|&(_, nf)| nf));
     // Order-preserving compaction: children stay below parents.
     let mut remap = Vec::with_capacity(live.len());
     let mut nlive = 0u32;
@@ -474,10 +471,10 @@ fn mark_live(arena: &ExprArena, live: &mut [bool], roots: impl Iterator<Item = N
 /// `remap` (arena id to snapshot id). Each tuple is one row: its name
 /// front-coded against the row before (a tuple inserted mid-transaction
 /// is annotated with the txn's atom, so its own name lives only in the
-/// replay state), its root, and its NF column, `0` for a dirty tuple and
-/// `nf + 1` for a certified one. Base-tuple and transaction names are
-/// interned atoms, so those two sections store ascending atom indices
-/// instead of spelling each name out again.
+/// replay state), then `root << 1 | certified` in one varint.
+/// Base-tuple and transaction names are interned atoms, so those two
+/// sections store ascending atom indices instead of spelling each name
+/// out again.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #[deny(clippy::indexing_slicing)]
@@ -485,11 +482,10 @@ fn put_state(p: &mut Vec<u8>, snap: &StateSnapshot, remap: impl Fn(NodeId) -> u3
     put_var64(p, snap.updates);
     put_var(p, snap.tuples.len() as u32);
     let mut prev = "";
-    for (name, root, nf) in &snap.tuples {
+    for (name, root, certified) in &snap.tuples {
         put_name(p, prev, name);
         prev = name;
-        put_var(p, remap(*root));
-        put_var(p, nf.map_or(0, |nf| remap(nf) + 1));
+        put_var64(p, u64::from(remap(*root)) << 1 | u64::from(*certified));
     }
     for named in [&snap.base_atoms, &snap.txn_atoms] {
         let mut ixs: Vec<u32> = named.iter().map(|(_, a)| a.index() as u32).collect();
@@ -565,16 +561,15 @@ fn decode_tail(
     let mut prev = Vec::new();
     for _ in 0..ntuples {
         let name = take_name(r, &mut prev, "tuple name")?.to_owned();
-        let root = node_id(r, "tuple root")?;
-        let nf = match r.take_var("tuple nf")? as usize {
-            0 => None,
-            raw if raw > nnodes => return Err(SnapshotError::Corrupt(OUT_OF_ARENA)),
-            raw => Some(NodeId::from_index(raw - 1)),
+        let row = r.take_var64("tuple root")?;
+        let root = match usize::try_from(row >> 1) {
+            Ok(ix) if ix < nnodes => NodeId::from_index(ix),
+            _ => return Err(SnapshotError::Corrupt(OUT_OF_ARENA)),
         };
         if snap.tuples.last().is_some_and(|(prev, ..)| *prev >= name) {
             return Err(SnapshotError::Corrupt("tuple names not strictly sorted"));
         }
-        snap.tuples.push((name, root, nf));
+        snap.tuples.push((name, root, row & 1 == 1));
     }
     // Base/txn names are stored as atom indices (see [`encode`]); each is
     // range- and kind-checked, then its name re-materialized from the
@@ -609,8 +604,9 @@ fn decode_tail(
     Ok((snap, nf_entries))
 }
 
-/// Deserializes a snapshot blob, rebuilding the engine id-identically (see
-/// the module docs). Total over arbitrary input.
+/// Deserializes a snapshot blob, rebuilding the engine over the
+/// checkpoint's live nodes (see the module docs). Total over arbitrary
+/// input.
 ///
 /// One pass on the calling thread: the header, then the payload's CRC,
 /// then the parse, then the re-encode. A checksum mismatch is therefore
@@ -779,9 +775,9 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let (snap, nf_entries) = decode_tail(&mut r, &atoms, natoms, nnodes)?;
     let mut engine = Engine::from_parts(atoms, arena);
     let cache = engine.nf_cache_mut();
-    for &(_, root, nf) in &snap.tuples {
-        if let Some(nf) = nf {
-            cache.insert_certified(root, nf);
+    for &(_, root, certified) in &snap.tuples {
+        if certified {
+            cache.insert_certified(root, root);
         }
     }
     for &(root, nf) in &nf_entries {
@@ -818,21 +814,26 @@ mod tests {
         let bytes = encode(&engine, &state, 7);
         let rec = decode(&bytes).expect("round trip");
         assert_eq!(rec.wal_seq, 7);
-        assert_eq!(rec.engine.arena().len(), engine.arena().len());
         assert_eq!(rec.engine.atoms().len(), engine.atoms().len());
-        // Bit-identical ids: the recovered state's roots equal the originals.
-        let orig: Vec<_> = state.tuples().collect();
-        let back: Vec<_> = rec.state.tuples().collect();
-        assert_eq!(orig, back);
-        assert_eq!(state.to_snapshot(), rec.state.to_snapshot());
-        // Certified NFs re-seeded: a repeat certify is all cache hits.
-        assert_eq!(
-            rec.state.certified_count(),
-            state.certified_count(),
-            "certified map survives"
-        );
-        // And encoding the recovered engine reproduces the exact bytes.
-        assert_eq!(encode(&rec.engine, &rec.state, 7), bytes);
+        // The decoded arena is the checkpoint's live set, so the rows
+        // match the originals through structural hashes; atoms keep their
+        // indices.
+        let rows = |e: &Engine, s: &ReplayState| {
+            let snap = s.to_snapshot();
+            let hash = |root| e.arena().structural_hash(root);
+            let rows = snap.tuples.into_iter();
+            let rows: Vec<_> = rows.map(|(n, root, c)| (n, hash(root), c)).collect();
+            (rows, snap.base_atoms, snap.txn_atoms, snap.updates)
+        };
+        assert_eq!(rows(&rec.engine, &rec.state), rows(&engine, &state));
+        assert_eq!(rec.state.certified_count(), 3, "certified rows survive");
+        // Encoding the recovered engine reproduces the exact bytes, and
+        // decoding those rebuilds the recovered state id for id.
+        let again = encode(&rec.engine, &rec.state, 7);
+        assert_eq!(again, bytes);
+        let twice = decode(&again).expect("round trip");
+        assert_eq!(twice.state.to_snapshot(), rec.state.to_snapshot());
+        assert_eq!(twice.engine.arena().len(), rec.engine.arena().len());
     }
 
     #[test]
@@ -952,8 +953,7 @@ mod tests {
         r.take_var64("updates").unwrap();
         for _ in 0..r.take_var("tuples").unwrap() {
             skip_name(&mut r);
-            r.take_var("root").unwrap();
-            r.take_var("nf").unwrap();
+            r.take_var64("root and certified bit").unwrap();
         }
         for _ in 0..2 {
             for _ in 0..r.take_var("atom list").unwrap() {
@@ -1071,10 +1071,11 @@ mod tests {
         }
     }
 
-    /// A log whose snapshot holds every node kind and every binary-node
-    /// spelling: atoms, a sum (the two-source modify), a counted block (a
-    /// inserted twice per transaction), left children right below and
-    /// not, right operands from both slots and spelled out.
+    /// A log whose snapshots hold every node kind and every binary-node
+    /// spelling: atoms, a sum (the two-source modify, in the replayed
+    /// state), a counted block (a inserted twice per transaction, in the
+    /// certified one), left children right below and not, right operands
+    /// from both slots and spelled out.
     const EVERY_KIND_LOG: &str = "base a b c\nbegin t1\ninsert a\ninsert a\nmodify b <- a c\n\
         commit\nbegin t2\ninsert a\ninsert a\ndelete c\ncommit\nbegin t3\nmodify c <- b\n\
         modify a <- c\ncommit\nbegin t4\ndelete b\ncommit\n";
@@ -1082,8 +1083,16 @@ mod tests {
     #[test]
     fn the_test_log_spells_every_node_every_way() {
         let (engine, state) = engine_with(EVERY_KIND_LOG);
-        let bytes = encode(&engine, &state, 0);
-        let tags: Vec<u8> = layout(&bytes).nodes.iter().map(|n| n.tag).collect();
+        let tags_of = |engine, state| -> Vec<u8> {
+            let nodes = layout(&encode(engine, state, 0)).nodes;
+            nodes.iter().map(|n| n.tag).collect()
+        };
+        // A certified root is its normal form, and this log's normal forms
+        // hold no sum: the replayed, dirty state spells one.
+        let mut tags = tags_of(&engine, &state);
+        let mut dirty = Engine::new();
+        let replayed = dirty.replay(&EVERY_KIND_LOG.parse().unwrap()).unwrap();
+        tags.extend(tags_of(&dirty, &replayed));
         let has = |mask: u8, want: u8| tags.iter().any(|&t| t & mask == want);
         for kind in [NODE_ATOM, NODE_BIN, NODE_SUM, NODE_COUNTED] {
             assert!(has(KIND_MASK, kind), "kind {kind}");
@@ -1258,11 +1267,11 @@ mod tests {
 
     const STATE_LOG: &str = "base a b\nbegin t1\ninsert c\nmodify a <- b c\ncommit\n";
 
-    /// Drops every row's normal form, making every tuple dirty: a valid
-    /// state.
+    /// Clears every row's certified bit, making every tuple dirty: a
+    /// valid state.
     fn all_dirty(snap: &mut StateSnapshot) {
-        for (_, _, nf) in &mut snap.tuples {
-            *nf = None;
+        for (_, _, certified) in &mut snap.tuples {
+            *certified = false;
         }
     }
 
@@ -1279,18 +1288,24 @@ mod tests {
             ["a", "b", "c"]
         );
         assert_eq!(rec.state.certified_count(), 0);
-        // A row without its normal form is dirty, and certify reaches it.
-        let rec = decode(&reencoded(STATE_LOG, |s| s.tuples[0].2 = None)).expect("valid");
+        // A row without its certified bit is dirty, and certify reaches
+        // it; its root is already a normal form, so it stays put.
+        let clear_a = |s: &mut StateSnapshot| s.tuples[0].2 = false;
+        let rec = decode(&reencoded(STATE_LOG, clear_a)).expect("valid");
         let (mut engine, mut state) = (rec.engine, rec.state);
         assert_eq!(state.dirty_tuples().collect::<Vec<_>>(), ["a"]);
         assert_eq!(state.certified_count() + state.dirty_count(), 3);
+        let root = state.provenance("a");
         assert_eq!(engine.certify(&mut state).certified, 1);
         assert_eq!(state.dirty_count(), 0);
-        // Dropping it in place strands the nodes only that form reached.
-        assert_eq!(
-            decoded(&with_state(STATE_LOG, |s| s.tuples[0].2 = None)),
-            OTHER_SPELLING
-        );
+        assert_eq!(state.provenance("a"), root);
+        // The bit cleared in place decodes too: no node hangs on it. (The
+        // engine decoded above re-seeded `a ↦ a`, so its re-encoding, with
+        // `a` dirty, stores that pair.)
+        let in_place = with_state(STATE_LOG, clear_a);
+        let rec = decode(&in_place).expect("valid");
+        assert_eq!(rec.state.dirty_tuples().collect::<Vec<_>>(), ["a"]);
+        assert_ne!(in_place, reencoded(STATE_LOG, clear_a));
     }
 
     #[test]
@@ -1350,20 +1365,28 @@ mod tests {
     }
 
     #[test]
-    fn nf_column_ids_are_range_checked() {
-        let nnodes = decode(&with_state(STATE_LOG, |_| {}))
-            .expect("valid")
-            .engine
-            .arena()
-            .len();
-        // The column holds `nf + 1`: the last node is in range, one past
-        // it is not.
-        let nf_of_a = |ix| with_state(STATE_LOG, |s| s.tuples[0].2 = Some(NodeId::from_index(ix)));
-        assert!(decode(&nf_of_a(nnodes - 1)).is_ok());
-        assert_eq!(
-            rejected(nf_of_a(nnodes)),
-            SnapshotError::Corrupt("node id out of arena range")
-        );
+    fn root_column_ids_are_range_checked() {
+        let rec = decode(&with_state(STATE_LOG, |_| {})).expect("valid");
+        let nnodes = rec.engine.arena().len();
+        // The top node is a root: nothing else keeps it live.
+        let snap = rec.state.to_snapshot();
+        let top = snap.tuples.iter().position(|t| t.1.index() == nnodes - 1);
+        let top = top.expect("a row holds the top node");
+        // The column holds `root << 1 | certified`: the last node is in
+        // range under either bit, one past it is not.
+        let root_of_top = |ix, certified| {
+            with_state(STATE_LOG, |s| {
+                s.tuples[top] = (s.tuples[top].0.clone(), NodeId::from_index(ix), certified)
+            })
+        };
+        assert!(decode(&root_of_top(nnodes - 1, true)).is_ok());
+        assert!(decode(&root_of_top(nnodes - 1, false)).is_ok());
+        for certified in [false, true] {
+            assert_eq!(
+                rejected(root_of_top(nnodes, certified)),
+                SnapshotError::Corrupt("node id out of arena range")
+            );
+        }
     }
 
     /// A certified engine whose cache holds live pairs no row implies:
@@ -1445,7 +1468,19 @@ mod tests {
 
     #[test]
     fn implied_or_stray_cache_pairs_are_corrupt() {
-        let (engine, state) = certified_appended_probed();
+        let (mut engine, mut state) = certified_appended_probed();
+        // A second probe, whose normal form no root reaches: b's
+        // `(nf +I t3) − t3` normalizes to the twin's `nf − t3`.
+        let mut twin = state.clone();
+        let tail = |log: &str| log.parse::<UpdateLog>().unwrap();
+        let tails = [
+            (&mut state, "begin t3\ninsert b\ndelete b\ncommit\n"),
+            (&mut twin, "begin t3\ndelete b\ncommit\n"),
+        ];
+        for (s, log) in tails {
+            engine.append(s, &tail(log)).unwrap();
+        }
+        assert!(engine.equivalent(&state, &twin).is_equivalent());
         let bytes = encode(&engine, &state, 0);
         let pairs = stored_pairs(&bytes);
         assert_eq!(with_pairs(&bytes, &pairs), bytes, "section located");
@@ -1456,16 +1491,15 @@ mod tests {
             all.dedup_by_key(|p| p.0);
             decoded(&with_pairs(&bytes, &all))
         };
-        // Both ends of a certified row.
+        // A certified row's root, mapped to itself.
         let snap = decode(&bytes).unwrap().state.to_snapshot();
-        let (_, root, nf) = snap.tuples.iter().find(|t| t.2.is_some()).unwrap();
-        let (root, nf) = (root.index() as u32, nf.unwrap().index() as u32);
-        assert_eq!(with((root, nf)), OTHER_SPELLING);
-        assert_eq!(with((nf, nf)), OTHER_SPELLING);
+        let (_, root, _) = snap.tuples.iter().find(|t| t.2).unwrap();
+        let root = root.index() as u32;
+        assert_eq!(with((root, root)), OTHER_SPELLING);
         // The image of a stored pair, mapped to itself or to any node.
         let &(_, image) = pairs.iter().find(|(k, v)| k != v).unwrap();
         assert_eq!(with((image, image)), OTHER_SPELLING);
-        // A pair keyed at a node only a normal form reaches.
+        // A pair keyed at a node only a stored image reaches.
         let rec = decode(&bytes).unwrap();
         let mut live = vec![false; rec.engine.arena().len()];
         live[0] = true;
@@ -1474,7 +1508,7 @@ mod tests {
             &mut live,
             rec.state.tuples().map(|(_, r)| r),
         );
-        let stray = live.iter().position(|&l| !l).expect("an nf-only node") as u32;
+        let stray = live.iter().position(|&l| !l).expect("an image-only node") as u32;
         assert_eq!(with((stray, image)), OTHER_SPELLING);
     }
 
@@ -1541,10 +1575,11 @@ mod tests {
             SnapshotError::BadMagic
         );
         // Versions 1 (pre-counted-block), 2 (fixed-width integers), 3
-        // (separate certified and dirty sections) and 4 (every name, id
-        // and implied cache pair spelled out) are rejected, not migrated:
-        // there is one decoder. Future versions are equally unreadable.
-        for old_or_new in [1, 2, 3, 4, 6] {
+        // (separate certified and dirty sections), 4 (every name, id and
+        // implied cache pair spelled out) and 5 (a certified row's replay
+        // root beside its normal form) are rejected, not migrated: there
+        // is one decoder. Future versions are equally unreadable.
+        for old_or_new in [1, 2, 3, 4, 5, 7] {
             let mut other = bytes.clone();
             other[8] = old_or_new;
             assert_eq!(

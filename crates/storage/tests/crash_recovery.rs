@@ -463,6 +463,7 @@ fn mutated_checkpoints_decode_to_their_own_encoding_or_not_at_all() {
                 }
             }
         }
+        eprintln!("checkpoint mutations, seed {seed}: {rejected} rejected, {decoded} decoded");
         assert!(rejected > MUTATIONS / 2, "seed {seed}: {decoded} decoded");
     }
 }
@@ -523,6 +524,7 @@ fn mutated_wal_records_decode_to_their_own_encoding_or_not_at_all() {
                 more => panic!("{ctx}: {} records", more.len()),
             }
         }
+        eprintln!("WAL record mutations, seed {seed}: {rejected} rejected, {decoded} decoded");
         assert!(rejected > MUTATIONS / 2, "seed {seed}: {decoded} decoded");
     }
 }

@@ -13,8 +13,8 @@ use std::sync::atomic::Ordering;
 use common::FlakyStorage;
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_storage::{
-    wal, BadMagic, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage,
-    WalTail, SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
+    snapshot, wal, BadMagic, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError,
+    Storage, WalTail, SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
 };
 use uprov_workload::{Workload, WorkloadConfig};
 
@@ -34,6 +34,16 @@ fn reference(logs: &[&UpdateLog], certify_at: &[usize]) -> (Engine, ReplayState)
         }
     }
     (engine, state)
+}
+
+/// `(name, structural hash of the root, certified)` per tuple: a decoded
+/// arena holds only the checkpoint's live nodes, so ids match the
+/// writer's only through structural hashes.
+fn hashed_rows(engine: &Engine, state: &ReplayState) -> Vec<(String, u64, bool)> {
+    let hash = |id| engine.arena().structural_hash(id);
+    let rows = state.to_snapshot().tuples.into_iter();
+    rows.map(|(name, root, certified)| (name, hash(root), certified))
+        .collect()
 }
 
 #[test]
@@ -64,15 +74,27 @@ fn snapshot_with_no_tail_restores_exactly() {
     db.append(&base).unwrap();
     db.certify();
     db.snapshot().expect("checkpoint");
-    let want = db.state().to_snapshot();
-    let (db2, report) = DurableEngine::open(db.into_storage()).expect("recovers");
+    let want = hashed_rows(db.engine(), db.state());
+    let storage = db.into_storage();
+    let blob = storage.blob(SNAPSHOT_BLOB).expect("a checkpoint").to_vec();
+    let (db2, report) = DurableEngine::open(storage).expect("recovers");
     assert!(report.snapshot_loaded);
     assert_eq!(report.wal_records_applied, 0);
     assert_eq!(report.wal_records_skipped, 0);
-    assert_eq!(db2.state().to_snapshot(), want);
+    assert_eq!(hashed_rows(db2.engine(), db2.state()), want);
     let (engine, state) = reference(&[&base], &[0]);
-    assert_eq!(db2.state().to_snapshot(), state.to_snapshot());
-    assert_eq!(db2.engine().arena().len(), engine.arena().len());
+    assert_eq!(
+        hashed_rows(db2.engine(), db2.state()),
+        hashed_rows(&engine, &state)
+    );
+    // The recovered arena is the reference's live set, zero included:
+    // every certified root is a normal form, and nothing else was written.
+    let roots = state.tuples().map(|(_, root)| root);
+    let roots: Vec<_> = roots.chain([uprov_core::ExprArena::ZERO]).collect();
+    let live = engine.arena().topo_order_roots(&roots).len();
+    assert_eq!(db2.engine().arena().len(), live);
+    // And it re-encodes to the very checkpoint it came from.
+    assert_eq!(snapshot::encode(db2.engine(), db2.state(), db2.seq()), blob);
 }
 
 #[test]
@@ -364,7 +386,7 @@ fn file_storage_round_trips_through_a_real_directory() {
         db.certify();
         db.snapshot().expect("checkpoint");
         db.append(&delta).unwrap();
-        db.state().to_snapshot()
+        hashed_rows(db.engine(), db.state())
     };
     // Process "restarts": everything in-memory is gone, only files remain.
     {
@@ -373,11 +395,11 @@ fn file_storage_round_trips_through_a_real_directory() {
         assert!(report.snapshot_loaded);
         assert_eq!(report.wal_records_applied, 1);
         assert_eq!(report.truncated, None);
-        assert_eq!(db.state().to_snapshot(), want);
+        assert_eq!(hashed_rows(db.engine(), db.state()), want);
         // And the recovered engine answers queries.
         let (engine, state) = db.query();
         let view = engine.abort_symbolic(state, "t2").expect("t2 is known");
-        assert!(view.iter().any(|t| t.name == "b"));
+        assert!(view.iter().any(|t| &*t.name == "b"));
     }
     // Tear the WAL on disk; the next open repairs the file itself.
     let wal_path = dir.join(WAL_BLOB);

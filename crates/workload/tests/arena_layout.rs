@@ -52,13 +52,15 @@ fn arena_stays_within_its_per_node_heap_budget() {
 
 /// What the service keeps per structure to answer what-if reads: a
 /// `Worlds` baseline over every tuple, parent table included, in bytes per
-/// schedule node. Measured here: 21 962 nodes, 19.6 B each before the
-/// first what-if, 31.2 B after it — a 4 B schedule entry, the 8 B value, a
-/// 4 B slot in the dense position index (sized by the largest root, ≈ 1.1
-/// slots per node here), a 4 B parent-table offset and 4 B per child edge
-/// (≈ 2 per node), plus ≈ 1 B of atom and root tables. The limit leaves
-/// 5 B for the schedule and atom vectors, which grow by doubling; a
-/// second copy of anything per node breaks it.
+/// schedule node. Measured here: 20 509 nodes, 22.7 B each before the
+/// first what-if, 34.8 B after it — a 4 B schedule entry (allocated at
+/// its exact length), the 8 B value, 4 B slots in the dense position
+/// index (sized by the largest root: certified roots are normal forms at
+/// the top of the arena, so ≈ 2.2 slots per node here), a 4 B
+/// parent-table offset and 4 B per child edge (≈ 2 per node), plus ≈ 1 B
+/// of atom and root tables. Schedule slack from growth by doubling read
+/// 25 B before the first what-if; a second copy of anything per node
+/// breaks the limit.
 #[test]
 fn what_if_baseline_stays_within_its_per_node_heap_budget() {
     let (engine, state) = replayed_and_certified(bench_like(1, 2_000));
@@ -142,11 +144,14 @@ fn snapshot_frame_is_magic_version_length_crc_payload() {
 }
 
 /// An absolute budget in counts (ROADMAP aim 1): the bytes a checkpoint
-/// stores per update applied. Leaving out what decode infers (fresh atom
-/// indices, left children right below, right operands in a two-slot
-/// window, shared name prefixes, cache pairs a row implies) puts these
-/// workloads at 16.6–16.9 B per update (the 18.5 B cap leaves ≈ 10 %
-/// headroom); spelling all of it out cost 22.4–22.8, writing the cache
+/// stores per update applied. One root per certified tuple (its normal
+/// form, not the replayed expression beside it) puts these workloads at
+/// 9.90–10.05 B per update (the 11 B cap leaves ≈ 10 % headroom); the
+/// replayed roots beside the normal forms cost 16.6–16.9. Before that,
+/// leaving out what decode infers (fresh atom indices, left children
+/// right below, right operands in a two-slot window, shared name
+/// prefixes, cache pairs a row implies) mattered most: spelling all of
+/// it out cost 22.4–22.8, writing the cache
 /// pairs no tuple root reaches 22.9–23.2, separate certified and dirty
 /// sections 23.6–23.9, four-byte ids and integers 51.9–52.5.
 #[test]
@@ -157,24 +162,20 @@ fn snapshot_stays_within_its_per_update_byte_budget() {
         let updates = state.update_count();
         assert!(updates > 5_000, "seed {seed}: only {updates} updates");
         assert!(
-            bytes * 10 <= 185 * updates,
+            bytes * 10 <= 110 * updates,
             "seed {seed}: {bytes} B for {updates} updates ({:.1} B each)",
             bytes as f64 / updates as f64
         );
     }
 }
 
-/// A decoded checkpoint's tuple rows — name, root, normal form — with each
-/// id as its structural hash, so rows compare across compactions.
-fn decoded_rows(blob: &[u8]) -> Vec<(String, u64, Option<u64>)> {
+/// A decoded checkpoint's tuple rows — name, root, certified — with each
+/// root as its structural hash, so rows compare across compactions.
+fn decoded_rows(blob: &[u8]) -> Vec<(String, u64, bool)> {
     let rec = snapshot::decode(blob).expect("valid snapshot");
     let hash = |id| rec.engine.arena().structural_hash(id);
-    rec.state
-        .tuples()
-        .map(|(name, root)| {
-            let nf = rec.state.certified_nf(name).map(hash);
-            (name.to_owned(), hash(root), nf)
-        })
+    let rows = rec.state.to_snapshot().tuples.into_iter();
+    rows.map(|(name, root, certified)| (name, hash(root), certified))
         .collect()
 }
 

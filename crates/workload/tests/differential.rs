@@ -18,7 +18,10 @@
 //!    uncached baseline across independently generated variants;
 //! 7. a seeded mid-append crash (`FaultStorage`) leaves a disk whose
 //!    recovery answers exactly like a from-scratch replay of the
-//!    acknowledged prefix.
+//!    acknowledged prefix;
+//! 8. a symbolic abort over certified roots (normal forms) evaluates like
+//!    one over the replayed roots, on bench-shaped logs (a census, not
+//!    the fuzzed case list).
 //!
 //! Scaling knobs (see `uprov_workload::knobs`): `UPROV_FUZZ_CASES` (cases
 //! per seed; default keeps tier-1 fast) and `UPROV_FUZZ_SEEDS`
@@ -29,7 +32,7 @@
 use std::collections::BTreeSet;
 
 use benchkit::TestRng;
-use uprov_core::{UpdateStructure, Valuation};
+use uprov_core::{eval_roots_in, DenseMemo, NodeId, UpdateStructure, Valuation};
 use uprov_engine::{Engine, ReplayState, SymbolicTuple, UpdateLog};
 use uprov_storage::{DurableEngine, FaultMode, FaultStorage, MemStorage, Storage, WAL_BLOB};
 use uprov_structures::{Bool, Clearance, Trust, Witnesses, Worlds};
@@ -122,7 +125,7 @@ fn eval_map<S: UpdateStructure>(
 /// Owned comparison rows for a symbolic query answer.
 fn sym_rows(engine: &Engine, rows: &[SymbolicTuple]) -> Vec<(String, String, bool)> {
     rows.iter()
-        .map(|t| (t.name.clone(), engine.render(t.provenance), t.saturated))
+        .map(|t| (t.name.to_string(), engine.render(t.provenance), t.saturated))
         .collect()
 }
 
@@ -593,5 +596,54 @@ fn crashed_workload_recovers_to_the_acknowledged_prefix() {
             eval_map(eng, state, &Worlds, &val_r),
             "{cfg}: offset {offset}/{wal_len}: recovered answers"
         );
+    }
+}
+
+/// A symbolic census: aborting every 50th transaction of a bench-shaped
+/// log, a state whose tuples are certified (each root its normal form)
+/// and an uncertified replay of the same log, in one engine, must answer
+/// alike. Equal ids are the same expression; every other row must
+/// evaluate alike under 64 seeded `Worlds` valuations. Those rows are
+/// equivalent normal forms that substitution and re-normalization spelled
+/// two ways (a canonicity gap, not a wrong answer): counted and printed,
+/// not failed.
+#[test]
+fn certified_and_replayed_aborts_agree_on_every_row() {
+    for seed in 1..=3 {
+        let w = Workload::generate(WorkloadConfig::bench_shaped(seed, 256, 2_000));
+        let cfg = &w.config;
+        let mut engine = Engine::new();
+        let mut by_nf = engine.replay(&w.log).expect("replays");
+        assert!(engine.certify(&mut by_nf).saturated.is_empty(), "{cfg}");
+        let by_replay = engine.replay(&w.log).expect("replays");
+        let vals: Vec<Valuation<u64>> = (0..64)
+            .map(|salt| valuation_for::<Worlds, _>(&w, &by_nf, salt, u64::MAX, |m| m))
+            .collect();
+        let (mut rows, mut differ) = (0, 0);
+        for txn in w.txn_names.iter().step_by(50) {
+            let a = engine.abort_symbolic(&by_nf, txn).expect("known txn");
+            let b = engine.abort_symbolic(&by_replay, txn).expect("known txn");
+            assert_eq!(a.len(), b.len(), "{cfg}: abort {txn}");
+            let (mut xs, mut ys): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.name, y.name, "{cfg}: abort {txn}");
+                assert!(!x.saturated && !y.saturated, "{cfg}: abort {txn}");
+                if x.provenance != y.provenance {
+                    xs.push(x.provenance);
+                    ys.push(y.provenance);
+                }
+            }
+            rows += a.len();
+            differ += xs.len();
+            let mut memo = DenseMemo::new();
+            for val in &vals {
+                assert_eq!(
+                    eval_roots_in(engine.arena(), &xs, &Worlds, val, &mut memo),
+                    eval_roots_in(engine.arena(), &ys, &Worlds, val, &mut memo),
+                    "{cfg}: abort {txn}"
+                );
+            }
+        }
+        eprintln!("symbolic census, seed {seed}: {differ} of {rows} rows differ by normal form");
     }
 }
